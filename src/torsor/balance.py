@@ -27,7 +27,7 @@ from .fields import (
     ShellLoads,
     shell_christoffels,
 )
-from .vecmath import skew
+from .vecmath import cross, skew
 
 
 @dataclass
@@ -95,13 +95,13 @@ def residual_pointwise(traj, conn, t: float, h: float = None) -> BalanceResidual
     p_dot = fd.diff(lambda u: traj(u).p, t, h=h)
     q_dot = fd.diff(lambda u: traj(u).q, t, h=h)
     l_dot = fd.diff(lambda u: traj(u).l, t, h=h)
-    l0 = l - np.cross(x, p)
-    force = m * (g - 2.0 * np.cross(Om, v))
+    l0 = l - cross(x, p)
+    force = m * (g - 2.0 * cross(Om, v))
     return BalanceResidual(
         mass=m_dot,
         lin_mom=p_dot - force,
         pos_q=q_dot - p,
-        ang_mom=l_dot + np.cross(Om, l0) - np.cross(x, force),
+        ang_mom=l_dot + cross(Om, l0) - cross(x, force),
     )
 
 
@@ -164,7 +164,7 @@ def residual_cauchy(medium: CauchyMedium, conn, t: float, x,
     )
     grad_v = np.stack(d_v[1:], axis=1)
     div_sig = np.array([sum(d_sig[j][i, j] for j in range(3)) for i in range(3)])
-    lin = rho * (d_v[0] + grad_v @ v) - div_sig - rho * (g - 2.0 * np.cross(Om, v))
+    lin = rho * (d_v[0] + grad_v @ v) - div_sig - rho * (g - 2.0 * cross(Om, v))
     ang = np.array([sig[i, j] - sig[j, i] for (i, j, _) in _CYCLIC3])
     return BalanceResidual(mass=mass, lin_mom=lin, pos_q=np.zeros(3), ang_mom=ang)
 
@@ -232,7 +232,7 @@ def residual_1d(f: Cosserat1DField, conn, t: float, s: float,
     lin = (
         rho_l * (v_dot + dv_ds * (curve.v_t(t, s) - slide(t, s)))
         - d(f.F, 1)
-        - rho_l * (g - 2.0 * np.cross(Om, v))
+        - rho_l * (g - 2.0 * cross(Om, v))
     )
     pos = (
         d(f.q, 0)
@@ -242,11 +242,11 @@ def residual_1d(f: Cosserat1DField, conn, t: float, s: float,
     )
     ang = (
         d(f.l, 0)
-        + np.cross(Om, np.asarray(f.l(t, s), dtype=float))
-        + np.cross(np.asarray(f.l_star(t, s), dtype=float), np.cross(Om, n))
+        + cross(Om, f.l(t, s))
+        + cross(f.l_star(t, s), cross(Om, n))
         + d(lambda tt, ss: np.asarray(f.M_star(tt, ss), dtype=float)
             - slide(tt, ss) * np.asarray(f.l(tt, ss), dtype=float), 1)
-        - np.cross(n, np.asarray(f.F(t, s), dtype=float))
+        - cross(n, f.F(t, s))
     )
     return BalanceResidual(mass=mass, lin_mom=lin, pos_q=pos, ang_mom=ang)
 
@@ -344,7 +344,7 @@ def residual_2d(sf: ShellField, loads: ShellLoads, conn, t: float,
         )
 
     X = X_f(*args)
-    accel = rho_s * (g - 2.0 * np.cross(Om, v)) - rho_s * sf.v_dot(t, th1, th2)
+    accel = rho_s * (g - 2.0 * cross(Om, v)) - rho_s * sf.v_dot(t, th1, th2)
     lin_in = (
         _surf_div_first(X_f, args, G, trG, h, bounds, one_sided)
         - b_mix @ Q
@@ -448,8 +448,8 @@ def residual_3d_cosserat(state: Cosserat3DState, conn, t: float, x,
     ang = (
         d(l_of, 0)
         + div_Ms
-        - np.cross(q, g)
-        + np.cross(Om, l)
+        - cross(q, g)
+        + cross(Om, l)
         + ls_terms
         + ang_T
     )

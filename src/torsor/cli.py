@@ -62,6 +62,11 @@ def load_scenario(raw) -> Scenario:
     name = raw["name"]
     if not isinstance(name, str) or not name:
         raise ScenarioError("name: must be a non-empty string")
+    if "/" in name or "\\" in name or ".." in name:
+        raise ScenarioError(
+            f"name: {name!r} must not contain '/', '\\' or '..' (it names "
+            f"the scenario's directory under the output root)"
+        )
     kind = raw["kind"]
     if kind not in KIND_MEDIA:
         raise ScenarioError(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fd
-from .vecmath import skew
+from .vecmath import cross, skew
 
 
 def _as_field(value):
@@ -38,18 +38,20 @@ class GalileanConnection:
         return cls(g=g, Omega=Omega)
 
     @classmethod
-    def rotating_frame(cls, Omega):
+    def rotating_frame(cls, Omega, g=(0.0, 0.0, 0.0)):
         """Chart spinning rigidly at constant Omega inside an inertial world.
 
-        Carries the centrifugal gravity g(x) = -Omega x (Omega x x) in
-        addition to the spin; Coriolis terms enter through Omega itself.
+        Carries the centrifugal gravity -Omega x (Omega x x) on top of the
+        constant base gravity g, in addition to the spin; Coriolis terms
+        enter through Omega itself.
         """
-        Om = np.asarray(Omega, dtype=float).reshape(3)
+        Om = np.array(Omega, dtype=float).reshape(3)
+        g0 = np.array(g, dtype=float).reshape(3)
 
-        def g(t, x):
-            return -np.cross(Om, np.cross(Om, np.asarray(x, dtype=float)))
+        def g_total(t, x):
+            return g0 - cross(Om, cross(Om, x))
 
-        return cls(g=g, Omega=Om)
+        return cls(g=g_total, Omega=Om)
 
     def christoffels_at(self, t: float, x) -> np.ndarray:
         """(4, 4, 4) array G[a, m, b] = Gamma^a_mb at the event (t, x)."""

@@ -19,7 +19,7 @@ from scipy.optimize import brentq
 
 from . import fd
 from .errors import DegenerateTangent, SingularMetric
-from .vecmath import skew
+from .vecmath import cross, skew, strict_max
 
 DEGENERATE_TANGENT_TOL = 1e-9
 SINGULAR_METRIC_TOL = 1e-12
@@ -161,7 +161,7 @@ class Curve1D:
 
     def arclength_defect(self, t: float, s_samples) -> float:
         """max | |d psi/ds| - 1 | over the samples; 0 for true arclength."""
-        return max(
+        return strict_max(
             abs(float(np.linalg.norm(self.n(t, s))) - 1.0) for s in s_samples
         )
 
@@ -306,11 +306,11 @@ class ShellField:
         if self._n is not None:
             return np.asarray(self._n(t, th1, th2), dtype=float).reshape(3)
         pi = self.pi(t, th1, th2)
-        cross = np.cross(pi[0], pi[1])
-        norm = np.linalg.norm(cross)
+        normal = cross(pi[0], pi[1])
+        norm = np.linalg.norm(normal)
         if norm ** 2 < SINGULAR_METRIC_TOL:
             raise SingularMetric(f"normal undefined at (t={t}, theta=({th1}, {th2}))")
-        return cross / norm
+        return normal / norm
 
     def dpi_dtheta(self, t, th1, th2) -> np.ndarray:
         """(2, 2, 3) array D[a, c] = d pi_a / d theta^c (= d2 x, symmetric in a, c).
@@ -355,7 +355,7 @@ class ShellField:
             return np.asarray(self._w(t, th1, th2), dtype=float).reshape(3)
         if self.varpi is not None:
             vp = np.asarray(self.varpi(t, th1, th2), dtype=float).reshape(3)
-            return np.cross(vp, self.n(t, th1, th2))
+            return cross(vp, self.n(t, th1, th2))
         return fd.partial(lambda tt, a, b: self.n(tt, a, b), (t, th1, th2), 0)
 
     def dpi_dt(self, t, th1, th2) -> np.ndarray:

@@ -48,6 +48,7 @@ from .simulate import (
     convergence_check,
     run_scenario,
 )
+from .vecmath import cross, rotation, strict_max
 
 RESIDUAL_COLUMNS = (
     "res_mass,res_lin1,res_lin2,res_lin3,"
@@ -99,14 +100,7 @@ class ConnSpec:
                 "case defines its own connection"
             )
         if self.type == "rotating_frame":
-            g0 = self.g.copy()
-            Om = self.Omega.copy()
-
-            def g_total(t, x):
-                x = np.asarray(x, dtype=float)
-                return g0 - np.cross(Om, np.cross(Om, x))
-
-            return GalileanConnection(g=g_total, Omega=Om)
+            return GalileanConnection.rotating_frame(self.Omega, g=self.g)
         return GalileanConnection(g=self.g, Omega=self.Omega)
 
 
@@ -193,17 +187,7 @@ def _residual_table(coord_header, coord_rows, residuals):
 
 
 def _worst(residuals):
-    return max(float(np.max(np.abs(r))) for r in residuals)
-
-
-def _axis_rotation(axis, angle):
-    """Rodrigues rotation about a unit axis."""
-    K = np.array([
-        [0.0, -axis[2], axis[1]],
-        [axis[2], 0.0, -axis[0]],
-        [-axis[1], axis[0], 0.0],
-    ])
-    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+    return strict_max(np.max(np.abs(r)) for r in residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +208,8 @@ def _free_particle(p, rng, conn_spec):
     traj = run_scenario(init, conn, IntegratorConfig(
         dt=p["dt"], t_end=p["t_end"], output_stride=p["stride"]))
     rep = traj.drift_report()
-    err = max(
-        float(np.max(np.abs(s.x - (init.x + init.v * s.t))))
-        for s in traj.states
+    err = strict_max(
+        np.max(np.abs(s.x - (init.x + init.v * s.t))) for s in traj.states
     )
     fin = traj.final
     checks = [
@@ -285,20 +268,20 @@ def _coriolis(p, rng, conn_spec):
     traj = run_scenario(init, conn, IntegratorConfig(
         dt=p["dt"], t_end=p["t_end"], output_stride=p["stride"]))
     e3 = np.array([0.0, 0.0, 1.0])
-    v_in = v0 + w * np.cross(e3, x0)
+    v_in = v0 + w * cross(e3, x0)
     err = 0.0
     for s in traj.states:
-        R = _axis_rotation(e3, -w * s.t)
+        R = rotation(e3, -w * s.t)
         x_ref = R @ (x0 + v_in * s.t)
-        v_ref = R @ v_in - w * np.cross(e3, x_ref)
-        l_ref = np.cross(x_ref, m * v_ref) + R @ l00
-        err = max(
+        v_ref = R @ v_in - w * cross(e3, x_ref)
+        l_ref = cross(x_ref, m * v_ref) + R @ l00
+        err = strict_max((
             err,
-            float(np.max(np.abs(s.x - x_ref))),
-            float(np.max(np.abs(s.p - m * v_ref))),
-            float(np.max(np.abs(s.q - m * x_ref))),
-            float(np.max(np.abs(s.l - l_ref))),
-        )
+            np.max(np.abs(s.x - x_ref)),
+            np.max(np.abs(s.p - m * v_ref)),
+            np.max(np.abs(s.q - m * x_ref)),
+            np.max(np.abs(s.l - l_ref)),
+        ))
     rep = traj.drift_report()
     checks = [
         Check("state vs transformed inertial line", err, 1e-8),
@@ -323,11 +306,11 @@ def _gravity_top(p, rng, conn_spec):
     )
     traj = run_scenario(init, conn, IntegratorConfig(
         dt=p["dt"], t_end=p["t_end"], output_stride=p["stride"]))
-    lg_err = max(
+    lg_err = strict_max(
         abs(float((s.l - init.l) @ g_hat)) for s in traj.states
     )
-    l0_err = max(
-        float(np.max(np.abs(s.l0 - init.l0))) for s in traj.states
+    l0_err = strict_max(
+        np.max(np.abs(s.l0 - init.l0)) for s in traj.states
     )
     rep = traj.drift_report()
     checks = [
@@ -349,7 +332,6 @@ def _precession(p, rng, conn_spec):
     w = float(np.linalg.norm(Om))
     if w == 0.0:
         raise ScenarioError("connection.Omega: must be nonzero for this case")
-    axis = Om / w
     conn = conn_spec.build()
     l00 = np.array([0.5, 0.2, 0.9])
     init = PointwiseState.from_proper(
@@ -357,15 +339,16 @@ def _precession(p, rng, conn_spec):
     )
     traj = run_scenario(init, conn, IntegratorConfig(
         dt=p["dt"], t_end=p["t_end"], output_stride=p["stride"]))
-    cone_err = max(
-        float(np.max(np.abs(s.l0 - _axis_rotation(axis, -w * s.t) @ l00)))
+    cone_err = strict_max(
+        np.max(np.abs(s.l0 - rotation(Om, -w * s.t) @ l00))
         for s in traj.states
     )
-    norm_err = max(
+    norm_err = strict_max(
         abs(float(np.linalg.norm(s.l0)) - float(np.linalg.norm(l00)))
         for s in traj.states
     )
-    axial_err = max(
+    axis = Om / w
+    axial_err = strict_max(
         abs(float((s.l0 - l00) @ axis)) for s in traj.states
     )
     checks = [
@@ -397,7 +380,7 @@ def _projectile_residual(p, rng, conn_spec):
     def traj(t):
         x = x0 + v0 * t + 0.5 * g * t * t
         mom = m * (v0 + g * t)
-        return PointwiseTorsor(m, mom, m * x, l00 + np.cross(x, mom))
+        return PointwiseTorsor(m, mom, m * x, l00 + cross(x, mom))
 
     ts = np.linspace(p["t_span"][0], p["t_span"][1], p["n_t"])
     coords, residuals = [], []
@@ -465,7 +448,7 @@ def manufactured_cauchy(g=(0.1, -0.2, 0.3), Omega=(0.2, -0.1, 0.3)):
         r = rho(t, x)
         vv = v(t, x)
         sig = sigma(t, x)
-        lin = r * accel - div_sig - r * (g - 2.0 * np.cross(Om, vv))
+        lin = r * accel - div_sig - r * (g - 2.0 * cross(Om, vv))
         ang = np.array([
             sig[1, 2] - sig[2, 1],
             sig[2, 0] - sig[0, 2],
@@ -498,7 +481,7 @@ def _cauchy_manufactured(p, rng, conn_spec):
         residuals.append(res)
         errs.append(float(np.max(np.abs(res - exact(t, x)))))
     return CaseResult(
-        [Check("residual vs exact expansion", max(errs), 1e-5)],
+        [Check("residual vs exact expansion", strict_max(errs), 1e-5)],
         [_residual_table("t,x1,x2,x3", coords, residuals)],
     )
 
@@ -547,7 +530,7 @@ def _rotating_bucket(p, rng, conn_spec):
 
     def sigma(t, x):
         x = np.asarray(x, dtype=float)
-        wx = np.cross(Om, x)
+        wx = cross(Om, x)
         pr = rho0 * (float(g0 @ x) + 0.5 * float(wx @ wx))
         return -pr * np.eye(3)
 
@@ -586,7 +569,7 @@ def _beam_under_gravity(p, rng, conn_spec):
     g = conn_spec.g
     conn = conn_spec.build()
     e1 = np.array([1.0, 0.0, 0.0])
-    n_cross_g = np.cross(e1, g)
+    n_cross_g = cross(e1, g)
     rod = Curve1D(
         lambda t, s: np.array([s, 0.0, 0.0]), n=lambda t, s: e1,
     )
@@ -848,7 +831,7 @@ def _disc_section(p, rng, conn_spec):
 
     def rigid_T(xb):
         x3 = cs.origin + xb[0] * cs.e1 + xb[1] * cs.e2
-        return assemble_cauchy_T(rho0, w * np.cross(n, x3), np.zeros((3, 3)))
+        return assemble_cauchy_T(rho0, w * cross(n, x3), np.zeros((3, 3)))
 
     def pipe_T(xb):
         vt = v_max * (1.0 - (xb[0] ** 2 + xb[1] ** 2) / (R * R))
@@ -867,8 +850,8 @@ def _disc_section(p, rng, conn_spec):
     F_ref = -rho0 * v_max ** 2 * area / 12.0 * n
     F_err = float(np.max(np.abs(fm.F - F_ref)))
     vt_err = abs(fm.v_t - v_max / 2.0)
-    parity = max(
-        float(np.max(np.abs(mom.q))), float(np.max(np.abs(mom.l_star)))
+    parity = strict_max(
+        (np.max(np.abs(mom.q)), np.max(np.abs(mom.l_star)))
     )
     rows = np.array([np.concatenate([
         [M_rigid[0, 0]], mom.l, fm.F, [fm.v_t],
@@ -998,7 +981,7 @@ def manufactured_rod(g=(0.1, -0.3, 0.2), Omega=(0.2, 0.1, -0.3)):
             (0.1 / 3.0) * np.exp(s / 3.0),
         ])
         lin = rho_v * (dv_dt + v_t * dv_ds) - dF_ds \
-            - rho_v * (g - 2.0 * np.cross(Om, v_v))
+            - rho_v * (g - 2.0 * cross(Om, v_v))
 
         dq_dt = np.array([0.0, 0.1 * np.cos(s + t), 0.0])
         dls_ds = np.array([
@@ -1010,9 +993,9 @@ def manufactured_rod(g=(0.1, -0.3, 0.2), Omega=(0.2, 0.1, -0.3)):
         dMs_ds = np.array([
             -0.1 * np.sin(s + t), 0.3 * np.cos(s), -0.2 * np.sin(s),
         ])
-        ang = dl_dt + np.cross(Om, l_fn(t, s)) \
-            + np.cross(l_star(t, s), np.cross(Om, e1)) \
-            + dMs_ds - np.cross(e1, F(t, s))
+        ang = dl_dt + cross(Om, l_fn(t, s)) \
+            + cross(l_star(t, s), cross(Om, e1)) \
+            + dMs_ds - cross(e1, F(t, s))
         return np.concatenate([[mass], lin, pos, ang])
 
     return f, conn, exact

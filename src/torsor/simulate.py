@@ -6,18 +6,20 @@ dl/dt = x x dp/dt - Omega x l0, with the mass held exactly constant and the
 proper part l0 = l - x x p carried as a derived quantity.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonMonotoneError, NonpositiveMass
+from .vecmath import cross, cross3, strict_max
 
 MASS_TOL = 0.0  # mass must stay bit-identical along a trajectory
 
 
 def _vec3(a, name):
     out = np.asarray(a, dtype=float).reshape(3)
-    if not np.all(np.isfinite(out)):
+    if not all(map(math.isfinite, out.tolist())):
         raise ValueError(f"{name} must be finite, got {a!r}")
     return out
 
@@ -55,7 +57,7 @@ class PointwiseState:
         v = _vec3(v, "v")
         l0 = _vec3(l0, "l0")
         p = float(m) * v
-        return cls(t=t, m=m, x=x, p=p, q=float(m) * x, l=l0 + np.cross(x, p))
+        return cls(t=t, m=m, x=x, p=p, q=float(m) * x, l=l0 + cross(x, p))
 
     @property
     def v(self):
@@ -64,7 +66,7 @@ class PointwiseState:
     @property
     def l0(self):
         """Proper angular momentum l - x x p."""
-        return self.l - np.cross(self.x, self.p)
+        return self.l - cross(self.x, self.p)
 
     def as_row(self):
         """Flat (t, m, x, p, q, l) row, the trajectory CSV layout."""
@@ -93,17 +95,37 @@ class IntegratorConfig:
             )
 
 
-def _rhs(t, y, m, conn):
-    x = y[0:3]
-    p = y[3:6]
-    l = y[9:12]
-    v = p / m
-    g = conn.g(t, x)
-    Om = conn.Omega(t, x)
-    force = m * (g - 2.0 * np.cross(Om, v))
-    l0 = l - np.cross(x, p)
-    dl = np.cross(x, force) - np.cross(Om, l0)
-    return np.concatenate([v, force, p, dl])
+# On 3-vectors numpy's per-call overhead dwarfs the arithmetic, so the RK4
+# step works block by block (x, p, q, l) on Python float triples.  Each
+# block applies the elementwise operations of the formulas in the module
+# docstring in the same order, so the trajectory is bit-identical to an
+# evaluation on numpy 3-vectors.
+def _field3(value):
+    """A field value (3-vector) as a list of three floats."""
+    return np.asarray(value, dtype=float).reshape(3).tolist()
+
+
+def _rhs(t, x, p, l, m, conn):
+    """Stage derivatives (dx/dt, dp/dt, dl/dt); dq/dt is p itself."""
+    x_arr = np.array(x)
+    g = _field3(conn.g(t, x_arr))
+    Om = _field3(conn.Omega(t, x_arr))
+    v = [pi / m for pi in p]
+    force = [m * (gi - 2.0 * ci) for gi, ci in zip(g, cross3(Om, v))]
+    l0 = [li - ci for li, ci in zip(l, cross3(x, p))]
+    dl = [a - b for a, b in zip(cross3(x, force), cross3(Om, l0))]
+    return v, force, dl
+
+
+def _axpy(a, dy, y):
+    """Stage input y + a dy."""
+    return [yi + a * di for yi, di in zip(y, dy)]
+
+
+def _rk4_sum(y, w, k1, k2, k3, k4):
+    """y + w (k1 + 2 k2 + 2 k3 + k4)."""
+    return [yi + w * (a + 2.0 * b + 2.0 * c + d)
+            for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
 
 def step(state: PointwiseState, conn, dt: float) -> PointwiseState:
@@ -111,22 +133,47 @@ def step(state: PointwiseState, conn, dt: float) -> PointwiseState:
     if not state.m > 0.0:
         raise NonpositiveMass(f"mass must be positive, got {state.m}")
     t, m = state.t, state.m
-    y = np.concatenate([state.x, state.p, state.q, state.l])
-    k1 = _rhs(t, y, m, conn)
-    k2 = _rhs(t + dt / 2.0, y + (dt / 2.0) * k1, m, conn)
-    k3 = _rhs(t + dt / 2.0, y + (dt / 2.0) * k2, m, conn)
-    k4 = _rhs(t + dt, y + dt * k3, m, conn)
-    y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return PointwiseState(t=t + dt, m=m, x=y[0:3], p=y[3:6], q=y[6:9],
-                          l=y[9:12])
+    x, p, q, l = (state.x.tolist(), state.p.tolist(), state.q.tolist(),
+                  state.l.tolist())
+    h = dt / 2.0
+    v1, f1, d1 = _rhs(t, x, p, l, m, conn)
+    p2 = _axpy(h, f1, p)
+    v2, f2, d2 = _rhs(t + h, _axpy(h, v1, x), p2, _axpy(h, d1, l), m, conn)
+    p3 = _axpy(h, f2, p)
+    v3, f3, d3 = _rhs(t + h, _axpy(h, v2, x), p3, _axpy(h, d2, l), m, conn)
+    p4 = _axpy(dt, f3, p)
+    v4, f4, d4 = _rhs(t + dt, _axpy(dt, v3, x), p4, _axpy(dt, d3, l), m,
+                      conn)
+    w = dt / 6.0
+    return PointwiseState(
+        t=t + dt, m=m,
+        x=_rk4_sum(x, w, v1, v2, v3, v4),
+        p=_rk4_sum(p, w, f1, f2, f3, f4),
+        q=_rk4_sum(q, w, p, p2, p3, p4),
+        l=_rk4_sum(l, w, d1, d2, d3, d4),
+    )
 
 
 def _state_drifts(s: PointwiseState, m0: float):
+    """(|m - m0|, max |q - m x|, max |l - l0 - x x p|) of one state."""
+    x, l = s.x.tolist(), s.l.tolist()
+    xp = cross3(x, s.p.tolist())
     return (
         abs(s.m - m0),
-        float(np.max(np.abs(s.q - s.m * s.x))),
-        float(np.max(np.abs(s.l - s.l0 - np.cross(s.x, s.p)))),
+        strict_max(abs(qi - s.m * xi) for qi, xi in zip(s.q.tolist(), x)),
+        # l0 = l - x x p, as the l0 property computes it
+        strict_max(abs(li - (li - ci) - ci) for li, ci in zip(l, xp)),
     )
+
+
+def _drift_dict(rows):
+    """Worst of each drift over per-state _state_drifts rows."""
+    mass, pos_q, split = (strict_max(col) for col in zip(*rows))
+    return {
+        "mass_drift": mass,
+        "pos_q_drift": pos_q,
+        "proper_split_drift": split,
+    }
 
 
 @dataclass
@@ -158,13 +205,7 @@ class Trajectory:
         if self.drifts is not None:
             return dict(self.drifts)
         m0 = self.states[0].m
-        cols = [_state_drifts(s, m0) for s in self.states]
-        mass, pos_q, split = (max(c[i] for c in cols) for i in range(3))
-        return {
-            "mass_drift": mass,
-            "pos_q_drift": pos_q,
-            "proper_split_drift": split,
-        }
+        return _drift_dict([_state_drifts(s, m0) for s in self.states])
 
 
 def run_scenario(init: PointwiseState, conn,
@@ -181,18 +222,13 @@ def run_scenario(init: PointwiseState, conn,
     states = [init]
     s = init
     m0 = init.m
-    worst = list(_state_drifts(init, m0))
+    drifts = [_state_drifts(init, m0)]
     for k in range(n_steps):
         s = step(s, conn, cfg.dt)
-        worst = [max(w, d) for w, d in zip(worst, _state_drifts(s, m0))]
+        drifts.append(_state_drifts(s, m0))
         if (k + 1) % cfg.output_stride == 0 or k + 1 == n_steps:
             states.append(s)
-    drifts = {
-        "mass_drift": worst[0],
-        "pos_q_drift": worst[1],
-        "proper_split_drift": worst[2],
-    }
-    return Trajectory(states=states, drifts=drifts)
+    return Trajectory(states=states, drifts=_drift_dict(drifts))
 
 
 TRAJECTORY_CSV_HEADER = "t,m,x1,x2,x3,p1,p2,p3,q1,q2,q3,l1,l2,l3"
@@ -228,7 +264,7 @@ def convergence_check(residual_op, fields, point, steps,
     if len(hs) < 3:
         raise ValueError("need at least 3 step sizes")
     errs = [abs(float(residual_op(fields, point, h))) for h in hs]
-    if max(errs) < floor:
+    if strict_max(errs) < floor:
         return None
     for a, b in zip(errs, errs[1:]):
         if not b < a:

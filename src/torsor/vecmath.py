@@ -1,5 +1,7 @@
 """Small vector/matrix helpers used throughout the package."""
 
+import math
+
 import numpy as np
 
 
@@ -13,10 +15,44 @@ def skew(v) -> np.ndarray:
     ])
 
 
+def cross3(a, b) -> tuple:
+    """Cross product of two float triples, as a tuple of three floats.
+
+    The products and differences are those np.cross evaluates, in the same
+    order, so the result is bit-identical to it.
+    """
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def cross(a, b) -> np.ndarray:
+    """Cross product of two 3-vectors, bit-identical to np.cross.
+
+    Spares np.cross's broadcasting machinery, which costs about 20x the
+    arithmetic on 3-vectors.  Inputs must hold exactly three numbers each;
+    the result is a float (3,) array.
+    """
+    return np.array(cross3(np.asarray(a, dtype=float).reshape(3).tolist(),
+                           np.asarray(b, dtype=float).reshape(3).tolist()))
+
+
 def axial(A) -> np.ndarray:
     """Inverse of skew: axial(skew(v)) == v for skew-symmetric A."""
     A = np.asarray(A, dtype=float)
     return np.array([A[2, 1], A[0, 2], A[1, 0]])
+
+
+def strict_max(values) -> float:
+    """Largest of `values` as Python's max() picks it, but NaN if any is NaN.
+
+    max() drops a NaN that is not in first place (max(0.0, nan) == 0.0), so
+    a check reduced with it would pass on a NaN residual.
+    """
+    values = [float(v) for v in values]
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    return max(values)
 
 
 def rotation(axis, angle: float) -> np.ndarray:

@@ -185,3 +185,13 @@ def test_run_multiple_targets_aggregates_exit(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 8
+
+
+def test_name_that_escapes_out_dir_exits_2(tmp_path, capsys):
+    out_dir = tmp_path / "out" / "a" / "b"
+    for name in ("../../escape", "sub/dir", "sub\\dir", ".."):
+        scn = _write_scenario(tmp_path / "scn.json", name=name)
+        rc = main(["run", str(scn), "--out-dir", str(out_dir)])
+        assert rc == 2, name
+        assert capsys.readouterr().err.startswith("error: name:"), name
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scn.json"]

@@ -201,6 +201,13 @@ def test_reparameterize_ellipse_defect():
     assert arc.arclength_defect(0.0, [0.3, 0.8, 1.5]) < 1e-6
 
 
+def test_arclength_defect_keeps_a_nan():
+    def psi(t, u):
+        return np.array([u, 0.0, 0.0]) if u < 1.0 else np.full(3, np.nan)
+
+    assert np.isnan(Curve1D(psi).arclength_defect(0.0, [0.5, 2.0]))
+
+
 def test_reparameterize_requires_range():
     with pytest.raises(ValueError):
         Curve1D(lambda t, u: np.array([u, 0.0, 0.0]), reparameterize=True)

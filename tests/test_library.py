@@ -20,6 +20,7 @@ from torsor.library import (
     KIND_MEDIA,
     Check,
     ConnSpec,
+    _worst,
     manufactured_cauchy,
     manufactured_rod,
 )
@@ -247,3 +248,11 @@ def test_check_tolerance_scale():
     c = Check("x", value=5e-9, tol=1e-9)
     assert not c.passed()
     assert c.passed(scale=10.0)
+
+
+def test_worst_residual_keeps_a_nan_past_the_first_point():
+    residuals = [np.zeros(10), np.full(10, np.nan)]
+    worst = _worst(residuals)
+    assert np.isnan(worst)
+    assert not Check("residual", worst, 1e-8).passed()
+    assert _worst([np.full(3, 2e-9), np.array([1e-9, -3e-9, 0.0])]) == 3e-9

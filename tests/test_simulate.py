@@ -5,6 +5,8 @@ inertial straight line, and the pure-Coriolis oscillation.  Convergence
 slopes are checked against sympy-exact residual expansions.
 """
 
+import math
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -15,6 +17,7 @@ from torsor.balance import residual_1d, residual_cauchy
 from torsor.connection import GalileanConnection
 from torsor.errors import NonMonotoneError, NonpositiveMass
 from torsor.fields import CauchyMedium, Cosserat1DField, Curve1D
+from torsor import simulate
 from torsor.simulate import (
     TRAJECTORY_CSV_HEADER,
     IntegratorConfig,
@@ -257,6 +260,28 @@ def test_run_scenario_stride_includes_final():
     assert traj.final is traj.states[-1]
 
 
+def test_run_scenario_drift_keeps_a_late_nan(monkeypatch):
+    # Integration keeps every state finite, so a NaN drift is injected past
+    # the first step, where Python's max() used to drop it.
+    state_drifts = simulate._state_drifts
+
+    def drifts(s, m0):
+        mass, pos_q, split = state_drifts(s, m0)
+        return mass, (math.nan if s.t > 0.5 else pos_q), split
+
+    monkeypatch.setattr(simulate, "_state_drifts", drifts)
+    init = PointwiseState.from_proper(0.0, 1.0, np.zeros(3),
+                                      [1.0, 0.0, 0.0], np.zeros(3))
+    traj = run_scenario(init, GalileanConnection.uniform(),
+                        IntegratorConfig(dt=0.25, t_end=1.0))
+    report = traj.drift_report()
+    assert np.isnan(report["pos_q_drift"])
+    assert report["mass_drift"] == 0.0
+    assert report["proper_split_drift"] == 0.0
+    by_hand = Trajectory(states=traj.states).drift_report()
+    assert np.isnan(by_hand["pos_q_drift"])
+
+
 def test_trajectory_csv_format():
     s0 = PointwiseState.from_proper(0.0, 1.5, [0.1, 0.2, 0.3],
                                     [1.0, 0.0, -1.0], [0.0, 0.1, 0.0])
@@ -415,6 +440,15 @@ def test_convergence_non_monotone_raises():
         convergence_check(stalled, None, None, [4e-3, 2e-3, 1e-3])
     with pytest.raises(ValueError):
         convergence_check(stalled, None, None, [4e-3, 2e-3])
+
+
+def test_convergence_nan_error_is_not_read_as_exact():
+    # With max() a NaN among sub-floor errors read as exact differentiation
+    # (None), which the convergence cases score as a pass.
+    errs = {4e-3: 1e-12, 2e-3: math.nan, 1e-3: 1e-13}
+    with pytest.raises(NonMonotoneError):
+        convergence_check(lambda fields, point, h: errs[h], None, None,
+                          list(errs))
 
 
 def test_convergence_slope_on_1d_rod():

@@ -31,8 +31,7 @@ from .connection import (
     GalileanConnection,
     OriginMotion,
     PullbackChristoffels,
-    div_J,
-    div_T,
+    divergence,
 )
 from .errors import (
     DegenerateTangent,
@@ -93,8 +92,7 @@ __all__ = [
     "GalileanConnection",
     "OriginMotion",
     "PullbackChristoffels",
-    "div_T",
-    "div_J",
+    "divergence",
     "CauchyMedium",
     "Cosserat1DField",
     "Cosserat3DState",

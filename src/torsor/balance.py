@@ -7,6 +7,12 @@ angular balances about the current point, position-quantity balances about
 the spatial origin of the chart.  A residual of zero means the field
 satisfies the balance law at that chart point.
 
+The two space-filling media (d = 3) are views of one operator: their
+residuals are rows of connection.divergence of the stress-mass T and the
+moment field J on the identity chart, the paper's divergence-free-torsor
+principle itself.  The pointwise, slender and thin media (d = 0, 1, 2)
+keep their hand-expanded forms.
+
 Derivatives are central differences (module fd); every operator accepts an
 explicit step h and honors the field's domain bounds.
 """
@@ -16,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fd
+from .connection import PullbackChristoffels, divergence
 from .errors import DegenerateTangent
 from .fields import (
     DEGENERATE_TANGENT_TOL,
@@ -23,11 +30,13 @@ from .fields import (
     CauchyMedium,
     Cosserat1DField,
     Cosserat3DState,
+    MediumField,
     ShellField,
     ShellLoads,
+    _stress_mass,
     shell_christoffels,
 )
-from .vecmath import cross, skew
+from .vecmath import cross
 
 
 @dataclass
@@ -105,22 +114,35 @@ def residual_pointwise(traj, conn, t: float, h: float = None) -> BalanceResidual
     )
 
 
-# Row m of a cross-product-style array pairs the other two axes:
-# entry m is the cyclic triple (i, j, k) with k = m.
-_CYCLIC3 = ((1, 2, 0), (2, 0, 1), (0, 1, 2))
+def _space_filling_divergence(T_of, J_of, conn, t: float, x, domain, h,
+                              one_sided):
+    """connection.divergence of a medium filling space, at (t, x).
 
-
-def _antisymmetry_rows(T):
-    """pos and ang slots measuring T^{0i} - T^{i0} and T^{ji} - T^{ij}.
-
-    The cyclic pairs in _CYCLIC3 are zero-based spatial indices; T is the
-    full 4-by-4 matrix, so they are shifted past the time slot.
+    The material chart is the space-time chart (U = I) and the origin is
+    the proper one.  T_of(t, x) returns T[component, flux]; J_of(t, x)
+    returns J[flux, a, b], skew in (a, b), or J_of is None for a medium
+    without moment fields.
     """
-    pos = T[0, 1:] - T[1:, 0]
-    ang = np.array(
-        [T[j + 1, i + 1] - T[i + 1, j + 1] for (i, j, _) in _CYCLIC3]
+    x = np.asarray(x, dtype=float).reshape(3)
+    field = MediumField(
+        dim=3,
+        embedding=lambda xi: xi,
+        tangent_map=lambda xi: np.eye(4),
+        torsor_T=lambda xi: np.asarray(T_of(xi[0], xi[1:]), dtype=float).T,
+        torsor_J=None if J_of is None else lambda xi: J_of(xi[0], xi[1:]),
+        domain=domain,
     )
-    return pos, ang
+    chris = PullbackChristoffels.identity_embedding(conn, t, x)
+    return divergence(field, np.array([t, *x]), chris, h=h,
+                      one_sided=one_sided)
+
+
+def _space_filling_residual(dT, dJ, lin) -> BalanceResidual:
+    """Read the ten balance rows out of div T and div J."""
+    return BalanceResidual(
+        mass=dT[0], lin_mom=lin, pos_q=dJ[1:, 0],
+        ang_mom=(dJ[2, 3], dJ[3, 1], dJ[1, 2]),
+    )
 
 
 def residual_cauchy(medium: CauchyMedium, conn, t: float, x,
@@ -132,41 +154,22 @@ def residual_cauchy(medium: CauchyMedium, conn, t: float, x,
     subtracting v times the mass balance; position rows vanish structurally
     (both time-row components are rho v); angular rows measure the stress
     asymmetry sigma^{ij} - sigma^{ji} pairwise.
+
+    All rows are read from connection.divergence of the stress-mass
+    T = [[rho, rho v^T], [rho v, rho v v^T - sigma]] with no moment fields.
+    sigma is not required to be symmetric, since the angular rows exist to
+    measure its asymmetry.
     """
-    x = np.asarray(x, dtype=float).reshape(3)
-    args = (t, x[0], x[1], x[2])
-    bounds = medium.domain
+    def T_of(tt, xx):
+        v = np.asarray(medium.v(tt, xx), dtype=float).reshape(3)
+        sigma = np.asarray(medium.sigma(tt, xx), dtype=float).reshape(3, 3)
+        return _stress_mass(float(medium.rho(tt, xx)), v.tolist(),
+                            sigma.tolist())
 
-    def rho_of(tt, a, b, c):
-        return float(medium.rho(tt, np.array([a, b, c])))
-
-    def v_of(tt, a, b, c):
-        return np.asarray(medium.v(tt, np.array([a, b, c])), dtype=float)
-
-    def sig_of(tt, a, b, c):
-        return np.asarray(medium.sigma(tt, np.array([a, b, c])), dtype=float)
-
-    rho = rho_of(*args)
-    v = v_of(*args)
-    sig = sig_of(*args)
-    g = conn.g(t, x)
-    Om = conn.Omega(t, x)
-
-    d_rho = [fd.partial(rho_of, args, i, h=h, bounds=bounds,
-                        one_sided=one_sided) for i in range(4)]
-    d_v = [fd.partial(v_of, args, i, h=h, bounds=bounds,
-                      one_sided=one_sided) for i in range(4)]
-    d_sig = [fd.partial(sig_of, args, i, h=h, bounds=bounds,
-                        one_sided=one_sided) for i in (1, 2, 3)]
-
-    mass = d_rho[0] + sum(
-        d_rho[i + 1] * v[i] + rho * d_v[i + 1][i] for i in range(3)
-    )
-    grad_v = np.stack(d_v[1:], axis=1)
-    div_sig = np.array([sum(d_sig[j][i, j] for j in range(3)) for i in range(3)])
-    lin = rho * (d_v[0] + grad_v @ v) - div_sig - rho * (g - 2.0 * cross(Om, v))
-    ang = np.array([sig[i, j] - sig[j, i] for (i, j, _) in _CYCLIC3])
-    return BalanceResidual(mass=mass, lin_mom=lin, pos_q=np.zeros(3), ang_mom=ang)
+    dT, dJ = _space_filling_divergence(T_of, None, conn, t, x, medium.domain,
+                                       h, one_sided)
+    v = np.asarray(medium.v(t, x), dtype=float).reshape(3)
+    return _space_filling_residual(dT, dJ, dT[1:] - v * dT[0])
 
 
 def _chart_slide(curve, tt, ss):
@@ -395,62 +398,22 @@ def residual_3d_cosserat(state: Cosserat3DState, conn, t: float, x,
       angular (row k, (ijk) cyclic): dl^k/dt + d M_star^{km}/dx^m
         - (q x g)^k + (Omega x l)^k + Omega^j_r l_star^{ir}
         - Omega^i_r l_star^{jr} + T^{ji} - T^{ij}
+
+    All rows are read from connection.divergence of (T, J), with the moment
+    fields packed as J[flux, a, b]: J^{i0} = q^i and J^{jk} = l^i along
+    the time flux, J^{i0} = l_star^{ir} and J^{jk} = M_star^{ir} along
+    flux r, for (ijk) cyclic.
     """
-    x = np.asarray(x, dtype=float).reshape(3)
-    args = (t, x[0], x[1], x[2])
-    bounds = state.domain
+    def J_of(tt, xx):
+        J = np.zeros((4, 4, 4))
+        J[0, 1:, 0] = state.q(tt, xx)
+        J[1:, 1:, 0] = np.asarray(state.l_star(tt, xx), dtype=float).T
+        l, M_star = state.l(tt, xx), state.M_star(tt, xx)
+        for (j, k), li, Mi in zip(((2, 3), (3, 1), (1, 2)), l, M_star):
+            J[0, j, k] = li
+            J[1:, j, k] = Mi
+        return J - J.transpose(0, 2, 1)
 
-    def field(fn):
-        return lambda tt, a, b, c: np.asarray(fn(tt, np.array([a, b, c])),
-                                              dtype=float)
-
-    T_of = field(state.T)
-    q_of = field(state.q)
-    l_of = field(state.l)
-    ls_of = field(state.l_star)
-    Ms_of = field(state.M_star)
-
-    def d(fn, i):
-        return fd.partial(fn, args, i, h=h, bounds=bounds, one_sided=one_sided)
-
-    T = T_of(*args)
-    q = q_of(*args)
-    l = l_of(*args)
-    ls = ls_of(*args)
-    g = conn.g(t, x)
-    Om = conn.Omega(t, x)
-    W = skew(Om)
-
-    dT = [d(T_of, i) for i in range(4)]
-    mass = dT[0][0, 0] + sum(dT[i + 1][0, i + 1] for i in range(3))
-    lin = (
-        dT[0][1:, 0]
-        + np.array([sum(dT[j + 1][i + 1, j + 1] for j in range(3))
-                    for i in range(3)])
-        - (T[0, 0] * g - W @ (T[0, 1:] + T[1:, 0]))
-    )
-
-    d_ls = [d(ls_of, i + 1) for i in range(3)]
-    pos, ang_T = _antisymmetry_rows(T)
-    pos = (
-        d(q_of, 0)
-        + W @ q
-        + np.array([sum(d_ls[r][i, r] for r in range(3)) for i in range(3)])
-        + pos
-    )
-
-    d_Ms = [d(Ms_of, i + 1) for i in range(3)]
-    div_Ms = np.array([sum(d_Ms[m][k, m] for m in range(3)) for k in range(3)])
-    ls_terms = np.array([
-        sum(W[j, r] * ls[i, r] - W[i, r] * ls[j, r] for r in range(3))
-        for (i, j, _) in _CYCLIC3
-    ])
-    ang = (
-        d(l_of, 0)
-        + div_Ms
-        - cross(q, g)
-        + cross(Om, l)
-        + ls_terms
-        + ang_T
-    )
-    return BalanceResidual(mass=mass, lin_mom=lin, pos_q=pos, ang_mom=ang)
+    dT, dJ = _space_filling_divergence(state.T, J_of, conn, t, x,
+                                       state.domain, h, one_sided)
+    return _space_filling_residual(dT, dJ, dT[1:])

@@ -12,6 +12,7 @@ configuration problems (the message names the offending key).
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -24,6 +25,10 @@ from .library import CASES, KIND_MEDIA, ConnSpec
 
 SCHEMA_VERSION = 1
 FLOAT_FORMAT = "%.17g"
+# Cap on round(t_end / dt) for pointwise_sim scenarios.  The bundled ones
+# take at most 10**4 steps; the cap stops a mistyped t_end or dt from
+# starting a run that would not finish.
+MAX_RK4_STEPS = 10**6
 
 _TOP_KEYS = {"schema", "name", "kind", "medium", "case", "connection",
              "params"}
@@ -42,10 +47,57 @@ class Scenario:
     params: dict
 
 
+def _finite(value) -> bool:
+    """True for an int or float, not a bool, that is a finite float."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _check_param(key, value, default):
+    """Raise ScenarioError unless value fits the type of the case default.
+
+    A list default takes a list of the same length of finite numbers, an
+    int default an int (a count: >= 1, or >= 0 for n_random), and a float
+    default a finite int or float.  bool is never a number.
+    """
+    if isinstance(default, list):
+        want = f"a list of {len(default)} finite numbers"
+        ok = (isinstance(value, list) and len(value) == len(default)
+              and all(map(_finite, value)))
+    elif isinstance(default, int):
+        want = f"an integer >= {int(key != 'n_random')}"
+        ok = type(value) is int and value >= int(key != "n_random")
+    else:
+        want, ok = "a finite number", _finite(value)
+    if ok and key == "steps":
+        want = "positive, distinct steps"
+        ok = min(value) > 0 and len(set(value)) == len(value)
+    if not ok:
+        raise ScenarioError(f"params.{key}: expected {want}, got {value!r}")
+
+
+def _check_step_count(params):
+    """Raise ScenarioError unless dt > 0 and the RK4 step count t_end / dt
+    lies in [0, MAX_RK4_STEPS]."""
+    if not params["dt"] > 0:
+        raise ScenarioError(
+            f"params.dt: must be positive, got {params['dt']!r}")
+    n_steps = params["t_end"] / params["dt"]
+    if not 0 <= n_steps <= MAX_RK4_STEPS:
+        raise ScenarioError(
+            f"params.t_end: t_end / dt = {n_steps:.6g} RK4 steps, outside "
+            f"[0, {MAX_RK4_STEPS}] (check params.t_end and params.dt)"
+        )
+
+
 def load_scenario(raw) -> Scenario:
     """Validate a decoded scenario object against the schema and registry.
 
-    Raises ScenarioError naming the offending key on any mismatch.
+    Each param must fit the type of its case default, and a pointwise
+    simulation may take at most MAX_RK4_STEPS steps.  Raises ScenarioError
+    naming the offending key on any mismatch.
     """
     if not isinstance(raw, dict):
         raise ScenarioError("scenario: top level must be an object")
@@ -94,12 +146,15 @@ def load_scenario(raw) -> Scenario:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ScenarioError("params: must be an object")
-    for key in params:
+    for key, value in params.items():
         if key not in spec.defaults:
             raise ScenarioError(
                 f"params.{key}: unknown key (case {case!r} accepts "
                 f"{sorted(spec.defaults)})"
             )
+        _check_param(key, value, spec.defaults[key])
+    if kind == "pointwise_sim":
+        _check_step_count({**spec.defaults, **params})
     return Scenario(name=name, kind=kind, medium=medium, case=case,
                     conn_spec=conn_spec, params=params)
 

@@ -175,45 +175,38 @@ def _sum_row_derivatives(field_fn, xi, h, one_sided, domain):
     return total
 
 
-def div_T(field, xi, chris: PullbackChristoffels, h: float = None,
-          one_sided: bool = False) -> np.ndarray:
-    """Covariant divergence of the linear part: a 4-column.
+def divergence(field, xi, chris: PullbackChristoffels, h: float = None,
+               one_sided: bool = False):
+    """Covariant divergence (div T, div J) of a torsor field at xi.
 
-    d(gT^b)/dxi^g + Gamma^g_gr (rT^b) + (gT^r) U^s_g Gamma^b_sr, where the
-    material index g is summed against the derivative, the material-chart
-    Christoffels enter through their trace, and the last term pulls the
-    space-time Christoffels back through the tangent map U.
+    div T, a 4-column: d(gT^b)/dxi^g + Gamma^g_gr (rT^b)
+    + (gT^r) U^s_g Gamma^b_sr, where the material index g is summed against
+    the derivative, the material-chart Christoffels enter through their
+    trace, and the last term pulls the space-time Christoffels back through
+    the tangent map U.
+
+    div J, a skew (4, 4) matrix: d(gJ^ab)/dxi^g + Gamma^g_gr (rJ^ab) plus
+    the pulled-back terms U^s_g (Gamma^a_sr gJ^rb + Gamma^b_sr gJ^ar), plus
+    the origin-motion coupling U^s_g Gamma_A[a, s] (gT^b) - (ab swapped),
+    which is what makes the moment balance see the linear part.  The skew
+    symmetry of J makes each pulled-back pair one matrix and its negative
+    transpose.  A field whose torsor_J is None carries no moments and is
+    not differenced for them.  The output is re-skewed.
     """
     xi = np.asarray(xi, dtype=float)
     domain = getattr(field, "domain", None)
-    dT = _sum_row_derivatives(field.torsor_T, xi, h, one_sided, domain)
     T = np.asarray(field.torsor_T(xi), dtype=float)
     U = np.asarray(field.tangent_map(xi), dtype=float)
-    trG = np.einsum("ggr->r", chris.material)
-    out = dT + trG @ T
-    out += np.einsum("gr,sg,bsr->b", T, U, chris.spacetime)
-    return out
-
-
-def div_J(field, xi, chris: PullbackChristoffels, h: float = None,
-          one_sided: bool = False) -> np.ndarray:
-    """Covariant divergence of the moment part: a skew (4, 4) matrix.
-
-    Adds to the J-field terms the origin-motion coupling
-    U^s_g Gamma_A[a, s] (gT^b) - (gT^a) U^s_g Gamma_A[b, s], which is what
-    makes the moment balance see the linear part.  Output is re-skewed.
-    """
-    xi = np.asarray(xi, dtype=float)
-    domain = getattr(field, "domain", None)
-    dJ = _sum_row_derivatives(field.torsor_J, xi, h, one_sided, domain)
-    J = np.asarray(field.torsor_J(xi), dtype=float)
-    T = np.asarray(field.torsor_T(xi), dtype=float)
-    U = np.asarray(field.tangent_map(xi), dtype=float)
-    GA = chris.origin_motion
-    out = dJ
-    out = out + np.einsum("grb,sg,asr->ab", J, U, chris.spacetime)
-    out = out + np.einsum("gar,sg,bsr->ab", J, U, chris.spacetime)
-    out = out + np.einsum("ggr,rab->ab", chris.material, J)
-    out = out + np.einsum("sg,as,gb->ab", U, GA, T)
-    out = out - np.einsum("ga,sg,bs->ab", T, U, GA)
-    return 0.5 * (out - out.T)
+    G = chris.spacetime.reshape(4, 16)
+    trG = np.trace(chris.material, axis1=0, axis2=1)
+    UT = U @ T
+    dT = (_sum_row_derivatives(field.torsor_T, xi, h, one_sided, domain)
+          + trG @ T + G @ UT.reshape(16))
+    D = chris.origin_motion @ UT
+    out = D - D.T
+    if field.torsor_J is not None:
+        J = np.asarray(field.torsor_J(xi), dtype=float).reshape(len(xi), 16)
+        A = G @ (U @ J).reshape(16, 4)
+        out = (_sum_row_derivatives(field.torsor_J, xi, h, one_sided, domain)
+               + A - A.T + (trG @ J).reshape(4, 4) + out)
+    return dT, 0.5 * (out - out.T)

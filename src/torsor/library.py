@@ -190,6 +190,51 @@ def _worst(residuals):
     return strict_max(np.max(np.abs(r)) for r in residuals)
 
 
+def _residual_case(check, tol, header, rows, evaluate, exact=None):
+    """A residual_check result over probe points.
+
+    evaluate(row) returns the BalanceResidual at the coordinate row; the
+    rows lead the residual table under `header`.  The check is the worst
+    |residual|, or the worst |residual - exact(row)| when exact is given.
+    """
+    residuals = [evaluate(row).as_array() for row in rows]
+    errors = residuals if exact is None else [
+        r - exact(row) for r, row in zip(residuals, rows)
+    ]
+    return CaseResult([Check(check, _worst(errors), tol)],
+                      [_residual_table(header, rows, residuals)])
+
+
+def _cube_rows(t, half_width, n_side):
+    """Rows (t, x1, x2, x3) of a centered cubic probe grid."""
+    side = np.linspace(-half_width, half_width, n_side)
+    return [np.array([t, a, b, c]) for a in side for b in side for c in side]
+
+
+def _plane_rows(th1s, th2s):
+    """Rows (t = 0, theta1, theta2) of a surface probe grid, as floats."""
+    return [[0.0, float(a), float(b)] for a in th1s for b in th2s]
+
+
+def _convergence_case(residual, fields, conn, point, exact, steps):
+    """Step-refinement study of residual(fields, conn, *point, h=h).
+
+    The error at each step is the worst |residual - exact|; the check is
+    the distance of the observed order from two.
+    """
+    def op(fields, point, h):
+        res = residual(fields, conn, point[0], point[1], h=h)
+        return float(np.max(np.abs(res.as_array() - exact)))
+
+    hs = sorted((float(h) for h in steps), reverse=True)
+    errs = [op(fields, point, h) for h in hs]
+    slope = convergence_check(op, fields, point, hs)
+    rows = np.array([[h, e] for h, e in zip(hs, errs)])
+    checks = [Check("observed order minus two",
+                    abs((slope if slope is not None else 2.0) - 2.0), 0.2)]
+    return CaseResult(checks, [Table("convergence", "h,error", rows)])
+
+
 # ---------------------------------------------------------------------------
 # pointwise trajectories
 
@@ -383,14 +428,9 @@ def _projectile_residual(p, rng, conn_spec):
         return PointwiseTorsor(m, mom, m * x, l00 + cross(x, mom))
 
     ts = np.linspace(p["t_span"][0], p["t_span"][1], p["n_t"])
-    coords, residuals = [], []
-    for t in ts:
-        res = residual_pointwise(traj, conn, float(t))
-        coords.append([t])
-        residuals.append(res.as_array())
-    return CaseResult(
-        [Check("pointwise residual on parabola", _worst(residuals), 1e-8)],
-        [_residual_table("t", coords, residuals)],
+    return _residual_case(
+        "pointwise residual on parabola", 1e-8, "t", [[t] for t in ts],
+        lambda row: residual_pointwise(traj, conn, float(row[0])),
     )
 
 
@@ -468,21 +508,15 @@ def manufactured_cauchy(g=(0.1, -0.2, 0.3), Omega=(0.2, -0.1, 0.3)):
 )
 def _cauchy_manufactured(p, rng, conn_spec):
     medium, conn, exact = manufactured_cauchy(conn_spec.g, conn_spec.Omega)
-    side = np.linspace(-p["half_width"], p["half_width"], p["n_side"])
-    pts = [np.array([a, b, c]) for a in side for b in side for c in side]
-    if p["n_random"] > 0:
-        pts += list(rng.uniform(-p["half_width"], p["half_width"],
-                                size=(int(p["n_random"]), 3)))
     t = p["t"]
-    coords, residuals, errs = [], [], []
-    for x in pts:
-        res = residual_cauchy(medium, conn, t, x, h=p["h"]).as_array()
-        coords.append(np.concatenate([[t], x]))
-        residuals.append(res)
-        errs.append(float(np.max(np.abs(res - exact(t, x)))))
-    return CaseResult(
-        [Check("residual vs exact expansion", strict_max(errs), 1e-5)],
-        [_residual_table("t,x1,x2,x3", coords, residuals)],
+    rows = _cube_rows(t, p["half_width"], p["n_side"])
+    if p["n_random"] > 0:
+        rows += [np.concatenate([[t], x]) for x in rng.uniform(
+            -p["half_width"], p["half_width"], size=(int(p["n_random"]), 3))]
+    return _residual_case(
+        "residual vs exact expansion", 1e-5, "t,x1,x2,x3", rows,
+        lambda row: residual_cauchy(medium, conn, row[0], row[1:], h=p["h"]),
+        exact=lambda row: exact(row[0], row[1:]),
     )
 
 
@@ -501,19 +535,10 @@ def _hydrostatic(p, rng, conn_spec):
         v=lambda t, x: np.zeros(3),
         sigma=lambda t, x: -rho0 * float(g @ np.asarray(x)) * np.eye(3),
     )
-    side = np.linspace(-p["half_width"], p["half_width"], p["n_side"])
-    coords, residuals = [], []
-    for a in side:
-        for b in side:
-            for c in side:
-                x = np.array([a, b, c])
-                coords.append(np.concatenate([[0.0], x]))
-                residuals.append(
-                    residual_cauchy(medium, conn, 0.0, x).as_array()
-                )
-    return CaseResult(
-        [Check("hydrostatic residual", _worst(residuals), 1e-8)],
-        [_residual_table("t,x1,x2,x3", coords, residuals)],
+    return _residual_case(
+        "hydrostatic residual", 1e-8, "t,x1,x2,x3",
+        _cube_rows(0.0, p["half_width"], p["n_side"]),
+        lambda row: residual_cauchy(medium, conn, row[0], row[1:]),
     )
 
 
@@ -538,19 +563,10 @@ def _rotating_bucket(p, rng, conn_spec):
     medium = CauchyMedium(
         rho=lambda t, x: rho0, v=lambda t, x: np.zeros(3), sigma=sigma,
     )
-    side = np.linspace(-p["half_width"], p["half_width"], p["n_side"])
-    coords, residuals = [], []
-    for a in side:
-        for b in side:
-            for c in side:
-                x = np.array([a, b, c])
-                coords.append(np.concatenate([[0.0], x]))
-                residuals.append(
-                    residual_cauchy(medium, conn, 0.0, x).as_array()
-                )
-    return CaseResult(
-        [Check("spinning-bucket residual", _worst(residuals), 1e-8)],
-        [_residual_table("t,x1,x2,x3", coords, residuals)],
+    return _residual_case(
+        "spinning-bucket residual", 1e-8, "t,x1,x2,x3",
+        _cube_rows(0.0, p["half_width"], p["n_side"]),
+        lambda row: residual_cauchy(medium, conn, row[0], row[1:]),
     )
 
 
@@ -584,13 +600,9 @@ def _beam_under_gravity(p, rng, conn_spec):
         M_star=lambda t, s: -rho_l * s * s / 2.0 * n_cross_g,
     )
     ss = np.linspace(0.1, p["length"], p["n_s"])
-    coords, residuals = [], []
-    for s in ss:
-        coords.append([0.0, s])
-        residuals.append(residual_1d(f, conn, 0.0, float(s)).as_array())
-    return CaseResult(
-        [Check("beam equilibrium residual", _worst(residuals), 1e-9)],
-        [_residual_table("t,s", coords, residuals)],
+    return _residual_case(
+        "beam equilibrium residual", 1e-9, "t,s", [[0.0, s] for s in ss],
+        lambda row: residual_1d(f, conn, row[0], float(row[1])),
     )
 
 
@@ -623,13 +635,9 @@ def _spinning_ring(p, rng, conn_spec):
     )
     conn = conn_spec.build()
     ss = np.linspace(0.0, 2.0 * np.pi * r, p["n_s"], endpoint=False)
-    coords, residuals = [], []
-    for s in ss:
-        coords.append([0.0, s])
-        residuals.append(residual_1d(f, conn, 0.0, float(s)).as_array())
-    return CaseResult(
-        [Check("hoop-tension residual", _worst(residuals), 1e-6)],
-        [_residual_table("t,s", coords, residuals)],
+    return _residual_case(
+        "hoop-tension residual", 1e-6, "t,s", [[0.0, s] for s in ss],
+        lambda row: residual_1d(f, conn, row[0], float(row[1])),
     )
 
 
@@ -667,15 +675,9 @@ def _plate_bending(p, rng, conn_spec):
     )
     sf = _flat_plate()
     side = np.linspace(-p["half_width"], p["half_width"], p["n_side"])
-    coords, residuals = [], []
-    for a in side:
-        for b in side:
-            res = residual_2d(sf, loads, conn, 0.0, float(a), float(b))
-            coords.append([0.0, a, b])
-            residuals.append(res.as_array())
-    return CaseResult(
-        [Check("plate bending residual", _worst(residuals), 1e-8)],
-        [_residual_table("t,th1,th2", coords, residuals)],
+    return _residual_case(
+        "plate bending residual", 1e-8, "t,th1,th2", _plane_rows(side, side),
+        lambda row: residual_2d(sf, loads, conn, *row),
     )
 
 
@@ -719,15 +721,10 @@ def _laplace_sphere(p, rng, conn_spec):
         g=lambda t, x: (pr / rho_s) * np.asarray(x, dtype=float) / r
     )
     side = np.linspace(-p["half_width"], p["half_width"], p["n_side"])
-    coords, residuals = [], []
-    for a in side:
-        for b in side:
-            res = residual_2d(sphere, loads, conn, 0.0, float(a), float(b))
-            coords.append([0.0, a, b])
-            residuals.append(res.as_array())
-    return CaseResult(
-        [Check("membrane pressure residual", _worst(residuals), 1e-7)],
-        [_residual_table("t,th1,th2", coords, residuals)],
+    return _residual_case(
+        "membrane pressure residual", 1e-7, "t,th1,th2",
+        _plane_rows(side, side),
+        lambda row: residual_2d(sphere, loads, conn, *row),
     )
 
 
@@ -758,17 +755,11 @@ def _spinning_drum(p, rng, conn_spec):
         kappa=lambda *a: 0.02,
     )
     conn = conn_spec.build()
-    th1s = np.linspace(0.0, 2.0, p["n_side"])
-    th2s = np.linspace(-0.5, 0.5, p["n_side"])
-    coords, residuals = [], []
-    for a in th1s:
-        for b in th2s:
-            res = residual_2d(drum, loads, conn, 0.0, float(a), float(b))
-            coords.append([0.0, a, b])
-            residuals.append(res.as_array())
-    return CaseResult(
-        [Check("hoop-stress residual", _worst(residuals), 1e-7)],
-        [_residual_table("t,th1,th2", coords, residuals)],
+    return _residual_case(
+        "hoop-stress residual", 1e-7, "t,th1,th2",
+        _plane_rows(np.linspace(0.0, 2.0, p["n_side"]),
+                    np.linspace(-0.5, 0.5, p["n_side"])),
+        lambda row: residual_2d(drum, loads, conn, *row),
     )
 
 
@@ -796,18 +787,10 @@ def _momentless_hydrostatic(p, rng, conn_spec):
     zero_m = lambda t, x: np.zeros((3, 3))  # noqa: E731
     state = Cosserat3DState(T=T, q=zero_v, l=zero_v, l_star=zero_m,
                             M_star=zero_m)
-    side = np.linspace(-p["half_width"], p["half_width"], p["n_side"])
-    coords, residuals = [], []
-    for a in side:
-        for b in side:
-            for c in side:
-                x = np.array([a, b, c])
-                res = residual_3d_cosserat(state, conn, 0.0, x)
-                coords.append(np.concatenate([[0.0], x]))
-                residuals.append(res.as_array())
-    return CaseResult(
-        [Check("momentless degeneration residual", _worst(residuals), 1e-8)],
-        [_residual_table("t,x1,x2,x3", coords, residuals)],
+    return _residual_case(
+        "momentless degeneration residual", 1e-8, "t,x1,x2,x3",
+        _cube_rows(0.0, p["half_width"], p["n_side"]),
+        lambda row: residual_3d_cosserat(state, conn, row[0], row[1:]),
     )
 
 
@@ -1012,19 +995,8 @@ def _cauchy_convergence(p, rng, conn_spec):
     medium, conn, exact = manufactured_cauchy(conn_spec.g, conn_spec.Omega)
     t = p["t"]
     x = _vec3_key(p["x"], "params.x")
-    ref = exact(t, x)
-
-    def op(fields, point, h):
-        res = residual_cauchy(fields, conn, point[0], point[1], h=h)
-        return float(np.max(np.abs(res.as_array() - ref)))
-
-    hs = sorted((float(h) for h in p["steps"]), reverse=True)
-    errs = [op(medium, (t, x), h) for h in hs]
-    slope = convergence_check(op, medium, (t, x), hs)
-    rows = np.array([[h, e] for h, e in zip(hs, errs)])
-    checks = [Check("observed order minus two",
-                    abs((slope if slope is not None else 2.0) - 2.0), 0.2)]
-    return CaseResult(checks, [Table("convergence", "h,error", rows)])
+    return _convergence_case(residual_cauchy, medium, conn, (t, x),
+                             exact(t, x), p["steps"])
 
 
 @_case(
@@ -1036,16 +1008,5 @@ def _cauchy_convergence(p, rng, conn_spec):
 def _rod_convergence(p, rng, conn_spec):
     f, conn, exact = manufactured_rod(conn_spec.g, conn_spec.Omega)
     t, s = p["t"], p["s"]
-    ref = exact(t, s)
-
-    def op(fields, point, h):
-        res = residual_1d(fields, conn, point[0], point[1], h=h)
-        return float(np.max(np.abs(res.as_array() - ref)))
-
-    hs = sorted((float(h) for h in p["steps"]), reverse=True)
-    errs = [op(f, (t, s), h) for h in hs]
-    slope = convergence_check(op, f, (t, s), hs)
-    rows = np.array([[h, e] for h, e in zip(hs, errs)])
-    checks = [Check("observed order minus two",
-                    abs((slope if slope is not None else 2.0) - 2.0), 0.2)]
-    return CaseResult(checks, [Table("convergence", "h,error", rows)])
+    return _convergence_case(residual_1d, f, conn, (t, s), exact(t, s),
+                             p["steps"])

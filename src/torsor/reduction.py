@@ -20,12 +20,25 @@ FRAME_ORTHO_TOL = 1e-9
 CENTERING_TOL = 1e-8
 
 
-class CrossSection:
+class _QuadratureRule:
+    """Nodes and weights with the weighted-sum loop both rules share."""
+
+    def integrate(self, f):
+        """Quadrature of f(node): the sum of weight * f(node) over nodes."""
+        total = None
+        for node, w in zip(self.nodes, self.weights):
+            val = w * np.asarray(f(node), dtype=float)
+            total = val if total is None else total + val
+        return total
+
+
+class CrossSection(_QuadratureRule):
     """Quadrature rule over a plane section with an orthonormal frame.
 
     nodes: (K, 2) in-plane coordinates relative to the section origin;
     weights: (K,); origin: (3,) point in space; e1, e2: in-plane unit
     vectors; n: unit normal (the curve tangent after reduction).
+    integrate(f) sums f(node) at the (2,) in-plane node coordinates.
     """
 
     def __init__(self, nodes, weights, origin=(0.0, 0.0, 0.0),
@@ -86,14 +99,6 @@ class CrossSection:
             + np.outer(self.nodes[:, 1], self.e2)
         )
 
-    def integrate(self, f):
-        """Quadrature of f(node) with node the (2,) in-plane coordinates."""
-        total = None
-        for node, w in zip(self.nodes, self.weights):
-            val = w * np.asarray(f(node), dtype=float)
-            total = val if total is None else total + val
-        return total
-
     def area(self) -> float:
         return float(np.sum(self.weights))
 
@@ -128,8 +133,11 @@ class CrossSection:
         return float(np.linalg.norm(c) / m)
 
 
-class ThicknessRule:
-    """Gauss-Legendre rule across the shell thickness [-h/2, h/2]."""
+class ThicknessRule(_QuadratureRule):
+    """Gauss-Legendre rule across the shell thickness [-h/2, h/2].
+
+    integrate(f) sums f(z) at the offsets z along the normal.
+    """
 
     def __init__(self, h: float, n: int = 8):
         if h <= 0.0:
@@ -138,13 +146,6 @@ class ThicknessRule:
         x, w = np.polynomial.legendre.leggauss(n)
         self.nodes = 0.5 * h * x
         self.weights = 0.5 * h * w
-
-    def integrate(self, f):
-        total = None
-        for z, w in zip(self.nodes, self.weights):
-            val = w * np.asarray(f(z), dtype=float)
-            total = val if total is None else total + val
-        return total
 
 
 def projector_matrix(cs: CrossSection) -> np.ndarray:

@@ -24,10 +24,9 @@ from torsor.balance import (
 from torsor.connection import (
     GalileanConnection,
     PullbackChristoffels,
-    div_J,
-    div_T,
+    divergence,
 )
-from torsor.errors import DegenerateTangent
+from torsor.errors import DegenerateTangent, DifferentiationFailure
 from torsor.fields import (
     CauchyMedium,
     Cosserat1DField,
@@ -207,12 +206,29 @@ def cross3(a, b):
     )
 
 
-def test_cauchy_manufactured_polynomial_oracle():
-    rng = np.random.default_rng(11)
+G_SYM = sp.Matrix([sp.Rational(1, 5), -sp.Rational(2, 5), sp.Rational(4, 5)])
+OM_SYM = sp.Matrix(
+    [sp.Rational(3, 10), sp.Rational(1, 10), -sp.Rational(1, 5)]
+)
+CONN_3D = GalileanConnection(
+    g=np.array([0.2, -0.4, 0.8]), Omega=np.array([0.3, 0.1, -0.2])
+)
+
+
+def oracle_rows(rows, pt):
+    """Evaluate each sympy row list at pt = (t, x) as a float array."""
+    subs = dict(zip(SYMS4, (pt[0], *pt[1])))
+    return [np.array([float(e.subs(subs)) for e in row]) for row in rows]
+
+
+def cauchy_polynomial_case(rng):
+    """Random polynomial rho, v and asymmetric sigma in frame CONN_3D.
+
+    Returns the medium and its (mass, lin, ang) rows derived in sympy.
+    """
     t, x1, x2, x3 = SYMS4
     X = [x1, x2, x3]
-    g = sp.Matrix([sp.Rational(1, 5), -sp.Rational(2, 5), sp.Rational(4, 5)])
-    Om = sp.Matrix([sp.Rational(3, 10), sp.Rational(1, 10), -sp.Rational(1, 5)])
+    g, Om = G_SYM, OM_SYM
 
     rho = 40 + poly4(rng)  # comfortably positive near the origin
     v = sp.Matrix([poly4(rng) for _ in range(3)])
@@ -235,25 +251,19 @@ def test_cauchy_manufactured_polynomial_oracle():
     )
 
     medium = CauchyMedium(rho=lamb4(rho), v=lamb4_vec(v), sigma=lamb4_mat(sig))
-    conn = GalileanConnection(
-        g=np.array([0.2, -0.4, 0.8]), Omega=np.array([0.3, 0.1, -0.2])
-    )
-    pt = (0.4, np.array([0.3, -0.6, 0.5]))
-    res = residual_cauchy(medium, conn, pt[0], pt[1])
+    return medium, ([mass_o], lin_o, ang_o)
 
-    subs = dict(zip(SYMS4, (pt[0], *pt[1])))
-    assert_allclose(res.mass, float(mass_o.subs(subs)), atol=FD_TOL)
-    assert_allclose(
-        res.lin_mom,
-        np.array([float(e.subs(subs)) for e in lin_o]),
-        atol=FD_TOL,
-    )
+
+def test_cauchy_manufactured_polynomial_oracle():
+    medium, rows = cauchy_polynomial_case(np.random.default_rng(11))
+    pt = (0.4, np.array([0.3, -0.6, 0.5]))
+    res = residual_cauchy(medium, CONN_3D, pt[0], pt[1])
+    mass_o, lin_o, ang_o = oracle_rows(rows, pt)
+
+    assert_allclose(res.mass, mass_o[0], atol=FD_TOL)
+    assert_allclose(res.lin_mom, lin_o, atol=FD_TOL)
     assert_allclose(res.pos_q, np.zeros(3), atol=0)
-    assert_allclose(
-        res.ang_mom,
-        np.array([float(e.subs(subs)) for e in ang_o]),
-        atol=1e-12,
-    )
+    assert_allclose(res.ang_mom, ang_o, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -821,12 +831,14 @@ def test_constant_symmetric_state_zero_residual():
     assert res.max_abs() < 1e-12
 
 
-def test_3d_manufactured_polynomial_oracle():
-    rng = np.random.default_rng(47)
+def cosserat_polynomial_case(rng):
+    """Random polynomial T and moment fields in frame CONN_3D.
+
+    Returns the state and its (mass, lin, pos, ang) rows derived in sympy.
+    """
     t, x1, x2, x3 = SYMS4
     X = [x1, x2, x3]
-    g = sp.Matrix([sp.Rational(1, 5), -sp.Rational(2, 5), sp.Rational(4, 5)])
-    Om = sp.Matrix([sp.Rational(3, 10), sp.Rational(1, 10), -sp.Rational(1, 5)])
+    g, Om = G_SYM, OM_SYM
     W = sp.Matrix(
         [[0, -Om[2], Om[1]], [Om[2], 0, -Om[0]], [-Om[1], Om[0], 0]]
     )
@@ -879,22 +891,42 @@ def test_3d_manufactured_polynomial_oracle():
         T=lamb4_mat(T), q=lamb4_vec(q), l=lamb4_vec(l),
         l_star=mat33(ls), M_star=mat33(Ms),
     )
-    conn = GalileanConnection(
-        g=np.array([0.2, -0.4, 0.8]), Omega=np.array([0.3, 0.1, -0.2])
-    )
+    return state, ([mass_o], lin_o, pos_o, ang_o)
+
+
+def test_3d_manufactured_polynomial_oracle():
+    state, rows = cosserat_polynomial_case(np.random.default_rng(47))
     pt = (0.5, np.array([0.2, -0.4, 0.6]))
-    res = residual_3d_cosserat(state, conn, pt[0], pt[1])
-    subs = dict(zip(SYMS4, (pt[0], *pt[1])))
-    assert_allclose(res.mass, float(mass_o.subs(subs)), atol=FD_TOL)
-    assert_allclose(
-        res.lin_mom, np.array([float(e.subs(subs)) for e in lin_o]), atol=FD_TOL
-    )
-    assert_allclose(
-        res.pos_q, np.array([float(e.subs(subs)) for e in pos_o]), atol=FD_TOL
-    )
-    assert_allclose(
-        res.ang_mom, np.array([float(e.subs(subs)) for e in ang_o]), atol=FD_TOL
-    )
+    res = residual_3d_cosserat(state, CONN_3D, pt[0], pt[1])
+    mass_o, lin_o, pos_o, ang_o = oracle_rows(rows, pt)
+    assert_allclose(res.mass, mass_o[0], atol=FD_TOL)
+    assert_allclose(res.lin_mom, lin_o, atol=FD_TOL)
+    assert_allclose(res.pos_q, pos_o, atol=FD_TOL)
+    assert_allclose(res.ang_mom, ang_o, atol=FD_TOL)
+
+
+@pytest.mark.parametrize("medium", ["cauchy", "cosserat"])
+def test_3d_residual_at_domain_face(medium):
+    # On a bounded domain the central stencil may not cross a face, so a
+    # probe on the faces t = 0, x1 = 1 and x3 = 0 raises unless one-sided
+    # stencils are allowed; those must then reproduce the oracle.
+    if medium == "cauchy":
+        fields, rows = cauchy_polynomial_case(np.random.default_rng(12))
+        residual = residual_cauchy
+    else:
+        fields, rows = cosserat_polynomial_case(np.random.default_rng(48))
+        residual = residual_3d_cosserat
+    fields.domain = ((0.0, 1.0),) * 4
+    pt = (0.0, np.array([1.0, 0.4, 0.0]))
+    with pytest.raises(DifferentiationFailure):
+        residual(fields, CONN_3D, pt[0], pt[1])
+    res = residual(fields, CONN_3D, pt[0], pt[1], one_sided=True)
+    expect = oracle_rows(rows, pt)
+    assert_allclose(res.mass, expect[0][0], atol=FD_TOL)
+    assert_allclose(res.lin_mom, expect[1], atol=FD_TOL)
+    assert_allclose(res.ang_mom, expect[-1], atol=FD_TOL)
+    if medium == "cosserat":
+        assert_allclose(res.pos_q, expect[2], atol=FD_TOL)
 
 
 def moment_fields_to_J(q_fn, l_fn, ls_fn, Ms_fn):
@@ -957,8 +989,8 @@ def test_3d_residual_matches_general_divergence():
 
     chris = PullbackChristoffels.identity_embedding(conn, t, x)
     xi = np.concatenate([[t], x])
-    dT = div_T(medium, xi, chris)
-    dJ = div_J(medium, xi, chris)
+    dT = divergence(medium, xi, chris)[0]
+    dJ = divergence(medium, xi, chris)[1]
 
     assert_allclose(res.mass, dT[0], atol=1e-9)
     assert_allclose(res.lin_mom, dT[1:], atol=1e-9)

@@ -1,0 +1,30 @@
+"""The benchmark's tracer must still find the entry points it wraps.
+
+benchmarks/tracing.py swaps module attributes of torsor by name for
+counting wrappers.  A refactor that moves or binds one of them elsewhere
+would make its counter read 0 rather than fail, so this runs traced CLI
+calls and checks the counters.
+"""
+
+import os
+
+from torsor.cli import main
+
+BENCH_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks"
+)
+
+
+def test_tracer_counts_residual_points_and_nodes(tmp_path, monkeypatch,
+                                                 capsys):
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    import tracing
+
+    with tracing.instrument(tracing.Tracer()) as tracer:
+        rc = main(["run", "hydrostatic", "thickness_integrals",
+                   "--out-dir", str(tmp_path)])
+    assert rc == 0
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["balance.cauchy.points"] == 27
+    assert metrics["fd.field_evals"] > 0
+    assert metrics["reduction.nodes"] > 0

@@ -7,6 +7,8 @@ in the acceptance tests.
 
 import json
 
+import pytest
+
 from torsor.cli import bundled_scenarios, load_scenario_file, main
 
 
@@ -195,3 +197,36 @@ def test_name_that_escapes_out_dir_exits_2(tmp_path, capsys):
         assert rc == 2, name
         assert capsys.readouterr().err.startswith("error: name:"), name
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scn.json"]
+
+
+# One malformed param per row: (case, kind, medium, params, named key).
+BAD_PARAMS = {
+    "dt_string": ("free_particle", "pointwise_sim", "d0",
+                  {"dt": "abc"}, "dt"),
+    "dt_null": ("free_particle", "pointwise_sim", "d0", {"dt": None}, "dt"),
+    "dt_negative": ("free_particle", "pointwise_sim", "d0",
+                    {"dt": -1}, "dt"),
+    "stride_zero": ("free_particle", "pointwise_sim", "d0",
+                    {"stride": 0}, "stride"),
+    "t_end_endless": ("free_particle", "pointwise_sim", "d0",
+                      {"t_end": 1e300}, "t_end"),
+    "n_side_zero": ("hydrostatic", "residual_check", "d3_cauchy",
+                    {"n_side": 0}, "n_side"),
+    "n_side_bool": ("hydrostatic", "residual_check", "d3_cauchy",
+                    {"n_side": True}, "n_side"),
+    "t_span_short": ("projectile_residual", "residual_check", "d0",
+                     {"t_span": [1]}, "t_span"),
+    "steps_repeated": ("cauchy_convergence", "convergence", "d3_cauchy",
+                       {"steps": [1e-3, 1e-3, 1e-3]}, "steps"),
+}
+
+
+@pytest.mark.parametrize("hole", sorted(BAD_PARAMS))
+def test_bad_param_exits_2_naming_key(tmp_path, capsys, hole):
+    case, kind, medium, params, key = BAD_PARAMS[hole]
+    scn = _write_scenario(tmp_path / "scn.json", case=case, kind=kind,
+                          medium=medium, params=params)
+    rc = main(["run", str(scn), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: params.{key}:")
+    assert not (tmp_path / "out").exists()

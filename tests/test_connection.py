@@ -15,8 +15,7 @@ from torsor.connection import (
     GalileanConnection,
     OriginMotion,
     PullbackChristoffels,
-    div_J,
-    div_T,
+    divergence,
     gamma_A_at,
     gamma_A_matrix,
 )
@@ -147,7 +146,8 @@ def test_div_T_matches_symbolic_oracle():
         x = rng.uniform(-1, 1, size=3)
         xi = np.concatenate(([t], x))
         chris = PullbackChristoffels.identity_embedding(conn, t, x)
-        assert_allclose(div_T(medium, xi, chris), oracle(t, x), atol=1e-9)
+        assert_allclose(divergence(medium, xi, chris)[0], oracle(t, x),
+                        atol=1e-9)
 
 
 def test_div_J_matches_symbolic_oracle():
@@ -202,7 +202,7 @@ def test_div_J_matches_symbolic_oracle():
         x = rng.uniform(-1, 1, size=3)
         xi = np.concatenate(([t], x))
         chris = PullbackChristoffels.identity_embedding(conn, t, x)
-        out = div_J(medium, xi, chris)
+        out = divergence(medium, xi, chris)[1]
         expect = oracle(t, x)
         assert_allclose(out, 0.5 * (expect - expect.T), atol=1e-8)
         assert_allclose(out, expect, atol=1e-8)
@@ -227,9 +227,33 @@ def test_div_J_zero_moments_reduces_to_antisymmetry():
         x = rng.uniform(-1, 1, size=3)
         xi = np.concatenate(([t], x))
         chris = PullbackChristoffels.identity_embedding(conn, t, x)
-        out = div_J(medium, xi, chris)
+        out = divergence(medium, xi, chris)[1]
         T = T_mat(t, x)
         assert np.max(np.abs(out - (T.T - T))) < 1e-12
+
+
+def test_divergence_without_moments_matches_zero_J_bits():
+    # torsor_J None skips the moment stencils; the result must be the very
+    # bits an explicit all-zero J gives, with a nontrivial Gamma_A.
+    rng = np.random.default_rng(25)
+    conn = GalileanConnection(g=G_CONST, Omega=OMEGA_CONST)
+    A = rng.uniform(-1, 1, size=(4, 4))
+
+    def T_mat(t, x):
+        return A * np.cos(t + x @ np.array([0.3, -0.5, 0.7]))
+
+    zero_J = identity_medium(T_mat)
+    no_J = identity_medium(T_mat)
+    no_J.torsor_J = None
+    for _ in range(5):
+        t = rng.uniform(-1, 1)
+        x = rng.uniform(-1, 1, size=3)
+        xi = np.concatenate(([t], x))
+        chris = PullbackChristoffels.identity_embedding(
+            conn, t, x, origin=OriginMotion.spatial_origin())
+        for a, b in zip(divergence(no_J, xi, chris),
+                        divergence(zero_J, xi, chris)):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_divergence_linear_in_fields():
@@ -265,13 +289,13 @@ def test_divergence_linear_in_fields():
     xi = np.concatenate(([t], x))
     chris = PullbackChristoffels.identity_embedding(conn, t, x)
     assert_allclose(
-        div_T(mc, xi, chris),
-        a * div_T(m1, xi, chris) + b * div_T(m2, xi, chris),
+        divergence(mc, xi, chris)[0],
+        a * divergence(m1, xi, chris)[0] + b * divergence(m2, xi, chris)[0],
         atol=1e-9,
     )
     assert_allclose(
-        div_J(mc, xi, chris),
-        a * div_J(m1, xi, chris) + b * div_J(m2, xi, chris),
+        divergence(mc, xi, chris)[1],
+        a * divergence(m1, xi, chris)[1] + b * divergence(m2, xi, chris)[1],
         atol=1e-9,
     )
 
@@ -289,8 +313,8 @@ def test_boundary_raises_and_one_sided_recovers():
     xi = np.array([0.5, 1.0 - 1e-9, 0.5, 0.5])
     chris = PullbackChristoffels.identity_embedding(conn, xi[0], xi[1:])
     with pytest.raises(DifferentiationFailure):
-        div_T(medium, xi, chris)
-    out = div_T(medium, xi, chris, one_sided=True)
+        divergence(medium, xi, chris)[0]
+    out = divergence(medium, xi, chris, one_sided=True)[0]
     # d/dt (t^2) + d/dx1 (x1^2) contributes 2t to the mass row only through
     # the time slot: row structure gives div^0 = d T^{00}/dt = 2t.
     assert_allclose(out[0], 2.0 * xi[0], atol=1e-6)
@@ -311,10 +335,11 @@ def test_divergence_second_order_convergence():
     x = np.array([0.3, -0.4, 0.1])
     xi = np.concatenate(([t], x))
     chris = PullbackChristoffels.identity_embedding(conn, t, x)
-    ref = div_T(medium, xi, chris, h=1e-6)
+    ref = divergence(medium, xi, chris, h=1e-6)[0]
     errs = []
     steps = [1e-2, 1e-3]
     for h in steps:
-        errs.append(np.max(np.abs(div_T(medium, xi, chris, h=h) - ref)))
+        out = divergence(medium, xi, chris, h=h)[0]
+        errs.append(np.max(np.abs(out - ref)))
     rate = np.log(errs[0] / errs[1]) / np.log(steps[0] / steps[1])
     assert 1.8 < rate < 2.2

@@ -272,6 +272,22 @@ def test_assemble_cauchy_validates():
         assemble_cauchy_T(1.0, np.zeros(3), bad)
 
 
+def test_assemble_cauchy_T_bits_match_array_packing():
+    # The float packing must give the bits of the numpy array expressions.
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        rho = rng.uniform(0.0, 10.0) * 10.0 ** rng.integers(-8, 9)
+        v = rng.normal(size=3) * 10.0 ** rng.integers(-8, 9, size=3)
+        s = rng.normal(size=(3, 3)) * 10.0 ** rng.integers(-8, 9)
+        sigma = s + s.T
+        ref = np.empty((4, 4))
+        ref[0, 0] = rho
+        ref[0, 1:] = rho * v
+        ref[1:, 0] = rho * v
+        ref[1:, 1:] = rho * np.outer(v, v) - sigma
+        assert assemble_cauchy_T(rho, v, sigma).tobytes() == ref.tobytes()
+
+
 def test_comoving_boost_recovers_stress():
     # Boosting into the rest frame of a uniformly moving medium must strip
     # the momentum row and expose -sigma in the spatial block.

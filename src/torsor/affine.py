@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vecmath import skew, axial
+from .vecmath import moment_matrix, moments
 
 # Constructor validation tolerances (absolute, on unit-scale entries).
 ORTHONORMAL_TOL = 1e-9
@@ -237,8 +237,8 @@ class Torsor:
 class PointwiseTorsor:
     """Torsor of a mass point: mass m, momentum p, mass position q, moment l.
 
-    Packs into (T, J) as T = (m, p) and J with q in the mixed block and l in
-    the spatial block: J[1:, 0] = q, J[1:, 1:] = -skew(l).
+    Packs into (T, J) as T = (m, p) and J = vecmath.moment_matrix(q, l):
+    q in the mixed block, J[1:, 0] = q, and l in the spatial block.
     """
 
     def __init__(self, m: float, p, q, l):
@@ -253,20 +253,13 @@ class PointwiseTorsor:
         return cls(m, np.zeros(3), np.zeros(3), l0)
 
     def to_torsor(self) -> Torsor:
-        J = np.zeros((4, 4))
-        J[1:, 0] = self.q
-        J[0, 1:] = -self.q
-        J[1:, 1:] = -skew(self.l)
-        return Torsor(np.concatenate(([self.m], self.p)), J)
+        return Torsor(np.concatenate(([self.m], self.p)),
+                      moment_matrix(self.q, self.l))
 
     @classmethod
     def from_torsor(cls, tau: Torsor) -> "PointwiseTorsor":
-        return cls(
-            m=tau.T[0],
-            p=tau.T[1:],
-            q=tau.J[1:, 0],
-            l=axial(-tau.J[1:, 1:]),
-        )
+        q, l = moments(tau.J)
+        return cls(m=tau.T[0], p=tau.T[1:], q=q, l=l)
 
     def to_dict(self) -> dict:
         return {

@@ -7,11 +7,13 @@ angular balances about the current point, position-quantity balances about
 the spatial origin of the chart.  A residual of zero means the field
 satisfies the balance law at that chart point.
 
-The two space-filling media (d = 3) are views of one operator: their
-residuals are rows of connection.divergence of the stress-mass T and the
-moment field J on the identity chart, the paper's divergence-free-torsor
-principle itself.  The pointwise, slender and thin media (d = 0, 1, 2)
-keep their hand-expanded forms.
+The pointwise medium (d = 0) and the two space-filling media (d = 3) are
+views of one operator: their residuals are rows of connection.divergence
+of the stress-mass T and the moment field J, the paper's
+divergence-free-torsor principle itself, on the worldline chart with the
+origin at the spatial origin (d = 0) or on the identity chart with the
+proper origin (d = 3).  The slender and thin media (d = 1, 2) keep their
+hand-expanded forms.
 
 Derivatives are central differences (module fd); every operator accepts an
 explicit step h and honors the field's domain bounds.
@@ -22,7 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fd
-from .connection import PullbackChristoffels, divergence
+from .connection import (
+    OriginMotion,
+    PullbackChristoffels,
+    divergence,
+    gamma_A_matrix,
+)
 from .errors import DegenerateTangent
 from .fields import (
     DEGENERATE_TANGENT_TOL,
@@ -36,7 +43,7 @@ from .fields import (
     _stress_mass,
     shell_christoffels,
 )
-from .vecmath import cross
+from .vecmath import as_field, cross, moment_matrix, moments
 
 
 @dataclass
@@ -78,14 +85,6 @@ class BalanceResidual:
         }
 
 
-def _as_chart_field(value):
-    """Normalize a constant (scalar or array) or callable to a callable."""
-    if callable(value):
-        return value
-    const = np.asarray(value, dtype=float)
-    return lambda *args: const
-
-
 def residual_pointwise(traj, conn, t: float, h: float = None) -> BalanceResidual:
     """Residuals of the four pointwise balance laws along a trajectory.
 
@@ -93,30 +92,44 @@ def residual_pointwise(traj, conn, t: float, h: float = None) -> BalanceResidual
     dp/dt = m (g - 2 Omega x v); dq/dt = p (moments about the spatial
     origin, so x = q / m); dl/dt + Omega x l0 = x cross the momentum law's
     right side, with l0 = l - x x p the moment about the point itself.
+
+    All rows are read from connection.divergence on the worldline chart
+    xi = (t): U = (1, v), T = (m, p), J = moment_matrix(q, l), no material
+    Christoffels, and the origin at the spatial origin of the chart.
     """
+    def T_of(xi):
+        pt = traj(xi[0])
+        return np.array([[pt.m, *pt.p]])
+
+    def J_of(xi):
+        pt = traj(xi[0])
+        return moment_matrix(pt.q, pt.l)[None]
+
+    def U(xi):
+        T = T_of(xi)
+        return T.T / T[0, 0]
+
     pt = traj(t)
-    m, p, q, l = pt.m, pt.p, pt.q, pt.l
-    x = q / m
-    v = p / m
-    g = conn.g(t, x)
-    Om = conn.Omega(t, x)
-    m_dot = fd.diff(lambda u: traj(u).m, t, h=h)
-    p_dot = fd.diff(lambda u: traj(u).p, t, h=h)
-    q_dot = fd.diff(lambda u: traj(u).q, t, h=h)
-    l_dot = fd.diff(lambda u: traj(u).l, t, h=h)
-    l0 = l - cross(x, p)
-    force = m * (g - 2.0 * cross(Om, v))
-    return BalanceResidual(
-        mass=m_dot,
-        lin_mom=p_dot - force,
-        pos_q=q_dot - p,
-        ang_mom=l_dot + cross(Om, l0) - cross(x, force),
-    )
+    x = pt.q / pt.m
+    origin = gamma_A_matrix(conn, OriginMotion.spatial_origin(), t, x)
+    chris = PullbackChristoffels(np.zeros((1, 1, 1)),
+                                 conn.christoffels_at(t, x), origin)
+    field = MediumField(tangent_map=U, torsor_T=T_of, torsor_J=J_of)
+    return _divergence_residual(field, [t], chris, h)
 
 
-def _space_filling_divergence(T_of, J_of, conn, t: float, x, domain, h,
-                              one_sided):
-    """connection.divergence of a medium filling space, at (t, x).
+def _divergence_residual(field, xi, chris, h, one_sided=False, v=None):
+    """The ten balance rows of connection.divergence of field at xi; with
+    v given, the momentum row is dT[1:] - v dT[0] (the advective form)."""
+    dT, dJ = divergence(field, xi, chris, h=h, one_sided=one_sided)
+    pos, ang = moments(dJ)
+    lin = dT[1:] if v is None else dT[1:] - v * dT[0]
+    return BalanceResidual(mass=dT[0], lin_mom=lin, pos_q=pos, ang_mom=ang)
+
+
+def _space_filling_residual(T_of, J_of, conn, t: float, x, domain, h,
+                            one_sided, v=None):
+    """_divergence_residual of a medium filling space, at (t, x).
 
     The material chart is the space-time chart (U = I) and the origin is
     the proper one.  T_of(t, x) returns T[component, flux]; J_of(t, x)
@@ -125,24 +138,13 @@ def _space_filling_divergence(T_of, J_of, conn, t: float, x, domain, h,
     """
     x = np.asarray(x, dtype=float).reshape(3)
     field = MediumField(
-        dim=3,
-        embedding=lambda xi: xi,
         tangent_map=lambda xi: np.eye(4),
         torsor_T=lambda xi: np.asarray(T_of(xi[0], xi[1:]), dtype=float).T,
         torsor_J=None if J_of is None else lambda xi: J_of(xi[0], xi[1:]),
         domain=domain,
     )
     chris = PullbackChristoffels.identity_embedding(conn, t, x)
-    return divergence(field, np.array([t, *x]), chris, h=h,
-                      one_sided=one_sided)
-
-
-def _space_filling_residual(dT, dJ, lin) -> BalanceResidual:
-    """Read the ten balance rows out of div T and div J."""
-    return BalanceResidual(
-        mass=dT[0], lin_mom=lin, pos_q=dJ[1:, 0],
-        ang_mom=(dJ[2, 3], dJ[3, 1], dJ[1, 2]),
-    )
+    return _divergence_residual(field, [t, *x], chris, h, one_sided, v)
 
 
 def residual_cauchy(medium: CauchyMedium, conn, t: float, x,
@@ -166,10 +168,9 @@ def residual_cauchy(medium: CauchyMedium, conn, t: float, x,
         return _stress_mass(float(medium.rho(tt, xx)), v.tolist(),
                             sigma.tolist())
 
-    dT, dJ = _space_filling_divergence(T_of, None, conn, t, x, medium.domain,
-                                       h, one_sided)
     v = np.asarray(medium.v(t, x), dtype=float).reshape(3)
-    return _space_filling_residual(dT, dJ, dT[1:] - v * dT[0])
+    return _space_filling_residual(T_of, None, conn, t, x, medium.domain, h,
+                                   one_sided, v)
 
 
 def _chart_slide(curve, tt, ss):
@@ -316,11 +317,11 @@ def residual_2d(sf: ShellField, loads: ShellLoads, conn, t: float,
     g = conn.g(t, x)
     Om = conn.Omega(t, x)
 
-    rho_s_f = _as_chart_field(loads.rho_s)
-    N_f = _as_chart_field(loads.N)
-    Q_f = _as_chart_field(loads.Q)
-    M_f = _as_chart_field(loads.M)
-    kappa_f = _as_chart_field(loads.kappa)
+    rho_s_f = as_field(loads.rho_s)
+    N_f = as_field(loads.N)
+    Q_f = as_field(loads.Q)
+    M_f = as_field(loads.M)
+    kappa_f = as_field(loads.kappa)
 
     rho_s = float(rho_s_f(*args))
     N = np.asarray(N_f(*args), dtype=float)
@@ -405,15 +406,11 @@ def residual_3d_cosserat(state: Cosserat3DState, conn, t: float, x,
     flux r, for (ijk) cyclic.
     """
     def J_of(tt, xx):
-        J = np.zeros((4, 4, 4))
-        J[0, 1:, 0] = state.q(tt, xx)
-        J[1:, 1:, 0] = np.asarray(state.l_star(tt, xx), dtype=float).T
-        l, M_star = state.l(tt, xx), state.M_star(tt, xx)
-        for (j, k), li, Mi in zip(((2, 3), (3, 1), (1, 2)), l, M_star):
-            J[0, j, k] = li
-            J[1:, j, k] = Mi
-        return J - J.transpose(0, 2, 1)
+        l_star = np.asarray(state.l_star(tt, xx), dtype=float)
+        M_star = np.asarray(state.M_star(tt, xx), dtype=float)
+        return np.array(
+            [moment_matrix(state.q(tt, xx), state.l(tt, xx))]
+            + [moment_matrix(l_star[:, r], M_star[:, r]) for r in range(3)])
 
-    dT, dJ = _space_filling_divergence(state.T, J_of, conn, t, x,
-                                       state.domain, h, one_sided)
-    return _space_filling_residual(dT, dJ, dT[1:])
+    return _space_filling_residual(state.T, J_of, conn, t, x, state.domain,
+                                   h, one_sided)

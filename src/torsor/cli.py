@@ -29,6 +29,8 @@ FLOAT_FORMAT = "%.17g"
 # take at most 10**4 steps; the cap stops a mistyped t_end or dt from
 # starting a run that would not finish.
 MAX_RK4_STEPS = 10**6
+# Cap on a residual_check's probe points (the bundled ones take at most 32).
+MAX_PROBE_POINTS = 10**5
 
 _TOP_KEYS = {"schema", "name", "kind", "medium", "case", "connection",
              "params"}
@@ -92,11 +94,26 @@ def _check_step_count(params):
         )
 
 
+def _check_probe_count(medium, params):
+    """Raise ScenarioError unless a residual_check evaluates at most
+    MAX_PROBE_POINTS points: n_t (d0), n_s (d1), n_side^2 (d2) or
+    n_side^3 + n_random (d3)."""
+    key, power = {"d0": ("n_t", 1), "d1": ("n_s", 1),
+                  "d2": ("n_side", 2)}.get(medium, ("n_side", 3))
+    grid = params[key] ** power
+    n = grid + params.get("n_random", 0)
+    if n > MAX_PROBE_POINTS:
+        key = key if grid > MAX_PROBE_POINTS else "n_random"
+        raise ScenarioError(f"params.{key}: {n} probe points, above the "
+                            f"cap of {MAX_PROBE_POINTS}")
+
+
 def load_scenario(raw) -> Scenario:
     """Validate a decoded scenario object against the schema and registry.
 
-    Each param must fit the type of its case default, and a pointwise
-    simulation may take at most MAX_RK4_STEPS steps.  Raises ScenarioError
+    Each param must fit the type of its case default, a pointwise
+    simulation may take at most MAX_RK4_STEPS steps and a residual check
+    at most MAX_PROBE_POINTS probe points.  Raises ScenarioError
     naming the offending key on any mismatch.
     """
     if not isinstance(raw, dict):
@@ -155,6 +172,8 @@ def load_scenario(raw) -> Scenario:
         _check_param(key, value, spec.defaults[key])
     if kind == "pointwise_sim":
         _check_step_count({**spec.defaults, **params})
+    elif kind == "residual_check":
+        _check_probe_count(medium, {**spec.defaults, **params})
     return Scenario(name=name, kind=kind, medium=medium, case=case,
                     conn_spec=conn_spec, params=params)
 

@@ -15,23 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fd
-from .vecmath import cross, skew
-
-
-def _as_field(value):
-    """Normalize a constant 3-vector or callable (t, x) -> (3,) to a callable."""
-    if callable(value):
-        return value
-    const = np.asarray(value, dtype=float).reshape(3)
-    return lambda t, x: const
+from .vecmath import as_field, cross, skew
 
 
 class GalileanConnection:
     """Connection fields g(t, x) and Omega(t, x); constants accepted."""
 
     def __init__(self, g=(0.0, 0.0, 0.0), Omega=(0.0, 0.0, 0.0)):
-        self.g = _as_field(g)
-        self.Omega = _as_field(Omega)
+        self.g = as_field(g, 3)
+        self.Omega = as_field(Omega, 3)
 
     @classmethod
     def uniform(cls, g=(0.0, 0.0, 0.0), Omega=(0.0, 0.0, 0.0)):
@@ -63,11 +55,6 @@ class GalileanConnection:
         G[1:, 1:, 0] = W
         return G
 
-    def matrix(self, t: float, x, dX) -> np.ndarray:
-        """Gamma(dX): the (4, 4) contraction G[a, m, b] dX^m."""
-        dX = np.asarray(dX, dtype=float).reshape(4)
-        return np.einsum("amb,m->ab", self.christoffels_at(t, x), dX)
-
 
 class OriginMotion:
     """Motion of the affine origin as a C field (t, x) -> 4-column.
@@ -86,12 +73,8 @@ class OriginMotion:
 
     @classmethod
     def spatial_origin(cls) -> "OriginMotion":
-        def C(t, x):
-            out = np.zeros(4)
-            out[1:] = np.asarray(x, dtype=float).reshape(3)
-            return out
-
-        return cls(C, label="spatial_origin")
+        return cls(lambda t, x: np.append(0.0, np.reshape(x, 3)),
+                   label="spatial_origin")
 
 
 def gamma_A_matrix(conn: GalileanConnection, origin: OriginMotion,
@@ -99,30 +82,21 @@ def gamma_A_matrix(conn: GalileanConnection, origin: OriginMotion,
     """(4, 4) matrix Gamma_A with Gamma_A(dX) = dX - (dC + Gamma(dX) C).
 
     Column m holds Gamma_A(e_m).  The proper origin gives the identity
-    matrix exactly; the spatial-origin choice gives first column
-    (1, -Omega x x) and zero spatial columns.
+    matrix and the spatial-origin choice first column (1, -Omega x x) and
+    zero spatial columns, both exactly; any other C field is differenced.
     """
     x = np.asarray(x, dtype=float).reshape(3)
     if origin.label == "proper":
         return np.eye(4)
+    if origin.label == "spatial_origin":
+        GA = np.zeros((4, 4))
+        GA[:, 0] = (1.0, *(-cross(conn.Omega(t, x), x)))
+        return GA
 
-    def C_of(tt, x1, x2, x3):
-        return origin.C(tt, np.array([x1, x2, x3]))
-
-    args = (t, x[0], x[1], x[2])
-    DC = np.stack(
-        [fd.partial(C_of, args, i, h=h) for i in range(4)], axis=1
-    )
-    G = conn.christoffels_at(t, x)
-    GC = np.einsum("amb,b->am", G, origin.C(t, x))
+    DC = np.stack([fd.partial(lambda tt, *xs: origin.C(tt, np.array(xs)),
+                              (t, *x), i, h=h) for i in range(4)], axis=1)
+    GC = np.einsum("amb,b->am", conn.christoffels_at(t, x), origin.C(t, x))
     return np.eye(4) - DC - GC
-
-
-def gamma_A_at(conn: GalileanConnection, origin: OriginMotion,
-               t: float, x, dX, h: float = None) -> np.ndarray:
-    """Gamma_A(dX) as a 4-column at the event (t, x)."""
-    dX = np.asarray(dX, dtype=float).reshape(4)
-    return gamma_A_matrix(conn, origin, t, x, h=h) @ dX
 
 
 @dataclass
@@ -151,10 +125,7 @@ class PullbackChristoffels:
         Default origin is the proper one (Gamma_A = identity).
         """
         G = conn.christoffels_at(t, x)
-        if origin is None:
-            GA = np.eye(4)
-        else:
-            GA = gamma_A_matrix(conn, origin, t, x)
+        GA = gamma_A_matrix(conn, origin or OriginMotion.proper(), t, x)
         return cls(material=G, spacetime=G, origin_motion=GA)
 
 

@@ -1,9 +1,9 @@
 """Field bundles for media of dimension 0 to 3 and their chart geometry.
 
 A medium of dimension d is described in a material chart xi = (t, chart
-coordinates); the embedding returns space-time events, the tangent map U is
-the 4 x (d+1) Jacobian restricted to the relevant columns, and the torsor
-fields give the (d+1)-row component arrays the divergence operators consume.
+coordinates); the tangent map U is the 4 x (d+1) Jacobian of the embedding
+into space-time, and the torsor fields give the (d+1)-row component arrays
+the divergence operator consumes.
 
 Curves are parameterized by arclength s (a constructor option rebuilds that
 parameterization by numeric quadrature).  Shells carry a mid-surface chart
@@ -45,15 +45,12 @@ def _second_diff(f, u: float, h: float = None):
 class MediumField:
     """Torsor fields of a d-dimensional medium over its material chart.
 
-    embedding: xi (d+1,) -> event (4,)
-    tangent_map: xi -> U (4, d+1)
+    tangent_map: xi (d+1,) -> U (4, d+1)
     torsor_T: xi -> (d+1, 4) array of components gT^b, material index first
     torsor_J: xi -> (d+1, 4, 4) array gJ^ab, skew in the last two indices
     domain: optional per-coordinate (lo, hi) bounds used by differentiation
     """
 
-    dim: int
-    embedding: Callable
     tangent_map: Callable
     torsor_T: Callable
     torsor_J: Optional[Callable] = None

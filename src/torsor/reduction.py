@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import EmptySection
 from .fields import ForceMass1D
+from .vecmath import moments
 
 FRAME_ORTHO_TOL = 1e-9
 CENTERING_TOL = 1e-8
@@ -217,9 +218,6 @@ class Moments1D:
     J: np.ndarray
 
 
-_CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
-
-
 def reduce_3d_to_1d_J(T_bar, Pi, cs: CrossSection) -> Moments1D:
     """Section moments: integrate the position-weighted stress-mass.
 
@@ -248,10 +246,7 @@ def reduce_3d_to_1d_J(T_bar, Pi, cs: CrossSection) -> Moments1D:
         return np.einsum("gr,abr->gab", Pi, Jbar)
 
     J = cs.integrate(integrand)
-    q = np.array([J[0, i, 0] for i in range(1, 4)])
-    l = np.array([J[0, k, m] for (_, k, m) in _CYCLIC])
-    l_star = np.array([J[1, i, 0] for i in range(1, 4)])
-    M_star = np.array([J[1, k, m] for (_, k, m) in _CYCLIC])
+    (q, l), (l_star, M_star) = moments(J[0]), moments(J[1])
     return Moments1D(q=q, l=l, l_star=l_star, M_star=M_star, J=J)
 
 

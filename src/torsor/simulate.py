@@ -251,19 +251,23 @@ CONVERGENCE_FLOOR = 1e-10
 
 def convergence_check(residual_op, fields, point, steps,
                       floor: float = CONVERGENCE_FLOOR):
-    """Observed order of a residual evaluator under step refinement.
+    """observed_order of residual_op(fields, point, h), the scalar residual
+    error at difference step h (the caller subtracts any known exact
+    value), over at least three steps."""
+    hs = sorted((float(h) for h in steps), reverse=True)
+    if len(hs) < 3:
+        raise ValueError("need at least 3 step sizes")
+    return observed_order(
+        hs, [abs(float(residual_op(fields, point, h))) for h in hs], floor)
 
-    residual_op(fields, point, h) must return the scalar residual error at
-    difference step h (the caller subtracts any known exact value).  Fits
-    log(error) against log(h) by least squares and returns the slope, or
+
+def observed_order(hs, errs, floor: float = CONVERGENCE_FLOOR):
+    """Least-squares slope of log(errs) against log(hs), steps decreasing.
+
     None when every error sits below the roundoff floor (exact
     differentiation of low-degree fields).  Raises NonMonotoneError when
     the errors fail to decrease as h does.
     """
-    hs = sorted((float(h) for h in steps), reverse=True)
-    if len(hs) < 3:
-        raise ValueError("need at least 3 step sizes")
-    errs = [abs(float(residual_op(fields, point, h))) for h in hs]
     if strict_max(errs) < floor:
         return None
     for a, b in zip(errs, errs[1:]):

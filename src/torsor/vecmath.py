@@ -5,6 +5,16 @@ import math
 import numpy as np
 
 
+def as_field(value, shape=None):
+    """A callable as it is, or a constant (reshaped to `shape` when given)
+    as a callable that returns it for any arguments."""
+    if callable(value):
+        return value
+    const = np.asarray(value, dtype=float)
+    const = const if shape is None else const.reshape(shape)
+    return lambda *args: const
+
+
 def skew(v) -> np.ndarray:
     """Skew matrix j(v) with j(v) @ b == np.cross(v, b)."""
     v = np.asarray(v, dtype=float)
@@ -37,10 +47,17 @@ def cross(a, b) -> np.ndarray:
                            np.asarray(b, dtype=float).reshape(3).tolist()))
 
 
-def axial(A) -> np.ndarray:
-    """Inverse of skew: axial(skew(v)) == v for skew-symmetric A."""
-    A = np.asarray(A, dtype=float)
-    return np.array([A[2, 1], A[0, 2], A[1, 0]])
+def moment_matrix(q, l) -> np.ndarray:
+    """Skew (4, 4) J with J[1:, 0] = q and (J[2, 3], J[3, 1], J[1, 2]) = l."""
+    (q0, q1, q2), (l0, l1, l2) = (
+        np.asarray(v, dtype=float).reshape(3).tolist() for v in (q, l))
+    return np.array([[0.0, -q0, -q1, -q2], [q0, 0.0, l2, -l1],
+                     [q1, -l2, 0.0, l0], [q2, l1, -l0, 0.0]])
+
+
+def moments(J):
+    """Inverse of moment_matrix: copies of (q, l) read from a skew J."""
+    return np.array(J[1:, 0]), np.array([J[2, 3], J[3, 1], J[1, 2]])
 
 
 def strict_max(values) -> float:

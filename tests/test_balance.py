@@ -12,6 +12,7 @@ import pytest
 import sympy as sp
 from numpy.testing import assert_allclose
 
+from torsor import fd
 from torsor.affine import PointwiseTorsor
 from torsor.balance import (
     BalanceResidual,
@@ -122,6 +123,49 @@ def test_pointwise_detects_wrong_force():
     res = residual_pointwise(traj, conn, 0.5)
     expected = 2.0 * m * np.cross(w * E3, v0)
     assert_allclose(res.lin_mom, expected, atol=1e-8)
+
+
+def pointwise_oracle(traj, conn, t, h=None):
+    """The pointwise laws expanded by hand, with moments about the point.
+
+    dm/dt; dp/dt - force; dq/dt - p; dl/dt + Omega x l0 - x x force, with
+    force = m (g - 2 Omega x v) and l0 = l - x x p.
+    """
+    pt = traj(t)
+    x, v = pt.q / pt.m, pt.p / pt.m
+    Om = conn.Omega(t, x)
+    dot = {k: fd.diff(lambda u: getattr(traj(u), k), t, h=h)
+           for k in ("m", "p", "q", "l")}
+    force = pt.m * (conn.g(t, x) - 2.0 * np.cross(Om, v))
+    l0 = pt.l - np.cross(x, pt.p)
+    return np.concatenate([
+        [dot["m"]], dot["p"] - force, dot["q"] - pt.p,
+        dot["l"] + np.cross(Om, l0) - np.cross(x, force),
+    ])
+
+
+@pytest.mark.parametrize("h", [None, 1e-3])
+def test_pointwise_matches_hand_expanded_oracle(h):
+    # A trajectory that solves none of the laws (mass, momentum, q and l
+    # all perturbed) in a rotating frame with a base gravity, so g depends
+    # on position, Omega is nonzero and every row is nonzero.
+    Om = np.array([0.3, -0.5, 0.7])
+    conn = GalileanConnection.rotating_frame(Om, g=[0.4, -0.2, -9.8])
+
+    def traj(t):
+        m = 1.3 + 0.2 * np.sin(t)
+        x = np.array([0.4 + t, -0.3 * t * t, 1.1 + 0.5 * np.cos(t)])
+        p = m * np.array([1.0, -0.6 * t, -0.5 * np.sin(t)])
+        p = p + np.array([0.1 * t, 0.2, -0.3 * t * t])
+        q = m * x + np.array([0.05 * t, -0.02, 0.03 * np.sin(t)])
+        l = np.array([0.2 * t, -0.4, 0.1 * np.cos(2.0 * t)]) + np.cross(x, p)
+        return PointwiseTorsor(m, p, q, l)
+
+    for t in [0.0, 0.4, 1.3]:
+        got = residual_pointwise(traj, conn, t, h=h).as_array()
+        want = pointwise_oracle(traj, conn, t, h=h)
+        assert np.min(np.abs(want)) > 1e-3
+        assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -974,8 +1018,6 @@ def test_3d_residual_matches_general_divergence():
 
     J_fn = moment_fields_to_J(q_fn, l_fn, ls_fn, Ms_fn)
     medium = MediumField(
-        dim=3,
-        embedding=lambda xi: np.asarray(xi, dtype=float),
         tangent_map=lambda xi: np.eye(4),
         torsor_T=lambda xi: T_fn(xi[0], xi[1:]).T,
         torsor_J=lambda xi: np.moveaxis(J_fn(xi[0], xi[1:]), -1, 0),

@@ -22,9 +22,10 @@ def test_tracer_counts_residual_points_and_nodes(tmp_path, monkeypatch,
 
     with tracing.instrument(tracing.Tracer()) as tracer:
         rc = main(["run", "hydrostatic", "thickness_integrals",
-                   "--out-dir", str(tmp_path)])
+                   "projectile_residual", "--out-dir", str(tmp_path)])
     assert rc == 0
     metrics = tracing.layer_metrics(tracer)
     assert metrics["balance.cauchy.points"] == 27
+    assert metrics["balance.d0.points"] == 9
     assert metrics["fd.field_evals"] > 0
     assert metrics["reduction.nodes"] > 0

@@ -6,10 +6,17 @@ in the acceptance tests.
 """
 
 import json
+import math
 
 import pytest
 
-from torsor.cli import bundled_scenarios, load_scenario_file, main
+from torsor.cli import (
+    MAX_PROBE_POINTS,
+    bundled_scenarios,
+    load_scenario,
+    load_scenario_file,
+    main,
+)
 
 
 def _write_scenario(path, **overrides):
@@ -218,6 +225,18 @@ BAD_PARAMS = {
                      {"t_span": [1]}, "t_span"),
     "steps_repeated": ("cauchy_convergence", "convergence", "d3_cauchy",
                        {"steps": [1e-3, 1e-3, 1e-3]}, "steps"),
+    # One probe point above MAX_PROBE_POINTS for each medium family.
+    "n_t_over_cap": ("projectile_residual", "residual_check", "d0",
+                     {"n_t": 100_001}, "n_t"),
+    "n_s_over_cap": ("beam_under_gravity", "residual_check", "d1",
+                     {"n_s": 100_001}, "n_s"),
+    "n_side_over_cap_d2": ("plate_bending", "residual_check", "d2",
+                           {"n_side": 317}, "n_side"),
+    "n_side_over_cap_d3": ("hydrostatic", "residual_check", "d3_cauchy",
+                           {"n_side": 47}, "n_side"),
+    "n_random_over_cap": ("cauchy_manufactured", "residual_check",
+                          "d3_cauchy", {"n_side": 3, "n_random": 99_974},
+                          "n_random"),
 }
 
 
@@ -230,3 +249,31 @@ def test_bad_param_exits_2_naming_key(tmp_path, capsys, hole):
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: params.{key}:")
     assert not (tmp_path / "out").exists()
+
+
+def test_probe_count_at_cap_is_accepted():
+    doc = {"schema": 1, "name": "at_cap", "kind": "residual_check",
+           "medium": "d3_cauchy", "case": "cauchy_manufactured",
+           "connection": {"type": "uniform"},
+           "params": {"n_side": 3, "n_random": MAX_PROBE_POINTS - 27}}
+    assert load_scenario(doc).params["n_random"] == MAX_PROBE_POINTS - 27
+
+
+def test_non_monotone_convergence_is_a_failed_check(tmp_path, capsys):
+    # Steps this small drown the truncation error in roundoff, so the
+    # errors grow under refinement: the order check fails on NaN, the
+    # artifacts are written and the exit code is 1.
+    scn = _write_scenario(tmp_path / "scn.json", name="rod_tiny_steps",
+                          kind="convergence", medium="d1",
+                          case="rod_convergence",
+                          params={"steps": [1e-7, 1e-8, 1e-9]})
+    rc = main(["run", str(scn), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL rod_tiny_steps: observed order minus two: "
+                          "max residual nan")
+    out_dir = tmp_path / "out" / "rod_tiny_steps"
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["passed"] is False
+    assert math.isnan(summary["checks"][0]["value"])
+    assert (out_dir / "convergence.csv").read_text().count("\n") == 4

@@ -16,7 +16,6 @@ from torsor.connection import (
     OriginMotion,
     PullbackChristoffels,
     divergence,
-    gamma_A_at,
     gamma_A_matrix,
 )
 from torsor.errors import DifferentiationFailure
@@ -60,8 +59,6 @@ def identity_medium(T_mat_fn, J_fn=None, domain=None):
         return np.moveaxis(J_fn(xi[0], xi[1:]), -1, 0)
 
     return MediumField(
-        dim=3,
-        embedding=lambda xi: np.asarray(xi, dtype=float),
         tangent_map=lambda xi: np.eye(4),
         torsor_T=torsor_T,
         torsor_J=torsor_J,
@@ -112,8 +109,21 @@ def test_gamma_A_spatial_origin():
     assert_allclose(M, expect, atol=1e-9)
     dX = np.array([2.0, 0.5, -1.0, 0.25])
     assert_allclose(
-        gamma_A_at(conn, OriginMotion.spatial_origin(), 0.7, x, dX),
+        gamma_A_matrix(conn, OriginMotion.spatial_origin(), 0.7, x) @ dX,
         expect @ dX,
+        atol=1e-9,
+    )
+
+
+def test_gamma_A_differenced_origin_matches_exact_spatial_origin():
+    # The same C field under another label goes through the differenced
+    # general formula, which must agree with the exact spatial-origin matrix.
+    conn = GalileanConnection.rotating_frame(OMEGA_CONST, g=G_CONST)
+    x = np.array([1.0, -2.0, 0.3])
+    custom = OriginMotion(OriginMotion.spatial_origin().C)
+    assert_allclose(
+        gamma_A_matrix(conn, custom, 0.7, x),
+        gamma_A_matrix(conn, OriginMotion.spatial_origin(), 0.7, x),
         atol=1e-9,
     )
 

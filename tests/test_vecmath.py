@@ -1,5 +1,6 @@
-"""Vector helpers: the written-out cross product, the NaN-keeping max and
-the Rodrigues rotation, each against an independent reference."""
+"""Vector helpers: the written-out cross product, the moment packing, the
+NaN-keeping max and the Rodrigues rotation, each against an independent
+reference."""
 
 import math
 
@@ -9,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from torsor.vecmath import cross, rotation, skew, strict_max
+from torsor.affine import Torsor
+from torsor.vecmath import (
+    cross,
+    moment_matrix,
+    moments,
+    rotation,
+    skew,
+    strict_max,
+)
 
 # Magnitudes from 1e-30 to 1e30 with either sign, signed zeros, and the
 # whole finite double range (subnormals and overflowing products included).
@@ -41,6 +50,25 @@ def test_cross_is_bit_identical_to_np_cross(a, b):
     _assert_same_bits(cross(np.array(a), np.array(b)), expected)
     _assert_same_bits(cross(a, b), expected)
     _assert_same_bits(cross(np.array(a), b), expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=_vector, l=_vector)
+def test_moment_matrix_round_trip_and_torsor_storage(q, l):
+    J = moment_matrix(q, l)
+    assert_array_equal(J, -J.T)
+    assert_array_equal(J[1:, 1:], -skew(l))
+    q_back, l_back = moments(J)
+    _assert_same_bits(q_back, np.array(q))
+    _assert_same_bits(l_back, np.array(l))
+    # Torsor storage keeps the strict upper triangle, which is bit for bit
+    # that of the packing J[0, 1:] = -q, J[1:, 1:] = -skew(l).
+    written = np.zeros((4, 4))
+    written[1:, 0] = q
+    written[0, 1:] = -np.array(q)
+    written[1:, 1:] = -skew(l)
+    T = np.zeros(4)
+    assert Torsor(T, J).J.tobytes() == Torsor(T, written).J.tobytes()
 
 
 def test_cross_accepts_integer_lists():

@@ -6,9 +6,18 @@ and an invertible linear part P, acting on points as V = C + P V'.  Affine
 forms (chi, Phi) and torsors (T, J) carry the dual and bilinear laws.  The
 whole algebra embeds in a 5x5 matrix representation which the tests use as an
 independent oracle.
+
+Values are validated once, where they enter from outside: the public
+constructors reject non-finite input, a singular P, a non-orthonormal or
+orientation-reversing R and a J that is not skew.  Results of the group
+algebra are valid by construction, so compose and inverse of Galilean
+elements build through the private GalileanFrameChange._trusted, and
+transform_torsor stores its exactly skew J' through Torsor._trusted.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,6 +26,23 @@ from .vecmath import moment_matrix, moments
 # Constructor validation tolerances (absolute, on unit-scale entries).
 ORTHONORMAL_TOL = 1e-9
 SKEW_TOL = 1e-9
+
+_I3 = np.eye(3)
+# Entries at and below the diagonal: where np.triu(J, 1) puts its zeros.
+_LOWER = np.tri(4, 4, 0, dtype=bool)
+
+
+def _finite(numbers) -> bool:
+    """Whether every number of a flat sequence of floats is finite."""
+    return all(map(math.isfinite, numbers))
+
+
+def _max_abs(a, what: str) -> float:
+    """Largest |entry| of a; ValueError naming `what` if any is NaN or inf."""
+    m = np.abs(a).max()
+    if not m < math.inf:
+        raise ValueError(f"{what} is not finite")
+    return m
 
 
 class AffineFrameChange:
@@ -30,7 +56,9 @@ class AffineFrameChange:
     def __init__(self, C, P):
         self.C = np.asarray(C, dtype=float).reshape(4)
         self.P = np.asarray(P, dtype=float).reshape(4, 4)
-        if abs(np.linalg.det(self.P)) < 1e-12:
+        if not _finite([*self.C.tolist(), *self.P.ravel().tolist()]):
+            raise ValueError("C and P must be finite")
+        if not abs(np.linalg.det(self.P)) >= 1e-12:
             raise ValueError("linear part P is singular")
 
     @classmethod
@@ -76,18 +104,46 @@ class GalileanFrameChange(AffineFrameChange):
         u = np.zeros(3) if u is None else np.asarray(u, dtype=float).reshape(3)
         R = np.eye(3) if R is None else np.asarray(R, dtype=float).reshape(3, 3)
         k = np.zeros(3) if k is None else np.asarray(k, dtype=float).reshape(3)
-        if np.max(np.abs(R.T @ R - np.eye(3))) > ORTHONORMAL_TOL:
+        tau0 = float(tau0)
+        if not _finite([tau0, *u.tolist(), *k.tolist()]):
+            raise ValueError("u, tau0 and k must be finite")
+        # A NaN or inf in R makes the deviation NaN or inf, which fails too.
+        if not np.abs(R.T @ R - _I3).max() <= ORTHONORMAL_TOL:
             raise ValueError("R is not orthonormal")
-        if np.linalg.det(R) < 0.0:
+        # R is orthonormal here, so det R = r0 . (r1 x r2) is +-1 and its
+        # sign is safe to read from the closed form.
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = R.tolist()
+        if a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2) \
+                + a2 * (b0 * c1 - b1 * c0) < 0.0:
             raise ValueError("R reverses orientation")
+        self._assign(u, R, tau0, k)
+
+    @classmethod
+    def _trusted(cls, u, R, tau0: float, k) -> "GalileanFrameChange":
+        """Element from float arrays u, R, k and a float tau0 that are
+        already known valid, such as results of the group algebra."""
+        f = cls.__new__(cls)
+        f._assign(u, R, tau0, k)
+        return f
+
+    def _assign(self, u, R, tau0, k):
         self.u = u
         self.R = R
-        self.tau0 = float(tau0)
+        self.tau0 = tau0
         self.k = k
+
+    # C and P are built on first use: most elements are only composed or
+    # inverted, which reads u, R, tau0 and k.
+    @cached_property
+    def C(self) -> np.ndarray:
+        return np.concatenate(([self.tau0], self.k))
+
+    @cached_property
+    def P(self) -> np.ndarray:
         P = np.eye(4)
-        P[1:, 0] = u
-        P[1:, 1:] = R
-        super().__init__(np.concatenate(([self.tau0], k)), P)
+        P[1:, 0] = self.u
+        P[1:, 1:] = self.R
+        return P
 
     @classmethod
     def identity(cls) -> "GalileanFrameChange":
@@ -104,12 +160,8 @@ class GalileanFrameChange(AffineFrameChange):
     def inverse(self) -> "GalileanFrameChange":
         # P^-1 = [[1, 0], [-R^T u, R^T]]; C' = -P^-1 C.
         Rt = self.R.T
-        return GalileanFrameChange(
-            u=-Rt @ self.u,
-            R=Rt,
-            tau0=-self.tau0,
-            k=Rt @ (self.u * self.tau0 - self.k),
-        )
+        return GalileanFrameChange._trusted(
+            -Rt @ self.u, Rt, -self.tau0, Rt @ (self.u * self.tau0 - self.k))
 
     @classmethod
     def random(cls, rng) -> "GalileanFrameChange":
@@ -154,11 +206,11 @@ def compose(f1: AffineFrameChange, f2: AffineFrameChange) -> AffineFrameChange:
     back to a generic AffineFrameChange.
     """
     if isinstance(f1, GalileanFrameChange) and isinstance(f2, GalileanFrameChange):
-        return GalileanFrameChange(
-            u=f1.u + f1.R @ f2.u,
-            R=f1.R @ f2.R,
-            tau0=f1.tau0 + f2.tau0,
-            k=f1.k + f1.u * f2.tau0 + f1.R @ f2.k,
+        return GalileanFrameChange._trusted(
+            f1.u + f1.R @ f2.u,
+            f1.R @ f2.R,
+            f1.tau0 + f2.tau0,
+            f1.k + f1.u * f2.tau0 + f1.R @ f2.k,
         )
     return AffineFrameChange(f1.C + f1.P @ f2.C, f1.P @ f2.P)
 
@@ -198,17 +250,30 @@ class Torsor:
 
     T is a 4-column and J a skew 4x4 matrix.  Storage keeps J skew exactly:
     the strict upper triangle is canonical and the lower triangle is its
-    negative.  Input J must be skew within SKEW_TOL of its own scale.
+    negative.  Input T and J must be finite and J skew within SKEW_TOL of
+    its own scale.
     """
 
     def __init__(self, T, J):
-        self.T = np.asarray(T, dtype=float).reshape(4)
+        T = np.asarray(T, dtype=float).reshape(4)
         J = np.asarray(J, dtype=float).reshape(4, 4)
-        scale = max(1.0, np.max(np.abs(J)))
-        if np.max(np.abs(J + J.T)) > SKEW_TOL * scale:
+        if not _finite(T.tolist()):
+            raise ValueError("T is not finite")
+        scale = max(1.0, _max_abs(J, "J"))
+        if not np.abs(J + J.T).max() <= SKEW_TOL * scale:
             raise ValueError("J is not skew-symmetric")
-        upper = np.triu(J, 1)
+        upper = np.where(_LOWER, 0.0, J)  # np.triu(J, 1), without its setup
+        self.T = T
         self.J = upper - upper.T
+
+    @classmethod
+    def _trusted(cls, T, J) -> "Torsor":
+        """Torsor storing a float 4-array T and a float 4x4 J as they are;
+        J must already be in the canonical storage, signed zeros included."""
+        tau = cls.__new__(cls)
+        tau.T = T
+        tau.J = J
+        return tau
 
     @property
     def extended(self) -> np.ndarray:
@@ -300,7 +365,8 @@ def transform_torsor(f: AffineFrameChange, tau: Torsor) -> Torsor:
     T' = P^-1 T and J' = P^-1 (J - C T^T + T C^T) P^-T, the expansion of the
     compact law tau~' = P~^-1 tau~ P~^-T on extended matrices; equivalently
     J' = P^-1 J P^-T + C' T'^T - T' C'^T with C' = -P^-1 C.  The result is
-    re-skewed by (J' - J'^T)/2 to clear roundoff before storage.  For a
+    re-skewed by (J' - J'^T)/2 to clear roundoff, which leaves it exactly
+    in the canonical storage of Torsor, so it is stored as it is.  For a
     GalileanFrameChange the time component T'[0] equals T[0] bit for bit
     because the blockwise P^-1 has an exact (1, 0, 0, 0) time row.
     """
@@ -308,8 +374,7 @@ def transform_torsor(f: AffineFrameChange, tau: Torsor) -> Torsor:
     Tp = Pinv @ tau.T
     M = tau.J - np.outer(f.C, tau.T) + np.outer(tau.T, f.C)
     Jp = Pinv @ M @ Pinv.T
-    Jp = 0.5 * (Jp - Jp.T)
-    return Torsor(Tp, Jp)
+    return Torsor._trusted(Tp, 0.5 * (Jp - Jp.T))
 
 
 def transform_stress_mass(f: GalileanFrameChange, T) -> np.ndarray:
@@ -321,8 +386,8 @@ def transform_stress_mass(f: GalileanFrameChange, T) -> np.ndarray:
     uses the frame change with u = -v.  Result is re-symmetrized.
     """
     T = np.asarray(T, dtype=float).reshape(4, 4)
-    scale = max(1.0, np.max(np.abs(T)))
-    if np.max(np.abs(T - T.T)) > SKEW_TOL * scale:
+    scale = max(1.0, _max_abs(T, "stress-mass tensor"))
+    if not np.abs(T - T.T).max() <= SKEW_TOL * scale:
         raise ValueError("stress-mass tensor is not symmetric")
     out = f.P @ T @ f.P.T
     return 0.5 * (out + out.T)

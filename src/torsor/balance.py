@@ -25,10 +25,10 @@ import numpy as np
 
 from . import fd
 from .connection import (
-    OriginMotion,
     PullbackChristoffels,
+    christoffels,
     divergence,
-    gamma_A_matrix,
+    spatial_origin_gamma_A,
 )
 from .errors import DegenerateTangent
 from .fields import (
@@ -111,9 +111,10 @@ def residual_pointwise(traj, conn, t: float, h: float = None) -> BalanceResidual
 
     pt = traj(t)
     x = pt.q / pt.m
-    origin = gamma_A_matrix(conn, OriginMotion.spatial_origin(), t, x)
-    chris = PullbackChristoffels(np.zeros((1, 1, 1)),
-                                 conn.christoffels_at(t, x), origin)
+    # Each field is read once; the Christoffels and Gamma_A share Omega.
+    g, Omega = conn.g(t, x), conn.Omega(t, x)
+    chris = PullbackChristoffels(np.zeros((1, 1, 1)), christoffels(g, Omega),
+                                 spatial_origin_gamma_A(Omega, x))
     field = MediumField(tangent_map=U, torsor_T=T_of, torsor_J=J_of)
     return _divergence_residual(field, [t], chris, h)
 

@@ -229,7 +229,7 @@ def run_scenario_obj(scn, out_root, seed=0, tolerance_scale=1.0,
         tol = check.tol * tolerance_scale
         stream.write(
             f"{'PASS' if ok else 'FAIL'} {scn.name}: {check.name}: "
-            f"max residual {check.value:.6g} (tol {tol:.6g})\n"
+            f"value {check.value:.6g} (tol {tol:.6g})\n"
         )
         check_rows.append({
             "name": check.name,

@@ -48,12 +48,17 @@ class GalileanConnection:
     def christoffels_at(self, t: float, x) -> np.ndarray:
         """(4, 4, 4) array G[a, m, b] = Gamma^a_mb at the event (t, x)."""
         x = np.asarray(x, dtype=float).reshape(3)
-        G = np.zeros((4, 4, 4))
-        G[1:, 0, 0] = -self.g(t, x)
-        W = skew(self.Omega(t, x))
-        G[1:, 0, 1:] = W
-        G[1:, 1:, 0] = W
-        return G
+        return christoffels(self.g(t, x), self.Omega(t, x))
+
+
+def christoffels(g, Omega) -> np.ndarray:
+    """(4, 4, 4) Christoffels G[a, m, b] of gravity g and spin Omega."""
+    G = np.zeros((4, 4, 4))
+    G[1:, 0, 0] = -np.asarray(g)
+    W = skew(Omega)
+    G[1:, 0, 1:] = W
+    G[1:, 1:, 0] = W
+    return G
 
 
 class OriginMotion:
@@ -89,14 +94,20 @@ def gamma_A_matrix(conn: GalileanConnection, origin: OriginMotion,
     if origin.label == "proper":
         return np.eye(4)
     if origin.label == "spatial_origin":
-        GA = np.zeros((4, 4))
-        GA[:, 0] = (1.0, *(-cross(conn.Omega(t, x), x)))
-        return GA
+        return spatial_origin_gamma_A(conn.Omega(t, x), x)
 
     DC = np.stack([fd.partial(lambda tt, *xs: origin.C(tt, np.array(xs)),
                               (t, *x), i, h=h) for i in range(4)], axis=1)
     GC = np.einsum("amb,b->am", conn.christoffels_at(t, x), origin.C(t, x))
     return np.eye(4) - DC - GC
+
+
+def spatial_origin_gamma_A(Omega, x) -> np.ndarray:
+    """Gamma_A of the spatial origin, C = (0, x), under spin Omega at x:
+    first column (1, -Omega x x) and zero spatial columns."""
+    GA = np.zeros((4, 4))
+    GA[:, 0] = (1.0, *(-cross(Omega, x)))
+    return GA
 
 
 @dataclass

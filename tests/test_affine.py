@@ -119,6 +119,96 @@ def test_rotation_validation():
         AffineFrameChange(np.zeros(4), np.zeros((4, 4)))
 
 
+def _rotation_with(bad):
+    # A rotation about e3 with a bad R[2, 2]: the zeros of its third row
+    # and column turn an inf into NaN entries of R^T R as well.
+    R = rotation([0.0, 0.0, 1.0], 0.7)
+    R[2, 2] = bad
+    return R
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"R": _rotation_with(np.nan)},
+    {"R": _rotation_with(np.inf)},
+    {"u": [0.1, np.nan, 0.0]},
+    {"tau0": np.nan},
+    {"k": [0.0, 0.0, np.nan]},
+], ids=["R_nan", "R_inf", "u_nan", "tau0_nan", "k_nan"])
+def test_galilean_rejects_non_finite(kwargs):
+    with pytest.raises(ValueError):
+        GalileanFrameChange(**kwargs)
+
+
+def test_affine_rejects_non_finite_P():
+    P = np.eye(4)
+    P[2, 1] = np.nan
+    with pytest.raises(ValueError):
+        AffineFrameChange(np.zeros(4), P)
+
+
+@pytest.mark.parametrize("part", ["T", "J"])
+def test_torsor_rejects_nan(part):
+    T, J = np.zeros(4), np.zeros((4, 4))
+    if part == "T":
+        T[2] = np.nan
+    else:
+        J[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        Torsor(T, J)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_stress_mass_rejects_non_finite(bad):
+    T = np.eye(4)
+    T[1, 2] = T[2, 1] = bad
+    with pytest.raises(ValueError):
+        transform_stress_mass(GalileanFrameChange(), T)
+
+
+unit = st.floats(-1.0, 1.0)
+vec3 = st.tuples(unit, unit, unit)
+elements = st.builds(
+    lambda u, axis, angle, tau0, k: GalileanFrameChange(
+        # The axis is shifted off zero, which rotation() rejects.
+        u=u, R=rotation(np.add(axis, (0.0, 0.0, 2.0)), angle), tau0=tau0,
+        k=k),
+    vec3, vec3, st.floats(-3.2, 3.2), unit, vec3)
+
+
+def _assert_same_bits(a, b, names):
+    for name in names:
+        x, y = np.asarray(getattr(a, name)), np.asarray(getattr(b, name))
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape,
+                                                   y.tobytes()), name
+
+
+def _assert_rebuilt_bits(f):
+    # Rebuilt from plain lists, so the checked element shares nothing with f.
+    assert type(f.tau0) is float
+    g = GalileanFrameChange(u=f.u.tolist(), R=f.R.tolist(), tau0=f.tau0,
+                            k=f.k.tolist())
+    _assert_same_bits(f, g, ("u", "R", "tau0", "k", "C", "P", "extended"))
+
+
+@given(f1=elements, f2=elements, T=st.tuples(unit, unit, unit, unit),
+       J=st.tuples(*[unit] * 6))
+@settings(max_examples=100, deadline=None)
+def test_trusted_results_match_public_constructors(f1, f2, T, J):
+    # compose, inverse and transform_torsor skip the constructor checks;
+    # their results must be bit for bit what the checked path builds.
+    _assert_rebuilt_bits(compose(f1, f2))
+    _assert_rebuilt_bits(f1.inverse())
+    A = np.zeros((4, 4))
+    A[np.triu_indices(4, 1)] = J
+    out = transform_torsor(f1, Torsor(T, A - A.T))
+    _assert_same_bits(out, Torsor(out.T.tolist(), out.J.tolist()), ("T", "J"))
+    # The public constructor still checks what the trusted path skips.
+    with pytest.raises(ValueError, match="orthonormal"):
+        GalileanFrameChange(R=f1.R * (1.0 + 1e-6))
+    with pytest.raises(ValueError, match="orientation"):
+        GalileanFrameChange(R=-f1.R)
+
+
 @given(
     angle=st.floats(-3.0, 3.0),
     ux=st.floats(-2.0, 2.0),

@@ -1,9 +1,10 @@
 """The benchmark's tracer must still find the entry points it wraps.
 
 benchmarks/tracing.py swaps module attributes of torsor by name for
-counting wrappers.  A refactor that moves or binds one of them elsewhere
-would make its counter read 0 rather than fail, so this runs traced CLI
-calls and checks the counters.
+counting wrappers, and benchmarks/workloads.py binds the public calls of
+torsor.affine by name.  A refactor that moves, renames or binds one of
+them elsewhere would make its counter read 0 or break the benchmark rather
+than fail, so this runs traced calls and checks the counters.
 """
 
 import os
@@ -29,3 +30,18 @@ def test_tracer_counts_residual_points_and_nodes(tmp_path, monkeypatch,
     assert metrics["balance.d0.points"] == 9
     assert metrics["fd.field_evals"] > 0
     assert metrics["reduction.nodes"] > 0
+
+
+def test_tracer_counts_affine_ops(monkeypatch):
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    import tracing
+    import workloads
+
+    tracer = tracing.Tracer()
+    api = tracer.wrap_api(workloads.AFFINE_API)
+    work = workloads.FrameWorkload(3, 20)
+    chunks = [unit() for unit in work.units(api)]
+    attempted, failed, errors = work.failures(chunks)
+    assert (attempted, failed, errors) == (20, 0, [])
+    # 3 constructions, 2 compositions and one each of the other 6 calls.
+    assert tracing.layer_metrics(tracer)["affine.ops"] == 20 * 11

@@ -271,7 +271,7 @@ def test_non_monotone_convergence_is_a_failed_check(tmp_path, capsys):
     assert rc == 1
     out = capsys.readouterr().out
     assert out.startswith("FAIL rod_tiny_steps: observed order minus two: "
-                          "max residual nan")
+                          "value nan")
     out_dir = tmp_path / "out" / "rod_tiny_steps"
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["passed"] is False

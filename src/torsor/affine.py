@@ -105,14 +105,16 @@ class GalileanFrameChange(AffineFrameChange):
         R = np.eye(3) if R is None else np.asarray(R, dtype=float).reshape(3, 3)
         k = np.zeros(3) if k is None else np.asarray(k, dtype=float).reshape(3)
         tau0 = float(tau0)
-        if not _finite([tau0, *u.tolist(), *k.tolist()]):
-            raise ValueError("u, tau0 and k must be finite")
-        # A NaN or inf in R makes the deviation NaN or inf, which fails too.
+        # Checked before the product R^T R, which an inf would make warn.
+        rows = R.tolist()
+        if not _finite([tau0, *u.tolist(), *k.tolist(), *rows[0], *rows[1],
+                        *rows[2]]):
+            raise ValueError("u, R, tau0 and k must be finite")
         if not np.abs(R.T @ R - _I3).max() <= ORTHONORMAL_TOL:
             raise ValueError("R is not orthonormal")
         # R is orthonormal here, so det R = r0 . (r1 x r2) is +-1 and its
         # sign is safe to read from the closed form.
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = R.tolist()
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
         if a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2) \
                 + a2 * (b0 * c1 - b1 * c0) < 0.0:
             raise ValueError("R reverses orientation")

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from . import fd
 from .errors import DegenerateTangent, SingularMetric
@@ -182,6 +180,11 @@ class Curve1D:
 
 def _arclength_wrap(psi_raw, s_range):
     """Reparameterize psi_raw(t, u), u in s_range, to arclength from s_range[0]."""
+    # Imported here: scipy costs most of `import torsor`, and only this
+    # option needs it.
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
     u0, u1 = s_range
 
     def speed(t, u):
@@ -276,21 +279,18 @@ class ShellField:
     defaults are finite differences of x.  The normal defaults to
     pi_1 x pi_2 normalized, so its orientation follows the chart order.
 
-    A shell element's rigid spin may be described by a rotation field R(t)
-    and its Poisson vector varpi (dR/dt = skew(varpi) R); when varpi is
-    given and w is not, w = varpi x n.
+    A shell element's rigid spin may be given by its Poisson vector varpi;
+    when varpi is given and w is not, w = varpi x n.
     """
 
-    def __init__(self, x, pi=None, n=None, v=None, w=None, h: float = 0.0,
-                 domain=None, R=None, varpi=None):
+    def __init__(self, x, pi=None, n=None, v=None, w=None, domain=None,
+                 varpi=None):
         self._x = x
         self._pi = pi
         self._n = n
         self._v = v
         self._w = w
-        self.h = float(h)
         self.domain = domain
-        self.R = R
         self.varpi = varpi
 
     def x(self, t, th1, th2) -> np.ndarray:
@@ -405,58 +405,45 @@ class ShellField:
         return c_dot @ w_here + self.projector(t, th1, th2) @ n_acc
 
 
-@dataclass
-class ShellChristoffels:
-    """Connection coefficients of a moving mid-surface chart.
+def shell_christoffels(sf: ShellField, conn, t, th1, th2) -> np.ndarray:
+    """(4, 4, 4) Christoffels G[a, b, c] = Gamma^a_bc of the adapted chart
+    (t, theta^1, theta^2, normal) of a moving mid-surface.
 
-    Index conventions: Gamma_abc[a, b, c] = Gamma^a_bc (symmetric in b, c),
-    Phi_ab[a, b] = Gamma^a_b0, Phi_a[a] = Gamma^a_30, Phi_lower[b] =
-    Gamma^3_b0, b_ab = Gamma^3_ab.
-    """
-
-    Gamma_a00: np.ndarray
-    Gamma_300: float
-    Gamma_abc: np.ndarray
-    b_ab: np.ndarray
-    Phi_ab: np.ndarray
-    Phi_a: np.ndarray
-    Phi_lower: np.ndarray
-
-
-def shell_christoffels(sf: ShellField, conn, t, th1, th2) -> ShellChristoffels:
-    """Christoffels of the adapted chart (t, theta^1, theta^2, normal).
-
-    Gravity and spin are evaluated at the mid-surface point; the in-plane
-    blocks come from the chart geometry and the time blocks from the motion
-    of the surface inside the spinning frame.
+    Gravity and spin are read once, at the mid-surface point.  The in-plane
+    blocks come from the chart geometry: Gamma^a_bc = c^a . d pi_b /
+    d theta^c, Gamma^3_ab = b_ab and Gamma^a_b3 = Gamma^a_3b = -(a^-1 b)^a_b.
+    The time blocks come from the motion of the surface inside the spinning
+    frame: with acc = dv/dt - g + 2 Omega x v, Gamma^a_00 = c^a . acc,
+    Gamma^3_00 = n . acc, Phi^a_b = Gamma^a_0b = Gamma^a_b0 =
+    c^a . (d pi_b/dt + Omega x pi_b), Gamma^3_0b = Gamma^3_b0 = n . (the
+    same) and Gamma^a_03 = Gamma^a_30 = c^a . (w + Omega x n).  Every other
+    entry, the time row Gamma^0 included, is zero.
     """
     x = sf.x(t, th1, th2)
     g = conn.g(t, x)
-    Om = skew(conn.Omega(t, x))
+    Omega = conn.Omega(t, x)
+    W = skew(Omega)
     pi = sf.pi(t, th1, th2)
-    c = sf.projector(t, th1, th2)
+    a = sf.metric(t, th1, th2)
+    c = np.linalg.solve(a, pi)
     n = sf.n(t, th1, th2)
     D = sf.dpi_dtheta(t, th1, th2)
-    dpi_t = sf.dpi_dt(t, th1, th2)
-    w = sf.w(t, th1, th2)
+    acc = sf.v_dot(t, th1, th2) - g + 2.0 * cross(Omega, sf.v(t, th1, th2))
+    # Row b: d pi_b/dt + Omega x pi_b.
+    spin = sf.dpi_dt(t, th1, th2) + pi @ W.T
 
-    Gamma_a00 = -(c @ g)
-    Gamma_300 = -float(n @ g)
-    # Gamma^a_bc = c^a_i d pi^i_b / d theta^c; D[b, c] holds that derivative.
-    Gamma_abc = np.einsum("ai,bci->abc", c, D)
-    b_ab = np.einsum("i,bai->ab", n, D)
-    Phi_ab = np.einsum("ai,bi->ab", c, dpi_t + pi @ Om.T)
-    Phi_a = c @ (w + Om @ n)
-    Phi_lower = np.einsum("i,bi->b", n, dpi_t + pi @ Om.T)
-    return ShellChristoffels(
-        Gamma_a00=Gamma_a00,
-        Gamma_300=Gamma_300,
-        Gamma_abc=Gamma_abc,
-        b_ab=b_ab,
-        Phi_ab=Phi_ab,
-        Phi_a=Phi_a,
-        Phi_lower=Phi_lower,
-    )
+    G = np.zeros((4, 4, 4))
+    G[1:3, 0, 0] = c @ acc
+    G[3, 0, 0] = n @ acc
+    G[1:3, 0, 1:3] = G[1:3, 1:3, 0] = c @ spin.T
+    G[3, 0, 1:3] = G[3, 1:3, 0] = spin @ n
+    G[1:3, 0, 3] = G[1:3, 3, 0] = c @ (sf.w(t, th1, th2) + W @ n)
+    # D[b, c] holds d pi_b / d theta^c.
+    G[1:3, 1:3, 1:3] = np.einsum("ai,bci->abc", c, D)
+    b = np.einsum("i,bai->ab", n, D)
+    G[3, 1:3, 1:3] = b
+    G[1:3, 1:3, 3] = G[1:3, 3, 1:3] = -np.linalg.solve(a, b)
+    return G
 
 
 @dataclass
@@ -489,6 +476,28 @@ class ShellLoads:
     Q: Callable
     M: Callable
     kappa: Callable
+
+
+def shell_torsor(rho_s: float, N, Q, M, kappa: float, w):
+    """Shell torsor (T, J) on the adapted chart (t, theta^1, theta^2, normal).
+
+    rho_s, N (2, 2), Q (2,), M (2, 2), kappa and the surface normal velocity
+    w (2,) at one point.  T (3, 4) has rows (t, theta^1, theta^2):
+    T^{00} = rho_s, T^{ba} = kappa w^b w^a - N^{ba} and T^{b3} = -Q^b.
+    J (3, 4, 4) is skew in its last two indices: J^{0a3} = -kappa w^a
+    along the time flux and, along flux b, J^{ba3} = M^{ab} and
+    J^{b30} = kappa w^b.
+    """
+    kw = kappa * w
+    T = np.zeros((3, 4))
+    T[0, 0] = rho_s
+    T[1:, 1:3] = kappa * np.outer(w, w) - N
+    T[1:, 3] = -Q
+    J = np.zeros((3, 4, 4))
+    J[0, 1:3, 3] = -kw
+    J[1:, 1:3, 3] = M.T
+    J[1:, 3, 0] = kw
+    return T, J - np.swapaxes(J, 1, 2)
 
 
 @dataclass

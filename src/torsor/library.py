@@ -934,13 +934,16 @@ def manufactured_rod(g=(0.1, -0.3, 0.2), Omega=(0.2, 0.1, -0.3)):
             0.2 * np.sin(s), 0.1 * np.cos(s - t), 0.2 * np.sin(s + t),
         ])
 
+    def q_fn(t, s):
+        return np.array([
+            0.2 * np.cos(s), 0.1 * np.sin(s + t), 0.3 * np.sin(s),
+        ])
+
     f = Cosserat1DField(
         curve=curve,
         rho_l=rho,
         F=F,
-        q=lambda t, s: np.array([
-            0.2 * np.cos(s), 0.1 * np.sin(s + t), 0.3 * np.sin(s),
-        ]),
+        q=q_fn,
         l=l_fn,
         l_star=l_star,
         M_star=lambda t, s: np.array([
@@ -979,7 +982,7 @@ def manufactured_rod(g=(0.1, -0.3, 0.2), Omega=(0.2, 0.1, -0.3)):
             -0.1 * np.sin(s + t), 0.3 * np.cos(s), -0.2 * np.sin(s),
         ])
         ang = dl_dt + cross(Om, l_fn(t, s)) \
-            + cross(l_star(t, s), cross(Om, e1)) \
+            + cross(l_star(t, s) - v_t * q_fn(t, s), cross(Om, e1)) \
             + dMs_ds - cross(e1, F(t, s))
         return np.concatenate([[mass], lin, pos, ang])
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySection
-from .fields import ForceMass1D
+from .fields import ForceMass1D, shell_torsor
 from .vecmath import moments
 
 FRAME_ORTHO_TOL = 1e-9
@@ -303,8 +303,6 @@ def assemble_shell_T(reduced: Reduced2D, w_surf, rho: float, h: float) -> ShellT
     """
     w_surf = np.asarray(w_surf, dtype=float).reshape(2)
     kappa = rho * h ** 3 / 12.0
-    T = np.zeros((3, 4))
-    T[0, 0] = reduced.rho_s
-    T[1:, 1:3] = kappa * np.outer(w_surf, w_surf) - reduced.N
-    T[1:, 3] = -reduced.Q
+    T, _ = shell_torsor(reduced.rho_s, reduced.N, reduced.Q, reduced.M,
+                        kappa, w_surf)
     return ShellTorsor(T=T, M=reduced.M.copy(), kappa=kappa, w=w_surf)

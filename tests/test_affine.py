@@ -134,6 +134,7 @@ def _rotation_with(bad):
     {"tau0": np.nan},
     {"k": [0.0, 0.0, np.nan]},
 ], ids=["R_nan", "R_inf", "u_nan", "tau0_nan", "k_nan"])
+@pytest.mark.filterwarnings("error")
 def test_galilean_rejects_non_finite(kwargs):
     with pytest.raises(ValueError):
         GalileanFrameChange(**kwargs)

@@ -32,6 +32,20 @@ def test_tracer_counts_residual_points_and_nodes(tmp_path, monkeypatch,
     assert metrics["reduction.nodes"] > 0
 
 
+def test_tracer_counts_shell_points(tmp_path, monkeypatch, capsys):
+    # balance.residual_2d must keep calling shell_christoffels through its
+    # module global, which the tracer wraps: one call per d2 point.
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    import tracing
+
+    with tracing.instrument(tracing.Tracer()) as tracer:
+        rc = main(["run", "plate_bending", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["balance.d2.points"] == 9
+    assert metrics["fields.christoffel_calls"] == 9
+
+
 def test_tracer_counts_affine_ops(monkeypatch):
     monkeypatch.syspath_prepend(BENCH_DIR)
     import tracing

@@ -6,12 +6,17 @@ against the defining identities (Pi U = identity, symmetry of the second
 form, dR/dt = skew(varpi) R).
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import torsor
 from torsor.affine import GalileanFrameChange, transform_stress_mass
 from torsor.connection import GalileanConnection
 from torsor.errors import DegenerateTangent, SingularMetric
@@ -201,6 +206,20 @@ def test_reparameterize_ellipse_defect():
     assert arc.arclength_defect(0.0, [0.3, 0.8, 1.5]) < 1e-6
 
 
+def test_import_leaves_scipy_unloaded():
+    # Only the arclength option uses scipy, and it imports it on first use;
+    # a module-level import would cost most of every CLI start.
+    src = os.path.dirname(os.path.dirname(torsor.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, torsor, torsor.cli; print(sorted(m for m in "
+            "sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_arclength_defect_keeps_a_nan():
     def psi(t, u):
         return np.array([u, 0.0, 0.0]) if u < 1.0 else np.full(3, np.nan)
@@ -352,9 +371,9 @@ def test_cylinder_geometry():
     b = cyl.second_form(t, th1, th2)
     assert_allclose(b, [[-1.0 / R, 0.0], [0.0, 0.0]], atol=1e-6)
     # Orthonormal chart of a developable surface: no in-plane Christoffels.
-    gam = shell_christoffels(cyl, GalileanConnection(), t, th1, th2)
-    assert_allclose(gam.Gamma_abc, np.zeros((2, 2, 2)), atol=1e-6)
-    assert_allclose(gam.b_ab, b, atol=EXACT_TOL)
+    G = shell_christoffels(cyl, GalileanConnection(), t, th1, th2)
+    assert_allclose(G[1:3, 1:3, 1:3], np.zeros((2, 2, 2)), atol=1e-6)
+    assert_allclose(G[3, 1:3, 1:3], b, atol=EXACT_TOL)
 
 
 def test_second_form_symmetry_fd_default():
@@ -365,8 +384,9 @@ def test_second_form_symmetry_fd_default():
     sf = ShellField(x)
     b = sf.second_form(0.0, 0.4, -0.6)
     assert abs(b[0, 1] - b[1, 0]) < 1e-8
-    gam = shell_christoffels(sf, GalileanConnection(), 0.0, 0.4, -0.6)
-    assert_allclose(gam.Gamma_abc, np.swapaxes(gam.Gamma_abc, 1, 2), atol=1e-8)
+    G = shell_christoffels(sf, GalileanConnection(), 0.0, 0.4, -0.6)
+    Gam = G[1:3, 1:3, 1:3]
+    assert_allclose(Gam, np.swapaxes(Gam, 1, 2), atol=1e-8)
 
 
 def test_singular_metric_raises():
@@ -381,23 +401,23 @@ def test_singular_metric_raises():
 
 def test_flat_static_plate_christoffels_vanish():
     plate = ShellField(lambda t, th1, th2: np.array([th1, th2, 0.0]))
-    gam = shell_christoffels(plate, GalileanConnection(), 0.0, 0.5, -1.0)
-    assert_allclose(gam.Gamma_a00, np.zeros(2), atol=FD_TOL)
-    assert abs(gam.Gamma_300) < FD_TOL
-    assert_allclose(gam.Gamma_abc, np.zeros((2, 2, 2)), atol=FD_TOL)
-    assert_allclose(gam.b_ab, np.zeros((2, 2)), atol=FD_TOL)
-    assert_allclose(gam.Phi_ab, np.zeros((2, 2)), atol=FD_TOL)
-    assert_allclose(gam.Phi_a, np.zeros(2), atol=FD_TOL)
-    assert_allclose(gam.Phi_lower, np.zeros(2), atol=FD_TOL)
+    G = shell_christoffels(plate, GalileanConnection(), 0.0, 0.5, -1.0)
+    assert_allclose(G[1:3, 0, 0], np.zeros(2), atol=FD_TOL)
+    assert abs(G[3, 0, 0]) < FD_TOL
+    assert_allclose(G[1:3, 1:3, 1:3], np.zeros((2, 2, 2)), atol=FD_TOL)
+    assert_allclose(G[3, 1:3, 1:3], np.zeros((2, 2)), atol=FD_TOL)
+    assert_allclose(G[1:3, 0, 1:3], np.zeros((2, 2)), atol=FD_TOL)
+    assert_allclose(G[1:3, 0, 3], np.zeros(2), atol=FD_TOL)
+    assert_allclose(G[3, 0, 1:3], np.zeros(2), atol=FD_TOL)
 
 
 def test_flat_plate_under_gravity():
     plate = ShellField(lambda t, th1, th2: np.array([th1, th2, 0.0]))
     g0 = 9.81
     conn = GalileanConnection(g=(0.0, 0.0, -g0))
-    gam = shell_christoffels(plate, conn, 0.0, 0.0, 0.0)
-    assert_allclose(gam.Gamma_300, g0, atol=EXACT_TOL)
-    assert_allclose(gam.Gamma_a00, np.zeros(2), atol=EXACT_TOL)
+    G = shell_christoffels(plate, conn, 0.0, 0.0, 0.0)
+    assert_allclose(G[3, 0, 0], g0, atol=EXACT_TOL)
+    assert_allclose(G[1:3, 0, 0], np.zeros(2), atol=EXACT_TOL)
 
 
 def test_spinning_plate_phi_blocks():
@@ -415,11 +435,11 @@ def test_spinning_plate_phi_blocks():
 
     plate = ShellField(x, pi=pi)
     conn = GalileanConnection(Omega=w_f * e3)
-    gam = shell_christoffels(plate, conn, 0.3, 0.5, -0.2)
+    G = shell_christoffels(plate, conn, 0.3, 0.5, -0.2)
     total = w + w_f
-    assert_allclose(gam.Phi_ab, [[0.0, -total], [total, 0.0]], atol=1e-7)
-    assert_allclose(gam.Phi_a, np.zeros(2), atol=1e-7)
-    assert_allclose(gam.Phi_lower, np.zeros(2), atol=1e-7)
+    assert_allclose(G[1:3, 0, 1:3], [[0.0, -total], [total, 0.0]], atol=1e-7)
+    assert_allclose(G[1:3, 0, 3], np.zeros(2), atol=1e-7)
+    assert_allclose(G[3, 0, 1:3], np.zeros(2), atol=1e-7)
 
 
 def test_poisson_vector_and_normal_velocity():
@@ -435,7 +455,7 @@ def test_poisson_vector_and_normal_velocity():
         return R_of_t(t) @ np.array([th1, th2, 0.0])
 
     varpi = lambda t, th1, th2: w_rate * axis
-    plate = ShellField(x, R=R_of_t, varpi=varpi)
+    plate = ShellField(x, varpi=varpi)
 
     t = 0.4
     dR = (np.asarray(R_of_t(t + 1e-6)) - np.asarray(R_of_t(t - 1e-6))) / 2e-6

@@ -113,7 +113,7 @@ def _symbolic_rod_residual(g, Om):
     lin = rho * (sp.diff(v, T) + v_t * sp.diff(v, S)) - sp.diff(F, S) \
         - rho * (g - 2 * _cross(Om, v))
     pos = sp.diff(q, T) + sp.diff(l_star, S) - rho * v
-    ang = sp.diff(l, T) + _cross(Om, l) + _cross(l_star, _cross(Om, n)) \
+    ang = sp.diff(l, T) + _cross(Om, l) + _cross(l_star - v_t * q, _cross(Om, n)) \
         + sp.diff(M_star, S) - _cross(n, F)
 
     def at(t, s):

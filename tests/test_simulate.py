@@ -471,7 +471,7 @@ def test_convergence_slope_on_1d_rod():
     lin_o = rho * (sp.diff(v, t) + v_t * sp.diff(v, s)) - sp.diff(F, s) \
         - rho * (g - 2 * cross3(Om, v))
     pos_o = sp.diff(q, t) + sp.diff(l_star, s) - rho * v
-    ang_o = sp.diff(l, t) + cross3(Om, l) + cross3(l_star, cross3(Om, n)) \
+    ang_o = sp.diff(l, t) + cross3(Om, l) + cross3(l_star - v_t * q, cross3(Om, n)) \
         + sp.diff(M_star, s) - cross3(n, F)
 
     e1 = np.array([1.0, 0.0, 0.0])

@@ -152,6 +152,11 @@ class GalileanFrameChange(AffineFrameChange):
         return cls()
 
     def P_inverse(self) -> np.ndarray:
+        return self._P_inverse
+
+    # Built once, like C and P: each transform of a point or torsor reads it.
+    @cached_property
+    def _P_inverse(self) -> np.ndarray:
         # Blockwise exact: [[1, 0], [-R^T u, R^T]].  Keeps the time row of
         # transformed objects bit-identical instead of roundoff-close.
         Pinv = np.eye(4)

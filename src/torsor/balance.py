@@ -7,14 +7,13 @@ angular balances about the current point, position-quantity balances about
 the spatial origin of the chart.  A residual of zero means the field
 satisfies the balance law at that chart point.
 
-The pointwise (d = 0), thin (d = 2) and space-filling (d = 3) media are
-views of one operator: their residuals are rows of connection.divergence
-of the stress-mass T and the moment field J, the paper's
-divergence-free-torsor principle itself.  The chart is the worldline with
-the origin at the spatial origin (d = 0), the adapted shell chart
-(t, theta^1, theta^2, normal) with the proper origin (d = 2), or the
-identity chart with the proper origin (d = 3).  The slender medium
-(d = 1) keeps its hand-expanded form.
+Every medium is a view of one operator: its residuals are rows of
+connection.divergence of the stress-mass T and the moment field J, the
+paper's divergence-free-torsor principle itself.  The chart is the
+worldline with the origin at the spatial origin (d = 0), the curve chart
+(t, s) with the origin at the spatial origin (d = 1), the adapted shell
+chart (t, theta^1, theta^2, normal) with the proper origin (d = 2), or the
+identity chart with the proper origin (d = 3).
 
 Derivatives are central differences (module fd); every operator accepts an
 explicit step h and honors the field's domain bounds.
@@ -38,6 +37,7 @@ from .fields import (
     CauchyMedium,
     Cosserat1DField,
     Cosserat3DState,
+    ForceMass1D,
     MediumField,
     ShellField,
     ShellLoads,
@@ -45,7 +45,7 @@ from .fields import (
     shell_christoffels,
     shell_torsor,
 )
-from .vecmath import as_field, cross, moment_matrix, moments
+from .vecmath import as_field, cross, cross3, moment_matrix, moments
 
 
 @dataclass
@@ -176,40 +176,38 @@ def residual_cauchy(medium: CauchyMedium, conn, t: float, x,
                                    one_sided, v)
 
 
-def _chart_slide(curve, tt, ss):
-    """Tangential rate n . (d psi/dt) at which the chart itself slides.
-
-    Zero for static charts and for charts that move only normally to
-    themselves; equals v_t on a chart glued to the matter.  The step is
-    widened because the result feeds further differences.
-    """
-    n = curve.n(tt, ss)
-    h_t = SECOND_DIFF_REL_STEP * max(1.0, abs(tt))
-    dpsi = fd.diff(lambda u: curve.psi(u, ss), tt, h=h_t)
-    return float(n @ dpsi)
-
-
 def residual_1d(f: Cosserat1DField, conn, t: float, s: float,
                 h: float = None, one_sided: bool = False) -> BalanceResidual:
     """Residuals of the four slender-medium balance laws at (t, s).
 
-    With the relative tangential speed w = v_t - n . (d psi/dt) of matter
-    past the chart:
+    All rows are read from connection.divergence on the chart (t, s), with
+    the tangent map U = [[1, 0], [d psi/dt, n]] of (t, s) -> (t, psi), no
+    material Christoffels, and the origin at the spatial origin (gravity
+    and spin read once, at psi).  With w = v_t - n . (d psi/dt) the speed
+    of matter past the chart:
+      T = [[rho_l, rho_l v], [rho_l w, rho_l w v - F]] (ForceMass1D);
+      J_t = moment_matrix(q, l + psi x rho_l v);
+      J_s = moment_matrix(l_star - (v_t - w) q,
+                          M_star - (v_t - w) l + psi x (rho_l w v - F)).
+    q and l_star are moments about the frame origin (q is rho_l times the
+    section centroid); l and M_star are about the centroid, as in beam
+    theory, and J re-bases them at the frame origin.  The rows:
+    mass = dT^0; lin_mom = dT^{1..3} - v dT^0; pos_q the position rows of
+    div J; ang_mom its angular rows minus psi x dT^{1..3}, which moves
+    them back to the centroid.  n . (d psi/dt) is differenced with the
+    wider step SECOND_DIFF_REL_STEP, since w is differenced again in s.
+
+    On fields that describe a rod, q = rho_l psi and
+    v = d psi/dt + w n, the rows are the classical ones:
       mass: d rho_l/dt + d(rho_l w)/ds
       momentum: rho_l [dv/dt + (dv/ds) w] - dF/ds - rho_l (g - 2 Omega x v)
       position: dq/dt + d(l_star - (v_t - w) q)/ds - rho_l v
       angular: dl/dt + Omega x l + (l_star - v_t q) x (Omega x n)
         + d(M_star - (v_t - w) l)/ds - n x F
-    On a chart that does not slide along itself (any static chart in
-    particular) w = v_t and the classical forms are recovered.  The fluxes
-    l_star and M_star already carry the advective transport through the
-    section, so only the chart's own slide is subtracted.
-
-    Reference points: q and l_star are moments about the frame origin (q is
-    rho_l times the section centroid position); l and M_star are moments
-    about the section centroid itself, as in beam theory.  l_star - v_t q
-    is the position flux about the centroid, so no row depends on where
-    the frame origin sits.
+    and no row depends on where the frame origin sits.  Other fields are
+    not rejected; their rows are those of the divergence, which differ
+    from the classical ones by terms in q - rho_l psi and in
+    v - d psi/dt - w n.
     """
     curve = f.curve
     n = curve.n(t, s)
@@ -217,50 +215,44 @@ def residual_1d(f: Cosserat1DField, conn, t: float, s: float,
         raise DegenerateTangent(
             f"|d psi/ds| < {DEGENERATE_TANGENT_TOL} at (t={t}, s={s})"
         )
-    psi = curve.psi(t, s)
-    g = conn.g(t, psi)
-    Om = conn.Omega(t, psi)
-    args = (t, s)
-    bounds = curve.domain
+    packed = {}
 
-    def d(fn, i):
-        return fd.partial(fn, args, i, h=h, bounds=bounds, one_sided=one_sided)
+    def rod(xi):
+        # U, T and J share one read of the curve and the loads per point.
+        key = tuple(xi.tolist())
+        if key not in packed:
+            tt, ss = key
+            n = curve.n(tt, ss)
+            psi = curve.psi(tt, ss)
+            dpsi = fd.diff(lambda u: curve.psi(u, ss), tt,
+                           h=SECOND_DIFF_REL_STEP * max(1.0, abs(tt)))
+            v = curve.v(tt, ss)
+            slide = float(n @ dpsi)
+            q, l, l_star, M_star = (np.asarray(fn(tt, ss), dtype=float)
+                                    for fn in (f.q, f.l, f.l_star, f.M_star))
+            T = ForceMass1D(f.rho_l(tt, ss), v, curve.v_t(tt, ss) - slide,
+                            f.F(tt, ss)).matrix
+            x, (p, flux) = psi.tolist(), T[:, 1:].tolist()
+            J = np.array([
+                moment_matrix(q, l + cross3(x, p)),
+                moment_matrix(l_star - slide * q,
+                              M_star - slide * l + cross3(x, flux)),
+            ])
+            U = np.array([[1.0, 0.0], *zip(dpsi.tolist(), n.tolist())])
+            packed[key] = U, T, J, psi, v
+        return packed[key]
 
-    def slide(tt, ss):
-        return _chart_slide(curve, tt, ss)
-
-    rho_l = float(f.rho_l(t, s))
-    v = curve.v(t, s)
-    v_t = curve.v_t(t, s)
-    mass = d(lambda tt, ss: float(f.rho_l(tt, ss)), 0) + d(
-        lambda tt, ss: float(f.rho_l(tt, ss))
-        * (curve.v_t(tt, ss) - slide(tt, ss)),
-        1,
-    )
-    v_dot = curve.v_dot(t, s, h=h)
-    dv_ds = d(curve.v, 1)
-    lin = (
-        rho_l * (v_dot + dv_ds * (v_t - slide(t, s)))
-        - d(f.F, 1)
-        - rho_l * (g - 2.0 * cross(Om, v))
-    )
-    pos = (
-        d(f.q, 0)
-        + d(lambda tt, ss: np.asarray(f.l_star(tt, ss), dtype=float)
-            - slide(tt, ss) * np.asarray(f.q(tt, ss), dtype=float), 1)
-        - rho_l * v
-    )
-    ang = (
-        d(f.l, 0)
-        + cross(Om, f.l(t, s))
-        + cross(np.asarray(f.l_star(t, s), dtype=float)
-                - v_t * np.asarray(f.q(t, s), dtype=float),
-                cross(Om, n))
-        + d(lambda tt, ss: np.asarray(f.M_star(tt, ss), dtype=float)
-            - slide(tt, ss) * np.asarray(f.l(tt, ss), dtype=float), 1)
-        - cross(n, f.F(t, s))
-    )
-    return BalanceResidual(mass=mass, lin_mom=lin, pos_q=pos, ang_mom=ang)
+    _, _, _, psi, v = rod(np.array([t, s], dtype=float))
+    g, Omega = conn.g(t, psi), conn.Omega(t, psi)
+    chris = PullbackChristoffels(np.zeros((2, 2, 2)), christoffels(g, Omega),
+                                 spatial_origin_gamma_A(Omega, psi))
+    field = MediumField(tangent_map=lambda xi: rod(xi)[0],
+                        torsor_T=lambda xi: rod(xi)[1],
+                        torsor_J=lambda xi: rod(xi)[2], domain=curve.domain)
+    dT, dJ = divergence(field, [t, s], chris, h=h, one_sided=one_sided)
+    pos, ang = moments(dJ)
+    return BalanceResidual(mass=dT[0], lin_mom=dT[1:] - v * dT[0],
+                           pos_q=pos, ang_mom=ang - cross(psi, dT[1:]))
 
 
 # Tangent map of the adapted shell chart (t, theta^1, theta^2) into

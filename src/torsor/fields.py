@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import fd
-from .errors import DegenerateTangent, SingularMetric
+from .errors import SingularMetric
 from .vecmath import cross, skew, strict_max
 
 DEGENERATE_TANGENT_TOL = 1e-9
@@ -207,31 +207,6 @@ def _arclength_wrap(psi_raw, s_range):
         return np.asarray(psi_raw(t, u), dtype=float)
 
     return psi
-
-
-def tangent_map_1d(curve: Curve1D, t: float, s: float) -> np.ndarray:
-    """U = [[1, 0], [v - v_t n, n]] as a (4, 2) array."""
-    n = curve.n(t, s)
-    if np.linalg.norm(n) < DEGENERATE_TANGENT_TOL:
-        raise DegenerateTangent(f"|d psi/ds| < {DEGENERATE_TANGENT_TOL} at (t={t}, s={s})")
-    v = curve.v(t, s)
-    v_t = curve.v_t(t, s)
-    U = np.zeros((4, 2))
-    U[0, 0] = 1.0
-    U[1:, 0] = v - v_t * n
-    U[1:, 1] = n
-    return U
-
-
-def projector_1d(curve: Curve1D, t: float, s: float) -> np.ndarray:
-    """Pi = [[1, 0], [0, n^T]] as a (2, 4) array; Pi U = identity."""
-    n = curve.n(t, s)
-    if np.linalg.norm(n) < DEGENERATE_TANGENT_TOL:
-        raise DegenerateTangent(f"|d psi/ds| < {DEGENERATE_TANGENT_TOL} at (t={t}, s={s})")
-    Pi = np.zeros((2, 4))
-    Pi[0, 0] = 1.0
-    Pi[1, 1:] = n
-    return Pi
 
 
 @dataclass

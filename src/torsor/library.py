@@ -894,27 +894,29 @@ def _thickness(p, rng, conn_spec):
 
 
 def manufactured_rod(g=(0.1, -0.3, 0.2), Omega=(0.2, 0.1, -0.3)):
-    """Smooth 1D fields on a static straight chart with the exact residual.
+    """Smooth 1D fields on a moving straight chart with the exact residual.
 
-    Returns (field, conn, exact) with exact(t, s) the ten-component
-    residual array; g and Omega are the uniform frame fields the expansion
-    absorbs.  Verified against a symbolic derivation in the tests.
+    The chart psi = (s + t/10, 0.3 sin t, t/5) translates and slides along
+    its tangent e1 at n . d psi/dt = 0.1, and the matter flows along it at
+    v_t = 0.2 sin(s + t), so the fields describe a rod: v = d psi/dt
+    + (v_t - 0.1) e1 and q = rho_l psi.  Returns (field, conn, exact) with
+    exact(t, s) the ten-component residual array; g and Omega are the
+    uniform frame fields the expansion absorbs.  Verified against a
+    symbolic derivation in the tests.
     """
     g = np.asarray(g, dtype=float).reshape(3)
     Om = np.asarray(Omega, dtype=float).reshape(3)
     conn = GalileanConnection(g=g, Omega=Om)
     e1 = np.array([1.0, 0.0, 0.0])
+    slide = 0.1
+
+    def psi(t, s):
+        return np.array([s + t / 10.0, 0.3 * np.sin(t), t / 5.0])
 
     def v(t, s):
-        return np.array([
-            0.2 * np.sin(s + t), 0.1 * np.cos(s), 0.1 * np.sin(2.0 * s),
-        ])
+        return np.array([0.2 * np.sin(s + t), 0.3 * np.cos(t), 0.2])
 
-    curve = Curve1D(
-        psi=lambda t, s: np.array([s, 0.0, 0.0]),
-        n=lambda t, s: e1,
-        v=v,
-    )
+    curve = Curve1D(psi=psi, n=lambda t, s: e1, v=v)
 
     def rho(t, s):
         return 1.5 + 0.4 * np.cos(s - t)
@@ -935,9 +937,7 @@ def manufactured_rod(g=(0.1, -0.3, 0.2), Omega=(0.2, 0.1, -0.3)):
         ])
 
     def q_fn(t, s):
-        return np.array([
-            0.2 * np.cos(s), 0.1 * np.sin(s + t), 0.3 * np.sin(s),
-        ])
+        return rho(t, s) * psi(t, s)
 
     f = Cosserat1DField(
         curve=curve,
@@ -955,35 +955,39 @@ def manufactured_rod(g=(0.1, -0.3, 0.2), Omega=(0.2, 0.1, -0.3)):
         rho_v = rho(t, s)
         v_v = v(t, s)
         v_t = v_v[0]
+        w = v_t - slide
+        psi_v = psi(t, s)
         drho_dt = 0.4 * np.sin(s - t)
         drho_ds = -0.4 * np.sin(s - t)
         dvt_ds = 0.2 * np.cos(s + t)
-        mass = drho_dt + drho_ds * v_t + rho_v * dvt_ds
+        mass = drho_dt + drho_ds * w + rho_v * dvt_ds
 
-        dv_dt = np.array([0.2 * np.cos(s + t), 0.0, 0.0])
-        dv_ds = np.array([
-            0.2 * np.cos(s + t), -0.1 * np.sin(s), 0.2 * np.cos(2.0 * s),
-        ])
+        dv_dt = np.array([0.2 * np.cos(s + t), -0.3 * np.sin(t), 0.0])
+        dv_ds = np.array([0.2 * np.cos(s + t), 0.0, 0.0])
         dF_ds = np.array([
             0.3 * np.cos(s), -0.2 * np.sin(s + t),
             (0.1 / 3.0) * np.exp(s / 3.0),
         ])
-        lin = rho_v * (dv_dt + v_t * dv_ds) - dF_ds \
+        lin = rho_v * (dv_dt + w * dv_ds) - dF_ds \
             - rho_v * (g - 2.0 * cross(Om, v_v))
 
-        dq_dt = np.array([0.0, 0.1 * np.cos(s + t), 0.0])
+        # q = rho psi: rho d psi/dt - slide rho e1 - rho v = -rho v_t e1.
         dls_ds = np.array([
             0.2 * np.cos(s), -0.1 * np.sin(s - t), 0.2 * np.cos(s + t),
         ])
-        pos = dq_dt + dls_ds - rho_v * v_v
+        pos = (drho_dt - slide * drho_ds) * psi_v + dls_ds \
+            - rho_v * v_t * e1
 
         dl_dt = np.array([0.1 * np.cos(s + t), 0.0, 0.0])
+        dl_ds = np.array([
+            0.1 * np.cos(s + t), -0.2 * np.sin(s), 0.1 * np.cos(s),
+        ])
         dMs_ds = np.array([
             -0.1 * np.sin(s + t), 0.3 * np.cos(s), -0.2 * np.sin(s),
         ])
         ang = dl_dt + cross(Om, l_fn(t, s)) \
             + cross(l_star(t, s) - v_t * q_fn(t, s), cross(Om, e1)) \
-            + dMs_ds - cross(e1, F(t, s))
+            + dMs_ds - slide * dl_ds - cross(e1, F(t, s))
         return np.concatenate([[mass], lin, pos, ang])
 
     return f, conn, exact

@@ -127,12 +127,6 @@ class CrossSection(_QuadratureRule):
             n=self.n,
         )
 
-    def centering_defect(self, rho_bar) -> float:
-        """|first mass moment| / mass; zero for a mass-centered section."""
-        m = self.integrate(lambda xb: rho_bar(xb))
-        c = self.integrate(lambda xb: rho_bar(xb) * xb)
-        return float(np.linalg.norm(c) / m)
-
 
 class ThicknessRule(_QuadratureRule):
     """Gauss-Legendre rule across the shell thickness [-h/2, h/2].
@@ -221,32 +215,31 @@ class Moments1D:
 def reduce_3d_to_1d_J(T_bar, Pi, cs: CrossSection) -> Moments1D:
     """Section moments: integrate the position-weighted stress-mass.
 
-    Requires a mass-centered section (centering defect of the T_bar[0, 0]
-    density below CENTERING_TOL); build one with CrossSection.centered.
+    With X = (0, x) the node offset and P = T_bar Pi^T, the per-node moment
+    is J[g, a, b] = X^a P^{bg} - X^b P^{ag}.  One pass integrates
+    (1, x) (x) P: its first slice holds the mass integral, and the wedge
+    is taken once, on the integral.  Requires a mass-centered section (|q|
+    over the integrated T_bar[0, 0] below CENTERING_TOL); build one with
+    CrossSection.centered.
     """
     Pi = np.asarray(Pi, dtype=float).reshape(2, 4)
-    defect = cs.centering_defect(lambda xb: float(np.asarray(T_bar(xb))[0, 0]))
+
+    def integrand(xb):
+        X = np.array([1.0, *cs.in_plane(xb)])
+        return np.multiply.outer(X, np.asarray(T_bar(xb), dtype=float) @ Pi.T)
+
+    B = cs.integrate(integrand)
+    mass = B[0, 0, 0]
+    B[0] = 0.0
+    J = np.moveaxis(B - B.swapaxes(0, 1), 2, 0)
+    (q, l), (l_star, M_star) = moments(J[0]), moments(J[1])
+    defect = float(np.linalg.norm(q) / mass)
     scale = max(1.0, float(np.max(np.abs(cs.nodes))))
     if defect > CENTERING_TOL * scale:
         raise ValueError(
             f"section is not mass-centered (defect {defect:.3e}); "
             "call CrossSection.centered(rho) first"
         )
-
-    def integrand(xb):
-        T = np.asarray(T_bar(xb), dtype=float)
-        xv = cs.in_plane(xb)
-        Jbar = np.zeros((4, 4, 4))
-        for i in range(1, 4):
-            Jbar[i, 0] = xv[i - 1] * T[0]
-            Jbar[0, i] = -Jbar[i, 0]
-        for i in range(1, 4):
-            for j in range(1, 4):
-                Jbar[i, j] = xv[i - 1] * T[j] - xv[j - 1] * T[i]
-        return np.einsum("gr,abr->gab", Pi, Jbar)
-
-    J = cs.integrate(integrand)
-    (q, l), (l_star, M_star) = moments(J[0]), moments(J[1])
     return Moments1D(q=q, l=l, l_star=l_star, M_star=M_star, J=J)
 
 

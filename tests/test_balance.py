@@ -29,6 +29,7 @@ from torsor.connection import (
 )
 from torsor.errors import DegenerateTangent, DifferentiationFailure
 from torsor.fields import (
+    SECOND_DIFF_REL_STEP,
     CauchyMedium,
     Cosserat1DField,
     Cosserat3DState,
@@ -39,6 +40,7 @@ from torsor.fields import (
     assemble_cauchy_T,
     shell_christoffels,
 )
+from torsor.library import manufactured_rod
 from torsor.vecmath import rotation, skew
 
 FD_TOL = 1e-8
@@ -426,22 +428,23 @@ def test_spinning_ring_hoop_tension():
     assert res.max_abs() < 1e-6
 
 
-def test_spinning_ring_on_static_chart():
-    # The same motion described on the static chart: matter slides at v_t,
-    # the fields are time-independent, and the residuals vanish again.
-    r, w, rho_l = 1.2, 0.9, 2.0
+def static_ring_fields(r, w, rho_l, k=np.zeros(3)):
+    """The spinning ring on the static chart, every position shifted by k.
+
+    Matter slides along the chart at v_t = w r and the fields are
+    time-independent; psi, q and l_star carry the shift.
+    """
     tension = rho_l * w * w * r * r
 
     def psi(t, s):
-        return np.array([r * np.cos(s / r), r * np.sin(s / r), 0.0])
+        return np.array([r * np.cos(s / r), r * np.sin(s / r), 0.0]) + k
 
     def n(t, s):
         return np.array([-np.sin(s / r), np.cos(s / r), 0.0])
 
-    ring = Curve1D(psi, v=lambda t, s: w * r * n(t, s), n=n)
     zero3 = lambda t, s: np.zeros(3)
-    f = Cosserat1DField(
-        curve=ring,
+    return Cosserat1DField(
+        curve=Curve1D(psi, v=lambda t, s: w * r * n(t, s), n=n),
         rho_l=lambda t, s: rho_l,
         F=lambda t, s: tension * n(t, s),
         q=lambda t, s: rho_l * psi(t, s),
@@ -449,6 +452,12 @@ def test_spinning_ring_on_static_chart():
         l_star=lambda t, s: rho_l * (w * r) * psi(t, s),
         M_star=zero3,
     )
+
+
+def test_spinning_ring_on_static_chart():
+    # The same motion described on the static chart: matter slides at v_t,
+    # the fields are time-independent, and the residuals vanish again.
+    f = static_ring_fields(r=1.2, w=0.9, rho_l=2.0)
     res = residual_1d(f, GalileanConnection(), 0.3, 0.9)
     assert res.max_abs() < 1e-6
 
@@ -458,27 +467,10 @@ def test_1d_rows_independent_of_frame_origin():
     # l_star shift by k, rho_l k and rho_l v_t k.  The angular row is about
     # the centroid, so no row may move, and in a spinning frame where the
     # ring is not in equilibrium the angular rows still vanish.
-    r, w, rho_l = 1.2, 0.9, 2.0
-    tension = rho_l * w * w * r * r
     conn = GalileanConnection(g=(0.0, 0.0, -1.0), Omega=(0.1, 0.2, 0.3))
 
-    def n(t, s):
-        return np.array([-np.sin(s / r), np.cos(s / r), 0.0])
-
     def rows(k):
-        def psi(t, s):
-            return np.array([r * np.cos(s / r), r * np.sin(s / r), 0.0]) + k
-
-        zero3 = lambda t, s: np.zeros(3)
-        f = Cosserat1DField(
-            curve=Curve1D(psi, v=lambda t, s: w * r * n(t, s), n=n),
-            rho_l=lambda t, s: rho_l,
-            F=lambda t, s: tension * n(t, s),
-            q=lambda t, s: rho_l * psi(t, s),
-            l=zero3,
-            l_star=lambda t, s: rho_l * (w * r) * psi(t, s),
-            M_star=zero3,
-        )
+        f = static_ring_fields(r=1.2, w=0.9, rho_l=2.0, k=k)
         return residual_1d(f, conn, 0.3, 0.9)
 
     at_0 = rows(np.zeros(3))
@@ -524,6 +516,88 @@ def test_residual_1d_rejects_degenerate_tangent():
         residual_1d(f, GalileanConnection(), 0.0, 0.0)
 
 
+def rod_oracle(f, conn, t, s, h=None):
+    """The slender-medium laws expanded by hand, as residual_1d documents.
+
+    With slide = n . (d psi/dt), differenced with the wider step, and
+    w = v_t - slide: d rho_l/dt + d(rho_l w)/ds; rho_l [dv/dt + (dv/ds) w]
+    - dF/ds - rho_l (g - 2 Omega x v); dq/dt + d(l_star - slide q)/ds
+    - rho_l v; dl/dt + Omega x l + (l_star - v_t q) x (Omega x n)
+    + d(M_star - slide l)/ds - n x F.
+    """
+    curve = f.curve
+    n = curve.n(t, s)
+    psi = curve.psi(t, s)
+    g, Om = conn.g(t, psi), conn.Omega(t, psi)
+
+    def d(fn, i):
+        return fd.partial(fn, (t, s), i, h=h, bounds=curve.domain)
+
+    def slide(tt, ss):
+        h_t = SECOND_DIFF_REL_STEP * max(1.0, abs(tt))
+        dpsi = fd.diff(lambda u: curve.psi(u, ss), tt, h=h_t)
+        return float(curve.n(tt, ss) @ dpsi)
+
+    def vec(fn):
+        return lambda tt, ss: np.asarray(fn(tt, ss), dtype=float)
+
+    q, l, l_star, M_star = (vec(fn) for fn in (f.q, f.l, f.l_star, f.M_star))
+    rho_l = float(f.rho_l(t, s))
+    v, v_t = curve.v(t, s), curve.v_t(t, s)
+    mass = d(lambda tt, ss: float(f.rho_l(tt, ss)), 0) + d(
+        lambda tt, ss: float(f.rho_l(tt, ss))
+        * (curve.v_t(tt, ss) - slide(tt, ss)), 1)
+    lin = (rho_l * (curve.v_dot(t, s, h=h) + d(curve.v, 1)
+                    * (v_t - slide(t, s)))
+           - d(f.F, 1) - rho_l * (g - 2.0 * np.cross(Om, v)))
+    pos = (d(q, 0) + d(lambda tt, ss: l_star(tt, ss)
+                       - slide(tt, ss) * q(tt, ss), 1) - rho_l * v)
+    ang = (d(l, 0) + np.cross(Om, l(t, s))
+           + np.cross(l_star(t, s) - v_t * q(t, s), np.cross(Om, n))
+           + d(lambda tt, ss: M_star(tt, ss) - slide(tt, ss) * l(tt, ss), 1)
+           - np.cross(n, f.F(t, s)))
+    return np.concatenate([[mass], lin, pos, ang])
+
+
+def beam_under_gravity_fields(g, rho_l=1.6):
+    """Straight beam whose linear force and quadratic moment carry g."""
+    e1 = np.array([1.0, 0.0, 0.0])
+    n_cross_g = np.cross(e1, g)
+    zero3 = lambda t, s: np.zeros(3)
+    return Cosserat1DField(
+        curve=Curve1D(lambda t, s: s * e1, n=lambda t, s: e1),
+        rho_l=lambda t, s: rho_l,
+        F=lambda t, s: -rho_l * s * np.asarray(g),
+        q=lambda t, s: rho_l * s * e1,
+        l=zero3,
+        l_star=zero3,
+        M_star=lambda t, s: -rho_l * s * s / 2.0 * n_cross_g,
+    )
+
+
+FRAME_1D = GalileanConnection(g=(0.0, 0.0, -1.0), Omega=(0.1, 0.2, 0.3))
+
+
+@pytest.mark.parametrize("f", [
+    pytest.param(static_ring_fields(r=1.2, w=0.9, rho_l=2.0),
+                 id="static_ring"),
+    pytest.param(spinning_ring_fields(r=1.2, w=0.9, rho_l=2.0),
+                 id="co_rotating_ring"),
+    pytest.param(manufactured_rod()[0], id="sliding_rod"),
+    # The frame's gravity differs from the one the beam carries, so its
+    # momentum and angular rows are nonzero.
+    pytest.param(beam_under_gravity_fields(g=(0.3, -0.4, -2.0)), id="beam"),
+])
+def test_1d_matches_hand_expanded_oracle(f):
+    # Both rings and the beam are out of equilibrium in the spinning,
+    # gravitating frame, so the comparison sees the frame terms as well.
+    for t, s in [(0.0, 0.4), (0.3, 0.9), (1.1, 1.7)]:
+        got = residual_1d(f, FRAME_1D, t, s).as_array()
+        want = rod_oracle(f, FRAME_1D, t, s)
+        assert np.max(np.abs(want)) > 1e-2
+        assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
 SYMS2 = sp.symbols("t s")
 
 
@@ -547,6 +621,9 @@ def lamb2_vec(exprs):
 
 
 def test_1d_manufactured_polynomial_oracle():
+    # A straight chart psi = (s + a(t), b(t), c(t)) that moves and slides
+    # at a'(t), with matter flowing at v_t: v = (v_t, b', c') and
+    # q = rho_l psi, so the fields describe a rod.
     rng = np.random.default_rng(23)
     t, s = SYMS2
     e1 = sp.Matrix([1, 0, 0])
@@ -554,31 +631,35 @@ def test_1d_manufactured_polynomial_oracle():
     Om = sp.Matrix([sp.Rational(3, 10), sp.Rational(1, 10), -sp.Rational(1, 5)])
 
     rho_l = 30 + poly2(rng)
-    v = sp.Matrix([poly2(rng) for _ in range(3)])
+    v_t = poly2(rng)
+    a, b, c = (poly2(rng).subs(s, 0) for _ in range(3))
+    psi = sp.Matrix([s + a, b, c])
+    v = sp.Matrix([v_t, sp.diff(b, t), sp.diff(c, t)])
     F = sp.Matrix([poly2(rng) for _ in range(3)])
-    q = sp.Matrix([poly2(rng) for _ in range(3)])
+    q = rho_l * psi
     l = sp.Matrix([poly2(rng) for _ in range(3)])
     ls = sp.Matrix([poly2(rng) for _ in range(3)])
     Ms = sp.Matrix([poly2(rng) for _ in range(3)])
-    v_t = v[0]  # tangent is e1
+    slide = sp.diff(a, t)
+    w = v_t - slide
 
-    mass_o = sp.diff(rho_l, t) + sp.diff(rho_l * v_t, s)
+    mass_o = sp.diff(rho_l, t) + sp.diff(rho_l * w, s)
     lin_o = (
-        rho_l * (sp.diff(v, t) + sp.diff(v, s) * v_t)
+        rho_l * (sp.diff(v, t) + sp.diff(v, s) * w)
         - sp.diff(F, s)
         - rho_l * (g - 2 * cross3(Om, v))
     )
-    pos_o = sp.diff(q, t) + sp.diff(ls, s) - rho_l * v
+    pos_o = sp.diff(q, t) + sp.diff(ls - slide * q, s) - rho_l * v
     ang_o = (
         sp.diff(l, t)
         + cross3(Om, l)
         + cross3(ls - v_t * q, cross3(Om, e1))
-        + sp.diff(Ms, s)
+        + sp.diff(Ms - slide * l, s)
         - cross3(e1, F)
     )
 
     curve = Curve1D(
-        lambda tt, ss: np.array([ss, 0.0, 0.0]),
+        lamb2_vec(psi),
         v=lamb2_vec(v),
         n=lambda tt, ss: np.array([1.0, 0.0, 0.0]),
     )

@@ -46,6 +46,20 @@ def test_tracer_counts_shell_points(tmp_path, monkeypatch, capsys):
     assert metrics["fields.christoffel_calls"] == 9
 
 
+def test_tracer_counts_rod_points(tmp_path, monkeypatch, capsys):
+    # library must keep calling residual_1d through its module global,
+    # which the tracer wraps: one call per d1 point.
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    import tracing
+
+    with tracing.instrument(tracing.Tracer()) as tracer:
+        rc = main(["run", "spinning_ring", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["balance.d1.points"] == 8
+    assert metrics["fd.field_evals"] > 0
+
+
 def test_tracer_counts_affine_ops(monkeypatch):
     monkeypatch.syspath_prepend(BENCH_DIR)
     import tracing

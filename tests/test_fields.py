@@ -1,9 +1,9 @@
-"""Kinematics of slender and thin media: tangent maps, charts, geometry.
+"""Kinematics of slender and thin media: tangents, velocities, geometry.
 
 Curve and shell quantities are checked against hand-computed geometry of
 standard surfaces (lines, circles, helices, cylinders, spheres, graphs) and
-against the defining identities (Pi U = identity, symmetry of the second
-form, dR/dt = skew(varpi) R).
+against the defining identities (a unit tangent with v . n = v_t, symmetry
+of the second form, dR/dt = skew(varpi) R).
 """
 
 import os
@@ -19,15 +19,13 @@ from numpy.testing import assert_allclose
 import torsor
 from torsor.affine import GalileanFrameChange, transform_stress_mass
 from torsor.connection import GalileanConnection
-from torsor.errors import DegenerateTangent, SingularMetric
+from torsor.errors import SingularMetric
 from torsor.fields import (
     Curve1D,
     ForceMass1D,
     ShellField,
     assemble_cauchy_T,
-    projector_1d,
     shell_christoffels,
-    tangent_map_1d,
 )
 from torsor.vecmath import rotation, skew
 
@@ -41,40 +39,28 @@ EXACT_TOL = 1e-12
 
 def test_straight_rod_tangent_map():
     rod = Curve1D(lambda t, s: np.array([s, 0.0, 0.0]))
-    U = tangent_map_1d(rod, 0.3, 0.7)
-    expected = np.zeros((4, 2))
-    expected[0, 0] = 1.0
-    expected[1, 1] = 1.0
-    assert_allclose(U, expected, atol=FD_TOL)
+    assert_allclose(rod.n(0.3, 0.7), [1.0, 0.0, 0.0], atol=FD_TOL)
+    assert_allclose(rod.v(0.3, 0.7), np.zeros(3), atol=FD_TOL)
 
 
 def test_translating_rod_tangent_map():
     # Rigid transverse translation: v = (0, 1, 0), no flow along the rod.
     rod = Curve1D(lambda t, s: np.array([s, t, 0.0]))
-    U = tangent_map_1d(rod, 0.2, -0.4)
-    expected = np.zeros((4, 2))
-    expected[0, 0] = 1.0
-    expected[2, 0] = 1.0
-    expected[1, 1] = 1.0
-    assert_allclose(U, expected, atol=FD_TOL)
+    assert_allclose(rod.n(0.2, -0.4), [1.0, 0.0, 0.0], atol=FD_TOL)
+    assert_allclose(rod.v(0.2, -0.4), [0.0, 1.0, 0.0], atol=FD_TOL)
     assert abs(rod.v_t(0.2, -0.4)) < FD_TOL
 
 
 def test_flowing_pipe_tangent_map():
-    # Static chart, matter flowing along it: v = v_t n, so the first column
-    # of U loses its spatial part entirely.
+    # Static chart, matter flowing along it: v = v_t n.
     pipe = Curve1D(lambda t, s: np.array([s, 0.0, 0.0]), v_t=lambda t, s: 2.0)
-    U = tangent_map_1d(pipe, 0.0, 1.2)
-    expected = np.zeros((4, 2))
-    expected[0, 0] = 1.0
-    expected[1, 1] = 1.0
-    assert_allclose(U, expected, atol=FD_TOL)
+    assert_allclose(pipe.n(0.0, 1.2), [1.0, 0.0, 0.0], atol=FD_TOL)
     assert_allclose(pipe.v(0.0, 1.2), [2.0, 0.0, 0.0], atol=FD_TOL)
 
 
 def test_rotating_circle_projector_identity():
     # Material circle spinning about e3; the chart velocity is tangential,
-    # so the defaulted v_t must absorb it for Pi U to stay the identity.
+    # so the defaulted v_t must absorb it: v . n = v_t with a unit n.
     r, w = 1.5, 0.7
 
     def psi(t, s):
@@ -84,9 +70,9 @@ def test_rotating_circle_projector_identity():
 
     circle = Curve1D(psi)
     for t, s in [(0.0, 0.0), (0.3, 1.1), (-0.2, 4.0)]:
-        U = tangent_map_1d(circle, t, s)
-        Pi = projector_1d(circle, t, s)
-        assert_allclose(Pi @ U, np.eye(2), atol=1e-7)
+        n = circle.n(t, s)
+        assert abs(np.linalg.norm(n) - 1.0) < 1e-7
+        assert abs(circle.v(t, s) @ n - circle.v_t(t, s)) < 1e-7
         assert abs(circle.v_t(t, s) - w * r) < 1e-6
 
 
@@ -106,11 +92,6 @@ def test_helix_unit_tangent_and_projector():
     for s in [-1.0, 0.0, 2.5]:
         n = hel.n(0.0, s)
         assert abs(np.linalg.norm(n) - 1.0) < FD_TOL
-        assert_allclose(
-            projector_1d(hel, 0.0, s) @ tangent_map_1d(hel, 0.0, s),
-            np.eye(2),
-            atol=FD_TOL,
-        )
 
 
 @settings(max_examples=25, deadline=None)
@@ -121,12 +102,11 @@ def test_helix_unit_tangent_and_projector():
     v_t=st.floats(-2.0, 2.0),
 )
 def test_projector_tangent_identity_property(a, b, s, v_t):
+    # Matter sliding along a static helix keeps v . n = v_t, n unit.
     hel = Curve1D(helix_curve(a, b).psi, v_t=lambda t, u: v_t)
-    assert_allclose(
-        projector_1d(hel, 0.0, s) @ tangent_map_1d(hel, 0.0, s),
-        np.eye(2),
-        atol=1e-6,
-    )
+    n = hel.n(0.0, s)
+    assert abs(np.linalg.norm(n) - 1.0) < 1e-6
+    assert abs(hel.v(0.0, s) @ n - v_t) < 1e-6
 
 
 def test_analytic_tangent_matches_default():
@@ -141,14 +121,6 @@ def test_analytic_tangent_matches_default():
     hel_analytic = Curve1D(hel_default.psi, n=n)
     for s in [-0.7, 0.4, 1.9]:
         assert_allclose(hel_default.n(0.0, s), hel_analytic.n(0.0, s), atol=FD_TOL)
-
-
-def test_degenerate_tangent_raises():
-    cusp = Curve1D(lambda t, s: np.array([s ** 2, 0.0, 0.0]))
-    with pytest.raises(DegenerateTangent):
-        tangent_map_1d(cusp, 0.0, 0.0)
-    with pytest.raises(DegenerateTangent):
-        projector_1d(cusp, 0.0, 0.0)
 
 
 def test_curve_acceleration_paths():

@@ -96,25 +96,28 @@ def test_manufactured_cauchy_exact_matches_symbolic(g, Om):
 
 
 def _symbolic_rod_residual(g, Om):
-    """The four slender-medium laws on a static straight chart."""
+    """The four slender-medium laws on a chart that moves and slides."""
     g = sp.Matrix([sp.Float(c, 30) for c in g])
     Om = sp.Matrix([sp.Float(c, 30) for c in Om])
     n = sp.Matrix([1, 0, 0])
+    psi = sp.Matrix([S + T / 10, 3 * sp.sin(T) / 10, T / 5])
     rho = sp.Rational(3, 2) + 2 * sp.cos(S - T) / 5
-    v = sp.Matrix([sp.sin(S + T) / 5, sp.cos(S) / 10, sp.sin(2 * S) / 10])
+    v_t = sp.sin(S + T) / 5
+    slide = (n.T * sp.diff(psi, T))[0]
+    w = v_t - slide
+    v = sp.diff(psi, T) + w * n
     F = sp.Matrix([3 * sp.sin(S) / 10, sp.cos(S + T) / 5, sp.exp(S / 3) / 10])
-    q = sp.Matrix([sp.cos(S) / 5, sp.sin(S + T) / 10, 3 * sp.sin(S) / 10])
+    q = rho * psi
     l = sp.Matrix([sp.sin(S + T) / 10, sp.cos(S) / 5, sp.sin(S) / 10])
     l_star = sp.Matrix([sp.sin(S) / 5, sp.cos(S - T) / 10, sp.sin(S + T) / 5])
     M_star = sp.Matrix([sp.cos(S + T) / 10, 3 * sp.sin(S) / 10,
                         sp.cos(S) / 5])
-    v_t = v[0]
-    mass = sp.diff(rho, T) + sp.diff(rho * v_t, S)
-    lin = rho * (sp.diff(v, T) + v_t * sp.diff(v, S)) - sp.diff(F, S) \
+    mass = sp.diff(rho, T) + sp.diff(rho * w, S)
+    lin = rho * (sp.diff(v, T) + w * sp.diff(v, S)) - sp.diff(F, S) \
         - rho * (g - 2 * _cross(Om, v))
-    pos = sp.diff(q, T) + sp.diff(l_star, S) - rho * v
+    pos = sp.diff(q, T) + sp.diff(l_star - slide * q, S) - rho * v
     ang = sp.diff(l, T) + _cross(Om, l) + _cross(l_star - v_t * q, _cross(Om, n)) \
-        + sp.diff(M_star, S) - _cross(n, F)
+        + sp.diff(M_star - slide * l, S) - _cross(n, F)
 
     def at(t, s):
         subs = {T: t, S: s}

@@ -452,34 +452,35 @@ def test_convergence_nan_error_is_not_read_as_exact():
 
 
 def test_convergence_slope_on_1d_rod():
-    # Static straight chart with sin/exp fields; the four slender-medium
-    # equations are expanded symbolically at the probe point.
+    # A straight chart that translates and slides along itself, with
+    # sin/exp fields that describe a rod (v = d psi/dt + w n, q = rho psi);
+    # the four slender-medium equations are expanded symbolically at the
+    # probe point.
     t, s = SYMS2
+    n = sp.Matrix([1, 0, 0])
+    psi = sp.Matrix([s + t / 10, 3 * sp.sin(t) / 10, t / 5])
     rho = sp.Rational(3, 2) + 2 * sp.cos(s - t) / 5
-    v = sp.Matrix([sp.sin(s + t) / 5, sp.cos(s) / 10, sp.sin(2 * s) / 10])
+    v_t = sp.sin(s + t) / 5
+    slide = (n.T * sp.diff(psi, t))[0]
+    w = v_t - slide
+    v = sp.diff(psi, t) + w * n
     F = sp.Matrix([3 * sp.sin(s) / 10, sp.cos(s + t) / 5, sp.exp(s / 3) / 10])
-    q = sp.Matrix([sp.cos(s) / 5, sp.sin(s + t) / 10, 3 * sp.sin(s) / 10])
+    q = rho * psi
     l = sp.Matrix([sp.sin(s + t) / 10, sp.cos(s) / 5, sp.sin(s) / 10])
     l_star = sp.Matrix([sp.sin(s) / 5, sp.cos(s - t) / 10, sp.sin(s + t) / 5])
     M_star = sp.Matrix([sp.cos(s + t) / 10, 3 * sp.sin(s) / 10, sp.cos(s) / 5])
     g = sp.Matrix([sp.Rational(1, 10), -sp.Rational(3, 10), sp.Rational(1, 5)])
     Om = sp.Matrix([sp.Rational(1, 5), sp.Rational(1, 10), -sp.Rational(3, 10)])
-    n = sp.Matrix([1, 0, 0])
-    v_t = v[0]
 
-    mass_o = sp.diff(rho, t) + sp.diff(rho * v_t, s)
-    lin_o = rho * (sp.diff(v, t) + v_t * sp.diff(v, s)) - sp.diff(F, s) \
+    mass_o = sp.diff(rho, t) + sp.diff(rho * w, s)
+    lin_o = rho * (sp.diff(v, t) + w * sp.diff(v, s)) - sp.diff(F, s) \
         - rho * (g - 2 * cross3(Om, v))
-    pos_o = sp.diff(q, t) + sp.diff(l_star, s) - rho * v
+    pos_o = sp.diff(q, t) + sp.diff(l_star - slide * q, s) - rho * v
     ang_o = sp.diff(l, t) + cross3(Om, l) + cross3(l_star - v_t * q, cross3(Om, n)) \
-        + sp.diff(M_star, s) - cross3(n, F)
+        + sp.diff(M_star - slide * l, s) - cross3(n, F)
 
     e1 = np.array([1.0, 0.0, 0.0])
-    curve = Curve1D(
-        psi=lambda tt, ss: np.array([ss, 0.0, 0.0]),
-        n=lambda tt, ss: e1,
-        v=lamb2_vec(v),
-    )
+    curve = Curve1D(psi=lamb2_vec(psi), n=lambda tt, ss: e1, v=lamb2_vec(v))
     f = Cosserat1DField(
         curve=curve, rho_l=sp.lambdify(SYMS2, rho, "numpy"),
         F=lamb2_vec(F), q=lamb2_vec(q), l=lamb2_vec(l),

@@ -45,7 +45,7 @@ from .fields import (
     shell_christoffels,
     shell_torsor,
 )
-from .vecmath import as_field, cross, cross3, moment_matrix, moments
+from .vecmath import as_field, cross, cross3, moment_matrix, moment_rows, moments
 
 
 @dataclass
@@ -230,7 +230,7 @@ def residual_1d(f: Cosserat1DField, conn, t: float, s: float,
             slide = float(n @ dpsi)
             q, l, l_star, M_star = (np.asarray(fn(tt, ss), dtype=float)
                                     for fn in (f.q, f.l, f.l_star, f.M_star))
-            T = ForceMass1D(f.rho_l(tt, ss), v, curve.v_t(tt, ss) - slide,
+            T = ForceMass1D(f.rho_l(tt, ss), v, curve.v_t(tt, ss, v, n) - slide,
                             f.F(tt, ss)).matrix
             x, (p, flux) = psi.tolist(), T[:, 1:].tolist()
             J = np.array([
@@ -295,6 +295,11 @@ def residual_2d(sf: ShellField, loads: ShellLoads, conn, t: float,
     so they carry -(d kappa/dt) w; and the flux J^{b30} = kappa w^b that
     yields the pos_q identity rows adds -kappa Phi^a_b w^b to them.
 
+    Each stencil point reads the loads once and builds the shell's chart
+    frame once (ShellField.frame: pi, a^-1, c and n on floats), and
+    shell_torsor packs T and J from w_surf = c . w on floats.  The
+    Christoffels read one frame and one w at the mid-surface point.
+
     One limit: when both pi and w of a moving shell are finite-difference
     defaults, d(kappa w)/dt nests three small-step differences, an error of
     1e-3 to 1e-2 on dw/dt on a tumbling paraboloid; supply pi, w or varpi
@@ -309,10 +314,8 @@ def residual_2d(sf: ShellField, loads: ShellLoads, conn, t: float,
         u = xi.tolist()
         key = tuple(u)
         if key not in packed:
-            packed[key] = shell_torsor(
-                float(rho_s(*u)), np.asarray(N(*u), dtype=float),
-                np.asarray(Q(*u), dtype=float), np.asarray(M(*u), dtype=float),
-                float(kappa(*u)), sf.w_surf(*u))
+            packed[key] = shell_torsor(rho_s(*u), N(*u), Q(*u), M(*u),
+                                       kappa(*u), sf._w_surf(*u))
         return packed[key]
 
     field = MediumField(tangent_map=lambda xi: _SHELL_U,
@@ -350,11 +353,12 @@ def residual_3d_cosserat(state: Cosserat3DState, conn, t: float, x,
     flux r, for (ijk) cyclic.
     """
     def J_of(tt, xx):
-        l_star = np.asarray(state.l_star(tt, xx), dtype=float)
-        M_star = np.asarray(state.M_star(tt, xx), dtype=float)
-        return np.array(
-            [moment_matrix(state.q(tt, xx), state.l(tt, xx))]
-            + [moment_matrix(l_star[:, r], M_star[:, r]) for r in range(3)])
+        q, l = (np.asarray(fn(tt, xx), dtype=float).reshape(3).tolist()
+                for fn in (state.q, state.l))
+        # Column r of l_star and M_star is the moment pair along flux r.
+        l_star, M_star = (np.asarray(fn(tt, xx), dtype=float).reshape(3, 3).T.tolist()
+                          for fn in (state.l_star, state.M_star))
+        return np.array([moment_rows(q, l), *map(moment_rows, l_star, M_star)])
 
     return _space_filling_residual(state.T, J_of, conn, t, x, state.domain,
                                    h, one_sided)

@@ -10,14 +10,15 @@ parameterization by numeric quadrature).  Shells carry a mid-surface chart
 (theta^1, theta^2), the unit normal, and both fundamental forms.
 """
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import fd
 from .errors import SingularMetric
-from .vecmath import cross, skew, strict_max
+from .vecmath import cross, cross3, skew, strict_max
 
 DEGENERATE_TANGENT_TOL = 1e-9
 SINGULAR_METRIC_TOL = 1e-12
@@ -136,13 +137,17 @@ class Curve1D:
             return np.asarray(self._n(t, s), dtype=float).reshape(3)
         return fd.diff(lambda u: self.psi(t, u), s)
 
-    def v_t(self, t: float, s: float) -> float:
+    def v_t(self, t: float, s: float, v=None, n=None) -> float:
+        """Tangential flow: the analytic v_t, else v . n.
+
+        A caller that has read v and n at (t, s) passes them, so they are
+        not read again.
+        """
         if self._v_t is not None:
             return float(self._v_t(t, s))
-        if self._v is not None:
-            return float(self.v(t, s) @ self.n(t, s))
-        dpsi_dt = fd.diff(lambda u: self.psi(u, s), t)
-        return float(dpsi_dt @ self.n(t, s))
+        if v is None:
+            v = self.v(t, s)
+        return float(v @ (self.n(t, s) if n is None else n))
 
     def v(self, t: float, s: float) -> np.ndarray:
         if self._v is not None:
@@ -153,23 +158,6 @@ class Curve1D:
             slide = float(self._v_t(t, s)) - float(dpsi_dt @ n)
             return dpsi_dt + slide * n
         return dpsi_dt
-
-    def v_dot(self, t: float, s: float, h: float = None) -> np.ndarray:
-        """Material acceleration d v / dt at fixed s.
-
-        An analytic v is differenced directly.  The finite-difference
-        defaults would otherwise be differenced twice with the small
-        first-order step, so the material-chart case uses one
-        second-difference of psi, and the sliding case (v_t supplied)
-        differences the composite v with the wider second-difference step.
-        """
-        if self._v is not None:
-            return fd.diff(lambda u: self.v(u, s), t, h=h)
-        if self._v_t is None:
-            return _second_diff(lambda u: self.psi(u, s), t)
-        if h is None:
-            h = SECOND_DIFF_REL_STEP * max(1.0, abs(t))
-        return fd.diff(lambda u: self.v(u, s), t, h=h)
 
     def arclength_defect(self, t: float, s_samples) -> float:
         """max | |d psi/ds| - 1 | over the samples; 0 for true arclength."""
@@ -246,6 +234,21 @@ class ForceMass1D:
         return cls(rho_l, v, v_t, F)
 
 
+class ShellFrame(NamedTuple):
+    """Chart geometry of a shell at one point, as Python floats.
+
+    pi: the rows d x / d theta^a, two float triples; a and a_inv: the
+    entries (11, 12, 22) of the metric a = pi pi^T and of its inverse;
+    c: the rows of the surface projector a^-1 pi; n: the unit normal.
+    """
+
+    pi: tuple
+    a: tuple
+    a_inv: tuple
+    c: tuple
+    n: tuple
+
+
 class ShellField:
     """Thin medium: mid-surface x(t, theta1, theta2) plus derived geometry.
 
@@ -256,6 +259,14 @@ class ShellField:
 
     A shell element's rigid spin may be given by its Poisson vector varpi;
     when varpi is given and w is not, w = varpi x n.
+
+    The chart geometry at a point (pi, the metric and its inverse, the
+    projector c and the normal) is built once, on Python floats, by
+    `frame`; `metric`, `projector` and `w_surf` read it, and `n` and `w`
+    use its float normal.  A default w differences that normal in t at
+    fd.default_step.  Float products round each term, where numpy's matrix
+    products may fuse them, so the geometry can differ from the array
+    forms in the last bits.
     """
 
     def __init__(self, x, pi=None, n=None, v=None, w=None, domain=None,
@@ -279,27 +290,69 @@ class ShellField:
         r2 = fd.partial(lambda tt, a, b: self.x(tt, a, b), (t, th1, th2), 2)
         return np.stack([r1, r2])
 
+    def frame(self, t, th1, th2) -> ShellFrame:
+        """The chart geometry at one point; raises SingularMetric.
+
+        pi is read once.  The metric is inverted in closed form, and a
+        determinant below SINGULAR_METRIC_TOL, or NaN, is singular.
+        """
+        p, q = self.pi(t, th1, th2).tolist()
+        p0, p1, p2 = p
+        q0, q1, q2 = q
+        a11 = p0 * p0 + p1 * p1 + p2 * p2
+        a12 = p0 * q0 + p1 * q1 + p2 * q2
+        a22 = q0 * q0 + q1 * q1 + q2 * q2
+        det = a11 * a22 - a12 * a12
+        if not det >= SINGULAR_METRIC_TOL:
+            raise SingularMetric(f"det(a) < {SINGULAR_METRIC_TOL} at (t={t}, theta=({th1}, {th2}))")
+        i11, i12, i22 = a22 / det, -a12 / det, a11 / det
+        c = ((i11 * p0 + i12 * q0, i11 * p1 + i12 * q1, i11 * p2 + i12 * q2),
+             (i12 * p0 + i22 * q0, i12 * p1 + i22 * q1, i12 * p2 + i22 * q2))
+        return ShellFrame((tuple(p), tuple(q)), (a11, a12, a22),
+                          (i11, i12, i22), c, self._normal(t, th1, th2, p, q))
+
+    def _normal(self, t, th1, th2, p=None, q=None) -> tuple:
+        """Unit normal as a float triple; p, q are pi's rows if already read."""
+        if self._n is not None:
+            return tuple(np.asarray(self._n(t, th1, th2), dtype=float).reshape(3).tolist())
+        if p is None:
+            p, q = self.pi(t, th1, th2).tolist()
+        m0, m1, m2 = cross3(p, q)
+        sq = m0 * m0 + m1 * m1 + m2 * m2
+        if not sq >= SINGULAR_METRIC_TOL:
+            raise SingularMetric(f"normal undefined at (t={t}, theta=({th1}, {th2}))")
+        norm = math.sqrt(sq)
+        return (m0 / norm, m1 / norm, m2 / norm)
+
+    def _normal_rate(self, t, th1, th2, n=None) -> tuple:
+        """w = d n / dt as a float triple; n is the normal if already read."""
+        if self._w is not None:
+            return tuple(np.asarray(self._w(t, th1, th2), dtype=float).reshape(3).tolist())
+        if self.varpi is not None:
+            vp = np.asarray(self.varpi(t, th1, th2), dtype=float).reshape(3)
+            return cross3(vp.tolist(), self._normal(t, th1, th2) if n is None else n)
+        h = fd.default_step(t)
+        up, down = self._normal(t + h, th1, th2), self._normal(t - h, th1, th2)
+        return tuple((u - d) / (2.0 * h) for u, d in zip(up, down))
+
+    def _w_surf(self, t, th1, th2) -> tuple:
+        """w_surf as a float pair: (c^1 . w, c^2 . w)."""
+        fr = self.frame(t, th1, th2)
+        w0, w1, w2 = self._normal_rate(t, th1, th2, fr.n)
+        (c0, c1, c2), (d0, d1, d2) = fr.c
+        return (c0 * w0 + c1 * w1 + c2 * w2, d0 * w0 + d1 * w1 + d2 * w2)
+
     def metric(self, t, th1, th2) -> np.ndarray:
         """First fundamental form a = pi pi^T; raises SingularMetric."""
-        pi = self.pi(t, th1, th2)
-        a = pi @ pi.T
-        if np.linalg.det(a) < SINGULAR_METRIC_TOL:
-            raise SingularMetric(f"det(a) < {SINGULAR_METRIC_TOL} at (t={t}, theta=({th1}, {th2}))")
-        return a
+        a11, a12, a22 = self.frame(t, th1, th2).a
+        return np.array([[a11, a12], [a12, a22]])
 
     def projector(self, t, th1, th2) -> np.ndarray:
         """c = a^-1 pi, the (2, 3) surface projector."""
-        return np.linalg.solve(self.metric(t, th1, th2), self.pi(t, th1, th2))
+        return np.array(self.frame(t, th1, th2).c)
 
     def n(self, t, th1, th2) -> np.ndarray:
-        if self._n is not None:
-            return np.asarray(self._n(t, th1, th2), dtype=float).reshape(3)
-        pi = self.pi(t, th1, th2)
-        normal = cross(pi[0], pi[1])
-        norm = np.linalg.norm(normal)
-        if norm ** 2 < SINGULAR_METRIC_TOL:
-            raise SingularMetric(f"normal undefined at (t={t}, theta=({th1}, {th2}))")
-        return normal / norm
+        return np.array(self._normal(t, th1, th2))
 
     def dpi_dtheta(self, t, th1, th2) -> np.ndarray:
         """(2, 2, 3) array D[a, c] = d pi_a / d theta^c (= d2 x, symmetric in a, c).
@@ -340,12 +393,7 @@ class ShellField:
 
     def w(self, t, th1, th2) -> np.ndarray:
         """Velocity of the unit normal, w = d n / dt."""
-        if self._w is not None:
-            return np.asarray(self._w(t, th1, th2), dtype=float).reshape(3)
-        if self.varpi is not None:
-            vp = np.asarray(self.varpi(t, th1, th2), dtype=float).reshape(3)
-            return cross(vp, self.n(t, th1, th2))
-        return fd.partial(lambda tt, a, b: self.n(tt, a, b), (t, th1, th2), 0)
+        return np.array(self._normal_rate(t, th1, th2))
 
     def dpi_dt(self, t, th1, th2) -> np.ndarray:
         return fd.partial(lambda tt, a, b: self.pi(tt, a, b), (t, th1, th2), 0)
@@ -359,49 +407,32 @@ class ShellField:
 
     def w_surf(self, t, th1, th2) -> np.ndarray:
         """Surface components w^a = c^a_i w^i of the normal velocity."""
-        return self.projector(t, th1, th2) @ self.w(t, th1, th2)
-
-    def w_surf_dot(self, t, th1, th2) -> np.ndarray:
-        """d/dt of w^a at fixed theta.
-
-        With an analytic w the composite c w is differenced directly;
-        otherwise the product rule splits it into dc/dt w + c d2n/dt2 so the
-        finite-difference w is never differenced with the small step again.
-        """
-        if self._w is not None or self.varpi is not None:
-            return fd.partial(
-                lambda tt, a, b: self.w_surf(tt, a, b), (t, th1, th2), 0
-            )
-        c_dot = fd.partial(
-            lambda tt, a, b: self.projector(tt, a, b), (t, th1, th2), 0
-        )
-        w_here = self.w(t, th1, th2)
-        n_acc = _second_diff(lambda tt: self.n(tt, th1, th2), t)
-        return c_dot @ w_here + self.projector(t, th1, th2) @ n_acc
+        return np.array(self._w_surf(t, th1, th2))
 
 
 def shell_christoffels(sf: ShellField, conn, t, th1, th2) -> np.ndarray:
     """(4, 4, 4) Christoffels G[a, b, c] = Gamma^a_bc of the adapted chart
     (t, theta^1, theta^2, normal) of a moving mid-surface.
 
-    Gravity and spin are read once, at the mid-surface point.  The in-plane
-    blocks come from the chart geometry: Gamma^a_bc = c^a . d pi_b /
-    d theta^c, Gamma^3_ab = b_ab and Gamma^a_b3 = Gamma^a_3b = -(a^-1 b)^a_b.
-    The time blocks come from the motion of the surface inside the spinning
-    frame: with acc = dv/dt - g + 2 Omega x v, Gamma^a_00 = c^a . acc,
-    Gamma^3_00 = n . acc, Phi^a_b = Gamma^a_0b = Gamma^a_b0 =
-    c^a . (d pi_b/dt + Omega x pi_b), Gamma^3_0b = Gamma^3_b0 = n . (the
-    same) and Gamma^a_03 = Gamma^a_30 = c^a . (w + Omega x n).  Every other
-    entry, the time row Gamma^0 included, is zero.
+    Gravity, spin, the chart frame (pi, c, a^-1, n) and w are read once, at
+    the mid-surface point.  The in-plane blocks come from the chart
+    geometry: Gamma^a_bc = c^a . d pi_b / d theta^c, Gamma^3_ab = b_ab and
+    Gamma^a_b3 = Gamma^a_3b = -(a^-1 b)^a_b.  The time blocks come from the
+    motion of the surface inside the spinning frame: with acc = dv/dt - g
+    + 2 Omega x v, Gamma^a_00 = c^a . acc, Gamma^3_00 = n . acc, Phi^a_b =
+    Gamma^a_0b = Gamma^a_b0 = c^a . (d pi_b/dt + Omega x pi_b),
+    Gamma^3_0b = Gamma^3_b0 = n . (the same) and Gamma^a_03 = Gamma^a_30 =
+    c^a . (w + Omega x n).  Every other entry, the time row Gamma^0
+    included, is zero.
     """
     x = sf.x(t, th1, th2)
     g = conn.g(t, x)
     Omega = conn.Omega(t, x)
     W = skew(Omega)
-    pi = sf.pi(t, th1, th2)
-    a = sf.metric(t, th1, th2)
-    c = np.linalg.solve(a, pi)
-    n = sf.n(t, th1, th2)
+    fr = sf.frame(t, th1, th2)
+    pi, c, n = np.array(fr.pi), np.array(fr.c), np.array(fr.n)
+    i11, i12, i22 = fr.a_inv
+    w = np.array(sf._normal_rate(t, th1, th2, fr.n))
     D = sf.dpi_dtheta(t, th1, th2)
     acc = sf.v_dot(t, th1, th2) - g + 2.0 * cross(Omega, sf.v(t, th1, th2))
     # Row b: d pi_b/dt + Omega x pi_b.
@@ -412,12 +443,12 @@ def shell_christoffels(sf: ShellField, conn, t, th1, th2) -> np.ndarray:
     G[3, 0, 0] = n @ acc
     G[1:3, 0, 1:3] = G[1:3, 1:3, 0] = c @ spin.T
     G[3, 0, 1:3] = G[3, 1:3, 0] = spin @ n
-    G[1:3, 0, 3] = G[1:3, 3, 0] = c @ (sf.w(t, th1, th2) + W @ n)
+    G[1:3, 0, 3] = G[1:3, 3, 0] = c @ (w + W @ n)
     # D[b, c] holds d pi_b / d theta^c.
     G[1:3, 1:3, 1:3] = np.einsum("ai,bci->abc", c, D)
     b = np.einsum("i,bai->ab", n, D)
     G[3, 1:3, 1:3] = b
-    G[1:3, 1:3, 3] = G[1:3, 3, 1:3] = -np.linalg.solve(a, b)
+    G[1:3, 1:3, 3] = G[1:3, 3, 1:3] = -(np.array([[i11, i12], [i12, i22]]) @ b)
     return G
 
 
@@ -461,18 +492,28 @@ def shell_torsor(rho_s: float, N, Q, M, kappa: float, w):
     T^{00} = rho_s, T^{ba} = kappa w^b w^a - N^{ba} and T^{b3} = -Q^b.
     J (3, 4, 4) is skew in its last two indices: J^{0a3} = -kappa w^a
     along the time flux and, along flux b, J^{ba3} = M^{ab} and
-    J^{b30} = kappa w^b.
+    J^{b30} = kappa w^b.  Both are packed from floats; each mirrored entry
+    of J is 0 - (its partner), the signed zero an array J - J^T gives.
     """
-    kw = kappa * w
-    T = np.zeros((3, 4))
-    T[0, 0] = rho_s
-    T[1:, 1:3] = kappa * np.outer(w, w) - N
-    T[1:, 3] = -Q
-    J = np.zeros((3, 4, 4))
-    J[0, 1:3, 3] = -kw
-    J[1:, 1:3, 3] = M.T
-    J[1:, 3, 0] = kw
-    return T, J - np.swapaxes(J, 1, 2)
+    (n11, n12), (n21, n22) = np.asarray(N, dtype=float).reshape(2, 2).tolist()
+    q1, q2 = np.asarray(Q, dtype=float).reshape(2).tolist()
+    (m11, m12), (m21, m22) = np.asarray(M, dtype=float).reshape(2, 2).tolist()
+    w1, w2 = np.asarray(w, dtype=float).reshape(2).tolist()
+    rho_s, kappa = float(rho_s), float(kappa)
+    k1, k2 = kappa * w1, kappa * w2
+    nk1, nk2 = -k1, -k2
+    z = 0.0
+    TJ = np.array([
+        rho_s, z, z, z,
+        z, kappa * (w1 * w1) - n11, kappa * (w1 * w2) - n12, -q1,
+        z, kappa * (w2 * w1) - n21, kappa * (w2 * w2) - n22, -q2,
+        # J^0: the time flux.
+        z, z, z, z, z, z, z, nk1, z, z, z, nk2, z, z - nk1, z - nk2, z,
+        # J^1 and J^2: the theta fluxes.
+        z, z, z, z - k1, z, z, z, m11, z, z, z, m21, k1, z - m11, z - m21, z,
+        z, z, z, z - k2, z, z, z, m12, z, z, z, m22, k2, z - m12, z - m22, z,
+    ])
+    return TJ[:12].reshape(3, 4), TJ[12:].reshape(3, 4, 4)
 
 
 @dataclass

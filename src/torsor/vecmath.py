@@ -49,10 +49,16 @@ def cross(a, b) -> np.ndarray:
 
 def moment_matrix(q, l) -> np.ndarray:
     """Skew (4, 4) J with J[1:, 0] = q and (J[2, 3], J[3, 1], J[1, 2]) = l."""
-    (q0, q1, q2), (l0, l1, l2) = (
-        np.asarray(v, dtype=float).reshape(3).tolist() for v in (q, l))
-    return np.array([[0.0, -q0, -q1, -q2], [q0, 0.0, l2, -l1],
-                     [q1, -l2, 0.0, l0], [q2, l1, -l0, 0.0]])
+    return np.array(moment_rows(
+        *(np.asarray(v, dtype=float).reshape(3).tolist() for v in (q, l))))
+
+
+def moment_rows(q, l) -> list:
+    """The rows of moment_matrix(q, l) as lists, from float triples, so
+    that several J pack into one array."""
+    (q0, q1, q2), (l0, l1, l2) = q, l
+    return [[0.0, -q0, -q1, -q2], [q0, 0.0, l2, -l1],
+            [q1, -l2, 0.0, l0], [q2, l1, -l0, 0.0]]
 
 
 def moments(J):

@@ -37,6 +37,7 @@ from torsor.fields import (
     MediumField,
     ShellField,
     ShellLoads,
+    _second_diff,
     assemble_cauchy_T,
     shell_christoffels,
 )
@@ -516,6 +517,24 @@ def test_residual_1d_rejects_degenerate_tangent():
         residual_1d(f, GalileanConnection(), 0.0, 0.0)
 
 
+def curve_v_dot(curve, t, s, h=None):
+    """Material acceleration d v / dt of a Curve1D at fixed s.
+
+    An analytic v is differenced directly.  The finite-difference defaults
+    would otherwise be differenced twice with the small first-order step,
+    so the material-chart case uses one second-difference of psi, and the
+    sliding case (v_t supplied) differences the composite v with the wider
+    second-difference step.
+    """
+    if curve._v is not None:
+        return fd.diff(lambda u: curve.v(u, s), t, h=h)
+    if curve._v_t is None:
+        return _second_diff(lambda u: curve.psi(u, s), t)
+    if h is None:
+        h = SECOND_DIFF_REL_STEP * max(1.0, abs(t))
+    return fd.diff(lambda u: curve.v(u, s), t, h=h)
+
+
 def rod_oracle(f, conn, t, s, h=None):
     """The slender-medium laws expanded by hand, as residual_1d documents.
 
@@ -547,7 +566,7 @@ def rod_oracle(f, conn, t, s, h=None):
     mass = d(lambda tt, ss: float(f.rho_l(tt, ss)), 0) + d(
         lambda tt, ss: float(f.rho_l(tt, ss))
         * (curve.v_t(tt, ss) - slide(tt, ss)), 1)
-    lin = (rho_l * (curve.v_dot(t, s, h=h) + d(curve.v, 1)
+    lin = (rho_l * (curve_v_dot(curve, t, s, h=h) + d(curve.v, 1)
                     * (v_t - slide(t, s)))
            - d(f.F, 1) - rho_l * (g - 2.0 * np.cross(Om, v)))
     pos = (d(q, 0) + d(lambda tt, ss: l_star(tt, ss)
@@ -973,12 +992,27 @@ def test_2d_manufactured_polynomial_oracle():
     assert_allclose(res.pos_q, np.zeros(3), atol=1e-9)
 
 
+def shell_w_surf_dot(sf, t, th1, th2):
+    """d/dt of a ShellField's w^a at fixed theta.
+
+    With an analytic w the composite c w is differenced directly;
+    otherwise the product rule splits it into dc/dt w + c d2n/dt2 so the
+    finite-difference w is never differenced with the small step again.
+    """
+    args = (t, th1, th2)
+    if sf._w is not None or sf.varpi is not None:
+        return fd.partial(sf.w_surf, args, 0)
+    c_dot = fd.partial(sf.projector, args, 0)
+    n_acc = _second_diff(lambda tt: sf.n(tt, th1, th2), t)
+    return c_dot @ sf.w(*args) + sf.projector(*args) @ n_acc
+
+
 def shell_oracle(sf, loads, conn, t, th1, th2, h=None):
     """The thin-medium laws expanded by hand, slot by slot as residual_2d.
 
     Surface covariant derivatives are written out from the chart blocks of
     shell_christoffels; the acceleration is read from sf and conn, and
-    d(kappa w)/dt is split into (d kappa/dt) w + kappa w_surf_dot.
+    d(kappa w)/dt is split into (d kappa/dt) w + kappa shell_w_surf_dot.
     """
     args = (t, th1, th2)
     G = shell_christoffels(sf, conn, *args)
@@ -1017,7 +1051,7 @@ def shell_oracle(sf, loads, conn, t, th1, th2, h=None):
     Y = N - b_mix @ M.T - kappa * np.outer(Phi_a + w, w)
     ang_off = (dM[0][:, 0] + dM[1][:, 1] + np.einsum("abc,cb->a", Gam, M)
                + M @ trG - Q
-               - d(loads.kappa, 0) * w - kappa * sf.w_surf_dot(*args)
+               - d(loads.kappa, 0) * w - kappa * shell_w_surf_dot(sf, *args)
                - kappa * (2.0 * Phi_ab @ w + trPhi * w))
     id_03 = -(dkw[0][0] + dkw[1][1] + trG @ (kappa * w))
     return np.concatenate([

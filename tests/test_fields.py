@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import torsor
+from torsor import fd
 from torsor.affine import GalileanFrameChange, transform_stress_mass
 from torsor.connection import GalileanConnection
 from torsor.errors import SingularMetric
@@ -26,8 +27,11 @@ from torsor.fields import (
     ShellField,
     assemble_cauchy_T,
     shell_christoffels,
+    shell_torsor,
 )
 from torsor.vecmath import rotation, skew
+
+from test_balance import curve_v_dot
 
 FD_TOL = 1e-8
 EXACT_TOL = 1e-12
@@ -139,14 +143,14 @@ def test_curve_acceleration_paths():
 
     t, s = 0.35, 1.4
     acc_exact = np.cross(w * e3, np.cross(w * e3, psi(t, s)))
-    assert_allclose(Curve1D(psi, v=v).v_dot(t, s), acc_exact, atol=1e-7)
-    assert_allclose(Curve1D(psi).v_dot(t, s), acc_exact, atol=1e-6)
+    assert_allclose(curve_v_dot(Curve1D(psi, v=v), t, s), acc_exact, atol=1e-7)
+    assert_allclose(curve_v_dot(Curve1D(psi), t, s), acc_exact, atol=1e-6)
     # Static circle with steady flow: centripetal acceleration v_t^2 / r.
     def psi0(t, s):
         return np.array([r * np.cos(s / r), r * np.sin(s / r), 0.0])
 
     flow = Curve1D(psi0, v_t=lambda t, s: 1.3)
-    acc_flow = flow.v_dot(0.0, s)
+    acc_flow = curve_v_dot(flow, 0.0, s)
     # d/dt at fixed s of a steady field is zero; the convective part lives
     # in the balance operator, so here the time derivative must vanish.
     assert_allclose(acc_flow, np.zeros(3), atol=1e-6)
@@ -367,6 +371,18 @@ def test_singular_metric_raises():
         flatline.metric(0.0, 0.1, 0.2)
 
 
+@pytest.mark.parametrize("read", ["metric", "projector", "n", "w_surf"])
+def test_nan_chart_is_singular(read):
+    # det(a) < tol and |pi_1 x pi_2|^2 < tol are both False for NaN, so a
+    # NaN in the chart passed as a NaN metric, projector and normal.
+    def pi(t, th1, th2):
+        return np.array([[1.0, 0.0, np.nan], [0.0, 1.0, 0.0]])
+
+    sf = ShellField(lambda t, th1, th2: np.array([th1, th2, 0.0]), pi=pi)
+    with pytest.raises(SingularMetric):
+        getattr(sf, read)(0.0, 0.1, 0.2)
+
+
 # ---------------------------------------------------------------------------
 # shells: chart Christoffels in a spinning frame
 
@@ -456,3 +472,184 @@ def test_shell_velocity_and_acceleration():
     assert_allclose(
         sf.v_dot(t, th1, th2), np.cross(om, np.cross(om, pos)), atol=1e-6
     )
+
+
+# ---------------------------------------------------------------------------
+# shells: the float chart frame against the numpy array forms
+
+
+def numpy_metric(sf, *p):
+    pi = sf.pi(*p)
+    return pi @ pi.T
+
+
+def numpy_projector(sf, *p):
+    return np.linalg.solve(numpy_metric(sf, *p), sf.pi(*p))
+
+
+def numpy_n(sf, *p):
+    if sf._n is not None:
+        return np.asarray(sf._n(*p), dtype=float)
+    pi = sf.pi(*p)
+    normal = np.cross(pi[0], pi[1])
+    return normal / np.linalg.norm(normal)
+
+
+def numpy_w(sf, *p):
+    if sf._w is not None:
+        return np.asarray(sf._w(*p), dtype=float)
+    if sf.varpi is not None:
+        return np.cross(sf.varpi(*p), numpy_n(sf, *p))
+    return fd.partial(lambda *u: numpy_n(sf, *u), p, 0)
+
+
+def numpy_w_surf(sf, *p):
+    return numpy_projector(sf, *p) @ numpy_w(sf, *p)
+
+
+def numpy_shell_torsor(rho_s, N, Q, M, kappa, w):
+    kw = kappa * w
+    T = np.zeros((3, 4))
+    T[0, 0] = rho_s
+    T[1:, 1:3] = kappa * np.outer(w, w) - N
+    T[1:, 3] = -Q
+    J = np.zeros((3, 4, 4))
+    J[0, 1:3, 3] = -kw
+    J[1:, 1:3, 3] = M.T
+    J[1:, 3, 0] = kw
+    return T, J - np.swapaxes(J, 1, 2)
+
+
+def numpy_shell_christoffels(sf, conn, *p):
+    x = sf.x(*p)
+    g, Omega = conn.g(p[0], x), conn.Omega(p[0], x)
+    W = skew(Omega)
+    pi, a = sf.pi(*p), numpy_metric(sf, *p)
+    c, n = np.linalg.solve(a, pi), numpy_n(sf, *p)
+    D = sf.dpi_dtheta(*p)
+    acc = sf.v_dot(*p) - g + 2.0 * np.cross(Omega, sf.v(*p))
+    spin = sf.dpi_dt(*p) + pi @ W.T
+    G = np.zeros((4, 4, 4))
+    G[1:3, 0, 0] = c @ acc
+    G[3, 0, 0] = n @ acc
+    G[1:3, 0, 1:3] = G[1:3, 1:3, 0] = c @ spin.T
+    G[3, 0, 1:3] = G[3, 1:3, 0] = spin @ n
+    G[1:3, 0, 3] = G[1:3, 3, 0] = c @ (numpy_w(sf, *p) + W @ n)
+    G[1:3, 1:3, 1:3] = np.einsum("ai,bci->abc", c, D)
+    b = np.einsum("i,bai->ab", n, D)
+    G[3, 1:3, 1:3] = b
+    G[1:3, 1:3, 3] = G[1:3, 3, 1:3] = -np.linalg.solve(a, b)
+    return G
+
+
+def shell_reads(sf, conn, p):
+    """(name, float form, numpy form) of every shell quantity at p."""
+    rng = np.random.default_rng(5)
+    N, M = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
+    Q = np.array([0.0, rng.normal()])
+    w = sf.w_surf(*p)
+    return [
+        ("metric", sf.metric(*p), numpy_metric(sf, *p)),
+        ("projector", sf.projector(*p), numpy_projector(sf, *p)),
+        ("n", sf.n(*p), numpy_n(sf, *p)),
+        ("w", sf.w(*p), numpy_w(sf, *p)),
+        ("w_surf", w, numpy_w_surf(sf, *p)),
+        ("shell_torsor",
+         np.concatenate([a.ravel() for a in shell_torsor(
+             1.3, N, Q, M, 0.05, w)]),
+         np.concatenate([a.ravel() for a in numpy_shell_torsor(
+             1.3, N, Q, M, 0.05, w)])),
+        ("shell_christoffels", shell_christoffels(sf, conn, *p),
+         numpy_shell_christoffels(sf, conn, *p)),
+    ]
+
+
+def tumbling_shell(analytic):
+    """A non-orthonormal paraboloid chart, tumbling and translating; with
+    analytic pi and Poisson vector, or with every default differenced."""
+    axis = np.array([1.0, 0.5, 2.0]) / np.sqrt(5.25)
+    rate = 0.7
+
+    def x(t, th1, th2):
+        flat = np.array([th1 + 0.3 * th2, th2 - 0.2 * th1,
+                         0.2 * th1 ** 2 + 0.1 * th1 * th2 + 0.15 * th2 ** 2])
+        return (rotation(axis, rate * t) @ flat
+                + np.array([0.3 * t, -0.1 * t * t, 0.2]))
+
+    if not analytic:
+        return ShellField(x)
+
+    def pi(t, th1, th2):
+        pi0 = np.array([[1.0, -0.2, 0.4 * th1 + 0.1 * th2],
+                        [0.3, 1.0, 0.1 * th1 + 0.3 * th2]])
+        return pi0 @ rotation(axis, rate * t).T
+
+    return ShellField(x, pi=pi, varpi=lambda t, th1, th2: rate * axis)
+
+
+@pytest.mark.parametrize("analytic", [False, True], ids=["fd", "analytic"])
+def test_float_frame_matches_numpy_forms(analytic):
+    sf = tumbling_shell(analytic)
+    conn = GalileanConnection.rotating_frame([0.3, -0.2, 0.5],
+                                             g=[0.1, 0.2, -9.8])
+    for p in [(0.2, 0.4, -0.3), (0.9, -0.5, 0.6), (1.7, 0.1, 0.8)]:
+        for name, got, want in shell_reads(sf, conn, p):
+            tol = 1e-12 * np.max(np.abs(want))
+            if not analytic and name in ("w", "w_surf"):
+                # A default w differences n over 2h, so a last-bit
+                # difference of the two normals is divided by 2h.
+                tol = 16 * np.finfo(float).eps / (2.0 * fd.default_step(p[0]))
+            assert_allclose(got, want, rtol=0, atol=tol, err_msg=name)
+
+
+def bundled_static_shells():
+    """The plate_bending, laplace_sphere and spinning_drum shells and
+    connections, at their bundled probe grids."""
+    r, R = 2.0, 1.5
+    plate = ShellField(
+        lambda t, th1, th2: np.array([th1, th2, 0.0]),
+        pi=lambda t, th1, th2: np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+
+    def sphere_pi(t, th1, th2):
+        z = np.sqrt(r * r - th1 ** 2 - th2 ** 2)
+        return np.array([[1.0, 0.0, -th1 / z], [0.0, 1.0, -th2 / z]])
+
+    sphere = ShellField(
+        lambda t, th1, th2: np.array(
+            [th1, th2, np.sqrt(r * r - th1 ** 2 - th2 ** 2)]),
+        pi=sphere_pi)
+    drum = ShellField(
+        lambda t, th1, th2: np.array(
+            [R * np.cos(th1 / R), R * np.sin(th1 / R), th2]),
+        pi=lambda t, th1, th2: np.array(
+            [[-np.sin(th1 / R), np.cos(th1 / R), 0.0], [0.0, 0.0, 1.0]]))
+    return [
+        ("plate", plate, GalileanConnection(g=(0.0, 0.0, -9.81)),
+         np.linspace(-0.7, 0.7, 3), np.linspace(-0.7, 0.7, 3)),
+        ("sphere", sphere,
+         GalileanConnection(g=lambda t, x: 0.35 * np.asarray(x, dtype=float)),
+         np.linspace(-0.5, 0.5, 3), np.linspace(-0.5, 0.5, 3)),
+        ("drum", drum, GalileanConnection.rotating_frame((0.0, 0.0, 1.1)),
+         np.linspace(0.0, 2.0, 3), np.linspace(-0.5, 0.5, 3)),
+    ]
+
+
+@pytest.mark.parametrize("case", bundled_static_shells(),
+                         ids=lambda case: case[0])
+def test_float_frame_bits_on_bundled_shells(case):
+    # Bit-equal, signed zeros included, except the sphere's projector and
+    # Christoffels: numpy's solve fuses multiply-adds that the closed-form
+    # inverse rounds one at a time, so those agree to a few ulps.
+    name, sf, conn, side1, side2 = case
+    for th1 in side1:
+        for th2 in side2:
+            p = (0.0, float(th1), float(th2))
+            for read, got, want in shell_reads(sf, conn, p):
+                if name == "sphere" and read in ("projector",
+                                                 "shell_christoffels"):
+                    assert_allclose(got, want, rtol=0,
+                                    atol=4e-16 * np.max(np.abs(want)))
+                else:
+                    assert np.array_equal(got, want), read
+                    assert np.array_equal(np.signbit(got),
+                                          np.signbit(want)), read

@@ -37,15 +37,21 @@ from .fields import (
     CauchyMedium,
     Cosserat1DField,
     Cosserat3DState,
-    ForceMass1D,
     MediumField,
     ShellField,
     ShellLoads,
     _stress_mass,
+    cosserat_J,
+    rod_torsor,
     shell_christoffels,
     shell_torsor,
 )
-from .vecmath import as_field, cross, cross3, moment_matrix, moment_rows, moments
+from .vecmath import as_field, cross, moment_matrix, moments, triple
+
+# The identity, read-only since every call shares it: U of a space-filling
+# medium and Gamma_A of the proper origin.
+_EYE4 = np.eye(4)
+_EYE4.setflags(write=False)
 
 
 @dataclass
@@ -130,23 +136,20 @@ def _divergence_residual(field, xi, chris, h, one_sided=False, v=None):
     return BalanceResidual(mass=dT[0], lin_mom=lin, pos_q=pos, ang_mom=ang)
 
 
-def _space_filling_residual(T_of, J_of, conn, t: float, x, domain, h,
-                            one_sided, v=None):
+def _space_filling_residual(torsor_T, torsor_J, conn, t: float, x, domain,
+                            h, one_sided, v=None):
     """_divergence_residual of a medium filling space, at (t, x).
 
     The material chart is the space-time chart (U = I) and the origin is
-    the proper one.  T_of(t, x) returns T[component, flux]; J_of(t, x)
-    returns J[flux, a, b], skew in (a, b), or J_of is None for a medium
-    without moment fields.
+    the proper one (Gamma_A = I).  torsor_T(xi) returns T[flux, component]
+    and torsor_J(xi) J[flux, a, b], skew in (a, b), at xi = (t, x); or
+    torsor_J is None for a medium without moment fields.
     """
     x = np.asarray(x, dtype=float).reshape(3)
-    field = MediumField(
-        tangent_map=lambda xi: np.eye(4),
-        torsor_T=lambda xi: np.asarray(T_of(xi[0], xi[1:]), dtype=float).T,
-        torsor_J=None if J_of is None else lambda xi: J_of(xi[0], xi[1:]),
-        domain=domain,
-    )
-    chris = PullbackChristoffels.identity_embedding(conn, t, x)
+    field = MediumField(tangent_map=lambda xi: _EYE4, torsor_T=torsor_T,
+                        torsor_J=torsor_J, domain=domain)
+    G = conn.christoffels_at(t, x)
+    chris = PullbackChristoffels(G, G, _EYE4)
     return _divergence_residual(field, [t, *x], chris, h, one_sided, v)
 
 
@@ -163,13 +166,15 @@ def residual_cauchy(medium: CauchyMedium, conn, t: float, x,
     All rows are read from connection.divergence of the stress-mass
     T = [[rho, rho v^T], [rho v, rho v v^T - sigma]] with no moment fields.
     sigma is not required to be symmetric, since the angular rows exist to
-    measure its asymmetry.
+    measure its asymmetry.  T is packed on floats with its flux index
+    first: _stress_mass of the columns of sigma, which is T^T bit for bit.
     """
-    def T_of(tt, xx):
-        v = np.asarray(medium.v(tt, xx), dtype=float).reshape(3)
-        sigma = np.asarray(medium.sigma(tt, xx), dtype=float).reshape(3, 3)
-        return _stress_mass(float(medium.rho(tt, xx)), v.tolist(),
-                            sigma.tolist())
+    def T_of(xi):
+        tt, xx = xi[0], xi[1:]
+        sigma_cols = np.asarray(medium.sigma(tt, xx),
+                                dtype=float).reshape(3, 3).T.tolist()
+        return _stress_mass(float(medium.rho(tt, xx)),
+                            triple(medium.v(tt, xx)), sigma_cols)
 
     v = np.asarray(medium.v(t, x), dtype=float).reshape(3)
     return _space_filling_residual(T_of, None, conn, t, x, medium.domain, h,
@@ -196,6 +201,8 @@ def residual_1d(f: Cosserat1DField, conn, t: float, s: float,
     div J; ang_mom its angular rows minus psi x dT^{1..3}, which moves
     them back to the centroid.  n . (d psi/dt) is differenced with the
     wider step SECOND_DIFF_REL_STEP, since w is differenced again in s.
+    Each stencil point reads the curve and the loads once, and
+    fields.rod_torsor packs T and J from floats.
 
     On fields that describe a rod, q = rho_l psi and
     v = d psi/dt + w n, the rows are the classical ones:
@@ -228,16 +235,10 @@ def residual_1d(f: Cosserat1DField, conn, t: float, s: float,
                            h=SECOND_DIFF_REL_STEP * max(1.0, abs(tt)))
             v = curve.v(tt, ss)
             slide = float(n @ dpsi)
-            q, l, l_star, M_star = (np.asarray(fn(tt, ss), dtype=float)
-                                    for fn in (f.q, f.l, f.l_star, f.M_star))
-            T = ForceMass1D(f.rho_l(tt, ss), v, curve.v_t(tt, ss, v, n) - slide,
-                            f.F(tt, ss)).matrix
-            x, (p, flux) = psi.tolist(), T[:, 1:].tolist()
-            J = np.array([
-                moment_matrix(q, l + cross3(x, p)),
-                moment_matrix(l_star - slide * q,
-                              M_star - slide * l + cross3(x, flux)),
-            ])
+            T, J = rod_torsor(
+                f.rho_l(tt, ss), v.tolist(), curve.v_t(tt, ss, v, n) - slide,
+                triple(f.F(tt, ss)), psi.tolist(), slide,
+                *(triple(fn(tt, ss)) for fn in (f.q, f.l, f.l_star, f.M_star)))
             U = np.array([[1.0, 0.0], *zip(dpsi.tolist(), n.tolist())])
             packed[key] = U, T, J, psi, v
         return packed[key]
@@ -258,6 +259,7 @@ def residual_1d(f: Cosserat1DField, conn, t: float, s: float,
 # Tangent map of the adapted shell chart (t, theta^1, theta^2) into
 # (t, theta^1, theta^2, normal).
 _SHELL_U = np.eye(4, 3)
+_SHELL_U.setflags(write=False)
 
 
 def residual_2d(sf: ShellField, loads: ShellLoads, conn, t: float,
@@ -298,7 +300,8 @@ def residual_2d(sf: ShellField, loads: ShellLoads, conn, t: float,
     Each stencil point reads the loads once and builds the shell's chart
     frame once (ShellField.frame: pi, a^-1, c and n on floats), and
     shell_torsor packs T and J from w_surf = c . w on floats.  The
-    Christoffels read one frame and one w at the mid-surface point.
+    frame and w at the mid-surface point are built once, for its torsor
+    and for the Christoffels.
 
     One limit: when both pi and w of a moving shell are finite-difference
     defaults, d(kappa w)/dt nests three small-step differences, an error of
@@ -309,21 +312,28 @@ def residual_2d(sf: ShellField, loads: ShellLoads, conn, t: float,
         loads.rho_s, loads.N, loads.Q, loads.M, loads.kappa))
     packed = {}
 
-    def torsor(xi):
+    def torsor(xi, fr=None, w=None):
         # T and J share one read of the loads and of w_surf per point.
         u = xi.tolist()
         key = tuple(u)
         if key not in packed:
             packed[key] = shell_torsor(rho_s(*u), N(*u), Q(*u), M(*u),
-                                       kappa(*u), sf._w_surf(*u))
+                                       kappa(*u), sf._w_surf(*u, fr, w))
         return packed[key]
 
+    # The mid-surface frame and w serve the centre torsor and the
+    # Christoffels alike.
+    xi = np.array([t, th1, th2], dtype=float)
+    u = xi.tolist()
+    fr = sf.frame(*u)
+    w = sf._normal_rate(*u, fr.n)
+    torsor(xi, fr, w)
     field = MediumField(tangent_map=lambda xi: _SHELL_U,
                         torsor_T=lambda xi: torsor(xi)[0],
                         torsor_J=lambda xi: torsor(xi)[1], domain=sf.domain)
-    G = shell_christoffels(sf, conn, t, th1, th2)
-    chris = PullbackChristoffels(G[:3, :3, :3], G, np.eye(4))
-    dT, dJ = divergence(field, [t, th1, th2], chris, h=h, one_sided=one_sided)
+    G = shell_christoffels(sf, conn, t, th1, th2, fr, w)
+    chris = PullbackChristoffels(G[:3, :3, :3], G, _EYE4)
+    dT, dJ = divergence(field, xi, chris, h=h, one_sided=one_sided)
     return BalanceResidual(
         mass=dT[0],
         lin_mom=-dT[1:],
@@ -350,15 +360,13 @@ def residual_3d_cosserat(state: Cosserat3DState, conn, t: float, x,
     All rows are read from connection.divergence of (T, J), with the moment
     fields packed as J[flux, a, b]: J^{i0} = q^i and J^{jk} = l^i along
     the time flux, J^{i0} = l_star^{ir} and J^{jk} = M_star^{ir} along
-    flux r, for (ijk) cyclic.
+    flux r, for (ijk) cyclic; fields.cosserat_J packs them from floats.
     """
-    def J_of(tt, xx):
-        q, l = (np.asarray(fn(tt, xx), dtype=float).reshape(3).tolist()
-                for fn in (state.q, state.l))
-        # Column r of l_star and M_star is the moment pair along flux r.
-        l_star, M_star = (np.asarray(fn(tt, xx), dtype=float).reshape(3, 3).T.tolist()
-                          for fn in (state.l_star, state.M_star))
-        return np.array([moment_rows(q, l), *map(moment_rows, l_star, M_star)])
+    def J_of(xi):
+        tt, xx = xi[0], xi[1:]
+        return cosserat_J(state.q(tt, xx), state.l(tt, xx),
+                          state.l_star(tt, xx), state.M_star(tt, xx))
 
-    return _space_filling_residual(state.T, J_of, conn, t, x, state.domain,
-                                   h, one_sided)
+    return _space_filling_residual(
+        lambda xi: np.asarray(state.T(xi[0], xi[1:]), dtype=float).T, J_of,
+        conn, t, x, state.domain, h, one_sided)

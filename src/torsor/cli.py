@@ -201,8 +201,10 @@ def bundled_scenarios() -> dict:
 
 def _table_csv(table) -> str:
     lines = [table.header]
+    # Python floats format faster than numpy scalars; a row at a time
+    # keeps a large table from being held as floats all at once.
     for row in np.atleast_2d(table.rows):
-        lines.append(",".join(FLOAT_FORMAT % v for v in row))
+        lines.append(",".join(FLOAT_FORMAT % v for v in row.tolist()))
     return "\n".join(lines) + "\n"
 
 

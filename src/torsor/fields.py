@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fd
 from .errors import SingularMetric
-from .vecmath import cross, cross3, skew, strict_max
+from .vecmath import cross, cross3, moment_entries, skew, strict_max, triple
 
 DEGENERATE_TANGENT_TOL = 1e-9
 SINGULAR_METRIC_TOL = 1e-12
@@ -59,16 +59,23 @@ class MediumField:
 def assemble_cauchy_T(rho: float, v, sigma) -> np.ndarray:
     """Stress-mass tensor [[rho, rho v^T], [rho v, rho v v^T - sigma]].
 
-    sigma must be symmetric; rho must be nonnegative.
+    sigma must be symmetric; rho must be nonnegative.  Both rules are
+    checked on floats: the largest |sigma^ij - sigma^ji| may not exceed
+    1e-9 max(1, max |sigma^ij|).  A sigma holding a NaN or an inf is
+    passed through unchecked, to the residual, where the check fails on it.
     """
-    v = np.asarray(v, dtype=float).reshape(3)
-    sigma = np.asarray(sigma, dtype=float).reshape(3, 3)
+    v = triple(v)
+    rows = np.asarray(sigma, dtype=float).reshape(3, 3).tolist()
+    rho = float(rho)
     if rho < 0.0:
         raise ValueError("density must be nonnegative")
-    scale = max(1.0, float(np.max(np.abs(sigma))))
-    if np.max(np.abs(sigma - sigma.T)) > 1e-9 * scale:
+    (s00, s01, s02), (s10, s11, s12), (s20, s21, s22) = rows
+    asym = max(abs(s01 - s10), abs(s02 - s20), abs(s12 - s21))
+    entries = (s00, s01, s02, s10, s11, s12, s20, s21, s22)
+    if (asym > 1e-9 * max(1.0, *map(abs, entries))
+            and all(map(math.isfinite, entries))):
         raise ValueError("stress tensor is not symmetric")
-    return _stress_mass(float(rho), v.tolist(), sigma.tolist())
+    return _stress_mass(rho, v, rows)
 
 
 def _stress_mass(rho: float, v, sigma) -> np.ndarray:
@@ -77,7 +84,8 @@ def _stress_mass(rho: float, v, sigma) -> np.ndarray:
     rho is a float, v a float triple and sigma three float triples; the
     products are those numpy evaluates for rho * v and rho * outer(v, v),
     so the result is bit-identical to the array form at a fraction of its
-    per-call cost.
+    per-call cost.  Given the columns of sigma for its rows, it returns the
+    transpose bit for bit, since rho (v^i v^j) = rho (v^j v^i) exactly.
     """
     v0, v1, v2 = v
     (s00, s01, s02), (s10, s11, s12), (s20, s21, s22) = sigma
@@ -234,6 +242,40 @@ class ForceMass1D:
         return cls(rho_l, v, v_t, F)
 
 
+def rod_torsor(rho_l: float, v, w: float, F, psi, slide: float, q, l,
+               l_star, M_star):
+    """Rod torsor (T, J) on the chart (t, s), moments re-based at the
+    frame origin.
+
+    rho_l, w (the speed of matter past the chart) and slide (n . d psi/dt)
+    are floats; v, F, psi, q, l, l_star and M_star float triples.  T (2, 4)
+    is ForceMass1D(rho_l, v, w, F).matrix; J (2, 4, 4) holds
+    J_t = moment_matrix(q, l + psi x rho_l v) and
+    J_s = moment_matrix(l_star - slide q,
+                        M_star - slide l + psi x (rho_l w v - F)).
+    Both are packed from floats in one array, with the products and sums
+    of those array forms in the same order, so they are bit-identical.
+    """
+    rho_l, w = float(rho_l), float(w)
+    v0, v1, v2 = v
+    F0, F1, F2 = F
+    p = (rho_l * v0, rho_l * v1, rho_l * v2)
+    rw = rho_l * w
+    flux = (rw * v0 - F0, rw * v1 - F1, rw * v2 - F2)
+    (q0, q1, q2), (l0, l1, l2) = q, l
+    (a0, a1, a2), (m0, m1, m2) = l_star, M_star
+    c0, c1, c2 = cross3(psi, p)
+    d0, d1, d2 = cross3(psi, flux)
+    TJ = np.array([
+        rho_l, *p, rw, *flux,
+        *moment_entries(q, (l0 + c0, l1 + c1, l2 + c2)),
+        *moment_entries((a0 - slide * q0, a1 - slide * q1, a2 - slide * q2),
+                        (m0 - slide * l0 + d0, m1 - slide * l1 + d1,
+                         m2 - slide * l2 + d2)),
+    ])
+    return TJ[:8].reshape(2, 4), TJ[8:].reshape(2, 4, 4)
+
+
 class ShellFrame(NamedTuple):
     """Chart geometry of a shell at one point, as Python floats.
 
@@ -335,10 +377,14 @@ class ShellField:
         up, down = self._normal(t + h, th1, th2), self._normal(t - h, th1, th2)
         return tuple((u - d) / (2.0 * h) for u, d in zip(up, down))
 
-    def _w_surf(self, t, th1, th2) -> tuple:
-        """w_surf as a float pair: (c^1 . w, c^2 . w)."""
-        fr = self.frame(t, th1, th2)
-        w0, w1, w2 = self._normal_rate(t, th1, th2, fr.n)
+    def _w_surf(self, t, th1, th2, fr=None, w=None) -> tuple:
+        """w_surf as a float pair: (c^1 . w, c^2 . w); fr and w are the
+        frame and the normal rate if already read."""
+        if fr is None:
+            fr = self.frame(t, th1, th2)
+        if w is None:
+            w = self._normal_rate(t, th1, th2, fr.n)
+        w0, w1, w2 = w
         (c0, c1, c2), (d0, d1, d2) = fr.c
         return (c0 * w0 + c1 * w1 + c2 * w2, d0 * w0 + d1 * w1 + d2 * w2)
 
@@ -410,29 +456,34 @@ class ShellField:
         return np.array(self._w_surf(t, th1, th2))
 
 
-def shell_christoffels(sf: ShellField, conn, t, th1, th2) -> np.ndarray:
+def shell_christoffels(sf: ShellField, conn, t, th1, th2, fr=None,
+                       w=None) -> np.ndarray:
     """(4, 4, 4) Christoffels G[a, b, c] = Gamma^a_bc of the adapted chart
     (t, theta^1, theta^2, normal) of a moving mid-surface.
 
     Gravity, spin, the chart frame (pi, c, a^-1, n) and w are read once, at
-    the mid-surface point.  The in-plane blocks come from the chart
-    geometry: Gamma^a_bc = c^a . d pi_b / d theta^c, Gamma^3_ab = b_ab and
-    Gamma^a_b3 = Gamma^a_3b = -(a^-1 b)^a_b.  The time blocks come from the
-    motion of the surface inside the spinning frame: with acc = dv/dt - g
-    + 2 Omega x v, Gamma^a_00 = c^a . acc, Gamma^3_00 = n . acc, Phi^a_b =
-    Gamma^a_0b = Gamma^a_b0 = c^a . (d pi_b/dt + Omega x pi_b),
-    Gamma^3_0b = Gamma^3_b0 = n . (the same) and Gamma^a_03 = Gamma^a_30 =
-    c^a . (w + Omega x n).  Every other entry, the time row Gamma^0
-    included, is zero.
+    the mid-surface point; a caller that has read the frame (sf.frame) and
+    w (a float triple) there passes them as fr and w.  The in-plane blocks
+    come from the chart geometry: Gamma^a_bc = c^a . d pi_b / d theta^c,
+    Gamma^3_ab = b_ab and Gamma^a_b3 = Gamma^a_3b = -(a^-1 b)^a_b.  The
+    time blocks come from the motion of the surface inside the spinning
+    frame: with acc = dv/dt - g + 2 Omega x v, Gamma^a_00 = c^a . acc,
+    Gamma^3_00 = n . acc, Phi^a_b = Gamma^a_0b = Gamma^a_b0 =
+    c^a . (d pi_b/dt + Omega x pi_b), Gamma^3_0b = Gamma^3_b0 =
+    n . (the same) and Gamma^a_03 = Gamma^a_30 = c^a . (w + Omega x n).
+    Every other entry, the time row Gamma^0 included, is zero.
     """
     x = sf.x(t, th1, th2)
     g = conn.g(t, x)
     Omega = conn.Omega(t, x)
     W = skew(Omega)
-    fr = sf.frame(t, th1, th2)
+    if fr is None:
+        fr = sf.frame(t, th1, th2)
+    if w is None:
+        w = sf._normal_rate(t, th1, th2, fr.n)
     pi, c, n = np.array(fr.pi), np.array(fr.c), np.array(fr.n)
     i11, i12, i22 = fr.a_inv
-    w = np.array(sf._normal_rate(t, th1, th2, fr.n))
+    w = np.array(w)
     D = sf.dpi_dtheta(t, th1, th2)
     acc = sf.v_dot(t, th1, th2) - g + 2.0 * cross(Omega, sf.v(t, th1, th2))
     # Row b: d pi_b/dt + Omega x pi_b.
@@ -531,3 +582,22 @@ class Cosserat3DState:
     l_star: Callable
     M_star: Callable
     domain: Optional[tuple] = None
+
+
+def cosserat_J(q, l, l_star, M_star) -> np.ndarray:
+    """Moment fields of a space-filling medium as J[flux, a, b] (4, 4, 4).
+
+    q, l (3,) and l_star, M_star (3, 3), first index the component, second
+    the flux: J^0 = moment_matrix(q, l) along the time flux and
+    J^r = moment_matrix(l_star[:, r], M_star[:, r]) along flux r, packed
+    from floats in one flat array.
+    """
+    # Column r of l_star and M_star is the moment pair along flux r.
+    ls, ms = (np.asarray(a, dtype=float).reshape(3, 3).T.tolist()
+              for a in (l_star, M_star))
+    return np.array([
+        *moment_entries(triple(q), triple(l)),
+        *moment_entries(ls[0], ms[0]),
+        *moment_entries(ls[1], ms[1]),
+        *moment_entries(ls[2], ms[2]),
+    ]).reshape(4, 4, 4)

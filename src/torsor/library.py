@@ -177,32 +177,27 @@ def _traj_table(traj):
     return Table("trajectory", TRAJECTORY_CSV_HEADER, traj.rows())
 
 
-def _residual_table(coord_header, coord_rows, residuals):
-    rows = np.array([
-        np.concatenate([c, r, [np.max(np.abs(r))]])
-        for c, r in zip(coord_rows, residuals)
-    ])
-    header = coord_header + "," + RESIDUAL_COLUMNS + ",max_abs"
-    return Table("residuals", header, rows)
-
-
 def _worst(residuals):
-    return strict_max(np.max(np.abs(r)) for r in residuals)
+    """The worst |residual| over rows of residuals, NaN if any is NaN."""
+    return strict_max(np.max(np.abs(residuals), axis=1).tolist())
 
 
 def _residual_case(check, tol, header, rows, evaluate, exact=None):
     """A residual_check result over probe points.
 
     evaluate(row) returns the BalanceResidual at the coordinate row; the
-    rows lead the residual table under `header`.  The check is the worst
-    |residual|, or the worst |residual - exact(row)| when exact is given.
+    rows lead the residual table under `header`, and each table row ends
+    with its max_abs.  The check is the worst max_abs, or the worst
+    |residual - exact(row)| when exact is given.
     """
-    residuals = [evaluate(row).as_array() for row in rows]
-    errors = residuals if exact is None else [
-        r - exact(row) for r, row in zip(residuals, rows)
-    ]
-    return CaseResult([Check(check, _worst(errors), tol)],
-                      [_residual_table(header, rows, residuals)])
+    residuals = np.array([evaluate(row).as_array() for row in rows])
+    max_abs = np.max(np.abs(residuals), axis=1)
+    value = (strict_max(max_abs.tolist()) if exact is None else
+             _worst(residuals - np.array([exact(row) for row in rows])))
+    table = np.column_stack([np.array(rows, dtype=float), residuals, max_abs])
+    return CaseResult([Check(check, value, tol)],
+                      [Table("residuals",
+                             f"{header},{RESIDUAL_COLUMNS},max_abs", table)])
 
 
 def _cube_rows(t, half_width, n_side):
@@ -707,9 +702,12 @@ def _laplace_sphere(p, rng, conn_spec):
         return np.array([[1.0, 0.0, -th1 / z], [0.0, 1.0, -th2 / z]])
 
     def a_inv(th1, th2):
-        z2 = r * r - th1 ** 2 - th2 ** 2
-        a = np.eye(2) + np.outer([th1, th2], [th1, th2]) / z2
-        return np.linalg.inv(a)
+        # a = I + u u^T / z^2 with u = (th1, th2) and z^2 = r^2 - |u|^2, so
+        # a^-1 = I - u u^T / r^2 (Sherman-Morrison).
+        r2 = r * r
+        a12 = -th1 * th2 / r2
+        return np.array([[1.0 - th1 * th1 / r2, a12],
+                         [a12, 1.0 - th2 * th2 / r2]])
 
     sphere = ShellField(chart, pi=pi)
     loads = ShellLoads(

@@ -43,22 +43,25 @@ def cross(a, b) -> np.ndarray:
     arithmetic on 3-vectors.  Inputs must hold exactly three numbers each;
     the result is a float (3,) array.
     """
-    return np.array(cross3(np.asarray(a, dtype=float).reshape(3).tolist(),
-                           np.asarray(b, dtype=float).reshape(3).tolist()))
+    return np.array(cross3(triple(a), triple(b)))
+
+
+def triple(value) -> list:
+    """A 3-vector as a list of three Python floats."""
+    return np.asarray(value, dtype=float).reshape(3).tolist()
 
 
 def moment_matrix(q, l) -> np.ndarray:
     """Skew (4, 4) J with J[1:, 0] = q and (J[2, 3], J[3, 1], J[1, 2]) = l."""
-    return np.array(moment_rows(
-        *(np.asarray(v, dtype=float).reshape(3).tolist() for v in (q, l))))
+    return np.array(moment_entries(triple(q), triple(l))).reshape(4, 4)
 
 
-def moment_rows(q, l) -> list:
-    """The rows of moment_matrix(q, l) as lists, from float triples, so
-    that several J pack into one array."""
+def moment_entries(q, l) -> list:
+    """The 16 entries of moment_matrix(q, l), row by row, from float
+    triples, so that several J pack into one flat array."""
     (q0, q1, q2), (l0, l1, l2) = q, l
-    return [[0.0, -q0, -q1, -q2], [q0, 0.0, l2, -l1],
-            [q1, -l2, 0.0, l0], [q2, l1, -l0, 0.0]]
+    return [0.0, -q0, -q1, -q2, q0, 0.0, l2, -l1,
+            q1, -l2, 0.0, l0, q2, l1, -l0, 0.0]
 
 
 def moments(J):

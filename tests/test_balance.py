@@ -758,6 +758,23 @@ def test_plate_bending_equilibrium():
     assert res.max_abs() < 1e-8
 
 
+def test_2d_reads_one_frame_per_stencil_point(monkeypatch):
+    # The mid-surface frame and w serve the centre torsor and the
+    # Christoffels alike: seven stencil points, seven of each.
+    calls = {}
+    for name in ("frame", "_normal_rate"):
+        original = getattr(ShellField, name)
+
+        def counted(self, *args, original=original, name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return original(self, *args)
+
+        monkeypatch.setattr(ShellField, name, counted)
+    loads = const_loads(rho_s=2.0, N=[[1.0, 0.3], [0.3, -0.5]], kappa=0.1)
+    residual_2d(flat_plate(), loads, GalileanConnection(), 0.0, 0.3, -0.2)
+    assert calls == {"frame": 7, "_normal_rate": 7}
+
+
 def test_laplace_sphere_membrane():
     # Uniform isotropic tension T0 on a sphere of radius r balances the
     # normal load p = 2 T0 / r (outward-normal upper-sheet chart, where

@@ -46,6 +46,21 @@ def test_tracer_counts_shell_points(tmp_path, monkeypatch, capsys):
     assert metrics["fields.christoffel_calls"] == 9
 
 
+def test_tracer_counts_cosserat_points(tmp_path, monkeypatch, capsys):
+    # library must keep calling residual_3d_cosserat through its module
+    # global, which the tracer wraps: one call per point of the 3^3 grid.
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    import tracing
+
+    with tracing.instrument(tracing.Tracer()) as tracer:
+        rc = main(["run", "momentless_hydrostatic", "--out-dir",
+                   str(tmp_path)])
+    assert rc == 0
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["balance.cosserat.points"] == 27
+    assert metrics["fd.field_evals"] > 0
+
+
 def test_tracer_counts_rod_points(tmp_path, monkeypatch, capsys):
     # library must keep calling residual_1d through its module global,
     # which the tracer wraps: one call per d1 point.

@@ -25,11 +25,14 @@ from torsor.fields import (
     Curve1D,
     ForceMass1D,
     ShellField,
+    _stress_mass,
     assemble_cauchy_T,
+    cosserat_J,
+    rod_torsor,
     shell_christoffels,
     shell_torsor,
 )
-from torsor.vecmath import rotation, skew
+from torsor.vecmath import cross3, moment_matrix, rotation, skew
 
 from test_balance import curve_v_dot
 
@@ -281,6 +284,91 @@ def test_assemble_cauchy_T_bits_match_array_packing():
         ref[1:, 0] = rho * v
         ref[1:, 1:] = rho * np.outer(v, v) - sigma
         assert assemble_cauchy_T(rho, v, sigma).tobytes() == ref.tobytes()
+
+
+def test_assemble_cauchy_T_symmetry_bound():
+    # Asymmetry is measured against 1e-9 max(1, max |sigma|).
+    for big in (0.5, 3e4):
+        tol = 1e-9 * max(1.0, big)
+        for i, j in ((0, 1), (0, 2), (1, 2), (2, 1)):
+            sigma = np.diag([big, -0.2, 0.1])
+            sigma[i, j] = 0.3
+            sigma[j, i] = 0.3 + 0.9 * tol
+            assemble_cauchy_T(1.0, np.zeros(3), sigma)
+            sigma[j, i] = 0.3 + 1.1 * tol
+            with pytest.raises(ValueError, match="not symmetric"):
+                assemble_cauchy_T(1.0, np.zeros(3), sigma)
+    with pytest.raises(ValueError, match="nonnegative"):
+        assemble_cauchy_T(-1e-300, np.zeros(3), np.zeros((3, 3)))
+    assemble_cauchy_T(0.0, np.zeros(3), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1), (2, 1)])
+def test_assemble_cauchy_T_passes_non_finite_stress_through(bad, where):
+    # A NaN or an inf in sigma is not a symmetry error: it reaches T, and
+    # the residual check fails on it (test_library).  An asymmetric pair
+    # elsewhere does not change that.
+    for asym in (0.0, 1.0):
+        sigma = np.zeros((3, 3))
+        sigma[1, 2] = asym
+        sigma[where] = bad
+        T = assemble_cauchy_T(1.0, np.zeros(3), sigma)
+        assert not np.isfinite(T[1 + where[0], 1 + where[1]])
+
+
+def _signed_zero_inputs(rng, shapes):
+    """Random floats with zeros and negative zeros mixed in."""
+    out = []
+    for shape in shapes:
+        a = np.array(rng.normal(size=shape)
+                     * 10.0 ** rng.integers(-6, 7, size=shape))
+        a[rng.random(size=shape) < 0.3] = 0.0
+        a[rng.random(size=shape) < 0.3] = -0.0
+        out.append(a)
+    return out
+
+
+def test_rod_torsor_bits_match_array_forms():
+    rng = np.random.default_rng(7)
+    for k in range(200):
+        rho_l, w, slide = _signed_zero_inputs(rng, [()] * 3)
+        if k % 2:
+            rho_l, w, slide = rng.uniform(0.1, 5.0), -0.0, 0.0
+        v, F, psi, q, l, l_star, M_star = _signed_zero_inputs(rng, [3] * 7)
+        T, J = rod_torsor(float(rho_l), v.tolist(), float(w), F.tolist(),
+                          psi.tolist(), float(slide), q.tolist(), l.tolist(),
+                          l_star.tolist(), M_star.tolist())
+        T_ref = ForceMass1D(rho_l, v, w, F).matrix
+        p, flux = T_ref[:, 1:].tolist()
+        x = psi.tolist()
+        J_ref = np.array([
+            moment_matrix(q, l + cross3(x, p)),
+            moment_matrix(l_star - slide * q,
+                          M_star - slide * l + cross3(x, flux)),
+        ])
+        assert T.tobytes() == T_ref.tobytes()
+        assert J.tobytes() == J_ref.tobytes()
+
+
+def test_cosserat_J_bits_match_moment_matrices():
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        q, l, l_star, M_star = _signed_zero_inputs(rng, [3, 3, (3, 3), (3, 3)])
+        ref = np.array([moment_matrix(q, l)] + [
+            moment_matrix(l_star[:, r], M_star[:, r]) for r in range(3)])
+        assert cosserat_J(q, l, l_star, M_star).tobytes() == ref.tobytes()
+
+
+def test_stress_mass_of_sigma_columns_is_its_transpose():
+    # residual_cauchy packs T flux-first as _stress_mass of sigma's
+    # columns; sigma may be asymmetric there.
+    rng = np.random.default_rng(9)
+    for _ in range(100):
+        rho, v, sigma = _signed_zero_inputs(rng, [(), 3, (3, 3)])
+        ref = _stress_mass(float(rho), v.tolist(), sigma.tolist()).T
+        cols = _stress_mass(float(rho), v.tolist(), sigma.T.tolist())
+        assert cols.tobytes() == ref.tobytes()
 
 
 def test_comoving_boost_recovers_stress():

@@ -8,18 +8,24 @@ scenario end to end and pin the registry invariants the runner relies on.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 import sympy as sp
 
+from torsor.balance import BalanceResidual, residual_3d_cosserat
 from torsor.cli import bundled_scenarios, load_scenario
+from torsor.connection import GalileanConnection
 from torsor.errors import ScenarioError
+from torsor.fields import Cosserat3DState, assemble_cauchy_T
 from torsor.library import (
     CASES,
     KIND_MEDIA,
+    RESIDUAL_COLUMNS,
     Check,
     ConnSpec,
+    _residual_case,
     _worst,
     manufactured_cauchy,
     manufactured_rod,
@@ -259,3 +265,56 @@ def test_worst_residual_keeps_a_nan_past_the_first_point():
     assert np.isnan(worst)
     assert not Check("residual", worst, 1e-8).passed()
     assert _worst([np.full(3, 2e-9), np.array([1e-9, -3e-9, 0.0])]) == 3e-9
+
+
+def _as_residual(r):
+    return BalanceResidual(mass=r[0], lin_mom=r[1:4], pos_q=r[4:7],
+                           ang_mom=r[7:])
+
+
+def test_residual_case_table_and_check_read_one_array():
+    rng = np.random.default_rng(5)
+    rows = [[0.0, 0.1 * k] for k in range(4)]
+    values = rng.normal(size=(4, 10)) * 1e-9
+    values[2, 3] = -0.0
+    result = _residual_case("r", 1e-8, "t,s", rows,
+                            lambda row: _as_residual(values[rows.index(row)]))
+    table = result.tables[0]
+    assert table.header == f"t,s,{RESIDUAL_COLUMNS},max_abs"
+    ref = np.array([np.concatenate([c, r, [np.max(np.abs(r))]])
+                    for c, r in zip(rows, values)])
+    assert table.rows.tobytes() == ref.tobytes()
+    assert result.checks[0].value == np.max(np.abs(values))
+
+    exact = rng.normal(size=(4, 10)) * 1e-9
+    result = _residual_case("r", 1e-8, "t,s", rows,
+                            lambda row: _as_residual(values[rows.index(row)]),
+                            exact=lambda row: exact[rows.index(row)])
+    assert result.checks[0].value == np.max(np.abs(values - exact))
+    assert result.tables[0].rows.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_stress_fails_the_residual_check(bad):
+    # assemble_cauchy_T passes a non-finite sigma through; the residual at
+    # the second point is then non-finite, and the check fails on it.
+    def T(t, x):
+        scale = bad if x[0] > 0.25 else 1.0
+        return assemble_cauchy_T(1.0, np.zeros(3), np.diag([-scale] * 3))
+
+    zero_v = lambda t, x: np.zeros(3)  # noqa: E731
+    zero_m = lambda t, x: np.zeros((3, 3))  # noqa: E731
+    state = Cosserat3DState(T=T, q=zero_v, l=zero_v, l_star=zero_m,
+                            M_star=zero_m)
+    conn = GalileanConnection()
+    # Differencing inf - inf warns; the NaN it makes is what is checked.
+    with np.errstate(invalid="ignore"):
+        result = _residual_case(
+            "r", 1e-8, "t,x1,x2,x3",
+            [np.array([0.0, 0.0, 0.1, 0.0]), np.array([0.0, 0.5, 0.1, 0.0])],
+            lambda row: residual_3d_cosserat(state, conn, row[0], row[1:]))
+    max_abs = result.tables[0].rows[:, -1]
+    assert max_abs[0] < 1e-12 and not math.isfinite(max_abs[1])
+    assert not math.isfinite(result.checks[0].value)
+    assert not result.checks[0].passed()
+

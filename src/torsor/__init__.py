@@ -65,9 +65,7 @@ from .simulate import (
     IntegratorConfig,
     PointwiseState,
     Trajectory,
-    convergence_check,
     run_scenario,
-    trajectory_csv,
 )
 
 __version__ = "0.1.0"
@@ -111,8 +109,6 @@ __all__ = [
     "PointwiseState",
     "Trajectory",
     "run_scenario",
-    "convergence_check",
-    "trajectory_csv",
     "TorsorError",
     "DifferentiationFailure",
     "DegenerateTangent",

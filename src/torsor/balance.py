@@ -24,12 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fd
-from .connection import (
-    PullbackChristoffels,
-    christoffels,
-    divergence,
-    spatial_origin_gamma_A,
-)
+from .connection import _EYE4, PullbackChristoffels, divergence
 from .errors import DegenerateTangent
 from .fields import (
     DEGENERATE_TANGENT_TOL,
@@ -47,11 +42,6 @@ from .fields import (
     shell_torsor,
 )
 from .vecmath import as_field, cross, moment_matrix, moments, triple
-
-# The identity, read-only since every call shares it: U of a space-filling
-# medium and Gamma_A of the proper origin.
-_EYE4 = np.eye(4)
-_EYE4.setflags(write=False)
 
 
 @dataclass
@@ -118,11 +108,7 @@ def residual_pointwise(traj, conn, t: float, h: float = None) -> BalanceResidual
         return T.T / T[0, 0]
 
     pt = traj(t)
-    x = pt.q / pt.m
-    # Each field is read once; the Christoffels and Gamma_A share Omega.
-    g, Omega = conn.g(t, x), conn.Omega(t, x)
-    chris = PullbackChristoffels(np.zeros((1, 1, 1)), christoffels(g, Omega),
-                                 spatial_origin_gamma_A(Omega, x))
+    chris = PullbackChristoffels.spatial_origin(conn, t, pt.q / pt.m, 1)
     field = MediumField(tangent_map=U, torsor_T=T_of, torsor_J=J_of)
     return _divergence_residual(field, [t], chris, h)
 
@@ -148,8 +134,7 @@ def _space_filling_residual(torsor_T, torsor_J, conn, t: float, x, domain,
     x = np.asarray(x, dtype=float).reshape(3)
     field = MediumField(tangent_map=lambda xi: _EYE4, torsor_T=torsor_T,
                         torsor_J=torsor_J, domain=domain)
-    G = conn.christoffels_at(t, x)
-    chris = PullbackChristoffels(G, G, _EYE4)
+    chris = PullbackChristoffels.identity_embedding(conn, t, x)
     return _divergence_residual(field, [t, *x], chris, h, one_sided, v)
 
 
@@ -244,9 +229,7 @@ def residual_1d(f: Cosserat1DField, conn, t: float, s: float,
         return packed[key]
 
     _, _, _, psi, v = rod(np.array([t, s], dtype=float))
-    g, Omega = conn.g(t, psi), conn.Omega(t, psi)
-    chris = PullbackChristoffels(np.zeros((2, 2, 2)), christoffels(g, Omega),
-                                 spatial_origin_gamma_A(Omega, psi))
+    chris = PullbackChristoffels.spatial_origin(conn, t, psi, 2)
     field = MediumField(tangent_map=lambda xi: rod(xi)[0],
                         torsor_T=lambda xi: rod(xi)[1],
                         torsor_J=lambda xi: rod(xi)[2], domain=curve.domain)

@@ -17,6 +17,11 @@ import numpy as np
 from . import fd
 from .vecmath import as_field, cross, skew
 
+# The identity, read-only since every caller shares it: Gamma_A of the
+# proper origin, and U of a medium filling space.
+_EYE4 = np.eye(4)
+_EYE4.setflags(write=False)
+
 
 class GalileanConnection:
     """Connection fields g(t, x) and Omega(t, x); constants accepted."""
@@ -92,7 +97,7 @@ def gamma_A_matrix(conn: GalileanConnection, origin: OriginMotion,
     """
     x = np.asarray(x, dtype=float).reshape(3)
     if origin.label == "proper":
-        return np.eye(4)
+        return _EYE4
     if origin.label == "spatial_origin":
         return spatial_origin_gamma_A(conn.Omega(t, x), x)
 
@@ -136,8 +141,17 @@ class PullbackChristoffels:
         Default origin is the proper one (Gamma_A = identity).
         """
         G = conn.christoffels_at(t, x)
-        GA = gamma_A_matrix(conn, origin or OriginMotion.proper(), t, x)
+        GA = _EYE4 if origin is None else gamma_A_matrix(conn, origin, t, x)
         return cls(material=G, spacetime=G, origin_motion=GA)
+
+    @classmethod
+    def spatial_origin(cls, conn: GalileanConnection, t: float, x,
+                       n: int) -> "PullbackChristoffels":
+        """Flat n-coordinate material chart at the event (t, x) with the
+        origin at the spatial origin; g and Omega are each read once."""
+        g, Omega = conn.g(t, x), conn.Omega(t, x)
+        return cls(np.zeros((n, n, n)), christoffels(g, Omega),
+                   spatial_origin_gamma_A(Omega, x))
 
 
 def _sum_row_derivatives(field_fn, xi, h, one_sided, domain):

@@ -110,9 +110,6 @@ class CauchyMedium:
     sigma: Callable
     domain: Optional[tuple] = None
 
-    def T(self, t: float, x) -> np.ndarray:
-        return assemble_cauchy_T(self.rho(t, x), self.v(t, x), self.sigma(t, x))
-
 
 class Curve1D:
     """Slender medium: position field psi(t, s) with s the arclength.

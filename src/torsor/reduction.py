@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySection
-from .fields import ForceMass1D, shell_torsor
+from .fields import ForceMass1D
 from .vecmath import moments
 
 FRAME_ORTHO_TOL = 1e-9
@@ -270,32 +270,3 @@ def reduce_3d_to_2d(sigma_bar, rho: float, rule: ThicknessRule) -> Reduced2D:
         Q=S[:2, 2].copy(),
         M=Sz[:2, :2].copy(),
     )
-
-
-@dataclass
-class ShellTorsor:
-    """Shell torsor components assembled from reduced quantities.
-
-    T: (3, 4) array over material rows (t, theta^1, theta^2) and adapted
-    space-time columns (t, theta^1, theta^2, normal), carrying rho_s in the
-    time-time slot, kappa w^a w^b - N^{ab} in-plane, and -Q^a in the normal
-    column.  M holds the moment block J^{a b3} = M^{ab}.
-    """
-
-    T: np.ndarray
-    M: np.ndarray
-    kappa: float
-    w: np.ndarray
-
-
-def assemble_shell_T(reduced: Reduced2D, w_surf, rho: float, h: float) -> ShellTorsor:
-    """Pack reduced components into the shell torsor blocks.
-
-    w_surf is the (2,) surface form of the normal velocity; kappa is the
-    transverse inertia rho h^3 / 12.
-    """
-    w_surf = np.asarray(w_surf, dtype=float).reshape(2)
-    kappa = rho * h ** 3 / 12.0
-    T, _ = shell_torsor(reduced.rho_s, reduced.N, reduced.Q, reduced.M,
-                        kappa, w_surf)
-    return ShellTorsor(T=T, M=reduced.M.copy(), kappa=kappa, w=w_surf)

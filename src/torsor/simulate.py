@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonMonotoneError, NonpositiveMass
-from .vecmath import cross, cross3, strict_max
+from .vecmath import cross, cross3, strict_max, triple
 
 MASS_TOL = 0.0  # mass must stay bit-identical along a trajectory
 
@@ -78,7 +78,6 @@ class PointwiseState:
 class IntegratorConfig:
     dt: float
     t_end: float
-    method: str = "rk4"
     output_stride: int = 1
 
     def __post_init__(self):
@@ -86,8 +85,6 @@ class IntegratorConfig:
         self.t_end = float(self.t_end)
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.method != "rk4":
-            raise ValueError(f"unknown integrator method {self.method!r}")
         self.output_stride = int(self.output_stride)
         if self.output_stride < 1:
             raise ValueError(
@@ -100,16 +97,11 @@ class IntegratorConfig:
 # block applies the elementwise operations of the formulas in the module
 # docstring in the same order, so the trajectory is bit-identical to an
 # evaluation on numpy 3-vectors.
-def _field3(value):
-    """A field value (3-vector) as a list of three floats."""
-    return np.asarray(value, dtype=float).reshape(3).tolist()
-
-
 def _rhs(t, x, p, l, m, conn):
     """Stage derivatives (dx/dt, dp/dt, dl/dt); dq/dt is p itself."""
     x_arr = np.array(x)
-    g = _field3(conn.g(t, x_arr))
-    Om = _field3(conn.Omega(t, x_arr))
+    g = triple(conn.g(t, x_arr))
+    Om = triple(conn.Omega(t, x_arr))
     v = [pi / m for pi in p]
     force = [m * (gi - 2.0 * ci) for gi, ci in zip(g, cross3(Om, v))]
     l0 = [li - ci for li, ci in zip(l, cross3(x, p))]
@@ -234,48 +226,24 @@ def run_scenario(init: PointwiseState, conn,
 TRAJECTORY_CSV_HEADER = "t,m,x1,x2,x3,p1,p2,p3,q1,q2,q3,l1,l2,l3"
 
 
-def trajectory_csv(traj: Trajectory) -> str:
-    """Deterministic CSV text for a trajectory, one row per sample.
-
-    Floats are written with repr-faithful %.17g so identical runs emit
-    byte-identical files.
-    """
-    lines = [TRAJECTORY_CSV_HEADER]
-    for row in traj.rows():
-        lines.append(",".join("%.17g" % v for v in row))
-    return "\n".join(lines) + "\n"
-
-
 CONVERGENCE_FLOOR = 1e-10
 
 
-def convergence_check(residual_op, fields, point, steps,
-                      floor: float = CONVERGENCE_FLOOR):
-    """observed_order of residual_op(fields, point, h), the scalar residual
-    error at difference step h (the caller subtracts any known exact
-    value), over at least three steps."""
-    hs = sorted((float(h) for h in steps), reverse=True)
-    if len(hs) < 3:
-        raise ValueError("need at least 3 step sizes")
-    return observed_order(
-        hs, [abs(float(residual_op(fields, point, h))) for h in hs], floor)
-
-
-def observed_order(hs, errs, floor: float = CONVERGENCE_FLOOR):
+def observed_order(hs, errs):
     """Least-squares slope of log(errs) against log(hs), steps decreasing.
 
-    None when every error sits below the roundoff floor (exact
-    differentiation of low-degree fields).  Raises NonMonotoneError when
-    the errors fail to decrease as h does.
+    None when every error sits below CONVERGENCE_FLOOR, the roundoff floor
+    (exact differentiation of low-degree fields).  Raises NonMonotoneError
+    when the errors fail to decrease as h does.
     """
-    if strict_max(errs) < floor:
+    if strict_max(errs) < CONVERGENCE_FLOOR:
         return None
     for a, b in zip(errs, errs[1:]):
         if not b < a:
             raise NonMonotoneError(
                 f"errors do not decrease under refinement: {errs}"
             )
-    kept = [(h, e) for h, e in zip(hs, errs) if e > floor]
+    kept = [(h, e) for h, e in zip(hs, errs) if e > CONVERGENCE_FLOOR]
     if len(kept) < 2:
         return None
     log_h = np.log([h for h, _ in kept])

@@ -225,6 +225,9 @@ BAD_PARAMS = {
                      {"t_span": [1]}, "t_span"),
     "steps_repeated": ("cauchy_convergence", "convergence", "d3_cauchy",
                        {"steps": [1e-3, 1e-3, 1e-3]}, "steps"),
+    # An observed order needs at least three steps.
+    "steps_two": ("cauchy_convergence", "convergence", "d3_cauchy",
+                  {"steps": [2e-3, 1e-3]}, "steps"),
     # One probe point above MAX_PROBE_POINTS for each medium family.
     "n_t_over_cap": ("projectile_residual", "residual_check", "d0",
                      {"n_t": 100_001}, "n_t"),
@@ -248,6 +251,21 @@ def test_bad_param_exits_2_naming_key(tmp_path, capsys, hole):
     rc = main(["run", str(scn), "--out-dir", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: params.{key}:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case, key", [
+    ("gravity_top", "g"),
+    ("spinning_frame_precession", "Omega"),
+])
+def test_zero_axis_connection_exits_2_naming_key(tmp_path, capsys, case, key):
+    # Each case takes its reference axis from a connection vector, which
+    # must not vanish.
+    scn = _write_scenario(tmp_path / "scn.json", case=case,
+                          connection={"type": "uniform", key: [0, 0, 0]})
+    rc = main(["run", str(scn), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: connection.{key}:")
     assert not (tmp_path / "out").exists()
 
 

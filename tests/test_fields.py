@@ -199,6 +199,12 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_every_export_resolves():
+    # A deleted name left in __all__ breaks `from torsor import *`.
+    missing = [name for name in torsor.__all__ if not hasattr(torsor, name)]
+    assert missing == []
+
+
 def test_arclength_defect_keeps_a_nan():
     def psi(t, u):
         return np.array([u, 0.0, 0.0]) if u < 1.0 else np.full(3, np.nan)

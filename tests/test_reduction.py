@@ -10,11 +10,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from torsor.errors import EmptySection
-from torsor.fields import ForceMass1D, assemble_cauchy_T
+from torsor.fields import ForceMass1D, assemble_cauchy_T, shell_torsor
 from torsor.reduction import (
     CrossSection,
     ThicknessRule,
-    assemble_shell_T,
     projector_matrix,
     reduce_3d_to_1d_force_mass,
     reduce_3d_to_1d_J,
@@ -350,17 +349,17 @@ def test_assemble_shell_torsor_blocks():
     rule = ThicknessRule(h)
     sig0 = np.array([[3.0, 0.5, 0.2], [0.5, -1.0, 0.4], [0.2, 0.4, 0.9]])
     red = reduce_3d_to_2d(lambda z: sig0, rho0, rule)
+    kappa = rho0 * h ** 3 / 12.0
 
-    st = assemble_shell_T(red, np.zeros(2), rho0, h)
-    assert_allclose(st.kappa, rho0 * h ** 3 / 12.0, rtol=QUAD_TOL)
-    assert_allclose(st.T[0, 0], rho0 * h, rtol=QUAD_TOL)
-    assert_allclose(st.T[1:, 1:3], -red.N, atol=QUAD_TOL)
-    assert_allclose(st.T[1:, 3], -red.Q, atol=QUAD_TOL)
-    assert_allclose(st.T[0, 1:], np.zeros(3), atol=QUAD_TOL)
-    assert_allclose(st.M, red.M, atol=QUAD_TOL)
+    T, J = shell_torsor(red.rho_s, red.N, red.Q, red.M, kappa, np.zeros(2))
+    assert_allclose(T[0, 0], rho0 * h, rtol=QUAD_TOL)
+    assert_allclose(T[1:, 1:3], -red.N, atol=QUAD_TOL)
+    assert_allclose(T[1:, 3], -red.Q, atol=QUAD_TOL)
+    assert_allclose(T[0, 1:], np.zeros(3), atol=QUAD_TOL)
+    # J^{ba3} = M^{ab} along the theta fluxes b.
+    assert_allclose(J[1:, 1:3, 3].T, red.M, atol=QUAD_TOL)
 
     w = np.array([0.3, -0.1])
-    st_w = assemble_shell_T(red, w, rho0, h)
-    assert_allclose(
-        st_w.T[1:, 1:3], st.kappa * np.outer(w, w) - red.N, atol=QUAD_TOL
-    )
+    T_w, _ = shell_torsor(red.rho_s, red.N, red.Q, red.M, kappa, w)
+    assert_allclose(T_w[1:, 1:3], kappa * np.outer(w, w) - red.N,
+                    atol=QUAD_TOL)

@@ -11,6 +11,7 @@ configuration problems (the message names the offending key).
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -353,9 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves its parser unchanged, so main builds one per process.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ScenarioError as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fd
-from .vecmath import as_field, cross, skew
+from .vecmath import as_field, cross, cross3, skew, triple
 
 # The identity, read-only since every caller shares it: Gamma_A of the
 # proper origin, and U of a medium filling space.
@@ -40,13 +40,17 @@ class GalileanConnection:
 
         Carries the centrifugal gravity -Omega x (Omega x x) on top of the
         constant base gravity g, in addition to the spin; Coriolis terms
-        enter through Omega itself.
+        enter through Omega itself.  g is evaluated on float triples with
+        vecmath.cross3, bit-identical to the numpy form g - Om x (Om x x),
+        and returned as a float (3,) array.
         """
         Om = np.array(Omega, dtype=float).reshape(3)
-        g0 = np.array(g, dtype=float).reshape(3)
+        om = Om.tolist()
+        g1, g2, g3 = triple(g)
 
         def g_total(t, x):
-            return g0 - cross(Om, cross(Om, x))
+            c1, c2, c3 = cross3(om, cross3(om, triple(x)))
+            return np.array((g1 - c1, g2 - c2, g3 - c3))
 
         return cls(g=g_total, Omega=Om)
 

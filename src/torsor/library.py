@@ -48,7 +48,7 @@ from .simulate import (
     observed_order,
     run_scenario,
 )
-from .vecmath import cross, rotation, strict_max
+from .vecmath import as_field, cross, rotation, strict_max
 
 RESIDUAL_COLUMNS = (
     "res_mass,res_lin1,res_lin2,res_lin3,"
@@ -781,18 +781,27 @@ def _spinning_drum(p, rng, conn_spec):
     defaults={"n_side": 3, "half_width": 0.8, "rho0": 2.0},
 )
 def _momentless_hydrostatic(p, rng, conn_spec):
-    rho0 = p["rho0"]
+    rho0 = float(p["rho0"])
+    if rho0 < 0.0:
+        raise ScenarioError(f"params.rho0: must be nonnegative, got {rho0!r}")
     g = conn_spec.g
     conn = conn_spec.build()
+    # T = assemble_cauchy_T(rho0, 0, c I) entry by entry, c = -rho0 (g . x):
+    # the time row is rho0 v = r and the stress block r - c I.
+    r = rho0 * 0.0
 
     def T(t, x):
-        sigma = -rho0 * float(g @ np.asarray(x)) * np.eye(3)
-        return assemble_cauchy_T(rho0, np.zeros(3), sigma)
+        c = -rho0 * float(g @ np.asarray(x))
+        d, o = r - c, r - c * 0.0
+        return np.array([[rho0, r, r, r], [r, d, o, o], [r, o, d, o],
+                         [r, o, o, d]])
 
-    zero_v = lambda t, x: np.zeros(3)  # noqa: E731
-    zero_m = lambda t, x: np.zeros((3, 3))  # noqa: E731
-    state = Cosserat3DState(T=T, q=zero_v, l=zero_v, l_star=zero_m,
-                            M_star=zero_m)
+    # Every read shares one read-only zero per moment field shape.
+    zero_v, zero_m = np.zeros(3), np.zeros((3, 3))
+    zero_v.setflags(write=False)
+    zero_m.setflags(write=False)
+    state = Cosserat3DState(T=T, q=as_field(zero_v), l=as_field(zero_v),
+                            l_star=as_field(zero_m), M_star=as_field(zero_m))
     return _residual_case(
         "momentless degeneration residual", 1e-8, "t,x1,x2,x3",
         _cube_rows(0.0, p["half_width"], p["n_side"]),

@@ -4,6 +4,13 @@ Integrates the ten balance equations of a point mass as ODEs with classical
 fixed-step RK4: dx/dt = p/m, dp/dt = m (g - 2 Omega x v), dq/dt = p,
 dl/dt = x x dp/dt - Omega x l0, with the mass held exactly constant and the
 proper part l0 = l - x x p carried as a derived quantity.
+
+A stage runs on float triples, component by component, and is bit-identical
+to these formulas evaluated on numpy 3-vectors.  They are the d = 0 rows of
+connection.divergence: tests/test_simulate.py's
+test_stage_rates_are_the_pointwise_divergence requires the stage's rates to
+zero balance.residual_pointwise along the trajectory they define, under g
+and Omega that depend on t and x.
 """
 
 import math
@@ -12,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonMonotoneError, NonpositiveMass
-from .vecmath import cross, cross3, strict_max, triple
+from .vecmath import cross, strict_max, triple
 
 MASS_TOL = 0.0  # mass must stay bit-identical along a trajectory
 
@@ -49,6 +56,23 @@ class PointwiseState:
         self.p = _vec3(self.p, "p")
         self.q = _vec3(self.q, "q")
         self.l = _vec3(self.l, "l")
+
+    @classmethod
+    def _from_floats(cls, t, m, y):
+        """State from a float t, a positive float m and the twelve floats
+        y = (x, p, q, l), each block checked finite as __post_init__ does.
+        The four blocks are views of one (12,) array."""
+        # A sum of finite floats is finite unless it overflows, so only a
+        # sum that is not needs the blockwise check.
+        if not math.isfinite(sum(y)):
+            for k, name in enumerate("xpql"):
+                block = y[3 * k:3 * k + 3]
+                if not all(map(math.isfinite, block)):
+                    raise ValueError(f"{name} must be finite, got {block!r}")
+        s = cls.__new__(cls)
+        a = np.array(y)
+        s.t, s.m, s.x, s.p, s.q, s.l = t, m, a[0:3], a[3:6], a[6:9], a[9:12]
+        return s
 
     @classmethod
     def from_proper(cls, t, m, x, v, l0):
@@ -92,32 +116,34 @@ class IntegratorConfig:
             )
 
 
-# On 3-vectors numpy's per-call overhead dwarfs the arithmetic, so the RK4
-# step works block by block (x, p, q, l) on Python float triples.  Each
-# block applies the elementwise operations of the formulas in the module
-# docstring in the same order, so the trajectory is bit-identical to an
-# evaluation on numpy 3-vectors.
-def _rhs(t, x, p, l, m, conn):
-    """Stage derivatives (dx/dt, dp/dt, dl/dt); dq/dt is p itself."""
-    x_arr = np.array(x)
-    g = triple(conn.g(t, x_arr))
-    Om = triple(conn.Omega(t, x_arr))
-    v = [pi / m for pi in p]
-    force = [m * (gi - 2.0 * ci) for gi, ci in zip(g, cross3(Om, v))]
-    l0 = [li - ci for li, ci in zip(l, cross3(x, p))]
-    dl = [a - b for a, b in zip(cross3(x, force), cross3(Om, l0))]
-    return v, force, dl
+# On 3-vectors numpy's per-call overhead dwarfs the arithmetic.  Each
+# component applies the elementwise operations of the module docstring's
+# formulas in the same order, which keeps the trajectory bit-identical.
+def _rhs(t, y, m, conn):
+    """Stage derivatives (dx/dt, dp/dt, dq/dt, dl/dt) as twelve floats.
 
-
-def _axpy(a, dy, y):
-    """Stage input y + a dy."""
-    return [yi + a * di for yi, di in zip(y, dy)]
-
-
-def _rk4_sum(y, w, k1, k2, k3, k4):
-    """y + w (k1 + 2 k2 + 2 k3 + k4)."""
-    return [yi + w * (a + 2.0 * b + 2.0 * c + d)
-            for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+    y holds the twelve floats (x, p, q, l); dq/dt is p itself.  g and Omega
+    are read through conn.g and conn.Omega, which receive x as a float (3,)
+    array.
+    """
+    x1, x2, x3, p1, p2, p3, _, _, _, l1, l2, l3 = y
+    x = np.array((x1, x2, x3))
+    g1, g2, g3 = triple(conn.g(t, x))
+    w1, w2, w3 = triple(conn.Omega(t, x))
+    v1, v2, v3 = p1 / m, p2 / m, p3 / m
+    # m (g - 2 Omega x v)
+    f1 = m * (g1 - 2.0 * (w2 * v3 - w3 * v2))
+    f2 = m * (g2 - 2.0 * (w3 * v1 - w1 * v3))
+    f3 = m * (g3 - 2.0 * (w1 * v2 - w2 * v1))
+    # proper spin l0 = l - x x p
+    s1 = l1 - (x2 * p3 - x3 * p2)
+    s2 = l2 - (x3 * p1 - x1 * p3)
+    s3 = l3 - (x1 * p2 - x2 * p1)
+    # x x force - Omega x l0
+    return (v1, v2, v3, f1, f2, f3, p1, p2, p3,
+            (x2 * f3 - x3 * f2) - (w2 * s3 - w3 * s2),
+            (x3 * f1 - x1 * f3) - (w3 * s1 - w1 * s3),
+            (x1 * f2 - x2 * f1) - (w1 * s2 - w2 * s1))
 
 
 def step(state: PointwiseState, conn, dt: float) -> PointwiseState:
@@ -125,36 +151,33 @@ def step(state: PointwiseState, conn, dt: float) -> PointwiseState:
     if not state.m > 0.0:
         raise NonpositiveMass(f"mass must be positive, got {state.m}")
     t, m = state.t, state.m
-    x, p, q, l = (state.x.tolist(), state.p.tolist(), state.q.tolist(),
-                  state.l.tolist())
+    y = (*state.x.tolist(), *state.p.tolist(), *state.q.tolist(),
+         *state.l.tolist())
     h = dt / 2.0
-    v1, f1, d1 = _rhs(t, x, p, l, m, conn)
-    p2 = _axpy(h, f1, p)
-    v2, f2, d2 = _rhs(t + h, _axpy(h, v1, x), p2, _axpy(h, d1, l), m, conn)
-    p3 = _axpy(h, f2, p)
-    v3, f3, d3 = _rhs(t + h, _axpy(h, v2, x), p3, _axpy(h, d2, l), m, conn)
-    p4 = _axpy(dt, f3, p)
-    v4, f4, d4 = _rhs(t + dt, _axpy(dt, v3, x), p4, _axpy(dt, d3, l), m,
-                      conn)
+    k1 = _rhs(t, y, m, conn)
+    k2 = _rhs(t + h, [a + h * b for a, b in zip(y, k1)], m, conn)
+    k3 = _rhs(t + h, [a + h * b for a, b in zip(y, k2)], m, conn)
+    k4 = _rhs(t + dt, [a + dt * b for a, b in zip(y, k3)], m, conn)
     w = dt / 6.0
-    return PointwiseState(
-        t=t + dt, m=m,
-        x=_rk4_sum(x, w, v1, v2, v3, v4),
-        p=_rk4_sum(p, w, f1, f2, f3, f4),
-        q=_rk4_sum(q, w, p, p2, p3, p4),
-        l=_rk4_sum(l, w, d1, d2, d3, d4),
-    )
+    return PointwiseState._from_floats(t + dt, m, [
+        a + w * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
 
 
 def _state_drifts(s: PointwiseState, m0: float):
     """(|m - m0|, max |q - m x|, max |l - l0 - x x p|) of one state."""
-    x, l = s.x.tolist(), s.l.tolist()
-    xp = cross3(x, s.p.tolist())
+    m = s.m
+    x1, x2, x3 = s.x.tolist()
+    p1, p2, p3 = s.p.tolist()
+    q1, q2, q3 = s.q.tolist()
+    l1, l2, l3 = s.l.tolist()
+    # x x p, and l0 = l - x x p as the l0 property computes it
+    c1, c2, c3 = x2 * p3 - x3 * p2, x3 * p1 - x1 * p3, x1 * p2 - x2 * p1
     return (
-        abs(s.m - m0),
-        strict_max(abs(qi - s.m * xi) for qi, xi in zip(s.q.tolist(), x)),
-        # l0 = l - x x p, as the l0 property computes it
-        strict_max(abs(li - (li - ci) - ci) for li, ci in zip(l, xp)),
+        abs(m - m0),
+        strict_max((abs(q1 - m * x1), abs(q2 - m * x2), abs(q3 - m * x3))),
+        strict_max((abs(l1 - (l1 - c1) - c1), abs(l2 - (l2 - c2) - c2),
+                    abs(l3 - (l3 - c3) - c3))),
     )
 
 

@@ -46,8 +46,18 @@ def cross(a, b) -> np.ndarray:
     return np.array(cross3(triple(a), triple(b)))
 
 
+_F64 = np.dtype(float)
+
+
 def triple(value) -> list:
-    """A 3-vector as a list of three Python floats."""
+    """A 3-vector as a list of three Python floats.
+
+    A float (3,) array, the common case, is read with one tolist, which
+    skips asarray's and reshape's per-call cost and gives the same floats.
+    """
+    if (type(value) is np.ndarray and value.dtype is _F64
+            and value.shape == (3,)):
+        return value.tolist()
     return np.asarray(value, dtype=float).reshape(3).tolist()
 
 
@@ -75,8 +85,8 @@ def strict_max(values) -> float:
     max() drops a NaN that is not in first place (max(0.0, nan) == 0.0), so
     a check reduced with it would pass on a NaN residual.
     """
-    values = [float(v) for v in values]
-    if any(math.isnan(v) for v in values):
+    values = list(map(float, values))
+    if any(map(math.isnan, values)):
         return math.nan
     return max(values)
 

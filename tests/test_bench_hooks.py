@@ -75,6 +75,26 @@ def test_tracer_counts_rod_points(tmp_path, monkeypatch, capsys):
     assert metrics["fd.field_evals"] > 0
 
 
+def test_tracer_counts_rk4_steps_and_field_calls(tmp_path, monkeypatch,
+                                                 capsys):
+    # run_scenario must keep calling step through its module global, and
+    # the stages must keep reading g and Omega through the connection's
+    # instance attributes, both of which the tracer wraps.
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    import tracing
+
+    from torsor.library import CASES
+
+    defaults = CASES["free_particle"].defaults
+    with tracing.instrument(tracing.Tracer()) as tracer:
+        rc = main(["run", "free_particle", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["simulate.steps"] == round(defaults["t_end"]
+                                              / defaults["dt"])
+    assert metrics["connection.field_calls"] > 0
+
+
 def test_tracer_counts_affine_ops(monkeypatch):
     monkeypatch.syspath_prepend(BENCH_DIR)
     import tracing

@@ -7,6 +7,8 @@ in the acceptance tests.
 
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -181,6 +183,27 @@ def test_seed_changes_random_probes(tmp_path, capsys):
     assert a != b
 
 
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # main builds its parser once per process; the flags of one call must
+    # not carry over into the next, whose artifacts equal a fresh process's.
+    assert main(["run", "cauchy_manufactured", "--seed", "3",
+                 "--tolerance-scale", "0", "--out-dir",
+                 str(tmp_path / "a")]) == 1
+    assert main(["run", "cauchy_manufactured", "--out-dir",
+                 str(tmp_path / "b")]) == 0
+    out = tmp_path / "b" / "cauchy_manufactured"
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["seed"], summary["tolerance_scale"]) == (0, 1.0)
+    subprocess.run([sys.executable, "-m", "torsor.cli", "run",
+                    "cauchy_manufactured", "--out-dir", str(tmp_path / "c")],
+                   capture_output=True, check=True)
+    fresh = tmp_path / "c" / "cauchy_manufactured"
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        p.name for p in fresh.iterdir())
+    for path in out.iterdir():
+        assert path.read_bytes() == (fresh / path.name).read_bytes(), path.name
+
+
 def test_bundled_files_are_valid_scenarios():
     for name, path in bundled_scenarios().items():
         scn = load_scenario_file(str(path))
@@ -240,6 +263,8 @@ BAD_PARAMS = {
     "n_random_over_cap": ("cauchy_manufactured", "residual_check",
                           "d3_cauchy", {"n_side": 3, "n_random": 99_974},
                           "n_random"),
+    "rho0_negative_cosserat": ("momentless_hydrostatic", "residual_check",
+                               "d3_cosserat", {"rho0": -1}, "rho0"),
 }
 
 

@@ -10,10 +10,12 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from torsor.affine import GalileanFrameChange, PointwiseTorsor, transform_point, transform_torsor
-from torsor.balance import residual_1d, residual_cauchy
+from torsor.balance import residual_1d, residual_cauchy, residual_pointwise
 from torsor.connection import GalileanConnection
 from torsor.errors import NonMonotoneError, NonpositiveMass
 from torsor.fields import CauchyMedium, Cosserat1DField, Curve1D
@@ -163,6 +165,41 @@ def test_proper_spin_constant_for_uniform_time_dependent_g():
 
 
 # ---------------------------------------------------------------------------
+# the RK4 stage against the divergence
+
+coord = st.floats(-2.0, 2.0)
+vec3 = st.tuples(coord, coord, coord)
+mat3 = st.tuples(*[st.floats(-1.0, 1.0)] * 9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.floats(0.1, 5.0), t=st.floats(-1.0, 1.0), x=vec3, p=vec3,
+       l=vec3, g0=vec3, gx=mat3, w0=vec3, wx=mat3)
+def test_stage_rates_are_the_pointwise_divergence(m, t, x, p, l, g0, gx, w0,
+                                                  wx):
+    # _rhs is the float form of the four pointwise balance laws.  The
+    # trajectory linear in t through the state with _rhs's rates must zero
+    # every row of residual_pointwise, the d = 0 view of
+    # connection.divergence, under g and Omega that depend on t and x.
+    G, W = np.reshape(gx, (3, 3)), np.reshape(wx, (3, 3))
+    conn = GalileanConnection(g=lambda t, x: g0 + (1.0 + t) * (G @ x),
+                              Omega=lambda t, x: w0 + t * (W @ x))
+    y = [*x, *p, *(m * np.array(x)).tolist(), *l]  # (x, p, q = m x, l)
+    k = np.array(simulate._rhs(t, y, m, conn))
+    y = np.array(y)
+
+    def traj(s):
+        ys = y + (s - t) * k
+        return PointwiseTorsor(m, ys[3:6], ys[6:9], ys[9:12])
+
+    # The stencil of a linear trajectory is exact for any step, and a wide
+    # one keeps the differencing roundoff near eps.
+    res = residual_pointwise(traj, conn, t, h=0.5).as_array()
+    scale = float(np.max(np.abs(np.concatenate([y, k]))))
+    assert np.max(np.abs(res)) <= 1e-13 * scale
+
+
+# ---------------------------------------------------------------------------
 # frame covariance
 
 
@@ -280,6 +317,43 @@ def test_run_scenario_drift_keeps_a_late_nan(monkeypatch):
     assert report["proper_split_drift"] == 0.0
     by_hand = Trajectory(states=traj.states).drift_report()
     assert np.isnan(by_hand["pos_q_drift"])
+
+
+def _spun_state():
+    return PointwiseState.from_proper(0.0, 1.3, [0.4, -0.3, 0.2],
+                                      [1.0, 0.5, -0.2], [0.1, -0.2, 0.3])
+
+
+@pytest.mark.parametrize("wrap", [list, tuple, lambda v: np.reshape(v, (1, 3))],
+                         ids=["list", "tuple", "row_array"])
+def test_connection_callables_may_return_any_three_vector(wrap):
+    # A g or Omega callable receives x as a float (3,) array and may return
+    # any 3-vector-like value; the trajectory is bit for bit the same.
+    def g(t, x):
+        assert type(x) is np.ndarray and x.dtype == float and x.shape == (3,)
+        return np.array([0.3 * np.sin(t), -0.2 * x[0], 0.1 * t - 9.0])
+
+    def Omega(t, x):
+        return np.array([0.1, 0.05 * x[2], 0.2 + 0.1 * t])
+
+    cfg = IntegratorConfig(dt=1e-2, t_end=0.5)
+    ref = run_scenario(_spun_state(), GalileanConnection(g=g, Omega=Omega),
+                       cfg)
+    conn = GalileanConnection(g=lambda t, x: wrap(g(t, x).tolist()),
+                              Omega=lambda t, x: wrap(Omega(t, x).tolist()))
+    got = run_scenario(_spun_state(), conn, cfg)
+    assert got.rows().tobytes() == ref.rows().tobytes()
+    assert got.drift_report() == ref.drift_report()
+
+
+def test_non_finite_gravity_stops_the_run_naming_the_block():
+    # Once g turns infinite the step's new state is not finite; the run
+    # stops with the error of the first block checked rather than carry
+    # inf or NaN on.
+    conn = GalileanConnection(
+        g=lambda t, x: [0.0, 0.0, math.inf if t > 0.5 else -9.8])
+    with pytest.raises(ValueError, match=r"^x must be finite, got \["):
+        run_scenario(_spun_state(), conn, IntegratorConfig(dt=0.1, t_end=1.0))
 
 
 def test_trajectory_csv_format():

@@ -18,6 +18,7 @@ from torsor.vecmath import (
     rotation,
     skew,
     strict_max,
+    triple,
 )
 
 # Magnitudes from 1e-30 to 1e30 with either sign, signed zeros, and the
@@ -80,6 +81,19 @@ def test_cross_rejects_non_3_vectors():
         cross(np.eye(3), [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         cross([1.0, 2.0], [1.0, 2.0, 3.0])
+
+
+def test_triple_reads_every_three_vector_alike():
+    # A float (3,) array takes a shortcut; it must read the same floats as
+    # the general path does for views, other shapes, dtypes and sequences.
+    base = np.array([[0.1, -2.5, 3.0], [7.0, 8.0, 9.0]])
+    want = [0.1, -2.5, 3.0]
+    for value in (base[0], base.T[:, 0], base[0].reshape(1, 3),
+                  base[0].reshape(3, 1), want, tuple(want)):
+        got = triple(value)
+        assert got == want and all(type(v) is float for v in got)
+    got = triple(np.array([1, -2, 3]))
+    assert got == [1.0, -2.0, 3.0] and all(type(v) is float for v in got)
 
 
 def test_strict_max_keeps_nan_anywhere():

@@ -17,6 +17,14 @@ identity chart with the proper origin (d = 3).
 
 Derivatives are central differences (module fd); every operator accepts an
 explicit step h and honors the field's domain bounds.
+
+The space-filling views, residual_cauchy and residual_3d_cosserat, also
+take a batch of events, t of shape (m,) and x of shape (3, m), through one
+divergence with a leading point axis; their residuals then carry that
+axis.  A medium built with vectorized=True is read on the whole batch,
+fields of any other medium point by point (the field adapter
+_point_axis_last), never inside the divergence.  The scenario cases
+bound the batch at library.PROBE_CHUNK points per call.
 """
 
 from dataclasses import dataclass
@@ -50,7 +58,8 @@ class BalanceResidual:
 
     mass: scalar; lin_mom, pos_q, ang_mom: 3-vectors.  Operators with a
     different natural split (the thin-medium one) document how their rows
-    map into these slots.
+    map into these slots.  The residuals of a batch of m points carry a
+    leading point axis: mass has shape (m,) and the 3-vectors (m, 3).
     """
 
     mass: float
@@ -59,27 +68,37 @@ class BalanceResidual:
     ang_mom: np.ndarray
 
     def __post_init__(self):
-        self.mass = float(self.mass)
-        self.lin_mom = np.asarray(self.lin_mom, dtype=float).reshape(3)
-        self.pos_q = np.asarray(self.pos_q, dtype=float).reshape(3)
-        self.ang_mom = np.asarray(self.ang_mom, dtype=float).reshape(3)
+        if isinstance(self.mass, np.ndarray) and self.mass.ndim:
+            self.mass = self.mass.astype(float, copy=False)
+            shape = (len(self.mass), 3)
+        else:
+            self.mass = float(self.mass)
+            shape = 3
+        self.lin_mom = np.asarray(self.lin_mom, dtype=float).reshape(shape)
+        self.pos_q = np.asarray(self.pos_q, dtype=float).reshape(shape)
+        self.ang_mom = np.asarray(self.ang_mom, dtype=float).reshape(shape)
 
     def as_array(self) -> np.ndarray:
-        """All ten residuals: (mass, lin_mom, pos_q, ang_mom)."""
+        """All ten residuals: (mass, lin_mom, pos_q, ang_mom); one row of
+        ten per point of a batch."""
+        mass = (self.mass[:, None] if isinstance(self.mass, np.ndarray)
+                else [self.mass])
         return np.concatenate(
-            [[self.mass], self.lin_mom, self.pos_q, self.ang_mom]
+            [mass, self.lin_mom, self.pos_q, self.ang_mom], axis=-1
         )
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.as_array())))
+    def max_abs(self):
+        """The largest |residual|: a float, or one per point of a batch."""
+        worst = np.max(np.abs(self.as_array()), axis=-1)
+        return float(worst) if worst.ndim == 0 else worst
 
     def to_dict(self) -> dict:
         return {
-            "mass": self.mass,
+            "mass": np.asarray(self.mass).tolist(),
             "linear_momentum": self.lin_mom.tolist(),
             "position_quantity": self.pos_q.tolist(),
             "angular_momentum": self.ang_mom.tolist(),
-            "max_abs": self.max_abs(),
+            "max_abs": np.asarray(self.max_abs()).tolist(),
         }
 
 
@@ -110,35 +129,57 @@ def residual_pointwise(traj, conn, t: float, h: float = None) -> BalanceResidual
     pt = traj(t)
     chris = PullbackChristoffels.spatial_origin(conn, t, pt.q / pt.m, 1)
     field = MediumField(tangent_map=U, torsor_T=T_of, torsor_J=J_of)
-    return _divergence_residual(field, [t], chris, h)
-
-
-def _divergence_residual(field, xi, chris, h, one_sided=False, v=None):
-    """The ten balance rows of connection.divergence of field at xi; with
-    v given, the momentum row is dT[1:] - v dT[0] (the advective form)."""
-    dT, dJ = divergence(field, xi, chris, h=h, one_sided=one_sided)
+    dT, dJ = divergence(field, [t], chris, h=h)
     pos, ang = moments(dJ)
-    lin = dT[1:] if v is None else dT[1:] - v * dT[0]
-    return BalanceResidual(mass=dT[0], lin_mom=lin, pos_q=pos, ang_mom=ang)
+    return BalanceResidual(mass=dT[0], lin_mom=dT[1:], pos_q=pos, ang_mom=ang)
 
 
-def _space_filling_residual(torsor_T, torsor_J, conn, t: float, x, domain,
-                            h, one_sided, v=None):
-    """_divergence_residual of a medium filling space, at (t, x).
+def _point_axis_last(medium, xi, *fns):
+    """Each field fn(t, x) of a medium at every event of the batch xi
+    (m, 4), as an array with the point axis last.
 
-    The material chart is the space-time chart (U = I) and the origin is
-    the proper one (Gamma_A = I).  torsor_T(xi) returns T[flux, component]
-    and torsor_J(xi) J[flux, a, b], skew in (a, b), at xi = (t, x); or
-    torsor_J is None for a medium without moment fields.
+    A field of a vectorized medium is called once, on t of shape (m,) and
+    x of shape (3, m).  Any other field is called point by point, on t and
+    x as one event gives them, and its values are stacked.
     """
-    x = np.asarray(x, dtype=float).reshape(3)
+    if medium.vectorized:
+        events = np.ascontiguousarray(xi.T)
+        t, x = events[0], events[1:]
+        return [np.asarray(fn(t, x), dtype=float) for fn in fns]
+    return [np.stack([np.asarray(fn(p[0], p[1:]), dtype=float) for p in xi],
+                     axis=-1) for fn in fns]
+
+
+def _space_filling_residual(torsor_T, torsor_J, conn, t, x, domain,
+                            h, one_sided, v=None) -> BalanceResidual:
+    """The ten balance rows of a medium filling space at (t, x), from
+    connection.divergence.
+
+    The events are one (a float t and a 3-vector x), which is a batch of
+    one, or a batch of m, t of shape (m,) and x of shape (3, m), whose
+    residuals carry a leading point axis.  The material chart is the
+    space-time chart (U = I) and the origin is the proper one
+    (Gamma_A = I).  torsor_T(xi) returns T[point, flux, component] and
+    torsor_J(xi) J[point, flux, a, b], skew in (a, b), at the batch
+    xi = (t, x) of shape (m, 4); or torsor_J is None for a medium without
+    moment fields.  v(xi), if given, returns the velocity (3, m), and the
+    momentum rows take the advective form.
+    """
+    xi = np.column_stack([np.reshape(np.asarray(t, dtype=float), -1),
+                          np.reshape(np.asarray(x, dtype=float), (3, -1)).T])
     field = MediumField(tangent_map=lambda xi: _EYE4, torsor_T=torsor_T,
                         torsor_J=torsor_J, domain=domain)
-    chris = PullbackChristoffels.identity_embedding(conn, t, x)
-    return _divergence_residual(field, [t, *x], chris, h, one_sided, v)
+    chris = PullbackChristoffels.identity_embedding(conn, xi[:, 0],
+                                                    xi[:, 1:].T)
+    dT, dJ = divergence(field, xi, chris, h=h, one_sided=one_sided)
+    pos, ang = moments(dJ)
+    lin = dT[:, 1:] if v is None else dT[:, 1:] - v(xi).T * dT[:, :1]
+    if np.ndim(t):
+        return BalanceResidual(dT[:, 0], lin, pos, ang)
+    return BalanceResidual(dT[0, 0], lin[0], pos[0], ang[0])
 
 
-def residual_cauchy(medium: CauchyMedium, conn, t: float, x,
+def residual_cauchy(medium: CauchyMedium, conn, t, x,
                     h: float = None, one_sided: bool = False) -> BalanceResidual:
     """Residuals of the classical continuum equations at (t, x).
 
@@ -151,19 +192,28 @@ def residual_cauchy(medium: CauchyMedium, conn, t: float, x,
     All rows are read from connection.divergence of the stress-mass
     T = [[rho, rho v^T], [rho v, rho v v^T - sigma]] with no moment fields.
     sigma is not required to be symmetric, since the angular rows exist to
-    measure its asymmetry.  T is packed on floats with its flux index
-    first: _stress_mass of the columns of sigma, which is T^T bit for bit.
+    measure its asymmetry.  T is packed with its flux index first:
+    _stress_mass of the columns of sigma, which is T^T bit for bit.
+
+    (t, x) is one event, or a batch: t of shape (m,) and x of shape (3, m),
+    whose residuals carry a leading point axis.  Either way the rows come
+    from one divergence of the whole batch.  A vectorized medium is read
+    once per stencil offset for the whole batch; any other medium point by
+    point.
     """
     def T_of(xi):
-        tt, xx = xi[0], xi[1:]
-        sigma_cols = np.asarray(medium.sigma(tt, xx),
-                                dtype=float).reshape(3, 3).T.tolist()
-        return _stress_mass(float(medium.rho(tt, xx)),
-                            triple(medium.v(tt, xx)), sigma_cols)
+        m = len(xi)
+        rho, v, sigma = _point_axis_last(medium, xi, medium.rho, medium.v,
+                                         medium.sigma)
+        T = _stress_mass(rho.reshape(m), v.reshape(3, m),
+                         sigma.reshape(3, 3, m).swapaxes(0, 1))
+        return T.transpose(2, 0, 1)
 
-    v = np.asarray(medium.v(t, x), dtype=float).reshape(3)
+    def v_of(xi):
+        return _point_axis_last(medium, xi, medium.v)[0].reshape(3, len(xi))
+
     return _space_filling_residual(T_of, None, conn, t, x, medium.domain, h,
-                                   one_sided, v)
+                                   one_sided, v_of)
 
 
 def residual_1d(f: Cosserat1DField, conn, t: float, s: float,
@@ -325,7 +375,7 @@ def residual_2d(sf: ShellField, loads: ShellLoads, conn, t: float,
     )
 
 
-def residual_3d_cosserat(state: Cosserat3DState, conn, t: float, x,
+def residual_3d_cosserat(state: Cosserat3DState, conn, t, x,
                          h: float = None, one_sided: bool = False) -> BalanceResidual:
     """Residuals of the space-filling medium with moment fields at (t, x).
 
@@ -343,13 +393,23 @@ def residual_3d_cosserat(state: Cosserat3DState, conn, t: float, x,
     All rows are read from connection.divergence of (T, J), with the moment
     fields packed as J[flux, a, b]: J^{i0} = q^i and J^{jk} = l^i along
     the time flux, J^{i0} = l_star^{ir} and J^{jk} = M_star^{ir} along
-    flux r, for (ijk) cyclic; fields.cosserat_J packs them from floats.
-    """
-    def J_of(xi):
-        tt, xx = xi[0], xi[1:]
-        return cosserat_J(state.q(tt, xx), state.l(tt, xx),
-                          state.l_star(tt, xx), state.M_star(tt, xx))
+    flux r, for (ijk) cyclic, by fields.cosserat_J.
 
-    return _space_filling_residual(
-        lambda xi: np.asarray(state.T(xi[0], xi[1:]), dtype=float).T, J_of,
-        conn, t, x, state.domain, h, one_sided)
+    (t, x) is one event, or a batch: t of shape (m,) and x of shape (3, m),
+    whose residuals carry a leading point axis.  A vectorized state is
+    read once per stencil offset for the whole batch; any other state
+    point by point.
+    """
+    def T_of(xi):
+        (T,) = _point_axis_last(state, xi, state.T)
+        return T.reshape(4, 4, len(xi)).transpose(2, 1, 0)
+
+    def J_of(xi):
+        m = len(xi)
+        q, l, l_star, M_star = _point_axis_last(
+            state, xi, state.q, state.l, state.l_star, state.M_star)
+        return cosserat_J(q.reshape(3, m), l.reshape(3, m),
+                          l_star.reshape(3, 3, m), M_star.reshape(3, 3, m))
+
+    return _space_filling_residual(T_of, J_of, conn, t, x, state.domain, h,
+                                   one_sided)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fd
-from .vecmath import as_field, cross, cross3, skew, triple
+from .vecmath import as_field, cross, cross3, triple
 
 # The identity, read-only since every caller shares it: Gamma_A of the
 # proper origin, and U of a medium filling space.
@@ -54,20 +54,50 @@ class GalileanConnection:
 
         return cls(g=g_total, Omega=Om)
 
-    def christoffels_at(self, t: float, x) -> np.ndarray:
-        """(4, 4, 4) array G[a, m, b] = Gamma^a_mb at the event (t, x)."""
+    def christoffels_at(self, t, x) -> np.ndarray:
+        """(4, 4, 4) array G[a, m, b] = Gamma^a_mb at the event (t, x).
+
+        For a batch of m events, t of shape (m,) and x of shape (3, m), an
+        (m, 4, 4, 4) array: g and Omega take one event each, so they are
+        read point by point, and the Christoffels are assembled in one step.
+        """
+        if np.ndim(t):
+            g, Omega = zip(*[(self.g(tp, xp), self.Omega(tp, xp))
+                             for tp, xp in zip(t, np.asarray(x).T)])
+            return christoffels(np.array(g, dtype=float),
+                                np.array(Omega, dtype=float))
         x = np.asarray(x, dtype=float).reshape(3)
         return christoffels(self.g(t, x), self.Omega(t, x))
 
 
+def _christoffel_sources() -> np.ndarray:
+    """Index into (0, -g, Omega, -Omega) of each entry of the flattened
+    G[a, m, b]: G^i_00 = -g^i and the spin block skew(Omega) at G^i_0j
+    and G^i_j0; every other entry is the leading zero."""
+    src = np.zeros(64, dtype=np.intp)
+    src[[16, 32, 48]] = (1, 2, 3)
+    for i, j, k in ((1, 2, 2), (2, 3, 0), (3, 1, 1)):
+        # skew(Omega)[i-1, j-1] = -Omega[k], skew(Omega)[j-1, i-1] = Omega[k]
+        src[[16 * i + j, 16 * i + 4 * j]] = 7 + k
+        src[[16 * j + i, 16 * j + 4 * i]] = 4 + k
+    return src
+
+
+_CHRIS_SOURCE = _christoffel_sources()
+
+
 def christoffels(g, Omega) -> np.ndarray:
-    """(4, 4, 4) Christoffels G[a, m, b] of gravity g and spin Omega."""
-    G = np.zeros((4, 4, 4))
-    G[1:, 0, 0] = -np.asarray(g)
-    W = skew(Omega)
-    G[1:, 0, 1:] = W
-    G[1:, 1:, 0] = W
-    return G
+    """(4, 4, 4) Christoffels G[a, m, b] of gravity g and spin Omega.
+
+    g and Omega may carry a leading point axis, (m, 3) each; G then has
+    shape (m, 4, 4, 4), built in one gather.
+    """
+    g = np.asarray(g, dtype=float)
+    Omega = np.asarray(Omega, dtype=float)
+    lead = g.shape[:-1]
+    entries = np.concatenate([np.zeros(lead + (1,)), -g, Omega, -Omega],
+                             axis=-1)
+    return np.take(entries, _CHRIS_SOURCE, axis=-1).reshape(lead + (4, 4, 4))
 
 
 class OriginMotion:
@@ -126,6 +156,8 @@ class PullbackChristoffels:
     material: (d+1, d+1, d+1) Christoffels of the material chart.
     spacetime: (4, 4, 4) Christoffels of the ambient connection.
     origin_motion: (4, 4) matrix Gamma_A.
+    For a batch of points each may carry a leading point axis, or none
+    when it is the same at every point.
     """
 
     material: np.ndarray
@@ -138,11 +170,14 @@ class PullbackChristoffels:
         self.origin_motion = np.asarray(self.origin_motion, dtype=float)
 
     @classmethod
-    def identity_embedding(cls, conn: GalileanConnection, t: float, x,
+    def identity_embedding(cls, conn: GalileanConnection, t, x,
                            origin: OriginMotion = None) -> "PullbackChristoffels":
         """Medium filling space: material chart is the space-time chart.
 
-        Default origin is the proper one (Gamma_A = identity).
+        Default origin is the proper one (Gamma_A = identity).  A batch of
+        events, t of shape (m,) and x of shape (3, m), reads the connection
+        point by point (GalileanConnection.christoffels_at) and takes the
+        proper origin.
         """
         G = conn.christoffels_at(t, x)
         GA = _EYE4 if origin is None else gamma_A_matrix(conn, origin, t, x)
@@ -159,20 +194,45 @@ class PullbackChristoffels:
 
 
 def _sum_row_derivatives(field_fn, xi, h, one_sided, domain):
-    """Sum over g of d/dxi^g applied to row g of field_fn(xi)."""
+    """Sum over g of d/dxi^g applied to row g of field_fn(xi).
+
+    xi is one point or a batch with a leading point axis; a batch is
+    differenced in one stencil per coordinate.
+    """
     total = None
-    for g in range(len(xi)):
-        def slice_fn(u, g=g):
-            probe = np.array(xi, dtype=float)
-            probe[g] = u
-            return np.asarray(field_fn(probe), dtype=float)[g]
+    for g in range(xi.shape[-1]):
+        # Coordinate g of every point, and row g of every field array.
+        at = (slice(None), g) if xi.ndim == 2 else g
+
+        def slice_fn(u, at=at):
+            probe = xi.copy()
+            probe[at] = u
+            return np.asarray(field_fn(probe), dtype=float)[at]
 
         lo = hi = None
         if domain is not None and domain[g] is not None:
             lo, hi = domain[g]
-        der = fd.diff(slice_fn, xi[g], h=h, lo=lo, hi=hi, one_sided=one_sided)
+        der = fd.diff(slice_fn, xi[at], h=h, lo=lo, hi=hi,
+                      one_sided=one_sided)
         total = der if total is None else total + der
     return total
+
+
+def _check_stencils(xi, h, one_sided, domain):
+    """Raise, for a batch xi, the DifferentiationFailure that differencing
+    its points one at a time would raise first: that of the first point
+    with a coordinate no stencil fits, in its first such coordinate."""
+    first = None
+    for g, bounds in enumerate(domain):
+        if bounds is None:
+            continue
+        u = xi[:, g]
+        _, failure = fd.stencil_sides(u, fd.default_step(u) if h is None
+                                      else h, *bounds, one_sided)
+        if failure is not None and (first is None or failure[0] < first[0]):
+            first = failure
+    if first is not None:
+        raise first[1]
 
 
 def divergence(field, xi, chris: PullbackChristoffels, h: float = None,
@@ -192,21 +252,41 @@ def divergence(field, xi, chris: PullbackChristoffels, h: float = None,
     symmetry of J makes each pulled-back pair one matrix and its negative
     transpose.  A field whose torsor_J is None carries no moments and is
     not differenced for them.  The output is re-skewed.
+
+    xi is one chart point (d+1,) or a batch (m, d+1) along a leading point
+    axis.  For a batch, the field's callables take the whole (m, d+1)
+    batch and return their arrays with the point axis first (or without
+    it, when the same at every point, as U may be), chris may carry the
+    axis too, and both outputs carry it: (m, 4) and (m, 4, 4).  Each
+    coordinate is differenced over the whole batch in one stencil, and the
+    algebra runs per point in the products a single point takes, so every
+    point's rows are bit for bit those it would get alone.  On a bounded
+    domain a batch raises the DifferentiationFailure of its first point
+    that no stencil fits, as a loop over its points would.  Memory grows
+    with the batch, so callers cut large grids into blocks: the scenario
+    cases pass library.PROBE_CHUNK points per call.
     """
     xi = np.asarray(xi, dtype=float)
     domain = getattr(field, "domain", None)
-    T = np.asarray(field.torsor_T(xi), dtype=float)
-    U = np.asarray(field.tangent_map(xi), dtype=float)
-    G = chris.spacetime.reshape(4, 16)
-    trG = np.trace(chris.material, axis1=0, axis2=1)
+    if domain is not None and xi.ndim == 2:
+        _check_stencils(xi, h, one_sided, domain)
+    lead = xi.shape[:-1]  # () for one point, (m,) for a batch
+    # Contiguous, since numpy's products take another summation order on
+    # strided operands.
+    T = np.ascontiguousarray(field.torsor_T(xi), dtype=float)
+    U = np.ascontiguousarray(field.tangent_map(xi), dtype=float)
+    G = chris.spacetime.reshape(chris.spacetime.shape[:-3] + (4, 16))
+    trG = np.trace(chris.material, axis1=-3, axis2=-2)[..., None, :]
     UT = U @ T
     dT = (_sum_row_derivatives(field.torsor_T, xi, h, one_sided, domain)
-          + trG @ T + G @ UT.reshape(16))
+          + (trG @ T)[..., 0, :]
+          + (G @ UT.reshape(lead + (16, 1)))[..., 0])
     D = chris.origin_motion @ UT
-    out = D - D.T
+    out = D - D.mT
     if field.torsor_J is not None:
-        J = np.asarray(field.torsor_J(xi), dtype=float).reshape(len(xi), 16)
-        A = G @ (U @ J).reshape(16, 4)
+        J = np.ascontiguousarray(field.torsor_J(xi), dtype=float)
+        J = J.reshape(lead + (-1, 16))
+        A = G @ (U @ J).reshape(lead + (16, 4))
         out = (_sum_row_derivatives(field.torsor_J, xi, h, one_sided, domain)
-               + A - A.T + (trG @ J).reshape(4, 4) + out)
-    return dT, 0.5 * (out - out.T)
+               + A - A.mT + (trG @ J).reshape(lead + (4, 4)) + out)
+    return dT, 0.5 * (out - out.mT)

@@ -86,6 +86,8 @@ def _stress_mass(rho: float, v, sigma) -> np.ndarray:
     so the result is bit-identical to the array form at a fraction of its
     per-call cost.  Given the columns of sigma for its rows, it returns the
     transpose bit for bit, since rho (v^i v^j) = rho (v^j v^i) exactly.
+    The same products pack a batch: rho of shape (m,), v (3, m) and sigma
+    (3, 3, m) give T with the point axis last, (4, 4, m).
     """
     v0, v1, v2 = v
     (s00, s01, s02), (s10, s11, s12), (s20, s21, s22) = sigma
@@ -103,12 +105,23 @@ def _stress_mass(rho: float, v, sigma) -> np.ndarray:
 
 @dataclass
 class CauchyMedium:
-    """Classical 3D medium: fields rho(t, x), v(t, x), sigma(t, x)."""
+    """Classical 3D medium: fields rho(t, x), v(t, x), sigma(t, x).
+
+    Each field takes one event, a float t and a 3-vector x, and returns a
+    scalar, a 3-vector or a (3, 3) array.  With vectorized=True each field
+    takes a batch of m events instead, t of shape (m,) and x of shape
+    (3, m), and returns its values with the point axis last: (m,), (3, m)
+    and (3, 3, m).  The residual then reads a whole probe batch in one call
+    per field and stencil offset, in chunks of library.PROBE_CHUNK points
+    when it runs a scenario; a field that is not vectorized is read point
+    by point.
+    """
 
     rho: Callable
     v: Callable
     sigma: Callable
     domain: Optional[tuple] = None
+    vectorized: bool = False
 
 
 class Curve1D:
@@ -570,7 +583,9 @@ class Cosserat3DState:
 
     T: (4, 4) stress-mass T^{ab}; q, l: (3,) position and spin densities;
     l_star, M_star: (3, 3) flux tensors, first index the component, second
-    the transport direction.
+    the transport direction.  With vectorized=True each field takes a
+    batch of m events, t of shape (m,) and x of shape (3, m), and returns
+    its values with the point axis last, as CauchyMedium's do.
     """
 
     T: Callable
@@ -579,22 +594,27 @@ class Cosserat3DState:
     l_star: Callable
     M_star: Callable
     domain: Optional[tuple] = None
+    vectorized: bool = False
 
 
 def cosserat_J(q, l, l_star, M_star) -> np.ndarray:
-    """Moment fields of a space-filling medium as J[flux, a, b] (4, 4, 4).
+    """Moment fields of a space-filling medium as J[point, flux, a, b].
 
-    q, l (3,) and l_star, M_star (3, 3), first index the component, second
-    the flux: J^0 = moment_matrix(q, l) along the time flux and
-    J^r = moment_matrix(l_star[:, r], M_star[:, r]) along flux r, packed
-    from floats in one flat array.
+    Over a batch of m points, point axis last: q, l (3, m) and l_star,
+    M_star (3, 3, m), first index the component, second the flux.  Returns
+    (m, 4, 4, 4): J^0 = moment_matrix(q, l) along the time flux and
+    J^r = moment_matrix(l_star[:, r], M_star[:, r]) along flux r, with the
+    entries and signs of moment_entries.
     """
-    # Column r of l_star and M_star is the moment pair along flux r.
-    ls, ms = (np.asarray(a, dtype=float).reshape(3, 3).T.tolist()
-              for a in (l_star, M_star))
-    return np.array([
-        *moment_entries(triple(q), triple(l)),
-        *moment_entries(ls[0], ms[0]),
-        *moment_entries(ls[1], ms[1]),
-        *moment_entries(ls[2], ms[2]),
-    ]).reshape(4, 4, 4)
+    m = np.shape(q)[-1]
+    # pos[p, flux] and ang[p, flux] are the moment pairs along each flux.
+    pos = np.concatenate([np.reshape(q, (3, 1, m)), l_star],
+                         axis=1).transpose(2, 1, 0)
+    ang = np.concatenate([np.reshape(l, (3, 1, m)), M_star],
+                         axis=1).transpose(2, 1, 0)
+    J = np.zeros((m, 4, 4, 4))
+    J[..., 1:, 0] = pos
+    J[..., 0, 1:] = -pos
+    J[..., (2, 3, 1), (3, 1, 2)] = ang
+    J[..., (3, 1, 2), (2, 3, 1)] = -ang
+    return J

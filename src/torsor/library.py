@@ -9,10 +9,12 @@ edited connection changes the physics rather than being ignored.  Every
 bundled case is deterministic for a fixed seed.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fd
 from .affine import PointwiseTorsor
 from .balance import (
     residual_1d,
@@ -48,7 +50,7 @@ from .simulate import (
     observed_order,
     run_scenario,
 )
-from .vecmath import as_field, cross, rotation, strict_max
+from .vecmath import cross, cross3, rotation, strict_max
 
 RESIDUAL_COLUMNS = (
     "res_mass,res_lin1,res_lin2,res_lin3,"
@@ -56,6 +58,21 @@ RESIDUAL_COLUMNS = (
 )
 
 CONNECTION_TYPES = ("uniform", "rotating_frame", "case")
+
+# Probe points per call of a space-filling residual: a probe grid goes to
+# residual_cauchy or residual_3d_cosserat in blocks of this many points,
+# which bounds the memory of one call up to cli.MAX_PROBE_POINTS points.
+PROBE_CHUNK = 1024
+
+# The identity against a batch's point axis: (3, 3, 1).
+_EYE3 = np.eye(3)[..., None]
+
+
+def _dot3(a, x):
+    """a . x for a 3-vector a and x of shape (3, m), point by point in
+    fixed order, so that no point's value depends on the batch it is in
+    (a matrix product may sum in another order by position)."""
+    return a[0] * x[0] + a[1] * x[1] + a[2] * x[2]
 
 
 @dataclass
@@ -173,6 +190,14 @@ def _case(name, kind, medium, summary, defaults=None):
     return wrap
 
 
+def _positive(p, key):
+    """p[key]; raises ScenarioError naming params.<key> unless it is
+    positive."""
+    if not p[key] > 0:
+        raise ScenarioError(f"params.{key}: must be positive, got {p[key]!r}")
+    return p[key]
+
+
 def _traj_table(traj):
     return Table("trajectory", TRAJECTORY_CSV_HEADER, traj.rows())
 
@@ -185,21 +210,39 @@ def _worst(residuals):
 def _residual_case(check, tol, header, rows, evaluate, exact=None):
     """A residual_check result over probe points.
 
-    evaluate(row) returns the BalanceResidual at the coordinate row; the
-    rows lead the residual table under `header`, and each table row ends
-    with its max_abs.  The check is the worst max_abs, or the worst
-    |residual - exact(row)| when exact is given.
+    evaluate(block) returns the (k, 10) residual rows at a block of k
+    coordinate rows, and exact(block), when given, the rows it should
+    equal; blocks are taken PROBE_CHUNK rows at a time.  The rows lead the
+    residual table under `header`, and each table row ends with its
+    max_abs.  The check is the worst max_abs, or the worst
+    |residual - exact| when exact is given.
     """
+    def over_blocks(fn):
+        return np.concatenate([
+            np.reshape(fn(rows[i:i + PROBE_CHUNK]), (-1, 10))
+            for i in range(0, len(rows), PROBE_CHUNK)])
+
     # A non-finite field differences to NaN, which fails the check unwarned.
     with np.errstate(invalid="ignore"):
-        residuals = np.array([evaluate(row).as_array() for row in rows])
+        residuals = over_blocks(evaluate)
     max_abs = np.max(np.abs(residuals), axis=1)
     value = (strict_max(max_abs.tolist()) if exact is None else
-             _worst(residuals - np.array([exact(row) for row in rows])))
+             _worst(residuals - over_blocks(exact)))
     table = np.column_stack([np.array(rows, dtype=float), residuals, max_abs])
     return CaseResult([Check(check, value, tol)],
                       [Table("residuals",
                              f"{header},{RESIDUAL_COLUMNS},max_abs", table)])
+
+
+def _each(view):
+    """A block evaluator for _residual_case from a view of one row."""
+    return lambda block: [view(row).as_array() for row in block]
+
+
+def _events(block):
+    """t of shape (k,) and x of shape (3, k) of a block of (t, x) rows."""
+    events = np.array(block, dtype=float).T
+    return events[0], events[1:]
 
 
 def _cube_rows(t, half_width, n_side):
@@ -433,7 +476,7 @@ def _projectile_residual(p, rng, conn_spec):
     ts = np.linspace(p["t_span"][0], p["t_span"][1], p["n_t"])
     return _residual_case(
         "pointwise residual on parabola", 1e-8, "t", [[t] for t in ts],
-        lambda row: residual_pointwise(traj, conn, float(row[0])),
+        _each(lambda row: residual_pointwise(traj, conn, float(row[0]))),
     )
 
 
@@ -446,8 +489,10 @@ def manufactured_cauchy(g=(0.1, -0.2, 0.3), Omega=(0.2, -0.1, 0.3)):
 
     Returns (medium, conn, exact) where exact(t, x) is the ten-component
     residual array the evaluator must converge to; g and Omega are the
-    uniform frame fields the expansion absorbs.  The expansion is verified
-    against an independent symbolic derivation in the test suite.
+    uniform frame fields the expansion absorbs.  The medium is vectorized,
+    and exact too: on a batch, t of shape (m,) and x of shape (3, m), it
+    returns (10, m).  The expansion is verified against an independent
+    symbolic derivation in the test suite.
     """
     g = np.asarray(g, dtype=float).reshape(3)
     Om = np.asarray(Omega, dtype=float).reshape(3)
@@ -491,15 +536,19 @@ def manufactured_cauchy(g=(0.1, -0.2, 0.3), Omega=(0.2, -0.1, 0.3)):
         r = rho(t, x)
         vv = v(t, x)
         sig = sigma(t, x)
-        lin = r * accel - div_sig - r * (g - 2.0 * cross(Om, vv))
-        ang = np.array([
+        # g against a batch's point axis, the last one of x.
+        gg = g.reshape((3,) + (1,) * (np.ndim(x) - 1))
+        lin = r * accel - div_sig - r * (gg - 2.0 * np.array(cross3(Om, vv)))
+        zero = np.zeros_like(mass)
+        return np.array([
+            mass, *lin, zero, zero, zero,
             sig[1, 2] - sig[2, 1],
             sig[2, 0] - sig[0, 2],
             sig[0, 1] - sig[1, 0],
         ])
-        return np.concatenate([[mass], lin, np.zeros(3), ang])
 
-    return CauchyMedium(rho=rho, v=v, sigma=sigma), conn, exact
+    medium = CauchyMedium(rho=rho, v=v, sigma=sigma, vectorized=True)
+    return medium, conn, exact
 
 
 @_case(
@@ -518,8 +567,9 @@ def _cauchy_manufactured(p, rng, conn_spec):
             -p["half_width"], p["half_width"], size=(int(p["n_random"]), 3))]
     return _residual_case(
         "residual vs exact expansion", 1e-5, "t,x1,x2,x3", rows,
-        lambda row: residual_cauchy(medium, conn, row[0], row[1:], h=p["h"]),
-        exact=lambda row: exact(row[0], row[1:]),
+        lambda block: residual_cauchy(medium, conn, *_events(block),
+                                      h=p["h"]).as_array(),
+        exact=lambda block: exact(*_events(block)).T,
     )
 
 
@@ -534,14 +584,16 @@ def _hydrostatic(p, rng, conn_spec):
     g = conn_spec.g
     conn = conn_spec.build()
     medium = CauchyMedium(
-        rho=lambda t, x: rho0,
-        v=lambda t, x: np.zeros(3),
-        sigma=lambda t, x: -rho0 * float(g @ np.asarray(x)) * np.eye(3),
+        rho=lambda t, x: np.full_like(t, rho0),
+        v=lambda t, x: np.zeros_like(x),
+        sigma=lambda t, x: -rho0 * _dot3(g, x) * _EYE3,
+        vectorized=True,
     )
     return _residual_case(
         "hydrostatic residual", 1e-8, "t,x1,x2,x3",
         _cube_rows(0.0, p["half_width"], p["n_side"]),
-        lambda row: residual_cauchy(medium, conn, row[0], row[1:]),
+        lambda block: residual_cauchy(medium, conn,
+                                      *_events(block)).as_array(),
     )
 
 
@@ -557,19 +609,20 @@ def _rotating_bucket(p, rng, conn_spec):
     Om = conn_spec.Omega
 
     def sigma(t, x):
-        x = np.asarray(x, dtype=float)
-        wx = cross(Om, x)
-        pr = rho0 * (float(g0 @ x) + 0.5 * float(wx @ wx))
-        return -pr * np.eye(3)
+        w0, w1, w2 = cross3(Om, x)
+        pr = rho0 * (_dot3(g0, x) + 0.5 * (w0 * w0 + w1 * w1 + w2 * w2))
+        return -pr * _EYE3
 
     conn = conn_spec.build()
     medium = CauchyMedium(
-        rho=lambda t, x: rho0, v=lambda t, x: np.zeros(3), sigma=sigma,
+        rho=lambda t, x: np.full_like(t, rho0),
+        v=lambda t, x: np.zeros_like(x), sigma=sigma, vectorized=True,
     )
     return _residual_case(
         "spinning-bucket residual", 1e-8, "t,x1,x2,x3",
         _cube_rows(0.0, p["half_width"], p["n_side"]),
-        lambda row: residual_cauchy(medium, conn, row[0], row[1:]),
+        lambda block: residual_cauchy(medium, conn,
+                                      *_events(block)).as_array(),
     )
 
 
@@ -605,7 +658,7 @@ def _beam_under_gravity(p, rng, conn_spec):
     ss = np.linspace(0.1, p["length"], p["n_s"])
     return _residual_case(
         "beam equilibrium residual", 1e-9, "t,s", [[0.0, s] for s in ss],
-        lambda row: residual_1d(f, conn, row[0], float(row[1])),
+        _each(lambda row: residual_1d(f, conn, row[0], float(row[1]))),
     )
 
 
@@ -616,7 +669,7 @@ def _beam_under_gravity(p, rng, conn_spec):
     defaults={"n_s": 8, "radius": 1.2, "omega": 0.9, "rho_l": 2.0},
 )
 def _spinning_ring(p, rng, conn_spec):
-    r, w, rho_l = p["radius"], p["omega"], p["rho_l"]
+    r, w, rho_l = _positive(p, "radius"), p["omega"], p["rho_l"]
     tension = rho_l * w * w * r * r
 
     def psi(t, s):
@@ -640,7 +693,7 @@ def _spinning_ring(p, rng, conn_spec):
     ss = np.linspace(0.0, 2.0 * np.pi * r, p["n_s"], endpoint=False)
     return _residual_case(
         "hoop-tension residual", 1e-6, "t,s", [[0.0, s] for s in ss],
-        lambda row: residual_1d(f, conn, row[0], float(row[1])),
+        _each(lambda row: residual_1d(f, conn, row[0], float(row[1]))),
     )
 
 
@@ -680,7 +733,7 @@ def _plate_bending(p, rng, conn_spec):
     side = np.linspace(-p["half_width"], p["half_width"], p["n_side"])
     return _residual_case(
         "plate bending residual", 1e-8, "t,th1,th2", _plane_rows(side, side),
-        lambda row: residual_2d(sf, loads, conn, *row),
+        _each(lambda row: residual_2d(sf, loads, conn, *row)),
     )
 
 
@@ -692,6 +745,14 @@ def _plate_bending(p, rng, conn_spec):
               "tension": 0.7, "rho_s": 1.0},
 )
 def _laplace_sphere(p, rng, conn_spec):
+    # The chart z = sqrt(r^2 - |theta|^2) must be real at every point a
+    # stencil reads: the grid's corners, one default step further out.
+    reach = abs(p["half_width"]) + fd.default_step(abs(p["half_width"]))
+    if not p["radius"] > math.sqrt(2.0) * reach:
+        raise ScenarioError(
+            f"params.radius: must exceed sqrt(2) (|half_width| + step) = "
+            f"{math.sqrt(2.0) * reach!r}, the reach of the probe grid's "
+            f"corners, got {p['radius']!r}")
     if conn_spec.type != "case":
         raise ScenarioError(
             "connection.type: laplace_sphere defines its own radial pull; "
@@ -730,7 +791,7 @@ def _laplace_sphere(p, rng, conn_spec):
     return _residual_case(
         "membrane pressure residual", 1e-7, "t,th1,th2",
         _plane_rows(side, side),
-        lambda row: residual_2d(sphere, loads, conn, *row),
+        _each(lambda row: residual_2d(sphere, loads, conn, *row)),
     )
 
 
@@ -765,7 +826,7 @@ def _spinning_drum(p, rng, conn_spec):
         "hoop-stress residual", 1e-7, "t,th1,th2",
         _plane_rows(np.linspace(0.0, 2.0, p["n_side"]),
                     np.linspace(-0.5, 0.5, p["n_side"])),
-        lambda row: residual_2d(drum, loads, conn, *row),
+        _each(lambda row: residual_2d(drum, loads, conn, *row)),
     )
 
 
@@ -791,21 +852,25 @@ def _momentless_hydrostatic(p, rng, conn_spec):
     r = rho0 * 0.0
 
     def T(t, x):
-        c = -rho0 * float(g @ np.asarray(x))
+        c = -rho0 * _dot3(g, x)
         d, o = r - c, r - c * 0.0
-        return np.array([[rho0, r, r, r], [r, d, o, o], [r, o, d, o],
-                         [r, o, o, d]])
+        rr, z = np.full_like(c, rho0), np.full_like(c, r)
+        return np.array([[rr, z, z, z], [z, d, o, o], [z, o, d, o],
+                         [z, o, o, d]])
 
-    # Every read shares one read-only zero per moment field shape.
-    zero_v, zero_m = np.zeros(3), np.zeros((3, 3))
-    zero_v.setflags(write=False)
-    zero_m.setflags(write=False)
-    state = Cosserat3DState(T=T, q=as_field(zero_v), l=as_field(zero_v),
-                            l_star=as_field(zero_m), M_star=as_field(zero_m))
+    def zero_v(t, x):
+        return np.zeros((3, len(t)))
+
+    def zero_m(t, x):
+        return np.zeros((3, 3, len(t)))
+
+    state = Cosserat3DState(T=T, q=zero_v, l=zero_v, l_star=zero_m,
+                            M_star=zero_m, vectorized=True)
     return _residual_case(
         "momentless degeneration residual", 1e-8, "t,x1,x2,x3",
         _cube_rows(0.0, p["half_width"], p["n_side"]),
-        lambda row: residual_3d_cosserat(state, conn, row[0], row[1:]),
+        lambda block: residual_3d_cosserat(state, conn,
+                                           *_events(block)).as_array(),
     )
 
 
@@ -821,7 +886,8 @@ def _momentless_hydrostatic(p, rng, conn_spec):
     defaults={"radius": 0.4, "rho0": 2.5, "omega": 1.3, "v_max": 2.0},
 )
 def _disc_section(p, rng, conn_spec):
-    R, rho0, w, v_max = p["radius"], p["rho0"], p["omega"], p["v_max"]
+    R, w, v_max = p["radius"], p["omega"], p["v_max"]
+    rho0 = _positive(p, "rho0")
     cs = CrossSection.disc(R)
     Pi = projector_matrix(cs)
     n = cs.n
@@ -872,7 +938,7 @@ def _disc_section(p, rng, conn_spec):
     defaults={"h": 0.3, "rho0": 1.7, "kappa0": 2.4},
 )
 def _thickness(p, rng, conn_spec):
-    h, rho0, k0 = p["h"], p["rho0"], p["kappa0"]
+    h, rho0, k0 = _positive(p, "h"), p["rho0"], p["kappa0"]
     rule = ThicknessRule(h)
     sig_c = np.array([[1.2, 0.4, 0.7], [0.4, -0.8, 0.2], [0.7, 0.2, 0.5]])
 

@@ -75,8 +75,10 @@ def moment_entries(q, l) -> list:
 
 
 def moments(J):
-    """Inverse of moment_matrix: copies of (q, l) read from a skew J."""
-    return np.array(J[1:, 0]), np.array([J[2, 3], J[3, 1], J[1, 2]])
+    """Inverse of moment_matrix: copies of (q, l) read from a skew J, or
+    from each J of a batch (..., 4, 4)."""
+    ang = np.array([J[..., 2, 3], J[..., 3, 1], J[..., 1, 2]])
+    return np.array(J[..., 1:, 0]), ang.T
 
 
 def strict_max(values) -> float:

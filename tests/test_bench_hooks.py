@@ -16,6 +16,11 @@ BENCH_DIR = os.path.join(
 )
 
 
+def _data_rows(path):
+    """Rows of a CSV artifact below its header."""
+    return len(path.read_text().splitlines()) - 1
+
+
 def test_tracer_counts_residual_points_and_nodes(tmp_path, monkeypatch,
                                                  capsys):
     monkeypatch.syspath_prepend(BENCH_DIR)
@@ -26,7 +31,9 @@ def test_tracer_counts_residual_points_and_nodes(tmp_path, monkeypatch,
                    "projectile_residual", "--out-dir", str(tmp_path)])
     assert rc == 0
     metrics = tracing.layer_metrics(tracer)
-    assert metrics["balance.cauchy.points"] == 27
+    # The tracer counts calls: one batched call takes the whole 3^3 grid.
+    assert metrics["balance.cauchy.points"] == 1
+    assert _data_rows(tmp_path / "hydrostatic" / "residuals.csv") == 27
     assert metrics["balance.d0.points"] == 9
     assert metrics["fd.field_evals"] > 0
     assert metrics["reduction.nodes"] > 0
@@ -48,7 +55,7 @@ def test_tracer_counts_shell_points(tmp_path, monkeypatch, capsys):
 
 def test_tracer_counts_cosserat_points(tmp_path, monkeypatch, capsys):
     # library must keep calling residual_3d_cosserat through its module
-    # global, which the tracer wraps: one call per point of the 3^3 grid.
+    # global, which the tracer wraps: one batched call for the 3^3 grid.
     monkeypatch.syspath_prepend(BENCH_DIR)
     import tracing
 
@@ -57,7 +64,9 @@ def test_tracer_counts_cosserat_points(tmp_path, monkeypatch, capsys):
                    str(tmp_path)])
     assert rc == 0
     metrics = tracing.layer_metrics(tracer)
-    assert metrics["balance.cosserat.points"] == 27
+    assert metrics["balance.cosserat.points"] == 1
+    assert _data_rows(tmp_path / "momentless_hydrostatic"
+                      / "residuals.csv") == 27
     assert metrics["fd.field_evals"] > 0
 
 

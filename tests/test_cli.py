@@ -265,6 +265,15 @@ BAD_PARAMS = {
                           "n_random"),
     "rho0_negative_cosserat": ("momentless_hydrostatic", "residual_check",
                                "d3_cosserat", {"rho0": -1}, "rho0"),
+    "radius_zero_ring": ("spinning_ring", "residual_check", "d1",
+                         {"radius": 0}, "radius"),
+    "h_negative_thickness": ("thickness_integrals", "reduction", "d2",
+                             {"h": -0.3}, "h"),
+    "rho0_negative_disc": ("disc_section_moments", "reduction", "d1",
+                           {"rho0": -1}, "rho0"),
+    # The probe grid's corners lie outside a sphere this small.
+    "radius_small_sphere": ("laplace_sphere", "residual_check", "d2",
+                            {"radius": 0.1}, "radius"),
 }
 
 

@@ -358,12 +358,18 @@ def test_rod_torsor_bits_match_array_forms():
 
 
 def test_cosserat_J_bits_match_moment_matrices():
+    # cosserat_J packs a batch with the point axis last on its inputs and
+    # first on J; each point's J is that of the moment matrices.
     rng = np.random.default_rng(8)
-    for _ in range(100):
-        q, l, l_star, M_star = _signed_zero_inputs(rng, [3, 3, (3, 3), (3, 3)])
-        ref = np.array([moment_matrix(q, l)] + [
-            moment_matrix(l_star[:, r], M_star[:, r]) for r in range(3)])
-        assert cosserat_J(q, l, l_star, M_star).tobytes() == ref.tobytes()
+    q, l, l_star, M_star = _signed_zero_inputs(
+        rng, [(3, 100), (3, 100), (3, 3, 100), (3, 3, 100)])
+    J = cosserat_J(q, l, l_star, M_star)
+    assert J.shape == (100, 4, 4, 4)
+    for p in range(100):
+        ref = np.array([moment_matrix(q[:, p], l[:, p])] + [
+            moment_matrix(l_star[:, r, p], M_star[:, r, p])
+            for r in range(3)])
+        assert J[p].tobytes() == ref.tobytes()
 
 
 def test_stress_mass_of_sigma_columns_is_its_transpose():

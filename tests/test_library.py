@@ -25,6 +25,8 @@ from torsor.library import (
     RESIDUAL_COLUMNS,
     Check,
     ConnSpec,
+    _each,
+    _events,
     _residual_case,
     _worst,
     manufactured_cauchy,
@@ -278,7 +280,8 @@ def test_residual_case_table_and_check_read_one_array():
     values = rng.normal(size=(4, 10)) * 1e-9
     values[2, 3] = -0.0
     result = _residual_case("r", 1e-8, "t,s", rows,
-                            lambda row: _as_residual(values[rows.index(row)]))
+                            _each(lambda row: _as_residual(
+                                values[rows.index(row)])))
     table = result.tables[0]
     assert table.header == f"t,s,{RESIDUAL_COLUMNS},max_abs"
     ref = np.array([np.concatenate([c, r, [np.max(np.abs(r))]])
@@ -288,8 +291,10 @@ def test_residual_case_table_and_check_read_one_array():
 
     exact = rng.normal(size=(4, 10)) * 1e-9
     result = _residual_case("r", 1e-8, "t,s", rows,
-                            lambda row: _as_residual(values[rows.index(row)]),
-                            exact=lambda row: exact[rows.index(row)])
+                            _each(lambda row: _as_residual(
+                                values[rows.index(row)])),
+                            exact=lambda block: [exact[rows.index(row)]
+                                                 for row in block])
     assert result.checks[0].value == np.max(np.abs(values - exact))
     assert result.tables[0].rows.tobytes() == ref.tobytes()
 
@@ -310,7 +315,8 @@ def test_non_finite_stress_fails_the_residual_check(bad):
     result = _residual_case(
         "r", 1e-8, "t,x1,x2,x3",
         [np.array([0.0, 0.0, 0.1, 0.0]), np.array([0.0, 0.5, 0.1, 0.0])],
-        lambda row: residual_3d_cosserat(state, conn, row[0], row[1:]))
+        lambda block: residual_3d_cosserat(state, conn,
+                                           *_events(block)).as_array())
     max_abs = result.tables[0].rows[:, -1]
     assert max_abs[0] < 1e-12 and not math.isfinite(max_abs[1])
     assert not math.isfinite(result.checks[0].value)

@@ -70,34 +70,21 @@ class GalileanConnection:
         return christoffels(self.g(t, x), self.Omega(t, x))
 
 
-def _christoffel_sources() -> np.ndarray:
-    """Index into (0, -g, Omega, -Omega) of each entry of the flattened
-    G[a, m, b]: G^i_00 = -g^i and the spin block skew(Omega) at G^i_0j
-    and G^i_j0; every other entry is the leading zero."""
-    src = np.zeros(64, dtype=np.intp)
-    src[[16, 32, 48]] = (1, 2, 3)
-    for i, j, k in ((1, 2, 2), (2, 3, 0), (3, 1, 1)):
-        # skew(Omega)[i-1, j-1] = -Omega[k], skew(Omega)[j-1, i-1] = Omega[k]
-        src[[16 * i + j, 16 * i + 4 * j]] = 7 + k
-        src[[16 * j + i, 16 * j + 4 * i]] = 4 + k
-    return src
-
-
-_CHRIS_SOURCE = _christoffel_sources()
-
-
 def christoffels(g, Omega) -> np.ndarray:
     """(4, 4, 4) Christoffels G[a, m, b] of gravity g and spin Omega.
 
     g and Omega may carry a leading point axis, (m, 3) each; G then has
-    shape (m, 4, 4, 4), built in one gather.
+    shape (m, 4, 4, 4).
     """
     g = np.asarray(g, dtype=float)
-    Omega = np.asarray(Omega, dtype=float)
-    lead = g.shape[:-1]
-    entries = np.concatenate([np.zeros(lead + (1,)), -g, Omega, -Omega],
-                             axis=-1)
-    return np.take(entries, _CHRIS_SOURCE, axis=-1).reshape(lead + (4, 4, 4))
+    w1, w2, w3 = np.asarray(Omega, dtype=float).T
+    G = np.zeros(g.shape[:-1] + (4, 4, 4))
+    G[..., 1:, 0, 0] = -g
+    W = G[..., 1:, 0, 1:]  # skew(Omega), entry by entry
+    W[..., 2, 1], W[..., 0, 2], W[..., 1, 0] = w1, w2, w3
+    W[..., 1, 2], W[..., 2, 0], W[..., 0, 1] = -w1, -w2, -w3
+    G[..., 1:, 1:, 0] = W
+    return G
 
 
 class OriginMotion:
@@ -282,11 +269,12 @@ def divergence(field, xi, chris: PullbackChristoffels, h: float = None,
           + (trG @ T)[..., 0, :]
           + (G @ UT.reshape(lead + (16, 1)))[..., 0])
     D = chris.origin_motion @ UT
-    out = D - D.mT
+    out = D - D.swapaxes(-1, -2)
     if field.torsor_J is not None:
         J = np.ascontiguousarray(field.torsor_J(xi), dtype=float)
         J = J.reshape(lead + (-1, 16))
         A = G @ (U @ J).reshape(lead + (16, 4))
         out = (_sum_row_derivatives(field.torsor_J, xi, h, one_sided, domain)
-               + A - A.mT + (trG @ J).reshape(lead + (4, 4)) + out)
-    return dT, 0.5 * (out - out.mT)
+               + A - A.swapaxes(-1, -2)
+               + (trG @ J).reshape(lead + (4, 4)) + out)
+    return dT, 0.5 * (out - out.swapaxes(-1, -2))

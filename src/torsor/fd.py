@@ -19,7 +19,11 @@ DEFAULT_REL_STEP = 1e-5
 
 
 def default_step(u):
-    """DEFAULT_REL_STEP * max(1, |u|), elementwise for an array of points."""
+    """DEFAULT_REL_STEP * max(1, |u|), elementwise for an array of points.
+
+    A float takes Python's max: the float kernels of fields call this once
+    per derivative, and np.maximum costs several times as much on a float.
+    """
     if isinstance(u, np.ndarray):
         return DEFAULT_REL_STEP * np.maximum(1.0, np.abs(u))
     return DEFAULT_REL_STEP * max(1.0, abs(u))
@@ -99,13 +103,9 @@ def _one_sided(f, u, h, side):
     (3 f(u) - 4 f(u - s) + f(u - 2s)) / 2s: at s = -h that is the forward
     form (-3 f(u) + 4 f(u + h) - f(u + 2h)) / 2h bit for bit, since
     negation is exact.  The central points of a batch take u + h, u - h
-    and u itself, and their own central form.
+    and u itself, and their own central form.  A single point is a batch
+    of one: u, h and side are then 0-d.
     """
-    if not isinstance(u, np.ndarray):
-        s = h if side > 0 else -h
-        f0, f1, f2 = (np.asarray(f(w), dtype=float)
-                      for w in (u, u - s, u - 2.0 * s))
-        return (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * s)
     s = np.where(side < 0, -h, h)
     c = side == 0
     f0 = np.asarray(f(np.where(c, u + h, u)), dtype=float)

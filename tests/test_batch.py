@@ -88,7 +88,12 @@ def test_batch_rows_match_point_by_point(medium, vectorized, kind, seed, m):
     assert batch.mass.shape == (m,) and batch.ang_mom.shape == (m, 3)
     rows = batch.as_array()
     loop = point_by_point(residual, fields, conn, t, x)
-    assert np.linalg.norm(rows - loop) <= 1e-12 * np.linalg.norm(loop)
+    if vectorized:
+        # numpy's functions on a whole array may round unlike on one value.
+        assert np.linalg.norm(rows - loop) <= 1e-12 * np.linalg.norm(loop)
+    else:
+        # The same field values either way, so the same bits.
+        assert rows.tobytes() == loop.tobytes()
 
 
 D3_CASES = ["cauchy_manufactured", "hydrostatic", "rotating_bucket",

@@ -104,13 +104,15 @@ def _one_sided(f, u, h, side):
     form (-3 f(u) + 4 f(u + h) - f(u + 2h)) / 2h bit for bit, since
     negation is exact.  The central points of a batch take u + h, u - h
     and u itself, and their own central form.  A single point is a batch
-    of one: u, h and side are then 0-d.
+    of one: u, h and side are then 0-d, and f is handed each of its probes
+    as a float, as on the central stencil.
     """
     s = np.where(side < 0, -h, h)
     c = side == 0
-    f0 = np.asarray(f(np.where(c, u + h, u)), dtype=float)
-    f1 = np.asarray(f(u - s), dtype=float)
-    f2 = np.asarray(f(np.where(c, u, u - 2.0 * s)), dtype=float)
+    # [()] turns a 0-d probe into a float and leaves a batch's array as is.
+    f0 = np.asarray(f(np.where(c, u + h, u)[()]), dtype=float)
+    f1 = np.asarray(f(np.asarray(u - s)[()]), dtype=float)
+    f2 = np.asarray(f(np.where(c, u, u - 2.0 * s)[()]), dtype=float)
     num = np.empty_like(f0)
     num[c] = f0[c] - f1[c]
     o = ~c

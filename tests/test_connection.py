@@ -6,11 +6,14 @@ differentiation, and compare with the finite-difference operators.  Central
 differences are exact on quadratics, so agreement is at roundoff level.
 """
 
+import functools
+
 import numpy as np
 import pytest
 import sympy as sp
 from numpy.testing import assert_allclose
 
+from torsor import fd
 from torsor.connection import (
     GalileanConnection,
     OriginMotion,
@@ -328,6 +331,22 @@ def test_boundary_raises_and_one_sided_recovers():
     # d/dt (t^2) + d/dx1 (x1^2) contributes 2t to the mass row only through
     # the time slot: row structure gives div^0 = d T^{00}/dt = 2t.
     assert_allclose(out[0], 2.0 * xi[0], atol=1e-6)
+
+
+@pytest.mark.parametrize("u", [0.0, 0.5, 1.0])
+def test_single_point_stencils_hand_f_floats(u):
+    # A cached f needs hashable probes: one point's central and one-sided
+    # stencils alike pass it floats, never 0-d arrays.
+    seen = []
+
+    @functools.lru_cache
+    def f(w):
+        seen.append(w)
+        return w ** 3
+
+    got = fd.diff(f, u, lo=0.0, hi=1.0, one_sided=True)
+    assert all(isinstance(w, float) for w in seen) and len(seen) == 3 - (u == 0.5)
+    assert_allclose(got, 3.0 * u ** 2, atol=1e-9)
 
 
 def test_divergence_second_order_convergence():

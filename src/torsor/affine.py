@@ -82,13 +82,6 @@ class AffineFrameChange:
         Pinv = self.P_inverse()
         return AffineFrameChange(-Pinv @ self.C, Pinv)
 
-    def to_dict(self) -> dict:
-        return {"C": self.C.tolist(), "P": self.P.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AffineFrameChange":
-        return cls(np.asarray(d["C"]), np.asarray(d["P"]))
-
     def __repr__(self):
         return f"AffineFrameChange(C={self.C.tolist()}, P={self.P.tolist()})"
 
@@ -182,23 +175,6 @@ class GalileanFrameChange(AffineFrameChange):
             k=rng.uniform(-1.0, 1.0, size=3),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "u": self.u.tolist(),
-            "R": self.R.tolist(),
-            "tau0": self.tau0,
-            "k": self.k.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GalileanFrameChange":
-        return cls(
-            u=np.asarray(d["u"]),
-            R=np.asarray(d["R"]),
-            tau0=float(d["tau0"]),
-            k=np.asarray(d["k"]),
-        )
-
     def __repr__(self):
         return (
             f"GalileanFrameChange(u={self.u.tolist()}, R={self.R.tolist()}, "
@@ -244,13 +220,6 @@ class AffineForm:
     def __call__(self, V) -> float:
         return self.chi + float(self.Phi @ np.asarray(V, dtype=float).reshape(4))
 
-    def to_dict(self) -> dict:
-        return {"chi": self.chi, "Phi": self.Phi.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AffineForm":
-        return cls(chi=d["chi"], Phi=np.asarray(d["Phi"]))
-
 
 class Torsor:
     """Skew bilinear object with components (T, J).
@@ -295,13 +264,6 @@ class Torsor:
         """Bilinear value tau(psi1, psi2) = psi1~ @ extended @ psi2~."""
         return float(psi1.extended @ self.extended @ psi2.extended)
 
-    def to_dict(self) -> dict:
-        return {"T": self.T.tolist(), "J": self.J.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Torsor":
-        return cls(np.asarray(d["T"]), np.asarray(d["J"]))
-
     def __repr__(self):
         return f"Torsor(T={self.T.tolist()}, J={self.J.tolist()})"
 
@@ -332,18 +294,6 @@ class PointwiseTorsor:
     def from_torsor(cls, tau: Torsor) -> "PointwiseTorsor":
         q, l = moments(tau.J)
         return cls(m=tau.T[0], p=tau.T[1:], q=q, l=l)
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "p": self.p.tolist(),
-            "q": self.q.tolist(),
-            "l": self.l.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PointwiseTorsor":
-        return cls(d["m"], np.asarray(d["p"]), np.asarray(d["q"]), np.asarray(d["l"]))
 
     def __repr__(self):
         return (

@@ -92,15 +92,6 @@ class BalanceResidual:
         worst = np.max(np.abs(self.as_array()), axis=-1)
         return float(worst) if worst.ndim == 0 else worst
 
-    def to_dict(self) -> dict:
-        return {
-            "mass": np.asarray(self.mass).tolist(),
-            "linear_momentum": self.lin_mom.tolist(),
-            "position_quantity": self.pos_q.tolist(),
-            "angular_momentum": self.ang_mom.tolist(),
-            "max_abs": np.asarray(self.max_abs()).tolist(),
-        }
-
 
 def residual_pointwise(traj, conn, t: float, h: float = None) -> BalanceResidual:
     """Residuals of the four pointwise balance laws along a trajectory.

@@ -5,9 +5,10 @@ coordinates); the tangent map U is the 4 x (d+1) Jacobian of the embedding
 into space-time, and the torsor fields give the (d+1)-row component arrays
 the divergence operator consumes.
 
-Curves are parameterized by arclength s (a constructor option rebuilds that
-parameterization by numeric quadrature).  Shells carry a mid-surface chart
-(theta^1, theta^2), the unit normal, and both fundamental forms.
+Curves are parameterized by arclength s: the caller's chart psi(t, s) must
+have |d psi/ds| = 1.  Shells carry a mid-surface chart (theta^1, theta^2),
+its metric and the unit normal; the second fundamental form b is computed
+inside shell_christoffels, which stores it as Gamma^3_ab.
 """
 
 import math
@@ -18,11 +19,10 @@ import numpy as np
 
 from . import fd
 from .errors import SingularMetric
-from .vecmath import cross, cross3, moment_entries, skew, strict_max, triple
+from .vecmath import cross, cross3, moment_entries, skew, triple
 
 DEGENERATE_TANGENT_TOL = 1e-9
 SINGULAR_METRIC_TOL = 1e-12
-ARCLENGTH_QUAD_TOL = 1e-8
 SECOND_DIFF_REL_STEP = 1e-4
 
 
@@ -135,12 +135,7 @@ class Curve1D:
     neither, the chart is material: v = d psi/dt and v_t = n . d psi/dt.
     """
 
-    def __init__(self, psi, v=None, n=None, v_t=None, domain=None,
-                 reparameterize: bool = False, s_range=None):
-        if reparameterize:
-            if s_range is None:
-                raise ValueError("reparameterize requires s_range=(s_lo, s_hi)")
-            psi = _arclength_wrap(psi, s_range)
+    def __init__(self, psi, v=None, n=None, v_t=None, domain=None):
         self._psi = psi
         self._v = v
         self._n = n
@@ -176,43 +171,6 @@ class Curve1D:
             slide = float(self._v_t(t, s)) - float(dpsi_dt @ n)
             return dpsi_dt + slide * n
         return dpsi_dt
-
-    def arclength_defect(self, t: float, s_samples) -> float:
-        """max | |d psi/ds| - 1 | over the samples; 0 for true arclength."""
-        return strict_max(
-            abs(float(np.linalg.norm(self.n(t, s))) - 1.0) for s in s_samples
-        )
-
-
-def _arclength_wrap(psi_raw, s_range):
-    """Reparameterize psi_raw(t, u), u in s_range, to arclength from s_range[0]."""
-    # Imported here: scipy costs most of `import torsor`, and only this
-    # option needs it.
-    from scipy.integrate import quad
-    from scipy.optimize import brentq
-
-    u0, u1 = s_range
-
-    def speed(t, u):
-        return float(np.linalg.norm(fd.diff(lambda w: np.asarray(psi_raw(t, w), dtype=float), u)))
-
-    def arclen(t, u):
-        # Integrate well below the contract tolerance so the inversion,
-        # and tangents finite-differenced through it, stay within it.
-        return quad(lambda w: speed(t, w), u0, u,
-                    epsabs=1e-4 * ARCLENGTH_QUAD_TOL, limit=200)[0]
-
-    def psi(t, s):
-        if s <= 0.0:
-            return np.asarray(psi_raw(t, u0), dtype=float)
-        total = arclen(t, u1)
-        if s >= total:
-            return np.asarray(psi_raw(t, u1), dtype=float)
-        u = brentq(lambda w: arclen(t, w) - s, u0, u1, xtol=1e-12,
-                   rtol=8.881784197001252e-16)
-        return np.asarray(psi_raw(t, u), dtype=float)
-
-    return psi
 
 
 @dataclass
@@ -435,12 +393,6 @@ class ShellField:
         D[0, 1] = mixed
         D[1, 0] = mixed
         return D
-
-    def second_form(self, t, th1, th2) -> np.ndarray:
-        """b_ab = n . d pi_b / d theta^a."""
-        n = self.n(t, th1, th2)
-        D = self.dpi_dtheta(t, th1, th2)
-        return np.einsum("i,bai->ab", n, D)
 
     def v(self, t, th1, th2) -> np.ndarray:
         if self._v is not None:

@@ -559,6 +559,9 @@ def manufactured_cauchy(g=(0.1, -0.2, 0.3), Omega=(0.2, -0.1, 0.3)):
               "n_random": 5},
 )
 def _cauchy_manufactured(p, rng, conn_spec):
+    if p["half_width"] < 0:
+        raise ScenarioError(
+            f"params.half_width: must be nonnegative, got {p['half_width']!r}")
     medium, conn, exact = manufactured_cauchy(conn_spec.g, conn_spec.Omega)
     t = p["t"]
     rows = _cube_rows(t, p["half_width"], p["n_side"])
@@ -753,12 +756,13 @@ def _laplace_sphere(p, rng, conn_spec):
             f"params.radius: must exceed sqrt(2) (|half_width| + step) = "
             f"{math.sqrt(2.0) * reach!r}, the reach of the probe grid's "
             f"corners, got {p['radius']!r}")
+    rho_s = _positive(p, "rho_s")
     if conn_spec.type != "case":
         raise ScenarioError(
             "connection.type: laplace_sphere defines its own radial pull; "
             "set type to 'case'"
         )
-    r, T0, rho_s = p["radius"], p["tension"], p["rho_s"]
+    r, T0 = p["radius"], p["tension"]
     pr = 2.0 * T0 / r
 
     def chart(t, th1, th2):
@@ -802,7 +806,7 @@ def _laplace_sphere(p, rng, conn_spec):
     defaults={"n_side": 3, "radius": 1.5, "rho_s": 0.8},
 )
 def _spinning_drum(p, rng, conn_spec):
-    R, rho_s = p["radius"], p["rho_s"]
+    R, rho_s = _positive(p, "radius"), p["rho_s"]
     w = conn_spec.Omega[2]
 
     def chart(t, th1, th2):
@@ -886,7 +890,9 @@ def _momentless_hydrostatic(p, rng, conn_spec):
     defaults={"radius": 0.4, "rho0": 2.5, "omega": 1.3, "v_max": 2.0},
 )
 def _disc_section(p, rng, conn_spec):
-    R, w, v_max = p["radius"], p["omega"], p["v_max"]
+    R, w, v_max = _positive(p, "radius"), p["omega"], p["v_max"]
+    if w == 0:
+        raise ScenarioError(f"params.omega: must be nonzero, got {w!r}")
     rho0 = _positive(p, "rho0")
     cs = CrossSection.disc(R)
     Pi = projector_matrix(cs)
@@ -939,6 +945,8 @@ def _disc_section(p, rng, conn_spec):
 )
 def _thickness(p, rng, conn_spec):
     h, rho0, k0 = _positive(p, "h"), p["rho0"], p["kappa0"]
+    if rho0 < 0:
+        raise ScenarioError(f"params.rho0: must be nonnegative, got {rho0!r}")
     rule = ThicknessRule(h)
     sig_c = np.array([[1.2, 0.4, 0.7], [0.4, -0.8, 0.2], [0.7, 0.2, 0.5]])
 

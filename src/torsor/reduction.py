@@ -92,14 +92,6 @@ class CrossSection(_QuadratureRule):
                 weights.append(wi * wt)
         return cls(np.array(nodes), np.array(weights), **frame)
 
-    def points3d(self) -> np.ndarray:
-        """(K, 3) node positions in space."""
-        return (
-            self.origin
-            + np.outer(self.nodes[:, 0], self.e1)
-            + np.outer(self.nodes[:, 1], self.e2)
-        )
-
     def area(self) -> float:
         return float(np.sum(self.weights))
 

@@ -364,28 +364,3 @@ def test_stress_mass_rejects_asymmetric():
     T[0, 1] = 1.0
     with pytest.raises(ValueError):
         transform_stress_mass(GalileanFrameChange(), T)
-
-
-# Serialization
-
-def test_serialization_roundtrips():
-    rng = np.random.default_rng(15)
-    f = random_frame_change(rng)
-    g = GalileanFrameChange.from_dict(f.to_dict())
-    assert_allclose(g.extended, f.extended, atol=0)
-
-    a = AffineFrameChange(rng.uniform(-1, 1, 4), np.eye(4) + 0.1)
-    b = AffineFrameChange.from_dict(a.to_dict())
-    assert_allclose(b.extended, a.extended, atol=0)
-
-    tau = random_torsor(rng)
-    tau2 = Torsor.from_dict(tau.to_dict())
-    assert_allclose(tau2.extended, tau.extended, atol=0)
-
-    psi = random_form(rng)
-    psi2 = AffineForm.from_dict(psi.to_dict())
-    assert_allclose(psi2.extended, psi.extended, atol=0)
-
-    pt = PointwiseTorsor(1.0, [1, 2, 3], [4, 5, 6], [7, 8, 9])
-    pt2 = PointwiseTorsor.from_dict(pt.to_dict())
-    assert pt2.to_dict() == pt.to_dict()

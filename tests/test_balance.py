@@ -42,7 +42,7 @@ from torsor.fields import (
     shell_christoffels,
 )
 from torsor.library import manufactured_rod
-from torsor.vecmath import rotation, skew
+from torsor.vecmath import rotation
 
 FD_TOL = 1e-8
 E3 = np.array([0.0, 0.0, 1.0])
@@ -1350,7 +1350,3 @@ def test_residual_as_array_order():
     )
     assert_allclose(res.as_array(), np.arange(1.0, 11.0), atol=0)
     assert res.max_abs() == 10.0
-    d = res.to_dict()
-    assert d["mass"] == 1.0
-    assert d["max_abs"] == 10.0
-    assert d["linear_momentum"] == [2.0, 3.0, 4.0]

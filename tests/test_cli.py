@@ -274,14 +274,31 @@ BAD_PARAMS = {
     # The probe grid's corners lie outside a sphere this small.
     "radius_small_sphere": ("laplace_sphere", "residual_check", "d2",
                             {"radius": 0.1}, "radius"),
+    # Each ended in a traceback: a division by the key, a check that
+    # raised on it, or rng.uniform(-half_width, half_width).
+    "radius_zero_disc": ("disc_section_moments", "reduction", "d1",
+                         {"radius": 0}, "radius"),
+    "omega_zero_disc": ("disc_section_moments", "reduction", "d1",
+                        {"omega": 0}, "omega"),
+    "rho_s_zero_sphere": ("laplace_sphere", "residual_check", "d2",
+                          {"rho_s": 0}, "rho_s", {"type": "case"}),
+    "radius_zero_drum": ("spinning_drum", "residual_check", "d2",
+                         {"radius": 0}, "radius"),
+    "rho0_negative_thickness": ("thickness_integrals", "reduction", "d2",
+                                {"rho0": -1}, "rho0"),
+    "half_width_negative_cauchy": ("cauchy_manufactured", "residual_check",
+                                   "d3_cauchy", {"half_width": -1},
+                                   "half_width"),
 }
 
 
 @pytest.mark.parametrize("hole", sorted(BAD_PARAMS))
 def test_bad_param_exits_2_naming_key(tmp_path, capsys, hole):
-    case, kind, medium, params, key = BAD_PARAMS[hole]
+    # A sixth entry, if any, is the connection the case needs.
+    case, kind, medium, params, key, *conn = BAD_PARAMS[hole]
     scn = _write_scenario(tmp_path / "scn.json", case=case, kind=kind,
-                          medium=medium, params=params)
+                          medium=medium, params=params,
+                          connection=conn[0] if conn else {"type": "uniform"})
     rc = main(["run", str(scn), "--out-dir", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: params.{key}:")

@@ -6,6 +6,8 @@ against the defining identities (a unit tangent with v . n = v_t, symmetry
 of the second form, dR/dt = skew(varpi) R).
 """
 
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -159,36 +161,25 @@ def test_curve_acceleration_paths():
     assert_allclose(acc_flow, np.zeros(3), atol=1e-6)
 
 
-# ---------------------------------------------------------------------------
-# arclength reparameterization
-
-
-def test_reparameterize_line_exact_target():
-    # psi_raw(u) = (u + u^3, 2, -1) has speed 1 + 3u^2, arclength u + u^3;
-    # the reparameterized chart must satisfy psi(s) = (s, 2, -1).
-    def psi_raw(t, u):
-        return np.array([u + u ** 3, 2.0, -1.0])
-
-    line = Curve1D(psi_raw, reparameterize=True, s_range=(0.0, 1.0))
-    for s in [0.1, 0.7, 1.3]:
-        assert_allclose(line.psi(0.0, s), [s, 2.0, -1.0], atol=1e-8)
-    # Out-of-range pulls clamp to the ends of the raw chart.
-    assert_allclose(line.psi(0.0, -0.5), [0.0, 2.0, -1.0], atol=EXACT_TOL)
-    assert_allclose(line.psi(0.0, 99.0), [2.0, 2.0, -1.0], atol=EXACT_TOL)
-
-
-def test_reparameterize_ellipse_defect():
-    def psi_raw(t, u):
-        return np.array([np.cos(u), 2.0 * np.sin(u), 0.0])
-
-    arc = Curve1D(psi_raw, reparameterize=True, s_range=(0.0, np.pi / 2))
-    assert arc.arclength_defect(0.0, [0.3, 0.8, 1.5]) < 1e-6
-
-
 def test_import_leaves_scipy_unloaded():
-    # Only the arclength option uses scipy, and it imports it on first use;
-    # a module-level import would cost most of every CLI start.
-    src = os.path.dirname(os.path.dirname(torsor.__file__))
+    # numpy is the only run-time dependency; scipy would also cost most of
+    # every CLI start.  The scan finds imports the CLI path never executes,
+    # such as one inside a function.
+    pkg = os.path.dirname(torsor.__file__)
+    for path in sorted(glob.glob(os.path.join(pkg, "**", "*.py"),
+                                 recursive=True)):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "scipy" for m in mods), (
+                f"{path}:{node.lineno} imports scipy")
+    src = os.path.dirname(pkg)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
@@ -203,18 +194,6 @@ def test_every_export_resolves():
     # A deleted name left in __all__ breaks `from torsor import *`.
     missing = [name for name in torsor.__all__ if not hasattr(torsor, name)]
     assert missing == []
-
-
-def test_arclength_defect_keeps_a_nan():
-    def psi(t, u):
-        return np.array([u, 0.0, 0.0]) if u < 1.0 else np.full(3, np.nan)
-
-    assert np.isnan(Curve1D(psi).arclength_defect(0.0, [0.5, 2.0]))
-
-
-def test_reparameterize_requires_range():
-    with pytest.raises(ValueError):
-        Curve1D(lambda t, u: np.array([u, 0.0, 0.0]), reparameterize=True)
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +403,12 @@ def test_sphere_curvature_both_sheets():
     th = (0.3, -0.2)
     up = sphere_patch(r, upper=True)
     a = up.metric(0.0, *th)
-    b = up.second_form(0.0, *th)
+    b = shell_christoffels(up, GalileanConnection(), 0.0, *th)[3, 1:3, 1:3]
     assert_allclose(b, -a / r, atol=1e-7)
 
     low = sphere_patch(r, upper=False)
     a = low.metric(0.0, *th)
-    b = low.second_form(0.0, *th)
+    b = shell_christoffels(low, GalileanConnection(), 0.0, *th)[3, 1:3, 1:3]
     assert_allclose(b, a / r, atol=1e-7)
 
 
@@ -444,12 +423,10 @@ def test_cylinder_geometry():
     assert_allclose(cyl.metric(t, th1, th2), np.eye(2), atol=1e-7)
     n = cyl.n(t, th1, th2)
     assert_allclose(n, [np.cos(th1 / R), np.sin(th1 / R), 0.0], atol=1e-7)
-    b = cyl.second_form(t, th1, th2)
-    assert_allclose(b, [[-1.0 / R, 0.0], [0.0, 0.0]], atol=1e-6)
-    # Orthonormal chart of a developable surface: no in-plane Christoffels.
     G = shell_christoffels(cyl, GalileanConnection(), t, th1, th2)
+    assert_allclose(G[3, 1:3, 1:3], [[-1.0 / R, 0.0], [0.0, 0.0]], atol=1e-6)
+    # Orthonormal chart of a developable surface: no in-plane Christoffels.
     assert_allclose(G[1:3, 1:3, 1:3], np.zeros((2, 2, 2)), atol=1e-6)
-    assert_allclose(G[3, 1:3, 1:3], b, atol=EXACT_TOL)
 
 
 def test_second_form_symmetry_fd_default():
@@ -458,9 +435,9 @@ def test_second_form_symmetry_fd_default():
         return np.array([th1, th2, 0.3 * th1 ** 2 * th2 + 0.1 * th2 ** 3])
 
     sf = ShellField(x)
-    b = sf.second_form(0.0, 0.4, -0.6)
-    assert abs(b[0, 1] - b[1, 0]) < 1e-8
     G = shell_christoffels(sf, GalileanConnection(), 0.0, 0.4, -0.6)
+    b = G[3, 1:3, 1:3]
+    assert abs(b[0, 1] - b[1, 0]) < 1e-8
     Gam = G[1:3, 1:3, 1:3]
     assert_allclose(Gam, np.swapaxes(Gam, 1, 2), atol=1e-8)
 

@@ -79,7 +79,7 @@ def test_section_validation():
         CrossSection([[0.0, 0.0], [1.0, 0.0]], [1.0])
 
 
-def test_points3d_uses_frame():
+def test_projector_uses_frame():
     cs = CrossSection(
         [[1.0, 2.0]],
         [1.0],
@@ -88,7 +88,6 @@ def test_points3d_uses_frame():
         e2=(0.0, 0.0, 1.0),
         n=(1.0, 0.0, 0.0),
     )
-    assert_allclose(cs.points3d(), [[5.0, 1.0, 2.0]], atol=QUAD_TOL)
     assert_allclose(projector_matrix(cs)[1, 1:], [1.0, 0.0, 0.0], atol=QUAD_TOL)
 
 

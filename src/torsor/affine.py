@@ -7,29 +7,46 @@ forms (chi, Phi) and torsors (T, J) carry the dual and bilinear laws.  The
 whole algebra embeds in a 5x5 matrix representation which the tests use as an
 independent oracle.
 
+A GalileanFrameChange, with C = (tau0, k) and P = [[1, 0], [u, R]], stores
+its 16 numbers (u, R, tau0, k) once, as one tuple of Python floats, and
+builds the arrays u, R, k, C, P and P^-1 only when they are read.  Its group
+algebra and its transforms run on those floats by the component laws, with
+d = V_0 - tau0, T = (m, p) and J = vecmath.moment_matrix(q, l):
+
+    transform_point        V' = (d, R^T (V_s - k - u d))
+    transform_torsor       m' = m (exactly),  p' = R^T (p - m u),
+                           q' = R^T (q - m k + tau0 p),
+                           l' = R^T (l - k x p) + (R^T u) x q'
+    transform_stress_mass  with S = [[rho, a^T], [a, B]] and b = rho u + R a,
+                           P S P^T = [[rho, b^T], [b, b u^T + u (R a)^T
+                           + R B R^T]], then symmetrized
+
+A generic AffineFrameChange keeps the matrix laws, which the Galilean
+elements never take.
+
 Values are validated once, where they enter from outside: the public
 constructors reject non-finite input, a singular P, a non-orthonormal or
 orientation-reversing R and a J that is not skew.  Results of the group
 algebra are valid by construction, so compose and inverse of Galilean
-elements build through the private GalileanFrameChange._trusted, and
-transform_torsor stores its exactly skew J' through Torsor._trusted.
+elements build through the private GalileanFrameChange._trusted, and the
+transforms store their J' through Torsor._trusted, packed directly in the
+canonical storage of Torsor.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .vecmath import moment_matrix, moments
+from .vecmath import cross3, triple
 
 # Constructor validation tolerances (absolute, on unit-scale entries).
 ORTHONORMAL_TOL = 1e-9
 SKEW_TOL = 1e-9
 
-_I3 = np.eye(3)
-# Entries at and below the diagonal: where np.triu(J, 1) puts its zeros.
-_LOWER = np.tri(4, 4, 0, dtype=bool)
+_IDENTITY3 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+# Flat indices (i, j) and (j, i) of the 4x4 entries with i <= j.
+_PAIRS = [(4 * i + j, 4 * j + i) for i in range(4) for j in range(i, 4)]
 
 
 def _finite(numbers) -> bool:
@@ -37,12 +54,44 @@ def _finite(numbers) -> bool:
     return all(map(math.isfinite, numbers))
 
 
-def _max_abs(a, what: str) -> float:
-    """Largest |entry| of a; ValueError naming `what` if any is NaN or inf."""
-    m = np.abs(a).max()
-    if not m < math.inf:
+def _floats(value, n: int) -> list:
+    """The n numbers of an array-like, row by row, as Python floats."""
+    return np.asarray(value, dtype=float).reshape(n).tolist()
+
+
+def _scale(entries, what: str) -> float:
+    """max(1, largest |entry|); ValueError naming `what` if any is not
+    finite."""
+    if not _finite(entries):
         raise ValueError(f"{what} is not finite")
-    return m
+    return max(1.0, max(map(abs, entries)))
+
+
+def _rot(r, x) -> tuple:
+    """R x, for R given by its 9 entries r row by row."""
+    x0, x1, x2 = x
+    return (r[0] * x0 + r[1] * x1 + r[2] * x2,
+            r[3] * x0 + r[4] * x1 + r[5] * x2,
+            r[6] * x0 + r[7] * x1 + r[8] * x2)
+
+
+def _rot_t(r, x) -> tuple:
+    """R^T x, for R given by its 9 entries r row by row."""
+    x0, x1, x2 = x
+    return (r[0] * x0 + r[3] * x1 + r[6] * x2,
+            r[1] * x0 + r[4] * x1 + r[7] * x2,
+            r[2] * x0 + r[5] * x1 + r[8] * x2)
+
+
+def _canonical_J(j01, j02, j03, j12, j13, j23) -> np.ndarray:
+    """Skew 4x4 J in Torsor's canonical storage from its strict upper
+    triangle: each mirrored entry is 0 - its partner, the diagonal 0."""
+    return np.array((
+        0.0, j01, j02, j03,
+        0.0 - j01, 0.0, j12, j13,
+        0.0 - j02, 0.0 - j12, 0.0, j23,
+        0.0 - j03, 0.0 - j13, 0.0 - j23, 0.0,
+    )).reshape(4, 4)
 
 
 class AffineFrameChange:
@@ -91,77 +140,86 @@ class GalileanFrameChange(AffineFrameChange):
 
     P = [[1, 0], [u, R]] with R a rotation and u a boost velocity; the
     translation C = (tau0, k) collects a clock change and a spatial shift.
+    The 16 floats (u, R row by row, tau0, k) are stored as the tuple _e.
     """
 
     def __init__(self, u=None, R=None, tau0: float = 0.0, k=None):
-        u = np.zeros(3) if u is None else np.asarray(u, dtype=float).reshape(3)
-        R = np.eye(3) if R is None else np.asarray(R, dtype=float).reshape(3, 3)
-        k = np.zeros(3) if k is None else np.asarray(k, dtype=float).reshape(3)
-        tau0 = float(tau0)
-        # Checked before the product R^T R, which an inf would make warn.
-        rows = R.tolist()
-        if not _finite([tau0, *u.tolist(), *k.tolist(), *rows[0], *rows[1],
-                        *rows[2]]):
+        u = (0.0, 0.0, 0.0) if u is None else triple(u)
+        r = _IDENTITY3 if R is None else _floats(R, 9)
+        k = (0.0, 0.0, 0.0) if k is None else triple(k)
+        e = (*u, *r, float(tau0), *k)
+        if not _finite(e):
             raise ValueError("u, R, tau0 and k must be finite")
-        if not np.abs(R.T @ R - _I3).max() <= ORTHONORMAL_TOL:
+        # Columns j of R^T R are R^T (column j of R).
+        gram = _rot_t(r, r[0::3]) + _rot_t(r, r[1::3]) + _rot_t(r, r[2::3])
+        if not max(abs(g - i) for g, i in zip(gram, _IDENTITY3)) \
+                <= ORTHONORMAL_TOL:
             raise ValueError("R is not orthonormal")
         # R is orthonormal here, so det R = r0 . (r1 x r2) is +-1 and its
         # sign is safe to read from the closed form.
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+        a0, a1, a2, b0, b1, b2, c0, c1, c2 = r
         if a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2) \
                 + a2 * (b0 * c1 - b1 * c0) < 0.0:
             raise ValueError("R reverses orientation")
-        self._assign(u, R, tau0, k)
+        self._e = e
 
     @classmethod
-    def _trusted(cls, u, R, tau0: float, k) -> "GalileanFrameChange":
-        """Element from float arrays u, R, k and a float tau0 that are
-        already known valid, such as results of the group algebra."""
+    def _trusted(cls, e) -> "GalileanFrameChange":
+        """Element from 16 floats (u, R, tau0, k) that are already known
+        valid, such as results of the group algebra."""
         f = cls.__new__(cls)
-        f._assign(u, R, tau0, k)
+        f._e = e
         return f
 
-    def _assign(self, u, R, tau0, k):
-        self.u = u
-        self.R = R
-        self.tau0 = tau0
-        self.k = k
+    @property
+    def u(self) -> np.ndarray:
+        return np.array(self._e[0:3])
 
-    # C and P are built on first use: most elements are only composed or
-    # inverted, which reads u, R, tau0 and k.
-    @cached_property
+    @property
+    def R(self) -> np.ndarray:
+        return np.array(self._e[3:12]).reshape(3, 3)
+
+    @property
+    def tau0(self) -> float:
+        return self._e[12]
+
+    @property
+    def k(self) -> np.ndarray:
+        return np.array(self._e[13:16])
+
+    @property
     def C(self) -> np.ndarray:
-        return np.concatenate(([self.tau0], self.k))
+        return np.array(self._e[12:16])
 
-    @cached_property
+    @property
     def P(self) -> np.ndarray:
-        P = np.eye(4)
-        P[1:, 0] = self.u
-        P[1:, 1:] = self.R
-        return P
+        e = self._e
+        return np.array((1.0, 0.0, 0.0, 0.0, e[0], *e[3:6], e[1], *e[6:9],
+                         e[2], *e[9:12])).reshape(4, 4)
 
     @classmethod
     def identity(cls) -> "GalileanFrameChange":
         return cls()
 
     def P_inverse(self) -> np.ndarray:
-        return self._P_inverse
-
-    # Built once, like C and P: each transform of a point or torsor reads it.
-    @cached_property
-    def _P_inverse(self) -> np.ndarray:
         # Blockwise exact: [[1, 0], [-R^T u, R^T]].  Keeps the time row of
         # transformed objects bit-identical instead of roundoff-close.
-        Pinv = np.eye(4)
-        Pinv[1:, 0] = -self.R.T @ self.u
-        Pinv[1:, 1:] = self.R.T
-        return Pinv
+        r = self._e[3:12]
+        w0, w1, w2 = _rot_t(r, self._e[0:3])
+        return np.array((1.0, 0.0, 0.0, 0.0, -w0, *r[0::3], -w1, *r[1::3],
+                         -w2, *r[2::3])).reshape(4, 4)
 
     def inverse(self) -> "GalileanFrameChange":
-        # P^-1 = [[1, 0], [-R^T u, R^T]]; C' = -P^-1 C.
-        Rt = self.R.T
-        return GalileanFrameChange._trusted(
-            -Rt @ self.u, Rt, -self.tau0, Rt @ (self.u * self.tau0 - self.k))
+        # u' = -R^T u, R' = R^T, tau0' = -tau0, k' = R^T (u tau0 - k).
+        e = self._e
+        r, tau0 = e[3:12], e[12]
+        w0, w1, w2 = _rot_t(r, e[0:3])
+        u0, u1, u2 = e[0:3]
+        return GalileanFrameChange._trusted((
+            -w0, -w1, -w2, *r[0::3], *r[1::3], *r[2::3], -tau0,
+            *_rot_t(r, (u0 * tau0 - e[13], u1 * tau0 - e[14],
+                        u2 * tau0 - e[15])),
+        ))
 
     @classmethod
     def random(cls, rng) -> "GalileanFrameChange":
@@ -185,16 +243,23 @@ class GalileanFrameChange(AffineFrameChange):
 def compose(f1: AffineFrameChange, f2: AffineFrameChange) -> AffineFrameChange:
     """Composition with extended(compose(f1, f2)) = extended(f1) @ extended(f2).
 
-    Two Galilean elements compose to a Galilean element; mixed input falls
-    back to a generic AffineFrameChange.
+    Two Galilean elements compose to a Galilean element: u = u1 + R1 u2,
+    R = R1 R2, tau0 = tau01 + tau02 and k = k1 + u1 tau02 + R1 k2.  Mixed
+    input falls back to a generic AffineFrameChange.
     """
     if isinstance(f1, GalileanFrameChange) and isinstance(f2, GalileanFrameChange):
-        return GalileanFrameChange._trusted(
-            f1.u + f1.R @ f2.u,
-            f1.R @ f2.R,
-            f1.tau0 + f2.tau0,
-            f1.k + f1.u * f2.tau0 + f1.R @ f2.k,
-        )
+        e1, e2 = f1._e, f2._e
+        r1, r2, t2 = e1[3:12], e2[3:12], e2[12]
+        a0, a1, a2 = _rot(r1, e2[0:3])
+        b0, b1, b2 = _rot(r1, e2[13:16])
+        return GalileanFrameChange._trusted((
+            e1[0] + a0, e1[1] + a1, e1[2] + a2,
+            # Row i of R1 R2 is R2^T (row i of R1).
+            *_rot_t(r2, r1[0:3]), *_rot_t(r2, r1[3:6]), *_rot_t(r2, r1[6:9]),
+            e1[12] + t2,
+            e1[13] + e1[0] * t2 + b0, e1[14] + e1[1] * t2 + b1,
+            e1[15] + e1[2] * t2 + b2,
+        ))
     return AffineFrameChange(f1.C + f1.P @ f2.C, f1.P @ f2.P)
 
 
@@ -231,16 +296,15 @@ class Torsor:
     """
 
     def __init__(self, T, J):
-        T = np.asarray(T, dtype=float).reshape(4)
-        J = np.asarray(J, dtype=float).reshape(4, 4)
-        if not _finite(T.tolist()):
+        t = _floats(T, 4)
+        j = _floats(J, 16)
+        if not _finite(t):
             raise ValueError("T is not finite")
-        scale = max(1.0, _max_abs(J, "J"))
-        if not np.abs(J + J.T).max() <= SKEW_TOL * scale:
+        tol = SKEW_TOL * _scale(j, "J")
+        if not max(abs(j[a] + j[b]) for a, b in _PAIRS) <= tol:
             raise ValueError("J is not skew-symmetric")
-        upper = np.where(_LOWER, 0.0, J)  # np.triu(J, 1), without its setup
-        self.T = T
-        self.J = upper - upper.T
+        self.T = np.array(t)
+        self.J = _canonical_J(j[1], j[2], j[3], j[6], j[7], j[11])
 
     @classmethod
     def _trusted(cls, T, J) -> "Torsor":
@@ -287,13 +351,20 @@ class PointwiseTorsor:
         return cls(m, np.zeros(3), np.zeros(3), l0)
 
     def to_torsor(self) -> Torsor:
-        return Torsor(np.concatenate(([self.m], self.p)),
-                      moment_matrix(self.q, self.l))
+        p, (q0, q1, q2), (l0, l1, l2) = (
+            self.p.tolist(), self.q.tolist(), self.l.tolist())
+        if not _finite((self.m, *p, q0, q1, q2, l0, l1, l2)):
+            raise ValueError("m, p, q and l must be finite")
+        # The strict upper triangle of moment_matrix(q, l).
+        return Torsor._trusted(np.array((self.m, *p)),
+                               _canonical_J(-q0, -q1, -q2, l2, -l1, l0))
 
     @classmethod
     def from_torsor(cls, tau: Torsor) -> "PointwiseTorsor":
-        q, l = moments(tau.J)
-        return cls(m=tau.T[0], p=tau.T[1:], q=q, l=l)
+        # q = J[1:, 0] and l = (J[2, 3], J[3, 1], J[1, 2]), as in moments.
+        j = tau.J.ravel().tolist()
+        return cls(m=tau.T[0], p=tau.T[1:], q=(j[4], j[8], j[12]),
+                   l=(j[11], j[13], j[6]))
 
     def __repr__(self):
         return (
@@ -305,8 +376,16 @@ class PointwiseTorsor:
 def transform_point(f: AffineFrameChange, V) -> np.ndarray:
     """Components in the new frame of the point with old components V.
 
-    V' = P^-1 (V - C), the inverse of the defining action V = C + P V'.
+    V' = P^-1 (V - C), the inverse of the defining action V = C + P V';
+    for a GalileanFrameChange V' = (d, R^T (V_s - k - u d)), d = V_0 - tau0.
     """
+    if isinstance(f, GalileanFrameChange):
+        e = f._e
+        v0, v1, v2, v3 = _floats(V, 4)
+        d = v0 - e[12]
+        return np.array((d, *_rot_t(e[3:12], (v1 - e[13] - e[0] * d,
+                                               v2 - e[14] - e[1] * d,
+                                               v3 - e[15] - e[2] * d))))
     V = np.asarray(V, dtype=float).reshape(4)
     return f.P_inverse() @ (V - f.C)
 
@@ -321,12 +400,30 @@ def transform_torsor(f: AffineFrameChange, tau: Torsor) -> Torsor:
 
     T' = P^-1 T and J' = P^-1 (J - C T^T + T C^T) P^-T, the expansion of the
     compact law tau~' = P~^-1 tau~ P~^-T on extended matrices; equivalently
-    J' = P^-1 J P^-T + C' T'^T - T' C'^T with C' = -P^-1 C.  The result is
-    re-skewed by (J' - J'^T)/2 to clear roundoff, which leaves it exactly
-    in the canonical storage of Torsor, so it is stored as it is.  For a
-    GalileanFrameChange the time component T'[0] equals T[0] bit for bit
-    because the blockwise P^-1 has an exact (1, 0, 0, 0) time row.
+    J' = P^-1 J P^-T + C' T'^T - T' C'^T with C' = -P^-1 C.  A generic
+    AffineFrameChange applies it as matrices and re-skews the result by
+    (J' - J'^T)/2 to clear roundoff, which leaves it exactly in the
+    canonical storage of Torsor.  A GalileanFrameChange applies its
+    component laws (see the module docstring) and packs J' canonically; its
+    time component T'[0] = m is T[0] bit for bit.
     """
+    if isinstance(f, GalileanFrameChange):
+        e = f._e
+        r, tau0, k = e[3:12], e[12], e[13:16]
+        m, p0, p1, p2 = tau.T.tolist()
+        j = tau.J.ravel().tolist()
+        u0, u1, u2 = e[0:3]
+        k0, k1, k2 = k
+        p = _rot_t(r, (p0 - m * u0, p1 - m * u1, p2 - m * u2))
+        q = _rot_t(r, (j[4] - m * k0 + tau0 * p0, j[8] - m * k1 + tau0 * p1,
+                       j[12] - m * k2 + tau0 * p2))
+        c0, c1, c2 = cross3(k, (p0, p1, p2))
+        s0, s1, s2 = _rot_t(r, (j[11] - c0, j[13] - c1, j[6] - c2))
+        b0, b1, b2 = cross3(_rot_t(r, e[0:3]), q)
+        l0, l1, l2 = s0 + b0, s1 + b1, s2 + b2
+        return Torsor._trusted(
+            np.array((m, *p)),
+            _canonical_J(-q[0], -q[1], -q[2], l2, -l1, l0))
     Pinv = f.P_inverse()
     Tp = Pinv @ tau.T
     M = tau.J - np.outer(f.C, tau.T) + np.outer(tau.T, f.C)
@@ -340,11 +437,35 @@ def transform_stress_mass(f: GalileanFrameChange, T) -> np.ndarray:
     Applies the linear part of f directly, the law by which a proper-frame
     stress-mass block diag(rho, -sigma) acquires its boost terms.  Note the
     direction: this pushes components forward with P, so stripping a boost v
-    uses the frame change with u = -v.  Result is re-symmetrized.
+    uses the frame change with u = -v.  Result is re-symmetrized.  For a
+    GalileanFrameChange the blocks follow the component law of the module
+    docstring, with a the mean of T's mixed row and column.
     """
-    T = np.asarray(T, dtype=float).reshape(4, 4)
-    scale = max(1.0, _max_abs(T, "stress-mass tensor"))
-    if not np.abs(T - T.T).max() <= SKEW_TOL * scale:
+    s = _floats(T, 16)
+    tol = SKEW_TOL * _scale(s, "stress-mass tensor")
+    if not max(abs(s[a] - s[b]) for a, b in _PAIRS) <= tol:
         raise ValueError("stress-mass tensor is not symmetric")
-    out = f.P @ T @ f.P.T
+    if isinstance(f, GalileanFrameChange):
+        e = f._e
+        (u0, u1, u2), r, rho = e[0:3], e[3:12], s[0]
+        a0, a1, a2 = _rot(r, (0.5 * (s[1] + s[4]), 0.5 * (s[2] + s[8]),
+                              0.5 * (s[3] + s[12])))
+        b0, b1, b2 = rho * u0 + a0, rho * u1 + a1, rho * u2 + a2
+        # Row i of R B is B^T (row i of R); row i of (R B) R^T is R times it.
+        B = s[5:8] + s[9:12] + s[13:16]
+        n0, n1, n2 = (_rot(r, _rot_t(B, r[0:3])), _rot(r, _rot_t(B, r[3:6])),
+                      _rot(r, _rot_t(B, r[6:9])))
+        # Entries of M = b u^T + u (R a)^T + R B R^T, symmetrized.
+        m00 = b0 * u0 + u0 * a0 + n0[0]
+        m11 = b1 * u1 + u1 * a1 + n1[1]
+        m22 = b2 * u2 + u2 * a2 + n2[2]
+        m01 = 0.5 * ((b0 * u1 + u0 * a1 + n0[1]) + (b1 * u0 + u1 * a0 + n1[0]))
+        m02 = 0.5 * ((b0 * u2 + u0 * a2 + n0[2]) + (b2 * u0 + u2 * a0 + n2[0]))
+        m12 = 0.5 * ((b1 * u2 + u1 * a2 + n1[2]) + (b2 * u1 + u2 * a1 + n2[1]))
+        return np.array((rho, b0, b1, b2,
+                         b0, m00, m01, m02,
+                         b1, m01, m11, m12,
+                         b2, m02, m12, m22)).reshape(4, 4)
+    S = np.array(s).reshape(4, 4)
+    out = f.P @ S @ f.P.T
     return 0.5 * (out + out.T)

@@ -64,6 +64,11 @@ CONNECTION_TYPES = ("uniform", "rotating_frame", "case")
 # which bounds the memory of one call up to cli.MAX_PROBE_POINTS points.
 PROBE_CHUNK = 1024
 
+# Largest magnitude of a length or speed param that a case raises to a
+# power in its closed forms (radius^4, h^3, v_max^2, half_width^2): these
+# checks are unit-scale, and a finite 1e300 would overflow them.
+MAX_SCALE = 1e6
+
 # The identity against a batch's point axis: (3, 3, 1).
 _EYE3 = np.eye(3)[..., None]
 
@@ -195,6 +200,16 @@ def _positive(p, key):
     positive."""
     if not p[key] > 0:
         raise ScenarioError(f"params.{key}: must be positive, got {p[key]!r}")
+    return p[key]
+
+
+def _moderate(p, key):
+    """p[key]; raises ScenarioError naming params.<key> unless its
+    magnitude is at most MAX_SCALE."""
+    if not abs(p[key]) <= MAX_SCALE:
+        raise ScenarioError(
+            f"params.{key}: magnitude must be at most {MAX_SCALE:g}, "
+            f"got {p[key]!r}")
     return p[key]
 
 
@@ -720,7 +735,7 @@ def _flat_plate():
     defaults={"n_side": 3, "half_width": 0.7, "rho_s": 2.0},
 )
 def _plate_bending(p, rng, conn_spec):
-    rho_s = p["rho_s"]
+    rho_s, half_width = p["rho_s"], _moderate(p, "half_width")
     g3 = conn_spec.g[2]
     conn = conn_spec.build()
     loads = ShellLoads(
@@ -733,7 +748,7 @@ def _plate_bending(p, rng, conn_spec):
         kappa=lambda *a: 0.05,
     )
     sf = _flat_plate()
-    side = np.linspace(-p["half_width"], p["half_width"], p["n_side"])
+    side = np.linspace(-half_width, half_width, p["n_side"])
     return _residual_case(
         "plate bending residual", 1e-8, "t,th1,th2", _plane_rows(side, side),
         _each(lambda row: residual_2d(sf, loads, conn, *row)),
@@ -890,7 +905,8 @@ def _momentless_hydrostatic(p, rng, conn_spec):
     defaults={"radius": 0.4, "rho0": 2.5, "omega": 1.3, "v_max": 2.0},
 )
 def _disc_section(p, rng, conn_spec):
-    R, w, v_max = _positive(p, "radius"), p["omega"], p["v_max"]
+    _positive(p, "radius")
+    R, w, v_max = _moderate(p, "radius"), p["omega"], _moderate(p, "v_max")
     if w == 0:
         raise ScenarioError(f"params.omega: must be nonzero, got {w!r}")
     rho0 = _positive(p, "rho0")
@@ -945,6 +961,7 @@ def _disc_section(p, rng, conn_spec):
 )
 def _thickness(p, rng, conn_spec):
     h, rho0, k0 = _positive(p, "h"), p["rho0"], p["kappa0"]
+    _moderate(p, "h")
     if rho0 < 0:
         raise ScenarioError(f"params.rho0: must be nonnegative, got {rho0!r}")
     rule = ThicknessRule(h)

@@ -7,7 +7,6 @@ contract: they are asserted exactly as documented in the README and must
 not be loosened to make a failing build pass.
 """
 
-import filecmp
 import json
 import os
 import subprocess

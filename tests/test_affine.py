@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from torsor.affine import (
+    ORTHONORMAL_TOL,
+    SKEW_TOL,
     AffineForm,
     AffineFrameChange,
     GalileanFrameChange,
@@ -133,11 +135,81 @@ def _rotation_with(bad):
     {"u": [0.1, np.nan, 0.0]},
     {"tau0": np.nan},
     {"k": [0.0, 0.0, np.nan]},
-], ids=["R_nan", "R_inf", "u_nan", "tau0_nan", "k_nan"])
+    {"u": [0.1, np.inf, 0.0]},
+    {"tau0": -np.inf},
+    {"k": [np.inf, 0.0, 0.0]},
+], ids=["R_nan", "R_inf", "u_nan", "tau0_nan", "k_nan", "u_inf", "tau0_inf",
+        "k_inf"])
 @pytest.mark.filterwarnings("error")
 def test_galilean_rejects_non_finite(kwargs):
     with pytest.raises(ValueError):
         GalileanFrameChange(**kwargs)
+
+
+# Validation at the edge of its tolerances.  Each case also asserts the
+# matrix form of the check, as the constructors applied it before they ran
+# on floats, so the float checks accept and reject exactly where it does.
+
+@pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
+@pytest.mark.parametrize("bend", ["stretch", "shear"])
+def test_orthonormal_check_at_tolerance_edge(factor, accepted, bend):
+    # R (I + eps N) moves one entry of R^T R (two, mirrored, for the shear)
+    # off the identity by eps, up to O(eps^2).
+    N = np.zeros((3, 3))
+    if bend == "stretch":
+        N[1, 1] = 0.5
+    else:
+        N[0, 2] = 1.0
+    R = rotation([1.0, 2.0, -0.5], 0.7) @ (
+        np.eye(3) + factor * ORTHONORMAL_TOL * N)
+    assert bool(np.abs(R.T @ R - np.eye(3)).max() <= ORTHONORMAL_TOL) \
+        is accepted
+    if accepted:
+        GalileanFrameChange(R=R)
+    else:
+        with pytest.raises(ValueError, match="orthonormal"):
+            GalileanFrameChange(R=R)
+
+
+@pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
+@pytest.mark.parametrize("size", [0.25, 40.0])
+@pytest.mark.parametrize("where", [(1, 2), (3, 3)])
+def test_skew_check_at_tolerance_edge(factor, accepted, size, where):
+    # max |J| = size; the scale of the check is max(1, size).  The bent
+    # entry is never the largest, so the scale stays put.
+    A = np.zeros((4, 4))
+    A[np.triu_indices(4, 1)] = [1.0, -0.5, 0.3, 0.6, -0.2, 0.4]
+    J = size * (A - A.T)
+    scale = max(1.0, size)
+    bend = factor * SKEW_TOL * scale
+    # A bent diagonal entry counts twice in J + J^T.
+    J[where] += bend if where[0] != where[1] else 0.5 * bend
+    assert np.abs(J).max() == size
+    assert bool(np.abs(J + J.T).max() <= SKEW_TOL * scale) is accepted
+    if accepted:
+        Torsor(np.zeros(4), J)
+    else:
+        with pytest.raises(ValueError, match="skew"):
+            Torsor(np.zeros(4), J)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GalileanFrameChange(R=np.diag([1.0, -1.0, 1.0])), "orientation"),
+    (lambda: GalileanFrameChange(u=[np.inf, 0.0, 0.0]), "finite"),
+    (lambda: GalileanFrameChange(R=_rotation_with(np.inf)), "finite"),
+    (lambda: GalileanFrameChange(tau0=np.inf), "finite"),
+    (lambda: GalileanFrameChange(k=[0.0, -np.inf, 0.0]), "finite"),
+    (lambda: Torsor([0.0, 0.0, np.inf, 0.0], np.zeros((4, 4))),
+     "T is not finite"),
+    (lambda: Torsor(np.zeros(4), np.diag([0.0, np.inf, 0.0, 0.0])),
+     "J is not finite"),
+    (lambda: PointwiseTorsor(1.0, [np.nan, 0.0, 0.0], [0.1, 0.2, 0.3],
+                             [0.0, 1.0, 0.0]).to_torsor(), "finite"),
+], ids=["reflection", "u_inf", "R_inf", "tau0_inf", "k_inf", "T_inf", "J_inf",
+        "pointwise_nan"])
+def test_constructors_reject_reflection_and_non_finite(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_affine_rejects_non_finite_P():
@@ -208,6 +280,40 @@ def test_trusted_results_match_public_constructors(f1, f2, T, J):
         GalileanFrameChange(R=f1.R * (1.0 + 1e-6))
     with pytest.raises(ValueError, match="orientation"):
         GalileanFrameChange(R=-f1.R)
+
+
+# Normwise distance allowed between a Galilean component law and the matrix
+# law of the same element as a generic AffineFrameChange, relative to the
+# matrix result's norm floored at 1, as the benchmark's oracle scales it.
+LAW_TOL = 1e-14
+
+
+def _assert_law(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert (np.linalg.norm(got - want)
+            <= LAW_TOL * max(1.0, np.linalg.norm(want)))
+
+
+@given(f1=elements, f2=elements, V=st.tuples(*[unit] * 4),
+       T=st.tuples(*[unit] * 4), J=st.tuples(*[unit] * 6),
+       S=st.tuples(*[unit] * 10))
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_galilean_component_laws_match_matrix_laws(f1, f2, V, T, J, S):
+    g1, g2 = AffineFrameChange(f1.C, f1.P), AffineFrameChange(f2.C, f2.P)
+    _assert_law(compose(f1, f2).extended, compose(g1, g2).extended)
+    _assert_law(f1.inverse().extended, g1.inverse().extended)
+    _assert_law(transform_point(f1, V), transform_point(g1, V))
+    A = np.zeros((4, 4))
+    A[np.triu_indices(4, 1)] = J
+    tau = Torsor(T, A - A.T)
+    out, law = transform_torsor(f1, tau), transform_torsor(g1, tau)
+    _assert_law(out.T, law.T)
+    _assert_law(out.J, law.J)
+    B = np.zeros((4, 4))
+    B[np.triu_indices(4)] = S
+    sym = B + np.triu(B, 1).T
+    _assert_law(transform_stress_mass(f1, sym), transform_stress_mass(g1, sym))
 
 
 @given(

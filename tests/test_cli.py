@@ -289,6 +289,15 @@ BAD_PARAMS = {
     "half_width_negative_cauchy": ("cauchy_manufactured", "residual_check",
                                    "d3_cauchy", {"half_width": -1},
                                    "half_width"),
+    # Finite but huge: each overflowed a power of the key in a closed form.
+    "radius_huge_disc": ("disc_section_moments", "reduction", "d1",
+                         {"radius": 1e300}, "radius"),
+    "v_max_huge_disc": ("disc_section_moments", "reduction", "d1",
+                        {"v_max": 1e300}, "v_max"),
+    "half_width_huge_plate": ("plate_bending", "residual_check", "d2",
+                              {"half_width": 1e300}, "half_width"),
+    "h_huge_thickness": ("thickness_integrals", "reduction", "d2",
+                         {"h": 1e300}, "h"),
 }
 
 

@@ -19,12 +19,18 @@ Derivatives are central differences (module fd); every operator accepts an
 explicit step h and honors the field's domain bounds.
 
 The space-filling views, residual_cauchy and residual_3d_cosserat, also
-take a batch of events, t of shape (m,) and x of shape (3, m), through one
-divergence with a leading point axis; their residuals then carry that
-axis.  A medium built with vectorized=True is read on the whole batch,
+take a batch of events, t of shape (m,) and x of shape (3, m), and the
+thin-medium view, residual_2d, a batch of surface points, t, theta1 and
+theta2 of shape (m,) each.  Each runs one divergence with a leading point
+axis, T of shape (m, d+1, 4), J (m, d+1, 4, 4) and the Christoffels
+(m, 4, 4, 4), and its residuals carry that axis; a single point is a batch
+of one.  A medium built with vectorized=True (CauchyMedium,
+Cosserat3DState, ShellField, ShellLoads) is read on the whole batch,
 fields of any other medium point by point (the field adapter
-_point_axis_last), never inside the divergence.  The scenario cases
-bound the batch at library.PROBE_CHUNK points per call.
+fields._point_axis_last), never inside the divergence.  The scenario
+cases bound the batch at library.PROBE_CHUNK points per call.  The
+pointwise and slender views, residual_pointwise and residual_1d, take one
+point per call.
 """
 
 from dataclasses import dataclass
@@ -43,6 +49,7 @@ from .fields import (
     MediumField,
     ShellField,
     ShellLoads,
+    _point_axis_last,
     _stress_mass,
     cosserat_J,
     rod_torsor,
@@ -125,20 +132,10 @@ def residual_pointwise(traj, conn, t: float, h: float = None) -> BalanceResidual
     return BalanceResidual(mass=dT[0], lin_mom=dT[1:], pos_q=pos, ang_mom=ang)
 
 
-def _point_axis_last(medium, xi, *fns):
-    """Each field fn(t, x) of a medium at every event of the batch xi
-    (m, 4), as an array with the point axis last.
-
-    A field of a vectorized medium is called once, on t of shape (m,) and
-    x of shape (3, m).  Any other field is called point by point, on t and
-    x as one event gives them, and its values are stacked.
-    """
-    if medium.vectorized:
-        events = np.ascontiguousarray(xi.T)
-        t, x = events[0], events[1:]
-        return [np.asarray(fn(t, x), dtype=float) for fn in fns]
-    return [np.stack([np.asarray(fn(p[0], p[1:]), dtype=float) for p in xi],
-                     axis=-1) for fn in fns]
+def _events(xi):
+    """(t, x) of a batch xi (m, 4): t of shape (m,) and x of shape (3, m)."""
+    events = np.ascontiguousarray(xi.T)
+    return events[0], events[1:]
 
 
 def _space_filling_residual(torsor_T, torsor_J, conn, t, x, domain,
@@ -194,14 +191,15 @@ def residual_cauchy(medium: CauchyMedium, conn, t, x,
     """
     def T_of(xi):
         m = len(xi)
-        rho, v, sigma = _point_axis_last(medium, xi, medium.rho, medium.v,
-                                         medium.sigma)
+        rho, v, sigma = _point_axis_last(medium, _events(xi), medium.rho,
+                                         medium.v, medium.sigma)
         T = _stress_mass(rho.reshape(m), v.reshape(3, m),
                          sigma.reshape(3, 3, m).swapaxes(0, 1))
         return T.transpose(2, 0, 1)
 
     def v_of(xi):
-        return _point_axis_last(medium, xi, medium.v)[0].reshape(3, len(xi))
+        (v,) = _point_axis_last(medium, _events(xi), medium.v)
+        return v.reshape(3, len(xi))
 
     return _space_filling_residual(T_of, None, conn, t, x, medium.domain, h,
                                    one_sided, v_of)
@@ -286,9 +284,8 @@ _SHELL_U = np.eye(4, 3)
 _SHELL_U.setflags(write=False)
 
 
-def residual_2d(sf: ShellField, loads: ShellLoads, conn, t: float,
-                th1: float, th2: float, h: float = None,
-                one_sided: bool = False) -> BalanceResidual:
+def residual_2d(sf: ShellField, loads: ShellLoads, conn, t, th1, th2,
+                h: float = None, one_sided: bool = False) -> BalanceResidual:
     """Residuals of the thin-medium balance laws at (t, theta1, theta2).
 
     Slot layout: mass as usual; lin_mom = (in-plane 1, in-plane 2,
@@ -321,49 +318,59 @@ def residual_2d(sf: ShellField, loads: ShellLoads, conn, t: float,
     so they carry -(d kappa/dt) w; and the flux J^{b30} = kappa w^b that
     yields the pos_q identity rows adds -kappa Phi^a_b w^b to them.
 
-    Each stencil point reads the loads once and builds the shell's chart
-    frame once (ShellField.frame: pi, a^-1, c and n on floats), and
-    shell_torsor packs T and J from w_surf = c . w on floats.  The
-    frame and w at the mid-surface point are built once, for its torsor
-    and for the Christoffels.
+    (t, th1, th2) is one point, which is a batch of one, or a batch: three
+    arrays of shape (m,), whose residuals carry a leading point axis.
+    Either way the rows come from one divergence of the whole batch, with
+    T (m, 3, 4), J (m, 3, 4, 4) and the Christoffels (m, 4, 4, 4).  Each
+    stencil offset reads the loads once for the whole batch (a vectorized
+    ShellLoads in one call per field, any other point by point) and builds
+    the shell's chart frame once (ShellField.frame), and shell_torsor packs
+    T and J from w_surf = c . w.  The frame and w at the batch's own points
+    are built once, for their torsor and for the Christoffels.
 
     One limit: when both pi and w of a moving shell are finite-difference
     defaults, d(kappa w)/dt nests three small-step differences, an error of
     1e-3 to 1e-2 on dw/dt on a tumbling paraboloid; supply pi, w or varpi
     analytically for such shells.
     """
-    rho_s, N, Q, M, kappa = (as_field(f) for f in (
-        loads.rho_s, loads.N, loads.Q, loads.M, loads.kappa))
+    fields = [as_field(f) for f in (loads.rho_s, loads.N, loads.Q, loads.M,
+                                    loads.kappa)]
+    xi = np.column_stack([np.reshape(np.asarray(u, dtype=float), -1)
+                          for u in (t, th1, th2)])
     packed = {}
 
     def torsor(xi, fr=None, w=None):
-        # T and J share one read of the loads and of w_surf per point.
-        u = xi.tolist()
-        key = tuple(u)
+        # T and J share one read of the loads and of w_surf per offset.
+        key = xi.tobytes()
         if key not in packed:
-            packed[key] = shell_torsor(rho_s(*u), N(*u), Q(*u), M(*u),
-                                       kappa(*u), sf._w_surf(*u, fr, w))
+            coords = tuple(np.ascontiguousarray(xi.T))
+            packed[key] = shell_torsor(
+                *_point_axis_last(loads, coords, *fields),
+                sf._w_surf(*coords, fr, w))
         return packed[key]
 
-    # The mid-surface frame and w serve the centre torsor and the
+    # The frame and w at the batch's own points serve their torsor and the
     # Christoffels alike.
-    xi = np.array([t, th1, th2], dtype=float)
-    u = xi.tolist()
-    fr = sf.frame(*u)
-    w = sf._normal_rate(*u, fr.n)
+    coords = tuple(np.ascontiguousarray(xi.T))
+    fr = sf.frame(*coords)
+    w = sf._normal_rate(*coords, fr.n)
     torsor(xi, fr, w)
     field = MediumField(tangent_map=lambda xi: _SHELL_U,
                         torsor_T=lambda xi: torsor(xi)[0],
                         torsor_J=lambda xi: torsor(xi)[1], domain=sf.domain)
-    G = shell_christoffels(sf, conn, t, th1, th2, fr, w)
-    chris = PullbackChristoffels(G[:3, :3, :3], G, _EYE4)
+    G = shell_christoffels(sf, conn, *coords, fr, w)
+    chris = PullbackChristoffels(G[:, :3, :3, :3], G, _EYE4)
     dT, dJ = divergence(field, xi, chris, h=h, one_sided=one_sided)
-    return BalanceResidual(
-        mass=dT[0],
-        lin_mom=-dT[1:],
-        pos_q=(dJ[1, 0], dJ[2, 0], -dJ[3, 0]),
-        ang_mom=(-dJ[1, 2], dJ[1, 3], dJ[2, 3]),
+    res = BalanceResidual(
+        mass=dT[:, 0],
+        lin_mom=-dT[:, 1:],
+        pos_q=np.stack([dJ[:, 1, 0], dJ[:, 2, 0], -dJ[:, 3, 0]], axis=-1),
+        ang_mom=np.stack([-dJ[:, 1, 2], dJ[:, 1, 3], dJ[:, 2, 3]], axis=-1),
     )
+    if np.ndim(t):
+        return res
+    return BalanceResidual(res.mass[0], res.lin_mom[0], res.pos_q[0],
+                           res.ang_mom[0])
 
 
 def residual_3d_cosserat(state: Cosserat3DState, conn, t, x,
@@ -392,13 +399,13 @@ def residual_3d_cosserat(state: Cosserat3DState, conn, t, x,
     point by point.
     """
     def T_of(xi):
-        (T,) = _point_axis_last(state, xi, state.T)
+        (T,) = _point_axis_last(state, _events(xi), state.T)
         return T.reshape(4, 4, len(xi)).transpose(2, 1, 0)
 
     def J_of(xi):
         m = len(xi)
         q, l, l_star, M_star = _point_axis_last(
-            state, xi, state.q, state.l, state.l_star, state.M_star)
+            state, _events(xi), state.q, state.l, state.l_star, state.M_star)
         return cosserat_J(q.reshape(3, m), l.reshape(3, m),
                           l_star.reshape(3, 3, m), M_star.reshape(3, 3, m))
 

@@ -19,21 +19,25 @@ import numpy as np
 
 from . import fd
 from .errors import SingularMetric
-from .vecmath import cross, cross3, moment_entries, skew, triple
+from .connection import christoffels
+from .vecmath import cross3, moment_entries, triple
 
 DEGENERATE_TANGENT_TOL = 1e-9
 SINGULAR_METRIC_TOL = 1e-12
 SECOND_DIFF_REL_STEP = 1e-4
 
 
-def _second_diff(f, u: float, h: float = None):
+def _second_diff(f, u, h=None):
     """Second derivative of f at u by the three-point central stencil.
+
+    u is a float, or an (m,) array of points with f's values carrying the
+    point axis last; h is a float or one step per point.
 
     Uses a wider default step than first differences: the h^2 denominator
     amplifies roundoff, and 1e-4 balances that against truncation.
     """
     if h is None:
-        h = SECOND_DIFF_REL_STEP * max(1.0, abs(u))
+        h = SECOND_DIFF_REL_STEP * np.maximum(1.0, np.abs(u))
     f0 = np.asarray(f(u), dtype=float)
     fp = np.asarray(f(u + h), dtype=float)
     fm = np.asarray(f(u - h), dtype=float)
@@ -245,11 +249,12 @@ def rod_torsor(rho_l: float, v, w: float, F, psi, slide: float, q, l,
 
 
 class ShellFrame(NamedTuple):
-    """Chart geometry of a shell at one point, as Python floats.
+    """Chart geometry of a shell at one point or at a batch of points.
 
-    pi: the rows d x / d theta^a, two float triples; a and a_inv: the
-    entries (11, 12, 22) of the metric a = pi pi^T and of its inverse;
-    c: the rows of the surface projector a^-1 pi; n: the unit normal.
+    pi: the rows d x / d theta^a, two triples; a and a_inv: the entries
+    (11, 12, 22) of the metric a = pi pi^T and of its inverse; c: the rows
+    of the surface projector a^-1 pi; n: the unit normal.  Each entry is a
+    float at one point and an (m,) array over a batch of m points.
     """
 
     pi: tuple
@@ -257,6 +262,55 @@ class ShellFrame(NamedTuple):
     a_inv: tuple
     c: tuple
     n: tuple
+
+
+def _point_axis_last(medium, coords, *fns):
+    """Each field fn of a medium at every point of a batch, as an array
+    with the point axis last.
+
+    coords are the fields' arguments over the batch, point axis last: t
+    (m,) and x (3, m) for a medium filling space, or t, theta^1 and
+    theta^2, (m,) each, for a shell.  A field of a vectorized medium is
+    called once, on coords.  Any other field is called point by point, on
+    the arguments one point gives it (floats, and x as a (3,) array), and
+    its values are stacked.
+    """
+    if medium.vectorized:
+        return [np.asarray(fn(*coords), dtype=float) for fn in fns]
+    points = list(zip(*(c.tolist() if c.ndim == 1
+                        else np.ascontiguousarray(c.T) for c in coords)))
+    return [_to_last(np.array([fn(*p) for p in points], dtype=float))
+            for fn in fns]
+
+
+def _to_last(a):
+    """a with its first (point) axis moved last."""
+    return a.transpose(tuple(range(1, a.ndim)) + (0,))
+
+
+def _to_first(a):
+    """a with its last (point) axis moved first."""
+    return a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1)))
+
+
+def _partial(f, args, i):
+    """fd.partial of f(*args) in args[i], at one point or at a batch
+    whose values carry the point axis last."""
+    if np.ndim(args[i]) == 0:
+        return fd.partial(f, args, i)
+
+    def first(*u):
+        return _to_first(np.asarray(f(*u), dtype=float))
+
+    return _to_last(fd.partial(first, args, i))
+
+
+def _require(ok, what, t, th1, th2):
+    """Raise SingularMetric naming the first point where ok is False."""
+    if not ok.all():
+        i = int(np.argmin(np.reshape(ok, -1)))
+        t, th1, th2 = (float(np.reshape(u, -1)[i]) for u in (t, th1, th2))
+        raise SingularMetric(f"{what} at (t={t}, theta=({th1}, {th2}))")
 
 
 class ShellField:
@@ -270,17 +324,25 @@ class ShellField:
     A shell element's rigid spin may be given by its Poisson vector varpi;
     when varpi is given and w is not, w = varpi x n.
 
-    The chart geometry at a point (pi, the metric and its inverse, the
-    projector c and the normal) is built once, on Python floats, by
-    `frame`; `metric`, `projector` and `w_surf` read it, and `n` and `w`
-    use its float normal.  A default w differences that normal in t at
-    fd.default_step.  Float products round each term, where numpy's matrix
-    products may fuse them, so the geometry can differ from the array
-    forms in the last bits.
+    Each callable takes one point, three floats (t, theta1, theta2), and
+    returns x, n, v, w or varpi as a 3-vector and pi as a (2, 3) array.
+    With vectorized=True each takes a batch of m points instead, three
+    arrays of shape (m,), and returns its values with the point axis last:
+    (3, m) and (2, 3, m).  Callables that are not vectorized are read point
+    by point.
+
+    Every method takes one point, as floats, or a batch, as three (m,)
+    arrays, and returns the batch's values with the point axis last.  The
+    chart geometry (pi, the metric and its inverse, the projector c and
+    the normal) is built once per call, elementwise, by `frame`; `metric`,
+    `projector` and `w_surf` read it, and `n` and `w` use its normal.  A
+    default w differences that normal in t at fd.default_step.  Elementwise
+    products round each term, where numpy's matrix products may fuse them,
+    so the geometry can differ from the matrix forms in the last bits.
     """
 
     def __init__(self, x, pi=None, n=None, v=None, w=None, domain=None,
-                 varpi=None):
+                 varpi=None, vectorized=False):
         self._x = x
         self._pi = pi
         self._n = n
@@ -288,33 +350,46 @@ class ShellField:
         self._w = w
         self.domain = domain
         self.varpi = varpi
+        self.vectorized = vectorized
+
+    def _read(self, fn, t, th1, th2, shape):
+        """fn at one point, as an array of `shape`, or at a batch, with the
+        point axis last; a vectorized fn reads one point as a batch of
+        one."""
+        if np.ndim(t):
+            (value,) = _point_axis_last(self, (t, th1, th2), fn)
+            return value.reshape(shape + np.shape(t))
+        if self.vectorized:
+            one = (np.reshape(np.asarray(u, dtype=float), 1)
+                   for u in (t, th1, th2))
+            return self._read(fn, *one, shape)[..., 0]
+        return np.asarray(fn(t, th1, th2), dtype=float).reshape(shape)
 
     def x(self, t, th1, th2) -> np.ndarray:
-        return np.asarray(self._x(t, th1, th2), dtype=float).reshape(3)
+        return self._read(self._x, t, th1, th2, (3,))
 
     def pi(self, t, th1, th2) -> np.ndarray:
         """(2, 3) array; row a is d x / d theta^a."""
         if self._pi is not None:
-            return np.asarray(self._pi(t, th1, th2), dtype=float).reshape(2, 3)
-        r1 = fd.partial(lambda tt, a, b: self.x(tt, a, b), (t, th1, th2), 1)
-        r2 = fd.partial(lambda tt, a, b: self.x(tt, a, b), (t, th1, th2), 2)
-        return np.stack([r1, r2])
+            return self._read(self._pi, t, th1, th2, (2, 3))
+        args = (t, th1, th2)
+        return np.stack([_partial(self.x, args, 1), _partial(self.x, args, 2)])
 
     def frame(self, t, th1, th2) -> ShellFrame:
-        """The chart geometry at one point; raises SingularMetric.
+        """The chart geometry; raises SingularMetric.
 
         pi is read once.  The metric is inverted in closed form, and a
         determinant below SINGULAR_METRIC_TOL, or NaN, is singular.
         """
-        p, q = self.pi(t, th1, th2).tolist()
+        p, q = self.pi(t, th1, th2)
         p0, p1, p2 = p
         q0, q1, q2 = q
         a11 = p0 * p0 + p1 * p1 + p2 * p2
         a12 = p0 * q0 + p1 * q1 + p2 * q2
         a22 = q0 * q0 + q1 * q1 + q2 * q2
         det = a11 * a22 - a12 * a12
-        if not det >= SINGULAR_METRIC_TOL:
-            raise SingularMetric(f"det(a) < {SINGULAR_METRIC_TOL} at (t={t}, theta=({th1}, {th2}))")
+        _require(det >= SINGULAR_METRIC_TOL,
+                 f"det(a) < {SINGULAR_METRIC_TOL}", t, th1, th2)
         i11, i12, i22 = a22 / det, -a12 / det, a11 / det
         c = ((i11 * p0 + i12 * q0, i11 * p1 + i12 * q1, i11 * p2 + i12 * q2),
              (i12 * p0 + i22 * q0, i12 * p1 + i22 * q1, i12 * p2 + i22 * q2))
@@ -322,32 +397,31 @@ class ShellField:
                           (i11, i12, i22), c, self._normal(t, th1, th2, p, q))
 
     def _normal(self, t, th1, th2, p=None, q=None) -> tuple:
-        """Unit normal as a float triple; p, q are pi's rows if already read."""
+        """Unit normal as a triple; p, q are pi's rows if already read."""
         if self._n is not None:
-            return tuple(np.asarray(self._n(t, th1, th2), dtype=float).reshape(3).tolist())
+            return tuple(self._read(self._n, t, th1, th2, (3,)))
         if p is None:
-            p, q = self.pi(t, th1, th2).tolist()
+            p, q = self.pi(t, th1, th2)
         m0, m1, m2 = cross3(p, q)
         sq = m0 * m0 + m1 * m1 + m2 * m2
-        if not sq >= SINGULAR_METRIC_TOL:
-            raise SingularMetric(f"normal undefined at (t={t}, theta=({th1}, {th2}))")
-        norm = math.sqrt(sq)
+        _require(sq >= SINGULAR_METRIC_TOL, "normal undefined", t, th1, th2)
+        norm = np.sqrt(sq)
         return (m0 / norm, m1 / norm, m2 / norm)
 
     def _normal_rate(self, t, th1, th2, n=None) -> tuple:
-        """w = d n / dt as a float triple; n is the normal if already read."""
+        """w = d n / dt as a triple; n is the normal if already read."""
         if self._w is not None:
-            return tuple(np.asarray(self._w(t, th1, th2), dtype=float).reshape(3).tolist())
+            return tuple(self._read(self._w, t, th1, th2, (3,)))
         if self.varpi is not None:
-            vp = np.asarray(self.varpi(t, th1, th2), dtype=float).reshape(3)
-            return cross3(vp.tolist(), self._normal(t, th1, th2) if n is None else n)
+            vp = self._read(self.varpi, t, th1, th2, (3,))
+            return cross3(vp, self._normal(t, th1, th2) if n is None else n)
         h = fd.default_step(t)
         up, down = self._normal(t + h, th1, th2), self._normal(t - h, th1, th2)
         return tuple((u - d) / (2.0 * h) for u, d in zip(up, down))
 
     def _w_surf(self, t, th1, th2, fr=None, w=None) -> tuple:
-        """w_surf as a float pair: (c^1 . w, c^2 . w); fr and w are the
-        frame and the normal rate if already read."""
+        """w_surf as a pair: (c^1 . w, c^2 . w); fr and w are the frame
+        and the normal rate if already read."""
         if fr is None:
             fr = self.frame(t, th1, th2)
         if w is None:
@@ -375,20 +449,18 @@ class ShellField:
         two first differences of the small-step tangent would amplify its
         rounding noise, and the cross stencil is symmetric by construction.
         """
+        args = (t, th1, th2)
         if self._pi is not None:
-            d1 = fd.partial(lambda tt, a, b: self.pi(tt, a, b), (t, th1, th2), 1)
-            d2 = fd.partial(lambda tt, a, b: self.pi(tt, a, b), (t, th1, th2), 2)
-            return np.stack([d1, d2], axis=-2).reshape(2, 2, 3)
-        h1 = SECOND_DIFF_REL_STEP * max(1.0, abs(th1))
-        h2 = SECOND_DIFF_REL_STEP * max(1.0, abs(th2))
-        D = np.empty((2, 2, 3))
+            return np.stack([_partial(self.pi, args, 1),
+                             _partial(self.pi, args, 2)], axis=1)
+        h1 = SECOND_DIFF_REL_STEP * np.maximum(1.0, np.abs(th1))
+        h2 = SECOND_DIFF_REL_STEP * np.maximum(1.0, np.abs(th2))
+        D = np.empty((2, 2, 3) + np.shape(t))
         D[0, 0] = _second_diff(lambda u: self.x(t, u, th2), th1, h=h1)
         D[1, 1] = _second_diff(lambda u: self.x(t, th1, u), th2, h=h2)
         mixed = (
-            np.asarray(self.x(t, th1 + h1, th2 + h2), dtype=float)
-            - np.asarray(self.x(t, th1 + h1, th2 - h2), dtype=float)
-            - np.asarray(self.x(t, th1 - h1, th2 + h2), dtype=float)
-            + np.asarray(self.x(t, th1 - h1, th2 - h2), dtype=float)
+            self.x(t, th1 + h1, th2 + h2) - self.x(t, th1 + h1, th2 - h2)
+            - self.x(t, th1 - h1, th2 + h2) + self.x(t, th1 - h1, th2 - h2)
         ) / (4.0 * h1 * h2)
         D[0, 1] = mixed
         D[1, 0] = mixed
@@ -396,21 +468,21 @@ class ShellField:
 
     def v(self, t, th1, th2) -> np.ndarray:
         if self._v is not None:
-            return np.asarray(self._v(t, th1, th2), dtype=float).reshape(3)
-        return fd.partial(lambda tt, a, b: self.x(tt, a, b), (t, th1, th2), 0)
+            return self._read(self._v, t, th1, th2, (3,))
+        return _partial(self.x, (t, th1, th2), 0)
 
     def w(self, t, th1, th2) -> np.ndarray:
         """Velocity of the unit normal, w = d n / dt."""
         return np.array(self._normal_rate(t, th1, th2))
 
     def dpi_dt(self, t, th1, th2) -> np.ndarray:
-        return fd.partial(lambda tt, a, b: self.pi(tt, a, b), (t, th1, th2), 0)
+        return _partial(self.pi, (t, th1, th2), 0)
 
     def v_dot(self, t, th1, th2) -> np.ndarray:
         """Acceleration d v / dt at fixed theta (second-differences x when
         v itself is a finite-difference default)."""
         if self._v is not None:
-            return fd.partial(lambda tt, a, b: self.v(tt, a, b), (t, th1, th2), 0)
+            return _partial(self.v, (t, th1, th2), 0)
         return _second_diff(lambda tt: self.x(tt, th1, th2), t)
 
     def w_surf(self, t, th1, th2) -> np.ndarray:
@@ -423,10 +495,12 @@ def shell_christoffels(sf: ShellField, conn, t, th1, th2, fr=None,
     """(4, 4, 4) Christoffels G[a, b, c] = Gamma^a_bc of the adapted chart
     (t, theta^1, theta^2, normal) of a moving mid-surface.
 
-    Gravity, spin, the chart frame (pi, c, a^-1, n) and w are read once, at
-    the mid-surface point; a caller that has read the frame (sf.frame) and
-    w (a float triple) there passes them as fr and w.  The in-plane blocks
-    come from the chart geometry: Gamma^a_bc = c^a . d pi_b / d theta^c,
+    At one point (floats); at a batch of m points, t, th1 and th2 of shape
+    (m,), an (m, 4, 4, 4) array.  One point is a batch of one.  Gravity,
+    spin, the chart frame (pi, c, a^-1, n) and w are read once per point;
+    a caller that has read the frame (sf.frame) and w (a triple) at the
+    same points passes them as fr and w.  The in-plane blocks come from
+    the chart geometry: Gamma^a_bc = c^a . d pi_b / d theta^c,
     Gamma^3_ab = b_ab and Gamma^a_b3 = Gamma^a_3b = -(a^-1 b)^a_b.  The
     time blocks come from the motion of the surface inside the spinning
     frame: with acc = dv/dt - g + 2 Omega x v, Gamma^a_00 = c^a . acc,
@@ -434,35 +508,56 @@ def shell_christoffels(sf: ShellField, conn, t, th1, th2, fr=None,
     c^a . (d pi_b/dt + Omega x pi_b), Gamma^3_0b = Gamma^3_b0 =
     n . (the same) and Gamma^a_03 = Gamma^a_30 = c^a . (w + Omega x n).
     Every other entry, the time row Gamma^0 included, is zero.
+
+    The contractions are numpy's matrix products stacked over the point
+    axis, and each point takes the product it would take alone, so its
+    Christoffels do not depend on the batch it is read in.  g and Omega
+    take one event each, so they are read point by point.
     """
+    one = not np.ndim(t)
+    if one:
+        t, th1, th2 = (np.reshape(np.asarray(u, dtype=float), 1)
+                       for u in (t, th1, th2))
+    m = len(t)
+
+    def first(a, *shape):
+        # The point axis moved first, contiguous: numpy's products take
+        # another summation order on strided operands.
+        return np.ascontiguousarray(_to_first(np.reshape(a, shape + (m,))))
+
     x = sf.x(t, th1, th2)
-    g = conn.g(t, x)
-    Omega = conn.Omega(t, x)
-    W = skew(Omega)
+    g, Omega = np.array([(conn.g(tp, xp), conn.Omega(tp, xp)) for tp, xp
+                         in zip(t.tolist(), first(x, 3))],
+                        dtype=float).transpose(1, 2, 0)
+    # skew(Omega) at each point: the spin block of the space-time
+    # Christoffels.
+    W = np.ascontiguousarray(christoffels(g.T, Omega.T)[:, 1:, 0, 1:])
     if fr is None:
         fr = sf.frame(t, th1, th2)
     if w is None:
         w = sf._normal_rate(t, th1, th2, fr.n)
-    pi, c, n = np.array(fr.pi), np.array(fr.c), np.array(fr.n)
+    pi, c, n = first(fr.pi, 2, 3), first(fr.c, 2, 3), first(fr.n, 3)
     i11, i12, i22 = fr.a_inv
-    w = np.array(w)
-    D = sf.dpi_dtheta(t, th1, th2)
-    acc = sf.v_dot(t, th1, th2) - g + 2.0 * cross(Omega, sf.v(t, th1, th2))
+    a_inv = first(((i11, i12), (i12, i22)), 2, 2)
+    D = first(sf.dpi_dtheta(t, th1, th2), 2, 2, 3)
+    acc = first(sf.v_dot(t, th1, th2) - g
+                + 2.0 * np.array(cross3(Omega, sf.v(t, th1, th2))), 3)
     # Row b: d pi_b/dt + Omega x pi_b.
-    spin = sf.dpi_dt(t, th1, th2) + pi @ W.T
+    spin = first(sf.dpi_dt(t, th1, th2), 2, 3) + pi @ W.swapaxes(-1, -2)
+    turn = first(w, 3) + (W @ n[..., None])[..., 0]
 
-    G = np.zeros((4, 4, 4))
-    G[1:3, 0, 0] = c @ acc
-    G[3, 0, 0] = n @ acc
-    G[1:3, 0, 1:3] = G[1:3, 1:3, 0] = c @ spin.T
-    G[3, 0, 1:3] = G[3, 1:3, 0] = spin @ n
-    G[1:3, 0, 3] = G[1:3, 3, 0] = c @ (w + W @ n)
+    G = np.zeros((m, 4, 4, 4))
+    G[:, 1:3, 0, 0] = (c @ acc[..., None])[..., 0]
+    G[:, 3, 0, 0] = (n[:, None] @ acc[..., None])[:, 0, 0]
+    G[:, 1:3, 0, 1:3] = G[:, 1:3, 1:3, 0] = c @ spin.swapaxes(-1, -2)
+    G[:, 3, 0, 1:3] = G[:, 3, 1:3, 0] = (spin @ n[..., None])[..., 0]
+    G[:, 1:3, 0, 3] = G[:, 1:3, 3, 0] = (c @ turn[..., None])[..., 0]
     # D[b, c] holds d pi_b / d theta^c.
-    G[1:3, 1:3, 1:3] = np.einsum("ai,bci->abc", c, D)
-    b = np.einsum("i,bai->ab", n, D)
-    G[3, 1:3, 1:3] = b
-    G[1:3, 1:3, 3] = G[1:3, 3, 1:3] = -(np.array([[i11, i12], [i12, i22]]) @ b)
-    return G
+    G[:, 1:3, 1:3, 1:3] = np.einsum("pai,pbci->pabc", c, D)
+    b = np.einsum("pi,pbai->pab", n, D)
+    G[:, 3, 1:3, 1:3] = b
+    G[:, 1:3, 1:3, 3] = G[:, 1:3, 3, 1:3] = -(a_inv @ b)
+    return G[0] if one else G
 
 
 @dataclass
@@ -487,7 +582,13 @@ class ShellLoads:
     """Thin-medium torsor fields over (t, theta1, theta2).
 
     rho_s: surface density; N: (2, 2) membrane forces; Q: (2,) shear;
-    M: (2, 2) moments; kappa: transverse inertia rho h^3 / 12.
+    M: (2, 2) moments; kappa: transverse inertia rho h^3 / 12.  Each field
+    takes one point, three floats.  With vectorized=True each takes a batch
+    of m points instead, three arrays of shape (m,), and returns its values
+    with the point axis last: (m,), (2, 2, m), (2, m), (2, 2, m) and (m,).
+    balance.residual_2d then reads a whole probe batch in one call per
+    field and stencil offset; loads that are not vectorized are read point
+    by point.
     """
 
     rho_s: Callable
@@ -495,38 +596,40 @@ class ShellLoads:
     Q: Callable
     M: Callable
     kappa: Callable
+    vectorized: bool = False
 
 
-def shell_torsor(rho_s: float, N, Q, M, kappa: float, w):
+def shell_torsor(rho_s, N, Q, M, kappa, w):
     """Shell torsor (T, J) on the adapted chart (t, theta^1, theta^2, normal).
 
     rho_s, N (2, 2), Q (2,), M (2, 2), kappa and the surface normal velocity
-    w (2,) at one point.  T (3, 4) has rows (t, theta^1, theta^2):
-    T^{00} = rho_s, T^{ba} = kappa w^b w^a - N^{ba} and T^{b3} = -Q^b.
-    J (3, 4, 4) is skew in its last two indices: J^{0a3} = -kappa w^a
-    along the time flux and, along flux b, J^{ba3} = M^{ab} and
-    J^{b30} = kappa w^b.  Both are packed from floats; each mirrored entry
-    of J is 0 - (its partner), the signed zero an array J - J^T gives.
+    w (2,) at one point, or over a batch of m points with the point axis
+    last: rho_s (m,), N (2, 2, m) and so on.  T (3, 4) has rows
+    (t, theta^1, theta^2): T^{00} = rho_s, T^{ba} = kappa w^b w^a - N^{ba}
+    and T^{b3} = -Q^b.  J (3, 4, 4) is skew in its last two indices:
+    J^{0a3} = -kappa w^a along the time flux and, along flux b,
+    J^{ba3} = M^{ab} and J^{b30} = kappa w^b.  A batch gives T and J with
+    the point axis first, (m, 3, 4) and (m, 3, 4, 4).  Both are packed
+    elementwise; each mirrored entry of J is 0 - (its partner), the signed
+    zero an array J - J^T gives, except J^{b30} = kappa w^b itself.
     """
-    (n11, n12), (n21, n22) = np.asarray(N, dtype=float).reshape(2, 2).tolist()
-    q1, q2 = np.asarray(Q, dtype=float).reshape(2).tolist()
-    (m11, m12), (m21, m22) = np.asarray(M, dtype=float).reshape(2, 2).tolist()
-    w1, w2 = np.asarray(w, dtype=float).reshape(2).tolist()
-    rho_s, kappa = float(rho_s), float(kappa)
-    k1, k2 = kappa * w1, kappa * w2
-    nk1, nk2 = -k1, -k2
-    z = 0.0
-    TJ = np.array([
-        rho_s, z, z, z,
-        z, kappa * (w1 * w1) - n11, kappa * (w1 * w2) - n12, -q1,
-        z, kappa * (w2 * w1) - n21, kappa * (w2 * w2) - n22, -q2,
-        # J^0: the time flux.
-        z, z, z, z, z, z, z, nk1, z, z, z, nk2, z, z - nk1, z - nk2, z,
-        # J^1 and J^2: the theta fluxes.
-        z, z, z, z - k1, z, z, z, m11, z, z, z, m21, k1, z - m11, z - m21, z,
-        z, z, z, z - k2, z, z, z, m12, z, z, z, m22, k2, z - m12, z - m22, z,
-    ])
-    return TJ[:12].reshape(3, 4), TJ[12:].reshape(3, 4, 4)
+    rho_s = np.asarray(rho_s, dtype=float)
+    lead = rho_s.shape
+    N, M = (np.reshape(a, (2, 2) + lead) for a in (N, M))
+    Q, w = (np.reshape(a, (2,) + lead) for a in (Q, w))
+    kappa = np.reshape(kappa, lead)
+    kw = kappa * w
+    T = np.zeros((3, 4) + lead)
+    T[0, 0] = rho_s
+    T[1:, 1:3] = kappa * (w[:, None] * w[None, :]) - N
+    T[1:, 3] = -Q
+    J = np.zeros((3, 4, 4) + lead)
+    J[0, 1:3, 3] = -kw
+    J[1:, 0, 3] = 0.0 - kw
+    J[1:, 1:3, 3] = M.swapaxes(0, 1)
+    J[:, 3, :3] = 0.0 - J[:, :3, 3]
+    J[1:, 3, 0] = kw
+    return (_to_first(T), _to_first(J)) if lead else (T, J)
 
 
 @dataclass

@@ -59,9 +59,10 @@ RESIDUAL_COLUMNS = (
 
 CONNECTION_TYPES = ("uniform", "rotating_frame", "case")
 
-# Probe points per call of a space-filling residual: a probe grid goes to
-# residual_cauchy or residual_3d_cosserat in blocks of this many points,
-# which bounds the memory of one call up to cli.MAX_PROBE_POINTS points.
+# Probe points per call of a batched residual: a probe grid goes to
+# residual_cauchy, residual_3d_cosserat or residual_2d in blocks of this
+# many points, which bounds the memory of one call up to
+# cli.MAX_PROBE_POINTS points.
 PROBE_CHUNK = 1024
 
 # Largest magnitude of a length or speed param that a case raises to a
@@ -258,6 +259,20 @@ def _events(block):
     """t of shape (k,) and x of shape (3, k) of a block of (t, x) rows."""
     events = np.array(block, dtype=float).T
     return events[0], events[1:]
+
+
+def _thetas(block):
+    """t, theta1 and theta2, each of shape (k,), of a block of surface
+    grid rows."""
+    return np.array(block, dtype=float).T
+
+
+def _per_point(value):
+    """A vectorized field that takes the constant `value` at every point
+    of a batch, point axis last."""
+    value = np.asarray(value, dtype=float)
+    return lambda t, *rest: np.broadcast_to(value[..., None],
+                                            value.shape + np.shape(t))
 
 
 def _cube_rows(t, half_width, n_side):
@@ -721,10 +736,9 @@ def _spinning_ring(p, rng, conn_spec):
 
 def _flat_plate():
     return ShellField(
-        lambda t, th1, th2: np.array([th1, th2, 0.0]),
-        pi=lambda t, th1, th2: np.array(
-            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
-        ),
+        lambda t, th1, th2: np.array([th1, th2, np.zeros_like(th1)]),
+        pi=_per_point([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        vectorized=True,
     )
 
 
@@ -738,20 +752,26 @@ def _plate_bending(p, rng, conn_spec):
     rho_s, half_width = p["rho_s"], _moderate(p, "half_width")
     g3 = conn_spec.g[2]
     conn = conn_spec.build()
+    load = -rho_s * g3
+
+    def Q(t, th1, th2):
+        return load * np.array([th1, np.zeros_like(th1)])
+
+    def M(t, th1, th2):
+        z = np.zeros_like(th1)
+        return load * np.array([[th1 ** 2 / 2.0, z], [z, z]])
+
     loads = ShellLoads(
-        rho_s=lambda *a: rho_s,
-        N=lambda *a: np.array([[0.7, 0.2], [0.2, -0.1]]),
-        Q=lambda t, th1, th2: -rho_s * g3 * np.array([th1, 0.0]),
-        M=lambda t, th1, th2: -rho_s * g3 * np.array(
-            [[th1 ** 2 / 2.0, 0.0], [0.0, 0.0]]
-        ),
-        kappa=lambda *a: 0.05,
+        rho_s=_per_point(rho_s),
+        N=_per_point([[0.7, 0.2], [0.2, -0.1]]),
+        Q=Q, M=M, kappa=_per_point(0.05), vectorized=True,
     )
     sf = _flat_plate()
     side = np.linspace(-half_width, half_width, p["n_side"])
     return _residual_case(
         "plate bending residual", 1e-8, "t,th1,th2", _plane_rows(side, side),
-        _each(lambda row: residual_2d(sf, loads, conn, *row)),
+        lambda block: residual_2d(sf, loads, conn,
+                                  *_thetas(block)).as_array(),
     )
 
 
@@ -777,7 +797,7 @@ def _laplace_sphere(p, rng, conn_spec):
             "connection.type: laplace_sphere defines its own radial pull; "
             "set type to 'case'"
         )
-    r, T0 = p["radius"], p["tension"]
+    r, T0 = _moderate(p, "radius"), p["tension"]
     pr = 2.0 * T0 / r
 
     def chart(t, th1, th2):
@@ -785,7 +805,8 @@ def _laplace_sphere(p, rng, conn_spec):
 
     def pi(t, th1, th2):
         z = np.sqrt(r * r - th1 ** 2 - th2 ** 2)
-        return np.array([[1.0, 0.0, -th1 / z], [0.0, 1.0, -th2 / z]])
+        one, zero = np.ones_like(z), np.zeros_like(z)
+        return np.array([[one, zero, -th1 / z], [zero, one, -th2 / z]])
 
     def a_inv(th1, th2):
         # a = I + u u^T / z^2 with u = (th1, th2) and z^2 = r^2 - |u|^2, so
@@ -795,13 +816,14 @@ def _laplace_sphere(p, rng, conn_spec):
         return np.array([[1.0 - th1 * th1 / r2, a12],
                          [a12, 1.0 - th2 * th2 / r2]])
 
-    sphere = ShellField(chart, pi=pi)
+    sphere = ShellField(chart, pi=pi, vectorized=True)
     loads = ShellLoads(
-        rho_s=lambda *a: rho_s,
+        rho_s=_per_point(rho_s),
         N=lambda t, th1, th2: T0 * a_inv(th1, th2),
-        Q=lambda *a: np.zeros(2),
-        M=lambda *a: np.zeros((2, 2)),
-        kappa=lambda *a: 0.01,
+        Q=_per_point(np.zeros(2)),
+        M=_per_point(np.zeros((2, 2))),
+        kappa=_per_point(0.01),
+        vectorized=True,
     )
     conn = GalileanConnection(
         g=lambda t, x: (pr / rho_s) * np.asarray(x, dtype=float) / r
@@ -810,7 +832,8 @@ def _laplace_sphere(p, rng, conn_spec):
     return _residual_case(
         "membrane pressure residual", 1e-7, "t,th1,th2",
         _plane_rows(side, side),
-        _each(lambda row: residual_2d(sphere, loads, conn, *row)),
+        lambda block: residual_2d(sphere, loads, conn,
+                                  *_thetas(block)).as_array(),
     )
 
 
@@ -822,30 +845,34 @@ def _laplace_sphere(p, rng, conn_spec):
 )
 def _spinning_drum(p, rng, conn_spec):
     R, rho_s = _positive(p, "radius"), p["rho_s"]
+    _moderate(p, "radius")
     w = conn_spec.Omega[2]
 
     def chart(t, th1, th2):
         return np.array([R * np.cos(th1 / R), R * np.sin(th1 / R), th2])
 
     def pi(t, th1, th2):
+        one, zero = np.ones_like(th1), np.zeros_like(th1)
         return np.array(
-            [[-np.sin(th1 / R), np.cos(th1 / R), 0.0], [0.0, 0.0, 1.0]]
+            [[-np.sin(th1 / R), np.cos(th1 / R), zero], [zero, zero, one]]
         )
 
-    drum = ShellField(chart, pi=pi)
+    drum = ShellField(chart, pi=pi, vectorized=True)
     loads = ShellLoads(
-        rho_s=lambda *a: rho_s,
-        N=lambda *a: np.array([[rho_s * w * w * R * R, 0.0], [0.0, 0.0]]),
-        Q=lambda *a: np.zeros(2),
-        M=lambda *a: np.zeros((2, 2)),
-        kappa=lambda *a: 0.02,
+        rho_s=_per_point(rho_s),
+        N=_per_point([[rho_s * w * w * R * R, 0.0], [0.0, 0.0]]),
+        Q=_per_point(np.zeros(2)),
+        M=_per_point(np.zeros((2, 2))),
+        kappa=_per_point(0.02),
+        vectorized=True,
     )
     conn = conn_spec.build()
     return _residual_case(
         "hoop-stress residual", 1e-7, "t,th1,th2",
         _plane_rows(np.linspace(0.0, 2.0, p["n_side"]),
                     np.linspace(-0.5, 0.5, p["n_side"])),
-        _each(lambda row: residual_2d(drum, loads, conn, *row)),
+        lambda block: residual_2d(drum, loads, conn,
+                                  *_thetas(block)).as_array(),
     )
 
 

@@ -759,8 +759,9 @@ def test_plate_bending_equilibrium():
 
 
 def test_2d_reads_one_frame_per_stencil_point(monkeypatch):
-    # The mid-surface frame and w serve the centre torsor and the
-    # Christoffels alike: seven stencil points, seven of each.
+    # A batch builds the frame and w once per stencil offset, for all of
+    # its points, and the frame and w at the probe points serve their
+    # torsor and the Christoffels alike: seven offsets, seven of each.
     calls = {}
     for name in ("frame", "_normal_rate"):
         original = getattr(ShellField, name)
@@ -771,7 +772,8 @@ def test_2d_reads_one_frame_per_stencil_point(monkeypatch):
 
         monkeypatch.setattr(ShellField, name, counted)
     loads = const_loads(rho_s=2.0, N=[[1.0, 0.3], [0.3, -0.5]], kappa=0.1)
-    residual_2d(flat_plate(), loads, GalileanConnection(), 0.0, 0.3, -0.2)
+    residual_2d(flat_plate(), loads, GalileanConnection(), np.zeros(3),
+                np.array([0.3, -0.4, 0.1]), np.array([-0.2, 0.5, 0.0]))
     assert calls == {"frame": 7, "_normal_rate": 7}
 
 
@@ -1028,19 +1030,22 @@ def shell_oracle(sf, loads, conn, t, th1, th2, h=None):
     """The thin-medium laws expanded by hand, slot by slot as residual_2d.
 
     Surface covariant derivatives are written out from the chart blocks of
-    shell_christoffels; the acceleration is read from sf and conn, and
+    shell_christoffels; the acceleration and the spin blocks
+    Phi^a_b = c^a . (d pi_b/dt + Omega x pi_b) and
+    Phi^a = c^a . (w + Omega x n) are read from sf and conn, and
     d(kappa w)/dt is split into (d kappa/dt) w + kappa shell_w_surf_dot.
     """
     args = (t, th1, th2)
     G = shell_christoffels(sf, conn, *args)
     Gam, b_low = G[1:3, 1:3, 1:3], G[3, 1:3, 1:3]
-    Phi_ab, Phi_a = G[1:3, 0, 1:3], G[1:3, 0, 3]
     trG = np.einsum("ccb->b", Gam)
-    trPhi = np.trace(Phi_ab)
     b_mix = np.linalg.solve(sf.metric(*args), b_low)
     c, n, v = sf.projector(*args), sf.n(*args), sf.v(*args)
     x = sf.x(*args)
     Om = conn.Omega(t, x)
+    Phi_ab = c @ (sf.dpi_dt(*args) + np.cross(Om, sf.pi(*args))).T
+    Phi_a = c @ (sf.w(*args) + np.cross(Om, n))
+    trPhi = np.trace(Phi_ab)
     rho_s, kappa = loads.rho_s(*args), loads.kappa(*args)
     N, Q, M = loads.N(*args), loads.Q(*args), loads.M(*args)
     w = sf.w_surf(*args)

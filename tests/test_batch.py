@@ -1,13 +1,16 @@
-"""Batched probe grids of the space-filling views against point-by-point
-evaluation.
+"""Batched probe grids of the space-filling and thin-medium views against
+point-by-point evaluation.
 
-residual_cauchy and residual_3d_cosserat take a batch of events through
-one connection.divergence with a leading point axis.  Each point's rows
-must be those it gets on its own, whether its medium is vectorized or read
-point by point, under a uniform and a rotating frame; a scenario's rows
-may not depend on how its grid is cut into blocks; and on a bounded domain
-a batch must fail, or take its one-sided stencils, as a loop over its
-points does.
+residual_cauchy, residual_3d_cosserat and residual_2d take a batch of
+points through one connection.divergence with a leading point axis.  Each
+point's rows must be those it gets on its own, whether its medium is
+vectorized or read point by point, under a uniform and a rotating frame; a
+scenario's rows may not depend on how its grid is cut into blocks; and on
+a bounded domain a batch must fail, or take its one-sided stencils, as a
+loop over its points does.  One point is a batch of one and runs every
+line a batch runs, so a fault in that code moves both sides of these
+comparisons alike: the batched shell rows are also held to the
+hand-expanded shell oracle.
 """
 
 import json
@@ -18,11 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torsor import library
-from torsor.balance import residual_3d_cosserat, residual_cauchy
+from torsor.balance import residual_2d, residual_3d_cosserat, residual_cauchy
 from torsor.cli import bundled_scenarios, load_scenario
 from torsor.connection import GalileanConnection
 from torsor.errors import DifferentiationFailure
-from torsor.fields import CauchyMedium, Cosserat3DState
+from torsor.fields import CauchyMedium, Cosserat3DState, ShellField, ShellLoads
+
+from test_balance import shell_oracle
 
 
 def smooth(c, shape):
@@ -54,9 +59,113 @@ def cosserat_state(c, vectorized, domain=None):
         domain=domain, vectorized=vectorized)
 
 
+def shell_loads(c, vectorized):
+    """Polynomial loads with a non-symmetric N and M and a kappa that
+    varies in t, so that every row of the view is nonzero; written once
+    for one point and for a batch (point axis last)."""
+    a, b, d, e, f, g = c
+
+    def N(t, th1, th2):
+        return np.array([[0.7 + a * th1 * t, 0.3 - b * th2],
+                         [-0.2 + d * th1, e * t]])
+
+    def M(t, th1, th2):
+        return np.array([[f * th1 * th1, 0.2 * t - g * th2],
+                         [a * th1 * th2, -b * th2 * t]])
+
+    return ShellLoads(
+        rho_s=lambda t, th1, th2: 1.5 + d * th1 - e * t * th2, N=N,
+        Q=lambda t, th1, th2: np.array([f * th1 * th2 + t, g * th2]), M=M,
+        kappa=lambda t, th1, th2: 0.5 + 0.3 * t + 0.2 * a * th1,
+        vectorized=vectorized)
+
+
+def plate(t, th1, th2):
+    return np.array([th1, th2, np.zeros_like(th1)])
+
+
+def plate_pi(t, th1, th2):
+    one, zero = np.ones_like(th1), np.zeros_like(th1)
+    return np.array([[one, zero, zero], [zero, one, zero]])
+
+
+def plate_n(t, th1, th2):
+    zero = np.zeros_like(th1)
+    return np.array([zero, zero, np.ones_like(th1)])
+
+
+def plate_w(t, th1, th2):
+    return np.zeros((3,) + np.shape(th1))
+
+
+def sphere(t, th1, th2):
+    return np.array([th1, th2, np.sqrt(4.0 - th1 * th1 - th2 * th2)])
+
+
+def sphere_pi(t, th1, th2):
+    z = np.sqrt(4.0 - th1 * th1 - th2 * th2)
+    one, zero = np.ones_like(z), np.zeros_like(z)
+    return np.array([[one, zero, -th1 / z], [zero, one, -th2 / z]])
+
+
+RATE = 0.7
+
+
+def spinning(t, th1, th2):
+    """A non-orthonormal paraboloid chart, spinning about e3 at RATE and
+    translating; written elementwise, so that one point and a batch take
+    the same products."""
+    f0, f1 = th1 + 0.3 * th2, th2 - 0.2 * th1
+    c, s = np.cos(RATE * t), np.sin(RATE * t)
+    return np.array([c * f0 - s * f1 + 0.3 * t, s * f0 + c * f1 - 0.1 * t * t,
+                     0.2 * th1 * th1 + 0.1 * th1 * th2 + 0.15 * th2 * th2])
+
+
+def spinning_varpi(t, th1, th2):
+    zero = np.zeros_like(t)
+    return np.array([zero, zero, RATE + zero])
+
+
+# The plate reads pi, n and w from its callables; the sphere builds its
+# normal from pi and differences it for w; the spinning shell differences
+# x for pi and takes w = varpi x n.
+SHELLS = {
+    "plate": lambda v, d: ShellField(plate, pi=plate_pi, n=plate_n, w=plate_w,
+                                     domain=d, vectorized=v),
+    "sphere": lambda v, d: ShellField(sphere, pi=sphere_pi, domain=d,
+                                      vectorized=v),
+    "spinning": lambda v, d: ShellField(spinning, varpi=spinning_varpi,
+                                        domain=d, vectorized=v),
+}
+
+
+def shell_medium(geometry):
+    def make(c, vectorized, domain=None):
+        return SHELLS[geometry](vectorized, domain), shell_loads(c, vectorized)
+
+    return make
+
+
+def shell_residual(fields, conn, *coords, **kw):
+    return residual_2d(*fields, conn, *coords, **kw)
+
+
+def space_events(rng, m, lo=-1.0, hi=1.0):
+    """t of shape (m,) and x of shape (3, m)."""
+    return rng.uniform(lo, hi, size=m), rng.uniform(lo, hi, (3, m))
+
+
+def surface_events(rng, m, lo=-0.6, hi=0.6):
+    """t, theta1 and theta2, each of shape (m,)."""
+    return tuple(rng.uniform(lo, hi, size=(3, m)))
+
+
+# medium -> (fields from coefficients, residual view, probe events).
 MEDIA = {
-    "cauchy": (cauchy_medium, residual_cauchy),
-    "cosserat": (cosserat_state, residual_3d_cosserat),
+    "cauchy": (cauchy_medium, residual_cauchy, space_events),
+    "cosserat": (cosserat_state, residual_3d_cosserat, space_events),
+    **{geometry: (shell_medium(geometry), shell_residual, surface_events)
+       for geometry in SHELLS},
 }
 
 
@@ -67,27 +176,37 @@ def frame(kind, rng):
     return GalileanConnection.uniform(g=g, Omega=Omega)
 
 
-def point_by_point(residual, fields, conn, t, x, **kw):
-    """The rows of a loop of one-event calls, (m, 10)."""
-    return np.array([residual(fields, conn, t[p], x[:, p], **kw).as_array()
-                     for p in range(len(t))])
+def point_by_point(residual, fields, conn, coords, **kw):
+    """The rows of a loop of one-point calls, (m, 10)."""
+    return np.array([
+        residual(fields, conn, *(c[..., p] for c in coords), **kw).as_array()
+        for p in range(len(coords[0]))])
 
 
-@pytest.mark.parametrize("kind", ["uniform", "rotating"])
-@pytest.mark.parametrize("vectorized", [True, False])
-@pytest.mark.parametrize("medium", sorted(MEDIA))
+# Each space-filling medium under both frames; each shell, whose points
+# cost several times as much, under the rotating frame with a base
+# gravity alone, whose g and Omega both enter the shell Christoffels.
+ROW_CASES = [
+    (medium, vectorized, kind) for medium in sorted(MEDIA)
+    for vectorized in (True, False)
+    for kind in (("uniform", "rotating") if MEDIA[medium][2] is space_events
+                 else ("rotating",))
+]
+
+
+@pytest.mark.parametrize("medium, vectorized, kind", ROW_CASES)
 @settings(derandomize=True, max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 9))
 def test_batch_rows_match_point_by_point(medium, vectorized, kind, seed, m):
     rng = np.random.default_rng(seed)
-    make, residual = MEDIA[medium]
+    make, residual, events = MEDIA[medium]
     fields = make(rng.uniform(-1.0, 1.0, size=6), vectorized)
     conn = frame(kind, rng)
-    t, x = rng.uniform(-1.0, 1.0, size=m), rng.uniform(-1.0, 1.0, (3, m))
-    batch = residual(fields, conn, t, x)
+    coords = events(rng, m)
+    batch = residual(fields, conn, *coords)
     assert batch.mass.shape == (m,) and batch.ang_mom.shape == (m, 3)
     rows = batch.as_array()
-    loop = point_by_point(residual, fields, conn, t, x)
+    loop = point_by_point(residual, fields, conn, coords)
     if vectorized:
         # numpy's functions on a whole array may round unlike on one value.
         assert np.linalg.norm(rows - loop) <= 1e-12 * np.linalg.norm(loop)
@@ -96,18 +215,20 @@ def test_batch_rows_match_point_by_point(medium, vectorized, kind, seed, m):
         assert rows.tobytes() == loop.tobytes()
 
 
-D3_CASES = ["cauchy_manufactured", "hydrostatic", "rotating_bucket",
-            "momentless_hydrostatic"]
+BATCHED_CASES = ["cauchy_manufactured", "hydrostatic", "rotating_bucket",
+                 "momentless_hydrostatic", "plate_bending", "laplace_sphere",
+                 "spinning_drum"]
 
 
-@pytest.mark.parametrize("case", D3_CASES)
+@pytest.mark.parametrize("case", BATCHED_CASES)
 def test_rows_do_not_depend_on_the_probe_chunk(monkeypatch, case):
-    # 4^3 grid points (plus random ones) in one block, then in blocks of 7.
+    # 4^3 (d = 3, plus random points) or 4^2 (d = 2) grid points in one
+    # block, then in blocks of 7.
     scn = load_scenario(json.loads(bundled_scenarios()[case].read_text()))
     spec = library.CASES[case]
     params = {**spec.defaults, **scn.params, "n_side": 4}
     calls = []
-    for name in ("residual_cauchy", "residual_3d_cosserat"):
+    for name in ("residual_cauchy", "residual_3d_cosserat", "residual_2d"):
         view = getattr(library, name)
         monkeypatch.setattr(library, name,
                             lambda *a, view=view, **kw: calls.append(1)
@@ -127,41 +248,43 @@ def test_rows_do_not_depend_on_the_probe_chunk(monkeypatch, case):
     assert parts.checks[0].value == whole.checks[0].value
 
 
-def first_failure(residual, fields, conn, t, x):
+def first_failure(residual, fields, conn, coords):
     """The message of the first point whose rows fail, or None."""
-    for p in range(len(t)):
+    for p in range(len(coords[0])):
         try:
-            residual(fields, conn, t[p], x[:, p])
+            residual(fields, conn, *(c[..., p] for c in coords))
         except DifferentiationFailure as err:
             return str(err)
     return None
 
 
-@pytest.mark.parametrize("medium", sorted(MEDIA))
+@pytest.mark.parametrize("medium", ["cauchy", "cosserat", "plate"])
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8))
 def test_bounded_domain_batch_acts_as_a_loop(medium, seed, m):
     # Events in the unit box, each coordinate sometimes on a face, so that
     # different points fail in different coordinates.
     rng = np.random.default_rng(seed)
-    make, residual = MEDIA[medium]
+    make, residual, events = MEDIA[medium]
+    dims = 4 if events is space_events else 3
     fields = make(rng.uniform(-1.0, 1.0, size=6), True,
-                  domain=((0.0, 1.0),) * 4)
+                  domain=((0.0, 1.0),) * dims)
     conn = frame("rotating", rng)
-    events = rng.uniform(0.2, 0.8, size=(4, m))
-    faces = rng.random(size=(4, m)) < 0.15
-    events[faces] = rng.integers(0, 2, size=int(faces.sum()))
-    t, x = events[0], events[1:]
+    points = rng.uniform(0.2, 0.8, size=(dims, m))
+    faces = rng.random(size=(dims, m)) < 0.15
+    points[faces] = rng.integers(0, 2, size=int(faces.sum()))
+    coords = ((points[0], points[1:]) if events is space_events
+              else tuple(points))
 
-    expect = first_failure(residual, fields, conn, t, x)
+    expect = first_failure(residual, fields, conn, coords)
     if expect is None:
-        residual(fields, conn, t, x)
+        residual(fields, conn, *coords)
     else:
         with pytest.raises(DifferentiationFailure) as err:
-            residual(fields, conn, t, x)
+            residual(fields, conn, *coords)
         assert str(err.value) == expect
-    rows = residual(fields, conn, t, x, one_sided=True).as_array()
-    loop = point_by_point(residual, fields, conn, t, x, one_sided=True)
+    rows = residual(fields, conn, *coords, one_sided=True).as_array()
+    loop = point_by_point(residual, fields, conn, coords, one_sided=True)
     assert rows.tobytes() == loop.tobytes()
 
 
@@ -175,3 +298,21 @@ def test_bounded_domain_names_the_first_failing_point():
     x[2, 0] = 1.0
     with pytest.raises(DifferentiationFailure, match=r"coordinate 1\.0 "):
         residual_cauchy(fields, GalileanConnection(), t, x)
+
+
+def test_shell_batch_matches_hand_expanded_oracle():
+    # The spinning paraboloid (finite-difference pi, w = varpi x n) with
+    # polynomial loads, vectorized, in a rotating frame with a base
+    # gravity: every row of a batch against the hand expansion of the
+    # thin-medium laws at its point.
+    rng = np.random.default_rng(11)
+    sf, loads = shell_medium("spinning")(
+        rng.uniform(-1.0, 1.0, size=6), True)
+    conn = GalileanConnection.rotating_frame([0.3, -0.2, 0.5],
+                                             g=[0.1, 0.2, -9.8])
+    coords = surface_events(rng, 4)
+    rows = residual_2d(sf, loads, conn, *coords).as_array()
+    want = np.array([shell_oracle(sf, loads, conn, *(c[p] for c in coords))
+                     for p in range(4)])
+    assert np.min(np.abs(want)) > 1e-4
+    np.testing.assert_allclose(rows, want, rtol=0, atol=1e-9)

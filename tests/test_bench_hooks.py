@@ -41,7 +41,8 @@ def test_tracer_counts_residual_points_and_nodes(tmp_path, monkeypatch,
 
 def test_tracer_counts_shell_points(tmp_path, monkeypatch, capsys):
     # balance.residual_2d must keep calling shell_christoffels through its
-    # module global, which the tracer wraps: one call per d2 point.
+    # module global, which the tracer wraps: one batched call of each for
+    # the 3 x 3 grid.
     monkeypatch.syspath_prepend(BENCH_DIR)
     import tracing
 
@@ -49,8 +50,9 @@ def test_tracer_counts_shell_points(tmp_path, monkeypatch, capsys):
         rc = main(["run", "plate_bending", "--out-dir", str(tmp_path)])
     assert rc == 0
     metrics = tracing.layer_metrics(tracer)
-    assert metrics["balance.d2.points"] == 9
-    assert metrics["fields.christoffel_calls"] == 9
+    assert metrics["balance.d2.points"] == 1
+    assert metrics["fields.christoffel_calls"] == 1
+    assert _data_rows(tmp_path / "plate_bending" / "residuals.csv") == 9
 
 
 def test_tracer_counts_cosserat_points(tmp_path, monkeypatch, capsys):

@@ -298,6 +298,11 @@ BAD_PARAMS = {
                               {"half_width": 1e300}, "half_width"),
     "h_huge_thickness": ("thickness_integrals", "reduction", "d2",
                          {"h": 1e300}, "h"),
+    # Finite but huge: each ended in FAIL on a NaN residual, with exit 1.
+    "radius_huge_drum": ("spinning_drum", "residual_check", "d2",
+                         {"radius": 1e300}, "radius"),
+    "radius_huge_sphere": ("laplace_sphere", "residual_check", "d2",
+                           {"radius": 1e300}, "radius", {"type": "case"}),
 }
 
 

@@ -29,7 +29,6 @@ from .balance import (
 )
 from .connection import (
     GalileanConnection,
-    OriginMotion,
     PullbackChristoffels,
     divergence,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "residual_2d",
     "residual_3d_cosserat",
     "GalileanConnection",
-    "OriginMotion",
     "PullbackChristoffels",
     "divergence",
     "CauchyMedium",

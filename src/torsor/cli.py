@@ -50,48 +50,48 @@ class Scenario:
     params: dict
 
 
-def _finite(value) -> bool:
-    """True for an int or float, not a bool, that is a finite float."""
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
+def _number(value) -> bool:
+    """True for an int or a float; bool is never a number."""
+    return type(value) in (int, float)
 
 
-def _check_param(key, value, default):
-    """Raise ScenarioError unless value fits the type of the case default.
+def _check_param(key, value, default, allowed):
+    """Raise ScenarioError unless value has the type of the case default
+    and lies in the Range allowed.
 
-    A list default takes a list of the same length of finite numbers, an
-    int default an int (a count: >= 1, or >= 0 for n_random), and a float
-    default a finite int or float.  bool is never a number.
+    A list default takes a list of the same length of numbers, an int
+    default an int and a float default an int or float.  Every Range is
+    finite, so it also turns away NaN, infinities and ints too large for
+    a float.
     """
     if isinstance(default, list):
-        want = f"a list of {len(default)} finite numbers"
+        want = f"a list of {len(default)} numbers, each in {allowed}"
         ok = (isinstance(value, list) and len(value) == len(default)
-              and all(map(_finite, value)))
+              and all(map(_number, value)))
     elif isinstance(default, int):
-        want = f"an integer >= {int(key != 'n_random')}"
-        ok = type(value) is int and value >= int(key != "n_random")
+        want, ok = f"an integer in {allowed}", type(value) is int
     else:
-        want, ok = "a finite number", _finite(value)
-    if ok and key == "steps":
-        want = "positive, distinct steps"
-        ok = min(value) > 0 and len(set(value)) == len(value)
-    if not ok:
+        want, ok = f"a number in {allowed}", _number(value)
+    if not (ok and allowed.admits(value)):
         raise ScenarioError(f"params.{key}: expected {want}, got {value!r}")
 
 
-def _check_step_count(params):
-    """Raise ScenarioError unless dt > 0 and the RK4 step count t_end / dt
-    lies in [0, MAX_RK4_STEPS]."""
-    if not params["dt"] > 0:
-        raise ScenarioError(
-            f"params.dt: must be positive, got {params['dt']!r}")
+def _check_step_count(params, conn_spec):
+    """Raise ScenarioError unless the RK4 step count t_end / dt lies in
+    [0, MAX_RK4_STEPS] and |Omega| dt is at most 1, inside RK4's
+    stability bound for the frame's rotation (about 1.4)."""
     n_steps = params["t_end"] / params["dt"]
     if not 0 <= n_steps <= MAX_RK4_STEPS:
         raise ScenarioError(
             f"params.t_end: t_end / dt = {n_steps:.6g} RK4 steps, outside "
             f"[0, {MAX_RK4_STEPS}] (check params.t_end and params.dt)"
+        )
+    rate = math.hypot(*conn_spec.Omega.tolist()) * params["dt"]
+    if rate > 1.0:
+        raise ScenarioError(
+            f"connection.Omega: |Omega| dt = {rate:.6g}, above 1, where RK4 "
+            f"nears its stability bound (check connection.Omega and "
+            f"params.dt)"
         )
 
 
@@ -112,10 +112,11 @@ def _check_probe_count(medium, params):
 def load_scenario(raw) -> Scenario:
     """Validate a decoded scenario object against the schema and registry.
 
-    Each param must fit the type of its case default, a pointwise
-    simulation may take at most MAX_RK4_STEPS steps and a residual check
-    at most MAX_PROBE_POINTS probe points.  Raises ScenarioError
-    naming the offending key on any mismatch.
+    Each param, given or default, must fit the type of its case default
+    and lie in its declared Range; a pointwise simulation may take at most
+    MAX_RK4_STEPS steps and a residual check at most MAX_PROBE_POINTS
+    probe points.  Raises ScenarioError naming the offending key on any
+    mismatch.
     """
     if not isinstance(raw, dict):
         raise ScenarioError("scenario: top level must be an object")
@@ -164,17 +165,19 @@ def load_scenario(raw) -> Scenario:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ScenarioError("params: must be an object")
-    for key, value in params.items():
+    for key in params:
         if key not in spec.defaults:
             raise ScenarioError(
                 f"params.{key}: unknown key (case {case!r} accepts "
                 f"{sorted(spec.defaults)})"
             )
-        _check_param(key, value, spec.defaults[key])
+    merged = {**spec.defaults, **params}
+    for key, value in merged.items():
+        _check_param(key, value, spec.defaults[key], spec.ranges[key])
     if kind == "pointwise_sim":
-        _check_step_count({**spec.defaults, **params})
+        _check_step_count(merged, conn_spec)
     elif kind == "residual_check":
-        _check_probe_count(medium, {**spec.defaults, **params})
+        _check_probe_count(medium, merged)
     return Scenario(name=name, kind=kind, medium=medium, case=case,
                     conn_spec=conn_spec, params=params)
 
@@ -322,6 +325,9 @@ def cmd_describe(args, stream=None) -> int:
     params = dict(spec.defaults)
     params.update(scn.params)
     stream.write(f"  parameters: {json.dumps(params, sort_keys=True)}\n")
+    ranges = "; ".join(f"{key} in {spec.ranges[key]}"
+                       for key in sorted(spec.ranges))
+    stream.write(f"  ranges: {ranges}\n")
     return 0
 
 

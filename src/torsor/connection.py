@@ -87,47 +87,6 @@ def christoffels(g, Omega) -> np.ndarray:
     return G
 
 
-class OriginMotion:
-    """Motion of the affine origin as a C field (t, x) -> 4-column.
-
-    C identically zero keeps the origin glued to the point itself (proper
-    choice); C = (0, x) puts it at the spatial origin of the chart.
-    """
-
-    def __init__(self, C_field, label: str = "custom"):
-        self.C = C_field
-        self.label = label
-
-    @classmethod
-    def proper(cls) -> "OriginMotion":
-        return cls(lambda t, x: np.zeros(4), label="proper")
-
-    @classmethod
-    def spatial_origin(cls) -> "OriginMotion":
-        return cls(lambda t, x: np.append(0.0, np.reshape(x, 3)),
-                   label="spatial_origin")
-
-
-def gamma_A_matrix(conn: GalileanConnection, origin: OriginMotion,
-                   t: float, x, h: float = None) -> np.ndarray:
-    """(4, 4) matrix Gamma_A with Gamma_A(dX) = dX - (dC + Gamma(dX) C).
-
-    Column m holds Gamma_A(e_m).  The proper origin gives the identity
-    matrix and the spatial-origin choice first column (1, -Omega x x) and
-    zero spatial columns, both exactly; any other C field is differenced.
-    """
-    x = np.asarray(x, dtype=float).reshape(3)
-    if origin.label == "proper":
-        return _EYE4
-    if origin.label == "spatial_origin":
-        return spatial_origin_gamma_A(conn.Omega(t, x), x)
-
-    DC = np.stack([fd.partial(lambda tt, *xs: origin.C(tt, np.array(xs)),
-                              (t, *x), i, h=h) for i in range(4)], axis=1)
-    GC = np.einsum("amb,b->am", conn.christoffels_at(t, x), origin.C(t, x))
-    return np.eye(4) - DC - GC
-
-
 def spatial_origin_gamma_A(Omega, x) -> np.ndarray:
     """Gamma_A of the spatial origin, C = (0, x), under spin Omega at x:
     first column (1, -Omega x x) and zero spatial columns."""
@@ -157,18 +116,15 @@ class PullbackChristoffels:
         self.origin_motion = np.asarray(self.origin_motion, dtype=float)
 
     @classmethod
-    def identity_embedding(cls, conn: GalileanConnection, t, x,
-                           origin: OriginMotion = None) -> "PullbackChristoffels":
-        """Medium filling space: material chart is the space-time chart.
-
-        Default origin is the proper one (Gamma_A = identity).  A batch of
-        events, t of shape (m,) and x of shape (3, m), reads the connection
-        point by point (GalileanConnection.christoffels_at) and takes the
-        proper origin.
+    def identity_embedding(cls, conn: GalileanConnection, t,
+                           x) -> "PullbackChristoffels":
+        """Medium filling space: material chart is the space-time chart,
+        with the proper origin (Gamma_A = identity).  A batch of events,
+        t of shape (m,) and x of shape (3, m), reads the connection point
+        by point (GalileanConnection.christoffels_at).
         """
         G = conn.christoffels_at(t, x)
-        GA = _EYE4 if origin is None else gamma_A_matrix(conn, origin, t, x)
-        return cls(material=G, spacetime=G, origin_motion=GA)
+        return cls(material=G, spacetime=G, origin_motion=_EYE4)
 
     @classmethod
     def spatial_origin(cls, conn: GalileanConnection, t: float, x,

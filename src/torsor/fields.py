@@ -202,17 +202,6 @@ class ForceMass1D:
         M[1, 1:] = self.rho_l * self.v_t * self.v - self.F
         return M
 
-    @classmethod
-    def from_matrix(cls, M) -> "ForceMass1D":
-        M = np.asarray(M, dtype=float).reshape(2, 4)
-        rho_l = M[0, 0]
-        if rho_l <= 0.0:
-            raise ValueError("line density must be positive to invert the matrix")
-        v = M[0, 1:] / rho_l
-        v_t = M[1, 0] / rho_l
-        F = rho_l * v_t * v - M[1, 1:]
-        return cls(rho_l, v, v_t, F)
-
 
 def rod_torsor(rho_l: float, v, w: float, F, psi, slide: float, q, l,
                l_star, M_star):
@@ -334,8 +323,8 @@ class ShellField:
     Every method takes one point, as floats, or a batch, as three (m,)
     arrays, and returns the batch's values with the point axis last.  The
     chart geometry (pi, the metric and its inverse, the projector c and
-    the normal) is built once per call, elementwise, by `frame`; `metric`,
-    `projector` and `w_surf` read it, and `n` and `w` use its normal.  A
+    the normal) is built once per call, elementwise, by `frame`; `w_surf`
+    reads it, and `n` and `w` use its normal.  A
     default w differences that normal in t at fd.default_step.  Elementwise
     products round each term, where numpy's matrix products may fuse them,
     so the geometry can differ from the matrix forms in the last bits.
@@ -429,15 +418,6 @@ class ShellField:
         w0, w1, w2 = w
         (c0, c1, c2), (d0, d1, d2) = fr.c
         return (c0 * w0 + c1 * w1 + c2 * w2, d0 * w0 + d1 * w1 + d2 * w2)
-
-    def metric(self, t, th1, th2) -> np.ndarray:
-        """First fundamental form a = pi pi^T; raises SingularMetric."""
-        a11, a12, a22 = self.frame(t, th1, th2).a
-        return np.array([[a11, a12], [a12, a22]])
-
-    def projector(self, t, th1, th2) -> np.ndarray:
-        """c = a^-1 pi, the (2, 3) surface projector."""
-        return np.array(self.frame(t, th1, th2).c)
 
     def n(self, t, th1, th2) -> np.ndarray:
         return np.array(self._normal(t, th1, th2))

@@ -65,10 +65,50 @@ CONNECTION_TYPES = ("uniform", "rotating_frame", "case")
 # cli.MAX_PROBE_POINTS points.
 PROBE_CHUNK = 1024
 
-# Largest magnitude of a length or speed param that a case raises to a
-# power in its closed forms (radius^4, h^3, v_max^2, half_width^2): these
-# checks are unit-scale, and a finite 1e300 would overflow them.
+# Largest magnitude of any float param, and of connection.g and
+# connection.Omega: the closed forms raise params to powers (radius^4, h^3,
+# v_max^2, half_width^2) and multiply them together, and a finite 1e300
+# would overflow them.
 MAX_SCALE = 1e6
+
+
+@dataclass(frozen=True)
+class Range:
+    """The values a param may take: lo <= value <= hi, and not 0 when
+    nonzero.  A list param's range holds for each entry, and its entries
+    must differ from each other when distinct."""
+
+    lo: float
+    hi: float = MAX_SCALE
+    nonzero: bool = False
+    distinct: bool = False
+
+    def admits(self, value) -> bool:
+        values = value if isinstance(value, list) else [value]
+        return (all(self.lo <= v <= self.hi and not (self.nonzero and v == 0)
+                    for v in values)
+                and not (self.distinct and len(set(values)) < len(values)))
+
+    def __str__(self):
+        text = f"[{self.lo:g}, {self.hi:g}]"
+        if self.nonzero:
+            text = (f"({text[1:]}" if self.lo == 0 else
+                    f"{text} without 0")
+        return text + (", distinct" if self.distinct else "")
+
+
+ANY = Range(-MAX_SCALE)
+NONZERO = Range(-MAX_SCALE, nonzero=True)
+NONNEGATIVE = Range(0.0)
+POSITIVE = Range(0.0, nonzero=True)
+COUNT = Range(1)
+# A length that a closed form divides by or raises to a power.
+LENGTH = Range(1.0 / MAX_SCALE)
+# A finite-difference step, or the distinct steps of a refinement study.
+STEP = Range(0.0, 1.0, nonzero=True)
+STEPS = Range(0.0, 1.0, nonzero=True, distinct=True)
+# A coordinate of the manufactured fields, which grow like exp(x / 3).
+MANUFACTURED = Range(-100.0, 100.0)
 
 # The identity against a batch's point axis: (3, 3, 1).
 _EYE3 = np.eye(3)[..., None]
@@ -128,14 +168,19 @@ class ConnSpec:
 
 
 def _vec3_key(value, key):
+    """value as a (3,) array of magnitude at most MAX_SCALE, zeros for
+    None; raises ScenarioError naming key otherwise."""
     if value is None:
         return np.zeros(3)
     try:
         out = np.asarray(value, dtype=float).reshape(3)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ScenarioError(f"{key}: expected 3 numbers, got {value!r}")
     if not np.all(np.isfinite(out)):
         raise ScenarioError(f"{key}: entries must be finite")
+    if not math.hypot(*out.tolist()) <= MAX_SCALE:
+        raise ScenarioError(
+            f"{key}: magnitude must be at most {MAX_SCALE:g}, got {value!r}")
     return out
 
 
@@ -168,10 +213,14 @@ class CaseResult:
 
 @dataclass
 class CaseSpec:
+    """A registered case: defaults maps each param to its default value,
+    ranges each param to the Range its values must lie in."""
+
     kind: str
     medium: str
     summary: str
     defaults: dict
+    ranges: dict
     build: callable
 
 
@@ -186,32 +235,16 @@ KIND_MEDIA = {
 }
 
 
-def _case(name, kind, medium, summary, defaults=None):
+def _case(name, kind, medium, summary, params):
+    """Register a case; params maps each key to (default, Range)."""
     def wrap(fn):
         CASES[name] = CaseSpec(
             kind=kind, medium=medium, summary=summary,
-            defaults=dict(defaults or {}), build=fn,
+            defaults={key: d for key, (d, _) in params.items()},
+            ranges={key: r for key, (_, r) in params.items()}, build=fn,
         )
         return fn
     return wrap
-
-
-def _positive(p, key):
-    """p[key]; raises ScenarioError naming params.<key> unless it is
-    positive."""
-    if not p[key] > 0:
-        raise ScenarioError(f"params.{key}: must be positive, got {p[key]!r}")
-    return p[key]
-
-
-def _moderate(p, key):
-    """p[key]; raises ScenarioError naming params.<key> unless its
-    magnitude is at most MAX_SCALE."""
-    if not abs(p[key]) <= MAX_SCALE:
-        raise ScenarioError(
-            f"params.{key}: magnitude must be at most {MAX_SCALE:g}, "
-            f"got {p[key]!r}")
-    return p[key]
 
 
 def _traj_table(traj):
@@ -311,6 +344,13 @@ def _convergence_case(residual, fields, conn, point, exact, steps):
 # pointwise trajectories
 
 
+def _rk4_params(dt, t_end, stride):
+    """Params of a pointwise simulation: step, end time and output stride
+    with their defaults."""
+    return {"dt": (dt, POSITIVE), "t_end": (t_end, NONNEGATIVE),
+            "stride": (stride, COUNT)}
+
+
 def _simulate(init, conn, p):
     """run_scenario from init with the case's dt, t_end and stride."""
     return run_scenario(init, conn, IntegratorConfig(
@@ -321,7 +361,7 @@ def _simulate(init, conn, p):
     "free_particle", "pointwise_sim", "d0",
     "Free point mass in an inertial frame: straight-line motion with every "
     "conserved quantity flat.",
-    defaults={"dt": 1e-2, "t_end": 2.0, "stride": 10},
+    params=_rk4_params(1e-2, 2.0, 10),
 )
 def _free_particle(p, rng, conn_spec):
     conn = conn_spec.build()
@@ -348,7 +388,7 @@ def _free_particle(p, rng, conn_spec):
     "projectile", "pointwise_sim", "d0",
     "Point mass under uniform gravity: the integrator reproduces the "
     "parabola to roundoff and q tracks m x.",
-    defaults={"dt": 1e-3, "t_end": 1.0, "stride": 100},
+    params=_rk4_params(1e-3, 1.0, 100),
 )
 def _projectile(p, rng, conn_spec):
     g = conn_spec.g
@@ -376,7 +416,7 @@ def _projectile(p, rng, conn_spec):
     "coriolis_rotating_frame", "pointwise_sim", "d0",
     "Free particle watched from a chart spinning about e3 (centrifugal "
     "gravity plus Coriolis force): matches the rotated straight line.",
-    defaults={"dt": 1e-4, "t_end": 1.0, "stride": 1000},
+    params=_rk4_params(1e-4, 1.0, 1000),
 )
 def _coriolis(p, rng, conn_spec):
     w = conn_spec.Omega[2]
@@ -415,7 +455,7 @@ def _coriolis(p, rng, conn_spec):
     "gravity_top", "pointwise_sim", "d0",
     "Spinning point mass falling in uniform gravity: the moment component "
     "along g and the proper spin both stay constant.",
-    defaults={"dt": 1e-3, "t_end": 2.0, "stride": 100},
+    params=_rk4_params(1e-3, 2.0, 100),
 )
 def _gravity_top(p, rng, conn_spec):
     g = conn_spec.g
@@ -447,7 +487,7 @@ def _gravity_top(p, rng, conn_spec):
     "spinning_frame_precession", "pointwise_sim", "d0",
     "Proper spin in a uniformly spinning chart precesses about the axis "
     "at the chart rate, preserving its length and axial component.",
-    defaults={"dt": 1e-3, "t_end": 3.0, "stride": 100},
+    params=_rk4_params(1e-3, 3.0, 100),
 )
 def _precession(p, rng, conn_spec):
     Om = conn_spec.Omega
@@ -488,7 +528,7 @@ def _precession(p, rng, conn_spec):
     "projectile_residual", "residual_check", "d0",
     "The four pointwise balance laws evaluated along the closed-form "
     "parabola; every residual vanishes to differencing accuracy.",
-    defaults={"n_t": 9, "t_span": [0.1, 2.0]},
+    params={"n_t": (9, COUNT), "t_span": ([0.1, 2.0], ANY)},
 )
 def _projectile_residual(p, rng, conn_spec):
     g = conn_spec.g
@@ -585,13 +625,11 @@ def manufactured_cauchy(g=(0.1, -0.2, 0.3), Omega=(0.2, -0.1, 0.3)):
     "cauchy_manufactured", "residual_check", "d3_cauchy",
     "Manufactured sin/exp classical-medium fields: the evaluated residual "
     "is compared against its exact expansion over a probe grid.",
-    defaults={"h": 1e-5, "n_side": 3, "t": 0.4, "half_width": 0.5,
-              "n_random": 5},
+    params={"h": (1e-5, STEP), "n_side": (3, COUNT), "t": (0.4, ANY),
+            "half_width": (0.5, Range(0.0, MANUFACTURED.hi)),
+            "n_random": (5, NONNEGATIVE)},
 )
 def _cauchy_manufactured(p, rng, conn_spec):
-    if p["half_width"] < 0:
-        raise ScenarioError(
-            f"params.half_width: must be nonnegative, got {p['half_width']!r}")
     medium, conn, exact = manufactured_cauchy(conn_spec.g, conn_spec.Omega)
     t = p["t"]
     rows = _cube_rows(t, p["half_width"], p["n_side"])
@@ -610,7 +648,8 @@ def _cauchy_manufactured(p, rng, conn_spec):
     "hydrostatic", "residual_check", "d3_cauchy",
     "Fluid at rest under uniform gravity with the linear pressure field: "
     "all ten residuals vanish.",
-    defaults={"n_side": 3, "half_width": 1.0, "rho0": 2.0},
+    params={"n_side": (3, COUNT), "half_width": (1.0, NONNEGATIVE),
+            "rho0": (2.0, NONNEGATIVE)},
 )
 def _hydrostatic(p, rng, conn_spec):
     rho0 = p["rho0"]
@@ -634,7 +673,8 @@ def _hydrostatic(p, rng, conn_spec):
     "rotating_bucket", "residual_check", "d3_cauchy",
     "Liquid at rest in a spinning chart: quadratic centrifugal pressure "
     "balances gravity plus the frame forces.",
-    defaults={"n_side": 3, "half_width": 0.8, "rho0": 1.0},
+    params={"n_side": (3, COUNT), "half_width": (0.8, NONNEGATIVE),
+            "rho0": (1.0, NONNEGATIVE)},
 )
 def _rotating_bucket(p, rng, conn_spec):
     rho0 = p["rho0"]
@@ -667,7 +707,8 @@ def _rotating_bucket(p, rng, conn_spec):
     "beam_under_gravity", "residual_check", "d1",
     "Straight beam loaded by uniform gravity: linear internal force and "
     "quadratic bending moment close all four balance laws.",
-    defaults={"n_s": 9, "length": 2.0, "rho_l": 1.6},
+    params={"n_s": (9, COUNT), "length": (2.0, POSITIVE),
+            "rho_l": (1.6, NONNEGATIVE)},
 )
 def _beam_under_gravity(p, rng, conn_spec):
     rho_l = p["rho_l"]
@@ -699,10 +740,11 @@ def _beam_under_gravity(p, rng, conn_spec):
     "spinning_ring", "residual_check", "d1",
     "Ring of matter circulating along a static circular chart: hoop "
     "tension rho w^2 r^2 supplies the centripetal force.",
-    defaults={"n_s": 8, "radius": 1.2, "omega": 0.9, "rho_l": 2.0},
+    params={"n_s": (8, COUNT), "radius": (1.2, LENGTH), "omega": (0.9, ANY),
+            "rho_l": (2.0, NONNEGATIVE)},
 )
 def _spinning_ring(p, rng, conn_spec):
-    r, w, rho_l = _positive(p, "radius"), p["omega"], p["rho_l"]
+    r, w, rho_l = p["radius"], p["omega"], p["rho_l"]
     tension = rho_l * w * w * r * r
 
     def psi(t, s):
@@ -746,10 +788,11 @@ def _flat_plate():
     "plate_bending", "residual_check", "d2",
     "Flat plate carrying a transverse gravity load through shear and a "
     "quadratic bending moment.",
-    defaults={"n_side": 3, "half_width": 0.7, "rho_s": 2.0},
+    params={"n_side": (3, COUNT), "half_width": (0.7, NONNEGATIVE),
+            "rho_s": (2.0, NONNEGATIVE)},
 )
 def _plate_bending(p, rng, conn_spec):
-    rho_s, half_width = p["rho_s"], _moderate(p, "half_width")
+    rho_s, half_width = p["rho_s"], p["half_width"]
     g3 = conn_spec.g[2]
     conn = conn_spec.build()
     load = -rho_s * g3
@@ -779,8 +822,9 @@ def _plate_bending(p, rng, conn_spec):
     "laplace_sphere", "residual_check", "d2",
     "Uniformly tensioned spherical membrane against the normal pressure "
     "2 T / r: the classical pressure-curvature balance.",
-    defaults={"n_side": 3, "half_width": 0.5, "radius": 2.0,
-              "tension": 0.7, "rho_s": 1.0},
+    params={"n_side": (3, COUNT), "half_width": (0.5, NONNEGATIVE),
+            "radius": (2.0, LENGTH), "tension": (0.7, ANY),
+            "rho_s": (1.0, POSITIVE)},
 )
 def _laplace_sphere(p, rng, conn_spec):
     # The chart z = sqrt(r^2 - |theta|^2) must be real at every point a
@@ -791,13 +835,12 @@ def _laplace_sphere(p, rng, conn_spec):
             f"params.radius: must exceed sqrt(2) (|half_width| + step) = "
             f"{math.sqrt(2.0) * reach!r}, the reach of the probe grid's "
             f"corners, got {p['radius']!r}")
-    rho_s = _positive(p, "rho_s")
     if conn_spec.type != "case":
         raise ScenarioError(
             "connection.type: laplace_sphere defines its own radial pull; "
             "set type to 'case'"
         )
-    r, T0 = _moderate(p, "radius"), p["tension"]
+    r, T0, rho_s = p["radius"], p["tension"], p["rho_s"]
     pr = 2.0 * T0 / r
 
     def chart(t, th1, th2):
@@ -841,11 +884,11 @@ def _laplace_sphere(p, rng, conn_spec):
     "spinning_drum", "residual_check", "d2",
     "Cylindrical shell at rest in its co-rotating chart: hoop membrane "
     "force rho w^2 R^2 carries the centrifugal load.",
-    defaults={"n_side": 3, "radius": 1.5, "rho_s": 0.8},
+    params={"n_side": (3, COUNT), "radius": (1.5, LENGTH),
+            "rho_s": (0.8, NONNEGATIVE)},
 )
 def _spinning_drum(p, rng, conn_spec):
-    R, rho_s = _positive(p, "radius"), p["rho_s"]
-    _moderate(p, "radius")
+    R, rho_s = p["radius"], p["rho_s"]
     w = conn_spec.Omega[2]
 
     def chart(t, th1, th2):
@@ -885,12 +928,11 @@ def _spinning_drum(p, rng, conn_spec):
     "Space-filling medium with every moment field zero and a symmetric "
     "hydrostatic stress: the ten balance laws degenerate to the classical "
     "four plus six identities.",
-    defaults={"n_side": 3, "half_width": 0.8, "rho0": 2.0},
+    params={"n_side": (3, COUNT), "half_width": (0.8, NONNEGATIVE),
+            "rho0": (2.0, NONNEGATIVE)},
 )
 def _momentless_hydrostatic(p, rng, conn_spec):
     rho0 = float(p["rho0"])
-    if rho0 < 0.0:
-        raise ScenarioError(f"params.rho0: must be nonnegative, got {rho0!r}")
     g = conn_spec.g
     conn = conn_spec.build()
     # T = assemble_cauchy_T(rho0, 0, c I) entry by entry, c = -rho0 (g . x):
@@ -929,14 +971,11 @@ def _momentless_hydrostatic(p, rng, conn_spec):
     "Circular cross-section integrals: line density, rigid-spin moment of "
     "momentum, transport moments of a parabolic pipe profile, and the "
     "parity zeros of a centered section.",
-    defaults={"radius": 0.4, "rho0": 2.5, "omega": 1.3, "v_max": 2.0},
+    params={"radius": (0.4, LENGTH), "rho0": (2.5, POSITIVE),
+            "omega": (1.3, NONZERO), "v_max": (2.0, ANY)},
 )
 def _disc_section(p, rng, conn_spec):
-    _positive(p, "radius")
-    R, w, v_max = _moderate(p, "radius"), p["omega"], _moderate(p, "v_max")
-    if w == 0:
-        raise ScenarioError(f"params.omega: must be nonzero, got {w!r}")
-    rho0 = _positive(p, "rho0")
+    R, w, v_max, rho0 = p["radius"], p["omega"], p["v_max"], p["rho0"]
     cs = CrossSection.disc(R)
     Pi = projector_matrix(cs)
     n = cs.n
@@ -984,13 +1023,11 @@ def _disc_section(p, rng, conn_spec):
     "thickness_integrals", "reduction", "d2",
     "Through-thickness integrals of a plate: membrane force, shear, the "
     "h^3/12 bending moment of a linear stress, and the surface density.",
-    defaults={"h": 0.3, "rho0": 1.7, "kappa0": 2.4},
+    params={"h": (0.3, LENGTH), "rho0": (1.7, NONNEGATIVE),
+            "kappa0": (2.4, ANY)},
 )
 def _thickness(p, rng, conn_spec):
-    h, rho0, k0 = _positive(p, "h"), p["rho0"], p["kappa0"]
-    _moderate(p, "h")
-    if rho0 < 0:
-        raise ScenarioError(f"params.rho0: must be nonnegative, got {rho0!r}")
+    h, rho0, k0 = p["h"], p["rho0"], p["kappa0"]
     rule = ThicknessRule(h)
     sig_c = np.array([[1.2, 0.4, 0.7], [0.4, -0.8, 0.2], [0.7, 0.2, 0.5]])
 
@@ -1128,13 +1165,13 @@ def manufactured_rod(g=(0.1, -0.3, 0.2), Omega=(0.2, 0.1, -0.3)):
     "cauchy_convergence", "convergence", "d3_cauchy",
     "Step-refinement study of the classical-medium residual on "
     "manufactured sin/exp fields: observed order two.",
-    defaults={"steps": [4e-3, 2e-3, 1e-3], "t": 0.4,
-              "x": [0.3, -0.6, 0.5]},
+    params={"steps": ([4e-3, 2e-3, 1e-3], STEPS), "t": (0.4, ANY),
+            "x": ([0.3, -0.6, 0.5], MANUFACTURED)},
 )
 def _cauchy_convergence(p, rng, conn_spec):
     medium, conn, exact = manufactured_cauchy(conn_spec.g, conn_spec.Omega)
     t = p["t"]
-    x = _vec3_key(p["x"], "params.x")
+    x = np.array(p["x"], dtype=float)
     return _convergence_case(residual_cauchy, medium, conn, (t, x),
                              exact(t, x), p["steps"])
 
@@ -1143,7 +1180,8 @@ def _cauchy_convergence(p, rng, conn_spec):
     "rod_convergence", "convergence", "d1",
     "Step-refinement study of the slender-medium residual on manufactured "
     "sin/exp fields: observed order two.",
-    defaults={"steps": [4e-3, 2e-3, 1e-3], "t": 0.3, "s": 0.7},
+    params={"steps": ([4e-3, 2e-3, 1e-3], STEPS), "t": (0.3, ANY),
+            "s": (0.7, MANUFACTURED)},
 )
 def _rod_convergence(p, rng, conn_spec):
     f, conn, exact = manufactured_rod(conn_spec.g, conn_spec.Omega)

@@ -165,30 +165,20 @@ def step(state: PointwiseState, conn, dt: float) -> PointwiseState:
 
 
 def _state_drifts(s: PointwiseState, m0: float):
-    """(|m - m0|, max |q - m x|, max |l - l0 - x x p|) of one state."""
+    """(|m - m0|, max |q - m x|) of one state."""
     m = s.m
     x1, x2, x3 = s.x.tolist()
-    p1, p2, p3 = s.p.tolist()
     q1, q2, q3 = s.q.tolist()
-    l1, l2, l3 = s.l.tolist()
-    # x x p, and l0 = l - x x p as the l0 property computes it
-    c1, c2, c3 = x2 * p3 - x3 * p2, x3 * p1 - x1 * p3, x1 * p2 - x2 * p1
     return (
         abs(m - m0),
         strict_max((abs(q1 - m * x1), abs(q2 - m * x2), abs(q3 - m * x3))),
-        strict_max((abs(l1 - (l1 - c1) - c1), abs(l2 - (l2 - c2) - c2),
-                    abs(l3 - (l3 - c3) - c3))),
     )
 
 
 def _drift_dict(rows):
     """Worst of each drift over per-state _state_drifts rows."""
-    mass, pos_q, split = (strict_max(col) for col in zip(*rows))
-    return {
-        "mass_drift": mass,
-        "pos_q_drift": pos_q,
-        "proper_split_drift": split,
-    }
+    mass, pos_q = (strict_max(col) for col in zip(*rows))
+    return {"mass_drift": mass, "pos_q_drift": pos_q}
 
 
 @dataclass
@@ -200,9 +190,6 @@ class Trajectory:
     def final(self) -> PointwiseState:
         return self.states[-1]
 
-    def times(self):
-        return np.array([s.t for s in self.states])
-
     def rows(self):
         """(n, 14) array in the t,m,x,p,q,l column order."""
         return np.array([s.as_row() for s in self.states])
@@ -211,11 +198,9 @@ class Trajectory:
         """Conservation diagnostics.
 
         mass_drift is the largest deviation of m from its initial value
-        (must be exactly zero); pos_q_drift the largest |q - m x|; the
-        proper-split drift |l - l0 - x x p| vanishes identically because
-        l0 is derived, and is reported to document that.  run_scenario
-        accumulates these over every step; recomputed from the stored
-        samples when the trajectory was assembled by hand.
+        (must be exactly zero) and pos_q_drift the largest |q - m x|.
+        run_scenario accumulates these over every step; recomputed from
+        the stored samples when the trajectory was assembled by hand.
         """
         if self.drifts is not None:
             return dict(self.drifts)

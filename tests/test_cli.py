@@ -5,12 +5,20 @@ tracebacks; the full-bundle timing and byte-level determinism sweep live
 in the acceptance tests.
 """
 
+import io
 import json
 import math
+import os
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsor.cli import (
     MAX_PROBE_POINTS,
@@ -19,6 +27,7 @@ from torsor.cli import (
     load_scenario_file,
     main,
 )
+from torsor.library import CASES
 
 
 def _write_scenario(path, **overrides):
@@ -146,6 +155,7 @@ def test_describe_bundled(capsys):
     assert rc == 0
     assert "Coriolis" in out
     assert "rotating_frame" in out
+    assert "dt in (0, 1e+06]" in out
 
 
 def test_describe_unknown_exits_2(capsys):
@@ -303,6 +313,23 @@ BAD_PARAMS = {
                          {"radius": 1e300}, "radius"),
     "radius_huge_sphere": ("laplace_sphere", "residual_check", "d2",
                            {"radius": 1e300}, "radius", {"type": "case"}),
+    # Each ended in a traceback: radius^4 underflowed to 0 and divided the
+    # spin check, or the section's mass defect overflowed to inf.
+    "radius_tiny_disc": ("disc_section_moments", "reduction", "d1",
+                         {"radius": 1e-300}, "radius"),
+    "rho0_huge_disc": ("disc_section_moments", "reduction", "d1",
+                       {"rho0": 1e300}, "rho0"),
+    # Each printed a numpy RuntimeWarning before its FAIL line.
+    "radius_huge_ring": ("spinning_ring", "residual_check", "d1",
+                         {"radius": 1e300}, "radius"),
+    "half_width_huge_bucket": ("rotating_bucket", "residual_check",
+                               "d3_cauchy", {"half_width": 1e300},
+                               "half_width",
+                               {"type": "rotating_frame",
+                                "g": [0.0, 0.0, -9.81],
+                                "Omega": [0.0, 0.0, 2.0]}),
+    "h_huge_cauchy": ("cauchy_manufactured", "residual_check", "d3_cauchy",
+                      {"h": 1e300}, "h"),
 }
 
 
@@ -332,6 +359,96 @@ def test_zero_axis_connection_exits_2_naming_key(tmp_path, capsys, case, key):
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: connection.{key}:")
     assert not (tmp_path / "out").exists()
+
+
+# One malformed connection per row, with the case's default params:
+# (case, connection, named key).
+BAD_CONNECTIONS = {
+    # |Omega| dt = 10: RK4 diverged, and a non-finite state raised.
+    "Omega_dt_past_rk4": ("coriolis_rotating_frame",
+                          {"type": "rotating_frame", "Omega": [0, 0, 1e5]},
+                          "Omega"),
+    "g_huge": ("projectile", {"type": "uniform", "g": [0, 0, 1e300]}, "g"),
+    # An int too large for a float raised OverflowError.
+    "g_int_too_large": ("projectile",
+                        {"type": "uniform", "g": [10**400, 0, 0]}, "g"),
+}
+
+
+@pytest.mark.parametrize("hole", sorted(BAD_CONNECTIONS))
+def test_bad_connection_exits_2_naming_key(tmp_path, capsys, hole):
+    case, connection, key = BAD_CONNECTIONS[hole]
+    scn = _write_scenario(tmp_path / "scn.json", case=case, params=None,
+                          connection=connection)
+    rc = main(["run", str(scn), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: connection.{key}:")
+    assert not (tmp_path / "out").exists()
+
+
+def _hostile_variants():
+    """(key, scenario) pairs: each bundled scenario with one param, one
+    entry of a list param or one entry of connection.g or .Omega set to a
+    hostile value.  A count takes only 0 and -1, never more than its
+    default."""
+    out = []
+    for raw in (json.loads(p.read_text())
+                for p in bundled_scenarios().values()):
+        params = {**CASES[raw["case"]].defaults, **raw.get("params", {})}
+        for value in (0, -1, 1e300, -1e300, 1e-300, -1e-300):
+            for key, default in params.items():
+                if type(default) is int and type(value) is not int:
+                    continue
+                spots = range(len(default)) if isinstance(default, list) \
+                    else [None]
+                for i in spots:
+                    new = value if i is None else \
+                        default[:i] + [value] + default[i + 1:]
+                    out.append((f"params.{key}", dict(
+                        raw, params={**raw.get("params", {}), key: new})))
+            if raw["connection"]["type"] == "case":
+                continue
+            for key in ("g", "Omega"):
+                for i in range(3):
+                    vec = list(raw["connection"].get(key, [0.0] * 3))
+                    vec[i] = value
+                    out.append((f"connection.{key}", dict(
+                        raw, connection={**raw["connection"], key: vec})))
+    return out
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(_hostile_variants()))
+def test_hostile_value_exits_cleanly(variant):
+    # Exit 2 names the key, or exit 0 or 1 with a FAIL line for each
+    # failed check; never a traceback or a numpy warning, and nothing
+    # written outside --out-dir.
+    key, raw = variant
+    with tempfile.TemporaryDirectory() as root:
+        with open(os.path.join(root, "scn.json"), "w") as fh:
+            json.dump(raw, fh)
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(root)
+        try:
+            with warnings.catch_warnings(record=True) as caught, \
+                    redirect_stdout(out), redirect_stderr(err):
+                warnings.simplefilter("always")
+                rc = main(["run", "scn.json", "--out-dir", "out"])
+        finally:
+            os.chdir(cwd)
+        left = sorted(os.listdir(root))
+        written = os.listdir(os.path.join(root, "out")) if rc != 2 else []
+    assert [str(w.message) for w in caught] == []
+    if rc == 2:
+        first = err.getvalue().splitlines()[0]
+        assert first.startswith(("error: params.", "error: connection."))
+        assert re.search(re.escape(key) + r"\b", first)
+        assert left == ["scn.json"]
+    else:
+        assert rc == int(any(line.startswith("FAIL ")
+                             for line in out.getvalue().splitlines()))
+        assert left == ["out", "scn.json"] and written == [raw["name"]]
 
 
 def test_probe_count_at_cap_is_accepted():

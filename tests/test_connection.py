@@ -16,10 +16,9 @@ from numpy.testing import assert_allclose
 from torsor import fd
 from torsor.connection import (
     GalileanConnection,
-    OriginMotion,
     PullbackChristoffels,
     divergence,
-    gamma_A_matrix,
+    spatial_origin_gamma_A,
 )
 from torsor.errors import DifferentiationFailure
 from torsor.fields import MediumField
@@ -98,37 +97,20 @@ def test_rotating_frame_carries_centrifugal_gravity():
 
 def test_gamma_A_proper_is_identity():
     conn = GalileanConnection(g=G_CONST, Omega=OMEGA_CONST)
-    M = gamma_A_matrix(conn, OriginMotion.proper(), 0.7, [1.0, -2.0, 0.3])
-    assert np.all(M == np.eye(4))
+    chris = PullbackChristoffels.identity_embedding(conn, 0.7,
+                                                    [1.0, -2.0, 0.3])
+    assert np.all(chris.origin_motion == np.eye(4))
 
 
 def test_gamma_A_spatial_origin():
-    conn = GalileanConnection(g=G_CONST, Omega=OMEGA_CONST)
     x = np.array([1.0, -2.0, 0.3])
-    M = gamma_A_matrix(conn, OriginMotion.spatial_origin(), 0.7, x)
+    M = spatial_origin_gamma_A(OMEGA_CONST, x)
     expect = np.zeros((4, 4))
     expect[0, 0] = 1.0
     expect[1:, 0] = -np.cross(OMEGA_CONST, x)
     assert_allclose(M, expect, atol=1e-9)
     dX = np.array([2.0, 0.5, -1.0, 0.25])
-    assert_allclose(
-        gamma_A_matrix(conn, OriginMotion.spatial_origin(), 0.7, x) @ dX,
-        expect @ dX,
-        atol=1e-9,
-    )
-
-
-def test_gamma_A_differenced_origin_matches_exact_spatial_origin():
-    # The same C field under another label goes through the differenced
-    # general formula, which must agree with the exact spatial-origin matrix.
-    conn = GalileanConnection.rotating_frame(OMEGA_CONST, g=G_CONST)
-    x = np.array([1.0, -2.0, 0.3])
-    custom = OriginMotion(OriginMotion.spatial_origin().C)
-    assert_allclose(
-        gamma_A_matrix(conn, custom, 0.7, x),
-        gamma_A_matrix(conn, OriginMotion.spatial_origin(), 0.7, x),
-        atol=1e-9,
-    )
+    assert_allclose(M @ dX, expect @ dX, atol=1e-9)
 
 
 # div T against the symbolic oracle
@@ -262,8 +244,9 @@ def test_divergence_without_moments_matches_zero_J_bits():
         t = rng.uniform(-1, 1)
         x = rng.uniform(-1, 1, size=3)
         xi = np.concatenate(([t], x))
-        chris = PullbackChristoffels.identity_embedding(
-            conn, t, x, origin=OriginMotion.spatial_origin())
+        G = conn.christoffels_at(t, x)
+        chris = PullbackChristoffels(G, G, spatial_origin_gamma_A(
+            conn.Omega(t, x), x))
         for a, b in zip(divergence(no_J, xi, chris),
                         divergence(zero_J, xi, chris)):
             assert a.tobytes() == b.tobytes()

@@ -36,7 +36,7 @@ from torsor.fields import (
 )
 from torsor.vecmath import cross3, moment_matrix, rotation, skew
 
-from test_balance import curve_v_dot
+from test_balance import curve_v_dot, numpy_metric, numpy_projector
 
 FD_TOL = 1e-8
 EXACT_TOL = 1e-12
@@ -206,28 +206,6 @@ def test_force_mass_matrix_layout():
     assert_allclose(M[0], [2.0, 2.0, 0.0, 6.0], atol=EXACT_TOL)
     assert_allclose(M[1, 0], 1.0, atol=EXACT_TOL)
     assert_allclose(M[1, 1:], [0.9, 0.2, 2.7], atol=EXACT_TOL)
-
-
-def test_force_mass_roundtrip():
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        f = ForceMass1D(
-            rho_l=float(rng.uniform(0.1, 3.0)),
-            v=rng.normal(size=3),
-            v_t=float(rng.normal()),
-            F=rng.normal(size=3),
-        )
-        g = ForceMass1D.from_matrix(f.matrix)
-        assert_allclose(g.rho_l, f.rho_l, atol=EXACT_TOL)
-        assert_allclose(g.v, f.v, atol=EXACT_TOL)
-        assert_allclose(g.v_t, f.v_t, atol=EXACT_TOL)
-        assert_allclose(g.F, f.F, atol=1e-13)
-
-
-def test_force_mass_rejects_nonpositive_density():
-    M = np.zeros((2, 4))
-    with pytest.raises(ValueError):
-        ForceMass1D.from_matrix(M)
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +380,12 @@ def test_sphere_curvature_both_sheets():
     r = 2.0
     th = (0.3, -0.2)
     up = sphere_patch(r, upper=True)
-    a = up.metric(0.0, *th)
+    a = numpy_metric(up, 0.0, *th)
     b = shell_christoffels(up, GalileanConnection(), 0.0, *th)[3, 1:3, 1:3]
     assert_allclose(b, -a / r, atol=1e-7)
 
     low = sphere_patch(r, upper=False)
-    a = low.metric(0.0, *th)
+    a = numpy_metric(low, 0.0, *th)
     b = shell_christoffels(low, GalileanConnection(), 0.0, *th)[3, 1:3, 1:3]
     assert_allclose(b, a / r, atol=1e-7)
 
@@ -420,7 +398,7 @@ def test_cylinder_geometry():
 
     cyl = ShellField(x)
     t, th1, th2 = 0.0, 0.8, -0.3
-    assert_allclose(cyl.metric(t, th1, th2), np.eye(2), atol=1e-7)
+    assert_allclose(numpy_metric(cyl, t, th1, th2), np.eye(2), atol=1e-7)
     n = cyl.n(t, th1, th2)
     assert_allclose(n, [np.cos(th1 / R), np.sin(th1 / R), 0.0], atol=1e-7)
     G = shell_christoffels(cyl, GalileanConnection(), t, th1, th2)
@@ -445,10 +423,10 @@ def test_second_form_symmetry_fd_default():
 def test_singular_metric_raises():
     flatline = ShellField(lambda t, th1, th2: np.array([th1, th1, 0.0]))
     with pytest.raises(SingularMetric):
-        flatline.metric(0.0, 0.1, 0.2)
+        flatline.frame(0.0, 0.1, 0.2)
 
 
-@pytest.mark.parametrize("read", ["metric", "projector", "n", "w_surf"])
+@pytest.mark.parametrize("read", ["frame", "n", "w_surf"])
 def test_nan_chart_is_singular(read):
     # det(a) < tol and |pi_1 x pi_2|^2 < tol are both False for NaN, so a
     # NaN in the chart passed as a NaN metric, projector and normal.
@@ -555,15 +533,6 @@ def test_shell_velocity_and_acceleration():
 # shells: the float chart frame against the numpy array forms
 
 
-def numpy_metric(sf, *p):
-    pi = sf.pi(*p)
-    return pi @ pi.T
-
-
-def numpy_projector(sf, *p):
-    return np.linalg.solve(numpy_metric(sf, *p), sf.pi(*p))
-
-
 def numpy_n(sf, *p):
     if sf._n is not None:
         return np.asarray(sf._n(*p), dtype=float)
@@ -625,9 +594,11 @@ def shell_reads(sf, conn, p):
     N, M = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
     Q = np.array([0.0, rng.normal()])
     w = sf.w_surf(*p)
+    fr = sf.frame(*p)
+    a11, a12, a22 = fr.a
     return [
-        ("metric", sf.metric(*p), numpy_metric(sf, *p)),
-        ("projector", sf.projector(*p), numpy_projector(sf, *p)),
+        ("metric", np.array([[a11, a12], [a12, a22]]), numpy_metric(sf, *p)),
+        ("projector", np.array(fr.c), numpy_projector(sf, *p)),
         ("n", sf.n(*p), numpy_n(sf, *p)),
         ("w", sf.w(*p), numpy_w(sf, *p)),
         ("w_surf", w, numpy_w_surf(sf, *p)),

@@ -9,6 +9,7 @@ scenario end to end and pin the registry invariants the runner relies on.
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -34,6 +35,9 @@ from torsor.library import (
 )
 
 EXACT_TOL = 1e-12
+BENCH_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks"
+)
 
 T, X1, X2, X3 = sp.symbols("t x1 x2 x3")
 S = sp.Symbol("s")
@@ -180,6 +184,24 @@ def test_bundled_scenarios_cover_every_case_exactly_once():
         assert scn.name == name  # file stem matches declared name
         seen.append(scn.case)
     assert sorted(seen) == sorted(CASES)
+
+
+def test_every_param_declares_a_range_holding_its_bundled_values(
+        monkeypatch):
+    for name, spec in CASES.items():
+        assert spec.ranges.keys() == spec.defaults.keys(), name
+    for name, path in bundled_scenarios().items():
+        raw = json.loads(path.read_text())
+        spec = CASES[raw["case"]]
+        for key, value in {**spec.defaults, **raw.get("params", {})}.items():
+            assert spec.ranges[key].admits(value), (name, key, value)
+    # The benchmark's reduction sweep draws each param from an interval.
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    from workloads import SWEEP_RANGES
+
+    for case, ranges in SWEEP_RANGES.items():
+        for key, bounds in ranges.items():
+            assert all(map(CASES[case].ranges[key].admits, bounds)), key
 
 
 def _run_case(scn, seed=0):

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from torsor.errors import EmptySection
-from torsor.fields import ForceMass1D, assemble_cauchy_T, shell_torsor
+from torsor.fields import assemble_cauchy_T, shell_torsor
 from torsor.reduction import (
     CrossSection,
     ThicknessRule,
@@ -110,6 +110,14 @@ def test_line_density_of_uniform_disc():
     assert_allclose(M[0, 0], rho0 * np.pi * R ** 2, rtol=QUAD_TOL)
 
 
+def test_force_mass_rejects_nonpositive_line_density():
+    # v and v_t divide the reduced momentum by rho_l.
+    cs = CrossSection.disc(0.4)
+    with pytest.raises(ValueError, match="line density must be positive"):
+        reduce_3d_to_1d_force_mass(uniform_rod_T(0.0, [0.0, 0.0, 1.0]),
+                                   projector_matrix(cs), cs)
+
+
 def test_reduction_matches_componentwise_integrals():
     # The reduced matrix rows must equal the four displayed component
     # integrals evaluated independently.
@@ -154,13 +162,11 @@ def test_reduction_matches_componentwise_integrals():
         ),
         atol=1e-9,
     )
-    # The internal force follows from the same matrix.
+    # The force-mass components pack back into the same matrix.
     f = reduce_3d_to_1d_force_mass(T_bar, Pi, cs)
-    g = ForceMass1D.from_matrix(M)
-    assert_allclose(f.rho_l, g.rho_l, rtol=1e-12)
-    assert_allclose(f.v, g.v, atol=1e-12)
-    assert_allclose(f.v_t, g.v_t, atol=1e-12)
-    assert_allclose(f.F, g.F, atol=1e-9)
+    assert_allclose(f.matrix[0], M[0], rtol=1e-12)
+    assert_allclose(f.matrix[1, 0], M[1, 0], rtol=1e-12)
+    assert_allclose(f.matrix[1, 1:], M[1, 1:], atol=1e-9)
 
 
 def section_sigma(xb):

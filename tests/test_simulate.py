@@ -66,7 +66,6 @@ def test_free_particle_straight_line():
     rep = traj.drift_report()
     assert rep["mass_drift"] == 0.0
     assert rep["pos_q_drift"] < EXACT_TOL
-    assert rep["proper_split_drift"] == 0.0
 
 
 def test_projectile_polynomial_exactness():
@@ -292,7 +291,8 @@ def test_run_scenario_stride_includes_final():
                                       [1.0, 0.0, 0.0], np.zeros(3))
     traj = run_scenario(init, conn,
                         IntegratorConfig(dt=0.1, t_end=1.0, output_stride=3))
-    assert_allclose(traj.times(), [0.0, 0.3, 0.6, 0.9, 1.0], atol=1e-14)
+    assert_allclose([s.t for s in traj.states], [0.0, 0.3, 0.6, 0.9, 1.0],
+                    atol=1e-14)
     assert traj.rows().shape == (5, 14)
     assert traj.final is traj.states[-1]
 
@@ -303,8 +303,8 @@ def test_run_scenario_drift_keeps_a_late_nan(monkeypatch):
     state_drifts = simulate._state_drifts
 
     def drifts(s, m0):
-        mass, pos_q, split = state_drifts(s, m0)
-        return mass, (math.nan if s.t > 0.5 else pos_q), split
+        mass, pos_q = state_drifts(s, m0)
+        return mass, (math.nan if s.t > 0.5 else pos_q)
 
     monkeypatch.setattr(simulate, "_state_drifts", drifts)
     init = PointwiseState.from_proper(0.0, 1.0, np.zeros(3),
@@ -314,7 +314,6 @@ def test_run_scenario_drift_keeps_a_late_nan(monkeypatch):
     report = traj.drift_report()
     assert np.isnan(report["pos_q_drift"])
     assert report["mass_drift"] == 0.0
-    assert report["proper_split_drift"] == 0.0
     by_hand = Trajectory(states=traj.states).drift_report()
     assert np.isnan(by_hand["pos_q_drift"])
 

@@ -18,26 +18,21 @@ identity chart with the proper origin (d = 3).
 Derivatives are central differences (module fd); every operator accepts an
 explicit step h and honors the field's domain bounds.
 
-The space-filling views, residual_cauchy and residual_3d_cosserat, also
-take a batch of events, t of shape (m,) and x of shape (3, m), and the
-thin-medium view, residual_2d, a batch of surface points, t, theta1 and
-theta2 of shape (m,) each.  Each runs one divergence with a leading point
-axis, T of shape (m, d+1, 4), J (m, d+1, 4, 4) and the Christoffels
-(m, 4, 4, 4), and its residuals carry that axis; a single point is a batch
-of one.  A medium built with vectorized=True (CauchyMedium,
-Cosserat3DState, ShellField, ShellLoads) is read on the whole batch,
-fields of any other medium point by point (the field adapter
-fields._point_axis_last), never inside the divergence.  The scenario
-cases bound the batch at library.PROBE_CHUNK points per call.  The
-pointwise and slender views, residual_pointwise and residual_1d, take one
-point per call.
+Every view takes a batch of m points, each coordinate of shape (m,) and
+x of shape (3, m), and runs one divergence with a leading point axis,
+T of shape (m, d+1, 4), J (m, d+1, 4, 4) and the Christoffels
+(m, 4, 4, 4); its residuals carry that axis, and a single point is a
+batch of one.  A vectorized medium (a trajectory with vectorized=True,
+Curve1D, Cosserat1DField, CauchyMedium, Cosserat3DState, ShellField,
+ShellLoads) is read on the whole batch, any other point by point (the
+field adapter fields._point_axis_last), never inside the divergence.  The
+scenario cases bound the batch at library.PROBE_CHUNK points per call.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import fd
 from .connection import _EYE4, PullbackChristoffels, divergence
 from .errors import DegenerateTangent
 from .fields import (
@@ -49,6 +44,8 @@ from .fields import (
     MediumField,
     ShellField,
     ShellLoads,
+    _dot,
+    _partial,
     _point_axis_last,
     _stress_mass,
     cosserat_J,
@@ -56,7 +53,7 @@ from .fields import (
     shell_christoffels,
     shell_torsor,
 )
-from .vecmath import as_field, cross, moment_matrix, moments, triple
+from .vecmath import as_field, cross3, moment_matrix, moments
 
 
 @dataclass
@@ -100,7 +97,16 @@ class BalanceResidual:
         return float(worst) if worst.ndim == 0 else worst
 
 
-def residual_pointwise(traj, conn, t: float, h: float = None) -> BalanceResidual:
+def _batch_or_point(res: BalanceResidual, t) -> BalanceResidual:
+    """The residuals of a batch, or of its one point when t is a float."""
+    if np.ndim(t):
+        return res
+    return BalanceResidual(res.mass[0], res.lin_mom[0], res.pos_q[0],
+                           res.ang_mom[0])
+
+
+def residual_pointwise(traj, conn, t, h: float = None,
+                       vectorized: bool = False) -> BalanceResidual:
     """Residuals of the four pointwise balance laws along a trajectory.
 
     traj: callable t -> PointwiseTorsor.  The equations: dm/dt = 0;
@@ -111,25 +117,36 @@ def residual_pointwise(traj, conn, t: float, h: float = None) -> BalanceResidual
     All rows are read from connection.divergence on the worldline chart
     xi = (t): U = (1, v), T = (m, p), J = moment_matrix(q, l), no material
     Christoffels, and the origin at the spatial origin of the chart.
+
+    With vectorized=True traj takes a batch t (m,) and returns (m, p, q,
+    l) point axis last, (m,) and (3, m) each.
     """
-    def T_of(xi):
-        pt = traj(xi[0])
-        return np.array([[pt.m, *pt.p]])
+    xi = np.column_stack([t]).astype(float)
+    packed = {}
 
-    def J_of(xi):
-        pt = traj(xi[0])
-        return moment_matrix(pt.q, pt.l)[None]
+    def read(xi):
+        # U, T and J share one read of the trajectory per offset.
+        key = xi.tobytes()
+        if key not in packed:
+            tt = xi[:, 0]
+            # a holds (m, p, q, l) at each point, point axis last: (10, k).
+            if vectorized:
+                a = np.concatenate([np.reshape(u, (-1, len(tt)))
+                                    for u in traj(tt)], dtype=float)
+            else:
+                a = np.array([(pt.m, *pt.p, *pt.q, *pt.l)
+                              for pt in map(traj, tt.tolist())]).T
+            T = a[:4].T[:, None]
+            packed[key] = (T.swapaxes(-1, -2) / a[0, :, None, None], T,
+                           moment_matrix(a[4:7].T[:, None], a[7:].T[:, None]),
+                           a[4:7] / a[0])
+        return packed[key]
 
-    def U(xi):
-        T = T_of(xi)
-        return T.T / T[0, 0]
-
-    pt = traj(t)
-    chris = PullbackChristoffels.spatial_origin(conn, t, pt.q / pt.m, 1)
-    field = MediumField(tangent_map=U, torsor_T=T_of, torsor_J=J_of)
-    dT, dJ = divergence(field, [t], chris, h=h)
+    chris = PullbackChristoffels.spatial_origin(conn, xi[:, 0], read(xi)[3], 1)
+    field = MediumField(*(lambda xi, i=i: read(xi)[i] for i in range(3)))
+    dT, dJ = divergence(field, xi, chris, h=h)
     pos, ang = moments(dJ)
-    return BalanceResidual(mass=dT[0], lin_mom=dT[1:], pos_q=pos, ang_mom=ang)
+    return _batch_or_point(BalanceResidual(dT[:, 0], dT[:, 1:], pos, ang), t)
 
 
 def _events(xi):
@@ -153,8 +170,7 @@ def _space_filling_residual(torsor_T, torsor_J, conn, t, x, domain,
     moment fields.  v(xi), if given, returns the velocity (3, m), and the
     momentum rows take the advective form.
     """
-    xi = np.column_stack([np.reshape(np.asarray(t, dtype=float), -1),
-                          np.reshape(np.asarray(x, dtype=float), (3, -1)).T])
+    xi = np.column_stack([t, np.reshape(x, (3, -1)).T]).astype(float)
     field = MediumField(tangent_map=lambda xi: _EYE4, torsor_T=torsor_T,
                         torsor_J=torsor_J, domain=domain)
     chris = PullbackChristoffels.identity_embedding(conn, xi[:, 0],
@@ -162,9 +178,7 @@ def _space_filling_residual(torsor_T, torsor_J, conn, t, x, domain,
     dT, dJ = divergence(field, xi, chris, h=h, one_sided=one_sided)
     pos, ang = moments(dJ)
     lin = dT[:, 1:] if v is None else dT[:, 1:] - v(xi).T * dT[:, :1]
-    if np.ndim(t):
-        return BalanceResidual(dT[:, 0], lin, pos, ang)
-    return BalanceResidual(dT[0, 0], lin[0], pos[0], ang[0])
+    return _batch_or_point(BalanceResidual(dT[:, 0], lin, pos, ang), t)
 
 
 def residual_cauchy(medium: CauchyMedium, conn, t, x,
@@ -182,31 +196,25 @@ def residual_cauchy(medium: CauchyMedium, conn, t, x,
     sigma is not required to be symmetric, since the angular rows exist to
     measure its asymmetry.  T is packed with its flux index first:
     _stress_mass of the columns of sigma, which is T^T bit for bit.
-
-    (t, x) is one event, or a batch: t of shape (m,) and x of shape (3, m),
-    whose residuals carry a leading point axis.  Either way the rows come
-    from one divergence of the whole batch.  A vectorized medium is read
-    once per stencil offset for the whole batch; any other medium point by
-    point.
     """
     def T_of(xi):
         m = len(xi)
-        rho, v, sigma = _point_axis_last(medium, _events(xi), medium.rho,
-                                         medium.v, medium.sigma)
+        rho, v, sigma = _point_axis_last(medium.vectorized, _events(xi),
+                                         medium.rho, medium.v, medium.sigma)
         T = _stress_mass(rho.reshape(m), v.reshape(3, m),
                          sigma.reshape(3, 3, m).swapaxes(0, 1))
         return T.transpose(2, 0, 1)
 
     def v_of(xi):
-        (v,) = _point_axis_last(medium, _events(xi), medium.v)
+        (v,) = _point_axis_last(medium.vectorized, _events(xi), medium.v)
         return v.reshape(3, len(xi))
 
     return _space_filling_residual(T_of, None, conn, t, x, medium.domain, h,
                                    one_sided, v_of)
 
 
-def residual_1d(f: Cosserat1DField, conn, t: float, s: float,
-                h: float = None, one_sided: bool = False) -> BalanceResidual:
+def residual_1d(f: Cosserat1DField, conn, t, s, h: float = None,
+                one_sided: bool = False) -> BalanceResidual:
     """Residuals of the four slender-medium balance laws at (t, s).
 
     All rows are read from connection.divergence on the chart (t, s), with
@@ -225,8 +233,8 @@ def residual_1d(f: Cosserat1DField, conn, t: float, s: float,
     div J; ang_mom its angular rows minus psi x dT^{1..3}, which moves
     them back to the centroid.  n . (d psi/dt) is differenced with the
     wider step SECOND_DIFF_REL_STEP, since w is differenced again in s.
-    Each stencil point reads the curve and the loads once, and
-    fields.rod_torsor packs T and J from floats.
+    Each stencil offset reads the curve and the loads once for the whole
+    batch, and fields.rod_torsor packs T and J.
 
     On fields that describe a rod, q = rho_l psi and
     v = d psi/dt + w n, the rows are the classical ones:
@@ -241,41 +249,44 @@ def residual_1d(f: Cosserat1DField, conn, t: float, s: float,
     v - d psi/dt - w n.
     """
     curve = f.curve
-    n = curve.n(t, s)
-    if np.linalg.norm(n) < DEGENERATE_TANGENT_TOL:
-        raise DegenerateTangent(
-            f"|d psi/ds| < {DEGENERATE_TANGENT_TOL} at (t={t}, s={s})"
-        )
+    xi = np.column_stack([t, s]).astype(float)
     packed = {}
 
-    def rod(xi):
-        # U, T and J share one read of the curve and the loads per point.
-        key = tuple(xi.tolist())
+    def read(xi):
+        # U, T and J share one read of the curve and the loads per offset.
+        key = xi.tobytes()
         if key not in packed:
-            tt, ss = key
-            n = curve.n(tt, ss)
-            psi = curve.psi(tt, ss)
-            dpsi = fd.diff(lambda u: curve.psi(u, ss), tt,
-                           h=SECOND_DIFF_REL_STEP * max(1.0, abs(tt)))
-            v = curve.v(tt, ss)
-            slide = float(n @ dpsi)
-            T, J = rod_torsor(
-                f.rho_l(tt, ss), v.tolist(), curve.v_t(tt, ss, v, n) - slide,
-                triple(f.F(tt, ss)), psi.tolist(), slide,
-                *(triple(fn(tt, ss)) for fn in (f.q, f.l, f.l_star, f.M_star)))
-            U = np.array([[1.0, 0.0], *zip(dpsi.tolist(), n.tolist())])
-            packed[key] = U, T, J, psi, v
+            coords = tt, ss = np.ascontiguousarray(xi.T)
+            k = len(tt)
+            n, psi, v = curve.n(tt, ss), curve.psi(tt, ss), curve.v(tt, ss)
+            dpsi = _partial(curve.psi, coords, 0, SECOND_DIFF_REL_STEP
+                            * np.maximum(1.0, np.abs(tt)))
+            slide = _dot(n, dpsi)
+            rho_l, *loads = _point_axis_last(f.vectorized, coords, f.rho_l,
+                                             f.F, f.q, f.l, f.l_star, f.M_star)
+            F, q, l, l_star, M_star = (u.reshape(3, k) for u in loads)
+            U = np.zeros((k, 4, 2))
+            U[:, 0, 0] = 1.0
+            U[:, 1:, 0], U[:, 1:, 1] = dpsi.T, n.T
+            packed[key] = (U, *rod_torsor(
+                rho_l.reshape(k), v, curve.v_t(tt, ss, v, n) - slide, F, psi,
+                slide, q, l, l_star, M_star), psi, v)
         return packed[key]
 
-    _, _, _, psi, v = rod(np.array([t, s], dtype=float))
-    chris = PullbackChristoffels.spatial_origin(conn, t, psi, 2)
-    field = MediumField(tangent_map=lambda xi: rod(xi)[0],
-                        torsor_T=lambda xi: rod(xi)[1],
-                        torsor_J=lambda xi: rod(xi)[2], domain=curve.domain)
-    dT, dJ = divergence(field, [t, s], chris, h=h, one_sided=one_sided)
+    U, _, _, psi, v = read(xi)
+    bad = np.sqrt(np.sum(U[:, 1:, 1] ** 2, axis=1)) < DEGENERATE_TANGENT_TOL
+    if bad.any():
+        tt, ss = xi[np.argmax(bad)].tolist()
+        raise DegenerateTangent(
+            f"|d psi/ds| < {DEGENERATE_TANGENT_TOL} at (t={tt}, s={ss})")
+    chris = PullbackChristoffels.spatial_origin(conn, xi[:, 0], psi, 2)
+    field = MediumField(*(lambda xi, i=i: read(xi)[i] for i in range(3)),
+                        domain=curve.domain)
+    dT, dJ = divergence(field, xi, chris, h=h, one_sided=one_sided)
     pos, ang = moments(dJ)
-    return BalanceResidual(mass=dT[0], lin_mom=dT[1:] - v * dT[0],
-                           pos_q=pos, ang_mom=ang - cross(psi, dT[1:]))
+    return _batch_or_point(BalanceResidual(
+        dT[:, 0], dT[:, 1:] - v.T * dT[:, :1], pos,
+        ang - np.array(cross3(psi, dT[:, 1:].T)).T), t)
 
 
 # Tangent map of the adapted shell chart (t, theta^1, theta^2) into
@@ -318,15 +329,11 @@ def residual_2d(sf: ShellField, loads: ShellLoads, conn, t, th1, th2,
     so they carry -(d kappa/dt) w; and the flux J^{b30} = kappa w^b that
     yields the pos_q identity rows adds -kappa Phi^a_b w^b to them.
 
-    (t, th1, th2) is one point, which is a batch of one, or a batch: three
-    arrays of shape (m,), whose residuals carry a leading point axis.
-    Either way the rows come from one divergence of the whole batch, with
-    T (m, 3, 4), J (m, 3, 4, 4) and the Christoffels (m, 4, 4, 4).  Each
-    stencil offset reads the loads once for the whole batch (a vectorized
-    ShellLoads in one call per field, any other point by point) and builds
-    the shell's chart frame once (ShellField.frame), and shell_torsor packs
-    T and J from w_surf = c . w.  The frame and w at the batch's own points
-    are built once, for their torsor and for the Christoffels.
+    Each stencil offset reads the loads once for the whole batch and
+    builds the shell's chart frame once (ShellField.frame), and
+    shell_torsor packs T and J from w_surf = c . w.  The frame and w at the
+    batch's own points are built once, for their torsor and for the
+    Christoffels.
 
     One limit: when both pi and w of a moving shell are finite-difference
     defaults, d(kappa w)/dt nests three small-step differences, an error of
@@ -335,8 +342,7 @@ def residual_2d(sf: ShellField, loads: ShellLoads, conn, t, th1, th2,
     """
     fields = [as_field(f) for f in (loads.rho_s, loads.N, loads.Q, loads.M,
                                     loads.kappa)]
-    xi = np.column_stack([np.reshape(np.asarray(u, dtype=float), -1)
-                          for u in (t, th1, th2)])
+    xi = np.column_stack([t, th1, th2]).astype(float)
     packed = {}
 
     def torsor(xi, fr=None, w=None):
@@ -345,7 +351,7 @@ def residual_2d(sf: ShellField, loads: ShellLoads, conn, t, th1, th2,
         if key not in packed:
             coords = tuple(np.ascontiguousarray(xi.T))
             packed[key] = shell_torsor(
-                *_point_axis_last(loads, coords, *fields),
+                *_point_axis_last(loads.vectorized, coords, *fields),
                 sf._w_surf(*coords, fr, w))
         return packed[key]
 
@@ -361,16 +367,12 @@ def residual_2d(sf: ShellField, loads: ShellLoads, conn, t, th1, th2,
     G = shell_christoffels(sf, conn, *coords, fr, w)
     chris = PullbackChristoffels(G[:, :3, :3, :3], G, _EYE4)
     dT, dJ = divergence(field, xi, chris, h=h, one_sided=one_sided)
-    res = BalanceResidual(
+    return _batch_or_point(BalanceResidual(
         mass=dT[:, 0],
         lin_mom=-dT[:, 1:],
         pos_q=np.stack([dJ[:, 1, 0], dJ[:, 2, 0], -dJ[:, 3, 0]], axis=-1),
         ang_mom=np.stack([-dJ[:, 1, 2], dJ[:, 1, 3], dJ[:, 2, 3]], axis=-1),
-    )
-    if np.ndim(t):
-        return res
-    return BalanceResidual(res.mass[0], res.lin_mom[0], res.pos_q[0],
-                           res.ang_mom[0])
+    ), t)
 
 
 def residual_3d_cosserat(state: Cosserat3DState, conn, t, x,
@@ -392,20 +394,16 @@ def residual_3d_cosserat(state: Cosserat3DState, conn, t, x,
     fields packed as J[flux, a, b]: J^{i0} = q^i and J^{jk} = l^i along
     the time flux, J^{i0} = l_star^{ir} and J^{jk} = M_star^{ir} along
     flux r, for (ijk) cyclic, by fields.cosserat_J.
-
-    (t, x) is one event, or a batch: t of shape (m,) and x of shape (3, m),
-    whose residuals carry a leading point axis.  A vectorized state is
-    read once per stencil offset for the whole batch; any other state
-    point by point.
     """
     def T_of(xi):
-        (T,) = _point_axis_last(state, _events(xi), state.T)
+        (T,) = _point_axis_last(state.vectorized, _events(xi), state.T)
         return T.reshape(4, 4, len(xi)).transpose(2, 1, 0)
 
     def J_of(xi):
         m = len(xi)
         q, l, l_star, M_star = _point_axis_last(
-            state, _events(xi), state.q, state.l, state.l_star, state.M_star)
+            state.vectorized, _events(xi), state.q, state.l, state.l_star,
+            state.M_star)
         return cosserat_J(q.reshape(3, m), l.reshape(3, m),
                           l_star.reshape(3, 3, m), M_star.reshape(3, 3, m))
 

@@ -77,14 +77,16 @@ def _check_param(key, value, default, allowed):
 
 
 def _check_step_count(params, conn_spec):
-    """Raise ScenarioError unless the RK4 step count t_end / dt lies in
-    [0, MAX_RK4_STEPS] and |Omega| dt is at most 1, inside RK4's
+    """Raise ScenarioError unless the RK4 step count, t_end / dt rounded,
+    lies in [1, MAX_RK4_STEPS] (no step would leave every check reading
+    the initial state) and |Omega| dt is at most 1, inside RK4's
     stability bound for the frame's rotation (about 1.4)."""
     n_steps = params["t_end"] / params["dt"]
-    if not 0 <= n_steps <= MAX_RK4_STEPS:
+    if not 0 <= n_steps <= MAX_RK4_STEPS or round(n_steps) < 1:
         raise ScenarioError(
             f"params.t_end: t_end / dt = {n_steps:.6g} RK4 steps, outside "
-            f"[0, {MAX_RK4_STEPS}] (check params.t_end and params.dt)"
+            f"[1, {MAX_RK4_STEPS}] once rounded (check params.t_end and "
+            f"params.dt)"
         )
     rate = math.hypot(*conn_spec.Omega.tolist()) * params["dt"]
     if rate > 1.0:

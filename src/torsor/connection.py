@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fd
-from .vecmath import as_field, cross, cross3, triple
+from .vecmath import as_field, cross3, triple
 
 # The identity, read-only since every caller shares it: Gamma_A of the
 # proper origin, and U of a medium filling space.
@@ -55,19 +55,18 @@ class GalileanConnection:
         return cls(g=g_total, Omega=Om)
 
     def christoffels_at(self, t, x) -> np.ndarray:
-        """(4, 4, 4) array G[a, m, b] = Gamma^a_mb at the event (t, x).
+        """(4, 4, 4) array G[a, m, b] = Gamma^a_mb at the event (t, x), or
+        (m, 4, 4, 4) at a batch, t of shape (m,) and x of shape (3, m)."""
+        G = christoffels(*self.fields_at(np.reshape(t, -1), x))
+        return G if np.ndim(t) else G[0]
 
-        For a batch of m events, t of shape (m,) and x of shape (3, m), an
-        (m, 4, 4, 4) array: g and Omega take one event each, so they are
-        read point by point, and the Christoffels are assembled in one step.
-        """
-        if np.ndim(t):
-            g, Omega = zip(*[(self.g(tp, xp), self.Omega(tp, xp))
-                             for tp, xp in zip(t, np.asarray(x).T)])
-            return christoffels(np.array(g, dtype=float),
-                                np.array(Omega, dtype=float))
-        x = np.asarray(x, dtype=float).reshape(3)
-        return christoffels(self.g(t, x), self.Omega(t, x))
+    def fields_at(self, t, x):
+        """g and Omega, two (m, 3) arrays, at the events t (m,) and x
+        (3, m), read one event at a time (a float t, a (3,) x)."""
+        rows = np.ascontiguousarray(np.reshape(x, (3, -1)).T)
+        g, Omega = zip(*[(self.g(tp, xp), self.Omega(tp, xp))
+                         for tp, xp in zip(np.asarray(t).tolist(), rows)])
+        return np.array(g, dtype=float), np.array(Omega, dtype=float)
 
 
 def christoffels(g, Omega) -> np.ndarray:
@@ -89,9 +88,12 @@ def christoffels(g, Omega) -> np.ndarray:
 
 def spatial_origin_gamma_A(Omega, x) -> np.ndarray:
     """Gamma_A of the spatial origin, C = (0, x), under spin Omega at x:
-    first column (1, -Omega x x) and zero spatial columns."""
-    GA = np.zeros((4, 4))
-    GA[:, 0] = (1.0, *(-cross(Omega, x)))
+    first column (1, -Omega x x) and zero spatial columns; (m, 4, 4) for
+    Omega and x of shape (3, m)."""
+    c = cross3(np.asarray(Omega, dtype=float), np.asarray(x, dtype=float))
+    GA = np.zeros(np.shape(c[0]) + (4, 4))
+    GA[..., 0, 0] = 1.0
+    GA[..., 1, 0], GA[..., 2, 0], GA[..., 3, 0] = -c[0], -c[1], -c[2]
     return GA
 
 
@@ -127,13 +129,13 @@ class PullbackChristoffels:
         return cls(material=G, spacetime=G, origin_motion=_EYE4)
 
     @classmethod
-    def spatial_origin(cls, conn: GalileanConnection, t: float, x,
+    def spatial_origin(cls, conn: GalileanConnection, t, x,
                        n: int) -> "PullbackChristoffels":
-        """Flat n-coordinate material chart at the event (t, x) with the
-        origin at the spatial origin; g and Omega are each read once."""
-        g, Omega = conn.g(t, x), conn.Omega(t, x)
+        """Flat n-coordinate material chart at the events t (m,) and x
+        (3, m), with the origin at the spatial origin."""
+        g, Omega = conn.fields_at(t, x)
         return cls(np.zeros((n, n, n)), christoffels(g, Omega),
-                   spatial_origin_gamma_A(Omega, x))
+                   spatial_origin_gamma_A(Omega.T, x))
 
 
 def _sum_row_derivatives(field_fn, xi, h, one_sided, domain):

@@ -11,7 +11,6 @@ its metric and the unit normal; the second fundamental form b is computed
 inside shell_christoffels, which stores it as Gamma^3_ab.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -20,7 +19,7 @@ import numpy as np
 from . import fd
 from .errors import SingularMetric
 from .connection import christoffels
-from .vecmath import cross3, moment_entries, triple
+from .vecmath import cross3, moment_matrix
 
 DEGENERATE_TANGENT_TOL = 1e-9
 SINGULAR_METRIC_TOL = 1e-12
@@ -60,38 +59,42 @@ class MediumField:
     domain: Optional[tuple] = None
 
 
-def assemble_cauchy_T(rho: float, v, sigma) -> np.ndarray:
+def assemble_cauchy_T(rho, v, sigma) -> np.ndarray:
     """Stress-mass tensor [[rho, rho v^T], [rho v, rho v v^T - sigma]].
 
-    sigma must be symmetric; rho must be nonnegative.  Both rules are
-    checked on floats: the largest |sigma^ij - sigma^ji| may not exceed
-    1e-9 max(1, max |sigma^ij|).  A sigma holding a NaN or an inf is
-    passed through unchecked, to the residual, where the check fails on it.
+    One point's (4, 4), or a batch's (4, 4, K) from v (3, K), rho (K,) and
+    sigma (3, 3, K), rho and sigma without the point axis if constant.
+    sigma must be symmetric, the largest |sigma^ij - sigma^ji| at most
+    1e-9 max(1, max |sigma^ij|), and rho nonnegative.  A sigma holding a
+    NaN or an inf is passed through unchecked, to the residual, where the
+    check fails on it.
     """
-    v = triple(v)
-    rows = np.asarray(sigma, dtype=float).reshape(3, 3).tolist()
-    rho = float(rho)
-    if rho < 0.0:
+    v = np.asarray(v, dtype=float)
+    lead = v.shape[1:]
+    rho = np.broadcast_to(np.asarray(rho, dtype=float), lead)
+    if np.any(rho < 0.0):
         raise ValueError("density must be nonnegative")
-    (s00, s01, s02), (s10, s11, s12), (s20, s21, s22) = rows
-    asym = max(abs(s01 - s10), abs(s02 - s20), abs(s12 - s21))
-    entries = (s00, s01, s02, s10, s11, s12, s20, s21, s22)
-    if (asym > 1e-9 * max(1.0, *map(abs, entries))
-            and all(map(math.isfinite, entries))):
+    s = np.asarray(sigma, dtype=float)
+    if s.ndim < 2 + len(lead):  # the same at every point
+        s = s.reshape((3, 3) + (1,) * len(lead))
+    s = np.broadcast_to(s, (3, 3) + lead)
+    with np.errstate(invalid="ignore"):
+        asym = np.abs(s - s.swapaxes(0, 1)).max(axis=(0, 1))
+    big = np.maximum(1.0, np.abs(s).max(axis=(0, 1)))
+    if np.any((asym > 1e-9 * big) & np.isfinite(s).all(axis=(0, 1))):
         raise ValueError("stress tensor is not symmetric")
-    return _stress_mass(rho, v, rows)
+    return _stress_mass(rho, v, s)
 
 
-def _stress_mass(rho: float, v, sigma) -> np.ndarray:
+def _stress_mass(rho, v, sigma) -> np.ndarray:
     """assemble_cauchy_T's packing without its checks.
 
-    rho is a float, v a float triple and sigma three float triples; the
-    products are those numpy evaluates for rho * v and rho * outer(v, v),
-    so the result is bit-identical to the array form at a fraction of its
-    per-call cost.  Given the columns of sigma for its rows, it returns the
-    transpose bit for bit, since rho (v^i v^j) = rho (v^j v^i) exactly.
-    The same products pack a batch: rho of shape (m,), v (3, m) and sigma
-    (3, 3, m) give T with the point axis last, (4, 4, m).
+    rho, v and sigma are one point's (a float, a triple and three rows) or
+    a batch's with the point axis last, rho (m,), v (3, m) and sigma
+    (3, 3, m), which give T (4, 4, m).  The products are those numpy
+    evaluates for rho * v and rho * outer(v, v), so T is bit-identical to
+    the array form.  Given the columns of sigma for its rows, it returns
+    the transpose bit for bit, since rho (v^i v^j) = rho (v^j v^i) exactly.
     """
     v0, v1, v2 = v
     (s00, s01, s02), (s10, s11, s12), (s20, s21, s22) = sigma
@@ -137,43 +140,49 @@ class Curve1D:
     v . n.  If only v_t is given, the matter slides along the moving chart:
     v = d psi/dt + (v_t - n . d psi/dt) n, which keeps v . n = v_t.  With
     neither, the chart is material: v = d psi/dt and v_t = n . d psi/dt.
+
+    Each callable takes floats (t, s) and returns a 3-vector (v_t a
+    scalar); with vectorized=True it takes a batch, t and s of shape (m,),
+    and returns (3, m) or (m,).  The methods take either and return a
+    batch's values point axis last.
     """
 
-    def __init__(self, psi, v=None, n=None, v_t=None, domain=None):
+    def __init__(self, psi, v=None, n=None, v_t=None, domain=None,
+                 vectorized=False):
         self._psi = psi
         self._v = v
         self._n = n
         self._v_t = v_t
         self.domain = domain
+        self.vectorized = vectorized
 
-    def psi(self, t: float, s: float) -> np.ndarray:
-        return np.asarray(self._psi(t, s), dtype=float).reshape(3)
+    def psi(self, t, s) -> np.ndarray:
+        return _read(self, self._psi, (t, s), (3,))
 
-    def n(self, t: float, s: float) -> np.ndarray:
+    def n(self, t, s) -> np.ndarray:
         if self._n is not None:
-            return np.asarray(self._n(t, s), dtype=float).reshape(3)
-        return fd.diff(lambda u: self.psi(t, u), s)
+            return _read(self, self._n, (t, s), (3,))
+        return _partial(self.psi, (t, s), 1)
 
-    def v_t(self, t: float, s: float, v=None, n=None) -> float:
+    def v_t(self, t, s, v=None, n=None):
         """Tangential flow: the analytic v_t, else v . n.
 
         A caller that has read v and n at (t, s) passes them, so they are
         not read again.
         """
         if self._v_t is not None:
-            return float(self._v_t(t, s))
+            return _read(self, self._v_t, (t, s), ())[()]
         if v is None:
             v = self.v(t, s)
-        return float(v @ (self.n(t, s) if n is None else n))
+        return _dot(v, self.n(t, s) if n is None else n)
 
-    def v(self, t: float, s: float) -> np.ndarray:
+    def v(self, t, s) -> np.ndarray:
         if self._v is not None:
-            return np.asarray(self._v(t, s), dtype=float).reshape(3)
-        dpsi_dt = fd.diff(lambda u: self.psi(u, s), t)
+            return _read(self, self._v, (t, s), (3,))
+        dpsi_dt = _partial(self.psi, (t, s), 0)
         if self._v_t is not None:
             n = self.n(t, s)
-            slide = float(self._v_t(t, s)) - float(dpsi_dt @ n)
-            return dpsi_dt + slide * n
+            return dpsi_dt + (self.v_t(t, s) - _dot(dpsi_dt, n)) * n
         return dpsi_dt
 
 
@@ -203,38 +212,27 @@ class ForceMass1D:
         return M
 
 
-def rod_torsor(rho_l: float, v, w: float, F, psi, slide: float, q, l,
-               l_star, M_star):
+def rod_torsor(rho_l, v, w, F, psi, slide, q, l, l_star, M_star):
     """Rod torsor (T, J) on the chart (t, s), moments re-based at the
-    frame origin.
+    frame origin, at m points.
 
     rho_l, w (the speed of matter past the chart) and slide (n . d psi/dt)
-    are floats; v, F, psi, q, l, l_star and M_star float triples.  T (2, 4)
-    is ForceMass1D(rho_l, v, w, F).matrix; J (2, 4, 4) holds
+    are (m,); v, F, psi, q, l, l_star and M_star (3, m).  T (m, 2, 4) is
+    ForceMass1D(rho_l, v, w, F).matrix at each point; J (m, 2, 4, 4) holds
     J_t = moment_matrix(q, l + psi x rho_l v) and
     J_s = moment_matrix(l_star - slide q,
-                        M_star - slide l + psi x (rho_l w v - F)).
-    Both are packed from floats in one array, with the products and sums
-    of those array forms in the same order, so they are bit-identical.
+                        M_star - slide l + psi x (rho_l w v - F)),
+    elementwise in the order of those forms, so bit-identical to them.
     """
-    rho_l, w = float(rho_l), float(w)
-    v0, v1, v2 = v
-    F0, F1, F2 = F
-    p = (rho_l * v0, rho_l * v1, rho_l * v2)
+    p = rho_l * v
     rw = rho_l * w
-    flux = (rw * v0 - F0, rw * v1 - F1, rw * v2 - F2)
-    (q0, q1, q2), (l0, l1, l2) = q, l
-    (a0, a1, a2), (m0, m1, m2) = l_star, M_star
-    c0, c1, c2 = cross3(psi, p)
-    d0, d1, d2 = cross3(psi, flux)
-    TJ = np.array([
-        rho_l, *p, rw, *flux,
-        *moment_entries(q, (l0 + c0, l1 + c1, l2 + c2)),
-        *moment_entries((a0 - slide * q0, a1 - slide * q1, a2 - slide * q2),
-                        (m0 - slide * l0 + d0, m1 - slide * l1 + d1,
-                         m2 - slide * l2 + d2)),
-    ])
-    return TJ[:8].reshape(2, 4), TJ[8:].reshape(2, 4, 4)
+    flux = rw * v - F
+    T = np.array([[rho_l, *p], [rw, *flux]])
+    pos = np.array([q, l_star - slide * q])
+    ang = np.array([l + np.array(cross3(psi, p)),
+                    M_star - slide * l + np.array(cross3(psi, flux))])
+    return _to_first(T), moment_matrix(pos.transpose(2, 0, 1),
+                                       ang.transpose(2, 0, 1))
 
 
 class ShellFrame(NamedTuple):
@@ -253,23 +251,41 @@ class ShellFrame(NamedTuple):
     n: tuple
 
 
-def _point_axis_last(medium, coords, *fns):
+def _point_axis_last(vectorized, coords, *fns):
     """Each field fn of a medium at every point of a batch, as an array
     with the point axis last.
 
     coords are the fields' arguments over the batch, point axis last: t
-    (m,) and x (3, m) for a medium filling space, or t, theta^1 and
-    theta^2, (m,) each, for a shell.  A field of a vectorized medium is
-    called once, on coords.  Any other field is called point by point, on
-    the arguments one point gives it (floats, and x as a (3,) array), and
-    its values are stacked.
+    (m,) and x (3, m) for a medium filling space, t and s for a curve, t,
+    theta^1 and theta^2, (m,) each, for a shell.  A vectorized field is
+    called once, on coords.  Any
+    other field is called point by point, on the arguments one point gives
+    it (floats, and x as a (3,) array), and its values are stacked.
     """
-    if medium.vectorized:
+    if vectorized:
         return [np.asarray(fn(*coords), dtype=float) for fn in fns]
     points = list(zip(*(c.tolist() if c.ndim == 1
                         else np.ascontiguousarray(c.T) for c in coords)))
     return [_to_last(np.array([fn(*p) for p in points], dtype=float))
             for fn in fns]
+
+
+def _read(medium, fn, coords, shape):
+    """fn of a medium at one point, as an array of `shape`, or at a batch,
+    with the point axis last; one point is read as a batch of one."""
+    batch = [np.reshape(np.asarray(u, dtype=float), -1) for u in coords]
+    (value,) = _point_axis_last(medium.vectorized, batch, fn)
+    value = value.reshape(shape + (len(batch[0]),))
+    return value if np.ndim(coords[0]) else value[..., 0]
+
+
+def _dot(a, b):
+    """a . b of two 3-vectors, or at each point of two (3, m) batches by
+    the product numpy's a @ b takes on one point (not a written-out sum,
+    which rounds otherwise)."""
+    if np.ndim(a) == 1:
+        return a @ b
+    return (_stacked(a)[:, None, :] @ _stacked(b)[:, :, None])[:, 0, 0]
 
 
 def _to_last(a):
@@ -282,16 +298,20 @@ def _to_first(a):
     return a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1)))
 
 
-def _partial(f, args, i):
+def _stacked(a):
+    """a with its last (point) axis first, contiguous: numpy's stacked
+    products take another summation order on strided operands, and on
+    contiguous ones each point's own product."""
+    return np.ascontiguousarray(_to_first(a))
+
+
+def _partial(f, args, i, h=None):
     """fd.partial of f(*args) in args[i], at one point or at a batch
     whose values carry the point axis last."""
     if np.ndim(args[i]) == 0:
-        return fd.partial(f, args, i)
-
-    def first(*u):
-        return _to_first(np.asarray(f(*u), dtype=float))
-
-    return _to_last(fd.partial(first, args, i))
+        return fd.partial(f, args, i, h)
+    return _to_last(fd.partial(
+        lambda *u: _to_first(np.asarray(f(*u), dtype=float)), args, i, h))
 
 
 def _require(ok, what, t, th1, th2):
@@ -341,26 +361,13 @@ class ShellField:
         self.varpi = varpi
         self.vectorized = vectorized
 
-    def _read(self, fn, t, th1, th2, shape):
-        """fn at one point, as an array of `shape`, or at a batch, with the
-        point axis last; a vectorized fn reads one point as a batch of
-        one."""
-        if np.ndim(t):
-            (value,) = _point_axis_last(self, (t, th1, th2), fn)
-            return value.reshape(shape + np.shape(t))
-        if self.vectorized:
-            one = (np.reshape(np.asarray(u, dtype=float), 1)
-                   for u in (t, th1, th2))
-            return self._read(fn, *one, shape)[..., 0]
-        return np.asarray(fn(t, th1, th2), dtype=float).reshape(shape)
-
     def x(self, t, th1, th2) -> np.ndarray:
-        return self._read(self._x, t, th1, th2, (3,))
+        return _read(self, self._x, (t, th1, th2), (3,))
 
     def pi(self, t, th1, th2) -> np.ndarray:
         """(2, 3) array; row a is d x / d theta^a."""
         if self._pi is not None:
-            return self._read(self._pi, t, th1, th2, (2, 3))
+            return _read(self, self._pi, (t, th1, th2), (2, 3))
         args = (t, th1, th2)
         return np.stack([_partial(self.x, args, 1), _partial(self.x, args, 2)])
 
@@ -388,7 +395,7 @@ class ShellField:
     def _normal(self, t, th1, th2, p=None, q=None) -> tuple:
         """Unit normal as a triple; p, q are pi's rows if already read."""
         if self._n is not None:
-            return tuple(self._read(self._n, t, th1, th2, (3,)))
+            return tuple(_read(self, self._n, (t, th1, th2), (3,)))
         if p is None:
             p, q = self.pi(t, th1, th2)
         m0, m1, m2 = cross3(p, q)
@@ -400,9 +407,9 @@ class ShellField:
     def _normal_rate(self, t, th1, th2, n=None) -> tuple:
         """w = d n / dt as a triple; n is the normal if already read."""
         if self._w is not None:
-            return tuple(self._read(self._w, t, th1, th2, (3,)))
+            return tuple(_read(self, self._w, (t, th1, th2), (3,)))
         if self.varpi is not None:
-            vp = self._read(self.varpi, t, th1, th2, (3,))
+            vp = _read(self, self.varpi, (t, th1, th2), (3,))
             return cross3(vp, self._normal(t, th1, th2) if n is None else n)
         h = fd.default_step(t)
         up, down = self._normal(t + h, th1, th2), self._normal(t - h, th1, th2)
@@ -448,7 +455,7 @@ class ShellField:
 
     def v(self, t, th1, th2) -> np.ndarray:
         if self._v is not None:
-            return self._read(self._v, t, th1, th2, (3,))
+            return _read(self, self._v, (t, th1, th2), (3,))
         return _partial(self.x, (t, th1, th2), 0)
 
     def w(self, t, th1, th2) -> np.ndarray:
@@ -492,7 +499,8 @@ def shell_christoffels(sf: ShellField, conn, t, th1, th2, fr=None,
     The contractions are numpy's matrix products stacked over the point
     axis, and each point takes the product it would take alone, so its
     Christoffels do not depend on the batch it is read in.  g and Omega
-    take one event each, so they are read point by point.
+    take one event each, so they are read point by point
+    (GalileanConnection.fields_at).
     """
     one = not np.ndim(t)
     if one:
@@ -501,17 +509,13 @@ def shell_christoffels(sf: ShellField, conn, t, th1, th2, fr=None,
     m = len(t)
 
     def first(a, *shape):
-        # The point axis moved first, contiguous: numpy's products take
-        # another summation order on strided operands.
-        return np.ascontiguousarray(_to_first(np.reshape(a, shape + (m,))))
+        return _stacked(np.reshape(a, shape + (m,)))
 
-    x = sf.x(t, th1, th2)
-    g, Omega = np.array([(conn.g(tp, xp), conn.Omega(tp, xp)) for tp, xp
-                         in zip(t.tolist(), first(x, 3))],
-                        dtype=float).transpose(1, 2, 0)
+    g, Omega = conn.fields_at(t, sf.x(t, th1, th2))
     # skew(Omega) at each point: the spin block of the space-time
     # Christoffels.
-    W = np.ascontiguousarray(christoffels(g.T, Omega.T)[:, 1:, 0, 1:])
+    W = np.ascontiguousarray(christoffels(g, Omega)[:, 1:, 0, 1:])
+    g, Omega = g.T, Omega.T
     if fr is None:
         fr = sf.frame(t, th1, th2)
     if w is None:
@@ -545,7 +549,8 @@ class Cosserat1DField:
     """Slender-medium torsor fields over (t, s): density, force, moments.
 
     rho_l, F are the force-mass components; q, l, l_star, M_star the moment
-    components.  Kinematics (v, v_t, n) come from the curve.
+    components.  Kinematics (v, v_t, n) come from the curve.  The fields
+    take (t, s) as the curve's callables do, on a batch if vectorized.
     """
 
     curve: Curve1D
@@ -555,6 +560,7 @@ class Cosserat1DField:
     l: Callable
     l_star: Callable
     M_star: Callable
+    vectorized: bool = False
 
 
 @dataclass
@@ -638,8 +644,7 @@ def cosserat_J(q, l, l_star, M_star) -> np.ndarray:
     Over a batch of m points, point axis last: q, l (3, m) and l_star,
     M_star (3, 3, m), first index the component, second the flux.  Returns
     (m, 4, 4, 4): J^0 = moment_matrix(q, l) along the time flux and
-    J^r = moment_matrix(l_star[:, r], M_star[:, r]) along flux r, with the
-    entries and signs of moment_entries.
+    J^r = moment_matrix(l_star[:, r], M_star[:, r]) along flux r.
     """
     m = np.shape(q)[-1]
     # pos[p, flux] and ang[p, flux] are the moment pairs along each flux.
@@ -647,9 +652,4 @@ def cosserat_J(q, l, l_star, M_star) -> np.ndarray:
                          axis=1).transpose(2, 1, 0)
     ang = np.concatenate([np.reshape(l, (3, 1, m)), M_star],
                          axis=1).transpose(2, 1, 0)
-    J = np.zeros((m, 4, 4, 4))
-    J[..., 1:, 0] = pos
-    J[..., 0, 1:] = -pos
-    J[..., (2, 3, 1), (3, 1, 2)] = ang
-    J[..., (3, 1, 2), (2, 3, 1)] = -ang
-    return J
+    return moment_matrix(pos, ang)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fd
-from .affine import PointwiseTorsor
 from .balance import (
     residual_1d,
     residual_2d,
@@ -59,9 +58,8 @@ RESIDUAL_COLUMNS = (
 
 CONNECTION_TYPES = ("uniform", "rotating_frame", "case")
 
-# Probe points per call of a batched residual: a probe grid goes to
-# residual_cauchy, residual_3d_cosserat or residual_2d in blocks of this
-# many points, which bounds the memory of one call up to
+# Probe points per call of a residual view: a probe grid goes to its view
+# in blocks of this many points, which bounds the memory of one call up to
 # cli.MAX_PROBE_POINTS points.
 PROBE_CHUNK = 1024
 
@@ -256,24 +254,24 @@ def _worst(residuals):
     return strict_max(np.max(np.abs(residuals), axis=1).tolist())
 
 
-def _residual_case(check, tol, header, rows, evaluate, exact=None):
-    """A residual_check result over probe points.
+def _residual_case(check, tol, header, rows, view, exact=None):
+    """A residual_check result over probe rows.
 
-    evaluate(block) returns the (k, 10) residual rows at a block of k
-    coordinate rows, and exact(block), when given, the rows it should
-    equal; blocks are taken PROBE_CHUNK rows at a time.  The rows lead the
-    residual table under `header`, and each table row ends with its
-    max_abs.  The check is the worst max_abs, or the worst
+    The rows are cut into blocks of PROBE_CHUNK; view(*columns) returns
+    the BalanceResidual of a block from its columns, each of shape (k,),
+    and exact(*columns), when given, the (k, 10) rows it should equal.
+    The rows lead the residual table under `header`, and each table row
+    ends with its max_abs.  The check is the worst max_abs, or the worst
     |residual - exact| when exact is given.
     """
     def over_blocks(fn):
         return np.concatenate([
-            np.reshape(fn(rows[i:i + PROBE_CHUNK]), (-1, 10))
-            for i in range(0, len(rows), PROBE_CHUNK)])
+            np.reshape(fn(*np.array(rows[i:i + PROBE_CHUNK], dtype=float).T),
+                       (-1, 10)) for i in range(0, len(rows), PROBE_CHUNK)])
 
     # A non-finite field differences to NaN, which fails the check unwarned.
     with np.errstate(invalid="ignore"):
-        residuals = over_blocks(evaluate)
+        residuals = over_blocks(lambda *cols: view(*cols).as_array())
     max_abs = np.max(np.abs(residuals), axis=1)
     value = (strict_max(max_abs.tolist()) if exact is None else
              _worst(residuals - over_blocks(exact)))
@@ -281,23 +279,6 @@ def _residual_case(check, tol, header, rows, evaluate, exact=None):
     return CaseResult([Check(check, value, tol)],
                       [Table("residuals",
                              f"{header},{RESIDUAL_COLUMNS},max_abs", table)])
-
-
-def _each(view):
-    """A block evaluator for _residual_case from a view of one row."""
-    return lambda block: [view(row).as_array() for row in block]
-
-
-def _events(block):
-    """t of shape (k,) and x of shape (3, k) of a block of (t, x) rows."""
-    events = np.array(block, dtype=float).T
-    return events[0], events[1:]
-
-
-def _thetas(block):
-    """t, theta1 and theta2, each of shape (k,), of a block of surface
-    grid rows."""
-    return np.array(block, dtype=float).T
 
 
 def _per_point(value):
@@ -539,14 +520,15 @@ def _projectile_residual(p, rng, conn_spec):
     l00 = np.array([0.4, -0.1, 0.2])
 
     def traj(t):
-        x = x0 + v0 * t + 0.5 * g * t * t
-        mom = m * (v0 + g * t)
-        return PointwiseTorsor(m, mom, m * x, l00 + cross(x, mom))
+        x = x0[:, None] + v0[:, None] * t + 0.5 * g[:, None] * t * t
+        mom = m * (v0[:, None] + g[:, None] * t)
+        return (np.full_like(t, m), mom, m * x,
+                l00[:, None] + np.array(cross3(x, mom)))
 
     ts = np.linspace(p["t_span"][0], p["t_span"][1], p["n_t"])
     return _residual_case(
         "pointwise residual on parabola", 1e-8, "t", [[t] for t in ts],
-        _each(lambda row: residual_pointwise(traj, conn, float(row[0]))),
+        lambda t: residual_pointwise(traj, conn, t, vectorized=True),
     )
 
 
@@ -638,9 +620,8 @@ def _cauchy_manufactured(p, rng, conn_spec):
             -p["half_width"], p["half_width"], size=(int(p["n_random"]), 3))]
     return _residual_case(
         "residual vs exact expansion", 1e-5, "t,x1,x2,x3", rows,
-        lambda block: residual_cauchy(medium, conn, *_events(block),
-                                      h=p["h"]).as_array(),
-        exact=lambda block: exact(*_events(block)).T,
+        lambda t, *x: residual_cauchy(medium, conn, t, x, h=p["h"]),
+        exact=lambda t, *x: exact(t, np.array(x)).T,
     )
 
 
@@ -664,8 +645,7 @@ def _hydrostatic(p, rng, conn_spec):
     return _residual_case(
         "hydrostatic residual", 1e-8, "t,x1,x2,x3",
         _cube_rows(0.0, p["half_width"], p["n_side"]),
-        lambda block: residual_cauchy(medium, conn,
-                                      *_events(block)).as_array(),
+        lambda t, *x: residual_cauchy(medium, conn, t, x),
     )
 
 
@@ -694,8 +674,7 @@ def _rotating_bucket(p, rng, conn_spec):
     return _residual_case(
         "spinning-bucket residual", 1e-8, "t,x1,x2,x3",
         _cube_rows(0.0, p["half_width"], p["n_side"]),
-        lambda block: residual_cauchy(medium, conn,
-                                      *_events(block)).as_array(),
+        lambda t, *x: residual_cauchy(medium, conn, t, x),
     )
 
 
@@ -714,25 +693,27 @@ def _beam_under_gravity(p, rng, conn_spec):
     rho_l = p["rho_l"]
     g = conn_spec.g
     conn = conn_spec.build()
-    e1 = np.array([1.0, 0.0, 0.0])
-    n_cross_g = cross(e1, g)
-    rod = Curve1D(
-        lambda t, s: np.array([s, 0.0, 0.0]), n=lambda t, s: e1,
-    )
-    zero3 = lambda t, s: np.zeros(3)  # noqa: E731
+    e1 = [1.0, 0.0, 0.0]
+    n_cross_g = np.array(cross3(e1, g))[:, None]
+
+    def psi(t, s):
+        return np.array([s, np.zeros_like(s), np.zeros_like(s)])
+
+    zero3 = _per_point(np.zeros(3))
     f = Cosserat1DField(
-        curve=rod,
-        rho_l=lambda t, s: rho_l,
-        F=lambda t, s: -rho_l * s * g,
-        q=lambda t, s: rho_l * np.array([s, 0.0, 0.0]),
+        curve=Curve1D(psi, n=_per_point(e1), vectorized=True),
+        rho_l=_per_point(rho_l),
+        F=lambda t, s: -rho_l * s * g[:, None],
+        q=lambda t, s: rho_l * psi(t, s),
         l=zero3,
         l_star=zero3,
         M_star=lambda t, s: -rho_l * s * s / 2.0 * n_cross_g,
+        vectorized=True,
     )
     ss = np.linspace(0.1, p["length"], p["n_s"])
     return _residual_case(
         "beam equilibrium residual", 1e-9, "t,s", [[0.0, s] for s in ss],
-        _each(lambda row: residual_1d(f, conn, row[0], float(row[1]))),
+        lambda t, s: residual_1d(f, conn, t, s),
     )
 
 
@@ -748,27 +729,29 @@ def _spinning_ring(p, rng, conn_spec):
     tension = rho_l * w * w * r * r
 
     def psi(t, s):
-        return np.array([r * np.cos(s / r), r * np.sin(s / r), 0.0])
+        return np.array([r * np.cos(s / r), r * np.sin(s / r),
+                         np.zeros_like(s)])
 
     def n(t, s):
-        return np.array([-np.sin(s / r), np.cos(s / r), 0.0])
+        return np.array([-np.sin(s / r), np.cos(s / r), np.zeros_like(s)])
 
-    ring = Curve1D(psi, v=lambda t, s: w * r * n(t, s), n=n)
-    zero3 = lambda t, s: np.zeros(3)  # noqa: E731
+    ring = Curve1D(psi, v=lambda t, s: w * r * n(t, s), n=n, vectorized=True)
+    zero3 = _per_point(np.zeros(3))
     f = Cosserat1DField(
         curve=ring,
-        rho_l=lambda t, s: rho_l,
+        rho_l=_per_point(rho_l),
         F=lambda t, s: tension * n(t, s),
         q=lambda t, s: rho_l * psi(t, s),
         l=zero3,
         l_star=lambda t, s: rho_l * (w * r) * psi(t, s),
         M_star=zero3,
+        vectorized=True,
     )
     conn = conn_spec.build()
     ss = np.linspace(0.0, 2.0 * np.pi * r, p["n_s"], endpoint=False)
     return _residual_case(
         "hoop-tension residual", 1e-6, "t,s", [[0.0, s] for s in ss],
-        _each(lambda row: residual_1d(f, conn, row[0], float(row[1]))),
+        lambda t, s: residual_1d(f, conn, t, s),
     )
 
 
@@ -813,8 +796,7 @@ def _plate_bending(p, rng, conn_spec):
     side = np.linspace(-half_width, half_width, p["n_side"])
     return _residual_case(
         "plate bending residual", 1e-8, "t,th1,th2", _plane_rows(side, side),
-        lambda block: residual_2d(sf, loads, conn,
-                                  *_thetas(block)).as_array(),
+        lambda *surface: residual_2d(sf, loads, conn, *surface),
     )
 
 
@@ -875,8 +857,7 @@ def _laplace_sphere(p, rng, conn_spec):
     return _residual_case(
         "membrane pressure residual", 1e-7, "t,th1,th2",
         _plane_rows(side, side),
-        lambda block: residual_2d(sphere, loads, conn,
-                                  *_thetas(block)).as_array(),
+        lambda *surface: residual_2d(sphere, loads, conn, *surface),
     )
 
 
@@ -914,8 +895,7 @@ def _spinning_drum(p, rng, conn_spec):
         "hoop-stress residual", 1e-7, "t,th1,th2",
         _plane_rows(np.linspace(0.0, 2.0, p["n_side"]),
                     np.linspace(-0.5, 0.5, p["n_side"])),
-        lambda block: residual_2d(drum, loads, conn,
-                                  *_thetas(block)).as_array(),
+        lambda *surface: residual_2d(drum, loads, conn, *surface),
     )
 
 
@@ -957,8 +937,7 @@ def _momentless_hydrostatic(p, rng, conn_spec):
     return _residual_case(
         "momentless degeneration residual", 1e-8, "t,x1,x2,x3",
         _cube_rows(0.0, p["half_width"], p["n_side"]),
-        lambda block: residual_3d_cosserat(state, conn,
-                                           *_events(block)).as_array(),
+        lambda t, *x: residual_3d_cosserat(state, conn, t, x),
     )
 
 
@@ -981,13 +960,16 @@ def _disc_section(p, rng, conn_spec):
     n = cs.n
     area = np.pi * R * R
 
+    # T at every node of the section, xb of shape (2, K), node axis last.
     def rigid_T(xb):
-        x3 = cs.origin + xb[0] * cs.e1 + xb[1] * cs.e2
-        return assemble_cauchy_T(rho0, w * cross(n, x3), np.zeros((3, 3)))
+        x3 = (cs.origin[:, None] + xb[0] * cs.e1[:, None]
+              + xb[1] * cs.e2[:, None])
+        return assemble_cauchy_T(rho0, w * np.array(cross3(n, x3)),
+                                 np.zeros((3, 3)))
 
     def pipe_T(xb):
         vt = v_max * (1.0 - (xb[0] ** 2 + xb[1] ** 2) / (R * R))
-        return assemble_cauchy_T(rho0, vt * n, np.zeros((3, 3)))
+        return assemble_cauchy_T(rho0, vt * n[:, None], np.zeros((3, 3)))
 
     M_rigid = reduce_3d_to_1d_T(rigid_T, Pi, cs)
     mom = reduce_3d_to_1d_J(rigid_T, Pi, cs)
@@ -1031,13 +1013,14 @@ def _thickness(p, rng, conn_spec):
     rule = ThicknessRule(h)
     sig_c = np.array([[1.2, 0.4, 0.7], [0.4, -0.8, 0.2], [0.7, 0.2, 0.5]])
 
-    uniform = reduce_3d_to_2d(lambda z: sig_c, rho0, rule)
-    bending = reduce_3d_to_2d(
-        lambda z: np.array([[k0 * z, 0.0, 0.0],
-                            [0.0, 0.0, 0.0],
-                            [0.0, 0.0, 0.0]]),
-        rho0, rule,
-    )
+    def bending_sigma(z):  # sigma at the offsets z (K,), offset axis last
+        sigma = np.zeros((3, 3, len(z)))
+        sigma[0, 0] = k0 * z
+        return sigma
+
+    uniform = reduce_3d_to_2d(
+        lambda z: np.multiply.outer(sig_c, np.ones_like(z)), rho0, rule)
+    bending = reduce_3d_to_2d(bending_sigma, rho0, rule)
     n_err = float(np.max(np.abs(uniform.N - h * sig_c[:2, :2])))
     q_err = float(np.max(np.abs(uniform.Q - h * sig_c[:2, 2])))
     m_err = abs(bending.M[0, 0] - k0 * h ** 3 / 12.0)

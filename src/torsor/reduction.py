@@ -4,9 +4,10 @@ A plane cross-section carries a quadrature rule (tensor Gauss-Legendre on
 rectangles, radial Gauss-Legendre times a uniform angular rule on discs) in
 its own 2D coordinates, plus an orthonormal frame (e1, e2, n) placing it in
 space.  Thickness integrals through a shell use Gauss-Legendre across
-[-h/2, h/2].  Moment reductions are only offered about the section mass
-center; off-center moments are a bookkeeping hazard and deliberately
-unsupported.
+[-h/2, h/2].  A rule reads its integrand, and a reduction its field, once
+on all nodes, node axis last, and adds the terms in node order.  Moment
+reductions are only offered about the section mass center; off-center
+moments are a bookkeeping hazard and deliberately unsupported.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySection
-from .fields import ForceMass1D
+from .fields import ForceMass1D, _stacked, _to_last
 from .vecmath import moments
 
 FRAME_ORTHO_TOL = 1e-9
@@ -22,15 +23,28 @@ CENTERING_TOL = 1e-8
 
 
 class _QuadratureRule:
-    """Nodes and weights with the weighted-sum loop both rules share."""
+    """Nodes and weights with the weighted sum both rules share; coords
+    holds the nodes node axis last, (2, K) or (K,)."""
 
     def integrate(self, f):
-        """Quadrature of f(node): the sum of weight * f(node) over nodes."""
-        total = None
-        for node, w in zip(self.nodes, self.weights):
-            val = w * np.asarray(f(node), dtype=float)
-            total = val if total is None else total + val
-        return total
+        """Quadrature of f: the sum of weight * f over the nodes.
+
+        f is called once, on coords, and returns its values node axis last;
+        only a 0-d value, the same at every node, may leave that axis out.
+        The terms add in node order (np.sum would add them pairwise).
+        """
+        vals = np.asarray(f(self.coords), dtype=float)
+        if vals.ndim and vals.shape[-1:] != self.weights.shape:
+            raise ValueError(f"integrand {vals.shape} lacks the node axis")
+        return np.cumsum(vals * self.weights, axis=-1)[..., -1]
+
+    def on_nodes(self, field, shape):
+        """field read once on coords, as its (*shape, K) values."""
+        vals = np.asarray(field(self.coords), dtype=float)
+        if vals.shape != shape + self.weights.shape:
+            raise ValueError(f"field {vals.shape} is not {shape} at each "
+                             "node, node axis last")
+        return vals
 
 
 class CrossSection(_QuadratureRule):
@@ -39,13 +53,14 @@ class CrossSection(_QuadratureRule):
     nodes: (K, 2) in-plane coordinates relative to the section origin;
     weights: (K,); origin: (3,) point in space; e1, e2: in-plane unit
     vectors; n: unit normal (the curve tangent after reduction).
-    integrate(f) sums f(node) at the (2,) in-plane node coordinates.
+    integrate(f) sums f over the in-plane nodes, xb of shape (2, K).
     """
 
     def __init__(self, nodes, weights, origin=(0.0, 0.0, 0.0),
                  e1=(1.0, 0.0, 0.0), e2=(0.0, 1.0, 0.0), n=(0.0, 0.0, 1.0)):
         self.nodes = np.asarray(nodes, dtype=float).reshape(-1, 2)
         self.weights = np.asarray(weights, dtype=float).reshape(-1)
+        self.coords = np.ascontiguousarray(self.nodes.T)
         if self.nodes.shape[0] == 0 or self.weights.shape[0] == 0:
             raise EmptySection("cross-section rule has no nodes")
         if self.nodes.shape[0] != self.weights.shape[0]:
@@ -61,15 +76,11 @@ class CrossSection(_QuadratureRule):
     @classmethod
     def rectangle(cls, a: float, b: float, n1: int = 8, n2: int = 8, **frame):
         """Centered a x b rectangle with tensor Gauss-Legendre nodes."""
-        x1, w1 = np.polynomial.legendre.leggauss(n1)
-        x2, w2 = np.polynomial.legendre.leggauss(n2)
-        x1 = 0.5 * a * x1
-        w1 = 0.5 * a * w1
-        x2 = 0.5 * b * x2
-        w2 = 0.5 * b * w2
-        nodes = np.array([(u, v) for u in x1 for v in x2])
-        weights = np.array([wu * wv for wu in w1 for wv in w2])
-        return cls(nodes, weights, **frame)
+        (x1, w1), (x2, w2) = (
+            0.5 * side * np.array(np.polynomial.legendre.leggauss(k))
+            for side, k in ((a, n1), (b, n2)))
+        return cls(np.stack(np.meshgrid(x1, x2, indexing="ij"), axis=-1),
+                   np.outer(w1, w2), **frame)
 
     @classmethod
     def disc(cls, radius: float, n_r: int = 8, n_theta: int = 16, **frame):
@@ -83,29 +94,28 @@ class CrossSection(_QuadratureRule):
         r = 0.5 * radius * (xr + 1.0)
         wr = 0.5 * radius * wr * r
         theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-        wt = 2.0 * np.pi / n_theta
-        nodes = []
-        weights = []
-        for ri, wi in zip(r, wr):
-            for th in theta:
-                nodes.append((ri * np.cos(th), ri * np.sin(th)))
-                weights.append(wi * wt)
-        return cls(np.array(nodes), np.array(weights), **frame)
+        nodes = [np.outer(r, np.cos(theta)), np.outer(r, np.sin(theta))]
+        return cls(np.stack(nodes, axis=-1),
+                   np.repeat(wr * (2.0 * np.pi / n_theta), n_theta), **frame)
 
     def area(self) -> float:
         return float(np.sum(self.weights))
 
     def in_plane(self, node) -> np.ndarray:
-        """Lift a (2,) node to its (3,) offset from the section origin."""
-        return node[0] * self.e1 + node[1] * self.e2
+        """Lift a (2,) node, or nodes (2, K), to its (3,) offset from the
+        section origin, or their (3, K)."""
+        return (np.multiply.outer(self.e1, node[0])
+                + np.multiply.outer(self.e2, node[1]))
 
     def mass_center(self, rho_bar) -> np.ndarray:
-        """(2,) in-plane mass center of the density field rho_bar(node)."""
-        m = self.integrate(lambda xb: rho_bar(xb))
+        """(2,) in-plane mass center of the density field rho_bar(xb),
+        read on all nodes: xb (2, K) to (K,)."""
+        rho = self.on_nodes(rho_bar, ())
+        m, c1, c2 = self.integrate(
+            lambda xb: np.array([rho, rho * xb[0], rho * xb[1]]))
         if m <= 0.0:
             raise ValueError("section mass must be positive to center")
-        c = self.integrate(lambda xb: rho_bar(xb) * xb)
-        return c / m
+        return np.array([c1, c2]) / m
 
     def centered(self, rho_bar) -> "CrossSection":
         """Same rule with the origin moved to the mass center of rho_bar."""
@@ -123,7 +133,7 @@ class CrossSection(_QuadratureRule):
 class ThicknessRule(_QuadratureRule):
     """Gauss-Legendre rule across the shell thickness [-h/2, h/2].
 
-    integrate(f) sums f(z) at the offsets z along the normal.
+    integrate(f) sums f over the offsets z along the normal, z (K,).
     """
 
     def __init__(self, h: float, n: int = 8):
@@ -131,7 +141,7 @@ class ThicknessRule(_QuadratureRule):
             raise ValueError("thickness must be positive")
         self.h = float(h)
         x, w = np.polynomial.legendre.leggauss(n)
-        self.nodes = 0.5 * h * x
+        self.nodes = self.coords = 0.5 * h * x
         self.weights = 0.5 * h * w
 
 
@@ -146,19 +156,22 @@ def projector_matrix(cs: CrossSection) -> np.ndarray:
 def reduce_3d_to_1d_T(T_bar, Pi, cs: CrossSection) -> np.ndarray:
     """Section integral of Pi @ T_bar: the (2, 4) force-mass matrix.
 
-    T_bar(node) returns the 4x4 stress-mass at the in-plane node, components
-    in the ambient space-time frame.
+    T_bar(xb) returns the 4x4 stress-mass at the in-plane nodes xb (2, K),
+    components in the ambient space-time frame, as (4, 4, K); it is read
+    once, on all nodes, and the reductions below read it the same way.
     """
     Pi = np.asarray(Pi, dtype=float).reshape(2, 4)
-    return cs.integrate(lambda xb: Pi @ T_bar(xb))
+    T = cs.on_nodes(T_bar, (4, 4))
+    return cs.integrate(lambda xb: _to_last(Pi @ _stacked(T)))
 
 
 def _decompose_stress_mass(T):
+    """rho, v and sigma of T (4, 4), or of each node of T (4, 4, K)."""
     rho = T[0, 0]
-    if rho <= 0.0:
+    if np.any(rho <= 0.0):
         raise ValueError("stress-mass decomposition needs T[0, 0] > 0")
     v = T[0, 1:] / rho
-    sigma = rho * np.outer(v, v) - T[1:, 1:]
+    sigma = rho * (v[:, None] * v[None, :]) - T[1:, 1:]
     return rho, v, sigma
 
 
@@ -172,18 +185,19 @@ def reduce_3d_to_1d_force_mass(T_bar, Pi, cs: CrossSection) -> ForceMass1D:
     """
     Pi = np.asarray(Pi, dtype=float).reshape(2, 4)
     n = Pi[1, 1:]
-    M = reduce_3d_to_1d_T(T_bar, Pi, cs)
+    T = cs.on_nodes(T_bar, (4, 4))
+    M = cs.integrate(lambda xb: _to_last(Pi @ _stacked(T)))
     rho_l = M[0, 0]
     if rho_l <= 0.0:
         raise ValueError("section line density must be positive")
     v = M[0, 1:] / rho_l
     v_t = M[1, 0] / rho_l
-
-    def integrand(xb):
-        rho, v_bar, sigma = _decompose_stress_mass(np.asarray(T_bar(xb), dtype=float))
-        return sigma @ n - rho * (v_t - v_bar @ n) * (v - v_bar)
-
-    F = cs.integrate(integrand)
+    rho, v_bar, sigma = _decompose_stress_mass(T)
+    # sigma n and vbar . n as each node's own matrix products.
+    sigma_n = (_stacked(sigma) @ n).T
+    vbar_t = (_stacked(v_bar)[:, None] @ n)[:, 0]
+    F = cs.integrate(lambda xb: sigma_n - rho * (v_t - vbar_t)
+                     * (v[:, None] - v_bar))
     return ForceMass1D(rho_l=rho_l, v=v, v_t=v_t, F=F)
 
 
@@ -215,10 +229,12 @@ def reduce_3d_to_1d_J(T_bar, Pi, cs: CrossSection) -> Moments1D:
     CrossSection.centered.
     """
     Pi = np.asarray(Pi, dtype=float).reshape(2, 4)
+    T = cs.on_nodes(T_bar, (4, 4))
+    P = _to_last(_stacked(T) @ Pi.T)
 
     def integrand(xb):
-        X = np.array([1.0, *cs.in_plane(xb)])
-        return np.multiply.outer(X, np.asarray(T_bar(xb), dtype=float) @ Pi.T)
+        X = np.concatenate([np.ones((1, xb.shape[1])), cs.in_plane(xb)])
+        return X[:, None, None] * P
 
     B = cs.integrate(integrand)
     mass = B[0, 0, 0]
@@ -248,14 +264,15 @@ class Reduced2D:
 def reduce_3d_to_2d(sigma_bar, rho: float, rule: ThicknessRule) -> Reduced2D:
     """Membrane forces, shear, and moments from the through-thickness stress.
 
-    sigma_bar(z) is the 3x3 stress at offset z along the normal, components
-    in the adapted frame (indices 0, 1 in-plane, 2 normal); rho is the
-    volumetric density, assumed uniform through the thickness.
+    sigma_bar(z) is the 3x3 stress at the offsets z (K,) along the normal,
+    components in the adapted frame (indices 0, 1 in-plane, 2 normal), as
+    (3, 3, K); it is read once, on all offsets.  rho is the volumetric
+    density, assumed uniform through the thickness.
     """
     if rho < 0.0:
         raise ValueError("density must be nonnegative")
-    S = rule.integrate(lambda z: np.asarray(sigma_bar(z), dtype=float))
-    Sz = rule.integrate(lambda z: z * np.asarray(sigma_bar(z), dtype=float))
+    sigma = rule.on_nodes(sigma_bar, (3, 3))
+    S, Sz = rule.integrate(lambda z: np.array([sigma, z * sigma]))
     return Reduced2D(
         rho_s=rho * rule.h,
         N=S[:2, :2].copy(),

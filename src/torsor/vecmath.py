@@ -62,16 +62,13 @@ def triple(value) -> list:
 
 
 def moment_matrix(q, l) -> np.ndarray:
-    """Skew (4, 4) J with J[1:, 0] = q and (J[2, 3], J[3, 1], J[1, 2]) = l."""
-    return np.array(moment_entries(triple(q), triple(l))).reshape(4, 4)
-
-
-def moment_entries(q, l) -> list:
-    """The 16 entries of moment_matrix(q, l), row by row, from float
-    triples, so that several J pack into one flat array."""
-    (q0, q1, q2), (l0, l1, l2) = q, l
-    return [0.0, -q0, -q1, -q2, q0, 0.0, l2, -l1,
-            q1, -l2, 0.0, l0, q2, l1, -l0, 0.0]
+    """Skew (4, 4) J with J[1:, 0] = q and (J[2, 3], J[3, 1], J[1, 2]) = l,
+    or one J per pair of a batch: q and l (..., 3) give J (..., 4, 4)."""
+    q, l = np.asarray(q, dtype=float), np.asarray(l, dtype=float)
+    J = np.zeros(q.shape[:-1] + (4, 4))
+    J[..., 1:, 0], J[..., 0, 1:] = q, -q
+    J[..., (2, 3, 1), (3, 1, 2)], J[..., (3, 1, 2), (2, 3, 1)] = l, -l
+    return J
 
 
 def moments(J):

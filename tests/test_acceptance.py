@@ -445,9 +445,10 @@ def test_criterion_10_reduction_suite(capsys):
     n = cs.n
     area = np.pi * R * R
 
+    # Section fields are read on all nodes, xb (2, K), node axis last.
     def rigid_T(xb):
-        x3 = cs.origin + xb[0] * cs.e1 + xb[1] * cs.e2
-        return assemble_cauchy_T(rho0, w * np.cross(n, x3),
+        x3 = cs.origin[:, None] + cs.in_plane(xb)
+        return assemble_cauchy_T(rho0, w * np.cross(n, x3, axisb=0, axisc=0),
                                  np.zeros((3, 3)))
 
     M_rigid = reduce_3d_to_1d_T(rigid_T, Pi, cs)
@@ -460,11 +461,13 @@ def test_criterion_10_reduction_suite(capsys):
                  float(np.max(np.abs(mom.l_star))))
 
     h, k0 = 0.3, 2.4
-    bending = reduce_3d_to_2d(
-        lambda z: np.array([[k0 * z, 0.0, 0.0],
-                            [0.0, 0.0, 0.0],
-                            [0.0, 0.0, 0.0]]),
-        1.0, ThicknessRule(h))
+
+    def bending_sigma(z):
+        sigma = np.zeros((3, 3) + z.shape)
+        sigma[0, 0] = k0 * z
+        return sigma
+
+    bending = reduce_3d_to_2d(bending_sigma, 1.0, ThicknessRule(h))
     m_err = abs(bending.M[0, 0] - k0 * h ** 3 / 12.0)
 
     # Uniform velocity: the fluctuation term must contribute exactly
@@ -473,12 +476,13 @@ def test_criterion_10_reduction_suite(capsys):
     v0 = np.array([0.5, -0.25, 1.0])
 
     def uniform_T(xb):
-        return assemble_cauchy_T(2.0, v0, sig)
+        return assemble_cauchy_T(2.0, np.multiply.outer(v0, xb[0] ** 0), sig)
 
     fm = reduce_3d_to_1d_force_mass(uniform_T, Pi, cs)
+    # Each node's own sigma @ n, nodes stacked first, then node axis last.
     traction = cs.integrate(
-        lambda xb: _decompose_stress_mass(
-            np.asarray(uniform_T(xb), dtype=float))[2] @ n)
+        lambda xb: (np.moveaxis(_decompose_stress_mass(uniform_T(xb))[2],
+                                -1, 0) @ n).T)
     exact_F = bool(np.array_equal(fm.F, traction))
 
     ok = (rho_rel < 1e-10 and l_rel < 1e-10 and m_err < 1e-12

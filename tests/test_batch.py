@@ -1,8 +1,9 @@
-"""Batched probe grids of the space-filling and thin-medium views against
-point-by-point evaluation.
+"""Batched probe grids of the residual views against point-by-point
+evaluation.
 
-residual_cauchy, residual_3d_cosserat and residual_2d take a batch of
-points through one connection.divergence with a leading point axis.  Each
+residual_pointwise, residual_1d, residual_2d, residual_cauchy and
+residual_3d_cosserat take a batch of points through one
+connection.divergence with a leading point axis.  Each
 point's rows must be those it gets on its own, whether its medium is
 vectorized or read point by point, under a uniform and a rotating frame; a
 scenario's rows may not depend on how its grid is cut into blocks; and on
@@ -21,11 +22,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torsor import library
-from torsor.balance import residual_2d, residual_3d_cosserat, residual_cauchy
+from torsor.affine import PointwiseTorsor
+from torsor.balance import (
+    residual_1d,
+    residual_2d,
+    residual_3d_cosserat,
+    residual_cauchy,
+    residual_pointwise,
+)
 from torsor.cli import bundled_scenarios, load_scenario
 from torsor.connection import GalileanConnection
 from torsor.errors import DifferentiationFailure
-from torsor.fields import CauchyMedium, Cosserat3DState, ShellField, ShellLoads
+from torsor.fields import (
+    CauchyMedium,
+    Cosserat1DField,
+    Cosserat3DState,
+    Curve1D,
+    ShellField,
+    ShellLoads,
+)
 
 from test_balance import shell_oracle
 
@@ -150,6 +165,57 @@ def shell_residual(fields, conn, *coords, **kw):
     return residual_2d(*fields, conn, *coords, **kw)
 
 
+def trajectory(c, vectorized, domain=None):
+    """A worldline's (m, p, q, l), smooth and written once for one time
+    and for a batch (point axis last), and whether it reads a batch."""
+    a, b, d, e, f, g = c
+
+    def mplq(t):
+        rows = [np.sin(a * t + i) + 0.3 * b * t * t * i for i in range(9)]
+        return (2.0 + 0.5 * np.sin(d * t), np.array(rows[:3]),
+                np.array(rows[3:6]) * e, np.array(rows[6:]) * f + g * t)
+
+    return (mplq if vectorized
+            else lambda t: PointwiseTorsor(*mplq(t))), vectorized
+
+
+def pointwise_residual(fields, conn, t, **kw):
+    traj, vectorized = fields
+    return residual_pointwise(traj, conn, t, vectorized=vectorized, **kw)
+
+
+def rod(c, vectorized, domain=None):
+    """A rod whose tangent is differenced from psi and whose velocity
+    slides along the chart at the given v_t, with smooth loads, written
+    once for one point and for a batch (point axis last)."""
+    a, b, d, e, f, g = c
+
+    def vec(k):
+        return lambda t, s: np.array([
+            c[(k + i) % 6] * np.sin(s + (k + i) * t) + 0.2 * s * t * i
+            for i in range(3)])
+
+    curve = Curve1D(
+        lambda t, s: np.array([s + 0.1 * a * t * t, 0.3 * np.sin(b * t + s),
+                               0.2 * d * s * s]),
+        v_t=lambda t, s: e * np.cos(t - s), domain=domain,
+        vectorized=vectorized)
+    return Cosserat1DField(
+        curve=curve, rho_l=lambda t, s: 1.5 + 0.3 * np.sin(f * t + g * s),
+        F=vec(0), q=vec(1), l=vec(2), l_star=vec(3), M_star=vec(4),
+        vectorized=vectorized)
+
+
+def time_events(rng, m, lo=-1.0, hi=1.0):
+    """t of shape (m,)."""
+    return (rng.uniform(lo, hi, size=m),)
+
+
+def curve_events(rng, m, lo=-1.0, hi=1.0):
+    """t and s, each of shape (m,)."""
+    return tuple(rng.uniform(lo, hi, size=(2, m)))
+
+
 def space_events(rng, m, lo=-1.0, hi=1.0):
     """t of shape (m,) and x of shape (3, m)."""
     return rng.uniform(lo, hi, size=m), rng.uniform(lo, hi, (3, m))
@@ -162,6 +228,8 @@ def surface_events(rng, m, lo=-0.6, hi=0.6):
 
 # medium -> (fields from coefficients, residual view, probe events).
 MEDIA = {
+    "pointwise": (trajectory, pointwise_residual, time_events),
+    "rod": (rod, residual_1d, curve_events),
     "cauchy": (cauchy_medium, residual_cauchy, space_events),
     "cosserat": (cosserat_state, residual_3d_cosserat, space_events),
     **{geometry: (shell_medium(geometry), shell_residual, surface_events)
@@ -183,15 +251,21 @@ def point_by_point(residual, fields, conn, coords, **kw):
         for p in range(len(coords[0]))])
 
 
-# Each space-filling medium under both frames; each shell, whose points
-# cost several times as much, under the rotating frame with a base
-# gravity alone, whose g and Omega both enter the shell Christoffels.
+# Each worldline, rod and space-filling medium under both frames; each
+# shell, whose points cost several times as much, under the rotating frame
+# with a base gravity alone, whose g and Omega both enter the shell
+# Christoffels.
 ROW_CASES = [
     (medium, vectorized, kind) for medium in sorted(MEDIA)
     for vectorized in (True, False)
-    for kind in (("uniform", "rotating") if MEDIA[medium][2] is space_events
-                 else ("rotating",))
+    for kind in (("rotating",) if MEDIA[medium][2] is surface_events
+                 else ("uniform", "rotating"))
 ]
+
+
+# One point of the rod view costs about 1 ms, several times a point of the
+# others, so its batches hold at most this many points.
+ROD_POINTS = 4
 
 
 @pytest.mark.parametrize("medium, vectorized, kind", ROW_CASES)
@@ -200,6 +274,7 @@ ROW_CASES = [
 def test_batch_rows_match_point_by_point(medium, vectorized, kind, seed, m):
     rng = np.random.default_rng(seed)
     make, residual, events = MEDIA[medium]
+    m = min(m, ROD_POINTS) if medium == "rod" else m
     fields = make(rng.uniform(-1.0, 1.0, size=6), vectorized)
     conn = frame(kind, rng)
     coords = events(rng, m)
@@ -217,18 +292,24 @@ def test_batch_rows_match_point_by_point(medium, vectorized, kind, seed, m):
 
 BATCHED_CASES = ["cauchy_manufactured", "hydrostatic", "rotating_bucket",
                  "momentless_hydrostatic", "plate_bending", "laplace_sphere",
-                 "spinning_drum"]
+                 "spinning_drum", "projectile_residual", "beam_under_gravity",
+                 "spinning_ring"]
+
+# The grid param of each medium, set to 4^3 (d = 3, plus random points),
+# 4^2 (d = 2) or 16 (d = 1 and d = 0) points.
+GRID = {"d0": {"n_t": 16}, "d1": {"n_s": 16}}
 
 
 @pytest.mark.parametrize("case", BATCHED_CASES)
 def test_rows_do_not_depend_on_the_probe_chunk(monkeypatch, case):
-    # 4^3 (d = 3, plus random points) or 4^2 (d = 2) grid points in one
-    # block, then in blocks of 7.
+    # The grid in one block, then in blocks of 7.
     scn = load_scenario(json.loads(bundled_scenarios()[case].read_text()))
     spec = library.CASES[case]
-    params = {**spec.defaults, **scn.params, "n_side": 4}
+    params = {**spec.defaults, **scn.params,
+              **GRID.get(spec.medium, {"n_side": 4})}
     calls = []
-    for name in ("residual_cauchy", "residual_3d_cosserat", "residual_2d"):
+    for name in ("residual_cauchy", "residual_3d_cosserat", "residual_2d",
+                 "residual_1d", "residual_pointwise"):
         view = getattr(library, name)
         monkeypatch.setattr(library, name,
                             lambda *a, view=view, **kw: calls.append(1)
@@ -258,7 +339,11 @@ def first_failure(residual, fields, conn, coords):
     return None
 
 
-@pytest.mark.parametrize("medium", ["cauchy", "cosserat", "plate"])
+# The coordinates of a point of each medium's probe events.
+DIMS = {space_events: 4, surface_events: 3, curve_events: 2}
+
+
+@pytest.mark.parametrize("medium", ["cauchy", "cosserat", "plate", "rod"])
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8))
 def test_bounded_domain_batch_acts_as_a_loop(medium, seed, m):
@@ -266,7 +351,8 @@ def test_bounded_domain_batch_acts_as_a_loop(medium, seed, m):
     # different points fail in different coordinates.
     rng = np.random.default_rng(seed)
     make, residual, events = MEDIA[medium]
-    dims = 4 if events is space_events else 3
+    dims = DIMS[events]
+    m = min(m, ROD_POINTS) if medium == "rod" else m
     fields = make(rng.uniform(-1.0, 1.0, size=6), True,
                   domain=((0.0, 1.0),) * dims)
     conn = frame("rotating", rng)

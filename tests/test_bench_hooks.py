@@ -31,10 +31,13 @@ def test_tracer_counts_residual_points_and_nodes(tmp_path, monkeypatch,
                    "projectile_residual", "--out-dir", str(tmp_path)])
     assert rc == 0
     metrics = tracing.layer_metrics(tracer)
-    # The tracer counts calls: one batched call takes the whole 3^3 grid.
+    # The tracer counts calls: one batched call takes the whole 3^3 grid,
+    # and one the 9 times of the parabola.
     assert metrics["balance.cauchy.points"] == 1
     assert _data_rows(tmp_path / "hydrostatic" / "residuals.csv") == 27
-    assert metrics["balance.d0.points"] == 9
+    assert metrics["balance.d0.points"] == 1
+    assert _data_rows(tmp_path / "projectile_residual"
+                      / "residuals.csv") == 9
     assert metrics["fd.field_evals"] > 0
     assert metrics["reduction.nodes"] > 0
 
@@ -74,7 +77,7 @@ def test_tracer_counts_cosserat_points(tmp_path, monkeypatch, capsys):
 
 def test_tracer_counts_rod_points(tmp_path, monkeypatch, capsys):
     # library must keep calling residual_1d through its module global,
-    # which the tracer wraps: one call per d1 point.
+    # which the tracer wraps: one batched call for the 8 points.
     monkeypatch.syspath_prepend(BENCH_DIR)
     import tracing
 
@@ -82,7 +85,8 @@ def test_tracer_counts_rod_points(tmp_path, monkeypatch, capsys):
         rc = main(["run", "spinning_ring", "--out-dir", str(tmp_path)])
     assert rc == 0
     metrics = tracing.layer_metrics(tracer)
-    assert metrics["balance.d1.points"] == 8
+    assert metrics["balance.d1.points"] == 1
+    assert _data_rows(tmp_path / "spinning_ring" / "residuals.csv") == 8
     assert metrics["fd.field_evals"] > 0
 
 

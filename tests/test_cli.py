@@ -250,6 +250,9 @@ BAD_PARAMS = {
                     {"stride": 0}, "stride"),
     "t_end_endless": ("free_particle", "pointwise_sim", "d0",
                       {"t_end": 1e300}, "t_end"),
+    # round(t_end / dt) = 0: no RK4 step, and every check read the start.
+    "dt_above_t_end": ("projectile", "pointwise_sim", "d0",
+                       {"dt": 10.0}, "t_end"),
     "n_side_zero": ("hydrostatic", "residual_check", "d3_cauchy",
                     {"n_side": 0}, "n_side"),
     "n_side_bool": ("hydrostatic", "residual_check", "d3_cauchy",

@@ -293,25 +293,28 @@ def _signed_zero_inputs(rng, shapes):
 
 
 def test_rod_torsor_bits_match_array_forms():
+    # rod_torsor packs a batch with the point axis last on its inputs and
+    # first on T and J; each point's are those of the array forms.
     rng = np.random.default_rng(7)
-    for k in range(200):
-        rho_l, w, slide = _signed_zero_inputs(rng, [()] * 3)
-        if k % 2:
-            rho_l, w, slide = rng.uniform(0.1, 5.0), -0.0, 0.0
-        v, F, psi, q, l, l_star, M_star = _signed_zero_inputs(rng, [3] * 7)
-        T, J = rod_torsor(float(rho_l), v.tolist(), float(w), F.tolist(),
-                          psi.tolist(), float(slide), q.tolist(), l.tolist(),
-                          l_star.tolist(), M_star.tolist())
-        T_ref = ForceMass1D(rho_l, v, w, F).matrix
+    m = 200
+    rho_l, w, slide = _signed_zero_inputs(rng, [m] * 3)
+    rho_l[1::2] = rng.uniform(0.1, 5.0, size=m // 2)
+    w[1::2], slide[1::2] = -0.0, 0.0
+    v, F, psi, q, l, l_star, M_star = _signed_zero_inputs(rng, [(3, m)] * 7)
+    T, J = rod_torsor(rho_l, v, w, F, psi, slide, q, l, l_star, M_star)
+    assert T.shape == (m, 2, 4) and J.shape == (m, 2, 4, 4)
+    for k in range(m):
+        T_ref = ForceMass1D(rho_l[k], v[:, k], w[k], F[:, k]).matrix
         p, flux = T_ref[:, 1:].tolist()
-        x = psi.tolist()
+        x = psi[:, k].tolist()
         J_ref = np.array([
-            moment_matrix(q, l + cross3(x, p)),
-            moment_matrix(l_star - slide * q,
-                          M_star - slide * l + cross3(x, flux)),
+            moment_matrix(q[:, k], l[:, k] + cross3(x, p)),
+            moment_matrix(l_star[:, k] - slide[k] * q[:, k],
+                          M_star[:, k] - slide[k] * l[:, k]
+                          + cross3(x, flux)),
         ])
-        assert T.tobytes() == T_ref.tobytes()
-        assert J.tobytes() == J_ref.tobytes()
+        assert T[k].tobytes() == T_ref.tobytes()
+        assert J[k].tobytes() == J_ref.tobytes()
 
 
 def test_cosserat_J_bits_match_moment_matrices():

@@ -20,14 +20,13 @@ from torsor.cli import bundled_scenarios, load_scenario
 from torsor.connection import GalileanConnection
 from torsor.errors import ScenarioError
 from torsor.fields import Cosserat3DState, assemble_cauchy_T
+from torsor import library
 from torsor.library import (
     CASES,
     KIND_MEDIA,
     RESIDUAL_COLUMNS,
     Check,
     ConnSpec,
-    _each,
-    _events,
     _residual_case,
     _worst,
     manufactured_cauchy,
@@ -227,6 +226,33 @@ def test_every_bundled_scenario_passes_with_defaults():
             assert np.all(np.isfinite(rows)), f"{name}/{table.name}"
 
 
+# The residual view of each medium.
+VIEWS = {"d0": "residual_pointwise", "d1": "residual_1d", "d2": "residual_2d",
+         "d3_cauchy": "residual_cauchy", "d3_cosserat": "residual_3d_cosserat"}
+
+
+def test_every_residual_case_calls_its_view_once_per_chunk(monkeypatch):
+    # A case that evaluated its grid point by point would call its view
+    # once per point.
+    calls = []
+    for name in VIEWS.values():
+        view = getattr(library, name)
+        monkeypatch.setattr(library, name,
+                            lambda *a, name=name, view=view, **kw:
+                            calls.append(name) or view(*a, **kw))
+    checked = 0
+    for path in bundled_scenarios().values():
+        scn = load_scenario(json.loads(path.read_text()))
+        if scn.kind != "residual_check":
+            continue
+        calls.clear()
+        points = len(_run_case(scn).tables[0].rows)
+        chunks = -(-points // library.PROBE_CHUNK)
+        assert calls == [VIEWS[scn.medium]] * chunks, scn.name
+        checked += 1
+    assert checked == 10
+
+
 def test_cauchy_manufactured_seed_determinism():
     scn = load_scenario(json.loads(
         bundled_scenarios()["cauchy_manufactured"].read_text()))
@@ -291,19 +317,22 @@ def test_worst_residual_keeps_a_nan_past_the_first_point():
     assert _worst([np.full(3, 2e-9), np.array([1e-9, -3e-9, 0.0])]) == 3e-9
 
 
-def _as_residual(r):
-    return BalanceResidual(mass=r[0], lin_mom=r[1:4], pos_q=r[4:7],
-                           ang_mom=r[7:])
-
-
 def test_residual_case_table_and_check_read_one_array():
     rng = np.random.default_rng(5)
     rows = [[0.0, 0.1 * k] for k in range(4)]
     values = rng.normal(size=(4, 10)) * 1e-9
     values[2, 3] = -0.0
-    result = _residual_case("r", 1e-8, "t,s", rows,
-                            _each(lambda row: _as_residual(
-                                values[rows.index(row)])))
+
+    def index(t, s):
+        # The rows of a block, found from its columns.
+        return [rows.index([a, b]) for a, b in zip(t.tolist(), s.tolist())]
+
+    def view(t, s):
+        r = values[index(t, s)]
+        return BalanceResidual(mass=r[:, 0], lin_mom=r[:, 1:4],
+                               pos_q=r[:, 4:7], ang_mom=r[:, 7:])
+
+    result = _residual_case("r", 1e-8, "t,s", rows, view)
     table = result.tables[0]
     assert table.header == f"t,s,{RESIDUAL_COLUMNS},max_abs"
     ref = np.array([np.concatenate([c, r, [np.max(np.abs(r))]])
@@ -312,11 +341,8 @@ def test_residual_case_table_and_check_read_one_array():
     assert result.checks[0].value == np.max(np.abs(values))
 
     exact = rng.normal(size=(4, 10)) * 1e-9
-    result = _residual_case("r", 1e-8, "t,s", rows,
-                            _each(lambda row: _as_residual(
-                                values[rows.index(row)])),
-                            exact=lambda block: [exact[rows.index(row)]
-                                                 for row in block])
+    result = _residual_case("r", 1e-8, "t,s", rows, view,
+                            exact=lambda t, s: exact[index(t, s)])
     assert result.checks[0].value == np.max(np.abs(values - exact))
     assert result.tables[0].rows.tobytes() == ref.tobytes()
 
@@ -337,8 +363,7 @@ def test_non_finite_stress_fails_the_residual_check(bad):
     result = _residual_case(
         "r", 1e-8, "t,x1,x2,x3",
         [np.array([0.0, 0.0, 0.1, 0.0]), np.array([0.0, 0.5, 0.1, 0.0])],
-        lambda block: residual_3d_cosserat(state, conn,
-                                           *_events(block)).as_array())
+        lambda t, *x: residual_3d_cosserat(state, conn, t, x))
     max_abs = result.tables[0].rows[:, -1]
     assert max_abs[0] < 1e-12 and not math.isfinite(max_abs[1])
     assert not math.isfinite(result.checks[0].value)

@@ -70,6 +70,60 @@ def test_thickness_rule_moments():
         ThicknessRule(0.0)
 
 
+def node_order_sum(rule, f):
+    """The weighted sum of f over rule's nodes, one node at a time."""
+    total = None
+    for k, w in enumerate(rule.weights):
+        val = w * np.asarray(f(rule.coords[..., k]), dtype=float)
+        total = val if total is None else total + val
+    return total
+
+
+@pytest.mark.parametrize("shape", [(), (2, 4)])
+def test_integrate_adds_nodes_in_order(shape):
+    # integrate reads f on all 128 nodes at once and must add the terms
+    # in node order, bit for bit as a loop over the nodes does; a sum
+    # along the node axis adds them pairwise, with other roundoff.
+    cs = CrossSection.disc(0.7)
+    assert cs.weights.shape == (128,)
+    c = np.random.default_rng(4).normal(size=shape + (3,))
+
+    def f(xb):
+        # Products only, so one node and all nodes give the same bits.
+        x1, x2 = xb[0], xb[1]
+        return (np.multiply.outer(c[..., 0], x1 * x1 * x2 + 0.3)
+                + np.multiply.outer(c[..., 1], x2 * x2 - x1)
+                + np.multiply.outer(c[..., 2], x1 * x2 * x2 * x2))
+
+    got = np.asarray(cs.integrate(f))
+    assert got.shape == shape
+    assert got.tobytes() == np.asarray(node_order_sum(cs, f)).tobytes()
+
+
+def test_integrate_requires_the_node_axis_last():
+    # Only a 0-d value may leave the node axis out.  A (3, 3) constant on
+    # a 3-node rule cannot be told from a (3,) field at each node, so it
+    # is weighted along its rows; spread over the nodes it integrates to
+    # h c.
+    rule = ThicknessRule(0.3, n=3)
+    c = np.arange(9.0).reshape(3, 3)
+    assert_allclose(rule.integrate(lambda z: 2.0), 0.6, rtol=QUAD_TOL)
+    assert_allclose(rule.integrate(constant_on(c)), 0.3 * c, rtol=QUAD_TOL)
+    assert_allclose(rule.integrate(lambda z: c), c @ rule.weights,
+                    rtol=QUAD_TOL)
+    for value in (c[:, :2], c[0, :2], np.ones(4)):
+        with pytest.raises(ValueError, match="node axis"):
+            rule.integrate(lambda z: value)
+    # A section or thickness field must carry the node axis too.
+    with pytest.raises(ValueError, match="node axis"):
+        reduce_3d_to_2d(lambda z: c, 1.0, rule)
+    cs = CrossSection.disc(0.4, n_r=2, n_theta=4)
+    with pytest.raises(ValueError, match="node axis"):
+        cs.mass_center(lambda xb: 1.0)
+    with pytest.raises(ValueError, match="node axis"):
+        reduce_3d_to_1d_T(lambda xb: np.eye(4), projector_matrix(cs), cs)
+
+
 def test_section_validation():
     with pytest.raises(EmptySection):
         CrossSection(np.zeros((0, 2)), np.zeros(0))
@@ -97,7 +151,8 @@ def test_projector_uses_frame():
 
 def uniform_rod_T(rho0, v):
     def T_bar(xb):
-        return assemble_cauchy_T(rho0, v, np.zeros((3, 3)))
+        v_nodes = np.multiply.outer(v, np.ones_like(xb[0]))
+        return assemble_cauchy_T(rho0, v_nodes, np.zeros((3, 3)))
 
     return T_bar
 
@@ -133,14 +188,14 @@ def test_reduction_matches_componentwise_integrals():
         return np.array([0.1 * xb[1], -0.2 * xb[0], 1.0 + 0.5 * xb[0]])
 
     def sigma(xb):
-        s = np.array(
+        zero = np.zeros_like(xb[0])
+        return np.array(
             [
-                [xb[0], 0.2, 0.1 * xb[1]],
-                [0.2, -0.4 * xb[1], 0.0],
-                [0.1 * xb[1], 0.0, 0.7],
+                [xb[0], 0.2 + zero, 0.1 * xb[1]],
+                [0.2 + zero, -0.4 * xb[1], zero],
+                [0.1 * xb[1], zero, 0.7 + zero],
             ]
         )
-        return s
 
     def T_bar(xb):
         return assemble_cauchy_T(rho(xb), v_bar(xb), sigma(xb))
@@ -152,13 +207,14 @@ def test_reduction_matches_componentwise_integrals():
     )
     assert_allclose(
         M[1, 0],
-        cs.integrate(lambda xb: rho(xb) * (v_bar(xb) @ n)),
+        cs.integrate(lambda xb: rho(xb) * (n @ v_bar(xb))),
         atol=1e-9,
     )
     assert_allclose(
         M[1, 1:],
         cs.integrate(
-            lambda xb: rho(xb) * (v_bar(xb) @ n) * v_bar(xb) - sigma(xb) @ n
+            lambda xb: rho(xb) * (n @ v_bar(xb)) * v_bar(xb)
+            - np.einsum("ijk,j->ik", sigma(xb), n)
         ),
         atol=1e-9,
     )
@@ -170,13 +226,21 @@ def test_reduction_matches_componentwise_integrals():
 
 
 def section_sigma(xb):
+    """The stress at the nodes xb (2, K), node axis last."""
+    zero = np.zeros_like(xb[0])
     return np.array(
         [
-            [1.0 + xb[0], 0.5 * xb[1], 0.0],
-            [0.5 * xb[1], -2.0, 0.3],
-            [0.0, 0.3, xb[0] * xb[1]],
+            [1.0 + xb[0], 0.5 * xb[1], zero],
+            [0.5 * xb[1], -2.0 + zero, 0.3 + zero],
+            [zero, 0.3 + zero, xb[0] * xb[1]],
         ]
     )
+
+
+def section_traction(cs):
+    """The section integral of sigma n."""
+    return cs.integrate(
+        lambda xb: np.einsum("ijk,j->ik", section_sigma(xb), cs.n))
 
 
 def test_uniform_transverse_velocity_fluctuation_exactly_zero():
@@ -192,10 +256,11 @@ def test_uniform_transverse_velocity_fluctuation_exactly_zero():
         return 1.8 * (1.0 + 0.5 * xb[0] ** 2)
 
     def T_bar(xb):
-        return assemble_cauchy_T(rho(xb), v, section_sigma(xb))
+        return assemble_cauchy_T(rho(xb), np.multiply.outer(v, xb[0] ** 0),
+                                 section_sigma(xb))
 
     f = reduce_3d_to_1d_force_mass(T_bar, Pi, cs)
-    F_stress = cs.integrate(lambda xb: section_sigma(xb) @ cs.n)
+    F_stress = section_traction(cs)
     assert np.max(np.abs(f.F - F_stress)) == 0.0
 
 
@@ -213,10 +278,11 @@ def test_uniform_axial_velocity_fluctuation_vanishes():
         return rho0 * (1.0 + 0.5 * xb[0] ** 2)
 
     def T_bar(xb):
-        return assemble_cauchy_T(rho(xb), v, section_sigma(xb))
+        return assemble_cauchy_T(rho(xb), np.multiply.outer(v, xb[0] ** 0),
+                                 section_sigma(xb))
 
     f = reduce_3d_to_1d_force_mass(T_bar, Pi, cs)
-    F_stress = cs.integrate(lambda xb: section_sigma(xb) @ cs.n)
+    F_stress = section_traction(cs)
     assert np.max(np.abs(f.F - F_stress)) < 1e-16
 
 
@@ -230,7 +296,8 @@ def test_parabolic_profile_fluctuation_closed_form():
 
     def T_bar(xb):
         prof = v_max * (1.0 - (xb[0] ** 2 + xb[1] ** 2) / R ** 2)
-        return assemble_cauchy_T(rho0, prof * n, np.zeros((3, 3)))
+        return assemble_cauchy_T(rho0, np.multiply.outer(n, prof),
+                                 np.zeros((3, 3)))
 
     f = reduce_3d_to_1d_force_mass(T_bar, Pi, cs)
     assert_allclose(f.v_t, v_max / 2.0, rtol=1e-12)
@@ -253,15 +320,17 @@ def test_moments_require_centered_section():
 
     def T_fn(section):
         def T_bar(xb):
-            p = section.origin + section.in_plane(xb)
-            return assemble_cauchy_T(rho_at(p), np.zeros(3), np.zeros((3, 3)))
+            p = section.origin[:, None] + section.in_plane(xb)
+            return assemble_cauchy_T(rho_at(p), np.zeros_like(p),
+                                     np.zeros((3, 3)))
 
         return T_bar
 
     with pytest.raises(ValueError, match="centered"):
         reduce_3d_to_1d_J(T_fn(cs), Pi, cs)
 
-    centered = cs.centered(lambda xb: rho_at(cs.origin + cs.in_plane(xb)))
+    centered = cs.centered(
+        lambda xb: rho_at(cs.origin[:, None] + cs.in_plane(xb)))
     mom = reduce_3d_to_1d_J(T_fn(centered), Pi, centered)
     M = reduce_3d_to_1d_T(T_fn(centered), Pi, centered)
     diameter = 2.0 * R
@@ -277,7 +346,7 @@ def test_rigid_spin_moment_of_momentum():
     n = cs.n
 
     def T_bar(xb):
-        v = w * np.cross(n, cs.in_plane(xb))
+        v = w * np.cross(n, cs.in_plane(xb), axisb=0, axisc=0)
         return assemble_cauchy_T(rho0, v, np.zeros((3, 3)))
 
     mom = reduce_3d_to_1d_J(T_bar, Pi, cs)
@@ -297,7 +366,8 @@ def test_linear_axial_profile_transport_moment():
     second_moment = rho0 * alpha * np.pi * R ** 4 / 4.0
 
     def T_bar(xb):
-        return assemble_cauchy_T(rho0, alpha * xb[0] * n, np.zeros((3, 3)))
+        return assemble_cauchy_T(rho0, np.multiply.outer(n, alpha * xb[0]),
+                                 np.zeros((3, 3)))
 
     mom = reduce_3d_to_1d_J(T_bar, Pi, cs)
     assert_allclose(mom.l_star, second_moment * cs.e1, atol=1e-12)
@@ -311,7 +381,8 @@ def test_linear_stress_gradient_moment_flux():
     Pi = projector_matrix(cs)
 
     def T_bar(xb):
-        return assemble_cauchy_T(1.0, np.zeros(3), xb[0] * np.eye(3))
+        return assemble_cauchy_T(1.0, np.zeros((3,) + xb[0].shape),
+                                 np.multiply.outer(np.eye(3), xb[0]))
 
     mom = reduce_3d_to_1d_J(T_bar, Pi, cs)
     assert_allclose(mom.M_star, np.pi * R ** 4 / 4.0 * cs.e2, atol=1e-12)
@@ -323,11 +394,16 @@ def test_linear_stress_gradient_moment_flux():
 # 3D -> 2D reduction and shell torsor assembly
 
 
+def constant_on(value):
+    """The field taking `value` at every node, node axis last."""
+    return lambda z: np.multiply.outer(value, np.ones_like(z))
+
+
 def test_constant_stress_thickness_reduction():
     h, rho0 = 0.01, 2.0
     rule = ThicknessRule(h)
     sig0 = np.array([[3.0, 0.5, 0.2], [0.5, -1.0, 0.4], [0.2, 0.4, 0.9]])
-    red = reduce_3d_to_2d(lambda z: sig0, rho0, rule)
+    red = reduce_3d_to_2d(constant_on(sig0), rho0, rule)
     assert_allclose(red.rho_s, rho0 * h, rtol=QUAD_TOL)
     assert_allclose(red.N, h * sig0[:2, :2], rtol=QUAD_TOL)
     assert_allclose(red.Q, h * sig0[:2, 2], rtol=QUAD_TOL)
@@ -340,7 +416,7 @@ def test_linear_bending_stress_moment():
     rule = ThicknessRule(h)
 
     def sigma(z):
-        s = np.zeros((3, 3))
+        s = np.zeros((3, 3) + z.shape)
         s[0, 0] = kappa0 * z
         return s
 
@@ -353,7 +429,7 @@ def test_assemble_shell_torsor_blocks():
     h, rho0 = 0.01, 2.0
     rule = ThicknessRule(h)
     sig0 = np.array([[3.0, 0.5, 0.2], [0.5, -1.0, 0.4], [0.2, 0.4, 0.9]])
-    red = reduce_3d_to_2d(lambda z: sig0, rho0, rule)
+    red = reduce_3d_to_2d(constant_on(sig0), rho0, rule)
     kappa = rho0 * h ** 3 / 12.0
 
     T, J = shell_torsor(red.rho_s, red.N, red.Q, red.M, kappa, np.zeros(2))

@@ -110,10 +110,6 @@ class AffineFrameChange:
         if not abs(np.linalg.det(self.P)) >= 1e-12:
             raise ValueError("linear part P is singular")
 
-    @classmethod
-    def identity(cls) -> "AffineFrameChange":
-        return cls(np.zeros(4), np.eye(4))
-
     @property
     def extended(self) -> np.ndarray:
         """5x5 matrix [[1, 0], [C, P]] of the affine action."""
@@ -196,10 +192,6 @@ class GalileanFrameChange(AffineFrameChange):
         e = self._e
         return np.array((1.0, 0.0, 0.0, 0.0, e[0], *e[3:6], e[1], *e[6:9],
                          e[2], *e[9:12])).reshape(4, 4)
-
-    @classmethod
-    def identity(cls) -> "GalileanFrameChange":
-        return cls()
 
     def P_inverse(self) -> np.ndarray:
         # Blockwise exact: [[1, 0], [-R^T u, R^T]].  Keeps the time row of

@@ -27,6 +27,12 @@ Curve1D, Cosserat1DField, CauchyMedium, Cosserat3DState, ShellField,
 ShellLoads) is read on the whole batch, any other point by point (the
 field adapter fields._point_axis_last), never inside the divergence.  The
 scenario cases bound the batch at library.PROBE_CHUNK points per call.
+
+One private scaffold, _view, runs every view and alone calls the
+divergence.  The d = 0, 1 and 2 views take U, T, J and what their
+Christoffels and rows need from one read of the medium per stencil offset
+(_read_once).  The d = 3 views read T and J from separate fields, so they
+keep no memo: it would share no read and hold T and J at all nine offsets.
 """
 
 from dataclasses import dataclass
@@ -53,7 +59,7 @@ from .fields import (
     shell_christoffels,
     shell_torsor,
 )
-from .vecmath import as_field, cross3, moment_matrix, moments
+from .vecmath import cross3, moment_matrix, moments
 
 
 @dataclass
@@ -97,12 +103,42 @@ class BalanceResidual:
         return float(worst) if worst.ndim == 0 else worst
 
 
-def _batch_or_point(res: BalanceResidual, t) -> BalanceResidual:
-    """The residuals of a batch, or of its one point when t is a float."""
-    if np.ndim(t):
-        return res
-    return BalanceResidual(res.mass[0], res.lin_mom[0], res.pos_q[0],
-                           res.ang_mom[0])
+def _view(field, coords, chris, rows, h, one_sided) -> BalanceResidual:
+    """The residuals of one view at the points coords, from the one call
+    of connection.divergence.
+
+    coords are the chart coordinates, floats for one point or (m,) each
+    for a batch, stacked into xi (m, d+1).  chris(xi) gives the
+    PullbackChristoffels at xi, and rows(dT, dJ, xi) reads (mass, lin_mom,
+    pos_q, ang_mom) off the divergence, dT (m, 4) and dJ (m, 4, 4).  Float
+    coordinates drop the point axis.
+    """
+    xi = np.column_stack(coords).astype(float)
+    dT, dJ = divergence(field, xi, chris(xi), h=h, one_sided=one_sided)
+    out = rows(dT, dJ, xi)
+    return BalanceResidual(*(out if np.ndim(coords[0])
+                             else (row[0] for row in out)))
+
+
+def _rows(dT, dJ, xi):
+    """The rows as the divergence gives them, slot by slot."""
+    return (dT[:, 0], dT[:, 1:], *moments(dJ))
+
+
+def _read_once(read, domain=None):
+    """(field, once): a MediumField whose U, T and J are the first three
+    entries of read(xi), and the memo once(xi) that runs read once per
+    stencil offset, for U, T, J and whatever else a view keeps of it."""
+    packed = {}
+
+    def once(xi):
+        key = xi.tobytes()
+        if key not in packed:
+            packed[key] = read(xi)
+        return packed[key]
+
+    return MediumField(*(lambda xi, i=i: once(xi)[i] for i in range(3)),
+                       domain=domain), once
 
 
 def residual_pointwise(traj, conn, t, h: float = None,
@@ -121,64 +157,31 @@ def residual_pointwise(traj, conn, t, h: float = None,
     With vectorized=True traj takes a batch t (m,) and returns (m, p, q,
     l) point axis last, (m,) and (3, m) each.
     """
-    xi = np.column_stack([t]).astype(float)
-    packed = {}
-
     def read(xi):
         # U, T and J share one read of the trajectory per offset.
-        key = xi.tobytes()
-        if key not in packed:
-            tt = xi[:, 0]
-            # a holds (m, p, q, l) at each point, point axis last: (10, k).
-            if vectorized:
-                a = np.concatenate([np.reshape(u, (-1, len(tt)))
-                                    for u in traj(tt)], dtype=float)
-            else:
-                a = np.array([(pt.m, *pt.p, *pt.q, *pt.l)
-                              for pt in map(traj, tt.tolist())]).T
-            T = a[:4].T[:, None]
-            packed[key] = (T.swapaxes(-1, -2) / a[0, :, None, None], T,
-                           moment_matrix(a[4:7].T[:, None], a[7:].T[:, None]),
-                           a[4:7] / a[0])
-        return packed[key]
+        tt = xi[:, 0]
+        # a holds (m, p, q, l) at each point, point axis last: (10, k).
+        if vectorized:
+            a = np.concatenate([np.reshape(u, (-1, len(tt)))
+                                for u in traj(tt)], dtype=float)
+        else:
+            a = np.array([(pt.m, *pt.p, *pt.q, *pt.l)
+                          for pt in map(traj, tt.tolist())]).T
+        T = a[:4].T[:, None]
+        return (T.swapaxes(-1, -2) / a[0, :, None, None], T,
+                moment_matrix(a[4:7].T[:, None], a[7:].T[:, None]),
+                a[4:7] / a[0])
 
-    chris = PullbackChristoffels.spatial_origin(conn, xi[:, 0], read(xi)[3], 1)
-    field = MediumField(*(lambda xi, i=i: read(xi)[i] for i in range(3)))
-    dT, dJ = divergence(field, xi, chris, h=h)
-    pos, ang = moments(dJ)
-    return _batch_or_point(BalanceResidual(dT[:, 0], dT[:, 1:], pos, ang), t)
+    field, once = _read_once(read)
+    return _view(field, (t,), lambda xi: PullbackChristoffels.spatial_origin(
+        conn, xi[:, 0], once(xi)[3], 1), _rows, h, False)
 
 
-def _events(xi):
-    """(t, x) of a batch xi (m, 4): t of shape (m,) and x of shape (3, m)."""
+def _at_events(medium, xi, *fns):
+    """fns of a medium filling space at the events of a batch xi (m, 4),
+    t its first column and x (3, m) the others; point axis last."""
     events = np.ascontiguousarray(xi.T)
-    return events[0], events[1:]
-
-
-def _space_filling_residual(torsor_T, torsor_J, conn, t, x, domain,
-                            h, one_sided, v=None) -> BalanceResidual:
-    """The ten balance rows of a medium filling space at (t, x), from
-    connection.divergence.
-
-    The events are one (a float t and a 3-vector x), which is a batch of
-    one, or a batch of m, t of shape (m,) and x of shape (3, m), whose
-    residuals carry a leading point axis.  The material chart is the
-    space-time chart (U = I) and the origin is the proper one
-    (Gamma_A = I).  torsor_T(xi) returns T[point, flux, component] and
-    torsor_J(xi) J[point, flux, a, b], skew in (a, b), at the batch
-    xi = (t, x) of shape (m, 4); or torsor_J is None for a medium without
-    moment fields.  v(xi), if given, returns the velocity (3, m), and the
-    momentum rows take the advective form.
-    """
-    xi = np.column_stack([t, np.reshape(x, (3, -1)).T]).astype(float)
-    field = MediumField(tangent_map=lambda xi: _EYE4, torsor_T=torsor_T,
-                        torsor_J=torsor_J, domain=domain)
-    chris = PullbackChristoffels.identity_embedding(conn, xi[:, 0],
-                                                    xi[:, 1:].T)
-    dT, dJ = divergence(field, xi, chris, h=h, one_sided=one_sided)
-    pos, ang = moments(dJ)
-    lin = dT[:, 1:] if v is None else dT[:, 1:] - v(xi).T * dT[:, :1]
-    return _batch_or_point(BalanceResidual(dT[:, 0], lin, pos, ang), t)
+    return _point_axis_last(medium.vectorized, (events[0], events[1:]), *fns)
 
 
 def residual_cauchy(medium: CauchyMedium, conn, t, x,
@@ -199,18 +202,22 @@ def residual_cauchy(medium: CauchyMedium, conn, t, x,
     """
     def T_of(xi):
         m = len(xi)
-        rho, v, sigma = _point_axis_last(medium.vectorized, _events(xi),
-                                         medium.rho, medium.v, medium.sigma)
+        rho, v, sigma = _at_events(medium, xi, medium.rho, medium.v,
+                                   medium.sigma)
         T = _stress_mass(rho.reshape(m), v.reshape(3, m),
                          sigma.reshape(3, 3, m).swapaxes(0, 1))
         return T.transpose(2, 0, 1)
 
-    def v_of(xi):
-        (v,) = _point_axis_last(medium.vectorized, _events(xi), medium.v)
-        return v.reshape(3, len(xi))
+    def rows(dT, dJ, xi):
+        # The advective form: the momentum rows less v times the mass row.
+        (v,) = _at_events(medium, xi, medium.v)
+        return (dT[:, 0], dT[:, 1:] - v.reshape(3, len(xi)).T * dT[:, :1],
+                *moments(dJ))
 
-    return _space_filling_residual(T_of, None, conn, t, x, medium.domain, h,
-                                   one_sided, v_of)
+    field = MediumField(lambda xi: _EYE4, T_of, None, medium.domain)
+    return _view(field, (t, *np.reshape(x, (3, -1))),
+                 lambda xi: PullbackChristoffels.identity_embedding(
+                     conn, xi[:, 0], xi[:, 1:].T), rows, h, one_sided)
 
 
 def residual_1d(f: Cosserat1DField, conn, t, s, h: float = None,
@@ -249,44 +256,42 @@ def residual_1d(f: Cosserat1DField, conn, t, s, h: float = None,
     v - d psi/dt - w n.
     """
     curve = f.curve
-    xi = np.column_stack([t, s]).astype(float)
-    packed = {}
 
     def read(xi):
         # U, T and J share one read of the curve and the loads per offset.
-        key = xi.tobytes()
-        if key not in packed:
-            coords = tt, ss = np.ascontiguousarray(xi.T)
-            k = len(tt)
-            n, psi, v = curve.n(tt, ss), curve.psi(tt, ss), curve.v(tt, ss)
-            dpsi = _partial(curve.psi, coords, 0, SECOND_DIFF_REL_STEP
-                            * np.maximum(1.0, np.abs(tt)))
-            slide = _dot(n, dpsi)
-            rho_l, *loads = _point_axis_last(f.vectorized, coords, f.rho_l,
-                                             f.F, f.q, f.l, f.l_star, f.M_star)
-            F, q, l, l_star, M_star = (u.reshape(3, k) for u in loads)
-            U = np.zeros((k, 4, 2))
-            U[:, 0, 0] = 1.0
-            U[:, 1:, 0], U[:, 1:, 1] = dpsi.T, n.T
-            packed[key] = (U, *rod_torsor(
-                rho_l.reshape(k), v, curve.v_t(tt, ss, v, n) - slide, F, psi,
-                slide, q, l, l_star, M_star), psi, v)
-        return packed[key]
+        coords = tt, ss = np.ascontiguousarray(xi.T)
+        k = len(tt)
+        n, psi, v = curve.n(tt, ss), curve.psi(tt, ss), curve.v(tt, ss)
+        dpsi = _partial(curve.psi, coords, 0, SECOND_DIFF_REL_STEP
+                        * np.maximum(1.0, np.abs(tt)))
+        slide = _dot(n, dpsi)
+        rho_l, *loads = _point_axis_last(f.vectorized, coords, f.rho_l, f.F,
+                                         f.q, f.l, f.l_star, f.M_star)
+        F, q, l, l_star, M_star = (u.reshape(3, k) for u in loads)
+        U = np.zeros((k, 4, 2))
+        U[:, 0, 0] = 1.0
+        U[:, 1:, 0], U[:, 1:, 1] = dpsi.T, n.T
+        return (U, *rod_torsor(
+            rho_l.reshape(k), v, curve.v_t(tt, ss, v, n) - slide, F, psi,
+            slide, q, l, l_star, M_star), psi, v)
 
-    U, _, _, psi, v = read(xi)
-    bad = np.sqrt(np.sum(U[:, 1:, 1] ** 2, axis=1)) < DEGENERATE_TANGENT_TOL
-    if bad.any():
-        tt, ss = xi[np.argmax(bad)].tolist()
-        raise DegenerateTangent(
-            f"|d psi/ds| < {DEGENERATE_TANGENT_TOL} at (t={tt}, s={ss})")
-    chris = PullbackChristoffels.spatial_origin(conn, xi[:, 0], psi, 2)
-    field = MediumField(*(lambda xi, i=i: read(xi)[i] for i in range(3)),
-                        domain=curve.domain)
-    dT, dJ = divergence(field, xi, chris, h=h, one_sided=one_sided)
-    pos, ang = moments(dJ)
-    return _batch_or_point(BalanceResidual(
-        dT[:, 0], dT[:, 1:] - v.T * dT[:, :1], pos,
-        ang - np.array(cross3(psi, dT[:, 1:].T)).T), t)
+    def chris(xi):
+        U, _, _, psi, _ = once(xi)
+        bad = np.sqrt(np.sum(U[:, 1:, 1] ** 2, axis=1)) < DEGENERATE_TANGENT_TOL
+        if bad.any():
+            tt, ss = xi[np.argmax(bad)].tolist()
+            raise DegenerateTangent(
+                f"|d psi/ds| < {DEGENERATE_TANGENT_TOL} at (t={tt}, s={ss})")
+        return PullbackChristoffels.spatial_origin(conn, xi[:, 0], psi, 2)
+
+    def rows(dT, dJ, xi):
+        psi, v = once(xi)[3:]
+        pos, ang = moments(dJ)
+        return (dT[:, 0], dT[:, 1:] - v.T * dT[:, :1], pos,
+                ang - np.array(cross3(psi, dT[:, 1:].T)).T)
+
+    field, once = _read_once(read, curve.domain)
+    return _view(field, (t, s), chris, rows, h, one_sided)
 
 
 # Tangent map of the adapted shell chart (t, theta^1, theta^2) into
@@ -340,39 +345,29 @@ def residual_2d(sf: ShellField, loads: ShellLoads, conn, t, th1, th2,
     1e-3 to 1e-2 on dw/dt on a tumbling paraboloid; supply pi, w or varpi
     analytically for such shells.
     """
-    fields = [as_field(f) for f in (loads.rho_s, loads.N, loads.Q, loads.M,
-                                    loads.kappa)]
-    xi = np.column_stack([t, th1, th2]).astype(float)
-    packed = {}
+    def read(xi):
+        # U, T and J share one read of the loads, the frame and w per offset.
+        coords = tuple(np.ascontiguousarray(xi.T))
+        fr = sf.frame(*coords)
+        w = sf._normal_rate(*coords, fr.n)
+        return (_SHELL_U, *shell_torsor(
+            *_point_axis_last(loads.vectorized, coords, loads.rho_s, loads.N,
+                              loads.Q, loads.M, loads.kappa),
+            sf._w_surf(*coords, fr, w)), fr, w)
 
-    def torsor(xi, fr=None, w=None):
-        # T and J share one read of the loads and of w_surf per offset.
-        key = xi.tobytes()
-        if key not in packed:
-            coords = tuple(np.ascontiguousarray(xi.T))
-            packed[key] = shell_torsor(
-                *_point_axis_last(loads.vectorized, coords, *fields),
-                sf._w_surf(*coords, fr, w))
-        return packed[key]
+    def chris(xi):
+        # The frame and w at the batch's own points, as their torsor's.
+        G = shell_christoffels(sf, conn, *np.ascontiguousarray(xi.T),
+                               *once(xi)[3:])
+        return PullbackChristoffels(G[:, :3, :3, :3], G, _EYE4)
 
-    # The frame and w at the batch's own points serve their torsor and the
-    # Christoffels alike.
-    coords = tuple(np.ascontiguousarray(xi.T))
-    fr = sf.frame(*coords)
-    w = sf._normal_rate(*coords, fr.n)
-    torsor(xi, fr, w)
-    field = MediumField(tangent_map=lambda xi: _SHELL_U,
-                        torsor_T=lambda xi: torsor(xi)[0],
-                        torsor_J=lambda xi: torsor(xi)[1], domain=sf.domain)
-    G = shell_christoffels(sf, conn, *coords, fr, w)
-    chris = PullbackChristoffels(G[:, :3, :3, :3], G, _EYE4)
-    dT, dJ = divergence(field, xi, chris, h=h, one_sided=one_sided)
-    return _batch_or_point(BalanceResidual(
-        mass=dT[:, 0],
-        lin_mom=-dT[:, 1:],
-        pos_q=np.stack([dJ[:, 1, 0], dJ[:, 2, 0], -dJ[:, 3, 0]], axis=-1),
-        ang_mom=np.stack([-dJ[:, 1, 2], dJ[:, 1, 3], dJ[:, 2, 3]], axis=-1),
-    ), t)
+    def rows(dT, dJ, xi):
+        return (dT[:, 0], -dT[:, 1:],
+                np.stack([dJ[:, 1, 0], dJ[:, 2, 0], -dJ[:, 3, 0]], axis=-1),
+                np.stack([-dJ[:, 1, 2], dJ[:, 1, 3], dJ[:, 2, 3]], axis=-1))
+
+    field, once = _read_once(read, sf.domain)
+    return _view(field, (t, th1, th2), chris, rows, h, one_sided)
 
 
 def residual_3d_cosserat(state: Cosserat3DState, conn, t, x,
@@ -396,16 +391,17 @@ def residual_3d_cosserat(state: Cosserat3DState, conn, t, x,
     flux r, for (ijk) cyclic, by fields.cosserat_J.
     """
     def T_of(xi):
-        (T,) = _point_axis_last(state.vectorized, _events(xi), state.T)
+        (T,) = _at_events(state, xi, state.T)
         return T.reshape(4, 4, len(xi)).transpose(2, 1, 0)
 
     def J_of(xi):
         m = len(xi)
-        q, l, l_star, M_star = _point_axis_last(
-            state.vectorized, _events(xi), state.q, state.l, state.l_star,
-            state.M_star)
+        q, l, l_star, M_star = _at_events(state, xi, state.q, state.l,
+                                          state.l_star, state.M_star)
         return cosserat_J(q.reshape(3, m), l.reshape(3, m),
                           l_star.reshape(3, 3, m), M_star.reshape(3, 3, m))
 
-    return _space_filling_residual(T_of, J_of, conn, t, x, state.domain, h,
-                                   one_sided)
+    field = MediumField(lambda xi: _EYE4, T_of, J_of, state.domain)
+    return _view(field, (t, *np.reshape(x, (3, -1))),
+                 lambda xi: PullbackChristoffels.identity_embedding(
+                     conn, xi[:, 0], xi[:, 1:].T), _rows, h, one_sided)

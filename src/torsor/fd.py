@@ -3,7 +3,8 @@
 Central second-order stencils with a per-coordinate default step
 h = 1e-5 * max(1, |coordinate|).  Fields may declare domain bounds; a point
 within one step of the boundary raises DifferentiationFailure unless the
-caller opts into the one-sided second-order fallback.
+caller opts into the one-sided second-order fallback, and a point outside
+the bounds raises it always.
 
 A stencil runs on one point or on a batch of points along a leading point
 axis.  Each point of a batch takes its own step and its own stencil, with
@@ -69,15 +70,18 @@ def stencil_sides(u, h, lo=None, hi=None, one_sided: bool = False):
     does (near lo); 0-d for a scalar u, else an (m,) array.  failure is
     None when every point has a stencil, else (index, error): the first
     point with none and the DifferentiationFailure naming it.  Without
-    `one_sided`, a point whose central stencil leaves the bounds has none.
+    `one_sided`, a point whose central stencil leaves the bounds has none;
+    a point outside [lo, hi] (or NaN) has none either way.
     """
     u, h = np.asarray(u), np.asarray(h)
+    inside = np.logical_and(True if lo is None else u >= lo,
+                            True if hi is None else u <= hi)
     lo_ok = True if lo is None else u - h >= lo
     hi_ok = True if hi is None else u + h <= hi
     central = np.logical_and(lo_ok, hi_ok)
-    back = np.logical_and(np.logical_not(hi_ok),
-                          True if lo is None else u - 2.0 * h >= lo)
-    fwd = (np.logical_not(back) & np.logical_not(lo_ok)
+    back = (inside & np.logical_not(hi_ok)
+            & (True if lo is None else u - 2.0 * h >= lo))
+    fwd = (inside & np.logical_not(back) & np.logical_not(lo_ok)
            & (True if hi is None else u + 2.0 * h <= hi))
     side = np.subtract(back, fwd, dtype=int)
     bad = np.logical_not(central)
@@ -88,7 +92,11 @@ def stencil_sides(u, h, lo=None, hi=None, one_sided: bool = False):
     i = int(np.argmax(np.reshape(bad, -1)))
     ui = float(np.reshape(u, -1)[i])
     step = float(np.reshape(np.broadcast_to(h, u.shape), -1)[i])
-    if one_sided:
+    if not np.reshape(inside, -1)[i]:
+        msg = (f"coordinate {ui!r} lies outside the domain "
+               f"[{-np.inf if lo is None else lo}, "
+               f"{np.inf if hi is None else hi}]")
+    elif one_sided:
         msg = f"domain too narrow around {ui!r} for a second-order stencil"
     else:
         msg = (f"coordinate {ui!r} is within one step ({step!r}) of the "

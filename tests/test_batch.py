@@ -14,6 +14,7 @@ comparisons alike: the batched shell rows are also held to the
 hand-expanded shell oracle.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -384,6 +385,60 @@ def test_bounded_domain_names_the_first_failing_point():
     x[2, 0] = 1.0
     with pytest.raises(DifferentiationFailure, match=r"coordinate 1\.0 "):
         residual_cauchy(fields, GalileanConnection(), t, x)
+
+
+@pytest.mark.parametrize("one_sided", [False, True])
+def test_point_outside_the_domain_raises(one_sided):
+    # x1 = 1.5 lies outside the unit box, so every stencil around it,
+    # one-sided ones too, would read the medium only outside its domain.
+    fields = cauchy_medium(np.linspace(-0.5, 0.5, 6), True,
+                           domain=((0.0, 1.0),) * 4)
+    with pytest.raises(DifferentiationFailure, match=(
+            r"^coordinate 1\.5 lies outside the domain \[0\.0, 1\.0\]$")):
+        residual_cauchy(fields, GalileanConnection(), 0.5,
+                        np.array([1.5, 0.5, 0.5]), one_sided=one_sided)
+
+
+def counted(fn, calls, name):
+    """fn, counting its calls in calls[name]."""
+    def read(*args):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args)
+
+    return read
+
+
+@pytest.mark.parametrize("medium, names, offsets", [
+    ("pointwise", ("traj",), 3),
+    ("rod", ("rho_l", "F", "q", "l", "l_star", "M_star"), 5),
+    ("plate", ("rho_s", "N", "Q", "M", "kappa"), 7),
+    ("cauchy", ("rho", "v", "sigma"), 9),
+    ("cosserat", ("T", "q", "l", "l_star", "M_star"), 9),
+])
+def test_each_view_reads_its_fields_once_per_stencil_offset(medium, names,
+                                                            offsets):
+    # A vectorized medium's load fields are read once per stencil offset
+    # for the whole batch, 1 + 2 (d + 1) times a call: the d = 0-2 views
+    # share one read among U, T, J, their Christoffels and their rows, and
+    # the d = 3 views read the T-side and the J-side fields each at their
+    # nine offsets.  Cauchy's v is read once more, by the advective rows.
+    rng = np.random.default_rng(3)
+    make, residual, events = MEDIA[medium]
+    fields = make(rng.uniform(-1.0, 1.0, size=6), True)
+    calls = {}
+    if medium == "pointwise":
+        fields = (counted(fields[0], calls, "traj"), True)
+    else:
+        loads = fields[1] if medium == "plate" else fields
+        loads = dataclasses.replace(loads, **{
+            name: counted(getattr(loads, name), calls, name)
+            for name in names})
+        fields = (fields[0], loads) if medium == "plate" else loads
+    residual(fields, frame("rotating", rng), *events(rng, 3))
+    expect = dict.fromkeys(names, offsets)
+    if medium == "cauchy":
+        expect["v"] += 1
+    assert calls == expect
 
 
 def test_shell_batch_matches_hand_expanded_oracle():

@@ -316,6 +316,26 @@ def test_boundary_raises_and_one_sided_recovers():
     assert_allclose(out[0], 2.0 * xi[0], atol=1e-6)
 
 
+@pytest.mark.parametrize("one_sided", [False, True])
+def test_point_outside_the_bounds_has_no_stencil(one_sided):
+    # A point outside [lo, hi] is not differenced at all, not even by the
+    # one-sided stencil that would read f only outside the bounds; a batch
+    # names its first such point.
+    seen = []
+
+    def f(u):
+        seen.append(u)
+        return u * u
+
+    with pytest.raises(DifferentiationFailure, match=(
+            r"^coordinate 1\.5 lies outside the domain \[0\.0, 1\.0\]$")):
+        fd.diff(f, 1.5, lo=0.0, hi=1.0, one_sided=one_sided)
+    with pytest.raises(DifferentiationFailure, match=(
+            r"^coordinate -0\.25 lies outside the domain \[0\.0, inf\]$")):
+        fd.diff(f, np.array([0.5, -0.25, 1.5]), lo=0.0, one_sided=one_sided)
+    assert seen == []
+
+
 @pytest.mark.parametrize("u", [0.0, 0.5, 1.0])
 def test_single_point_stencils_hand_f_floats(u):
     # A cached f needs hashable probes: one point's central and one-sided

@@ -190,6 +190,41 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def unused_imports(source, path="<module>"):
+    """(line, name) of each name a module imports and never reads: not as
+    a name, as the base of an attribute, nor as an entry of __all__."""
+    tree = ast.parse(source, path)
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module != "__future__"):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = (
+                    node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert unused_imports("import os, sys\nfrom a import b as c\n"
+                          "sys.exit(c)\n") == [(1, "os")]
+    pkg = os.path.dirname(torsor.__file__)
+    unused = []
+    for path in sorted(glob.glob(os.path.join(pkg, "**", "*.py"),
+                                 recursive=True)):
+        with open(path, encoding="utf-8") as fh:
+            unused += [f"{os.path.relpath(path, pkg)}:{line} imports {name}"
+                       for line, name in unused_imports(fh.read(), path)]
+    assert unused == []
+
+
 def test_every_export_resolves():
     # A deleted name left in __all__ breaks `from torsor import *`.
     missing = [name for name in torsor.__all__ if not hasattr(torsor, name)]

@@ -9,9 +9,10 @@ independent oracle.
 
 A GalileanFrameChange, with C = (tau0, k) and P = [[1, 0], [u, R]], stores
 its 16 numbers (u, R, tau0, k) once, as one tuple of Python floats, and
-builds the arrays u, R, k, C, P and P^-1 only when they are read.  Its group
-algebra and its transforms run on those floats by the component laws, with
-d = V_0 - tau0, T = (m, p) and J = vecmath.moment_matrix(q, l):
+builds the arrays u, R, k, C, P and P^-1 only when they are read.  Its
+validation and its component laws run as closed forms on those floats, each
+entry one explicit sum.  With d = V_0 - tau0, T = (m, p) and J =
+vecmath.moment_matrix(q, l), the laws are:
 
     transform_point        V' = (d, R^T (V_s - k - u d))
     transform_torsor       m' = m (exactly),  p' = R^T (p - m u),
@@ -38,15 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vecmath import cross3, triple
+from .vecmath import _F64, triple
 
 # Constructor validation tolerances (absolute, on unit-scale entries).
 ORTHONORMAL_TOL = 1e-9
 SKEW_TOL = 1e-9
 
 _IDENTITY3 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
-# Flat indices (i, j) and (j, i) of the 4x4 entries with i <= j.
-_PAIRS = [(4 * i + j, 4 * j + i) for i in range(4) for j in range(i, 4)]
 
 
 def _finite(numbers) -> bool:
@@ -56,6 +55,8 @@ def _finite(numbers) -> bool:
 
 def _floats(value, n: int) -> list:
     """The n numbers of an array-like, row by row, as Python floats."""
+    if type(value) is np.ndarray and value.dtype is _F64 and value.size == n:
+        return value.ravel().tolist()
     return np.asarray(value, dtype=float).reshape(n).tolist()
 
 
@@ -65,14 +66,6 @@ def _scale(entries, what: str) -> float:
     if not _finite(entries):
         raise ValueError(f"{what} is not finite")
     return max(1.0, max(map(abs, entries)))
-
-
-def _rot(r, x) -> tuple:
-    """R x, for R given by its 9 entries r row by row."""
-    x0, x1, x2 = x
-    return (r[0] * x0 + r[1] * x1 + r[2] * x2,
-            r[3] * x0 + r[4] * x1 + r[5] * x2,
-            r[6] * x0 + r[7] * x1 + r[8] * x2)
 
 
 def _rot_t(r, x) -> tuple:
@@ -146,14 +139,20 @@ class GalileanFrameChange(AffineFrameChange):
         e = (*u, *r, float(tau0), *k)
         if not _finite(e):
             raise ValueError("u, R, tau0 and k must be finite")
-        # Columns j of R^T R are R^T (column j of R).
-        gram = _rot_t(r, r[0::3]) + _rot_t(r, r[1::3]) + _rot_t(r, r[2::3])
-        if not max(abs(g - i) for g, i in zip(gram, _IDENTITY3)) \
-                <= ORTHONORMAL_TOL:
+        # Entry (i, j) of R^T R is column i of R dotted with column j; the
+        # products commute, so entries (i, j) and (j, i) are bitwise equal
+        # and six entries decide the check.
+        a0, a1, a2, b0, b1, b2, c0, c1, c2 = r
+        tol = ORTHONORMAL_TOL
+        if not (abs(a0 * a0 + b0 * b0 + c0 * c0 - 1.0) <= tol
+                and abs(a1 * a1 + b1 * b1 + c1 * c1 - 1.0) <= tol
+                and abs(a2 * a2 + b2 * b2 + c2 * c2 - 1.0) <= tol
+                and abs(a0 * a1 + b0 * b1 + c0 * c1) <= tol
+                and abs(a0 * a2 + b0 * b2 + c0 * c2) <= tol
+                and abs(a1 * a2 + b1 * b2 + c1 * c2) <= tol):
             raise ValueError("R is not orthonormal")
         # R is orthonormal here, so det R = r0 . (r1 x r2) is +-1 and its
         # sign is safe to read from the closed form.
-        a0, a1, a2, b0, b1, b2, c0, c1, c2 = r
         if a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2) \
                 + a2 * (b0 * c1 - b1 * c0) < 0.0:
             raise ValueError("R reverses orientation")
@@ -240,17 +239,23 @@ def compose(f1: AffineFrameChange, f2: AffineFrameChange) -> AffineFrameChange:
     input falls back to a generic AffineFrameChange.
     """
     if isinstance(f1, GalileanFrameChange) and isinstance(f2, GalileanFrameChange):
-        e1, e2 = f1._e, f2._e
-        r1, r2, t2 = e1[3:12], e2[3:12], e2[12]
-        a0, a1, a2 = _rot(r1, e2[0:3])
-        b0, b1, b2 = _rot(r1, e2[13:16])
+        # f1 = (u, rows a, b, c of R1, t1, k), f2 = (v, rows d, e, g, t2, h).
+        u0, u1, u2, a0, a1, a2, b0, b1, b2, c0, c1, c2, t1, k0, k1, k2 = f1._e
+        v0, v1, v2, d0, d1, d2, e0, e1, e2, g0, g1, g2, t2, h0, h1, h2 = f2._e
         return GalileanFrameChange._trusted((
-            e1[0] + a0, e1[1] + a1, e1[2] + a2,
-            # Row i of R1 R2 is R2^T (row i of R1).
-            *_rot_t(r2, r1[0:3]), *_rot_t(r2, r1[3:6]), *_rot_t(r2, r1[6:9]),
-            e1[12] + t2,
-            e1[13] + e1[0] * t2 + b0, e1[14] + e1[1] * t2 + b1,
-            e1[15] + e1[2] * t2 + b2,
+            u0 + (a0 * v0 + a1 * v1 + a2 * v2),
+            u1 + (b0 * v0 + b1 * v1 + b2 * v2),
+            u2 + (c0 * v0 + c1 * v1 + c2 * v2),
+            a0 * d0 + a1 * e0 + a2 * g0, a0 * d1 + a1 * e1 + a2 * g1,
+            a0 * d2 + a1 * e2 + a2 * g2,
+            b0 * d0 + b1 * e0 + b2 * g0, b0 * d1 + b1 * e1 + b2 * g1,
+            b0 * d2 + b1 * e2 + b2 * g2,
+            c0 * d0 + c1 * e0 + c2 * g0, c0 * d1 + c1 * e1 + c2 * g1,
+            c0 * d2 + c1 * e2 + c2 * g2,
+            t1 + t2,
+            k0 + u0 * t2 + (a0 * h0 + a1 * h1 + a2 * h2),
+            k1 + u1 * t2 + (b0 * h0 + b1 * h1 + b2 * h2),
+            k2 + u2 * t2 + (c0 * h0 + c1 * h1 + c2 * h2),
         ))
     return AffineFrameChange(f1.C + f1.P @ f2.C, f1.P @ f2.P)
 
@@ -293,10 +298,16 @@ class Torsor:
         if not _finite(t):
             raise ValueError("T is not finite")
         tol = SKEW_TOL * _scale(j, "J")
-        if not max(abs(j[a] + j[b]) for a, b in _PAIRS) <= tol:
+        (j00, j01, j02, j03, j10, j11, j12, j13,
+         j20, j21, j22, j23, j30, j31, j32, j33) = j
+        if not (abs(j00 + j00) <= tol and abs(j11 + j11) <= tol
+                and abs(j22 + j22) <= tol and abs(j33 + j33) <= tol
+                and abs(j01 + j10) <= tol and abs(j02 + j20) <= tol
+                and abs(j03 + j30) <= tol and abs(j12 + j21) <= tol
+                and abs(j13 + j31) <= tol and abs(j23 + j32) <= tol):
             raise ValueError("J is not skew-symmetric")
         self.T = np.array(t)
-        self.J = _canonical_J(j[1], j[2], j[3], j[6], j[7], j[11])
+        self.J = _canonical_J(j01, j02, j03, j12, j13, j23)
 
     @classmethod
     def _trusted(cls, T, J) -> "Torsor":
@@ -328,14 +339,15 @@ class PointwiseTorsor:
     """Torsor of a mass point: mass m, momentum p, mass position q, moment l.
 
     Packs into (T, J) as T = (m, p) and J = vecmath.moment_matrix(q, l):
-    q in the mixed block, J[1:, 0] = q, and l in the spatial block.
+    q in the mixed block, J[1:, 0] = q, and l in the spatial block.  p, q
+    and l are copies, never views of the caller's arrays.
     """
 
     def __init__(self, m: float, p, q, l):
         self.m = float(m)
-        self.p = np.asarray(p, dtype=float).reshape(3)
-        self.q = np.asarray(q, dtype=float).reshape(3)
-        self.l = np.asarray(l, dtype=float).reshape(3)
+        self.p = np.array(p, dtype=float).reshape(3)
+        self.q = np.array(q, dtype=float).reshape(3)
+        self.l = np.array(l, dtype=float).reshape(3)
 
     @classmethod
     def proper(cls, m: float, l0) -> "PointwiseTorsor":
@@ -353,10 +365,14 @@ class PointwiseTorsor:
 
     @classmethod
     def from_torsor(cls, tau: Torsor) -> "PointwiseTorsor":
-        # q = J[1:, 0] and l = (J[2, 3], J[3, 1], J[1, 2]), as in moments.
+        # q = J[1:, 0] and l = (J[2, 3], J[3, 1], J[1, 2]), as in moments,
+        # read into one fresh buffer, which needs none of __init__'s copies.
+        m, p0, p1, p2 = tau.T.tolist()
         j = tau.J.ravel().tolist()
-        return cls(m=tau.T[0], p=tau.T[1:], q=(j[4], j[8], j[12]),
-                   l=(j[11], j[13], j[6]))
+        pql = np.array((p0, p1, p2, j[4], j[8], j[12], j[11], j[13], j[6]))
+        pw = cls.__new__(cls)
+        pw.m, pw.p, pw.q, pw.l = m, pql[0:3], pql[3:6], pql[6:9]
+        return pw
 
     def __repr__(self):
         return (
@@ -400,22 +416,31 @@ def transform_torsor(f: AffineFrameChange, tau: Torsor) -> Torsor:
     time component T'[0] = m is T[0] bit for bit.
     """
     if isinstance(f, GalileanFrameChange):
-        e = f._e
-        r, tau0, k = e[3:12], e[12], e[13:16]
+        u0, u1, u2, r0, r1, r2, r3, r4, r5, r6, r7, r8, tau0, k0, k1, k2 = f._e
         m, p0, p1, p2 = tau.T.tolist()
         j = tau.J.ravel().tolist()
-        u0, u1, u2 = e[0:3]
-        k0, k1, k2 = k
-        p = _rot_t(r, (p0 - m * u0, p1 - m * u1, p2 - m * u2))
-        q = _rot_t(r, (j[4] - m * k0 + tau0 * p0, j[8] - m * k1 + tau0 * p1,
-                       j[12] - m * k2 + tau0 * p2))
-        c0, c1, c2 = cross3(k, (p0, p1, p2))
-        s0, s1, s2 = _rot_t(r, (j[11] - c0, j[13] - c1, j[6] - c2))
-        b0, b1, b2 = cross3(_rot_t(r, e[0:3]), q)
-        l0, l1, l2 = s0 + b0, s1 + b1, s2 + b2
+        x0, x1, x2 = p0 - m * u0, p1 - m * u1, p2 - m * u2
+        y0 = j[4] - m * k0 + tau0 * p0
+        y1 = j[8] - m * k1 + tau0 * p1
+        y2 = j[12] - m * k2 + tau0 * p2
+        q0 = r0 * y0 + r3 * y1 + r6 * y2
+        q1 = r1 * y0 + r4 * y1 + r7 * y2
+        q2 = r2 * y0 + r5 * y1 + r8 * y2
+        # z = l - k x p, w = R^T u and l' = R^T z + w x q'.
+        z0 = j[11] - (k1 * p2 - k2 * p1)
+        z1 = j[13] - (k2 * p0 - k0 * p2)
+        z2 = j[6] - (k0 * p1 - k1 * p0)
+        w0 = r0 * u0 + r3 * u1 + r6 * u2
+        w1 = r1 * u0 + r4 * u1 + r7 * u2
+        w2 = r2 * u0 + r5 * u1 + r8 * u2
         return Torsor._trusted(
-            np.array((m, *p)),
-            _canonical_J(-q[0], -q[1], -q[2], l2, -l1, l0))
+            np.array((m, r0 * x0 + r3 * x1 + r6 * x2,
+                      r1 * x0 + r4 * x1 + r7 * x2,
+                      r2 * x0 + r5 * x1 + r8 * x2)),
+            _canonical_J(-q0, -q1, -q2,
+                         r2 * z0 + r5 * z1 + r8 * z2 + (w0 * q1 - w1 * q0),
+                         -(r1 * z0 + r4 * z1 + r7 * z2 + (w2 * q0 - w0 * q2)),
+                         r0 * z0 + r3 * z1 + r6 * z2 + (w1 * q2 - w2 * q1)))
     Pinv = f.P_inverse()
     Tp = Pinv @ tau.T
     M = tau.J - np.outer(f.C, tau.T) + np.outer(tau.T, f.C)
@@ -435,25 +460,39 @@ def transform_stress_mass(f: GalileanFrameChange, T) -> np.ndarray:
     """
     s = _floats(T, 16)
     tol = SKEW_TOL * _scale(s, "stress-mass tensor")
-    if not max(abs(s[a] - s[b]) for a, b in _PAIRS) <= tol:
+    (rho, s01, s02, s03, s10, s11, s12, s13,
+     s20, s21, s22, s23, s30, s31, s32, s33) = s
+    if not (abs(s01 - s10) <= tol and abs(s02 - s20) <= tol
+            and abs(s03 - s30) <= tol and abs(s12 - s21) <= tol
+            and abs(s13 - s31) <= tol and abs(s23 - s32) <= tol):
         raise ValueError("stress-mass tensor is not symmetric")
     if isinstance(f, GalileanFrameChange):
-        e = f._e
-        (u0, u1, u2), r, rho = e[0:3], e[3:12], s[0]
-        a0, a1, a2 = _rot(r, (0.5 * (s[1] + s[4]), 0.5 * (s[2] + s[8]),
-                              0.5 * (s[3] + s[12])))
+        u0, u1, u2, r0, r1, r2, r3, r4, r5, r6, r7, r8 = f._e[0:12]
+        h0, h1, h2 = 0.5 * (s01 + s10), 0.5 * (s02 + s20), 0.5 * (s03 + s30)
+        a0 = r0 * h0 + r1 * h1 + r2 * h2
+        a1 = r3 * h0 + r4 * h1 + r5 * h2
+        a2 = r6 * h0 + r7 * h1 + r8 * h2
         b0, b1, b2 = rho * u0 + a0, rho * u1 + a1, rho * u2 + a2
-        # Row i of R B is B^T (row i of R); row i of (R B) R^T is R times it.
-        B = s[5:8] + s[9:12] + s[13:16]
-        n0, n1, n2 = (_rot(r, _rot_t(B, r[0:3])), _rot(r, _rot_t(B, r[3:6])),
-                      _rot(r, _rot_t(B, r[6:9])))
+        # Rows c, d, g of R B, with B = T[1:, 1:]; n_ij = (R B R^T)_ij.
+        c0 = r0 * s11 + r1 * s21 + r2 * s31
+        c1 = r0 * s12 + r1 * s22 + r2 * s32
+        c2 = r0 * s13 + r1 * s23 + r2 * s33
+        d0 = r3 * s11 + r4 * s21 + r5 * s31
+        d1 = r3 * s12 + r4 * s22 + r5 * s32
+        d2 = r3 * s13 + r4 * s23 + r5 * s33
+        g0 = r6 * s11 + r7 * s21 + r8 * s31
+        g1 = r6 * s12 + r7 * s22 + r8 * s32
+        g2 = r6 * s13 + r7 * s23 + r8 * s33
         # Entries of M = b u^T + u (R a)^T + R B R^T, symmetrized.
-        m00 = b0 * u0 + u0 * a0 + n0[0]
-        m11 = b1 * u1 + u1 * a1 + n1[1]
-        m22 = b2 * u2 + u2 * a2 + n2[2]
-        m01 = 0.5 * ((b0 * u1 + u0 * a1 + n0[1]) + (b1 * u0 + u1 * a0 + n1[0]))
-        m02 = 0.5 * ((b0 * u2 + u0 * a2 + n0[2]) + (b2 * u0 + u2 * a0 + n2[0]))
-        m12 = 0.5 * ((b1 * u2 + u1 * a2 + n1[2]) + (b2 * u1 + u2 * a1 + n2[1]))
+        m00 = b0 * u0 + u0 * a0 + (r0 * c0 + r1 * c1 + r2 * c2)
+        m11 = b1 * u1 + u1 * a1 + (r3 * d0 + r4 * d1 + r5 * d2)
+        m22 = b2 * u2 + u2 * a2 + (r6 * g0 + r7 * g1 + r8 * g2)
+        m01 = 0.5 * ((b0 * u1 + u0 * a1 + (r3 * c0 + r4 * c1 + r5 * c2))
+                     + (b1 * u0 + u1 * a0 + (r0 * d0 + r1 * d1 + r2 * d2)))
+        m02 = 0.5 * ((b0 * u2 + u0 * a2 + (r6 * c0 + r7 * c1 + r8 * c2))
+                     + (b2 * u0 + u2 * a0 + (r0 * g0 + r1 * g1 + r2 * g2)))
+        m12 = 0.5 * ((b1 * u2 + u1 * a2 + (r6 * d0 + r7 * d1 + r8 * d2))
+                     + (b2 * u1 + u2 * a1 + (r3 * g0 + r4 * g1 + r5 * g2)))
         return np.array((rho, b0, b1, b2,
                          b0, m00, m01, m02,
                          b1, m01, m11, m12,

@@ -4,6 +4,8 @@ The oracle route never calls the component-law implementations: it builds
 the 5x5 extended matrices, does plain matrix algebra there, and compares.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -470,3 +472,113 @@ def test_stress_mass_rejects_asymmetric():
     T[0, 1] = 1.0
     with pytest.raises(ValueError):
         transform_stress_mass(GalileanFrameChange(), T)
+
+
+def test_pointwise_torsor_owns_its_arrays():
+    p, q, l = (np.array([1.0, 2.0, 3.0]) for _ in range(3))
+    pt = PointwiseTorsor(1.0, p, q, l)
+    p[0] = q[0] = l[0] = 99.0
+    for v in (pt.p, pt.q, pt.l):
+        assert v.tolist() == [1.0, 2.0, 3.0]
+    tau = pt.to_torsor()
+    T, J = tau.T.copy(), tau.J.copy()
+    back = PointwiseTorsor.from_torsor(tau)
+    back.p[0] = back.q[0] = back.l[0] = 99.0
+    assert np.array_equal(tau.T, T) and np.array_equal(tau.J, J)
+    assert type(back.m) is float
+
+
+# The float kernels, pinned bit for bit.  Rotations come from quaternions by
+# + - * / and sqrt only, so the inputs are the same floats on every platform.
+
+def _quaternion_rotation(w, x, y, z):
+    n = np.sqrt(w * w + x * x + y * y + z * z)
+    w, x, y, z = w / n, x / n, y / n, z / n
+    return np.array((
+        1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z),
+        2.0 * (x * z + w * y), 2.0 * (x * y + w * z),
+        1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x),
+        2.0 * (x * z - w * y), 2.0 * (y * z + w * x),
+        1.0 - 2.0 * (x * x + y * y))).reshape(3, 3)
+
+
+# sha256 of every output byte of the 200 items below, recorded before the
+# component laws were written out entry by entry (which changed no bit).  Any
+# reordered sum or product changes it.
+FRAME_ITEMS_SHA256 = (
+    "f2fb28c4d9ec8ddca0398cff9c8223ba372557c6902d220d661ef0358064c837")
+
+
+def test_frame_items_are_bit_for_bit_pinned():
+    # The calls of one benchmark frame_algebra item: 3 constructions,
+    # 2 composes, inverse, transform_point, Torsor + transform_torsor,
+    # transform_stress_mass and the pointwise round trip.
+    rng = np.random.default_rng(21)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        frames = [GalileanFrameChange(
+            rng.uniform(-1.0, 1.0, 3),
+            _quaternion_rotation(*rng.uniform(-1.0, 1.0, 4).tolist()),
+            float(rng.uniform(-1.0, 1.0)), rng.uniform(-1.0, 1.0, 3))
+            for _ in range(3)]
+        V, T = rng.uniform(-1.0, 1.0, 4), rng.uniform(-1.0, 1.0, 4)
+        A, B = rng.uniform(-1.0, 1.0, (2, 4, 4))
+        m = float(rng.uniform(0.5, 2.0))
+        p, q, l = rng.uniform(-1.0, 1.0, (3, 3))
+        c12 = compose(frames[0], frames[1])
+        c = compose(c12, frames[2])
+        tau = Torsor(T, A - A.T)
+        pw = PointwiseTorsor(m, p, q, l)
+        back = PointwiseTorsor.from_torsor(pw.to_torsor())
+        out = transform_torsor(c, tau)
+        for a in (*(f.extended for f in frames), c12.extended, c.extended,
+                  c.inverse().extended, transform_point(c, V), tau.T, tau.J,
+                  out.T, out.J, transform_stress_mass(c, B + B.T),
+                  pw.to_torsor().T, pw.to_torsor().J, back.m, back.p,
+                  back.q, back.l):
+            digest.update(np.asarray(a, dtype=float).tobytes())
+    assert digest.hexdigest() == FRAME_ITEMS_SHA256
+
+
+# The chained checks against the float form they replaced: each constructor
+# accepts exactly when max |entry| <= tolerance does on that form.
+
+def _gram_within(R, tol):
+    r = R.tolist()
+    return max(abs(r[0][i] * r[0][j] + r[1][i] * r[1][j] + r[2][i] * r[2][j]
+                   - (1.0 if i == j else 0.0))
+               for i in range(3) for j in range(3)) <= tol
+
+
+def _mirror_within(M, sign):
+    m = M.tolist()
+    scale = max(1.0, max(abs(x) for row in m for x in row))
+    return max(abs(m[i][j] + sign * m[j][i])
+               for i in range(4) for j in range(4)) <= SKEW_TOL * scale
+
+
+def _accepts(build):
+    try:
+        build()
+    except ValueError:
+        return False
+    return True
+
+
+@given(axis=vec3, angle=st.floats(-3.2, 3.2),
+       size=st.sampled_from([0.25, 40.0]), eps=st.floats(0.5, 2.0),
+       N=st.tuples(*[unit] * 16), A=st.tuples(*[unit] * 16))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_checks_accept_exactly_where_the_float_form_does(axis, angle, size,
+                                                          eps, N, A):
+    N, A = np.reshape(N, (4, 4)), size * np.reshape(A, (4, 4))
+    R = rotation(np.add(axis, (0.0, 0.0, 2.0)), angle) \
+        + eps * ORTHONORMAL_TOL * N[1:, 1:]
+    assert _accepts(lambda: GalileanFrameChange(R=R)) \
+        is _gram_within(R, ORTHONORMAL_TOL)
+    bend = eps * SKEW_TOL * max(1.0, size) * N
+    J = A - A.T + bend
+    assert _accepts(lambda: Torsor(np.zeros(4), J)) is _mirror_within(J, 1.0)
+    S = A + A.T + bend
+    assert _accepts(lambda: transform_stress_mass(GalileanFrameChange(), S)) \
+        is _mirror_within(S, -1.0)

@@ -225,6 +225,49 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def unused_private_helpers(sources):
+    """(path, line, name) of each module-level _name that a module of
+    `sources` (path -> source) defines without a decorator and that no
+    module of `sources` names again: as a name, an attribute or an import."""
+    defined, named = [], set()
+    for path, source in sources.items():
+        tree = ast.parse(source, path)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not node.decorator_list:
+                    defined.append((path, node.lineno, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined += [(path, node.lineno, t.id) for t in targets
+                            if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+    return sorted(d for d in defined if d[2].startswith("_")
+                  and not d[2].startswith("__") and d[2] not in named)
+
+
+def test_no_private_helper_goes_unused():
+    # Decorated definitions, such as library's @_case builders, register
+    # themselves and are exempt.
+    assert unused_private_helpers({
+        "a.py": "def _f(): pass\n_g = 1\n@dec\ndef _h(): pass\n",
+        "b.py": "from a import _g\n",
+    }) == [("a.py", 1, "_f")]
+    pkg = os.path.dirname(torsor.__file__)
+    sources = {}
+    for path in sorted(glob.glob(os.path.join(pkg, "**", "*.py"),
+                                 recursive=True)):
+        with open(path, encoding="utf-8") as fh:
+            sources[os.path.relpath(path, pkg)] = fh.read()
+    assert unused_private_helpers(sources) == []
+
+
 def test_every_export_resolves():
     # A deleted name left in __all__ breaks `from torsor import *`.
     missing = [name for name in torsor.__all__ if not hasattr(torsor, name)]

@@ -96,8 +96,8 @@ class AffineFrameChange:
     """
 
     def __init__(self, C, P):
-        self.C = np.asarray(C, dtype=float).reshape(4)
-        self.P = np.asarray(P, dtype=float).reshape(4, 4)
+        self.C = np.array(C, dtype=float).reshape(4)
+        self.P = np.array(P, dtype=float).reshape(4, 4)
         if not _finite([*self.C.tolist(), *self.P.ravel().tolist()]):
             raise ValueError("C and P must be finite")
         if not abs(np.linalg.det(self.P)) >= 1e-12:
@@ -273,7 +273,7 @@ class AffineForm:
 
     def __post_init__(self):
         self.chi = float(self.chi)
-        self.Phi = np.asarray(self.Phi, dtype=float).reshape(4)
+        self.Phi = np.array(self.Phi, dtype=float).reshape(4)
 
     @property
     def extended(self) -> np.ndarray:

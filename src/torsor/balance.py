@@ -26,13 +26,13 @@ batch of one.  A vectorized medium (a trajectory with vectorized=True,
 Curve1D, Cosserat1DField, CauchyMedium, Cosserat3DState, ShellField,
 ShellLoads) is read on the whole batch, any other point by point (the
 field adapter fields._point_axis_last), never inside the divergence.  The
-scenario cases bound the batch at library.PROBE_CHUNK points per call.
+scenario cases bound the batch at connection.PROBE_CHUNK points per call.
 
 One private scaffold, _view, runs every view and alone calls the
 divergence.  The d = 0, 1 and 2 views take U, T, J and what their
-Christoffels and rows need from one read of the medium per stencil offset
-(_read_once).  The d = 3 views read T and J from separate fields, so they
-keep no memo: it would share no read and hold T and J at all nine offsets.
+Christoffels and rows need from one read of the medium per probe batch:
+the batch's points, and each side of a stencil block (_read_once).  The
+d = 3 views read T and J from separate fields, so they keep no memo.
 """
 
 from dataclasses import dataclass
@@ -128,12 +128,16 @@ def _rows(dT, dJ, xi):
 def _read_once(read, domain=None):
     """(field, once): a MediumField whose U, T and J are the first three
     entries of read(xi), and the memo once(xi) that runs read once per
-    stencil offset, for U, T, J and whatever else a view keeps of it."""
+    probe batch, for U, T, J and whatever else a view keeps of it.  It
+    keeps the first batch, the view's points, and the last three others:
+    the stencil sides T has just read, which J then differences."""
     packed = {}
 
     def once(xi):
         key = xi.tobytes()
         if key not in packed:
+            if len(packed) == 4:
+                del packed[list(packed)[1]]
             packed[key] = read(xi)
         return packed[key]
 
@@ -158,7 +162,7 @@ def residual_pointwise(traj, conn, t, h: float = None,
     l) point axis last, (m,) and (3, m) each.
     """
     def read(xi):
-        # U, T and J share one read of the trajectory per offset.
+        # U, T and J share one read of the trajectory per probe batch.
         tt = xi[:, 0]
         # a holds (m, p, q, l) at each point, point axis last: (10, k).
         if vectorized:
@@ -240,8 +244,8 @@ def residual_1d(f: Cosserat1DField, conn, t, s, h: float = None,
     div J; ang_mom its angular rows minus psi x dT^{1..3}, which moves
     them back to the centroid.  n . (d psi/dt) is differenced with the
     wider step SECOND_DIFF_REL_STEP, since w is differenced again in s.
-    Each stencil offset reads the curve and the loads once for the whole
-    batch, and fields.rod_torsor packs T and J.
+    The batch's points and each side of its stencil read the curve and
+    the loads once, and fields.rod_torsor packs T and J.
 
     On fields that describe a rod, q = rho_l psi and
     v = d psi/dt + w n, the rows are the classical ones:
@@ -258,7 +262,7 @@ def residual_1d(f: Cosserat1DField, conn, t, s, h: float = None,
     curve = f.curve
 
     def read(xi):
-        # U, T and J share one read of the curve and the loads per offset.
+        # U, T and J share one read of the curve and the loads per batch.
         coords = tt, ss = np.ascontiguousarray(xi.T)
         k = len(tt)
         n, psi, v = curve.n(tt, ss), curve.psi(tt, ss), curve.v(tt, ss)
@@ -334,8 +338,8 @@ def residual_2d(sf: ShellField, loads: ShellLoads, conn, t, th1, th2,
     so they carry -(d kappa/dt) w; and the flux J^{b30} = kappa w^b that
     yields the pos_q identity rows adds -kappa Phi^a_b w^b to them.
 
-    Each stencil offset reads the loads once for the whole batch and
-    builds the shell's chart frame once (ShellField.frame), and
+    The batch's points and each side of its stencil read the loads once
+    and build the shell's chart frame once (ShellField.frame), and
     shell_torsor packs T and J from w_surf = c . w.  The frame and w at the
     batch's own points are built once, for their torsor and for the
     Christoffels.
@@ -346,7 +350,7 @@ def residual_2d(sf: ShellField, loads: ShellLoads, conn, t, th1, th2,
     analytically for such shells.
     """
     def read(xi):
-        # U, T and J share one read of the loads, the frame and w per offset.
+        # U, T and J share one read of the loads, the frame and w per batch.
         coords = tuple(np.ascontiguousarray(xi.T))
         fr = sf.frame(*coords)
         w = sf._normal_rate(*coords, fr.n)

@@ -22,6 +22,11 @@ from .vecmath import as_field, cross3, triple
 _EYE4 = np.eye(4)
 _EYE4.setflags(write=False)
 
+# Probe points per call of a residual view (library), and twice the probes
+# per stencil side (divergence): together they bound the memory of one call
+# up to cli.MAX_PROBE_POINTS points.
+PROBE_CHUNK = 1024
+
 
 class GalileanConnection:
     """Connection fields g(t, x) and Omega(t, x); constants accepted."""
@@ -138,46 +143,46 @@ class PullbackChristoffels:
                    spatial_origin_gamma_A(Omega.T, x))
 
 
-def _sum_row_derivatives(field_fn, xi, h, one_sided, domain):
-    """Sum over g of d/dxi^g applied to row g of field_fn(xi).
+def _sum_row_derivatives(field_fns, xi, h, one_sided, domain):
+    """For each of field_fns, the sum over g of d/dxi^g applied to row g
+    of its values at xi, one point (d+1,) or a batch (m, d+1).
 
-    xi is one point or a batch with a leading point axis; a batch is
-    differenced in one stencil per coordinate.
+    The stencil is flattened point-major, probe i (d+1) + g being point i
+    with coordinate g moved.  On a bounded domain it is checked whole, and
+    only then differenced, in blocks of whole points of at most
+    PROBE_CHUNK // 2 probes, each field read once per block and side.
     """
-    total = None
-    for g in range(xi.shape[-1]):
-        # Coordinate g of every point, and row g of every field array.
-        at = (slice(None), g) if xi.ndim == 2 else g
+    n = xi.shape[-1]
+    points, u = xi.reshape(-1, n), xi.reshape(-1)
+    h = fd.default_step(u) if h is None else np.full(u.shape, float(h))
+    lo = hi = None
+    if domain is not None:
+        lo, hi = zip(*((None, None) if b is None else b for b in domain))
+        lo = np.resize([-np.inf if b is None else b for b in lo], u.shape)
+        hi = np.resize([np.inf if b is None else b for b in hi], u.shape)
+        fd.stencil_sides(u, h, lo, hi, one_sided)
+    per = PROBE_CHUNK // 2 // n
+    sums = [[] for _ in field_fns]
+    for s in range(0, len(points), per):
+        rows = points[s:s + per].repeat(n, axis=0)
+        probes = slice(s * n, s * n + len(rows))
+        bounds = {} if lo is None else {"lo": lo[probes], "hi": hi[probes]}
+        coords, step = u[probes], h[probes]
+        for field_fn, blocks in zip(field_fns, sums):
+            def f(w, field_fn=field_fn):
+                probe = rows.copy()
+                for g in range(n):  # probes g, g + n, ... move coordinate g
+                    probe[g::n, g] = w[g::n]
+                return ([field_fn(p) for p in probe] if xi.ndim == 1
+                        else field_fn(probe))
 
-        def slice_fn(u, at=at):
-            probe = xi.copy()
-            probe[at] = u
-            return np.asarray(field_fn(probe), dtype=float)[at]
-
-        lo = hi = None
-        if domain is not None and domain[g] is not None:
-            lo, hi = domain[g]
-        der = fd.diff(slice_fn, xi[at], h=h, lo=lo, hi=hi,
-                      one_sided=one_sided)
-        total = der if total is None else total + der
-    return total
-
-
-def _check_stencils(xi, h, one_sided, domain):
-    """Raise, for a batch xi, the DifferentiationFailure that differencing
-    its points one at a time would raise first: that of the first point
-    with a coordinate no stencil fits, in its first such coordinate."""
-    first = None
-    for g, bounds in enumerate(domain):
-        if bounds is None:
-            continue
-        u = xi[:, g]
-        _, failure = fd.stencil_sides(u, fd.default_step(u) if h is None
-                                      else h, *bounds, one_sided)
-        if failure is not None and (first is None or failure[0] < first[0]):
-            first = failure
-    if first is not None:
-        raise first[1]
+            der = fd.diff(f, coords, step, one_sided=one_sided, **bounds)
+            total = der[0::n, 0]  # row g of probes g, g + n, ...
+            for g in range(1, n):
+                total = total + der[g::n, g]
+            blocks.append(total)
+    sums = [np.concatenate(blocks) for blocks in sums]
+    return sums if xi.ndim == 2 else [total[0] for total in sums]
 
 
 def divergence(field, xi, chris: PullbackChristoffels, h: float = None,
@@ -199,32 +204,31 @@ def divergence(field, xi, chris: PullbackChristoffels, h: float = None,
     not differenced for them.  The output is re-skewed.
 
     xi is one chart point (d+1,) or a batch (m, d+1) along a leading point
-    axis.  For a batch, the field's callables take the whole (m, d+1)
-    batch and return their arrays with the point axis first (or without
-    it, when the same at every point, as U may be), chris may carry the
-    axis too, and both outputs carry it: (m, 4) and (m, 4, 4).  Each
-    coordinate is differenced over the whole batch in one stencil, and the
-    algebra runs per point in the products a single point takes, so every
-    point's rows are bit for bit those it would get alone.  On a bounded
-    domain a batch raises the DifferentiationFailure of its first point
-    that no stencil fits, as a loop over its points would.  Memory grows
-    with the batch, so callers cut large grids into blocks: the scenario
-    cases pass library.PROBE_CHUNK points per call.
+    axis.  For a batch, the field's callables take a batch (k, d+1) and
+    return their arrays with the point axis first (or without it, when
+    the same at every point, as U may be), chris may carry the axis too,
+    and both outputs carry it: (m, 4) and (m, 4, 4); one point's take one
+    point at a time.  Each field is read at xi, then once per side of one
+    stencil over every coordinate of every point, cut into blocks of
+    PROBE_CHUNK // 2 probes; the algebra runs per point in the products a
+    single point takes, so every point's rows are bit for bit those it
+    would get alone.  On a bounded domain the whole stencil is checked
+    before any read, and raises the DifferentiationFailure of the first
+    point that no stencil fits, as a loop over the points would.
     """
     xi = np.asarray(xi, dtype=float)
-    domain = getattr(field, "domain", None)
-    if domain is not None and xi.ndim == 2:
-        _check_stencils(xi, h, one_sided, domain)
+    sums = _sum_row_derivatives(
+        [fn for fn in (field.torsor_T, field.torsor_J) if fn is not None],
+        xi, h, one_sided, getattr(field, "domain", None))
     lead = xi.shape[:-1]  # () for one point, (m,) for a batch
     # Contiguous, since numpy's products take another summation order on
     # strided operands.
     T = np.ascontiguousarray(field.torsor_T(xi), dtype=float)
     U = np.ascontiguousarray(field.tangent_map(xi), dtype=float)
     G = chris.spacetime.reshape(chris.spacetime.shape[:-3] + (4, 16))
-    trG = np.trace(chris.material, axis1=-3, axis2=-2)[..., None, :]
+    trG = chris.material.trace(axis1=-3, axis2=-2)[..., None, :]
     UT = U @ T
-    dT = (_sum_row_derivatives(field.torsor_T, xi, h, one_sided, domain)
-          + (trG @ T)[..., 0, :]
+    dT = (sums[0] + (trG @ T)[..., 0, :]
           + (G @ UT.reshape(lead + (16, 1)))[..., 0])
     D = chris.origin_motion @ UT
     out = D - D.swapaxes(-1, -2)
@@ -232,7 +236,6 @@ def divergence(field, xi, chris: PullbackChristoffels, h: float = None,
         J = np.ascontiguousarray(field.torsor_J(xi), dtype=float)
         J = J.reshape(lead + (-1, 16))
         A = G @ (U @ J).reshape(lead + (16, 4))
-        out = (_sum_row_derivatives(field.torsor_J, xi, h, one_sided, domain)
-               + A - A.swapaxes(-1, -2)
+        out = (sums[1] + A - A.swapaxes(-1, -2)
                + (trG @ J).reshape(lead + (4, 4)) + out)
     return dT, 0.5 * (out - out.swapaxes(-1, -2))

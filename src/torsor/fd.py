@@ -7,7 +7,7 @@ caller opts into the one-sided second-order fallback, and a point outside
 the bounds raises it always.
 
 A stencil runs on one point or on a batch of points along a leading point
-axis.  Each point of a batch takes its own step and its own stencil, with
+axis.  Each point of a batch takes its own step, bounds and stencil, with
 the arithmetic it would take alone, so its derivative is bit for bit the
 one it would get on its own.
 """
@@ -36,7 +36,8 @@ def diff(f, u, h=None, lo=None, hi=None, one_sided: bool = False):
     u is a float and f maps a float to a scalar or an array; or u is an
     (m,) array of points, f maps an (m,) array to an array whose leading
     axis is the point axis, and the result keeps that axis.  h is a float
-    or, for a batch, an (m,) array; it defaults to default_step(u).
+    or, for a batch, an (m,) array; it defaults to default_step(u).  So
+    are lo and hi, each bound None if absent.
 
     Central difference (f(u+h) - f(u-h)) / 2h by default.  If [lo, hi]
     bounds are given and a point's stencil would leave them, that point
@@ -44,15 +45,13 @@ def diff(f, u, h=None, lo=None, hi=None, one_sided: bool = False):
     set; otherwise DifferentiationFailure names the first such point.
     A one-sided batch evaluates f at three shifted batches, each point at
     the offsets of its own stencil.  A batch evaluates f on whole (m,)
-    arrays, so its memory grows with m; connection.divergence's callers
-    bound m (the scenario cases by library.PROBE_CHUNK).
+    arrays, so its memory grows with m; connection.divergence bounds m by
+    connection.PROBE_CHUNK // 2.
     """
     if h is None:
         h = default_step(u)
     if lo is not None or hi is not None:
-        side, failure = stencil_sides(u, h, lo, hi, one_sided)
-        if failure is not None:
-            raise failure[1]
+        side = stencil_sides(u, h, lo, hi, one_sided)
         if np.any(side):
             return _one_sided(f, u, h, side)
     a = np.asarray(f(u + h), dtype=float)
@@ -63,45 +62,41 @@ def diff(f, u, h=None, lo=None, hi=None, one_sided: bool = False):
 
 
 def stencil_sides(u, h, lo=None, hi=None, one_sided: bool = False):
-    """(side, failure) of the stencils of step h around u in [lo, hi].
+    """The side of each stencil of step h around u in [lo, hi].
 
-    side is 0 where the central stencil fits, 1 where the backward
-    one-sided stencil replaces it (near hi) and -1 where the forward one
-    does (near lo); 0-d for a scalar u, else an (m,) array.  failure is
-    None when every point has a stencil, else (index, error): the first
-    point with none and the DifferentiationFailure naming it.  Without
-    `one_sided`, a point whose central stencil leaves the bounds has none;
-    a point outside [lo, hi] (or NaN) has none either way.
+    lo and hi are floats, None for -inf or inf, or per-point arrays.  side
+    is 0 where the central stencil fits, 1 where the backward one-sided
+    stencil replaces it (near hi) and -1 where the forward one does (near
+    lo); 0-d for a scalar u, else an (m,) array.  If a point has no
+    stencil, DifferentiationFailure names the first such point, by its
+    own bounds and step.  Without `one_sided`, a point whose central
+    stencil leaves the bounds has none; a point outside [lo, hi] (or NaN)
+    has none either way.
     """
     u, h = np.asarray(u), np.asarray(h)
-    inside = np.logical_and(True if lo is None else u >= lo,
-                            True if hi is None else u <= hi)
-    lo_ok = True if lo is None else u - h >= lo
-    hi_ok = True if hi is None else u + h <= hi
-    central = np.logical_and(lo_ok, hi_ok)
-    back = (inside & np.logical_not(hi_ok)
-            & (True if lo is None else u - 2.0 * h >= lo))
-    fwd = (inside & np.logical_not(back) & np.logical_not(lo_ok)
-           & (True if hi is None else u + 2.0 * h <= hi))
+    lo = np.asarray(-np.inf if lo is None else lo)
+    hi = np.asarray(np.inf if hi is None else hi)
+    inside = (u >= lo) & (u <= hi)
+    lo_ok, hi_ok = u - h >= lo, u + h <= hi
+    back = inside & ~hi_ok & (u - 2.0 * h >= lo)
+    fwd = inside & ~back & ~lo_ok & (u + 2.0 * h <= hi)
     side = np.subtract(back, fwd, dtype=int)
-    bad = np.logical_not(central)
+    bad = ~(lo_ok & hi_ok)
     if one_sided:
-        bad = bad & np.logical_not(back | fwd)
+        bad &= ~(back | fwd)
     if not bad.any():
-        return side, None
+        return side
     i = int(np.argmax(np.reshape(bad, -1)))
-    ui = float(np.reshape(u, -1)[i])
-    step = float(np.reshape(np.broadcast_to(h, u.shape), -1)[i])
+    ui, step = float(np.reshape(u, -1)[i]), float(np.resize(h, u.size)[i])
+    lo, hi = np.resize(lo, u.size)[i], np.resize(hi, u.size)[i]
     if not np.reshape(inside, -1)[i]:
-        msg = (f"coordinate {ui!r} lies outside the domain "
-               f"[{-np.inf if lo is None else lo}, "
-               f"{np.inf if hi is None else hi}]")
+        msg = f"coordinate {ui!r} lies outside the domain [{lo}, {hi}]"
     elif one_sided:
         msg = f"domain too narrow around {ui!r} for a second-order stencil"
     else:
         msg = (f"coordinate {ui!r} is within one step ({step!r}) of the "
                "domain boundary; enable one_sided to use the inward stencil")
-    return side, (i, DifferentiationFailure(msg))
+    raise DifferentiationFailure(msg)
 
 
 def _one_sided(f, u, h, side):
@@ -129,7 +124,8 @@ def _one_sided(f, u, h, side):
 
 
 def partial(f, args, i: int, h: float = None, bounds=None, one_sided: bool = False):
-    """Partial derivative of f(*args) in args[i]; args are scalars.
+    """Partial derivative of f(*args) in args[i]; args are floats, or the
+    (m,) arrays of a batch, whose values f returns point axis first.
 
     `bounds` is an optional sequence of (lo, hi) pairs (entries may be None)
     aligned with args.

@@ -119,9 +119,8 @@ class CauchyMedium:
     takes a batch of m events instead, t of shape (m,) and x of shape
     (3, m), and returns its values with the point axis last: (m,), (3, m)
     and (3, 3, m).  The residual then reads a whole probe batch in one call
-    per field and stencil offset, in chunks of library.PROBE_CHUNK points
-    when it runs a scenario; a field that is not vectorized is read point
-    by point.
+    per field and stencil side, in blocks of connection.PROBE_CHUNK points;
+    a field that is not vectorized is read point by point.
     """
 
     rho: Callable
@@ -573,7 +572,7 @@ class ShellLoads:
     of m points instead, three arrays of shape (m,), and returns its values
     with the point axis last: (m,), (2, 2, m), (2, m), (2, 2, m) and (m,).
     balance.residual_2d then reads a whole probe batch in one call per
-    field and stencil offset; loads that are not vectorized are read point
+    field and stencil side; loads that are not vectorized are read point
     by point.
     """
 

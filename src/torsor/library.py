@@ -22,7 +22,7 @@ from .balance import (
     residual_cauchy,
     residual_pointwise,
 )
-from .connection import GalileanConnection
+from .connection import PROBE_CHUNK, GalileanConnection
 from .errors import NonMonotoneError, ScenarioError
 from .fields import (
     CauchyMedium,
@@ -57,11 +57,6 @@ RESIDUAL_COLUMNS = (
 )
 
 CONNECTION_TYPES = ("uniform", "rotating_frame", "case")
-
-# Probe points per call of a residual view: a probe grid goes to its view
-# in blocks of this many points, which bounds the memory of one call up to
-# cli.MAX_PROBE_POINTS points.
-PROBE_CHUNK = 1024
 
 # Largest magnitude of any float param, and of connection.g and
 # connection.Omega: the closed forms raise params to powers (radius^4, h^3,

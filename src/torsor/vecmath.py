@@ -67,7 +67,9 @@ def moment_matrix(q, l) -> np.ndarray:
     q, l = np.asarray(q, dtype=float), np.asarray(l, dtype=float)
     J = np.zeros(q.shape[:-1] + (4, 4))
     J[..., 1:, 0], J[..., 0, 1:] = q, -q
-    J[..., (2, 3, 1), (3, 1, 2)], J[..., (3, 1, 2), (2, 3, 1)] = l, -l
+    l1, l2, l3 = l[..., 0], l[..., 1], l[..., 2]
+    J[..., 2, 3], J[..., 3, 1], J[..., 1, 2] = l1, l2, l3
+    J[..., 3, 2], J[..., 1, 3], J[..., 2, 1] = -l1, -l2, -l3
     return J
 
 

@@ -486,6 +486,15 @@ def test_pointwise_torsor_owns_its_arrays():
     back.p[0] = back.q[0] = back.l[0] = 99.0
     assert np.array_equal(tau.T, T) and np.array_equal(tau.J, J)
     assert type(back.m) is float
+    # A general frame change and an affine form own theirs too: a caller
+    # writing its arrays afterwards can neither undo the singular check
+    # nor put a NaN past the finite one.
+    C, P, Phi = np.zeros(4), np.eye(4), np.ones(4)
+    f, psi = AffineFrameChange(C, P), AffineForm(0.0, Phi)
+    P[:] = 0.0
+    C[0] = Phi[0] = np.nan
+    assert f.P.tolist() == np.eye(4).tolist() and f.C.tolist() == [0.0] * 4
+    assert psi.Phi.tolist() == [1.0] * 4
 
 
 # The float kernels, pinned bit for bit.  Rotations come from quaternions by

@@ -759,9 +759,9 @@ def test_plate_bending_equilibrium():
 
 
 def test_2d_reads_one_frame_per_stencil_point(monkeypatch):
-    # A batch builds the frame and w once per stencil offset, for all of
-    # its points, and the frame and w at the probe points serve their
-    # torsor and the Christoffels alike: seven offsets, seven of each.
+    # A batch builds the frame and w at its points and once per side of
+    # its stencil, for all of its probes, and the frame and w at its
+    # points serve their torsor and the Christoffels alike: three of each.
     calls = {}
     for name in ("frame", "_normal_rate"):
         original = getattr(ShellField, name)
@@ -774,7 +774,7 @@ def test_2d_reads_one_frame_per_stencil_point(monkeypatch):
     loads = const_loads(rho_s=2.0, N=[[1.0, 0.3], [0.3, -0.5]], kappa=0.1)
     residual_2d(flat_plate(), loads, GalileanConnection(), np.zeros(3),
                 np.array([0.3, -0.4, 0.1]), np.array([-0.2, 0.5, 0.0]))
-    assert calls == {"frame": 7, "_normal_rate": 7}
+    assert calls == {"frame": 3, "_normal_rate": 3}
 
 
 def test_laplace_sphere_membrane():

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torsor import library
+from torsor import connection, library
 from torsor.affine import PointwiseTorsor
 from torsor.balance import (
     residual_1d,
@@ -303,7 +303,9 @@ GRID = {"d0": {"n_t": 16}, "d1": {"n_s": 16}}
 
 @pytest.mark.parametrize("case", BATCHED_CASES)
 def test_rows_do_not_depend_on_the_probe_chunk(monkeypatch, case):
-    # The grid in one block, then in blocks of 7.
+    # The grid in one call with each stencil side in one block, then in
+    # blocks of at most 7 probes (7 // (d + 1) whole points, the last
+    # block holding fewer), then also in calls of 7 points.
     scn = load_scenario(json.loads(bundled_scenarios()[case].read_text()))
     spec = library.CASES[case]
     params = {**spec.defaults, **scn.params,
@@ -322,12 +324,15 @@ def test_rows_do_not_depend_on_the_probe_chunk(monkeypatch, case):
         return result, len(calls)
 
     whole, n_whole = run()
+    monkeypatch.setattr(connection, "PROBE_CHUNK", 15)
+    stencils, n_stencils = run()
     monkeypatch.setattr(library, "PROBE_CHUNK", 7)
     parts, n_parts = run()
     points = len(whole.tables[0].rows)
-    assert (n_whole, n_parts) == (1, -(-points // 7))
-    assert parts.tables[0].rows.tobytes() == whole.tables[0].rows.tobytes()
-    assert parts.checks[0].value == whole.checks[0].value
+    assert (n_whole, n_stencils, n_parts) == (1, 1, -(-points // 7))
+    for cut in (stencils, parts):
+        assert cut.tables[0].rows.tobytes() == whole.tables[0].rows.tobytes()
+        assert cut.checks[0].value == whole.checks[0].value
 
 
 def first_failure(residual, fields, conn, coords):
@@ -400,9 +405,9 @@ def test_point_outside_the_domain_raises(one_sided):
 
 
 def counted(fn, calls, name):
-    """fn, counting its calls in calls[name]."""
+    """fn, listing the points of each of its calls in calls[name]."""
     def read(*args):
-        calls[name] = calls.get(name, 0) + 1
+        calls.setdefault(name, []).append(len(args[0]))
         return fn(*args)
 
     return read
@@ -417,11 +422,14 @@ def counted(fn, calls, name):
 ])
 def test_each_view_reads_its_fields_once_per_stencil_offset(medium, names,
                                                             offsets):
-    # A vectorized medium's load fields are read once per stencil offset
-    # for the whole batch, 1 + 2 (d + 1) times a call: the d = 0-2 views
-    # share one read among U, T, J, their Christoffels and their rows, and
-    # the d = 3 views read the T-side and the J-side fields each at their
-    # nine offsets.  Cauchy's v is read once more, by the advective rows.
+    # A vectorized medium's load fields are read three times a call, for
+    # the whole batch: at its points, then once per side of the one
+    # stencil that moves every coordinate of every point, so that the
+    # three reads hold each point at its 1 + 2 (d + 1) offsets once.  The
+    # d = 0-2 views share each read among U, T, J, their Christoffels and
+    # their rows, and the d = 3 views read the T-side and the J-side
+    # fields each three times.  Cauchy's v is read once more, at the
+    # points, by the advective rows.
     rng = np.random.default_rng(3)
     make, residual, events = MEDIA[medium]
     fields = make(rng.uniform(-1.0, 1.0, size=6), True)
@@ -435,10 +443,34 @@ def test_each_view_reads_its_fields_once_per_stencil_offset(medium, names,
             for name in names})
         fields = (fields[0], loads) if medium == "plate" else loads
     residual(fields, frame("rotating", rng), *events(rng, 3))
-    expect = dict.fromkeys(names, offsets)
+    side = 3 * (offsets - 1) // 2  # 3 points of d + 1 probes each
+    expect = dict.fromkeys(names, [3, side, side])
     if medium == "cauchy":
-        expect["v"] += 1
-    assert calls == expect
+        expect["v"] = [3, 3, side, side]
+    assert {name: sorted(sizes) for name, sizes in calls.items()} == expect
+
+
+def test_bad_point_in_a_later_stencil_block_raises_before_any_read(
+        monkeypatch):
+    # One point per stencil block: only the third point lies on a face,
+    # and the whole stencil is checked before any block is read.
+    monkeypatch.setattr(connection, "PROBE_CHUNK", 8)
+    calls = {}
+    fields = cauchy_medium(np.linspace(-0.5, 0.5, 6), True,
+                           domain=((0.0, 1.0),) * 4)
+    fields = dataclasses.replace(fields, **{
+        name: counted(getattr(fields, name), calls, name)
+        for name in ("rho", "v", "sigma")})
+    t = np.array([0.5, 0.5, 0.5])
+    x = np.full((3, 3), 0.5)
+    x[1, 2] = 1.0
+    with pytest.raises(DifferentiationFailure, match=r"coordinate 1\.0 "):
+        residual_cauchy(fields, GalileanConnection(), t, x)
+    assert calls == {}
+    x[1, 2] = 0.75
+    residual_cauchy(fields, GalileanConnection(), t, x)
+    blocks = [4] * 6 + [3]  # each block's two sides, then the points
+    assert calls == {"rho": blocks, "v": blocks + [3], "sigma": blocks}
 
 
 def test_shell_batch_matches_hand_expanded_oracle():

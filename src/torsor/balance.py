@@ -22,11 +22,10 @@ Every view takes a batch of m points, each coordinate of shape (m,) and
 x of shape (3, m), and runs one divergence with a leading point axis,
 T of shape (m, d+1, 4), J (m, d+1, 4, 4) and the Christoffels
 (m, 4, 4, 4); its residuals carry that axis, and a single point is a
-batch of one.  A vectorized medium (a trajectory with vectorized=True,
-Curve1D, Cosserat1DField, CauchyMedium, Cosserat3DState, ShellField,
-ShellLoads) is read on the whole batch, any other point by point (the
-field adapter fields._point_axis_last), never inside the divergence.  The
-scenario cases bound the batch at connection.PROBE_CHUNK points per call.
+batch of one.  Every medium's fields take a batch and return their values
+with the point axis last, so each field is read on a whole batch of
+probes at once.  The scenario cases bound the batch at
+connection.PROBE_CHUNK points per call.
 
 One private scaffold, _view, runs every view and alone calls the
 divergence.  The d = 0, 1 and 2 views take U, T, J and what their
@@ -52,7 +51,6 @@ from .fields import (
     ShellLoads,
     _dot,
     _partial,
-    _point_axis_last,
     _stress_mass,
     cosserat_J,
     rod_torsor,
@@ -145,11 +143,11 @@ def _read_once(read, domain=None):
                        domain=domain), once
 
 
-def residual_pointwise(traj, conn, t, h: float = None,
-                       vectorized: bool = False) -> BalanceResidual:
+def residual_pointwise(traj, conn, t, h: float = None) -> BalanceResidual:
     """Residuals of the four pointwise balance laws along a trajectory.
 
-    traj: callable t -> PointwiseTorsor.  The equations: dm/dt = 0;
+    traj takes a batch of times t (m,) and returns (m, p, q, l) point axis
+    last, (m,) and (3, m) each.  The equations: dm/dt = 0;
     dp/dt = m (g - 2 Omega x v); dq/dt = p (moments about the spatial
     origin, so x = q / m); dl/dt + Omega x l0 = x cross the momentum law's
     right side, with l0 = l - x x p the moment about the point itself.
@@ -157,20 +155,13 @@ def residual_pointwise(traj, conn, t, h: float = None,
     All rows are read from connection.divergence on the worldline chart
     xi = (t): U = (1, v), T = (m, p), J = moment_matrix(q, l), no material
     Christoffels, and the origin at the spatial origin of the chart.
-
-    With vectorized=True traj takes a batch t (m,) and returns (m, p, q,
-    l) point axis last, (m,) and (3, m) each.
     """
     def read(xi):
         # U, T and J share one read of the trajectory per probe batch.
         tt = xi[:, 0]
         # a holds (m, p, q, l) at each point, point axis last: (10, k).
-        if vectorized:
-            a = np.concatenate([np.reshape(u, (-1, len(tt)))
-                                for u in traj(tt)], dtype=float)
-        else:
-            a = np.array([(pt.m, *pt.p, *pt.q, *pt.l)
-                          for pt in map(traj, tt.tolist())]).T
+        a = np.concatenate([np.reshape(u, (-1, len(tt)))
+                            for u in traj(tt)], dtype=float)
         T = a[:4].T[:, None]
         return (T.swapaxes(-1, -2) / a[0, :, None, None], T,
                 moment_matrix(a[4:7].T[:, None], a[7:].T[:, None]),
@@ -181,11 +172,11 @@ def residual_pointwise(traj, conn, t, h: float = None,
         conn, xi[:, 0], once(xi)[3], 1), _rows, h, False)
 
 
-def _at_events(medium, xi, *fns):
+def _at_events(xi, *fns):
     """fns of a medium filling space at the events of a batch xi (m, 4),
     t its first column and x (3, m) the others; point axis last."""
     events = np.ascontiguousarray(xi.T)
-    return _point_axis_last(medium.vectorized, (events[0], events[1:]), *fns)
+    return [np.asarray(fn(events[0], events[1:]), dtype=float) for fn in fns]
 
 
 def residual_cauchy(medium: CauchyMedium, conn, t, x,
@@ -206,7 +197,7 @@ def residual_cauchy(medium: CauchyMedium, conn, t, x,
     """
     def T_of(xi):
         m = len(xi)
-        rho, v, sigma = _at_events(medium, xi, medium.rho, medium.v,
+        rho, v, sigma = _at_events(xi, medium.rho, medium.v,
                                    medium.sigma)
         T = _stress_mass(rho.reshape(m), v.reshape(3, m),
                          sigma.reshape(3, 3, m).swapaxes(0, 1))
@@ -214,7 +205,7 @@ def residual_cauchy(medium: CauchyMedium, conn, t, x,
 
     def rows(dT, dJ, xi):
         # The advective form: the momentum rows less v times the mass row.
-        (v,) = _at_events(medium, xi, medium.v)
+        (v,) = _at_events(xi, medium.v)
         return (dT[:, 0], dT[:, 1:] - v.reshape(3, len(xi)).T * dT[:, :1],
                 *moments(dJ))
 
@@ -269,14 +260,15 @@ def residual_1d(f: Cosserat1DField, conn, t, s, h: float = None,
         dpsi = _partial(curve.psi, coords, 0, SECOND_DIFF_REL_STEP
                         * np.maximum(1.0, np.abs(tt)))
         slide = _dot(n, dpsi)
-        rho_l, *loads = _point_axis_last(f.vectorized, coords, f.rho_l, f.F,
-                                         f.q, f.l, f.l_star, f.M_star)
-        F, q, l, l_star, M_star = (u.reshape(3, k) for u in loads)
+        rho_l = np.asarray(f.rho_l(*coords), dtype=float).reshape(k)
+        F, q, l, l_star, M_star = (
+            np.asarray(fn(*coords), dtype=float).reshape(3, k)
+            for fn in (f.F, f.q, f.l, f.l_star, f.M_star))
         U = np.zeros((k, 4, 2))
         U[:, 0, 0] = 1.0
         U[:, 1:, 0], U[:, 1:, 1] = dpsi.T, n.T
         return (U, *rod_torsor(
-            rho_l.reshape(k), v, curve.v_t(tt, ss, v, n) - slide, F, psi,
+            rho_l, v, curve.v_t(tt, ss, v, n) - slide, F, psi,
             slide, q, l, l_star, M_star), psi, v)
 
     def chris(xi):
@@ -355,8 +347,8 @@ def residual_2d(sf: ShellField, loads: ShellLoads, conn, t, th1, th2,
         fr = sf.frame(*coords)
         w = sf._normal_rate(*coords, fr.n)
         return (_SHELL_U, *shell_torsor(
-            *_point_axis_last(loads.vectorized, coords, loads.rho_s, loads.N,
-                              loads.Q, loads.M, loads.kappa),
+            *(fn(*coords) for fn in (loads.rho_s, loads.N, loads.Q, loads.M,
+                                     loads.kappa)),
             sf._w_surf(*coords, fr, w)), fr, w)
 
     def chris(xi):
@@ -395,12 +387,12 @@ def residual_3d_cosserat(state: Cosserat3DState, conn, t, x,
     flux r, for (ijk) cyclic, by fields.cosserat_J.
     """
     def T_of(xi):
-        (T,) = _at_events(state, xi, state.T)
+        (T,) = _at_events(xi, state.T)
         return T.reshape(4, 4, len(xi)).transpose(2, 1, 0)
 
     def J_of(xi):
         m = len(xi)
-        q, l, l_star, M_star = _at_events(state, xi, state.q, state.l,
+        q, l, l_star, M_star = _at_events(xi, state.q, state.l,
                                           state.l_star, state.M_star)
         return cosserat_J(q.reshape(3, m), l.reshape(3, m),
                           l_star.reshape(3, 3, m), M_star.reshape(3, 3, m))

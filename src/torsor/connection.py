@@ -145,15 +145,15 @@ class PullbackChristoffels:
 
 def _sum_row_derivatives(field_fns, xi, h, one_sided, domain):
     """For each of field_fns, the sum over g of d/dxi^g applied to row g
-    of its values at xi, one point (d+1,) or a batch (m, d+1).
+    of its values at each point of a batch xi (m, d+1).
 
     The stencil is flattened point-major, probe i (d+1) + g being point i
     with coordinate g moved.  On a bounded domain it is checked whole, and
     only then differenced, in blocks of whole points of at most
     PROBE_CHUNK // 2 probes, each field read once per block and side.
     """
-    n = xi.shape[-1]
-    points, u = xi.reshape(-1, n), xi.reshape(-1)
+    n = xi.shape[1]
+    u = xi.reshape(-1)
     h = fd.default_step(u) if h is None else np.full(u.shape, float(h))
     lo = hi = None
     if domain is not None:
@@ -163,8 +163,8 @@ def _sum_row_derivatives(field_fns, xi, h, one_sided, domain):
         fd.stencil_sides(u, h, lo, hi, one_sided)
     per = PROBE_CHUNK // 2 // n
     sums = [[] for _ in field_fns]
-    for s in range(0, len(points), per):
-        rows = points[s:s + per].repeat(n, axis=0)
+    for s in range(0, len(xi), per):
+        rows = xi[s:s + per].repeat(n, axis=0)
         probes = slice(s * n, s * n + len(rows))
         bounds = {} if lo is None else {"lo": lo[probes], "hi": hi[probes]}
         coords, step = u[probes], h[probes]
@@ -173,16 +173,14 @@ def _sum_row_derivatives(field_fns, xi, h, one_sided, domain):
                 probe = rows.copy()
                 for g in range(n):  # probes g, g + n, ... move coordinate g
                     probe[g::n, g] = w[g::n]
-                return ([field_fn(p) for p in probe] if xi.ndim == 1
-                        else field_fn(probe))
+                return field_fn(probe)
 
             der = fd.diff(f, coords, step, one_sided=one_sided, **bounds)
             total = der[0::n, 0]  # row g of probes g, g + n, ...
             for g in range(1, n):
                 total = total + der[g::n, g]
             blocks.append(total)
-    sums = [np.concatenate(blocks) for blocks in sums]
-    return sums if xi.ndim == 2 else [total[0] for total in sums]
+    return [np.concatenate(blocks) for blocks in sums]
 
 
 def divergence(field, xi, chris: PullbackChristoffels, h: float = None,
@@ -203,12 +201,12 @@ def divergence(field, xi, chris: PullbackChristoffels, h: float = None,
     transpose.  A field whose torsor_J is None carries no moments and is
     not differenced for them.  The output is re-skewed.
 
-    xi is one chart point (d+1,) or a batch (m, d+1) along a leading point
-    axis.  For a batch, the field's callables take a batch (k, d+1) and
-    return their arrays with the point axis first (or without it, when
-    the same at every point, as U may be), chris may carry the axis too,
-    and both outputs carry it: (m, 4) and (m, 4, 4); one point's take one
-    point at a time.  Each field is read at xi, then once per side of one
+    xi is a batch of m chart points (m, d+1), a single point a batch of
+    one; any other rank raises ValueError.  The field's callables take a
+    batch (k, d+1) and return their arrays with the point axis first (or
+    without it, when the same at every point, as U may be), chris may
+    carry the axis too, and both outputs carry it: (m, 4) and (m, 4, 4).
+    Each field is read at xi, then once per side of one
     stencil over every coordinate of every point, cut into blocks of
     PROBE_CHUNK // 2 probes; the algebra runs per point in the products a
     single point takes, so every point's rows are bit for bit those it
@@ -217,10 +215,13 @@ def divergence(field, xi, chris: PullbackChristoffels, h: float = None,
     point that no stencil fits, as a loop over the points would.
     """
     xi = np.asarray(xi, dtype=float)
+    if xi.ndim != 2:
+        raise ValueError(f"xi must be a batch of chart points of shape "
+                         f"(m, d+1), got shape {xi.shape}")
     sums = _sum_row_derivatives(
         [fn for fn in (field.torsor_T, field.torsor_J) if fn is not None],
         xi, h, one_sided, getattr(field, "domain", None))
-    lead = xi.shape[:-1]  # () for one point, (m,) for a batch
+    m = len(xi)
     # Contiguous, since numpy's products take another summation order on
     # strided operands.
     T = np.ascontiguousarray(field.torsor_T(xi), dtype=float)
@@ -228,14 +229,14 @@ def divergence(field, xi, chris: PullbackChristoffels, h: float = None,
     G = chris.spacetime.reshape(chris.spacetime.shape[:-3] + (4, 16))
     trG = chris.material.trace(axis1=-3, axis2=-2)[..., None, :]
     UT = U @ T
-    dT = (sums[0] + (trG @ T)[..., 0, :]
-          + (G @ UT.reshape(lead + (16, 1)))[..., 0])
+    dT = (sums[0] + (trG @ T)[:, 0]
+          + (G @ UT.reshape(m, 16, 1))[..., 0])
     D = chris.origin_motion @ UT
     out = D - D.swapaxes(-1, -2)
     if field.torsor_J is not None:
         J = np.ascontiguousarray(field.torsor_J(xi), dtype=float)
-        J = J.reshape(lead + (-1, 16))
-        A = G @ (U @ J).reshape(lead + (16, 4))
+        J = J.reshape(m, -1, 16)
+        A = G @ (U @ J).reshape(m, 16, 4)
         out = (sums[1] + A - A.swapaxes(-1, -2)
-               + (trG @ J).reshape(lead + (4, 4)) + out)
+               + (trG @ J).reshape(m, 4, 4) + out)
     return dT, 0.5 * (out - out.swapaxes(-1, -2))

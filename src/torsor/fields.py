@@ -47,9 +47,15 @@ def _second_diff(f, u, h=None):
 class MediumField:
     """Torsor fields of a d-dimensional medium over its material chart.
 
-    tangent_map: xi (d+1,) -> U (4, d+1)
-    torsor_T: xi -> (d+1, 4) array of components gT^b, material index first
-    torsor_J: xi -> (d+1, 4, 4) array gJ^ab, skew in the last two indices
+    Each callable takes a batch of k chart points xi (k, d+1) and returns
+    its arrays with the point axis first; an array that is the same at
+    every point may leave that axis out, as U may.
+
+    tangent_map: xi -> U (k, 4, d+1)
+    torsor_T: xi -> (k, d+1, 4) array of components gT^b, material index
+      first
+    torsor_J: xi -> (k, d+1, 4, 4) array gJ^ab, skew in the last two
+      indices
     domain: optional per-coordinate (lo, hi) bounds used by differentiation
     """
 
@@ -114,20 +120,17 @@ def _stress_mass(rho, v, sigma) -> np.ndarray:
 class CauchyMedium:
     """Classical 3D medium: fields rho(t, x), v(t, x), sigma(t, x).
 
-    Each field takes one event, a float t and a 3-vector x, and returns a
-    scalar, a 3-vector or a (3, 3) array.  With vectorized=True each field
-    takes a batch of m events instead, t of shape (m,) and x of shape
+    Each field takes a batch of m events, t of shape (m,) and x of shape
     (3, m), and returns its values with the point axis last: (m,), (3, m)
-    and (3, 3, m).  The residual then reads a whole probe batch in one call
-    per field and stencil side, in blocks of connection.PROBE_CHUNK points;
-    a field that is not vectorized is read point by point.
+    and (3, 3, m).  A single event is a batch of one.  The residual reads a
+    whole probe batch in one call per field and stencil side, in blocks of
+    connection.PROBE_CHUNK points.
     """
 
     rho: Callable
     v: Callable
     sigma: Callable
     domain: Optional[tuple] = None
-    vectorized: bool = False
 
 
 class Curve1D:
@@ -140,27 +143,24 @@ class Curve1D:
     v = d psi/dt + (v_t - n . d psi/dt) n, which keeps v . n = v_t.  With
     neither, the chart is material: v = d psi/dt and v_t = n . d psi/dt.
 
-    Each callable takes floats (t, s) and returns a 3-vector (v_t a
-    scalar); with vectorized=True it takes a batch, t and s of shape (m,),
-    and returns (3, m) or (m,).  The methods take either and return a
-    batch's values point axis last.
+    Each callable takes a batch, t and s of shape (m,), and returns (3, m)
+    (v_t (m,)).  The methods take floats or a batch; floats are read as a
+    batch of one, and a batch's values come back point axis last.
     """
 
-    def __init__(self, psi, v=None, n=None, v_t=None, domain=None,
-                 vectorized=False):
+    def __init__(self, psi, v=None, n=None, v_t=None, domain=None):
         self._psi = psi
         self._v = v
         self._n = n
         self._v_t = v_t
         self.domain = domain
-        self.vectorized = vectorized
 
     def psi(self, t, s) -> np.ndarray:
-        return _read(self, self._psi, (t, s), (3,))
+        return _read(self._psi, (t, s), (3,))
 
     def n(self, t, s) -> np.ndarray:
         if self._n is not None:
-            return _read(self, self._n, (t, s), (3,))
+            return _read(self._n, (t, s), (3,))
         return _partial(self.psi, (t, s), 1)
 
     def v_t(self, t, s, v=None, n=None):
@@ -170,14 +170,14 @@ class Curve1D:
         not read again.
         """
         if self._v_t is not None:
-            return _read(self, self._v_t, (t, s), ())[()]
+            return _read(self._v_t, (t, s), ())[()]
         if v is None:
             v = self.v(t, s)
         return _dot(v, self.n(t, s) if n is None else n)
 
     def v(self, t, s) -> np.ndarray:
         if self._v is not None:
-            return _read(self, self._v, (t, s), (3,))
+            return _read(self._v, (t, s), (3,))
         dpsi_dt = _partial(self.psi, (t, s), 0)
         if self._v_t is not None:
             n = self.n(t, s)
@@ -250,30 +250,11 @@ class ShellFrame(NamedTuple):
     n: tuple
 
 
-def _point_axis_last(vectorized, coords, *fns):
-    """Each field fn of a medium at every point of a batch, as an array
-    with the point axis last.
-
-    coords are the fields' arguments over the batch, point axis last: t
-    (m,) and x (3, m) for a medium filling space, t and s for a curve, t,
-    theta^1 and theta^2, (m,) each, for a shell.  A vectorized field is
-    called once, on coords.  Any
-    other field is called point by point, on the arguments one point gives
-    it (floats, and x as a (3,) array), and its values are stacked.
-    """
-    if vectorized:
-        return [np.asarray(fn(*coords), dtype=float) for fn in fns]
-    points = list(zip(*(c.tolist() if c.ndim == 1
-                        else np.ascontiguousarray(c.T) for c in coords)))
-    return [_to_last(np.array([fn(*p) for p in points], dtype=float))
-            for fn in fns]
-
-
-def _read(medium, fn, coords, shape):
-    """fn of a medium at one point, as an array of `shape`, or at a batch,
-    with the point axis last; one point is read as a batch of one."""
+def _read(fn, coords, shape):
+    """Field fn at one point, as an array of `shape`, or at a batch, with
+    the point axis last; one point is read as a batch of one."""
     batch = [np.reshape(np.asarray(u, dtype=float), -1) for u in coords]
-    (value,) = _point_axis_last(medium.vectorized, batch, fn)
+    value = np.asarray(fn(*batch), dtype=float)
     value = value.reshape(shape + (len(batch[0]),))
     return value if np.ndim(coords[0]) else value[..., 0]
 
@@ -332,12 +313,9 @@ class ShellField:
     A shell element's rigid spin may be given by its Poisson vector varpi;
     when varpi is given and w is not, w = varpi x n.
 
-    Each callable takes one point, three floats (t, theta1, theta2), and
-    returns x, n, v, w or varpi as a 3-vector and pi as a (2, 3) array.
-    With vectorized=True each takes a batch of m points instead, three
-    arrays of shape (m,), and returns its values with the point axis last:
-    (3, m) and (2, 3, m).  Callables that are not vectorized are read point
-    by point.
+    Each callable takes a batch of m points, three arrays (t, theta1,
+    theta2) of shape (m,), and returns x, n, v, w or varpi as (3, m) and
+    pi as (2, 3, m), point axis last.
 
     Every method takes one point, as floats, or a batch, as three (m,)
     arrays, and returns the batch's values with the point axis last.  The
@@ -350,7 +328,7 @@ class ShellField:
     """
 
     def __init__(self, x, pi=None, n=None, v=None, w=None, domain=None,
-                 varpi=None, vectorized=False):
+                 varpi=None):
         self._x = x
         self._pi = pi
         self._n = n
@@ -358,15 +336,14 @@ class ShellField:
         self._w = w
         self.domain = domain
         self.varpi = varpi
-        self.vectorized = vectorized
 
     def x(self, t, th1, th2) -> np.ndarray:
-        return _read(self, self._x, (t, th1, th2), (3,))
+        return _read(self._x, (t, th1, th2), (3,))
 
     def pi(self, t, th1, th2) -> np.ndarray:
         """(2, 3) array; row a is d x / d theta^a."""
         if self._pi is not None:
-            return _read(self, self._pi, (t, th1, th2), (2, 3))
+            return _read(self._pi, (t, th1, th2), (2, 3))
         args = (t, th1, th2)
         return np.stack([_partial(self.x, args, 1), _partial(self.x, args, 2)])
 
@@ -394,7 +371,7 @@ class ShellField:
     def _normal(self, t, th1, th2, p=None, q=None) -> tuple:
         """Unit normal as a triple; p, q are pi's rows if already read."""
         if self._n is not None:
-            return tuple(_read(self, self._n, (t, th1, th2), (3,)))
+            return tuple(_read(self._n, (t, th1, th2), (3,)))
         if p is None:
             p, q = self.pi(t, th1, th2)
         m0, m1, m2 = cross3(p, q)
@@ -406,9 +383,9 @@ class ShellField:
     def _normal_rate(self, t, th1, th2, n=None) -> tuple:
         """w = d n / dt as a triple; n is the normal if already read."""
         if self._w is not None:
-            return tuple(_read(self, self._w, (t, th1, th2), (3,)))
+            return tuple(_read(self._w, (t, th1, th2), (3,)))
         if self.varpi is not None:
-            vp = _read(self, self.varpi, (t, th1, th2), (3,))
+            vp = _read(self.varpi, (t, th1, th2), (3,))
             return cross3(vp, self._normal(t, th1, th2) if n is None else n)
         h = fd.default_step(t)
         up, down = self._normal(t + h, th1, th2), self._normal(t - h, th1, th2)
@@ -454,7 +431,7 @@ class ShellField:
 
     def v(self, t, th1, th2) -> np.ndarray:
         if self._v is not None:
-            return _read(self, self._v, (t, th1, th2), (3,))
+            return _read(self._v, (t, th1, th2), (3,))
         return _partial(self.x, (t, th1, th2), 0)
 
     def w(self, t, th1, th2) -> np.ndarray:
@@ -549,7 +526,8 @@ class Cosserat1DField:
 
     rho_l, F are the force-mass components; q, l, l_star, M_star the moment
     components.  Kinematics (v, v_t, n) come from the curve.  The fields
-    take (t, s) as the curve's callables do, on a batch if vectorized.
+    take a batch (t, s) as the curve's callables do, and return rho_l (m,)
+    and the others (3, m).
     """
 
     curve: Curve1D
@@ -559,7 +537,6 @@ class Cosserat1DField:
     l: Callable
     l_star: Callable
     M_star: Callable
-    vectorized: bool = False
 
 
 @dataclass
@@ -568,12 +545,10 @@ class ShellLoads:
 
     rho_s: surface density; N: (2, 2) membrane forces; Q: (2,) shear;
     M: (2, 2) moments; kappa: transverse inertia rho h^3 / 12.  Each field
-    takes one point, three floats.  With vectorized=True each takes a batch
-    of m points instead, three arrays of shape (m,), and returns its values
-    with the point axis last: (m,), (2, 2, m), (2, m), (2, 2, m) and (m,).
-    balance.residual_2d then reads a whole probe batch in one call per
-    field and stencil side; loads that are not vectorized are read point
-    by point.
+    takes a batch of m points, three arrays of shape (m,), and returns its
+    values with the point axis last: (m,), (2, 2, m), (2, m), (2, 2, m) and
+    (m,).  balance.residual_2d reads a whole probe batch in one call per
+    field and stencil side.
     """
 
     rho_s: Callable
@@ -581,7 +556,6 @@ class ShellLoads:
     Q: Callable
     M: Callable
     kappa: Callable
-    vectorized: bool = False
 
 
 def shell_torsor(rho_s, N, Q, M, kappa, w):
@@ -623,9 +597,9 @@ class Cosserat3DState:
 
     T: (4, 4) stress-mass T^{ab}; q, l: (3,) position and spin densities;
     l_star, M_star: (3, 3) flux tensors, first index the component, second
-    the transport direction.  With vectorized=True each field takes a
-    batch of m events, t of shape (m,) and x of shape (3, m), and returns
-    its values with the point axis last, as CauchyMedium's do.
+    the transport direction.  Each field takes a batch of m events, t of
+    shape (m,) and x of shape (3, m), and returns its values with the point
+    axis last, as CauchyMedium's do.
     """
 
     T: Callable
@@ -634,7 +608,6 @@ class Cosserat3DState:
     l_star: Callable
     M_star: Callable
     domain: Optional[tuple] = None
-    vectorized: bool = False
 
 
 def cosserat_J(q, l, l_star, M_star) -> np.ndarray:

@@ -277,8 +277,8 @@ def _residual_case(check, tol, header, rows, view, exact=None):
 
 
 def _per_point(value):
-    """A vectorized field that takes the constant `value` at every point
-    of a batch, point axis last."""
+    """A field that takes the constant `value` at every point of a batch,
+    point axis last."""
     value = np.asarray(value, dtype=float)
     return lambda t, *rest: np.broadcast_to(value[..., None],
                                             value.shape + np.shape(t))
@@ -523,7 +523,7 @@ def _projectile_residual(p, rng, conn_spec):
     ts = np.linspace(p["t_span"][0], p["t_span"][1], p["n_t"])
     return _residual_case(
         "pointwise residual on parabola", 1e-8, "t", [[t] for t in ts],
-        lambda t: residual_pointwise(traj, conn, t, vectorized=True),
+        lambda t: residual_pointwise(traj, conn, t),
     )
 
 
@@ -536,10 +536,10 @@ def manufactured_cauchy(g=(0.1, -0.2, 0.3), Omega=(0.2, -0.1, 0.3)):
 
     Returns (medium, conn, exact) where exact(t, x) is the ten-component
     residual array the evaluator must converge to; g and Omega are the
-    uniform frame fields the expansion absorbs.  The medium is vectorized,
-    and exact too: on a batch, t of shape (m,) and x of shape (3, m), it
-    returns (10, m).  The expansion is verified against an independent
-    symbolic derivation in the test suite.
+    uniform frame fields the expansion absorbs.  exact takes a batch too:
+    on t of shape (m,) and x of shape (3, m) it returns (10, m).  The
+    expansion is verified against an independent symbolic derivation in
+    the test suite.
     """
     g = np.asarray(g, dtype=float).reshape(3)
     Om = np.asarray(Omega, dtype=float).reshape(3)
@@ -594,7 +594,7 @@ def manufactured_cauchy(g=(0.1, -0.2, 0.3), Omega=(0.2, -0.1, 0.3)):
             sig[0, 1] - sig[1, 0],
         ])
 
-    medium = CauchyMedium(rho=rho, v=v, sigma=sigma, vectorized=True)
+    medium = CauchyMedium(rho=rho, v=v, sigma=sigma)
     return medium, conn, exact
 
 
@@ -635,7 +635,6 @@ def _hydrostatic(p, rng, conn_spec):
         rho=lambda t, x: np.full_like(t, rho0),
         v=lambda t, x: np.zeros_like(x),
         sigma=lambda t, x: -rho0 * _dot3(g, x) * _EYE3,
-        vectorized=True,
     )
     return _residual_case(
         "hydrostatic residual", 1e-8, "t,x1,x2,x3",
@@ -664,7 +663,7 @@ def _rotating_bucket(p, rng, conn_spec):
     conn = conn_spec.build()
     medium = CauchyMedium(
         rho=lambda t, x: np.full_like(t, rho0),
-        v=lambda t, x: np.zeros_like(x), sigma=sigma, vectorized=True,
+        v=lambda t, x: np.zeros_like(x), sigma=sigma,
     )
     return _residual_case(
         "spinning-bucket residual", 1e-8, "t,x1,x2,x3",
@@ -696,14 +695,13 @@ def _beam_under_gravity(p, rng, conn_spec):
 
     zero3 = _per_point(np.zeros(3))
     f = Cosserat1DField(
-        curve=Curve1D(psi, n=_per_point(e1), vectorized=True),
+        curve=Curve1D(psi, n=_per_point(e1)),
         rho_l=_per_point(rho_l),
         F=lambda t, s: -rho_l * s * g[:, None],
         q=lambda t, s: rho_l * psi(t, s),
         l=zero3,
         l_star=zero3,
         M_star=lambda t, s: -rho_l * s * s / 2.0 * n_cross_g,
-        vectorized=True,
     )
     ss = np.linspace(0.1, p["length"], p["n_s"])
     return _residual_case(
@@ -730,7 +728,7 @@ def _spinning_ring(p, rng, conn_spec):
     def n(t, s):
         return np.array([-np.sin(s / r), np.cos(s / r), np.zeros_like(s)])
 
-    ring = Curve1D(psi, v=lambda t, s: w * r * n(t, s), n=n, vectorized=True)
+    ring = Curve1D(psi, v=lambda t, s: w * r * n(t, s), n=n)
     zero3 = _per_point(np.zeros(3))
     f = Cosserat1DField(
         curve=ring,
@@ -740,7 +738,6 @@ def _spinning_ring(p, rng, conn_spec):
         l=zero3,
         l_star=lambda t, s: rho_l * (w * r) * psi(t, s),
         M_star=zero3,
-        vectorized=True,
     )
     conn = conn_spec.build()
     ss = np.linspace(0.0, 2.0 * np.pi * r, p["n_s"], endpoint=False)
@@ -758,7 +755,6 @@ def _flat_plate():
     return ShellField(
         lambda t, th1, th2: np.array([th1, th2, np.zeros_like(th1)]),
         pi=_per_point([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-        vectorized=True,
     )
 
 
@@ -785,7 +781,7 @@ def _plate_bending(p, rng, conn_spec):
     loads = ShellLoads(
         rho_s=_per_point(rho_s),
         N=_per_point([[0.7, 0.2], [0.2, -0.1]]),
-        Q=Q, M=M, kappa=_per_point(0.05), vectorized=True,
+        Q=Q, M=M, kappa=_per_point(0.05),
     )
     sf = _flat_plate()
     side = np.linspace(-half_width, half_width, p["n_side"])
@@ -836,14 +832,13 @@ def _laplace_sphere(p, rng, conn_spec):
         return np.array([[1.0 - th1 * th1 / r2, a12],
                          [a12, 1.0 - th2 * th2 / r2]])
 
-    sphere = ShellField(chart, pi=pi, vectorized=True)
+    sphere = ShellField(chart, pi=pi)
     loads = ShellLoads(
         rho_s=_per_point(rho_s),
         N=lambda t, th1, th2: T0 * a_inv(th1, th2),
         Q=_per_point(np.zeros(2)),
         M=_per_point(np.zeros((2, 2))),
         kappa=_per_point(0.01),
-        vectorized=True,
     )
     conn = GalileanConnection(
         g=lambda t, x: (pr / rho_s) * np.asarray(x, dtype=float) / r
@@ -876,14 +871,13 @@ def _spinning_drum(p, rng, conn_spec):
             [[-np.sin(th1 / R), np.cos(th1 / R), zero], [zero, zero, one]]
         )
 
-    drum = ShellField(chart, pi=pi, vectorized=True)
+    drum = ShellField(chart, pi=pi)
     loads = ShellLoads(
         rho_s=_per_point(rho_s),
         N=_per_point([[rho_s * w * w * R * R, 0.0], [0.0, 0.0]]),
         Q=_per_point(np.zeros(2)),
         M=_per_point(np.zeros((2, 2))),
         kappa=_per_point(0.02),
-        vectorized=True,
     )
     conn = conn_spec.build()
     return _residual_case(
@@ -928,7 +922,7 @@ def _momentless_hydrostatic(p, rng, conn_spec):
         return np.zeros((3, 3, len(t)))
 
     state = Cosserat3DState(T=T, q=zero_v, l=zero_v, l_star=zero_m,
-                            M_star=zero_m, vectorized=True)
+                            M_star=zero_m)
     return _residual_case(
         "momentless degeneration residual", 1e-8, "t,x1,x2,x3",
         _cube_rows(0.0, p["half_width"], p["n_side"]),
@@ -1060,9 +1054,10 @@ def manufactured_rod(g=(0.1, -0.3, 0.2), Omega=(0.2, 0.1, -0.3)):
         return np.array([s + t / 10.0, 0.3 * np.sin(t), t / 5.0])
 
     def v(t, s):
-        return np.array([0.2 * np.sin(s + t), 0.3 * np.cos(t), 0.2])
+        return np.array([0.2 * np.sin(s + t), 0.3 * np.cos(t),
+                         np.full(np.shape(t), 0.2)])
 
-    curve = Curve1D(psi=psi, n=lambda t, s: e1, v=v)
+    curve = Curve1D(psi=psi, n=_per_point(e1), v=v)
 
     def rho(t, s):
         return 1.5 + 0.4 * np.cos(s - t)

@@ -57,6 +57,8 @@ from torsor.reduction import (
 )
 from torsor.simulate import IntegratorConfig, PointwiseState, run_scenario
 
+from per_point import batched
+
 
 def _report(capsys, num, name, ok, detail):
     line = f"criterion {num:2d} {'PASS' if ok else 'FAIL'}: {name} ({detail})"
@@ -189,16 +191,19 @@ def test_criterion_04_cauchy_residual_convergence(capsys):
 
 
 class _SpaceFillingMedium:
-    """Chart equals space-time, tangent map identity, no moment fields."""
+    """Chart equals space-time, tangent map identity, no moment fields;
+    T_mat_fn gives T at one event, and a batch of events is read one
+    event at a time."""
 
     def __init__(self, T_mat_fn):
         self._T = T_mat_fn
 
     def torsor_T(self, xi):
-        return np.asarray(self._T(xi[0], xi[1:]), dtype=float).T
+        return np.array([np.asarray(self._T(p[0], p[1:]), dtype=float).T
+                         for p in xi])
 
     def torsor_J(self, xi):
-        return np.zeros((4, 4, 4))
+        return np.zeros((len(xi), 4, 4, 4))
 
     def tangent_map(self, xi):
         return np.eye(4)
@@ -221,9 +226,9 @@ def test_criterion_05_symmetry_recovery(capsys):
         medium = _SpaceFillingMedium(T_mat)
         t = rng.uniform(-1.0, 1.0)
         x = rng.uniform(-1.0, 1.0, size=3)
-        xi = np.concatenate(([t], x))
+        xi = np.concatenate(([t], x))[None]
         chris = PullbackChristoffels.identity_embedding(conn, t, x)
-        out = divergence(medium, xi, chris)[1]
+        _, (out,) = divergence(medium, xi, chris)
         T = T_mat(t, x)
         worst = max(worst, float(np.max(np.abs(out - (T.T - T)))))
     ok = worst < tol
@@ -312,16 +317,16 @@ def test_criterion_07_rod_statics_shear_relation(capsys):
             -0.1 * np.sin(s), 0.3 * np.cos(s), -0.2 * np.sin(s),
         ])
 
-    zero3 = lambda t, s: np.zeros(3)  # noqa: E731
+    zero3 = batched(lambda t, s: np.zeros(3))
     rod = Cosserat1DField(
-        curve=Curve1D(lambda t, s: np.array([s, 0.0, 0.0]),
-                      n=lambda t, s: e1, v=zero3),
-        rho_l=lambda t, s: 1.4,
-        F=F,
+        curve=Curve1D(batched(lambda t, s: np.array([s, 0.0, 0.0])),
+                      n=batched(lambda t, s: e1), v=zero3),
+        rho_l=batched(lambda t, s: 1.4),
+        F=batched(F),
         q=zero3,
         l=zero3,
         l_star=zero3,
-        M_star=M_star,
+        M_star=batched(M_star),
     )
     worst = 0.0
     for s in np.linspace(-1.0, 1.5, 11):
@@ -340,9 +345,9 @@ def test_criterion_07_rod_statics_shear_relation(capsys):
 
 def _flat_plate():
     return ShellField(
-        lambda t, th1, th2: np.array([th1, th2, 0.0]),
-        pi=lambda t, th1, th2: np.array(
-            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        batched(lambda t, th1, th2: np.array([th1, th2, 0.0])),
+        pi=batched(lambda t, th1, th2: np.array(
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])),
     )
 
 
@@ -353,14 +358,14 @@ def test_criterion_08_plate_recovery_and_identity_rows(capsys):
 
     def loads_with(N_fn):
         return ShellLoads(
-            rho_s=lambda *a: 1.1,
-            N=N_fn,
-            Q=lambda t, th1, th2: np.array([0.4 * th1, -0.2 * th2]),
-            M=lambda t, th1, th2: np.array([
+            rho_s=batched(lambda *a: 1.1),
+            N=batched(N_fn),
+            Q=batched(lambda t, th1, th2: np.array([0.4 * th1, -0.2 * th2])),
+            M=batched(lambda t, th1, th2: np.array([
                 [0.3 * th1 ** 2, 0.1 * th1 * th2],
                 [0.1 * th1 * th2, -0.2 * th2 ** 2],
-            ]),
-            kappa=lambda *a: 0.05,
+            ])),
+            kappa=batched(lambda *a: 0.05),
         )
 
     def dM_minus_Q(th1, th2):
@@ -417,9 +422,9 @@ def test_criterion_09_momentless_degeneration(capsys):
         sigma = -rho0 * float(g @ np.asarray(x)) * np.eye(3)
         return assemble_cauchy_T(rho0, np.zeros(3), sigma)
 
-    zero_v = lambda t, x: np.zeros(3)  # noqa: E731
-    zero_m = lambda t, x: np.zeros((3, 3))  # noqa: E731
-    state = Cosserat3DState(T=T, q=zero_v, l=zero_v, l_star=zero_m,
+    zero_v = batched(lambda t, x: np.zeros(3))
+    zero_m = batched(lambda t, x: np.zeros((3, 3)))
+    state = Cosserat3DState(T=batched(T), q=zero_v, l=zero_v, l_star=zero_m,
                             M_star=zero_m)
     worst = 0.0
     for a in np.linspace(-0.8, 0.8, 3):

@@ -4,8 +4,9 @@ evaluation.
 residual_pointwise, residual_1d, residual_2d, residual_cauchy and
 residual_3d_cosserat take a batch of points through one
 connection.divergence with a leading point axis.  Each
-point's rows must be those it gets on its own, whether its medium is
-vectorized or read point by point, under a uniform and a rotating frame; a
+point's rows must be those it gets on its own, whether its fields are
+written in batch form or written for one point and read through the test
+adapter per_point.batched, under a uniform and a rotating frame; a
 scenario's rows may not depend on how its grid is cut into blocks; and on
 a bounded domain a batch must fail, or take its one-sided stencils, as a
 loop over its points does.  One point is a batch of one and runs every
@@ -23,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torsor import connection, library
-from torsor.affine import PointwiseTorsor
 from torsor.balance import (
     residual_1d,
     residual_2d,
@@ -43,6 +43,7 @@ from torsor.fields import (
     ShellLoads,
 )
 
+from per_point import batched
 from test_balance import shell_oracle
 
 
@@ -61,21 +62,29 @@ def smooth(c, shape):
     return fn
 
 
-def cauchy_medium(c, vectorized, domain=None):
+# Each maker builds its medium from fields written once for one point and
+# for a batch; `wrap`, if given, is applied to every field: the test
+# adapter `batched`, to read them point by point, or a spy.
+
+
+def cauchy_medium(c, wrap=lambda fn: fn, domain=None):
     rho = smooth(c, ())
-    return CauchyMedium(rho=lambda t, x: 2.0 + rho(t, x), v=smooth(c, (3,)),
-                        sigma=smooth(c[::-1], (3, 3)), domain=domain,
-                        vectorized=vectorized)
+    return CauchyMedium(
+        rho=wrap(lambda t, x: 2.0 + rho(t, x)),
+        v=wrap(smooth(c, (3,))),
+        sigma=wrap(smooth(c[::-1], (3, 3))), domain=domain)
 
 
-def cosserat_state(c, vectorized, domain=None):
+def cosserat_state(c, wrap=lambda fn: fn, domain=None):
     return Cosserat3DState(
-        T=smooth(c, (4, 4)), q=smooth(c[1:], (3,)), l=smooth(c[2:], (3,)),
-        l_star=smooth(c[::-1], (3, 3)), M_star=smooth(c[::2], (3, 3)),
-        domain=domain, vectorized=vectorized)
+        T=wrap(smooth(c, (4, 4))),
+        q=wrap(smooth(c[1:], (3,))),
+        l=wrap(smooth(c[2:], (3,))),
+        l_star=wrap(smooth(c[::-1], (3, 3))),
+        M_star=wrap(smooth(c[::2], (3, 3))), domain=domain)
 
 
-def shell_loads(c, vectorized):
+def shell_loads(c, wrap):
     """Polynomial loads with a non-symmetric N and M and a kappa that
     varies in t, so that every row of the view is nonzero; written once
     for one point and for a batch (point axis last)."""
@@ -90,10 +99,11 @@ def shell_loads(c, vectorized):
                          [a * th1 * th2, -b * th2 * t]])
 
     return ShellLoads(
-        rho_s=lambda t, th1, th2: 1.5 + d * th1 - e * t * th2, N=N,
-        Q=lambda t, th1, th2: np.array([f * th1 * th2 + t, g * th2]), M=M,
-        kappa=lambda t, th1, th2: 0.5 + 0.3 * t + 0.2 * a * th1,
-        vectorized=vectorized)
+        rho_s=wrap(lambda t, th1, th2: 1.5 + d * th1 - e * t * th2),
+        N=wrap(N),
+        Q=wrap(lambda t, th1, th2: np.array([f * th1 * th2 + t, g * th2])),
+        M=wrap(M),
+        kappa=wrap(lambda t, th1, th2: 0.5 + 0.3 * t + 0.2 * a * th1))
 
 
 def plate(t, th1, th2):
@@ -146,18 +156,19 @@ def spinning_varpi(t, th1, th2):
 # normal from pi and differences it for w; the spinning shell differences
 # x for pi and takes w = varpi x n.
 SHELLS = {
-    "plate": lambda v, d: ShellField(plate, pi=plate_pi, n=plate_n, w=plate_w,
-                                     domain=d, vectorized=v),
-    "sphere": lambda v, d: ShellField(sphere, pi=sphere_pi, domain=d,
-                                      vectorized=v),
-    "spinning": lambda v, d: ShellField(spinning, varpi=spinning_varpi,
-                                        domain=d, vectorized=v),
+    "plate": lambda wrap, d: ShellField(
+        wrap(plate), pi=wrap(plate_pi), n=wrap(plate_n),
+        w=wrap(plate_w), domain=d),
+    "sphere": lambda wrap, d: ShellField(wrap(sphere), pi=wrap(sphere_pi),
+                                         domain=d),
+    "spinning": lambda wrap, d: ShellField(
+        wrap(spinning), varpi=wrap(spinning_varpi), domain=d),
 }
 
 
 def shell_medium(geometry):
-    def make(c, vectorized, domain=None):
-        return SHELLS[geometry](vectorized, domain), shell_loads(c, vectorized)
+    def make(c, wrap=lambda fn: fn, domain=None):
+        return SHELLS[geometry](wrap, domain), shell_loads(c, wrap)
 
     return make
 
@@ -166,9 +177,9 @@ def shell_residual(fields, conn, *coords, **kw):
     return residual_2d(*fields, conn, *coords, **kw)
 
 
-def trajectory(c, vectorized, domain=None):
+def trajectory(c, wrap=lambda fn: fn, domain=None):
     """A worldline's (m, p, q, l), smooth and written once for one time
-    and for a batch (point axis last), and whether it reads a batch."""
+    and for a batch (point axis last)."""
     a, b, d, e, f, g = c
 
     def mplq(t):
@@ -176,16 +187,10 @@ def trajectory(c, vectorized, domain=None):
         return (2.0 + 0.5 * np.sin(d * t), np.array(rows[:3]),
                 np.array(rows[3:6]) * e, np.array(rows[6:]) * f + g * t)
 
-    return (mplq if vectorized
-            else lambda t: PointwiseTorsor(*mplq(t))), vectorized
+    return wrap(mplq)
 
 
-def pointwise_residual(fields, conn, t, **kw):
-    traj, vectorized = fields
-    return residual_pointwise(traj, conn, t, vectorized=vectorized, **kw)
-
-
-def rod(c, vectorized, domain=None):
+def rod(c, wrap=lambda fn: fn, domain=None):
     """A rod whose tangent is differenced from psi and whose velocity
     slides along the chart at the given v_t, with smooth loads, written
     once for one point and for a batch (point axis last)."""
@@ -197,14 +202,16 @@ def rod(c, vectorized, domain=None):
             for i in range(3)])
 
     curve = Curve1D(
-        lambda t, s: np.array([s + 0.1 * a * t * t, 0.3 * np.sin(b * t + s),
-                               0.2 * d * s * s]),
-        v_t=lambda t, s: e * np.cos(t - s), domain=domain,
-        vectorized=vectorized)
+        wrap(lambda t, s: np.array([s + 0.1 * a * t * t,
+                                    0.3 * np.sin(b * t + s),
+                                    0.2 * d * s * s])),
+        v_t=wrap(lambda t, s: e * np.cos(t - s)), domain=domain)
     return Cosserat1DField(
-        curve=curve, rho_l=lambda t, s: 1.5 + 0.3 * np.sin(f * t + g * s),
-        F=vec(0), q=vec(1), l=vec(2), l_star=vec(3), M_star=vec(4),
-        vectorized=vectorized)
+        curve=curve,
+        rho_l=wrap(lambda t, s: 1.5 + 0.3 * np.sin(f * t + g * s)),
+        F=wrap(vec(0)), q=wrap(vec(1)),
+        l=wrap(vec(2)), l_star=wrap(vec(3)),
+        M_star=wrap(vec(4)))
 
 
 def time_events(rng, m, lo=-1.0, hi=1.0):
@@ -229,7 +236,7 @@ def surface_events(rng, m, lo=-0.6, hi=0.6):
 
 # medium -> (fields from coefficients, residual view, probe events).
 MEDIA = {
-    "pointwise": (trajectory, pointwise_residual, time_events),
+    "pointwise": (trajectory, residual_pointwise, time_events),
     "rod": (rod, residual_1d, curve_events),
     "cauchy": (cauchy_medium, residual_cauchy, space_events),
     "cosserat": (cosserat_state, residual_3d_cosserat, space_events),
@@ -257,8 +264,8 @@ def point_by_point(residual, fields, conn, coords, **kw):
 # with a base gravity alone, whose g and Omega both enter the shell
 # Christoffels.
 ROW_CASES = [
-    (medium, vectorized, kind) for medium in sorted(MEDIA)
-    for vectorized in (True, False)
+    (medium, batch_form, kind) for medium in sorted(MEDIA)
+    for batch_form in (True, False)
     for kind in (("rotating",) if MEDIA[medium][2] is surface_events
                  else ("uniform", "rotating"))
 ]
@@ -269,26 +276,59 @@ ROW_CASES = [
 ROD_POINTS = 4
 
 
-@pytest.mark.parametrize("medium, vectorized, kind", ROW_CASES)
+@pytest.mark.parametrize("medium, batch_form, kind", ROW_CASES)
 @settings(derandomize=True, max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 9))
-def test_batch_rows_match_point_by_point(medium, vectorized, kind, seed, m):
+def test_batch_rows_match_point_by_point(medium, batch_form, kind, seed, m):
     rng = np.random.default_rng(seed)
     make, residual, events = MEDIA[medium]
     m = min(m, ROD_POINTS) if medium == "rod" else m
-    fields = make(rng.uniform(-1.0, 1.0, size=6), vectorized)
+    c = rng.uniform(-1.0, 1.0, size=6)
+    fields = make(c) if batch_form else make(c, batched)
     conn = frame(kind, rng)
     coords = events(rng, m)
     batch = residual(fields, conn, *coords)
     assert batch.mass.shape == (m,) and batch.ang_mom.shape == (m, 3)
     rows = batch.as_array()
     loop = point_by_point(residual, fields, conn, coords)
-    if vectorized:
+    if batch_form:
         # numpy's functions on a whole array may round unlike on one value.
         assert np.linalg.norm(rows - loop) <= 1e-12 * np.linalg.norm(loop)
     else:
         # The same field values either way, so the same bits.
         assert rows.tobytes() == loop.tobytes()
+
+
+def spy(fn):
+    """fn, as a field that fails on any call whose coordinates are floats
+    or 0-d arrays instead of arrays with a point axis."""
+    def read(*coords):
+        for c in coords:
+            if not (isinstance(c, np.ndarray) and c.ndim >= 1):
+                pytest.fail(f"field read on {c!r}, not on a batch")
+        return fn(*coords)
+
+    return read
+
+
+@pytest.mark.parametrize("m", [None, 3], ids=["one_float_point", "batch"])
+@pytest.mark.parametrize("medium", sorted(MEDIA))
+def test_every_field_read_takes_a_batch(medium, m):
+    # Every view reads every field of its medium on a batch, the shell's
+    # chart and the curve's psi and v_t too: at a single point given as
+    # floats (x a (3,) array) as well, since one point is a batch of one.
+    rng = np.random.default_rng(7)
+    make, residual, events = MEDIA[medium]
+    c = rng.uniform(-1.0, 1.0, size=6)
+    conn = frame("rotating", rng)
+    coords = events(rng, m or 1)
+    if m is None:
+        coords = tuple(u[..., 0] if u.ndim > 1 else float(u[0])
+                       for u in coords)
+    rows = residual(make(c, spy), conn, *coords).as_array()
+    want = residual(make(c), conn, *coords).as_array()
+    assert rows.shape == ((10,) if m is None else (m, 10))
+    assert rows.tobytes() == want.tobytes()
 
 
 BATCHED_CASES = ["cauchy_manufactured", "hydrostatic", "rotating_bucket",
@@ -359,8 +399,7 @@ def test_bounded_domain_batch_acts_as_a_loop(medium, seed, m):
     make, residual, events = MEDIA[medium]
     dims = DIMS[events]
     m = min(m, ROD_POINTS) if medium == "rod" else m
-    fields = make(rng.uniform(-1.0, 1.0, size=6), True,
-                  domain=((0.0, 1.0),) * dims)
+    fields = make(rng.uniform(-1.0, 1.0, size=6), domain=((0.0, 1.0),) * dims)
     conn = frame("rotating", rng)
     points = rng.uniform(0.2, 0.8, size=(dims, m))
     faces = rng.random(size=(dims, m)) < 0.15
@@ -383,8 +422,7 @@ def test_bounded_domain_batch_acts_as_a_loop(medium, seed, m):
 def test_bounded_domain_names_the_first_failing_point():
     # Point 0 leaves the box only in x3, point 1 already in t: a loop over
     # the points stops at point 0's x3, and so must the batch.
-    fields = cauchy_medium(np.linspace(-0.5, 0.5, 6), True,
-                           domain=((0.0, 1.0),) * 4)
+    fields = cauchy_medium(np.linspace(-0.5, 0.5, 6), domain=((0.0, 1.0),) * 4)
     t = np.array([0.5, 0.0])
     x = np.array([[0.5, 0.5], [0.5, 0.5], [0.25, 0.5]])
     x[2, 0] = 1.0
@@ -396,8 +434,7 @@ def test_bounded_domain_names_the_first_failing_point():
 def test_point_outside_the_domain_raises(one_sided):
     # x1 = 1.5 lies outside the unit box, so every stencil around it,
     # one-sided ones too, would read the medium only outside its domain.
-    fields = cauchy_medium(np.linspace(-0.5, 0.5, 6), True,
-                           domain=((0.0, 1.0),) * 4)
+    fields = cauchy_medium(np.linspace(-0.5, 0.5, 6), domain=((0.0, 1.0),) * 4)
     with pytest.raises(DifferentiationFailure, match=(
             r"^coordinate 1\.5 lies outside the domain \[0\.0, 1\.0\]$")):
         residual_cauchy(fields, GalileanConnection(), 0.5,
@@ -422,7 +459,7 @@ def counted(fn, calls, name):
 ])
 def test_each_view_reads_its_fields_once_per_stencil_offset(medium, names,
                                                             offsets):
-    # A vectorized medium's load fields are read three times a call, for
+    # A medium's load fields are read three times a call, for
     # the whole batch: at its points, then once per side of the one
     # stencil that moves every coordinate of every point, so that the
     # three reads hold each point at its 1 + 2 (d + 1) offsets once.  The
@@ -432,10 +469,10 @@ def test_each_view_reads_its_fields_once_per_stencil_offset(medium, names,
     # points, by the advective rows.
     rng = np.random.default_rng(3)
     make, residual, events = MEDIA[medium]
-    fields = make(rng.uniform(-1.0, 1.0, size=6), True)
+    fields = make(rng.uniform(-1.0, 1.0, size=6))
     calls = {}
     if medium == "pointwise":
-        fields = (counted(fields[0], calls, "traj"), True)
+        fields = counted(fields, calls, "traj")
     else:
         loads = fields[1] if medium == "plate" else fields
         loads = dataclasses.replace(loads, **{
@@ -456,8 +493,7 @@ def test_bad_point_in_a_later_stencil_block_raises_before_any_read(
     # and the whole stencil is checked before any block is read.
     monkeypatch.setattr(connection, "PROBE_CHUNK", 8)
     calls = {}
-    fields = cauchy_medium(np.linspace(-0.5, 0.5, 6), True,
-                           domain=((0.0, 1.0),) * 4)
+    fields = cauchy_medium(np.linspace(-0.5, 0.5, 6), domain=((0.0, 1.0),) * 4)
     fields = dataclasses.replace(fields, **{
         name: counted(getattr(fields, name), calls, name)
         for name in ("rho", "v", "sigma")})
@@ -475,12 +511,11 @@ def test_bad_point_in_a_later_stencil_block_raises_before_any_read(
 
 def test_shell_batch_matches_hand_expanded_oracle():
     # The spinning paraboloid (finite-difference pi, w = varpi x n) with
-    # polynomial loads, vectorized, in a rotating frame with a base
+    # polynomial loads, in batch form, in a rotating frame with a base
     # gravity: every row of a batch against the hand expansion of the
     # thin-medium laws at its point.
     rng = np.random.default_rng(11)
-    sf, loads = shell_medium("spinning")(
-        rng.uniform(-1.0, 1.0, size=6), True)
+    sf, loads = shell_medium("spinning")(rng.uniform(-1.0, 1.0, size=6))
     conn = GalileanConnection.rotating_frame([0.3, -0.2, 0.5],
                                              g=[0.1, 0.2, -9.8])
     coords = surface_events(rng, 4)

@@ -48,17 +48,19 @@ def lambdify_vec(exprs):
 def identity_medium(T_mat_fn, J_fn=None, domain=None):
     """Space-filling medium: chart = space-time, U = identity.
 
-    T_mat_fn(t, x) returns T^{bg} as a (4, 4) array; the field row form
-    gT^b is its transpose.  J_fn(t, x) returns J^{abg} as (4, 4, 4) with the
-    material index last; the field form moves it first.
+    T_mat_fn(t, x) returns T^{bg} at one event as a (4, 4) array; the field
+    row form gT^b is its transpose.  J_fn(t, x) returns J^{abg} as
+    (4, 4, 4) with the material index last; the field form moves it first.
+    The fields read a batch of events xi (k, 4) one event at a time and
+    stack their values along a leading point axis.
     """
     def torsor_T(xi):
-        return T_mat_fn(xi[0], xi[1:]).T
+        return np.array([T_mat_fn(p[0], p[1:]).T for p in xi])
 
     def torsor_J(xi):
         if J_fn is None:
-            return np.zeros((4, 4, 4))
-        return np.moveaxis(J_fn(xi[0], xi[1:]), -1, 0)
+            return np.zeros((len(xi), 4, 4, 4))
+        return np.array([np.moveaxis(J_fn(p[0], p[1:]), -1, 0) for p in xi])
 
     return MediumField(
         tangent_map=lambda xi: np.eye(4),
@@ -139,10 +141,10 @@ def test_div_T_matches_symbolic_oracle():
     for _ in range(5):
         t = rng.uniform(-1, 1)
         x = rng.uniform(-1, 1, size=3)
-        xi = np.concatenate(([t], x))
+        xi = np.concatenate(([t], x))[None]
         chris = PullbackChristoffels.identity_embedding(conn, t, x)
-        assert_allclose(divergence(medium, xi, chris)[0], oracle(t, x),
-                        atol=1e-9)
+        (dT,), _ = divergence(medium, xi, chris)
+        assert_allclose(dT, oracle(t, x), atol=1e-9)
 
 
 def test_div_J_matches_symbolic_oracle():
@@ -195,9 +197,9 @@ def test_div_J_matches_symbolic_oracle():
     for _ in range(4):
         t = rng.uniform(-1, 1)
         x = rng.uniform(-1, 1, size=3)
-        xi = np.concatenate(([t], x))
+        xi = np.concatenate(([t], x))[None]
         chris = PullbackChristoffels.identity_embedding(conn, t, x)
-        out = divergence(medium, xi, chris)[1]
+        _, (out,) = divergence(medium, xi, chris)
         expect = oracle(t, x)
         assert_allclose(out, 0.5 * (expect - expect.T), atol=1e-8)
         assert_allclose(out, expect, atol=1e-8)
@@ -220,9 +222,9 @@ def test_div_J_zero_moments_reduces_to_antisymmetry():
     for _ in range(10):
         t = rng.uniform(-1, 1)
         x = rng.uniform(-1, 1, size=3)
-        xi = np.concatenate(([t], x))
+        xi = np.concatenate(([t], x))[None]
         chris = PullbackChristoffels.identity_embedding(conn, t, x)
-        out = divergence(medium, xi, chris)[1]
+        _, (out,) = divergence(medium, xi, chris)
         T = T_mat(t, x)
         assert np.max(np.abs(out - (T.T - T))) < 1e-12
 
@@ -243,7 +245,7 @@ def test_divergence_without_moments_matches_zero_J_bits():
     for _ in range(5):
         t = rng.uniform(-1, 1)
         x = rng.uniform(-1, 1, size=3)
-        xi = np.concatenate(([t], x))
+        xi = np.concatenate(([t], x))[None]
         G = conn.christoffels_at(t, x)
         chris = PullbackChristoffels(G, G, spatial_origin_gamma_A(
             conn.Omega(t, x), x))
@@ -282,18 +284,13 @@ def test_divergence_linear_in_fields():
     )
     t = 0.4
     x = np.array([0.1, -0.2, 0.3])
-    xi = np.concatenate(([t], x))
+    xi = np.concatenate(([t], x))[None]
     chris = PullbackChristoffels.identity_embedding(conn, t, x)
-    assert_allclose(
-        divergence(mc, xi, chris)[0],
-        a * divergence(m1, xi, chris)[0] + b * divergence(m2, xi, chris)[0],
-        atol=1e-9,
-    )
-    assert_allclose(
-        divergence(mc, xi, chris)[1],
-        a * divergence(m1, xi, chris)[1] + b * divergence(m2, xi, chris)[1],
-        atol=1e-9,
-    )
+    (dT_c,), (dJ_c,) = divergence(mc, xi, chris)
+    (dT_1,), (dJ_1,) = divergence(m1, xi, chris)
+    (dT_2,), (dJ_2,) = divergence(m2, xi, chris)
+    assert_allclose(dT_c, a * dT_1 + b * dT_2, atol=1e-9)
+    assert_allclose(dJ_c, a * dJ_1 + b * dJ_2, atol=1e-9)
 
 
 def test_boundary_raises_and_one_sided_recovers():
@@ -306,14 +303,15 @@ def test_boundary_raises_and_one_sided_recovers():
         return out
 
     medium = identity_medium(T_mat, domain=domain)
-    xi = np.array([0.5, 1.0 - 1e-9, 0.5, 0.5])
-    chris = PullbackChristoffels.identity_embedding(conn, xi[0], xi[1:])
+    xi = np.array([[0.5, 1.0 - 1e-9, 0.5, 0.5]])
+    chris = PullbackChristoffels.identity_embedding(conn, xi[0, 0],
+                                                    xi[0, 1:])
     with pytest.raises(DifferentiationFailure):
-        divergence(medium, xi, chris)[0]
-    out = divergence(medium, xi, chris, one_sided=True)[0]
+        divergence(medium, xi, chris)
+    (out,), _ = divergence(medium, xi, chris, one_sided=True)
     # d/dt (t^2) + d/dx1 (x1^2) contributes 2t to the mass row only through
     # the time slot: row structure gives div^0 = d T^{00}/dt = 2t.
-    assert_allclose(out[0], 2.0 * xi[0], atol=1e-6)
+    assert_allclose(out[0], 2.0 * xi[0, 0], atol=1e-6)
 
 
 @pytest.mark.parametrize("one_sided", [False, True])
@@ -365,13 +363,30 @@ def test_divergence_second_order_convergence():
     medium = identity_medium(T_mat)
     t = 0.2
     x = np.array([0.3, -0.4, 0.1])
-    xi = np.concatenate(([t], x))
+    xi = np.concatenate(([t], x))[None]
     chris = PullbackChristoffels.identity_embedding(conn, t, x)
-    ref = divergence(medium, xi, chris, h=1e-6)[0]
+    (ref,), _ = divergence(medium, xi, chris, h=1e-6)
     errs = []
     steps = [1e-2, 1e-3]
     for h in steps:
-        out = divergence(medium, xi, chris, h=h)[0]
+        (out,), _ = divergence(medium, xi, chris, h=h)
         errs.append(np.max(np.abs(out - ref)))
     rate = np.log(errs[0] / errs[1]) / np.log(steps[0] / steps[1])
     assert 1.8 < rate < 2.2
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (1, 1, 4)])
+def test_divergence_takes_only_a_batch_of_points(shape):
+    # One chart point is a batch of one, (1, d+1); xi of any other rank
+    # is refused before any field is read.
+    seen = []
+
+    def T_mat(t, x):
+        seen.append(t)
+        return np.zeros((4, 4))
+
+    chris = PullbackChristoffels.identity_embedding(GalileanConnection(),
+                                                    0.0, np.zeros(3))
+    with pytest.raises(ValueError, match=r"shape \(m, d\+1\)"):
+        divergence(identity_medium(T_mat), np.zeros(shape), chris)
+    assert seen == []

@@ -36,6 +36,7 @@ from torsor.fields import (
 )
 from torsor.vecmath import cross3, moment_matrix, rotation, skew
 
+from per_point import batched
 from test_balance import curve_v_dot, numpy_metric, numpy_projector
 
 FD_TOL = 1e-8
@@ -47,14 +48,14 @@ EXACT_TOL = 1e-12
 
 
 def test_straight_rod_tangent_map():
-    rod = Curve1D(lambda t, s: np.array([s, 0.0, 0.0]))
+    rod = Curve1D(batched(lambda t, s: np.array([s, 0.0, 0.0])))
     assert_allclose(rod.n(0.3, 0.7), [1.0, 0.0, 0.0], atol=FD_TOL)
     assert_allclose(rod.v(0.3, 0.7), np.zeros(3), atol=FD_TOL)
 
 
 def test_translating_rod_tangent_map():
     # Rigid transverse translation: v = (0, 1, 0), no flow along the rod.
-    rod = Curve1D(lambda t, s: np.array([s, t, 0.0]))
+    rod = Curve1D(batched(lambda t, s: np.array([s, t, 0.0])))
     assert_allclose(rod.n(0.2, -0.4), [1.0, 0.0, 0.0], atol=FD_TOL)
     assert_allclose(rod.v(0.2, -0.4), [0.0, 1.0, 0.0], atol=FD_TOL)
     assert abs(rod.v_t(0.2, -0.4)) < FD_TOL
@@ -62,7 +63,8 @@ def test_translating_rod_tangent_map():
 
 def test_flowing_pipe_tangent_map():
     # Static chart, matter flowing along it: v = v_t n.
-    pipe = Curve1D(lambda t, s: np.array([s, 0.0, 0.0]), v_t=lambda t, s: 2.0)
+    pipe = Curve1D(batched(lambda t, s: np.array([s, 0.0, 0.0])),
+                   v_t=batched(lambda t, s: 2.0))
     assert_allclose(pipe.n(0.0, 1.2), [1.0, 0.0, 0.0], atol=FD_TOL)
     assert_allclose(pipe.v(0.0, 1.2), [2.0, 0.0, 0.0], atol=FD_TOL)
 
@@ -77,7 +79,7 @@ def test_rotating_circle_projector_identity():
             [r * np.cos(s / r), r * np.sin(s / r), 0.0]
         )
 
-    circle = Curve1D(psi)
+    circle = Curve1D(batched(psi))
     for t, s in [(0.0, 0.0), (0.3, 1.1), (-0.2, 4.0)]:
         n = circle.n(t, s)
         assert abs(np.linalg.norm(n) - 1.0) < 1e-7
@@ -93,7 +95,7 @@ def helix_curve(a, b):
             [a * np.cos(s / c), a * np.sin(s / c), b * s / c]
         )
 
-    return Curve1D(psi)
+    return Curve1D(batched(psi))
 
 
 def test_helix_unit_tangent_and_projector():
@@ -112,7 +114,7 @@ def test_helix_unit_tangent_and_projector():
 )
 def test_projector_tangent_identity_property(a, b, s, v_t):
     # Matter sliding along a static helix keeps v . n = v_t, n unit.
-    hel = Curve1D(helix_curve(a, b).psi, v_t=lambda t, u: v_t)
+    hel = Curve1D(helix_curve(a, b).psi, v_t=batched(lambda t, u: v_t))
     n = hel.n(0.0, s)
     assert abs(np.linalg.norm(n) - 1.0) < 1e-6
     assert abs(hel.v(0.0, s) @ n - v_t) < 1e-6
@@ -127,7 +129,7 @@ def test_analytic_tangent_matches_default():
             [-1.2 * np.sin(s / c), 1.2 * np.cos(s / c), 0.8]
         ) / c
 
-    hel_analytic = Curve1D(hel_default.psi, n=n)
+    hel_analytic = Curve1D(hel_default.psi, n=batched(n))
     for s in [-0.7, 0.4, 1.9]:
         assert_allclose(hel_default.n(0.0, s), hel_analytic.n(0.0, s), atol=FD_TOL)
 
@@ -148,13 +150,15 @@ def test_curve_acceleration_paths():
 
     t, s = 0.35, 1.4
     acc_exact = np.cross(w * e3, np.cross(w * e3, psi(t, s)))
-    assert_allclose(curve_v_dot(Curve1D(psi, v=v), t, s), acc_exact, atol=1e-7)
-    assert_allclose(curve_v_dot(Curve1D(psi), t, s), acc_exact, atol=1e-6)
+    assert_allclose(curve_v_dot(Curve1D(batched(psi), v=batched(v)), t, s),
+                    acc_exact, atol=1e-7)
+    assert_allclose(curve_v_dot(Curve1D(batched(psi)), t, s), acc_exact,
+                    atol=1e-6)
     # Static circle with steady flow: centripetal acceleration v_t^2 / r.
     def psi0(t, s):
         return np.array([r * np.cos(s / r), r * np.sin(s / r), 0.0])
 
-    flow = Curve1D(psi0, v_t=lambda t, s: 1.3)
+    flow = Curve1D(batched(psi0), v_t=batched(lambda t, s: 1.3))
     acc_flow = curve_v_dot(flow, 0.0, s)
     # d/dt at fixed s of a steady field is zero; the convective part lives
     # in the balance operator, so here the time derivative must vanish.
@@ -454,7 +458,7 @@ def sphere_patch(r, upper=True):
         z = sign * np.sqrt(r ** 2 - th1 ** 2 - th2 ** 2)
         return np.array([[1.0, 0.0, -th1 / z], [0.0, 1.0, -th2 / z]])
 
-    return ShellField(x, pi=pi)
+    return ShellField(batched(x), pi=batched(pi))
 
 
 def test_sphere_curvature_both_sheets():
@@ -477,7 +481,7 @@ def test_cylinder_geometry():
     def x(t, th1, th2):
         return np.array([R * np.cos(th1 / R), R * np.sin(th1 / R), th2])
 
-    cyl = ShellField(x)
+    cyl = ShellField(batched(x))
     t, th1, th2 = 0.0, 0.8, -0.3
     assert_allclose(numpy_metric(cyl, t, th1, th2), np.eye(2), atol=1e-7)
     n = cyl.n(t, th1, th2)
@@ -493,7 +497,7 @@ def test_second_form_symmetry_fd_default():
     def x(t, th1, th2):
         return np.array([th1, th2, 0.3 * th1 ** 2 * th2 + 0.1 * th2 ** 3])
 
-    sf = ShellField(x)
+    sf = ShellField(batched(x))
     G = shell_christoffels(sf, GalileanConnection(), 0.0, 0.4, -0.6)
     b = G[3, 1:3, 1:3]
     assert abs(b[0, 1] - b[1, 0]) < 1e-8
@@ -502,7 +506,8 @@ def test_second_form_symmetry_fd_default():
 
 
 def test_singular_metric_raises():
-    flatline = ShellField(lambda t, th1, th2: np.array([th1, th1, 0.0]))
+    flatline = ShellField(
+        batched(lambda t, th1, th2: np.array([th1, th1, 0.0])))
     with pytest.raises(SingularMetric):
         flatline.frame(0.0, 0.1, 0.2)
 
@@ -514,7 +519,8 @@ def test_nan_chart_is_singular(read):
     def pi(t, th1, th2):
         return np.array([[1.0, 0.0, np.nan], [0.0, 1.0, 0.0]])
 
-    sf = ShellField(lambda t, th1, th2: np.array([th1, th2, 0.0]), pi=pi)
+    sf = ShellField(batched(lambda t, th1, th2: np.array([th1, th2, 0.0])),
+                    pi=batched(pi))
     with pytest.raises(SingularMetric):
         getattr(sf, read)(0.0, 0.1, 0.2)
 
@@ -524,7 +530,8 @@ def test_nan_chart_is_singular(read):
 
 
 def test_flat_static_plate_christoffels_vanish():
-    plate = ShellField(lambda t, th1, th2: np.array([th1, th2, 0.0]))
+    plate = ShellField(
+        batched(lambda t, th1, th2: np.array([th1, th2, 0.0])))
     G = shell_christoffels(plate, GalileanConnection(), 0.0, 0.5, -1.0)
     assert_allclose(G[1:3, 0, 0], np.zeros(2), atol=FD_TOL)
     assert abs(G[3, 0, 0]) < FD_TOL
@@ -536,7 +543,8 @@ def test_flat_static_plate_christoffels_vanish():
 
 
 def test_flat_plate_under_gravity():
-    plate = ShellField(lambda t, th1, th2: np.array([th1, th2, 0.0]))
+    plate = ShellField(
+        batched(lambda t, th1, th2: np.array([th1, th2, 0.0])))
     g0 = 9.81
     conn = GalileanConnection(g=(0.0, 0.0, -g0))
     G = shell_christoffels(plate, conn, 0.0, 0.0, 0.0)
@@ -557,7 +565,7 @@ def test_spinning_plate_phi_blocks():
         R = rotation(e3, w * t)
         return np.array([R @ [1.0, 0.0, 0.0], R @ [0.0, 1.0, 0.0]])
 
-    plate = ShellField(x, pi=pi)
+    plate = ShellField(batched(x), pi=batched(pi))
     conn = GalileanConnection(Omega=w_f * e3)
     G = shell_christoffels(plate, conn, 0.3, 0.5, -0.2)
     total = w + w_f
@@ -579,7 +587,7 @@ def test_poisson_vector_and_normal_velocity():
         return R_of_t(t) @ np.array([th1, th2, 0.0])
 
     varpi = lambda t, th1, th2: w_rate * axis
-    plate = ShellField(x, varpi=varpi)
+    plate = ShellField(batched(x), varpi=batched(varpi))
 
     t = 0.4
     dR = (np.asarray(R_of_t(t + 1e-6)) - np.asarray(R_of_t(t - 1e-6))) / 2e-6
@@ -587,7 +595,7 @@ def test_poisson_vector_and_normal_velocity():
 
     n = plate.n(t, 0.2, -0.5)
     assert_allclose(plate.w(t, 0.2, -0.5), np.cross(w_rate * axis, n), atol=EXACT_TOL)
-    plain = ShellField(x)
+    plain = ShellField(batched(x))
     assert_allclose(
         plain.w(t, 0.2, -0.5), np.cross(w_rate * axis, n), atol=1e-7
     )
@@ -600,7 +608,7 @@ def test_shell_velocity_and_acceleration():
     def x(t, th1, th2):
         return rotation(e3, w_rate * t) @ np.array([th1, th2, 0.0])
 
-    sf = ShellField(x)
+    sf = ShellField(batched(x))
     t, th1, th2 = 0.25, 0.6, -0.1
     pos = sf.x(t, th1, th2)
     om = w_rate * e3
@@ -706,14 +714,15 @@ def tumbling_shell(analytic):
                 + np.array([0.3 * t, -0.1 * t * t, 0.2]))
 
     if not analytic:
-        return ShellField(x)
+        return ShellField(batched(x))
 
     def pi(t, th1, th2):
         pi0 = np.array([[1.0, -0.2, 0.4 * th1 + 0.1 * th2],
                         [0.3, 1.0, 0.1 * th1 + 0.3 * th2]])
         return pi0 @ rotation(axis, rate * t).T
 
-    return ShellField(x, pi=pi, varpi=lambda t, th1, th2: rate * axis)
+    return ShellField(batched(x), pi=batched(pi),
+                      varpi=batched(lambda t, th1, th2: rate * axis))
 
 
 @pytest.mark.parametrize("analytic", [False, True], ids=["fd", "analytic"])
@@ -736,22 +745,23 @@ def bundled_static_shells():
     connections, at their bundled probe grids."""
     r, R = 2.0, 1.5
     plate = ShellField(
-        lambda t, th1, th2: np.array([th1, th2, 0.0]),
-        pi=lambda t, th1, th2: np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        batched(lambda t, th1, th2: np.array([th1, th2, 0.0])),
+        pi=batched(lambda t, th1, th2: np.array([[1.0, 0.0, 0.0],
+                                                 [0.0, 1.0, 0.0]])))
 
     def sphere_pi(t, th1, th2):
         z = np.sqrt(r * r - th1 ** 2 - th2 ** 2)
         return np.array([[1.0, 0.0, -th1 / z], [0.0, 1.0, -th2 / z]])
 
     sphere = ShellField(
-        lambda t, th1, th2: np.array(
-            [th1, th2, np.sqrt(r * r - th1 ** 2 - th2 ** 2)]),
-        pi=sphere_pi)
+        batched(lambda t, th1, th2: np.array(
+            [th1, th2, np.sqrt(r * r - th1 ** 2 - th2 ** 2)])),
+        pi=batched(sphere_pi))
     drum = ShellField(
-        lambda t, th1, th2: np.array(
-            [R * np.cos(th1 / R), R * np.sin(th1 / R), th2]),
-        pi=lambda t, th1, th2: np.array(
-            [[-np.sin(th1 / R), np.cos(th1 / R), 0.0], [0.0, 0.0, 1.0]]))
+        batched(lambda t, th1, th2: np.array(
+            [R * np.cos(th1 / R), R * np.sin(th1 / R), th2])),
+        pi=batched(lambda t, th1, th2: np.array(
+            [[-np.sin(th1 / R), np.cos(th1 / R), 0.0], [0.0, 0.0, 1.0]])))
     return [
         ("plate", plate, GalileanConnection(g=(0.0, 0.0, -9.81)),
          np.linspace(-0.7, 0.7, 3), np.linspace(-0.7, 0.7, 3)),

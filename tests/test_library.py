@@ -33,6 +33,8 @@ from torsor.library import (
     manufactured_rod,
 )
 
+from per_point import batched
+
 EXACT_TOL = 1e-12
 BENCH_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks"
@@ -253,6 +255,18 @@ def test_every_residual_case_calls_its_view_once_per_chunk(monkeypatch):
     assert checked == 10
 
 
+@pytest.mark.parametrize("t", [0, 1])
+def test_rod_convergence_passes_at_an_integer_time(t):
+    # A scenario may give t as a JSON integer; the exact residual must not
+    # take its dtype from it.
+    raw = json.loads(bundled_scenarios()["rod_convergence"].read_text())
+    raw["params"] = {"t": t}
+    scn = load_scenario(raw)
+    assert any(scn.conn_spec.Omega)
+    for check in _run_case(scn).checks:
+        assert check.passed(), f"{check.name}: {check.value}"
+
+
 def test_cauchy_manufactured_seed_determinism():
     scn = load_scenario(json.loads(
         bundled_scenarios()["cauchy_manufactured"].read_text()))
@@ -355,9 +369,9 @@ def test_non_finite_stress_fails_the_residual_check(bad):
         scale = bad if x[0] > 0.25 else 1.0
         return assemble_cauchy_T(1.0, np.zeros(3), np.diag([-scale] * 3))
 
-    zero_v = lambda t, x: np.zeros(3)  # noqa: E731
-    zero_m = lambda t, x: np.zeros((3, 3))  # noqa: E731
-    state = Cosserat3DState(T=T, q=zero_v, l=zero_v, l_star=zero_m,
+    zero_v = batched(lambda t, x: np.zeros(3))
+    zero_m = batched(lambda t, x: np.zeros((3, 3)))
+    state = Cosserat3DState(T=batched(T), q=zero_v, l=zero_v, l_star=zero_m,
                             M_star=zero_m)
     conn = GalileanConnection()
     result = _residual_case(

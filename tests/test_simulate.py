@@ -32,6 +32,8 @@ from torsor.simulate import (
     step,
 )
 
+from per_point import batched
+
 EXACT_TOL = 1e-12
 FRAME_TOL = 1e-8
 SLOPE_TOL = 0.2
@@ -193,7 +195,7 @@ def test_stage_rates_are_the_pointwise_divergence(m, t, x, p, l, g0, gx, w0,
 
     # The stencil of a linear trajectory is exact for any step, and a wide
     # one keeps the differencing roundoff near eps.
-    res = residual_pointwise(traj, conn, t, h=0.5).as_array()
+    res = residual_pointwise(batched(traj), conn, t, h=0.5).as_array()
     scale = float(np.max(np.abs(np.concatenate([y, k]))))
     assert np.max(np.abs(res)) <= 1e-13 * scale
 
@@ -380,25 +382,25 @@ SYMS2 = sp.symbols("t s")
 
 def lamb4(e):
     f = sp.lambdify(SYMS4, e, "numpy")
-    return lambda t, x: float(f(t, *x))
+    return batched(lambda t, x: float(f(t, *x)))
 
 
 def lamb4_vec(exprs):
     fs = [sp.lambdify(SYMS4, e, "numpy") for e in exprs]
-    return lambda t, x: np.array([f(t, *x) for f in fs], dtype=float)
+    return batched(lambda t, x: np.array([f(t, *x) for f in fs], dtype=float))
 
 
 def lamb4_mat(M):
     fs = [[sp.lambdify(SYMS4, M[i, j], "numpy") for j in range(3)]
           for i in range(3)]
-    return lambda t, x: np.array(
+    return batched(lambda t, x: np.array(
         [[fs[i][j](t, *x) for j in range(3)] for i in range(3)], dtype=float
-    )
+    ))
 
 
 def lamb2_vec(exprs):
     fs = [sp.lambdify(SYMS2, e, "numpy") for e in exprs]
-    return lambda t, s: np.array([f(t, s) for f in fs], dtype=float)
+    return batched(lambda t, s: np.array([f(t, s) for f in fs], dtype=float))
 
 
 def cross3(a, b):
@@ -549,9 +551,10 @@ def test_convergence_slope_on_1d_rod():
         + sp.diff(M_star - slide * l, s) - cross3(n, F)
 
     e1 = np.array([1.0, 0.0, 0.0])
-    curve = Curve1D(psi=lamb2_vec(psi), n=lambda tt, ss: e1, v=lamb2_vec(v))
+    curve = Curve1D(psi=lamb2_vec(psi), n=batched(lambda tt, ss: e1),
+                    v=lamb2_vec(v))
     f = Cosserat1DField(
-        curve=curve, rho_l=sp.lambdify(SYMS2, rho, "numpy"),
+        curve=curve, rho_l=batched(sp.lambdify(SYMS2, rho, "numpy")),
         F=lamb2_vec(F), q=lamb2_vec(q), l=lamb2_vec(l),
         l_star=lamb2_vec(l_star), M_star=lamb2_vec(M_star),
     )

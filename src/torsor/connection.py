@@ -29,11 +29,23 @@ PROBE_CHUNK = 1024
 
 
 class GalileanConnection:
-    """Connection fields g(t, x) and Omega(t, x); constants accepted."""
+    """Connection fields g(t, x) and Omega(t, x); constants accepted.
+
+    A connection built from constant g and Omega, or by rotating_frame,
+    records its form as six floats: g (the base g of a rotating frame) and
+    Omega.  read and fields_at then compute from those floats, bit for bit
+    as the callables would, but only while g and Omega are still the
+    callables built here; a callable assigned later is always called.
+    """
 
     def __init__(self, g=(0.0, 0.0, 0.0), Omega=(0.0, 0.0, 0.0)):
         self.g = as_field(g, 3)
         self.Omega = as_field(Omega, 3)
+        self._own = (self.g, self.Omega)
+        self._rotating = False
+        self._consts = None
+        if not callable(g) and not callable(Omega):
+            self._consts = (*triple(g), *triple(Omega))
 
     @classmethod
     def uniform(cls, g=(0.0, 0.0, 0.0), Omega=(0.0, 0.0, 0.0)):
@@ -47,7 +59,8 @@ class GalileanConnection:
         constant base gravity g, in addition to the spin; Coriolis terms
         enter through Omega itself.  g is evaluated on float triples with
         vecmath.cross3, bit-identical to the numpy form g - Om x (Om x x),
-        and returned as a float (3,) array.
+        and returned as a float (3,) array.  The base g and Omega are
+        recorded as the connection's form.
         """
         Om = np.array(Omega, dtype=float).reshape(3)
         om = Om.tolist()
@@ -57,7 +70,36 @@ class GalileanConnection:
             c1, c2, c3 = cross3(om, cross3(om, triple(x)))
             return np.array((g1 - c1, g2 - c2, g3 - c3))
 
-        return cls(g=g_total, Omega=Om)
+        conn = cls(g=g_total, Omega=Om)
+        conn._rotating = True
+        conn._consts = (g1, g2, g3, *om)
+        return conn
+
+    def _form(self):
+        """The six recorded floats, or None when there are none or g or
+        Omega has been replaced since construction."""
+        if self.g is self._own[0] and self.Omega is self._own[1]:
+            return self._consts
+        return None
+
+    def read(self, t, x1, x2, x3):
+        """(g1, g2, g3, w1, w2, w3), six floats, at the event (t, x).
+
+        A recorded form is read from its floats, the rotating frame's g
+        with the products and differences of its callable in their order.
+        Otherwise g and then Omega are called with x as a float (3,) array.
+        """
+        c = self._form()
+        if c is None:
+            x = np.array((x1, x2, x3))
+            return (*triple(self.g(t, x)), *triple(self.Omega(t, x)))
+        if not self._rotating:
+            return c
+        g1, g2, g3, w1, w2, w3 = c
+        # a = Om x x, then g - Om x a, as cross3 writes them
+        a1, a2, a3 = w2 * x3 - w3 * x2, w3 * x1 - w1 * x3, w1 * x2 - w2 * x1
+        return (g1 - (w2 * a3 - w3 * a2), g2 - (w3 * a1 - w1 * a3),
+                g3 - (w1 * a2 - w2 * a1), w1, w2, w3)
 
     def christoffels_at(self, t, x) -> np.ndarray:
         """(4, 4, 4) array G[a, m, b] = Gamma^a_mb at the event (t, x), or
@@ -67,11 +109,32 @@ class GalileanConnection:
 
     def fields_at(self, t, x):
         """g and Omega, two (m, 3) arrays, at the events t (m,) and x
-        (3, m), read one event at a time (a float t, a (3,) x)."""
-        rows = np.ascontiguousarray(np.reshape(x, (3, -1)).T)
-        g, Omega = zip(*[(self.g(tp, xp), self.Omega(tp, xp))
-                         for tp, xp in zip(np.asarray(t).tolist(), rows)])
-        return np.array(g, dtype=float), np.array(Omega, dtype=float)
+        (3, m); an x of another size raises ValueError.
+
+        A recorded form is read on the whole batch: its constants tiled,
+        the rotating frame's g computed elementwise on the (m,) rows of x
+        in the order of its callable.  Otherwise g and Omega are called
+        one event at a time (a float t, a (3,) x).
+        """
+        m = np.size(t)
+        x = np.reshape(x, (3, m))
+        c = self._form()
+        if c is None:
+            rows = np.ascontiguousarray(x.T)
+            g, Omega = zip(*[(self.g(tp, xp), self.Omega(tp, xp))
+                             for tp, xp in zip(np.asarray(t).tolist(), rows)])
+            return np.array(g, dtype=float), np.array(Omega, dtype=float)
+        g = np.tile(c[:3], (m, 1))
+        Omega = np.tile(c[3:], (m, 1))
+        if self._rotating:
+            x = np.asarray(x, dtype=float)
+            # Quiet on overflow and inf - inf, as the callable's float
+            # arithmetic is.
+            with np.errstate(over="ignore", invalid="ignore"):
+                cen = cross3(c[3:], cross3(c[3:], x))
+                for i in range(3):
+                    g[:, i] -= cen[i]
+        return g, Omega
 
 
 def christoffels(g, Omega) -> np.ndarray:
@@ -127,8 +190,8 @@ class PullbackChristoffels:
                            x) -> "PullbackChristoffels":
         """Medium filling space: material chart is the space-time chart,
         with the proper origin (Gamma_A = identity).  A batch of events,
-        t of shape (m,) and x of shape (3, m), reads the connection point
-        by point (GalileanConnection.christoffels_at).
+        t of shape (m,) and x of shape (3, m), reads the connection through
+        GalileanConnection.christoffels_at.
         """
         G = conn.christoffels_at(t, x)
         return cls(material=G, spacetime=G, origin_motion=_EYE4)

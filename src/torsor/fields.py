@@ -475,8 +475,7 @@ def shell_christoffels(sf: ShellField, conn, t, th1, th2, fr=None,
     The contractions are numpy's matrix products stacked over the point
     axis, and each point takes the product it would take alone, so its
     Christoffels do not depend on the batch it is read in.  g and Omega
-    take one event each, so they are read point by point
-    (GalileanConnection.fields_at).
+    come from one GalileanConnection.fields_at call for the batch.
     """
     one = not np.ndim(t)
     if one:

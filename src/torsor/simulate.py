@@ -11,6 +11,12 @@ connection.divergence: tests/test_simulate.py's
 test_stage_rates_are_the_pointwise_divergence requires the stage's rates to
 zero balance.residual_pointwise along the trajectory they define, under g
 and Omega that depend on t and x.
+
+A stage reads g and Omega with one GalileanConnection.read, which for a
+constant or rotating-frame connection is float arithmetic on the
+connection's recorded form.  run_scenario carries the state as the twelve
+floats (x, p, q, l), which the RK4 kernel step maps to the next twelve, and
+builds a PointwiseState only for each stored sample.
 """
 
 import math
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonMonotoneError, NonpositiveMass
-from .vecmath import cross, strict_max, triple
+from .vecmath import cross, strict_max
 
 MASS_TOL = 0.0  # mass must stay bit-identical along a trajectory
 
@@ -59,16 +65,9 @@ class PointwiseState:
 
     @classmethod
     def _from_floats(cls, t, m, y):
-        """State from a float t, a positive float m and the twelve floats
-        y = (x, p, q, l), each block checked finite as __post_init__ does.
-        The four blocks are views of one (12,) array."""
-        # A sum of finite floats is finite unless it overflows, so only a
-        # sum that is not needs the blockwise check.
-        if not math.isfinite(sum(y)):
-            for k, name in enumerate("xpql"):
-                block = y[3 * k:3 * k + 3]
-                if not all(map(math.isfinite, block)):
-                    raise ValueError(f"{name} must be finite, got {block!r}")
+        """State from a float t, a positive float m and the twelve finite
+        floats y = (x, p, q, l), unchecked.  The four blocks are views of
+        one (12,) array."""
         s = cls.__new__(cls)
         a = np.array(y)
         s.t, s.m, s.x, s.p, s.q, s.l = t, m, a[0:3], a[3:6], a[6:9], a[9:12]
@@ -107,8 +106,10 @@ class IntegratorConfig:
     def __post_init__(self):
         self.dt = float(self.dt)
         self.t_end = float(self.t_end)
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (self.dt > 0.0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not math.isfinite(self.t_end):
+            raise ValueError(f"t_end must be finite, got {self.t_end}")
         self.output_stride = int(self.output_stride)
         if self.output_stride < 1:
             raise ValueError(
@@ -123,13 +124,10 @@ def _rhs(t, y, m, conn):
     """Stage derivatives (dx/dt, dp/dt, dq/dt, dl/dt) as twelve floats.
 
     y holds the twelve floats (x, p, q, l); dq/dt is p itself.  g and Omega
-    are read through conn.g and conn.Omega, which receive x as a float (3,)
-    array.
+    come from one conn.read(t, x1, x2, x3) as six floats.
     """
     x1, x2, x3, p1, p2, p3, _, _, _, l1, l2, l3 = y
-    x = np.array((x1, x2, x3))
-    g1, g2, g3 = triple(conn.g(t, x))
-    w1, w2, w3 = triple(conn.Omega(t, x))
+    g1, g2, g3, w1, w2, w3 = conn.read(t, x1, x2, x3)
     v1, v2, v3 = p1 / m, p2 / m, p3 / m
     # m (g - 2 Omega x v)
     f1 = m * (g1 - 2.0 * (w2 * v3 - w3 * v2))
@@ -146,39 +144,41 @@ def _rhs(t, y, m, conn):
             (x1 * f2 - x2 * f1) - (w1 * s2 - w2 * s1))
 
 
-def step(state: PointwiseState, conn, dt: float) -> PointwiseState:
-    """One classical RK4 step; the mass is copied, never recomputed."""
-    if not state.m > 0.0:
-        raise NonpositiveMass(f"mass must be positive, got {state.m}")
-    t, m = state.t, state.m
-    y = (*state.x.tolist(), *state.p.tolist(), *state.q.tolist(),
-         *state.l.tolist())
+def step(t, y, m, conn, dt):
+    """One classical RK4 step of the twelve floats y = (x, p, q, l) from
+    time t with mass m: the next twelve, as a list.
+
+    Raises ValueError naming the first block of them that is not finite.
+    """
     h = dt / 2.0
     k1 = _rhs(t, y, m, conn)
     k2 = _rhs(t + h, [a + h * b for a, b in zip(y, k1)], m, conn)
     k3 = _rhs(t + h, [a + h * b for a, b in zip(y, k2)], m, conn)
     k4 = _rhs(t + dt, [a + dt * b for a, b in zip(y, k3)], m, conn)
     w = dt / 6.0
-    return PointwiseState._from_floats(t + dt, m, [
-        a + w * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+    y = [a + w * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+         for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    # A sum of finite floats is finite unless it overflows, so only a sum
+    # that is not needs the blockwise check.
+    if not math.isfinite(sum(y)):
+        for k, name in enumerate("xpql"):
+            block = y[3 * k:3 * k + 3]
+            if not all(map(math.isfinite, block)):
+                raise ValueError(f"{name} must be finite, got {block!r}")
+    return y
 
 
-def _state_drifts(s: PointwiseState, m0: float):
-    """(|m - m0|, max |q - m x|) of one state."""
-    m = s.m
-    x1, x2, x3 = s.x.tolist()
-    q1, q2, q3 = s.q.tolist()
-    return (
-        abs(m - m0),
-        strict_max((abs(q1 - m * x1), abs(q2 - m * x2), abs(q3 - m * x3))),
-    )
+def _pos_q_gaps(m, y):
+    """|q - m x|, component by component, of the twelve floats
+    y = (x, p, q, l)."""
+    x1, x2, x3, _, _, _, q1, q2, q3, _, _, _ = y
+    return (abs(q1 - m * x1), abs(q2 - m * x2), abs(q3 - m * x3))
 
 
-def _drift_dict(rows):
-    """Worst of each drift over per-state _state_drifts rows."""
-    mass, pos_q = (strict_max(col) for col in zip(*rows))
-    return {"mass_drift": mass, "pos_q_drift": pos_q}
+def _drift_dict(mass_drifts, gaps):
+    """Worst mass drift and worst |q - m x| gap, NaN if any is NaN."""
+    return {"mass_drift": strict_max(mass_drifts),
+            "pos_q_drift": strict_max(gaps)}
 
 
 @dataclass
@@ -205,7 +205,10 @@ class Trajectory:
         if self.drifts is not None:
             return dict(self.drifts)
         m0 = self.states[0].m
-        return _drift_dict([_state_drifts(s, m0) for s in self.states])
+        return _drift_dict(
+            [abs(s.m - m0) for s in self.states],
+            [d for s in self.states
+             for d in _pos_q_gaps(s.m, s.as_row()[2:].tolist())])
 
 
 def run_scenario(init: PointwiseState, conn,
@@ -213,22 +216,32 @@ def run_scenario(init: PointwiseState, conn,
     """Integrate from init to cfg.t_end, sampling every output_stride steps.
 
     The number of steps is round((t_end - t0) / dt); the final state is
-    always included in the samples.  Conservation drifts are accumulated
-    at every step, not just at the sampled ones.
+    always included in the samples.  The state is carried as twelve floats
+    and built as a PointwiseState only where it is sampled.  Conservation
+    drifts are accumulated at every step, not just at the sampled ones.
     """
-    n_steps = int(round((cfg.t_end - init.t) / cfg.dt))
+    span = (cfg.t_end - init.t) / cfg.dt
+    if not math.isfinite(span):
+        raise ValueError(f"(t_end - t0) / dt must be finite, got {span}")
+    n_steps = int(round(span))
     if n_steps < 0:
         raise ValueError("t_end precedes the initial time")
+    m = init.m
+    if not m > 0.0:
+        raise NonpositiveMass(f"mass must be positive, got {m}")
+    t, dt, stride = init.t, cfg.dt, cfg.output_stride
+    y = init.as_row()[2:].tolist()
     states = [init]
-    s = init
-    m0 = init.m
-    drifts = [_state_drifts(init, m0)]
-    for k in range(n_steps):
-        s = step(s, conn, cfg.dt)
-        drifts.append(_state_drifts(s, m0))
-        if (k + 1) % cfg.output_stride == 0 or k + 1 == n_steps:
-            states.append(s)
-    return Trajectory(states=states, drifts=_drift_dict(drifts))
+    gaps = list(_pos_q_gaps(m, y))
+    for k in range(1, n_steps + 1):
+        y = step(t, y, m, conn, dt)
+        t = t + dt
+        gaps += _pos_q_gaps(m, y)
+        if k % stride == 0 or k == n_steps:
+            states.append(PointwiseState._from_floats(t, m, y))
+    # The mass is copied from step to step, never recomputed, so each
+    # state's drift is the initial state's.
+    return Trajectory(states=states, drifts=_drift_dict([abs(m - m)], gaps))
 
 
 TRAJECTORY_CSV_HEADER = "t,m,x1,x2,x3,p1,p2,p3,q1,q2,q3,l1,l2,l3"

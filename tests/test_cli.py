@@ -16,18 +16,21 @@ import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torsor.cli import (
+    FLOAT_FORMAT,
     MAX_PROBE_POINTS,
+    _table_csv,
     bundled_scenarios,
     load_scenario,
     load_scenario_file,
     main,
 )
-from torsor.library import CASES
+from torsor.library import CASES, Table
 
 
 def _write_scenario(path, **overrides):
@@ -480,3 +483,29 @@ def test_non_monotone_convergence_is_a_failed_check(tmp_path, capsys):
     assert summary["passed"] is False
     assert math.isnan(summary["checks"][0]["value"])
     assert (out_dir / "convergence.csv").read_text().count("\n") == 4
+
+
+# Floats of every kind the format must spell: NaN, both infinities, both
+# zeros, subnormals, and ordinary values at the extremes of the range.
+_CSV_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                     -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+                     0.1, 1.0 / 3.0]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+       data=st.data())
+def test_table_csv_formats_each_value_with_the_float_format(shape, data):
+    # The writer formats a row with one %; it must spell the same bytes as
+    # formatting value by value and joining with commas.
+    values = data.draw(st.lists(_CSV_VALUES, min_size=shape[0] * shape[1],
+                                max_size=shape[0] * shape[1]))
+    rows = np.array(values, dtype=float).reshape(shape)
+    header = ",".join(f"c{j}" for j in range(shape[1]))
+    expected = "\n".join(
+        [header] + [",".join(FLOAT_FORMAT % v for v in row.tolist())
+                    for row in rows]) + "\n"
+    assert _table_csv(Table("t", header, rows)) == expected

@@ -11,6 +11,8 @@ import functools
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from torsor import fd
@@ -22,6 +24,7 @@ from torsor.connection import (
 )
 from torsor.errors import DifferentiationFailure
 from torsor.fields import MediumField
+from torsor.simulate import IntegratorConfig, PointwiseState, run_scenario
 from torsor.vecmath import skew
 
 G_CONST = np.array([1.0, -2.0, 0.5])
@@ -93,6 +96,87 @@ def test_rotating_frame_carries_centrifugal_gravity():
     # -Omega x (Omega x x) = omega^2 x_perp for Omega along e3.
     assert_allclose(conn.g(0.0, x), 4.0 * np.array([3.0, -1.0, 0.0]), atol=1e-14)
     assert_allclose(conn.Omega(0.0, x), Om, atol=0)
+
+
+# Recorded forms against the callable path
+
+_num = st.floats(-1e3, 1e3)
+_vec = st.tuples(_num, _num, _num)
+
+
+def _bits(*arrays):
+    """The bytes of float arrays, so -0.0 and 0.0 compare unequal."""
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(g=_vec, Omega=_vec, events=st.lists(st.tuples(_num, _vec),
+                                           min_size=1, max_size=5))
+def test_recorded_forms_read_as_their_callables(g, Omega, events):
+    # read and fields_at of a uniform or rotating-frame connection compute
+    # from its six recorded floats; the bits must be those of a twin with
+    # no recorded form, which calls g and Omega one event at a time.  The
+    # rotating frame's twin calls its own g.
+    Om = np.array(Omega, dtype=float)
+    rotating = GalileanConnection.rotating_frame(Omega, g=g)
+    pairs = [
+        (GalileanConnection.uniform(g=g, Omega=Omega),
+         GalileanConnection(g=lambda t, x: np.array(g, dtype=float),
+                            Omega=lambda t, x: Om)),
+        (rotating, GalileanConnection(g=rotating.g, Omega=lambda t, x: Om)),
+    ]
+    t = np.array([e[0] for e in events])
+    x = np.array([e[1] for e in events]).T
+    for conn, twin in pairs:
+        for tp, xp in events:
+            assert _bits(conn.read(tp, *xp)) == _bits(twin.read(tp, *xp))
+        assert _bits(*conn.fields_at(t, x)) == _bits(*twin.fields_at(t, x))
+
+
+@pytest.mark.parametrize("form", ["uniform", "rotating_frame"])
+@pytest.mark.parametrize("attr", ["g", "Omega"])
+def test_assigned_callable_is_honoured(form, attr):
+    # A g or Omega assigned after construction replaces the recorded form
+    # for the integrator and the batched read alike.
+    def build():
+        if form == "uniform":
+            return GalileanConnection.uniform(g=(0.1, 0.0, -9.8),
+                                              Omega=(0.0, 0.2, 0.5))
+        return GalileanConnection.rotating_frame((0.0, 0.2, 0.5),
+                                                 g=(0.1, 0.0, -9.8))
+
+    def replacement(t, x):
+        return np.array((0.3 * t, -0.2 * x[0], 1.0 + x[2]))
+
+    conn = build()
+    setattr(conn, attr, replacement)
+    base = build()
+    ref = GalileanConnection(g=replacement if attr == "g" else base.g,
+                             Omega=replacement if attr == "Omega"
+                             else base.Omega)
+    init = PointwiseState.from_proper(0.0, 1.3, [0.4, -0.3, 0.2],
+                                      [1.0, 0.5, -0.2], [0.1, -0.2, 0.3])
+    cfg = IntegratorConfig(dt=1e-2, t_end=0.2)
+    got = run_scenario(init, conn, cfg).rows()
+    assert got.tobytes() == run_scenario(init, ref, cfg).rows().tobytes()
+    assert got.tobytes() != run_scenario(init, build(), cfg).rows().tobytes()
+    t = np.array([0.0, 0.5])
+    x = np.array([[1.0, -2.0], [0.5, 0.0], [2.0, 3.0]])
+    assert _bits(*conn.fields_at(t, x)) == _bits(*ref.fields_at(t, x))
+    assert _bits(*conn.fields_at(t, x)) != _bits(*build().fields_at(t, x))
+
+
+@pytest.mark.parametrize("form", ["callable", "uniform", "rotating_frame"])
+def test_fields_at_refuses_x_of_another_batch_size(form):
+    # Every path reads x as (3, m), so no path stops silently at the
+    # shorter of t and x.
+    conn = {"callable": GalileanConnection(g=lambda t, x: x,
+                                           Omega=lambda t, x: x),
+            "uniform": GalileanConnection.uniform(g=(0.0, 0.0, -1.0)),
+            "rotating_frame": GalileanConnection.rotating_frame(
+                (0.0, 0.0, 1.0))}[form]
+    with pytest.raises(ValueError):
+        conn.fields_at(np.zeros(2), np.zeros((3, 5)))
 
 
 # Origin motion

@@ -5,6 +5,8 @@ inertial straight line, and the pure-Coriolis oscillation.  Convergence
 slopes are checked against sympy-exact residual expansions.
 """
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -19,9 +21,9 @@ from torsor.balance import residual_1d, residual_cauchy, residual_pointwise
 from torsor.connection import GalileanConnection
 from torsor.errors import NonMonotoneError, NonpositiveMass
 from torsor.fields import CauchyMedium, Cosserat1DField, Curve1D
-from torsor import simulate
-from torsor.cli import _table_csv
-from torsor.library import _traj_table
+from torsor import library, simulate
+from torsor.cli import _table_csv, bundled_scenarios, load_scenario
+from torsor.library import CASES, _traj_table
 from torsor.simulate import (
     TRAJECTORY_CSV_HEADER,
     IntegratorConfig,
@@ -29,7 +31,6 @@ from torsor.simulate import (
     Trajectory,
     observed_order,
     run_scenario,
-    step,
 )
 
 from per_point import batched
@@ -287,6 +288,28 @@ def test_integrator_config_validation():
         IntegratorConfig(dt=1e-2, t_end=1.0, output_stride=0)
 
 
+@pytest.mark.parametrize("field, dt, t_end", [
+    ("dt", math.inf, 1.0), ("dt", math.nan, 1.0),
+    ("t_end", 1e-2, math.inf), ("t_end", 1e-2, -math.inf),
+    ("t_end", 1e-2, math.nan),
+], ids=["dt_inf", "dt_nan", "t_end_inf", "t_end_-inf", "t_end_nan"])
+def test_integrator_config_rejects_non_finite_times(field, dt, t_end):
+    # A dt of inf would run no step and end at t0, and a non-finite t_end
+    # would reach round() and int(); each is refused by name.
+    with pytest.raises(ValueError, match=rf"^{field} must be .*finite, got"):
+        IntegratorConfig(dt=dt, t_end=t_end)
+
+
+def test_run_scenario_rejects_a_step_count_that_is_not_finite():
+    # Each time is finite, but (t_end - t0) / dt overflows.
+    init = PointwiseState.from_proper(-1e308, 1.0, np.zeros(3), np.zeros(3),
+                                      np.zeros(3))
+    with pytest.raises(ValueError, match=r"^\(t_end - t0\) / dt must be "
+                                         r"finite, got inf"):
+        run_scenario(init, GalileanConnection.uniform(),
+                     IntegratorConfig(dt=1.0, t_end=1e308))
+
+
 def test_run_scenario_stride_includes_final():
     conn = GalileanConnection.uniform()
     init = PointwiseState.from_proper(0.0, 1.0, np.zeros(3),
@@ -302,13 +325,13 @@ def test_run_scenario_stride_includes_final():
 def test_run_scenario_drift_keeps_a_late_nan(monkeypatch):
     # Integration keeps every state finite, so a NaN drift is injected past
     # the first step, where Python's max() used to drop it.
-    state_drifts = simulate._state_drifts
+    pos_q_gaps = simulate._pos_q_gaps
 
-    def drifts(s, m0):
-        mass, pos_q = state_drifts(s, m0)
-        return mass, (math.nan if s.t > 0.5 else pos_q)
+    def gaps(m, y):
+        d1, d2, d3 = pos_q_gaps(m, y)
+        return (d1, d2, math.nan if y[0] > 0.5 else d3)
 
-    monkeypatch.setattr(simulate, "_state_drifts", drifts)
+    monkeypatch.setattr(simulate, "_pos_q_gaps", gaps)
     init = PointwiseState.from_proper(0.0, 1.0, np.zeros(3),
                                       [1.0, 0.0, 0.0], np.zeros(3))
     traj = run_scenario(init, GalileanConnection.uniform(),
@@ -360,7 +383,8 @@ def test_non_finite_gravity_stops_the_run_naming_the_block():
 def test_trajectory_csv_format():
     s0 = PointwiseState.from_proper(0.0, 1.5, [0.1, 0.2, 0.3],
                                     [1.0, 0.0, -1.0], [0.0, 0.1, 0.0])
-    s1 = step(s0, GalileanConnection.uniform(g=(0.0, 0.0, -1.0)), 0.25)
+    s1 = run_scenario(s0, GalileanConnection.uniform(g=(0.0, 0.0, -1.0)),
+                      IntegratorConfig(dt=0.25, t_end=0.25)).final
     text = _table_csv(_traj_table(Trajectory(states=[s0, s1])))
     lines = text.strip().split("\n")
     assert lines[0] == TRAJECTORY_CSV_HEADER
@@ -371,6 +395,75 @@ def test_trajectory_csv_format():
     # round-trip through the fixed format is exact for these values
     again = _table_csv(_traj_table(Trajectory(states=[s0, s1])))
     assert again == text
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit pin of the integrator
+
+
+def _pin_digest(traj):
+    """sha256 of a trajectory's stored rows and its drift report."""
+    h = hashlib.sha256(traj.rows().tobytes())
+    h.update(repr(traj.drift_report()).encode())
+    return h.hexdigest()
+
+
+def _bundled_sim_digests(monkeypatch):
+    """Digest of each bundled pointwise_sim scenario's trajectory, run for
+    200 steps, each stored, from the case's own initial state."""
+    digests = {}
+    for name, path in bundled_scenarios().items():
+        scn = load_scenario(json.loads(path.read_text()))
+        if scn.kind != "pointwise_sim":
+            continue
+        spec = CASES[scn.case]
+        params = {**spec.defaults, **scn.params}
+        params.update(t_end=200 * params["dt"], stride=1)
+        runs = []
+
+        def record(*args, runs=runs):
+            runs.append(run_scenario(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(library, "run_scenario", record)
+        spec.build(params, np.random.default_rng(0), scn.conn_spec)
+        (traj,) = runs
+        digests[name] = _pin_digest(traj)
+    return digests
+
+
+# A rate that moves by one ulp mostly rounds away in y + dt/6 (...), so the
+# runs are 200 steps long and store every state.  Every connection here is
+# arithmetic only: no math library result enters a digest.
+PINNED_SIM_DIGESTS = {
+    "free_particle":
+        "211c26d928c4fc31d873eb314b2444c562b151cc924c6d4046f44ea5a04ee3f8",
+    "gravity_top":
+        "f3b1b923cd43723deafd993a539e6888d0db65a97db597e158e6e6959458dc4a",
+    "pointwise_coriolis":
+        "f90e185c5f102b5a846977ed56dffd919da0445457596888fc18f84dcf1bb2ce",
+    "projectile":
+        "df835c4e32fef3781873db02b008a0d3e9f67c3dacbc79761fe88d0995a5c24f",
+    "spin_precession":
+        "263af358282a1eeef89121674d9a10ea5726295c5ec2e4dbf02ef543b929c9d4",
+}
+
+
+def test_bundled_trajectories_are_pinned_bit_for_bit(monkeypatch):
+    assert _bundled_sim_digests(monkeypatch) == PINNED_SIM_DIGESTS
+
+
+def test_user_connection_trajectory_is_pinned_bit_for_bit():
+    conn = GalileanConnection(
+        g=lambda t, x: np.array((0.3 * t - 0.1 * t * t,
+                                 -0.2 * x[0] + 0.1 * t * x[2],
+                                 -9.8 + 0.05 * x[1] * x[2])),
+        Omega=lambda t, x: np.array((0.1 * t, 0.05 * x[2],
+                                     0.2 + 0.1 * x[0] - 0.02 * t)))
+    traj = run_scenario(_spun_state(), conn,
+                        IntegratorConfig(dt=1e-2, t_end=2.0))
+    assert _pin_digest(traj) == (
+        "c75590220a7cac7a2f7deef347472d56ecc747908461f8517c52101282fd948e")
 
 
 # ---------------------------------------------------------------------------

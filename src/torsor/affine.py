@@ -25,13 +25,21 @@ vecmath.moment_matrix(q, l), the laws are:
 A generic AffineFrameChange keeps the matrix laws, which the Galilean
 elements never take.
 
+The objects acted on store floats the same way.  A Torsor keeps its 20
+numbers, T then J row by row, as one tuple, and a PointwiseTorsor its 10
+numbers (m, p, q, l); the arrays T, J, extended, p, q and l are built
+fresh on each read.  J is stored whole rather than as its upper triangle
+because the generic law's (J' - J'^T)/2 can leave a -0.0 below the
+diagonal where the mirror 0 - upper gives +0.0.  Torsor construction,
+transform_torsor on a Galilean element and the PointwiseTorsor
+conversions read and write these tuples and build no array.
+
 Values are validated once, where they enter from outside: the public
 constructors reject non-finite input, a singular P, a non-orthonormal or
 orientation-reversing R and a J that is not skew.  Results of the group
 algebra are valid by construction, so compose and inverse of Galilean
 elements build through the private GalileanFrameChange._trusted, and the
-transforms store their J' through Torsor._trusted, packed directly in the
-canonical storage of Torsor.
+transforms store their (T', J') through Torsor._trusted.
 """
 
 import math
@@ -76,15 +84,15 @@ def _rot_t(r, x) -> tuple:
             r[2] * x0 + r[5] * x1 + r[8] * x2)
 
 
-def _canonical_J(j01, j02, j03, j12, j13, j23) -> np.ndarray:
-    """Skew 4x4 J in Torsor's canonical storage from its strict upper
-    triangle: each mirrored entry is 0 - its partner, the diagonal 0."""
-    return np.array((
-        0.0, j01, j02, j03,
-        0.0 - j01, 0.0, j12, j13,
-        0.0 - j02, 0.0 - j12, 0.0, j23,
-        0.0 - j03, 0.0 - j13, 0.0 - j23, 0.0,
-    )).reshape(4, 4)
+def _packed(t0, t1, t2, t3, j01, j02, j03, j12, j13, j23) -> tuple:
+    """Torsor's 20 floats: T, then the skew J row by row, built from its
+    strict upper triangle: each mirrored entry is 0 - its partner, the
+    diagonal 0."""
+    return (t0, t1, t2, t3,
+            0.0, j01, j02, j03,
+            0.0 - j01, 0.0, j12, j13,
+            0.0 - j02, 0.0 - j12, 0.0, j23,
+            0.0 - j03, 0.0 - j13, 0.0 - j23, 0.0)
 
 
 class AffineFrameChange:
@@ -286,11 +294,16 @@ class AffineForm:
 class Torsor:
     """Skew bilinear object with components (T, J).
 
-    T is a 4-column and J a skew 4x4 matrix.  Storage keeps J skew exactly:
-    the strict upper triangle is canonical and the lower triangle is its
-    negative.  Input T and J must be finite and J skew within SKEW_TOL of
-    its own scale.
+    T is a 4-column and J a skew 4x4 matrix.  The 20 floats, T then J row
+    by row, are stored as the tuple _e; T, J and extended are fresh arrays
+    built on each read.  Storage keeps J skew exactly: the public
+    constructor keeps the strict upper triangle and stores the lower one as
+    its negative.  Input T and J must be finite and J skew within SKEW_TOL
+    of its own scale.
     """
+
+    # No per-instance dict: a frame-change pass holds thousands of these.
+    __slots__ = ("_e",)
 
     def __init__(self, T, J):
         t = _floats(T, 4)
@@ -306,26 +319,31 @@ class Torsor:
                 and abs(j03 + j30) <= tol and abs(j12 + j21) <= tol
                 and abs(j13 + j31) <= tol and abs(j23 + j32) <= tol):
             raise ValueError("J is not skew-symmetric")
-        self.T = np.array(t)
-        self.J = _canonical_J(j01, j02, j03, j12, j13, j23)
+        self._e = _packed(*t, j01, j02, j03, j12, j13, j23)
 
     @classmethod
-    def _trusted(cls, T, J) -> "Torsor":
-        """Torsor storing a float 4-array T and a float 4x4 J as they are;
-        J must already be in the canonical storage, signed zeros included."""
+    def _trusted(cls, e) -> "Torsor":
+        """Torsor storing 20 floats (T, J row by row) as they are; J must
+        already be skew, signed zeros included."""
         tau = cls.__new__(cls)
-        tau.T = T
-        tau.J = J
+        tau._e = e
         return tau
+
+    @property
+    def T(self) -> np.ndarray:
+        return np.array(self._e[0:4])
+
+    @property
+    def J(self) -> np.ndarray:
+        return np.array(self._e[4:20]).reshape(4, 4)
 
     @property
     def extended(self) -> np.ndarray:
         """5x5 skew matrix [[0, T^T], [-T, J]]."""
-        M = np.zeros((5, 5))
-        M[0, 1:] = self.T
-        M[1:, 0] = -self.T
-        M[1:, 1:] = self.J
-        return M
+        e = self._e
+        t0, t1, t2, t3 = e[0:4]
+        return np.array((0.0, t0, t1, t2, t3, -t0, *e[4:8], -t1, *e[8:12],
+                         -t2, *e[12:16], -t3, *e[16:20])).reshape(5, 5)
 
     def pairing(self, psi1: AffineForm, psi2: AffineForm) -> float:
         """Bilinear value tau(psi1, psi2) = psi1~ @ extended @ psi2~."""
@@ -339,39 +357,55 @@ class PointwiseTorsor:
     """Torsor of a mass point: mass m, momentum p, mass position q, moment l.
 
     Packs into (T, J) as T = (m, p) and J = vecmath.moment_matrix(q, l):
-    q in the mixed block, J[1:, 0] = q, and l in the spatial block.  p, q
-    and l are copies, never views of the caller's arrays.
+    q in the mixed block, J[1:, 0] = q, and l in the spatial block.  The
+    10 floats (m, p, q, l) are stored as the tuple _e; m is a float and p,
+    q and l are fresh arrays built on each read, never views of the
+    caller's arrays.
     """
 
+    __slots__ = ("_e",)
+
     def __init__(self, m: float, p, q, l):
-        self.m = float(m)
-        self.p = np.array(p, dtype=float).reshape(3)
-        self.q = np.array(q, dtype=float).reshape(3)
-        self.l = np.array(l, dtype=float).reshape(3)
+        self._e = (float(m), *triple(p), *triple(q), *triple(l))
 
     @classmethod
     def proper(cls, m: float, l0) -> "PointwiseTorsor":
         """Components in the proper frame: at rest at the origin with spin l0."""
-        return cls(m, np.zeros(3), np.zeros(3), l0)
+        pw = cls.__new__(cls)
+        pw._e = (float(m), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, *triple(l0))
+        return pw
+
+    @property
+    def m(self) -> float:
+        return self._e[0]
+
+    @property
+    def p(self) -> np.ndarray:
+        return np.array(self._e[1:4])
+
+    @property
+    def q(self) -> np.ndarray:
+        return np.array(self._e[4:7])
+
+    @property
+    def l(self) -> np.ndarray:
+        return np.array(self._e[7:10])
 
     def to_torsor(self) -> Torsor:
-        p, (q0, q1, q2), (l0, l1, l2) = (
-            self.p.tolist(), self.q.tolist(), self.l.tolist())
-        if not _finite((self.m, *p, q0, q1, q2, l0, l1, l2)):
+        e = self._e
+        if not _finite(e):
             raise ValueError("m, p, q and l must be finite")
+        m, p0, p1, p2, q0, q1, q2, l0, l1, l2 = e
         # The strict upper triangle of moment_matrix(q, l).
-        return Torsor._trusted(np.array((self.m, *p)),
-                               _canonical_J(-q0, -q1, -q2, l2, -l1, l0))
+        return Torsor._trusted(_packed(m, p0, p1, p2,
+                                       -q0, -q1, -q2, l2, -l1, l0))
 
     @classmethod
     def from_torsor(cls, tau: Torsor) -> "PointwiseTorsor":
-        # q = J[1:, 0] and l = (J[2, 3], J[3, 1], J[1, 2]), as in moments,
-        # read into one fresh buffer, which needs none of __init__'s copies.
-        m, p0, p1, p2 = tau.T.tolist()
-        j = tau.J.ravel().tolist()
-        pql = np.array((p0, p1, p2, j[4], j[8], j[12], j[11], j[13], j[6]))
+        # q = J[1:, 0] and l = (J[2, 3], J[3, 1], J[1, 2]), as in moments.
+        e = tau._e
         pw = cls.__new__(cls)
-        pw.m, pw.p, pw.q, pw.l = m, pql[0:3], pql[3:6], pql[6:9]
+        pw._e = (*e[0:4], e[8], e[12], e[16], e[15], e[17], e[10])
         return pw
 
     def __repr__(self):
@@ -409,43 +443,45 @@ def transform_torsor(f: AffineFrameChange, tau: Torsor) -> Torsor:
     T' = P^-1 T and J' = P^-1 (J - C T^T + T C^T) P^-T, the expansion of the
     compact law tau~' = P~^-1 tau~ P~^-T on extended matrices; equivalently
     J' = P^-1 J P^-T + C' T'^T - T' C'^T with C' = -P^-1 C.  A generic
-    AffineFrameChange applies it as matrices and re-skews the result by
-    (J' - J'^T)/2 to clear roundoff, which leaves it exactly in the
-    canonical storage of Torsor.  A GalileanFrameChange applies its
-    component laws (see the module docstring) and packs J' canonically; its
-    time component T'[0] = m is T[0] bit for bit.
+    AffineFrameChange applies it as matrices and stores the re-skewed
+    (J' - J'^T)/2 entry by entry, which clears roundoff; there a mirrored
+    entry may be -0.0 where its partner is +0.0.  A GalileanFrameChange
+    applies its component laws (see the module docstring) and packs J' from
+    its upper triangle as the public constructor does; its time component
+    T'[0] = m is T[0] bit for bit.
     """
     if isinstance(f, GalileanFrameChange):
         u0, u1, u2, r0, r1, r2, r3, r4, r5, r6, r7, r8, tau0, k0, k1, k2 = f._e
-        m, p0, p1, p2 = tau.T.tolist()
-        j = tau.J.ravel().tolist()
+        e = tau._e
+        m, p0, p1, p2 = e[0:4]
         x0, x1, x2 = p0 - m * u0, p1 - m * u1, p2 - m * u2
-        y0 = j[4] - m * k0 + tau0 * p0
-        y1 = j[8] - m * k1 + tau0 * p1
-        y2 = j[12] - m * k2 + tau0 * p2
+        y0 = e[8] - m * k0 + tau0 * p0
+        y1 = e[12] - m * k1 + tau0 * p1
+        y2 = e[16] - m * k2 + tau0 * p2
         q0 = r0 * y0 + r3 * y1 + r6 * y2
         q1 = r1 * y0 + r4 * y1 + r7 * y2
         q2 = r2 * y0 + r5 * y1 + r8 * y2
         # z = l - k x p, w = R^T u and l' = R^T z + w x q'.
-        z0 = j[11] - (k1 * p2 - k2 * p1)
-        z1 = j[13] - (k2 * p0 - k0 * p2)
-        z2 = j[6] - (k0 * p1 - k1 * p0)
+        z0 = e[15] - (k1 * p2 - k2 * p1)
+        z1 = e[17] - (k2 * p0 - k0 * p2)
+        z2 = e[10] - (k0 * p1 - k1 * p0)
         w0 = r0 * u0 + r3 * u1 + r6 * u2
         w1 = r1 * u0 + r4 * u1 + r7 * u2
         w2 = r2 * u0 + r5 * u1 + r8 * u2
-        return Torsor._trusted(
-            np.array((m, r0 * x0 + r3 * x1 + r6 * x2,
-                      r1 * x0 + r4 * x1 + r7 * x2,
-                      r2 * x0 + r5 * x1 + r8 * x2)),
-            _canonical_J(-q0, -q1, -q2,
-                         r2 * z0 + r5 * z1 + r8 * z2 + (w0 * q1 - w1 * q0),
-                         -(r1 * z0 + r4 * z1 + r7 * z2 + (w2 * q0 - w0 * q2)),
-                         r0 * z0 + r3 * z1 + r6 * z2 + (w1 * q2 - w2 * q1)))
+        return Torsor._trusted(_packed(
+            m, r0 * x0 + r3 * x1 + r6 * x2, r1 * x0 + r4 * x1 + r7 * x2,
+            r2 * x0 + r5 * x1 + r8 * x2,
+            -q0, -q1, -q2,
+            r2 * z0 + r5 * z1 + r8 * z2 + (w0 * q1 - w1 * q0),
+            -(r1 * z0 + r4 * z1 + r7 * z2 + (w2 * q0 - w0 * q2)),
+            r0 * z0 + r3 * z1 + r6 * z2 + (w1 * q2 - w2 * q1)))
+    T = tau.T
     Pinv = f.P_inverse()
-    Tp = Pinv @ tau.T
-    M = tau.J - np.outer(f.C, tau.T) + np.outer(tau.T, f.C)
+    Tp = Pinv @ T
+    M = tau.J - np.outer(f.C, T) + np.outer(T, f.C)
     Jp = Pinv @ M @ Pinv.T
-    return Torsor._trusted(Tp, 0.5 * (Jp - Jp.T))
+    Jp = 0.5 * (Jp - Jp.T)
+    return Torsor._trusted((*Tp.tolist(), *Jp.ravel().tolist()))
 
 
 def transform_stress_mass(f: GalileanFrameChange, T) -> np.ndarray:

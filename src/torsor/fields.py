@@ -11,6 +11,7 @@ its metric and the unit normal; the second fundamental form b is computed
 inside shell_christoffels, which stores it as Gamma^3_ab.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -156,11 +157,11 @@ class Curve1D:
         self.domain = domain
 
     def psi(self, t, s) -> np.ndarray:
-        return _read(self._psi, (t, s), (3,))
+        return _read(self._psi, (t, s), (3,), "Curve1D.psi")
 
     def n(self, t, s) -> np.ndarray:
         if self._n is not None:
-            return _read(self._n, (t, s), (3,))
+            return _read(self._n, (t, s), (3,), "Curve1D.n")
         return _partial(self.psi, (t, s), 1)
 
     def v_t(self, t, s, v=None, n=None):
@@ -170,14 +171,14 @@ class Curve1D:
         not read again.
         """
         if self._v_t is not None:
-            return _read(self._v_t, (t, s), ())[()]
+            return _read(self._v_t, (t, s), (), "Curve1D.v_t")[()]
         if v is None:
             v = self.v(t, s)
         return _dot(v, self.n(t, s) if n is None else n)
 
     def v(self, t, s) -> np.ndarray:
         if self._v is not None:
-            return _read(self._v, (t, s), (3,))
+            return _read(self._v, (t, s), (3,), "Curve1D.v")
         dpsi_dt = _partial(self.psi, (t, s), 0)
         if self._v_t is not None:
             n = self.n(t, s)
@@ -250,12 +251,19 @@ class ShellFrame(NamedTuple):
     n: tuple
 
 
-def _read(fn, coords, shape):
+def _read(fn, coords, shape, name):
     """Field fn at one point, as an array of `shape`, or at a batch, with
-    the point axis last; one point is read as a batch of one."""
+    the point axis last; one point is read as a batch of one.  Values of
+    another size raise ValueError naming the field `name`."""
     batch = [np.reshape(np.asarray(u, dtype=float), -1) for u in coords]
     value = np.asarray(fn(*batch), dtype=float)
-    value = value.reshape(shape + (len(batch[0]),))
+    m = len(batch[0])
+    if value.size != m * math.prod(shape):
+        want = ", ".join(map(str, shape + ("m",)))
+        raise ValueError(
+            f"{name} returned values of shape {value.shape} for a batch of "
+            f"m = {m} points; expected ({want}{',' if not shape else ''})")
+    value = value.reshape(shape + (m,))
     return value if np.ndim(coords[0]) else value[..., 0]
 
 
@@ -338,12 +346,13 @@ class ShellField:
         self.varpi = varpi
 
     def x(self, t, th1, th2) -> np.ndarray:
-        return _read(self._x, (t, th1, th2), (3,))
+        return _read(self._x, (t, th1, th2), (3,), "ShellField.x")
 
     def pi(self, t, th1, th2) -> np.ndarray:
         """(2, 3) array; row a is d x / d theta^a."""
         if self._pi is not None:
-            return _read(self._pi, (t, th1, th2), (2, 3))
+            return _read(self._pi, (t, th1, th2), (2, 3),
+                         "ShellField.pi")
         args = (t, th1, th2)
         return np.stack([_partial(self.x, args, 1), _partial(self.x, args, 2)])
 
@@ -371,7 +380,8 @@ class ShellField:
     def _normal(self, t, th1, th2, p=None, q=None) -> tuple:
         """Unit normal as a triple; p, q are pi's rows if already read."""
         if self._n is not None:
-            return tuple(_read(self._n, (t, th1, th2), (3,)))
+            return tuple(_read(self._n, (t, th1, th2), (3,),
+                               "ShellField.n"))
         if p is None:
             p, q = self.pi(t, th1, th2)
         m0, m1, m2 = cross3(p, q)
@@ -383,9 +393,11 @@ class ShellField:
     def _normal_rate(self, t, th1, th2, n=None) -> tuple:
         """w = d n / dt as a triple; n is the normal if already read."""
         if self._w is not None:
-            return tuple(_read(self._w, (t, th1, th2), (3,)))
+            return tuple(_read(self._w, (t, th1, th2), (3,),
+                               "ShellField.w"))
         if self.varpi is not None:
-            vp = _read(self.varpi, (t, th1, th2), (3,))
+            vp = _read(self.varpi, (t, th1, th2), (3,),
+                       "ShellField.varpi")
             return cross3(vp, self._normal(t, th1, th2) if n is None else n)
         h = fd.default_step(t)
         up, down = self._normal(t + h, th1, th2), self._normal(t - h, th1, th2)
@@ -431,7 +443,7 @@ class ShellField:
 
     def v(self, t, th1, th2) -> np.ndarray:
         if self._v is not None:
-            return _read(self._v, (t, th1, th2), (3,))
+            return _read(self._v, (t, th1, th2), (3,), "ShellField.v")
         return _partial(self.x, (t, th1, th2), 0)
 
     def w(self, t, th1, th2) -> np.ndarray:

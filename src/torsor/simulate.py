@@ -56,8 +56,12 @@ class PointwiseState:
     def __post_init__(self):
         self.t = float(self.t)
         self.m = float(self.m)
+        if not math.isfinite(self.t):
+            raise ValueError(f"t must be finite, got {self.t}")
         if not self.m > 0.0:
             raise NonpositiveMass(f"mass must be positive, got {self.m}")
+        if self.m == math.inf:
+            raise ValueError(f"m must be finite, got {self.m}")
         self.x = _vec3(self.x, "x")
         self.p = _vec3(self.p, "p")
         self.q = _vec3(self.q, "q")

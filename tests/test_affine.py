@@ -5,6 +5,7 @@ the 5x5 extended matrices, does plain matrix algebra there, and compares.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -497,6 +498,68 @@ def test_pointwise_torsor_owns_its_arrays():
     assert psi.Phi.tolist() == [1.0] * 4
 
 
+def test_component_reads_are_fresh_float_arrays():
+    rng = np.random.default_rng(23)
+    tau = random_torsor(rng)
+    pw = PointwiseTorsor(1.5, *rng.uniform(-1.0, 1.0, (3, 3)))
+    before = (tau.extended.tobytes(), repr(tau), repr(pw))
+    for obj, name, shape in ((tau, "T", (4,)), (tau, "J", (4, 4)),
+                             (tau, "extended", (5, 5)), (pw, "p", (3,)),
+                             (pw, "q", (3,)), (pw, "l", (3,))):
+        a, b = getattr(obj, name), getattr(obj, name)
+        assert a is not b and not np.shares_memory(a, b)
+        assert (type(a), a.dtype, a.shape) == (np.ndarray, np.dtype(float),
+                                               shape)
+        a[...] = np.nan
+    assert (tau.extended.tobytes(), repr(tau), repr(pw)) == before
+    assert type(pw.m) is float
+
+
+class _CountingNumpy:
+    """Stands in for numpy in a module and counts the calls of its
+    functions that return an ndarray; classes and constants pass through."""
+
+    def __init__(self):
+        self.arrays = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if isinstance(attr, type) or not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            self.arrays += isinstance(out, np.ndarray)
+            return out
+        return counted
+
+
+def test_torsor_algebra_builds_no_array_until_read(monkeypatch):
+    # Inputs are float arrays made before numpy is swapped, as a caller
+    # holds them; reading them costs no numpy call.  vecmath reads the
+    # triples of a PointwiseTorsor, so its numpy is counted too.
+    import torsor.affine
+    import torsor.vecmath
+
+    rng = np.random.default_rng(24)
+    f = GalileanFrameChange.random(rng)
+    A = rng.uniform(-1.0, 1.0, (4, 4))
+    T, J, p, q, l = rng.uniform(-1.0, 1.0, 4), A - A.T, *rng.uniform(
+        -1.0, 1.0, (3, 3))
+    counting = _CountingNumpy()
+    monkeypatch.setattr(torsor.affine, "np", counting)
+    monkeypatch.setattr(torsor.vecmath, "np", counting)
+    out = transform_torsor(f, Torsor(T, J))
+    back = PointwiseTorsor.from_torsor(
+        transform_torsor(f, PointwiseTorsor(1.5, p, q, l).to_torsor()))
+    proper = PointwiseTorsor.proper(2.0, l).to_torsor()
+    assert counting.arrays == 0
+    assert type(back.m) is float and back.m == 1.5
+    assert [a.shape for a in (out.J, back.q, proper.T)] == [(4, 4), (3,),
+                                                            (4,)]
+    assert counting.arrays == 3
+
+
 # The float kernels, pinned bit for bit.  Rotations come from quaternions by
 # + - * / and sqrt only, so the inputs are the same floats on every platform.
 
@@ -547,6 +610,67 @@ def test_frame_items_are_bit_for_bit_pinned():
                   back.q, back.l):
             digest.update(np.asarray(a, dtype=float).tobytes())
     assert digest.hexdigest() == FRAME_ITEMS_SHA256
+
+
+# The generic AffineFrameChange path, pinned bit for bit; the digest was
+# recorded while Torsor and PointwiseTorsor still held arrays.  P is a signed
+# permutation times a diagonal, so each entry of P^-1 (J - C T^T + T C^T)
+# P^-T is one product whatever the BLAS, and the pairings below run on
+# entries of one exact grid.  _SUBNORMAL's inputs are whole multiples of the
+# least subnormal: there (J' - J'^T)/2 halves a difference of one such step,
+# and J'[2, 1] comes out -0.0 while J'[1, 2] is +0.0.
+_TINY = 5e-324
+_SUBNORMAL = (
+    (1.5, 0.5, 1.5, 0.5),
+    ((-0.4, 0.0, 0.0, 0.0), (0.0, 0.0, -3.0, 0.0), (0.0, 0.0, 0.0, -2.5),
+     (0.0, -2.5, 0.0, 0.0)),
+    tuple(_TINY * n for n in (31, -51, 52, -54)),
+    tuple(tuple(_TINY * n for n in row) for row in (
+        (0, 0, 1, 3), (0, 0, 2, -5), (-1, -2, 0, 0), (-3, 5, 0, 0))),
+)
+_DYADIC = (
+    (0.25, -0.75, 0.5, 1.0),
+    ((0.0, 2.0, 0.0, 0.0), (-0.5, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 4.0),
+     (0.0, 0.0, -1.0, 0.0)),
+    (0.375, -1.25, 0.5, 0.125),
+    ((0.0, 0.5, -0.25, 1.0), (-0.5, 0.0, 0.75, -0.125),
+     (0.25, -0.75, 0.0, 0.625), (-1.0, 0.125, -0.625, 0.0)),
+)
+GENERIC_TORSOR_SHA256 = (
+    "81f850aedbd35247cc5caa42b5a3d421c0a4d46f5aff7d8adc38419d5f19304e")
+
+
+def test_generic_transform_torsor_is_bit_for_bit_pinned():
+    rng = np.random.default_rng(22)
+    P = np.zeros((4, 4))
+    P[(0, 1, 2, 3), (2, 0, 3, 1)] = (0.7, -1.6, 3.0, 0.4)
+    A = rng.uniform(-1.0, 1.0, (4, 4))
+    cases = [(_SUBNORMAL, True), (_DYADIC, True),
+             ((rng.uniform(-1.0, 1.0, 4), P, rng.uniform(-1.0, 1.0, 4),
+               A - A.T), False)]
+    psi1, psi2 = AffineForm(2.0, (1.0, -3.0, 0.0, 2.0)), AffineForm(
+        -1.0, (4.0, 1.0, -2.0, 3.0))
+    g = GalileanFrameChange(
+        (0.5, -0.25, 0.125),
+        _quaternion_rotation(0.5, -0.25, 0.75, 0.125), 0.375,
+        (-0.5, 0.25, 1.0))
+    digest = hashlib.sha256()
+    for case, exact in cases:
+        out = transform_torsor(AffineFrameChange(*case[:2]),
+                               Torsor(*case[2:]))
+        pw = PointwiseTorsor.from_torsor(out)
+        parts = [out.T, out.J, out.extended, transform_torsor(g, out).J,
+                 pw.p, pw.q, pw.l]
+        if exact:
+            parts.append(out.pairing(psi1, psi2))
+        for a in parts:
+            digest.update(np.asarray(a, dtype=float).tobytes())
+        digest.update(f"{out!r} {pw!r}".encode())
+    Jp = transform_torsor(AffineFrameChange(*_SUBNORMAL[:2]),
+                          Torsor(*_SUBNORMAL[2:])).J
+    assert (math.copysign(1.0, Jp[1, 2]), math.copysign(1.0, Jp[2, 1])) \
+        == (1.0, -1.0)
+    assert digest.hexdigest() == GENERIC_TORSOR_SHA256
 
 
 # The chained checks against the float form they replaced: each constructor

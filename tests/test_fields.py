@@ -134,6 +134,28 @@ def test_analytic_tangent_matches_default():
         assert_allclose(hel_default.n(0.0, s), hel_analytic.n(0.0, s), atol=FD_TOL)
 
 
+def test_per_point_field_on_a_batch_names_the_field():
+    # A field written for one point returns (3,) whatever the batch.  On a
+    # batch of one that is still read as the point's value; on a batch of
+    # five the error names the field and the shape it should return.
+    e1 = np.array([1.0, 0.0, 0.0])
+    curve = Curve1D(lambda t, s: e1)
+    assert curve.psi(0.0, 0.5).tolist() == e1.tolist()
+    assert curve.psi(np.zeros(1), np.zeros(1)).tolist() == [[1.0], [0.0],
+                                                            [0.0]]
+    with pytest.raises(ValueError, match=(
+            r"^Curve1D\.psi returned values of shape \(3,\) for a batch of "
+            r"m = 5 points; expected \(3, m\)$")):
+        curve.psi(np.zeros(5), np.linspace(0.0, 1.0, 5))
+    flow = Curve1D(curve.psi, v_t=lambda t, s: np.ones(2))
+    with pytest.raises(ValueError, match=r"^Curve1D\.v_t .* expected \(m,\)$"):
+        flow.v_t(np.zeros(5), np.zeros(5))
+    shell = ShellField(lambda t, th1, th2: np.stack([th1, th2, t]),
+                       pi=lambda t, th1, th2: np.eye(3)[:2])
+    with pytest.raises(ValueError, match=r"^ShellField\.pi .* \(2, 3, m\)$"):
+        shell.pi(np.zeros(4), np.zeros(4), np.zeros(4))
+
+
 def test_curve_acceleration_paths():
     # Analytic v, material chart, and sliding chart must all agree with the
     # closed-form acceleration of a rigidly rotating circle point.

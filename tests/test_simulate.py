@@ -281,6 +281,18 @@ def test_nonpositive_mass_rejected():
                                    np.zeros(3))
 
 
+@pytest.mark.parametrize("t, m, message", [
+    (math.nan, 1.0, r"^t must be finite, got nan$"),
+    (math.inf, 1.0, r"^t must be finite, got inf$"),
+    (-math.inf, 1.0, r"^t must be finite, got -inf$"),
+    (0.0, math.inf, r"^m must be finite, got inf$"),
+], ids=["t_nan", "t_inf", "t_minus_inf", "m_inf"])
+def test_non_finite_time_and_mass_rejected(t, m, message):
+    with pytest.raises(ValueError, match=message):
+        PointwiseState(t=t, m=m, x=np.zeros(3), p=np.zeros(3),
+                       q=np.zeros(3), l=np.zeros(3))
+
+
 def test_integrator_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(dt=0.0, t_end=1.0)

@@ -8,13 +8,10 @@ a scenario-driven command line interface.
 """
 
 from .affine import (
-    AffineFrameChange,
-    AffineForm,
     GalileanFrameChange,
     PointwiseTorsor,
     Torsor,
     compose,
-    transform_form,
     transform_point,
     transform_stress_mass,
     transform_torsor,
@@ -70,13 +67,10 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineFrameChange",
-    "AffineForm",
     "GalileanFrameChange",
     "PointwiseTorsor",
     "Torsor",
     "compose",
-    "transform_form",
     "transform_point",
     "transform_stress_mass",
     "transform_torsor",

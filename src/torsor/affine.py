@@ -1,18 +1,18 @@
-"""Affine frame changes on classical space-time and the objects they act on.
+"""Galilean frame changes on classical space-time and the objects they act on.
 
 Space-time points live in R^4 with coordinate 0 the date and 1..3 the spatial
-position.  A change of affine frame is a pair (C, P): a translation column C
-and an invertible linear part P, acting on points as V = C + P V'.  Affine
-forms (chi, Phi) and torsors (T, J) carry the dual and bilinear laws.  The
-whole algebra embeds in a 5x5 matrix representation which the tests use as an
-independent oracle.
+position.  A Galilean frame change is a boost velocity u, a rotation R, a
+clock change tau0 and a spatial shift k.  It acts on points as V = C + P V'
+with C = (tau0, k) and P = [[1, 0], [u, R]], and on torsors (T, J) by the
+bilinear law.  The whole algebra embeds in 5x5 matrices: a frame change is
+[[1, 0], [C, P]] and a torsor the skew [[0, T^T], [-T, J]].  The tests use
+that representation as an independent oracle.
 
-A GalileanFrameChange, with C = (tau0, k) and P = [[1, 0], [u, R]], stores
-its 16 numbers (u, R, tau0, k) once, as one tuple of Python floats, and
-builds the arrays u, R, k, C, P and P^-1 only when they are read.  Its
-validation and its component laws run as closed forms on those floats, each
-entry one explicit sum.  With d = V_0 - tau0, T = (m, p) and J =
-vecmath.moment_matrix(q, l), the laws are:
+A GalileanFrameChange stores its 16 numbers (u, R, tau0, k) once, as one
+tuple of Python floats, and builds the arrays u, R, k and extended only
+when they are read.  Its validation and its laws run as closed forms on
+those floats, each entry one explicit sum.  With d = V_0 - tau0, T = (m, p)
+and J = vecmath.moment_matrix(q, l), the laws are:
 
     transform_point        V' = (d, R^T (V_s - k - u d))
     transform_torsor       m' = m (exactly),  p' = R^T (p - m u),
@@ -22,28 +22,22 @@ vecmath.moment_matrix(q, l), the laws are:
                            P S P^T = [[rho, b^T], [b, b u^T + u (R a)^T
                            + R B R^T]], then symmetrized
 
-A generic AffineFrameChange keeps the matrix laws, which the Galilean
-elements never take.
-
-The objects acted on store floats the same way.  A Torsor keeps its 20
-numbers, T then J row by row, as one tuple, and a PointwiseTorsor its 10
-numbers (m, p, q, l); the arrays T, J, extended, p, q and l are built
-fresh on each read.  J is stored whole rather than as its upper triangle
-because the generic law's (J' - J'^T)/2 can leave a -0.0 below the
-diagonal where the mirror 0 - upper gives +0.0.  Torsor construction,
-transform_torsor on a Galilean element and the PointwiseTorsor
-conversions read and write these tuples and build no array.
+A Torsor stores its 10 numbers, T and the strict upper triangle of J, as
+one tuple, and a PointwiseTorsor its 10 numbers (m, p, q, l); the arrays
+T, J, extended, p, q and l are built fresh on each read.  Each mirrored
+entry of J is read as 0.0 - its partner and the diagonal as +0.0, so every
+J read is exactly skew.  Torsor construction, transform_torsor and the
+PointwiseTorsor conversions read and write these tuples and build no array.
 
 Values are validated once, where they enter from outside: the public
-constructors reject non-finite input, a singular P, a non-orthonormal or
+constructors reject non-finite input, a non-orthonormal or
 orientation-reversing R and a J that is not skew.  Results of the group
-algebra are valid by construction, so compose and inverse of Galilean
-elements build through the private GalileanFrameChange._trusted, and the
-transforms store their (T', J') through Torsor._trusted.
+algebra are valid by construction, so compose and inverse build through the
+private GalileanFrameChange._trusted, and the transforms store their
+(T', J') through Torsor._trusted.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,61 +78,17 @@ def _rot_t(r, x) -> tuple:
             r[2] * x0 + r[5] * x1 + r[8] * x2)
 
 
-def _packed(t0, t1, t2, t3, j01, j02, j03, j12, j13, j23) -> tuple:
-    """Torsor's 20 floats: T, then the skew J row by row, built from its
-    strict upper triangle: each mirrored entry is 0 - its partner, the
-    diagonal 0."""
-    return (t0, t1, t2, t3,
-            0.0, j01, j02, j03,
-            0.0 - j01, 0.0, j12, j13,
-            0.0 - j02, 0.0 - j12, 0.0, j23,
-            0.0 - j03, 0.0 - j13, 0.0 - j23, 0.0)
+class GalileanFrameChange:
+    """Change of frame in the Galilei group.
 
-
-class AffineFrameChange:
-    """Change of affine frame (C, P) on R^4.
-
-    C is the 4-column translation (new origin in old coordinates) and P the
-    invertible 4x4 linear part (new basis in old coordinates).  Points with
-    components V' in the new frame have components V = C + P V' in the old.
+    R is a rotation and u a boost velocity, tau0 a clock change and k a
+    spatial shift.  Points with components V' in the new frame have
+    components V = C + P V' in the old, with C = (tau0, k) and
+    P = [[1, 0], [u, R]].  The 16 floats (u, R row by row, tau0, k) are
+    stored as the tuple _e.
     """
 
-    def __init__(self, C, P):
-        self.C = np.array(C, dtype=float).reshape(4)
-        self.P = np.array(P, dtype=float).reshape(4, 4)
-        if not _finite([*self.C.tolist(), *self.P.ravel().tolist()]):
-            raise ValueError("C and P must be finite")
-        if not abs(np.linalg.det(self.P)) >= 1e-12:
-            raise ValueError("linear part P is singular")
-
-    @property
-    def extended(self) -> np.ndarray:
-        """5x5 matrix [[1, 0], [C, P]] of the affine action."""
-        M = np.zeros((5, 5))
-        M[0, 0] = 1.0
-        M[1:, 0] = self.C
-        M[1:, 1:] = self.P
-        return M
-
-    def P_inverse(self) -> np.ndarray:
-        """Inverse of the linear part; exact blockwise form for subclasses."""
-        return np.linalg.inv(self.P)
-
-    def inverse(self) -> "AffineFrameChange":
-        Pinv = self.P_inverse()
-        return AffineFrameChange(-Pinv @ self.C, Pinv)
-
-    def __repr__(self):
-        return f"AffineFrameChange(C={self.C.tolist()}, P={self.P.tolist()})"
-
-
-class GalileanFrameChange(AffineFrameChange):
-    """Affine frame change restricted to the Galilei group.
-
-    P = [[1, 0], [u, R]] with R a rotation and u a boost velocity; the
-    translation C = (tau0, k) collects a clock change and a spatial shift.
-    The 16 floats (u, R row by row, tau0, k) are stored as the tuple _e.
-    """
+    __slots__ = ("_e",)
 
     def __init__(self, u=None, R=None, tau0: float = 0.0, k=None):
         u = (0.0, 0.0, 0.0) if u is None else triple(u)
@@ -191,22 +141,15 @@ class GalileanFrameChange(AffineFrameChange):
         return np.array(self._e[13:16])
 
     @property
-    def C(self) -> np.ndarray:
-        return np.array(self._e[12:16])
-
-    @property
-    def P(self) -> np.ndarray:
-        e = self._e
-        return np.array((1.0, 0.0, 0.0, 0.0, e[0], *e[3:6], e[1], *e[6:9],
-                         e[2], *e[9:12])).reshape(4, 4)
-
-    def P_inverse(self) -> np.ndarray:
-        # Blockwise exact: [[1, 0], [-R^T u, R^T]].  Keeps the time row of
-        # transformed objects bit-identical instead of roundoff-close.
-        r = self._e[3:12]
-        w0, w1, w2 = _rot_t(r, self._e[0:3])
-        return np.array((1.0, 0.0, 0.0, 0.0, -w0, *r[0::3], -w1, *r[1::3],
-                         -w2, *r[2::3])).reshape(4, 4)
+    def extended(self) -> np.ndarray:
+        """5x5 matrix [[1, 0], [C, P]] of the affine action."""
+        u0, u1, u2, r0, r1, r2, r3, r4, r5, r6, r7, r8, tau0, k0, k1, k2 = \
+            self._e
+        return np.array((1.0, 0.0, 0.0, 0.0, 0.0,
+                         tau0, 1.0, 0.0, 0.0, 0.0,
+                         k0, u0, r0, r1, r2,
+                         k1, u1, r3, r4, r5,
+                         k2, u2, r6, r7, r8)).reshape(5, 5)
 
     def inverse(self) -> "GalileanFrameChange":
         # u' = -R^T u, R' = R^T, tau0' = -tau0, k' = R^T (u tau0 - k).
@@ -239,67 +182,50 @@ class GalileanFrameChange(AffineFrameChange):
         )
 
 
-def compose(f1: AffineFrameChange, f2: AffineFrameChange) -> AffineFrameChange:
+def compose(f1: GalileanFrameChange,
+            f2: GalileanFrameChange) -> GalileanFrameChange:
     """Composition with extended(compose(f1, f2)) = extended(f1) @ extended(f2).
 
-    Two Galilean elements compose to a Galilean element: u = u1 + R1 u2,
-    R = R1 R2, tau0 = tau01 + tau02 and k = k1 + u1 tau02 + R1 k2.  Mixed
-    input falls back to a generic AffineFrameChange.
+    Written out, u = u1 + R1 u2, R = R1 R2, tau0 = tau01 + tau02 and
+    k = k1 + u1 tau02 + R1 k2.
     """
-    if isinstance(f1, GalileanFrameChange) and isinstance(f2, GalileanFrameChange):
-        # f1 = (u, rows a, b, c of R1, t1, k), f2 = (v, rows d, e, g, t2, h).
-        u0, u1, u2, a0, a1, a2, b0, b1, b2, c0, c1, c2, t1, k0, k1, k2 = f1._e
-        v0, v1, v2, d0, d1, d2, e0, e1, e2, g0, g1, g2, t2, h0, h1, h2 = f2._e
-        return GalileanFrameChange._trusted((
-            u0 + (a0 * v0 + a1 * v1 + a2 * v2),
-            u1 + (b0 * v0 + b1 * v1 + b2 * v2),
-            u2 + (c0 * v0 + c1 * v1 + c2 * v2),
-            a0 * d0 + a1 * e0 + a2 * g0, a0 * d1 + a1 * e1 + a2 * g1,
-            a0 * d2 + a1 * e2 + a2 * g2,
-            b0 * d0 + b1 * e0 + b2 * g0, b0 * d1 + b1 * e1 + b2 * g1,
-            b0 * d2 + b1 * e2 + b2 * g2,
-            c0 * d0 + c1 * e0 + c2 * g0, c0 * d1 + c1 * e1 + c2 * g1,
-            c0 * d2 + c1 * e2 + c2 * g2,
-            t1 + t2,
-            k0 + u0 * t2 + (a0 * h0 + a1 * h1 + a2 * h2),
-            k1 + u1 * t2 + (b0 * h0 + b1 * h1 + b2 * h2),
-            k2 + u2 * t2 + (c0 * h0 + c1 * h1 + c2 * h2),
-        ))
-    return AffineFrameChange(f1.C + f1.P @ f2.C, f1.P @ f2.P)
+    # f1 = (u, rows a, b, c of R1, t1, k), f2 = (v, rows d, e, g, t2, h).
+    u0, u1, u2, a0, a1, a2, b0, b1, b2, c0, c1, c2, t1, k0, k1, k2 = f1._e
+    v0, v1, v2, d0, d1, d2, e0, e1, e2, g0, g1, g2, t2, h0, h1, h2 = f2._e
+    return GalileanFrameChange._trusted((
+        u0 + (a0 * v0 + a1 * v1 + a2 * v2),
+        u1 + (b0 * v0 + b1 * v1 + b2 * v2),
+        u2 + (c0 * v0 + c1 * v1 + c2 * v2),
+        a0 * d0 + a1 * e0 + a2 * g0, a0 * d1 + a1 * e1 + a2 * g1,
+        a0 * d2 + a1 * e2 + a2 * g2,
+        b0 * d0 + b1 * e0 + b2 * g0, b0 * d1 + b1 * e1 + b2 * g1,
+        b0 * d2 + b1 * e2 + b2 * g2,
+        c0 * d0 + c1 * e0 + c2 * g0, c0 * d1 + c1 * e1 + c2 * g1,
+        c0 * d2 + c1 * e2 + c2 * g2,
+        t1 + t2,
+        k0 + u0 * t2 + (a0 * h0 + a1 * h1 + a2 * h2),
+        k1 + u1 * t2 + (b0 * h0 + b1 * h1 + b2 * h2),
+        k2 + u2 * t2 + (c0 * h0 + c1 * h1 + c2 * h2),
+    ))
 
 
-@dataclass
-class AffineForm:
-    """Affine form Psi = (chi, Phi): a constant chi plus a linear form Phi.
-
-    Evaluates on a point V as chi + Phi V.  The extended representation is
-    the 5-row (chi, Phi).
-    """
-
-    chi: float
-    Phi: np.ndarray
-
-    def __post_init__(self):
-        self.chi = float(self.chi)
-        self.Phi = np.array(self.Phi, dtype=float).reshape(4)
-
-    @property
-    def extended(self) -> np.ndarray:
-        return np.concatenate(([self.chi], self.Phi))
-
-    def __call__(self, V) -> float:
-        return self.chi + float(self.Phi @ np.asarray(V, dtype=float).reshape(4))
+def _j_entries(j01, j02, j03, j12, j13, j23) -> tuple:
+    """The 16 entries, row by row, of the skew J with the given strict upper
+    triangle: each mirrored entry is 0.0 - its partner, the diagonal +0.0."""
+    return (0.0, j01, j02, j03,
+            0.0 - j01, 0.0, j12, j13,
+            0.0 - j02, 0.0 - j12, 0.0, j23,
+            0.0 - j03, 0.0 - j13, 0.0 - j23, 0.0)
 
 
 class Torsor:
     """Skew bilinear object with components (T, J).
 
-    T is a 4-column and J a skew 4x4 matrix.  The 20 floats, T then J row
-    by row, are stored as the tuple _e; T, J and extended are fresh arrays
-    built on each read.  Storage keeps J skew exactly: the public
-    constructor keeps the strict upper triangle and stores the lower one as
-    its negative.  Input T and J must be finite and J skew within SKEW_TOL
-    of its own scale.
+    T is a 4-column and J a skew 4x4 matrix.  The 10 floats, T then J's
+    strict upper triangle (j01, j02, j03, j12, j13, j23), are stored as the
+    tuple _e; T, J and extended are fresh arrays built on each read, J
+    exactly skew.  Input T and J must be finite and J skew within SKEW_TOL
+    of its own scale; the constructor keeps J's strict upper triangle.
     """
 
     # No per-instance dict: a frame-change pass holds thousands of these.
@@ -319,12 +245,12 @@ class Torsor:
                 and abs(j03 + j30) <= tol and abs(j12 + j21) <= tol
                 and abs(j13 + j31) <= tol and abs(j23 + j32) <= tol):
             raise ValueError("J is not skew-symmetric")
-        self._e = _packed(*t, j01, j02, j03, j12, j13, j23)
+        self._e = (*t, j01, j02, j03, j12, j13, j23)
 
     @classmethod
     def _trusted(cls, e) -> "Torsor":
-        """Torsor storing 20 floats (T, J row by row) as they are; J must
-        already be skew, signed zeros included."""
+        """Torsor storing 10 floats (T, J's strict upper triangle) as they
+        are."""
         tau = cls.__new__(cls)
         tau._e = e
         return tau
@@ -335,19 +261,15 @@ class Torsor:
 
     @property
     def J(self) -> np.ndarray:
-        return np.array(self._e[4:20]).reshape(4, 4)
+        return np.array(_j_entries(*self._e[4:10])).reshape(4, 4)
 
     @property
     def extended(self) -> np.ndarray:
         """5x5 skew matrix [[0, T^T], [-T, J]]."""
-        e = self._e
-        t0, t1, t2, t3 = e[0:4]
-        return np.array((0.0, t0, t1, t2, t3, -t0, *e[4:8], -t1, *e[8:12],
-                         -t2, *e[12:16], -t3, *e[16:20])).reshape(5, 5)
-
-    def pairing(self, psi1: AffineForm, psi2: AffineForm) -> float:
-        """Bilinear value tau(psi1, psi2) = psi1~ @ extended @ psi2~."""
-        return float(psi1.extended @ self.extended @ psi2.extended)
+        t0, t1, t2, t3 = self._e[0:4]
+        j = _j_entries(*self._e[4:10])
+        return np.array((0.0, t0, t1, t2, t3, -t0, *j[0:4], -t1, *j[4:8],
+                         -t2, *j[8:12], -t3, *j[12:16])).reshape(5, 5)
 
     def __repr__(self):
         return f"Torsor(T={self.T.tolist()}, J={self.J.tolist()})"
@@ -397,15 +319,15 @@ class PointwiseTorsor:
             raise ValueError("m, p, q and l must be finite")
         m, p0, p1, p2, q0, q1, q2, l0, l1, l2 = e
         # The strict upper triangle of moment_matrix(q, l).
-        return Torsor._trusted(_packed(m, p0, p1, p2,
-                                       -q0, -q1, -q2, l2, -l1, l0))
+        return Torsor._trusted((m, p0, p1, p2, -q0, -q1, -q2, l2, -l1, l0))
 
     @classmethod
     def from_torsor(cls, tau: Torsor) -> "PointwiseTorsor":
         # q = J[1:, 0] and l = (J[2, 3], J[3, 1], J[1, 2]), as in moments.
-        e = tau._e
+        m, p0, p1, p2, j01, j02, j03, j12, j13, j23 = tau._e
         pw = cls.__new__(cls)
-        pw._e = (*e[0:4], e[8], e[12], e[16], e[15], e[17], e[10])
+        pw._e = (m, p0, p1, p2, 0.0 - j01, 0.0 - j02, 0.0 - j03, j23,
+                 0.0 - j13, j12)
         return pw
 
     def __repr__(self):
@@ -415,73 +337,53 @@ class PointwiseTorsor:
         )
 
 
-def transform_point(f: AffineFrameChange, V) -> np.ndarray:
+def transform_point(f: GalileanFrameChange, V) -> np.ndarray:
     """Components in the new frame of the point with old components V.
 
     V' = P^-1 (V - C), the inverse of the defining action V = C + P V';
-    for a GalileanFrameChange V' = (d, R^T (V_s - k - u d)), d = V_0 - tau0.
+    written out, V' = (d, R^T (V_s - k - u d)) with d = V_0 - tau0.
     """
-    if isinstance(f, GalileanFrameChange):
-        e = f._e
-        v0, v1, v2, v3 = _floats(V, 4)
-        d = v0 - e[12]
-        return np.array((d, *_rot_t(e[3:12], (v1 - e[13] - e[0] * d,
-                                               v2 - e[14] - e[1] * d,
-                                               v3 - e[15] - e[2] * d))))
-    V = np.asarray(V, dtype=float).reshape(4)
-    return f.P_inverse() @ (V - f.C)
+    e = f._e
+    v0, v1, v2, v3 = _floats(V, 4)
+    d = v0 - e[12]
+    return np.array((d, *_rot_t(e[3:12], (v1 - e[13] - e[0] * d,
+                                           v2 - e[14] - e[1] * d,
+                                           v3 - e[15] - e[2] * d))))
 
 
-def transform_form(f: AffineFrameChange, psi: AffineForm) -> AffineForm:
-    """New-frame components (chi + Phi C, Phi P) of an affine form."""
-    return AffineForm(chi=psi.chi + float(psi.Phi @ f.C), Phi=psi.Phi @ f.P)
-
-
-def transform_torsor(f: AffineFrameChange, tau: Torsor) -> Torsor:
+def transform_torsor(f: GalileanFrameChange, tau: Torsor) -> Torsor:
     """New-frame components of a torsor.
 
-    T' = P^-1 T and J' = P^-1 (J - C T^T + T C^T) P^-T, the expansion of the
-    compact law tau~' = P~^-1 tau~ P~^-T on extended matrices; equivalently
-    J' = P^-1 J P^-T + C' T'^T - T' C'^T with C' = -P^-1 C.  A generic
-    AffineFrameChange applies it as matrices and stores the re-skewed
-    (J' - J'^T)/2 entry by entry, which clears roundoff; there a mirrored
-    entry may be -0.0 where its partner is +0.0.  A GalileanFrameChange
-    applies its component laws (see the module docstring) and packs J' from
-    its upper triangle as the public constructor does; its time component
-    T'[0] = m is T[0] bit for bit.
+    The law is tau~' = P~^-1 tau~ P~^-T on the extended matrices, that is
+    T' = P^-1 T and J' = P^-1 (J - C T^T + T C^T) P^-T.  It runs as the
+    component laws of the module docstring and stores J's strict upper
+    triangle; T'[0] = m is T[0] bit for bit.
     """
-    if isinstance(f, GalileanFrameChange):
-        u0, u1, u2, r0, r1, r2, r3, r4, r5, r6, r7, r8, tau0, k0, k1, k2 = f._e
-        e = tau._e
-        m, p0, p1, p2 = e[0:4]
-        x0, x1, x2 = p0 - m * u0, p1 - m * u1, p2 - m * u2
-        y0 = e[8] - m * k0 + tau0 * p0
-        y1 = e[12] - m * k1 + tau0 * p1
-        y2 = e[16] - m * k2 + tau0 * p2
-        q0 = r0 * y0 + r3 * y1 + r6 * y2
-        q1 = r1 * y0 + r4 * y1 + r7 * y2
-        q2 = r2 * y0 + r5 * y1 + r8 * y2
-        # z = l - k x p, w = R^T u and l' = R^T z + w x q'.
-        z0 = e[15] - (k1 * p2 - k2 * p1)
-        z1 = e[17] - (k2 * p0 - k0 * p2)
-        z2 = e[10] - (k0 * p1 - k1 * p0)
-        w0 = r0 * u0 + r3 * u1 + r6 * u2
-        w1 = r1 * u0 + r4 * u1 + r7 * u2
-        w2 = r2 * u0 + r5 * u1 + r8 * u2
-        return Torsor._trusted(_packed(
-            m, r0 * x0 + r3 * x1 + r6 * x2, r1 * x0 + r4 * x1 + r7 * x2,
-            r2 * x0 + r5 * x1 + r8 * x2,
-            -q0, -q1, -q2,
-            r2 * z0 + r5 * z1 + r8 * z2 + (w0 * q1 - w1 * q0),
-            -(r1 * z0 + r4 * z1 + r7 * z2 + (w2 * q0 - w0 * q2)),
-            r0 * z0 + r3 * z1 + r6 * z2 + (w1 * q2 - w2 * q1)))
-    T = tau.T
-    Pinv = f.P_inverse()
-    Tp = Pinv @ T
-    M = tau.J - np.outer(f.C, T) + np.outer(T, f.C)
-    Jp = Pinv @ M @ Pinv.T
-    Jp = 0.5 * (Jp - Jp.T)
-    return Torsor._trusted((*Tp.tolist(), *Jp.ravel().tolist()))
+    u0, u1, u2, r0, r1, r2, r3, r4, r5, r6, r7, r8, tau0, k0, k1, k2 = f._e
+    m, p0, p1, p2, j01, j02, j03, j12, j13, j23 = tau._e
+    x0, x1, x2 = p0 - m * u0, p1 - m * u1, p2 - m * u2
+    # q = J[1:, 0] and l = (J[2, 3], J[3, 1], J[1, 2]) as from_torsor reads
+    # them; y = q - m k + tau0 p and q' = R^T y.
+    y0 = (0.0 - j01) - m * k0 + tau0 * p0
+    y1 = (0.0 - j02) - m * k1 + tau0 * p1
+    y2 = (0.0 - j03) - m * k2 + tau0 * p2
+    q0 = r0 * y0 + r3 * y1 + r6 * y2
+    q1 = r1 * y0 + r4 * y1 + r7 * y2
+    q2 = r2 * y0 + r5 * y1 + r8 * y2
+    # z = l - k x p, w = R^T u and l' = R^T z + w x q'.
+    z0 = j23 - (k1 * p2 - k2 * p1)
+    z1 = (0.0 - j13) - (k2 * p0 - k0 * p2)
+    z2 = j12 - (k0 * p1 - k1 * p0)
+    w0 = r0 * u0 + r3 * u1 + r6 * u2
+    w1 = r1 * u0 + r4 * u1 + r7 * u2
+    w2 = r2 * u0 + r5 * u1 + r8 * u2
+    return Torsor._trusted((
+        m, r0 * x0 + r3 * x1 + r6 * x2, r1 * x0 + r4 * x1 + r7 * x2,
+        r2 * x0 + r5 * x1 + r8 * x2,
+        -q0, -q1, -q2,
+        r2 * z0 + r5 * z1 + r8 * z2 + (w0 * q1 - w1 * q0),
+        -(r1 * z0 + r4 * z1 + r7 * z2 + (w2 * q0 - w0 * q2)),
+        r0 * z0 + r3 * z1 + r6 * z2 + (w1 * q2 - w2 * q1)))
 
 
 def transform_stress_mass(f: GalileanFrameChange, T) -> np.ndarray:
@@ -490,9 +392,9 @@ def transform_stress_mass(f: GalileanFrameChange, T) -> np.ndarray:
     Applies the linear part of f directly, the law by which a proper-frame
     stress-mass block diag(rho, -sigma) acquires its boost terms.  Note the
     direction: this pushes components forward with P, so stripping a boost v
-    uses the frame change with u = -v.  Result is re-symmetrized.  For a
-    GalileanFrameChange the blocks follow the component law of the module
-    docstring, with a the mean of T's mixed row and column.
+    uses the frame change with u = -v.  The blocks follow the component law
+    of the module docstring, with a the mean of T's mixed row and column,
+    and the result is symmetric.
     """
     s = _floats(T, 16)
     tol = SKEW_TOL * _scale(s, "stress-mass tensor")
@@ -502,37 +404,33 @@ def transform_stress_mass(f: GalileanFrameChange, T) -> np.ndarray:
             and abs(s03 - s30) <= tol and abs(s12 - s21) <= tol
             and abs(s13 - s31) <= tol and abs(s23 - s32) <= tol):
         raise ValueError("stress-mass tensor is not symmetric")
-    if isinstance(f, GalileanFrameChange):
-        u0, u1, u2, r0, r1, r2, r3, r4, r5, r6, r7, r8 = f._e[0:12]
-        h0, h1, h2 = 0.5 * (s01 + s10), 0.5 * (s02 + s20), 0.5 * (s03 + s30)
-        a0 = r0 * h0 + r1 * h1 + r2 * h2
-        a1 = r3 * h0 + r4 * h1 + r5 * h2
-        a2 = r6 * h0 + r7 * h1 + r8 * h2
-        b0, b1, b2 = rho * u0 + a0, rho * u1 + a1, rho * u2 + a2
-        # Rows c, d, g of R B, with B = T[1:, 1:]; n_ij = (R B R^T)_ij.
-        c0 = r0 * s11 + r1 * s21 + r2 * s31
-        c1 = r0 * s12 + r1 * s22 + r2 * s32
-        c2 = r0 * s13 + r1 * s23 + r2 * s33
-        d0 = r3 * s11 + r4 * s21 + r5 * s31
-        d1 = r3 * s12 + r4 * s22 + r5 * s32
-        d2 = r3 * s13 + r4 * s23 + r5 * s33
-        g0 = r6 * s11 + r7 * s21 + r8 * s31
-        g1 = r6 * s12 + r7 * s22 + r8 * s32
-        g2 = r6 * s13 + r7 * s23 + r8 * s33
-        # Entries of M = b u^T + u (R a)^T + R B R^T, symmetrized.
-        m00 = b0 * u0 + u0 * a0 + (r0 * c0 + r1 * c1 + r2 * c2)
-        m11 = b1 * u1 + u1 * a1 + (r3 * d0 + r4 * d1 + r5 * d2)
-        m22 = b2 * u2 + u2 * a2 + (r6 * g0 + r7 * g1 + r8 * g2)
-        m01 = 0.5 * ((b0 * u1 + u0 * a1 + (r3 * c0 + r4 * c1 + r5 * c2))
-                     + (b1 * u0 + u1 * a0 + (r0 * d0 + r1 * d1 + r2 * d2)))
-        m02 = 0.5 * ((b0 * u2 + u0 * a2 + (r6 * c0 + r7 * c1 + r8 * c2))
-                     + (b2 * u0 + u2 * a0 + (r0 * g0 + r1 * g1 + r2 * g2)))
-        m12 = 0.5 * ((b1 * u2 + u1 * a2 + (r6 * d0 + r7 * d1 + r8 * d2))
-                     + (b2 * u1 + u2 * a1 + (r3 * g0 + r4 * g1 + r5 * g2)))
-        return np.array((rho, b0, b1, b2,
-                         b0, m00, m01, m02,
-                         b1, m01, m11, m12,
-                         b2, m02, m12, m22)).reshape(4, 4)
-    S = np.array(s).reshape(4, 4)
-    out = f.P @ S @ f.P.T
-    return 0.5 * (out + out.T)
+    u0, u1, u2, r0, r1, r2, r3, r4, r5, r6, r7, r8 = f._e[0:12]
+    h0, h1, h2 = 0.5 * (s01 + s10), 0.5 * (s02 + s20), 0.5 * (s03 + s30)
+    a0 = r0 * h0 + r1 * h1 + r2 * h2
+    a1 = r3 * h0 + r4 * h1 + r5 * h2
+    a2 = r6 * h0 + r7 * h1 + r8 * h2
+    b0, b1, b2 = rho * u0 + a0, rho * u1 + a1, rho * u2 + a2
+    # Rows c, d, g of R B, with B = T[1:, 1:]; n_ij = (R B R^T)_ij.
+    c0 = r0 * s11 + r1 * s21 + r2 * s31
+    c1 = r0 * s12 + r1 * s22 + r2 * s32
+    c2 = r0 * s13 + r1 * s23 + r2 * s33
+    d0 = r3 * s11 + r4 * s21 + r5 * s31
+    d1 = r3 * s12 + r4 * s22 + r5 * s32
+    d2 = r3 * s13 + r4 * s23 + r5 * s33
+    g0 = r6 * s11 + r7 * s21 + r8 * s31
+    g1 = r6 * s12 + r7 * s22 + r8 * s32
+    g2 = r6 * s13 + r7 * s23 + r8 * s33
+    # Entries of M = b u^T + u (R a)^T + R B R^T, symmetrized.
+    m00 = b0 * u0 + u0 * a0 + (r0 * c0 + r1 * c1 + r2 * c2)
+    m11 = b1 * u1 + u1 * a1 + (r3 * d0 + r4 * d1 + r5 * d2)
+    m22 = b2 * u2 + u2 * a2 + (r6 * g0 + r7 * g1 + r8 * g2)
+    m01 = 0.5 * ((b0 * u1 + u0 * a1 + (r3 * c0 + r4 * c1 + r5 * c2))
+                 + (b1 * u0 + u1 * a0 + (r0 * d0 + r1 * d1 + r2 * d2)))
+    m02 = 0.5 * ((b0 * u2 + u0 * a2 + (r6 * c0 + r7 * c1 + r8 * c2))
+                 + (b2 * u0 + u2 * a0 + (r0 * g0 + r1 * g1 + r2 * g2)))
+    m12 = 0.5 * ((b1 * u2 + u1 * a2 + (r6 * d0 + r7 * d1 + r8 * d2))
+                 + (b2 * u1 + u2 * a1 + (r3 * g0 + r4 * g1 + r5 * g2)))
+    return np.array((rho, b0, b1, b2,
+                     b0, m00, m01, m02,
+                     b1, m01, m11, m12,
+                     b2, m02, m12, m22)).reshape(4, 4)

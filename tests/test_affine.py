@@ -5,7 +5,6 @@ the 5x5 extended matrices, does plain matrix algebra there, and compares.
 """
 
 import hashlib
-import math
 
 import numpy as np
 import pytest
@@ -16,13 +15,10 @@ from numpy.testing import assert_allclose
 from torsor.affine import (
     ORTHONORMAL_TOL,
     SKEW_TOL,
-    AffineForm,
-    AffineFrameChange,
     GalileanFrameChange,
     PointwiseTorsor,
     Torsor,
     compose,
-    transform_form,
     transform_point,
     transform_stress_mass,
     transform_torsor,
@@ -41,8 +37,9 @@ def random_torsor(rng) -> Torsor:
     return Torsor(rng.uniform(-1.0, 1.0, size=4), A - A.T)
 
 
-def random_form(rng) -> AffineForm:
-    return AffineForm(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0, size=4))
+def random_form(rng) -> np.ndarray:
+    """An affine form chi + Phi V as its 5-row psi~ = (chi, Phi)."""
+    return rng.uniform(-1.0, 1.0, size=5)
 
 
 # Oracle operations on extended representations only.
@@ -51,11 +48,6 @@ def oracle_point(f, V):
     Vt = np.concatenate(([1.0], V))
     out = np.linalg.solve(f.extended, Vt)
     return out[1:]
-
-
-def oracle_form(f, psi):
-    out = psi.extended @ f.extended
-    return out[0], out[1:]
 
 
 def oracle_torsor(f, tau):
@@ -106,22 +98,11 @@ def test_inverse_gives_identity():
         assert_allclose(compose(f.inverse(), f).extended, np.eye(5), atol=TOL)
 
 
-def test_generic_affine_compose_and_inverse():
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        P = rng.uniform(-1.0, 1.0, size=(4, 4)) + 2.0 * np.eye(4)
-        f = AffineFrameChange(rng.uniform(-1.0, 1.0, size=4), P)
-        g = compose(f, f.inverse())
-        assert_allclose(g.extended, np.eye(5), atol=1e-10)
-
-
 def test_rotation_validation():
     with pytest.raises(ValueError):
         GalileanFrameChange(R=np.eye(3) * 1.01)
     with pytest.raises(ValueError):
         GalileanFrameChange(R=np.diag([1.0, 1.0, -1.0]))
-    with pytest.raises(ValueError):
-        AffineFrameChange(np.zeros(4), np.zeros((4, 4)))
 
 
 def _rotation_with(bad):
@@ -215,13 +196,6 @@ def test_constructors_reject_reflection_and_non_finite(build, message):
         build()
 
 
-def test_affine_rejects_non_finite_P():
-    P = np.eye(4)
-    P[2, 1] = np.nan
-    with pytest.raises(ValueError):
-        AffineFrameChange(np.zeros(4), P)
-
-
 @pytest.mark.parametrize("part", ["T", "J"])
 def test_torsor_rejects_nan(part):
     T, J = np.zeros(4), np.zeros((4, 4))
@@ -263,7 +237,7 @@ def _assert_rebuilt_bits(f):
     assert type(f.tau0) is float
     g = GalileanFrameChange(u=f.u.tolist(), R=f.R.tolist(), tau0=f.tau0,
                             k=f.k.tolist())
-    _assert_same_bits(f, g, ("u", "R", "tau0", "k", "C", "P", "extended"))
+    _assert_same_bits(f, g, ("u", "R", "tau0", "k", "extended"))
 
 
 @given(f1=elements, f2=elements, T=st.tuples(unit, unit, unit, unit),
@@ -285,9 +259,51 @@ def test_trusted_results_match_public_constructors(f1, f2, T, J):
         GalileanFrameChange(R=-f1.R)
 
 
+# The matrix laws of a general affine frame change (C, P), acting on points
+# as V = C + P V'.  The Galilean component laws are their closed forms.
+
+def affine_parts(f):
+    """(C, P) of a frame change, read from its extended [[1, 0], [C, P]]."""
+    E = f.extended
+    return E[1:, 0], E[1:, 1:]
+
+
+def affine_matrix(C, P):
+    """The extended matrix [[1, 0], [C, P]]."""
+    E = np.eye(5)
+    E[1:, 0], E[1:, 1:] = C, P
+    return E
+
+
+def law_compose(C1, P1, C2, P2):
+    return C1 + P1 @ C2, P1 @ P2
+
+
+def law_inverse(C, P):
+    Pinv = np.linalg.inv(P)
+    return -Pinv @ C, Pinv
+
+
+def law_point(C, P, V):
+    return np.linalg.inv(P) @ (np.asarray(V, dtype=float) - C)
+
+
+def law_torsor(C, P, T, J):
+    """T' = P^-1 T and J' = P^-1 (J - C T^T + T C^T) P^-T, re-skewed."""
+    Pinv = np.linalg.inv(P)
+    Jp = Pinv @ (J - np.outer(C, T) + np.outer(T, C)) @ Pinv.T
+    return Pinv @ T, 0.5 * (Jp - Jp.T)
+
+
+def law_stress_mass(C, P, S):
+    """P S P^T, re-symmetrized; the translation C does not enter."""
+    out = P @ S @ P.T
+    return 0.5 * (out + out.T)
+
+
 # Normwise distance allowed between a Galilean component law and the matrix
-# law of the same element as a generic AffineFrameChange, relative to the
-# matrix result's norm floored at 1, as the benchmark's oracle scales it.
+# law of the same element, relative to the matrix result's norm floored at
+# 1, as the benchmark's oracle scales it.
 LAW_TOL = 1e-14
 
 
@@ -303,20 +319,22 @@ def _assert_law(got, want):
        S=st.tuples(*[unit] * 10))
 @settings(derandomize=True, max_examples=200, deadline=None)
 def test_galilean_component_laws_match_matrix_laws(f1, f2, V, T, J, S):
-    g1, g2 = AffineFrameChange(f1.C, f1.P), AffineFrameChange(f2.C, f2.P)
-    _assert_law(compose(f1, f2).extended, compose(g1, g2).extended)
-    _assert_law(f1.inverse().extended, g1.inverse().extended)
-    _assert_law(transform_point(f1, V), transform_point(g1, V))
+    g1, g2 = affine_parts(f1), affine_parts(f2)
+    _assert_law(compose(f1, f2).extended,
+                affine_matrix(*law_compose(*g1, *g2)))
+    _assert_law(f1.inverse().extended, affine_matrix(*law_inverse(*g1)))
+    _assert_law(transform_point(f1, V), law_point(*g1, V))
     A = np.zeros((4, 4))
     A[np.triu_indices(4, 1)] = J
     tau = Torsor(T, A - A.T)
-    out, law = transform_torsor(f1, tau), transform_torsor(g1, tau)
-    _assert_law(out.T, law.T)
-    _assert_law(out.J, law.J)
+    out = transform_torsor(f1, tau)
+    law_T, law_J = law_torsor(*g1, tau.T, tau.J)
+    _assert_law(out.T, law_T)
+    _assert_law(out.J, law_J)
     B = np.zeros((4, 4))
     B[np.triu_indices(4)] = S
     sym = B + np.triu(B, 1).T
-    _assert_law(transform_stress_mass(f1, sym), transform_stress_mass(g1, sym))
+    _assert_law(transform_stress_mass(f1, sym), law_stress_mass(*g1, sym))
 
 
 @given(
@@ -346,16 +364,6 @@ def test_transform_point_matches_oracle():
         assert_allclose(transform_point(f, V), oracle_point(f, V), atol=TOL)
 
 
-def test_transform_form_matches_oracle():
-    rng = np.random.default_rng(6)
-    for _ in range(100):
-        f, psi = random_frame_change(rng), random_form(rng)
-        out = transform_form(f, psi)
-        chi, Phi = oracle_form(f, psi)
-        assert_allclose(out.chi, chi, atol=TOL)
-        assert_allclose(out.Phi, Phi, atol=TOL)
-
-
 def test_transform_torsor_matches_oracle():
     rng = np.random.default_rng(7)
     for _ in range(100):
@@ -364,13 +372,18 @@ def test_transform_torsor_matches_oracle():
         assert_allclose(out.extended, oracle_torsor(f, tau), atol=TOL)
 
 
+# An affine form psi~ = (chi, Phi) takes the value psi~ @ (1, V) on a point
+# V, and its new-frame components are psi~ @ extended(f).  A torsor is the
+# skew bilinear map tau(psi1, psi2) = psi1~ @ extended(tau) @ psi2~ on forms.
+
 def test_form_value_on_point_invariant():
     rng = np.random.default_rng(8)
     for _ in range(100):
         f, psi = random_frame_change(rng), random_form(rng)
         V = rng.uniform(-1.0, 1.0, size=4)
-        before = psi(V)
-        after = transform_form(f, psi)(transform_point(f, V))
+        before = psi @ np.concatenate(([1.0], V))
+        after = (psi @ f.extended) @ np.concatenate(
+            ([1.0], transform_point(f, V)))
         assert_allclose(after, before, atol=TOL)
 
 
@@ -379,10 +392,9 @@ def test_pairing_invariant():
     for _ in range(100):
         f, tau = random_frame_change(rng), random_torsor(rng)
         psi1, psi2 = random_form(rng), random_form(rng)
-        before = tau.pairing(psi1, psi2)
-        after = transform_torsor(f, tau).pairing(
-            transform_form(f, psi1), transform_form(f, psi2)
-        )
+        before = psi1 @ tau.extended @ psi2
+        after = ((psi1 @ f.extended) @ transform_torsor(f, tau).extended
+                 @ (psi2 @ f.extended))
         assert_allclose(after, before, atol=TOL)
 
 
@@ -417,6 +429,8 @@ def test_torsor_storage_exactly_skew():
     A = rng.uniform(-1.0, 1.0, size=(4, 4))
     tau = Torsor(np.zeros(4), A - A.T)
     assert np.all(tau.J == -tau.J.T)
+    # T and J's strict upper triangle: the torsor's ten numbers.
+    assert len(tau._e) == 10
 
 
 def test_pointwise_packing_law():
@@ -487,15 +501,6 @@ def test_pointwise_torsor_owns_its_arrays():
     back.p[0] = back.q[0] = back.l[0] = 99.0
     assert np.array_equal(tau.T, T) and np.array_equal(tau.J, J)
     assert type(back.m) is float
-    # A general frame change and an affine form own theirs too: a caller
-    # writing its arrays afterwards can neither undo the singular check
-    # nor put a NaN past the finite one.
-    C, P, Phi = np.zeros(4), np.eye(4), np.ones(4)
-    f, psi = AffineFrameChange(C, P), AffineForm(0.0, Phi)
-    P[:] = 0.0
-    C[0] = Phi[0] = np.nan
-    assert f.P.tolist() == np.eye(4).tolist() and f.C.tolist() == [0.0] * 4
-    assert psi.Phi.tolist() == [1.0] * 4
 
 
 def test_component_reads_are_fresh_float_arrays():
@@ -612,65 +617,45 @@ def test_frame_items_are_bit_for_bit_pinned():
     assert digest.hexdigest() == FRAME_ITEMS_SHA256
 
 
-# The generic AffineFrameChange path, pinned bit for bit; the digest was
-# recorded while Torsor and PointwiseTorsor still held arrays.  P is a signed
-# permutation times a diagonal, so each entry of P^-1 (J - C T^T + T C^T)
-# P^-T is one product whatever the BLAS, and the pairings below run on
-# entries of one exact grid.  _SUBNORMAL's inputs are whole multiples of the
-# least subnormal: there (J' - J'^T)/2 halves a difference of one such step,
-# and J'[2, 1] comes out -0.0 while J'[1, 2] is +0.0.
-_TINY = 5e-324
-_SUBNORMAL = (
-    (1.5, 0.5, 1.5, 0.5),
-    ((-0.4, 0.0, 0.0, 0.0), (0.0, 0.0, -3.0, 0.0), (0.0, 0.0, 0.0, -2.5),
-     (0.0, -2.5, 0.0, 0.0)),
-    tuple(_TINY * n for n in (31, -51, 52, -54)),
-    tuple(tuple(_TINY * n for n in row) for row in (
-        (0, 0, 1, 3), (0, 0, 2, -5), (-1, -2, 0, 0), (-3, 5, 0, 0))),
-)
-_DYADIC = (
-    (0.25, -0.75, 0.5, 1.0),
-    ((0.0, 2.0, 0.0, 0.0), (-0.5, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 4.0),
-     (0.0, 0.0, -1.0, 0.0)),
-    (0.375, -1.25, 0.5, 0.125),
-    ((0.0, 0.5, -0.25, 1.0), (-0.5, 0.0, 0.75, -0.125),
-     (0.25, -0.75, 0.0, 0.625), (-1.0, 0.125, -0.625, 0.0)),
-)
-GENERIC_TORSOR_SHA256 = (
-    "81f850aedbd35247cc5caa42b5a3d421c0a4d46f5aff7d8adc38419d5f19304e")
+# Signed zeros, pinned bit for bit.  Every T and strict upper triangle of J
+# drawn from +-0.0, and every (p, q, l) likewise, go through each read, the
+# pointwise round trip, and transform_torsor by the identity and by one fixed
+# element followed by from_torsor.  A mirrored entry of J read as -j where
+# it should be 0.0 - j turns a +0.0 into -0.0 and moves the digest.
+SIGNED_ZERO_SHA256 = (
+    "c9b580d84412924a42a157d92901fd31702fa78edf58e7d637cb1c379c791986")
 
 
-def test_generic_transform_torsor_is_bit_for_bit_pinned():
-    rng = np.random.default_rng(22)
-    P = np.zeros((4, 4))
-    P[(0, 1, 2, 3), (2, 0, 3, 1)] = (0.7, -1.6, 3.0, 0.4)
-    A = rng.uniform(-1.0, 1.0, (4, 4))
-    cases = [(_SUBNORMAL, True), (_DYADIC, True),
-             ((rng.uniform(-1.0, 1.0, 4), P, rng.uniform(-1.0, 1.0, 4),
-               A - A.T), False)]
-    psi1, psi2 = AffineForm(2.0, (1.0, -3.0, 0.0, 2.0)), AffineForm(
-        -1.0, (4.0, 1.0, -2.0, 3.0))
-    g = GalileanFrameChange(
-        (0.5, -0.25, 0.125),
-        _quaternion_rotation(0.5, -0.25, 0.75, 0.125), 0.375,
-        (-0.5, 0.25, 1.0))
+def _signs(n, bits):
+    return [-0.0 if bits >> i & 1 else 0.0 for i in range(n)]
+
+
+def test_signed_zeros_are_bit_for_bit_pinned():
+    frames = (GalileanFrameChange(), GalileanFrameChange(
+        (0.5, -0.25, 0.125), _quaternion_rotation(0.5, -0.25, 0.75, 0.125),
+        0.375, (-0.5, 0.25, 1.0)))
+    torsors = []
+    for bits in range(1 << 10):
+        z = _signs(10, bits)
+        J = np.zeros((4, 4))
+        J[np.triu_indices(4, 1)] = z[4:]
+        torsors.append(Torsor(z[:4], J))
+    pointwise = [PointwiseTorsor(m, *np.reshape(_signs(9, bits), (3, 3)))
+                 for m in (1.5, -0.0) for bits in range(1 << 9)]
+    torsors += [pw.to_torsor() for pw in pointwise]
+    pointwise += [PointwiseTorsor.from_torsor(tau) for tau in torsors]
     digest = hashlib.sha256()
-    for case, exact in cases:
-        out = transform_torsor(AffineFrameChange(*case[:2]),
-                               Torsor(*case[2:]))
-        pw = PointwiseTorsor.from_torsor(out)
-        parts = [out.T, out.J, out.extended, transform_torsor(g, out).J,
-                 pw.p, pw.q, pw.l]
-        if exact:
-            parts.append(out.pairing(psi1, psi2))
-        for a in parts:
-            digest.update(np.asarray(a, dtype=float).tobytes())
-        digest.update(f"{out!r} {pw!r}".encode())
-    Jp = transform_torsor(AffineFrameChange(*_SUBNORMAL[:2]),
-                          Torsor(*_SUBNORMAL[2:])).J
-    assert (math.copysign(1.0, Jp[1, 2]), math.copysign(1.0, Jp[2, 1])) \
-        == (1.0, -1.0)
-    assert digest.hexdigest() == GENERIC_TORSOR_SHA256
+    for tau in torsors:
+        outs = [transform_torsor(f, tau) for f in frames]
+        pointwise += [PointwiseTorsor.from_torsor(out) for out in outs]
+        for a in (tau, *outs):
+            for part in (a.T, a.J, a.extended):
+                digest.update(part.tobytes())
+            digest.update(repr(a).encode())
+    for pw in pointwise:
+        digest.update(np.array((pw.m, *pw.p, *pw.q, *pw.l)).tobytes())
+        digest.update(repr(pw).encode())
+    assert digest.hexdigest() == SIGNED_ZERO_SHA256
 
 
 # The chained checks against the float form they replaced: each constructor

@@ -238,16 +238,30 @@ def unused_imports(source, path="<module>"):
                   if name not in used)
 
 
+def _scanned_sources():
+    """The modules of the torsor package and of tests/, as two dicts of
+    path (relative to the repository) -> source."""
+    pkg = os.path.dirname(torsor.__file__)
+    root = os.path.dirname(os.path.dirname(pkg))
+    out = []
+    for pattern in (os.path.join(pkg, "**", "*.py"),
+                    os.path.join(os.path.dirname(__file__), "*.py")):
+        sources = {}
+        for path in sorted(glob.glob(pattern, recursive=True)):
+            with open(path, encoding="utf-8") as fh:
+                sources[os.path.relpath(path, root)] = fh.read()
+        out.append(sources)
+    return out
+
+
 def test_no_module_imports_a_name_it_never_uses():
     assert unused_imports("import os, sys\nfrom a import b as c\n"
                           "sys.exit(c)\n") == [(1, "os")]
-    pkg = os.path.dirname(torsor.__file__)
     unused = []
-    for path in sorted(glob.glob(os.path.join(pkg, "**", "*.py"),
-                                 recursive=True)):
-        with open(path, encoding="utf-8") as fh:
-            unused += [f"{os.path.relpath(path, pkg)}:{line} imports {name}"
-                       for line, name in unused_imports(fh.read(), path)]
+    for sources in _scanned_sources():
+        unused += [f"{path}:{line} imports {name}"
+                   for path, source in sources.items()
+                   for line, name in unused_imports(source, path)]
     assert unused == []
 
 
@@ -285,13 +299,10 @@ def test_no_private_helper_goes_unused():
         "a.py": "def _f(): pass\n_g = 1\n@dec\ndef _h(): pass\n",
         "b.py": "from a import _g\n",
     }) == [("a.py", 1, "_f")]
-    pkg = os.path.dirname(torsor.__file__)
-    sources = {}
-    for path in sorted(glob.glob(os.path.join(pkg, "**", "*.py"),
-                                 recursive=True)):
-        with open(path, encoding="utf-8") as fh:
-            sources[os.path.relpath(path, pkg)] = fh.read()
-    assert unused_private_helpers(sources) == []
+    # The package and the tests are scanned apart, so a package helper
+    # that only a test still names counts as unused.
+    assert [d for sources in _scanned_sources()
+            for d in unused_private_helpers(sources)] == []
 
 
 def test_every_export_resolves():

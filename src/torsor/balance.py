@@ -27,18 +27,25 @@ with the point axis last, so each field is read on a whole batch of
 probes at once.  The scenario cases bound the batch at
 connection.PROBE_CHUNK points per call.
 
-One private scaffold, _view, runs every view and alone calls the
-divergence.  The d = 0, 1 and 2 views take U, T, J and what their
-Christoffels and rows need from one read of the medium per probe batch:
-the batch's points, and each side of a stencil block (_read_once).  The
-d = 3 views read T and J from separate fields, so they keep no memo.
+One private scaffold, _view, runs every view through the two halves of
+connection.divergence.  Each view is one function of a probe batch,
+read(xi) -> (U, T, J, *extras), that reads its medium once and returns
+what its Christoffels and rows need besides U, T and J.  _view reads
+each side of the stencil, after checking all of it against the domain,
+and then the batch's points once, for the divergence, the Christoffels
+and the rows alike.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import _EYE4, PullbackChristoffels, divergence
+from .connection import (
+    _EYE4,
+    PullbackChristoffels,
+    _covariant_terms,
+    _row_derivatives,
+)
 from .errors import DegenerateTangent
 from .fields import (
     DEGENERATE_TANGENT_TOL,
@@ -46,7 +53,6 @@ from .fields import (
     CauchyMedium,
     Cosserat1DField,
     Cosserat3DState,
-    MediumField,
     ShellField,
     ShellLoads,
     _dot,
@@ -101,46 +107,31 @@ class BalanceResidual:
         return float(worst) if worst.ndim == 0 else worst
 
 
-def _view(field, coords, chris, rows, h, one_sided) -> BalanceResidual:
-    """The residuals of one view at the points coords, from the one call
-    of connection.divergence.
+def _view(read, coords, chris, rows, h, one_sided,
+          domain=None) -> BalanceResidual:
+    """The residuals of one view at the points coords, from the
+    connection.divergence of the medium read.
 
     coords are the chart coordinates, floats for one point or (m,) each
-    for a batch, stacked into xi (m, d+1).  chris(xi) gives the
-    PullbackChristoffels at xi, and rows(dT, dJ, xi) reads (mass, lin_mom,
-    pos_q, ang_mom) off the divergence, dT (m, 4) and dJ (m, 4, 4).  Float
-    coordinates drop the point axis.
+    for a batch, stacked into xi (m, d+1).  The stencil is differenced
+    first, so that a bounded domain is checked whole before any read;
+    then at = read(xi) is read once at the points.  chris(xi, at) gives
+    the PullbackChristoffels at xi, and rows(dT, dJ, xi, at) reads
+    (mass, lin_mom, pos_q, ang_mom) off the divergence, dT (m, 4) and
+    dJ (m, 4, 4).  Float coordinates drop the point axis.
     """
     xi = np.column_stack(coords).astype(float)
-    dT, dJ = divergence(field, xi, chris(xi), h=h, one_sided=one_sided)
-    out = rows(dT, dJ, xi)
+    sums = _row_derivatives(read, xi, h, one_sided, domain)
+    at = read(xi)
+    dT, dJ = _covariant_terms(at, sums, chris(xi, at))
+    out = rows(dT, dJ, xi, at)
     return BalanceResidual(*(out if np.ndim(coords[0])
                              else (row[0] for row in out)))
 
 
-def _rows(dT, dJ, xi):
+def _rows(dT, dJ, xi, at):
     """The rows as the divergence gives them, slot by slot."""
     return (dT[:, 0], dT[:, 1:], *moments(dJ))
-
-
-def _read_once(read, domain=None):
-    """(field, once): a MediumField whose U, T and J are the first three
-    entries of read(xi), and the memo once(xi) that runs read once per
-    probe batch, for U, T, J and whatever else a view keeps of it.  It
-    keeps the first batch, the view's points, and the last three others:
-    the stencil sides T has just read, which J then differences."""
-    packed = {}
-
-    def once(xi):
-        key = xi.tobytes()
-        if key not in packed:
-            if len(packed) == 4:
-                del packed[list(packed)[1]]
-            packed[key] = read(xi)
-        return packed[key]
-
-    return MediumField(*(lambda xi, i=i: once(xi)[i] for i in range(3)),
-                       domain=domain), once
 
 
 def residual_pointwise(traj, conn, t, h: float = None) -> BalanceResidual:
@@ -157,7 +148,6 @@ def residual_pointwise(traj, conn, t, h: float = None) -> BalanceResidual:
     Christoffels, and the origin at the spatial origin of the chart.
     """
     def read(xi):
-        # U, T and J share one read of the trajectory per probe batch.
         tt = xi[:, 0]
         # a holds (m, p, q, l) at each point, point axis last: (10, k).
         a = np.concatenate([np.reshape(u, (-1, len(tt)))
@@ -167,9 +157,10 @@ def residual_pointwise(traj, conn, t, h: float = None) -> BalanceResidual:
                 moment_matrix(a[4:7].T[:, None], a[7:].T[:, None]),
                 a[4:7] / a[0])
 
-    field, once = _read_once(read)
-    return _view(field, (t,), lambda xi: PullbackChristoffels.spatial_origin(
-        conn, xi[:, 0], once(xi)[3], 1), _rows, h, False)
+    def chris(xi, at):
+        return PullbackChristoffels.spatial_origin(conn, xi[:, 0], at[3], 1)
+
+    return _view(read, (t,), chris, _rows, h, False)
 
 
 def _at_events(xi, *fns):
@@ -195,24 +186,23 @@ def residual_cauchy(medium: CauchyMedium, conn, t, x,
     measure its asymmetry.  T is packed with its flux index first:
     _stress_mass of the columns of sigma, which is T^T bit for bit.
     """
-    def T_of(xi):
+    def read(xi):
         m = len(xi)
         rho, v, sigma = _at_events(xi, medium.rho, medium.v,
                                    medium.sigma)
-        T = _stress_mass(rho.reshape(m), v.reshape(3, m),
+        v = v.reshape(3, m)
+        T = _stress_mass(rho.reshape(m), v,
                          sigma.reshape(3, 3, m).swapaxes(0, 1))
-        return T.transpose(2, 0, 1)
+        return _EYE4, T.transpose(2, 0, 1), None, v
 
-    def rows(dT, dJ, xi):
+    def rows(dT, dJ, xi, at):
         # The advective form: the momentum rows less v times the mass row.
-        (v,) = _at_events(xi, medium.v)
-        return (dT[:, 0], dT[:, 1:] - v.reshape(3, len(xi)).T * dT[:, :1],
-                *moments(dJ))
+        return (dT[:, 0], dT[:, 1:] - at[3].T * dT[:, :1], *moments(dJ))
 
-    field = MediumField(lambda xi: _EYE4, T_of, None, medium.domain)
-    return _view(field, (t, *np.reshape(x, (3, -1))),
-                 lambda xi: PullbackChristoffels.identity_embedding(
-                     conn, xi[:, 0], xi[:, 1:].T), rows, h, one_sided)
+    return _view(read, (t, *np.reshape(x, (3, -1))),
+                 lambda xi, at: PullbackChristoffels.identity_embedding(
+                     conn, xi[:, 0], xi[:, 1:].T), rows, h, one_sided,
+                 medium.domain)
 
 
 def residual_1d(f: Cosserat1DField, conn, t, s, h: float = None,
@@ -253,7 +243,6 @@ def residual_1d(f: Cosserat1DField, conn, t, s, h: float = None,
     curve = f.curve
 
     def read(xi):
-        # U, T and J share one read of the curve and the loads per batch.
         coords = tt, ss = np.ascontiguousarray(xi.T)
         k = len(tt)
         n, psi, v = curve.n(tt, ss), curve.psi(tt, ss), curve.v(tt, ss)
@@ -271,8 +260,8 @@ def residual_1d(f: Cosserat1DField, conn, t, s, h: float = None,
             rho_l, v, curve.v_t(tt, ss, v, n) - slide, F, psi,
             slide, q, l, l_star, M_star), psi, v)
 
-    def chris(xi):
-        U, _, _, psi, _ = once(xi)
+    def chris(xi, at):
+        U, _, _, psi, _ = at
         bad = np.sqrt(np.sum(U[:, 1:, 1] ** 2, axis=1)) < DEGENERATE_TANGENT_TOL
         if bad.any():
             tt, ss = xi[np.argmax(bad)].tolist()
@@ -280,14 +269,13 @@ def residual_1d(f: Cosserat1DField, conn, t, s, h: float = None,
                 f"|d psi/ds| < {DEGENERATE_TANGENT_TOL} at (t={tt}, s={ss})")
         return PullbackChristoffels.spatial_origin(conn, xi[:, 0], psi, 2)
 
-    def rows(dT, dJ, xi):
-        psi, v = once(xi)[3:]
+    def rows(dT, dJ, xi, at):
+        psi, v = at[3:]
         pos, ang = moments(dJ)
         return (dT[:, 0], dT[:, 1:] - v.T * dT[:, :1], pos,
                 ang - np.array(cross3(psi, dT[:, 1:].T)).T)
 
-    field, once = _read_once(read, curve.domain)
-    return _view(field, (t, s), chris, rows, h, one_sided)
+    return _view(read, (t, s), chris, rows, h, one_sided, curve.domain)
 
 
 # Tangent map of the adapted shell chart (t, theta^1, theta^2) into
@@ -342,7 +330,6 @@ def residual_2d(sf: ShellField, loads: ShellLoads, conn, t, th1, th2,
     analytically for such shells.
     """
     def read(xi):
-        # U, T and J share one read of the loads, the frame and w per batch.
         coords = tuple(np.ascontiguousarray(xi.T))
         fr = sf.frame(*coords)
         w = sf._normal_rate(*coords, fr.n)
@@ -351,19 +338,17 @@ def residual_2d(sf: ShellField, loads: ShellLoads, conn, t, th1, th2,
                                      loads.kappa)),
             sf._w_surf(*coords, fr, w)), fr, w)
 
-    def chris(xi):
+    def chris(xi, at):
         # The frame and w at the batch's own points, as their torsor's.
-        G = shell_christoffels(sf, conn, *np.ascontiguousarray(xi.T),
-                               *once(xi)[3:])
+        G = shell_christoffels(sf, conn, *np.ascontiguousarray(xi.T), *at[3:])
         return PullbackChristoffels(G[:, :3, :3, :3], G, _EYE4)
 
-    def rows(dT, dJ, xi):
+    def rows(dT, dJ, xi, at):
         return (dT[:, 0], -dT[:, 1:],
                 np.stack([dJ[:, 1, 0], dJ[:, 2, 0], -dJ[:, 3, 0]], axis=-1),
                 np.stack([-dJ[:, 1, 2], dJ[:, 1, 3], dJ[:, 2, 3]], axis=-1))
 
-    field, once = _read_once(read, sf.domain)
-    return _view(field, (t, th1, th2), chris, rows, h, one_sided)
+    return _view(read, (t, th1, th2), chris, rows, h, one_sided, sf.domain)
 
 
 def residual_3d_cosserat(state: Cosserat3DState, conn, t, x,
@@ -386,18 +371,15 @@ def residual_3d_cosserat(state: Cosserat3DState, conn, t, x,
     the time flux, J^{i0} = l_star^{ir} and J^{jk} = M_star^{ir} along
     flux r, for (ijk) cyclic, by fields.cosserat_J.
     """
-    def T_of(xi):
-        (T,) = _at_events(xi, state.T)
-        return T.reshape(4, 4, len(xi)).transpose(2, 1, 0)
-
-    def J_of(xi):
+    def read(xi):
         m = len(xi)
-        q, l, l_star, M_star = _at_events(xi, state.q, state.l,
-                                          state.l_star, state.M_star)
-        return cosserat_J(q.reshape(3, m), l.reshape(3, m),
-                          l_star.reshape(3, 3, m), M_star.reshape(3, 3, m))
+        T, q, l, l_star, M_star = _at_events(
+            xi, state.T, state.q, state.l, state.l_star, state.M_star)
+        return _EYE4, T.reshape(4, 4, m).transpose(2, 1, 0), cosserat_J(
+            q.reshape(3, m), l.reshape(3, m), l_star.reshape(3, 3, m),
+            M_star.reshape(3, 3, m))
 
-    field = MediumField(lambda xi: _EYE4, T_of, J_of, state.domain)
-    return _view(field, (t, *np.reshape(x, (3, -1))),
-                 lambda xi: PullbackChristoffels.identity_embedding(
-                     conn, xi[:, 0], xi[:, 1:].T), _rows, h, one_sided)
+    return _view(read, (t, *np.reshape(x, (3, -1))),
+                 lambda xi, at: PullbackChristoffels.identity_embedding(
+                     conn, xi[:, 0], xi[:, 1:].T), _rows, h, one_sided,
+                 state.domain)

@@ -206,14 +206,17 @@ class PullbackChristoffels:
                    spatial_origin_gamma_A(Omega.T, x))
 
 
-def _sum_row_derivatives(field_fns, xi, h, one_sided, domain):
-    """For each of field_fns, the sum over g of d/dxi^g applied to row g
-    of its values at each point of a batch xi (m, d+1).
+def _row_derivatives(read, xi, h, one_sided, domain):
+    """The sums over g of d/dxi^g of row g of T and of J at each point of
+    a batch xi (m, d+1): (m, 20), T's 4 then J's 16, or (m, 4) for a read
+    without moments.
 
     The stencil is flattened point-major, probe i (d+1) + g being point i
-    with coordinate g moved.  On a bounded domain it is checked whole, and
-    only then differenced, in blocks of whole points of at most
-    PROBE_CHUNK // 2 probes, each field read once per block and side.
+    with coordinate g moved, and each probe keeps only row g of its T and
+    J, packed in the same layout, so that T and J are differenced
+    together.  On a bounded domain the stencil is checked whole, and only
+    then read, in blocks of whole points of at most PROBE_CHUNK // 2
+    probes, once per block and side.
     """
     n = xi.shape[1]
     u = xi.reshape(-1)
@@ -225,29 +228,59 @@ def _sum_row_derivatives(field_fns, xi, h, one_sided, domain):
         hi = np.resize([np.inf if b is None else b for b in hi], u.shape)
         fd.stencil_sides(u, h, lo, hi, one_sided)
     per = PROBE_CHUNK // 2 // n
-    sums = [[] for _ in field_fns]
+    blocks = []
     for s in range(0, len(xi), per):
         rows = xi[s:s + per].repeat(n, axis=0)
         probes = slice(s * n, s * n + len(rows))
         bounds = {} if lo is None else {"lo": lo[probes], "hi": hi[probes]}
-        coords, step = u[probes], h[probes]
-        for field_fn, blocks in zip(field_fns, sums):
-            def f(w, field_fn=field_fn):
-                probe = rows.copy()
-                for g in range(n):  # probes g, g + n, ... move coordinate g
-                    probe[g::n, g] = w[g::n]
-                return field_fn(probe)
+        k = np.arange(len(rows))
+        row_g = k, k % n  # row g of probes g, g + n, ...
 
-            der = fd.diff(f, coords, step, one_sided=one_sided, **bounds)
-            total = der[0::n, 0]  # row g of probes g, g + n, ...
-            for g in range(1, n):
-                total = total + der[g::n, g]
-            blocks.append(total)
-    return [np.concatenate(blocks) for blocks in sums]
+        def f(w):
+            probe = rows.copy()
+            for g in range(n):  # probes g, g + n, ... move coordinate g
+                probe[g::n, g] = w[g::n]
+            _, T, J = read(probe)[:3]
+            if J is None:
+                return T[row_g]
+            return np.concatenate([T[row_g], J[row_g].reshape(-1, 16)],
+                                  axis=1)
+
+        der = fd.diff(f, u[probes], h[probes], one_sided=one_sided, **bounds)
+        total = der[0::n]
+        for g in range(1, n):
+            total = total + der[g::n]
+        blocks.append(total)
+    return np.concatenate(blocks)
 
 
-def divergence(field, xi, chris: PullbackChristoffels, h: float = None,
-               one_sided: bool = False):
+def _covariant_terms(at, sums, chris):
+    """div T and div J of the divergence from at = read(xi), the medium at
+    the batch's points, the row derivatives sums of _row_derivatives and
+    the PullbackChristoffels chris."""
+    U, T, J = at[:3]
+    # Contiguous, since numpy's products take another summation order on
+    # strided operands.
+    T = np.ascontiguousarray(T, dtype=float)
+    U = np.ascontiguousarray(U, dtype=float)
+    m = len(T)
+    G = chris.spacetime.reshape(chris.spacetime.shape[:-3] + (4, 16))
+    trG = chris.material.trace(axis1=-3, axis2=-2)[..., None, :]
+    UT = U @ T
+    dT = (sums[:, :4] + (trG @ T)[:, 0]
+          + (G @ UT.reshape(m, 16, 1))[..., 0])
+    D = chris.origin_motion @ UT
+    out = D - D.swapaxes(-1, -2)
+    if J is not None:
+        J = np.ascontiguousarray(J, dtype=float).reshape(m, -1, 16)
+        A = G @ (U @ J).reshape(m, 16, 4)
+        out = (sums[:, 4:].reshape(m, 4, 4) + A - A.swapaxes(-1, -2)
+               + (trG @ J).reshape(m, 4, 4) + out)
+    return dT, 0.5 * (out - out.swapaxes(-1, -2))
+
+
+def divergence(read, xi, chris: PullbackChristoffels, h: float = None,
+               one_sided: bool = False, domain=None):
     """Covariant divergence (div T, div J) of a torsor field at xi.
 
     div T, a 4-column: d(gT^b)/dxi^g + Gamma^g_gr (rT^b)
@@ -261,45 +294,30 @@ def divergence(field, xi, chris: PullbackChristoffels, h: float = None,
     the origin-motion coupling U^s_g Gamma_A[a, s] (gT^b) - (ab swapped),
     which is what makes the moment balance see the linear part.  The skew
     symmetry of J makes each pulled-back pair one matrix and its negative
-    transpose.  A field whose torsor_J is None carries no moments and is
-    not differenced for them.  The output is re-skewed.
+    transpose.  The output is re-skewed.
 
     xi is a batch of m chart points (m, d+1), a single point a batch of
-    one; any other rank raises ValueError.  The field's callables take a
-    batch (k, d+1) and return their arrays with the point axis first (or
-    without it, when the same at every point, as U may be), chris may
-    carry the axis too, and both outputs carry it: (m, 4) and (m, 4, 4).
-    Each field is read at xi, then once per side of one
-    stencil over every coordinate of every point, cut into blocks of
-    PROBE_CHUNK // 2 probes; the algebra runs per point in the products a
-    single point takes, so every point's rows are bit for bit those it
-    would get alone.  On a bounded domain the whole stencil is checked
-    before any read, and raises the DifferentiationFailure of the first
-    point that no stencil fits, as a loop over the points would.
+    one; any other rank raises ValueError.  The medium is one function,
+    read(xi) -> (U, T, J, *extras) on a batch xi (k, d+1): T (k, d+1, 4)
+    holds the components gT^b, material index first, J (k, d+1, 4, 4) the
+    gJ^ab, skew in the last two indices, or is None for a medium without
+    moments, and U (k, 4, d+1) may leave out the point axis when it is
+    the same at every point.  chris may carry the point axis too, and
+    both outputs carry it: (m, 4) and (m, 4, 4).  domain holds optional
+    per-coordinate (lo, hi) bounds.
+
+    read is called once per side of one stencil over every coordinate of
+    every point, cut into blocks of PROBE_CHUNK // 2 probes, and then once
+    at xi; T and J are differenced together.  The algebra runs per point
+    in the products a single point takes, so every point's rows are bit
+    for bit those it would get alone.  On a bounded domain the whole
+    stencil is checked before any read, and raises the
+    DifferentiationFailure of the first point that no stencil fits, as a
+    loop over the points would.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 2:
         raise ValueError(f"xi must be a batch of chart points of shape "
                          f"(m, d+1), got shape {xi.shape}")
-    sums = _sum_row_derivatives(
-        [fn for fn in (field.torsor_T, field.torsor_J) if fn is not None],
-        xi, h, one_sided, getattr(field, "domain", None))
-    m = len(xi)
-    # Contiguous, since numpy's products take another summation order on
-    # strided operands.
-    T = np.ascontiguousarray(field.torsor_T(xi), dtype=float)
-    U = np.ascontiguousarray(field.tangent_map(xi), dtype=float)
-    G = chris.spacetime.reshape(chris.spacetime.shape[:-3] + (4, 16))
-    trG = chris.material.trace(axis1=-3, axis2=-2)[..., None, :]
-    UT = U @ T
-    dT = (sums[0] + (trG @ T)[:, 0]
-          + (G @ UT.reshape(m, 16, 1))[..., 0])
-    D = chris.origin_motion @ UT
-    out = D - D.swapaxes(-1, -2)
-    if field.torsor_J is not None:
-        J = np.ascontiguousarray(field.torsor_J(xi), dtype=float)
-        J = J.reshape(m, -1, 16)
-        A = G @ (U @ J).reshape(m, 16, 4)
-        out = (sums[1] + A - A.swapaxes(-1, -2)
-               + (trG @ J).reshape(m, 4, 4) + out)
-    return dT, 0.5 * (out - out.swapaxes(-1, -2))
+    sums = _row_derivatives(read, xi, h, one_sided, domain)
+    return _covariant_terms(read(xi), sums, chris)

@@ -22,8 +22,9 @@ DEFAULT_REL_STEP = 1e-5
 def default_step(u):
     """DEFAULT_REL_STEP * max(1, |u|), elementwise for an array of points.
 
-    A float takes Python's max: the float kernels of fields call this once
-    per derivative, and np.maximum costs several times as much on a float.
+    A float takes Python's max, since np.maximum costs several times as
+    much on a float: library._laplace_sphere's reach check and ShellField
+    and Curve1D methods called on floats take that path.
     """
     if isinstance(u, np.ndarray):
         return DEFAULT_REL_STEP * np.maximum(1.0, np.abs(u))

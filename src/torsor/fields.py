@@ -44,28 +44,6 @@ def _second_diff(f, u, h=None):
     return (fp - 2.0 * f0 + fm) / (h * h)
 
 
-@dataclass
-class MediumField:
-    """Torsor fields of a d-dimensional medium over its material chart.
-
-    Each callable takes a batch of k chart points xi (k, d+1) and returns
-    its arrays with the point axis first; an array that is the same at
-    every point may leave that axis out, as U may.
-
-    tangent_map: xi -> U (k, 4, d+1)
-    torsor_T: xi -> (k, d+1, 4) array of components gT^b, material index
-      first
-    torsor_J: xi -> (k, d+1, 4, 4) array gJ^ab, skew in the last two
-      indices
-    domain: optional per-coordinate (lo, hi) bounds used by differentiation
-    """
-
-    tangent_map: Callable
-    torsor_T: Callable
-    torsor_J: Optional[Callable] = None
-    domain: Optional[tuple] = None
-
-
 def assemble_cauchy_T(rho, v, sigma) -> np.ndarray:
     """Stress-mass tensor [[rho, rho v^T], [rho v, rho v v^T - sigma]].
 
@@ -125,7 +103,7 @@ class CauchyMedium:
     (3, m), and returns its values with the point axis last: (m,), (3, m)
     and (3, 3, m).  A single event is a batch of one.  The residual reads a
     whole probe batch in one call per field and stencil side, in blocks of
-    connection.PROBE_CHUNK points.
+    connection.PROBE_CHUNK // 2 probes.
     """
 
     rho: Callable

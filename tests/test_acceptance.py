@@ -190,23 +190,16 @@ def test_criterion_04_cauchy_residual_convergence(capsys):
 # 5. stress symmetry recovery from the moment divergence
 
 
-class _SpaceFillingMedium:
-    """Chart equals space-time, tangent map identity, no moment fields;
-    T_mat_fn gives T at one event, and a batch of events is read one
-    event at a time."""
+def _space_filling_read(T_mat_fn):
+    """The read of a medium whose chart is space-time: tangent map
+    identity, no moment fields; T_mat_fn gives T at one event, and a
+    batch of events is read one event at a time."""
+    def read(xi):
+        T = np.array([np.asarray(T_mat_fn(p[0], p[1:]), dtype=float).T
+                      for p in xi])
+        return np.eye(4), T, np.zeros((len(xi), 4, 4, 4))
 
-    def __init__(self, T_mat_fn):
-        self._T = T_mat_fn
-
-    def torsor_T(self, xi):
-        return np.array([np.asarray(self._T(p[0], p[1:]), dtype=float).T
-                         for p in xi])
-
-    def torsor_J(self, xi):
-        return np.zeros((len(xi), 4, 4, 4))
-
-    def tangent_map(self, xi):
-        return np.eye(4)
+    return read
 
 
 def test_criterion_05_symmetry_recovery(capsys):
@@ -223,7 +216,7 @@ def test_criterion_05_symmetry_recovery(capsys):
         def T_mat(t, x, B=B, C=C, sh=sh):
             return B + C * np.sin(x[0] + x[1] - x[2] + t + sh)
 
-        medium = _SpaceFillingMedium(T_mat)
+        medium = _space_filling_read(T_mat)
         t = rng.uniform(-1.0, 1.0)
         x = rng.uniform(-1.0, 1.0, size=3)
         xi = np.concatenate(([t], x))[None]

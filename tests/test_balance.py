@@ -34,7 +34,6 @@ from torsor.fields import (
     Cosserat1DField,
     Cosserat3DState,
     Curve1D,
-    MediumField,
     ShellField,
     ShellLoads,
     _second_diff,
@@ -1308,12 +1307,11 @@ def test_3d_residual_matches_general_divergence():
     state = Cosserat3DState(T=T_fn, q=q_fn, l=l_fn, l_star=ls_fn, M_star=Ms_fn)
 
     J_fn = moment_fields_to_J(q_fn, l_fn, ls_fn, Ms_fn)
-    medium = MediumField(
-        tangent_map=lambda xi: np.eye(4),
-        torsor_T=lambda xi: np.array([T_fn(p[0], p[1:]).T for p in xi]),
-        torsor_J=lambda xi: np.array([np.moveaxis(J_fn(p[0], p[1:]), -1, 0)
-                                      for p in xi]),
-    )
+
+    def medium(xi):
+        return (np.eye(4), np.array([T_fn(p[0], p[1:]).T for p in xi]),
+                np.array([np.moveaxis(J_fn(p[0], p[1:]), -1, 0)
+                          for p in xi]))
 
     conn = GalileanConnection(
         g=np.array([0.2, -0.4, 0.8]), Omega=np.array([0.3, 0.1, -0.2])

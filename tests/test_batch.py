@@ -450,63 +450,75 @@ def counted(fn, calls, name):
     return read
 
 
-@pytest.mark.parametrize("medium, names, offsets", [
+# (medium, the fields that count_loads counts, the stencil offsets of a
+# point: 1 + 2 (d + 1)).
+LOAD_CASES = [
     ("pointwise", ("traj",), 3),
     ("rod", ("rho_l", "F", "q", "l", "l_star", "M_star"), 5),
     ("plate", ("rho_s", "N", "Q", "M", "kappa"), 7),
     ("cauchy", ("rho", "v", "sigma"), 9),
     ("cosserat", ("T", "q", "l", "l_star", "M_star"), 9),
-])
+]
+LOADS = {medium: names for medium, names, _ in LOAD_CASES}
+
+
+def count_loads(medium, fields, calls):
+    """fields, with each of its LOADS[medium] counted in calls."""
+    if medium == "pointwise":
+        return counted(fields, calls, "traj")
+    loads = fields[1] if medium == "plate" else fields
+    loads = dataclasses.replace(loads, **{
+        name: counted(getattr(loads, name), calls, name)
+        for name in LOADS[medium]})
+    return (fields[0], loads) if medium == "plate" else loads
+
+
+@pytest.mark.parametrize("medium, names, offsets", LOAD_CASES)
 def test_each_view_reads_its_fields_once_per_stencil_offset(medium, names,
                                                             offsets):
     # A medium's load fields are read three times a call, for
     # the whole batch: at its points, then once per side of the one
     # stencil that moves every coordinate of every point, so that the
-    # three reads hold each point at its 1 + 2 (d + 1) offsets once.  The
-    # d = 0-2 views share each read among U, T, J, their Christoffels and
-    # their rows, and the d = 3 views read the T-side and the J-side
-    # fields each three times.  Cauchy's v is read once more, at the
-    # points, by the advective rows.
+    # three reads hold each point at its 1 + 2 (d + 1) offsets once.
+    # Every view shares each read among U, T, J, its Christoffels and its
+    # rows.
     rng = np.random.default_rng(3)
     make, residual, events = MEDIA[medium]
-    fields = make(rng.uniform(-1.0, 1.0, size=6))
     calls = {}
-    if medium == "pointwise":
-        fields = counted(fields, calls, "traj")
-    else:
-        loads = fields[1] if medium == "plate" else fields
-        loads = dataclasses.replace(loads, **{
-            name: counted(getattr(loads, name), calls, name)
-            for name in names})
-        fields = (fields[0], loads) if medium == "plate" else loads
+    fields = count_loads(medium, make(rng.uniform(-1.0, 1.0, size=6)), calls)
     residual(fields, frame("rotating", rng), *events(rng, 3))
     side = 3 * (offsets - 1) // 2  # 3 points of d + 1 probes each
-    expect = dict.fromkeys(names, [3, side, side])
-    if medium == "cauchy":
-        expect["v"] = [3, 3, side, side]
-    assert {name: sorted(sizes) for name, sizes in calls.items()} == expect
+    assert ({name: sorted(sizes) for name, sizes in calls.items()}
+            == dict.fromkeys(names, [3, side, side]))
 
 
+@pytest.mark.parametrize("medium", ["cauchy", "cosserat", "rod", "plate"])
 def test_bad_point_in_a_later_stencil_block_raises_before_any_read(
-        monkeypatch):
+        monkeypatch, medium):
     # One point per stencil block: only the third point lies on a face,
-    # and the whole stencil is checked before any block is read.
-    monkeypatch.setattr(connection, "PROBE_CHUNK", 8)
+    # and the whole stencil is checked before any block is read, or any
+    # field at the points.
+    make, residual, events = MEDIA[medium]
+    dims = DIMS[events]
+    monkeypatch.setattr(connection, "PROBE_CHUNK", 2 * dims)
     calls = {}
-    fields = cauchy_medium(np.linspace(-0.5, 0.5, 6), domain=((0.0, 1.0),) * 4)
-    fields = dataclasses.replace(fields, **{
-        name: counted(getattr(fields, name), calls, name)
-        for name in ("rho", "v", "sigma")})
-    t = np.array([0.5, 0.5, 0.5])
-    x = np.full((3, 3), 0.5)
-    x[1, 2] = 1.0
+    fields = count_loads(medium, make(np.linspace(-0.5, 0.5, 6),
+                                      domain=((0.0, 1.0),) * dims), calls)
+    points = np.full((dims, 3), 0.5)
+
+    def run():
+        coords = ((points[0], points[1:]) if events is space_events
+                  else tuple(points))
+        return residual(fields, GalileanConnection(), *coords)
+
+    points[1, 2] = 1.0
     with pytest.raises(DifferentiationFailure, match=r"coordinate 1\.0 "):
-        residual_cauchy(fields, GalileanConnection(), t, x)
+        run()
     assert calls == {}
-    x[1, 2] = 0.75
-    residual_cauchy(fields, GalileanConnection(), t, x)
-    blocks = [4] * 6 + [3]  # each block's two sides, then the points
-    assert calls == {"rho": blocks, "v": blocks + [3], "sigma": blocks}
+    points[1, 2] = 0.75
+    run()
+    blocks = [dims] * 6 + [3]  # each block's two sides, then the points
+    assert calls == dict.fromkeys(LOADS[medium], blocks)
 
 
 def test_shell_batch_matches_hand_expanded_oracle():

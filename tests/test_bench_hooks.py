@@ -62,7 +62,7 @@ def test_tracer_counts_cosserat_points(tmp_path, monkeypatch, capsys):
     # library must keep calling residual_3d_cosserat through its module
     # global, which the tracer wraps: one batched call for the 3^3 grid.
     # Its stencil must keep going through fd.diff, which the tracer also
-    # wraps: one stencil for T and one for J.
+    # wraps: one stencil for T and J together.
     monkeypatch.syspath_prepend(BENCH_DIR)
     import tracing
 
@@ -74,7 +74,7 @@ def test_tracer_counts_cosserat_points(tmp_path, monkeypatch, capsys):
     assert metrics["balance.cosserat.points"] == 1
     assert _data_rows(tmp_path / "momentless_hydrostatic"
                       / "residuals.csv") == 27
-    assert metrics["fd.stencils"] == 2
+    assert metrics["fd.stencils"] == 1
     assert metrics["fd.field_evals"] > 0
 
 

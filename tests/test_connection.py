@@ -23,7 +23,6 @@ from torsor.connection import (
     spatial_origin_gamma_A,
 )
 from torsor.errors import DifferentiationFailure
-from torsor.fields import MediumField
 from torsor.simulate import IntegratorConfig, PointwiseState, run_scenario
 from torsor.vecmath import skew
 
@@ -48,29 +47,27 @@ def lambdify_vec(exprs):
     return lambda t, x: np.array([f(t, x[0], x[1], x[2]) for f in fns], dtype=float)
 
 
-def identity_medium(T_mat_fn, J_fn=None, domain=None):
-    """Space-filling medium: chart = space-time, U = identity.
+def identity_medium(T_mat_fn, J_fn=None, moments=True):
+    """The read of a space-filling medium: chart = space-time, U = identity.
 
     T_mat_fn(t, x) returns T^{bg} at one event as a (4, 4) array; the field
     row form gT^b is its transpose.  J_fn(t, x) returns J^{abg} as
     (4, 4, 4) with the material index last; the field form moves it first.
-    The fields read a batch of events xi (k, 4) one event at a time and
-    stack their values along a leading point axis.
+    J is zero without J_fn, and None (no moments) when moments is False.
+    The read takes a batch of events xi (k, 4) one event at a time and
+    stacks the values along a leading point axis.
     """
-    def torsor_T(xi):
-        return np.array([T_mat_fn(p[0], p[1:]).T for p in xi])
+    def read(xi):
+        T = np.array([T_mat_fn(p[0], p[1:]).T for p in xi])
+        if not moments:
+            J = None
+        elif J_fn is None:
+            J = np.zeros((len(xi), 4, 4, 4))
+        else:
+            J = np.array([np.moveaxis(J_fn(p[0], p[1:]), -1, 0) for p in xi])
+        return np.eye(4), T, J
 
-    def torsor_J(xi):
-        if J_fn is None:
-            return np.zeros((len(xi), 4, 4, 4))
-        return np.array([np.moveaxis(J_fn(p[0], p[1:]), -1, 0) for p in xi])
-
-    return MediumField(
-        tangent_map=lambda xi: np.eye(4),
-        torsor_T=torsor_T,
-        torsor_J=torsor_J,
-        domain=domain,
-    )
+    return read
 
 
 # Christoffel structure
@@ -314,8 +311,8 @@ def test_div_J_zero_moments_reduces_to_antisymmetry():
 
 
 def test_divergence_without_moments_matches_zero_J_bits():
-    # torsor_J None skips the moment stencils; the result must be the very
-    # bits an explicit all-zero J gives, with a nontrivial Gamma_A.
+    # A read whose J is None differences no moments; the result must be
+    # the very bits an explicit all-zero J gives, with a nontrivial Gamma_A.
     rng = np.random.default_rng(25)
     conn = GalileanConnection(g=G_CONST, Omega=OMEGA_CONST)
     A = rng.uniform(-1, 1, size=(4, 4))
@@ -324,8 +321,7 @@ def test_divergence_without_moments_matches_zero_J_bits():
         return A * np.cos(t + x @ np.array([0.3, -0.5, 0.7]))
 
     zero_J = identity_medium(T_mat)
-    no_J = identity_medium(T_mat)
-    no_J.torsor_J = None
+    no_J = identity_medium(T_mat, moments=False)
     for _ in range(5):
         t = rng.uniform(-1, 1)
         x = rng.uniform(-1, 1, size=3)
@@ -386,13 +382,13 @@ def test_boundary_raises_and_one_sided_recovers():
         out[0, 0] = t ** 2 + x[0] ** 2
         return out
 
-    medium = identity_medium(T_mat, domain=domain)
+    medium = identity_medium(T_mat)
     xi = np.array([[0.5, 1.0 - 1e-9, 0.5, 0.5]])
     chris = PullbackChristoffels.identity_embedding(conn, xi[0, 0],
                                                     xi[0, 1:])
     with pytest.raises(DifferentiationFailure):
-        divergence(medium, xi, chris)
-    (out,), _ = divergence(medium, xi, chris, one_sided=True)
+        divergence(medium, xi, chris, domain=domain)
+    (out,), _ = divergence(medium, xi, chris, one_sided=True, domain=domain)
     # d/dt (t^2) + d/dx1 (x1^2) contributes 2t to the mass row only through
     # the time slot: row structure gives div^0 = d T^{00}/dt = 2t.
     assert_allclose(out[0], 2.0 * xi[0, 0], atol=1e-6)

@@ -305,6 +305,45 @@ def test_no_private_helper_goes_unused():
             for d in unused_private_helpers(sources)] == []
 
 
+def calls_of(source, names, path="<module>"):
+    """The set of (enclosing module-level definition, callee) of each
+    call in source of a callee in names, by name or as an attribute; None
+    encloses a call at module level."""
+    found = set()
+    for node in ast.parse(source, path).body:
+        owner = (node.name if isinstance(
+            node, (ast.FunctionDef, ast.ClassDef)) else None)
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                fn = call.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(
+                    fn, "attr", None)
+                if name in names:
+                    found.add((owner, name))
+    return found
+
+
+def test_one_divergence_path():
+    # The paper's balance laws are one principle, a divergence-free
+    # torsor, so the package has one divergence path: connection.divergence
+    # and balance._view compose its two halves, and no module calls
+    # divergence itself.
+    names = {"divergence", "_row_derivatives", "_covariant_terms"}
+    assert calls_of("def f():\n    def g(): m.divergence(1)\n"
+                    "_row_derivatives()\n", names) == {
+        (None, "_row_derivatives"), ("f", "divergence")}
+    sources, _ = _scanned_sources()
+    found = {(os.path.basename(path), *call)
+             for path, source in sources.items()
+             for call in calls_of(source, names, path)}
+    assert found == {
+        ("connection.py", "divergence", "_row_derivatives"),
+        ("connection.py", "divergence", "_covariant_terms"),
+        ("balance.py", "_view", "_row_derivatives"),
+        ("balance.py", "_view", "_covariant_terms"),
+    }
+
+
 def test_every_export_resolves():
     # A deleted name left in __all__ breaks `from torsor import *`.
     missing = [name for name in torsor.__all__ if not hasattr(torsor, name)]

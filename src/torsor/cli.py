@@ -40,7 +40,8 @@ _REQUIRED_KEYS = ("schema", "name", "kind", "medium", "case", "connection")
 
 @dataclass
 class Scenario:
-    """A validated scenario file, ready to run."""
+    """A validated scenario file, ready to run; params holds every
+    parameter of its case, the file's values over the case defaults."""
 
     name: str
     kind: str
@@ -181,7 +182,7 @@ def load_scenario(raw) -> Scenario:
     elif kind == "residual_check":
         _check_probe_count(medium, merged)
     return Scenario(name=name, kind=kind, medium=medium, case=case,
-                    conn_spec=conn_spec, params=params)
+                    conn_spec=conn_spec, params=merged)
 
 
 def load_scenario_file(path) -> Scenario:
@@ -227,10 +228,8 @@ def run_scenario_obj(scn, out_root, seed=0, tolerance_scale=1.0,
     """
     stream = stream or sys.stdout
     spec = CASES[scn.case]
-    params = dict(spec.defaults)
-    params.update(scn.params)
     rng = np.random.default_rng(seed)
-    result = spec.build(params, rng, scn.conn_spec)
+    result = spec.build(dict(scn.params), rng, scn.conn_spec)
 
     all_pass = True
     check_rows = []
@@ -327,9 +326,7 @@ def cmd_describe(args, stream=None) -> int:
     stream.write(f"  case: {scn.case}\n")
     stream.write(f"  {spec.summary}\n")
     stream.write(f"  connection: {json.dumps(raw['connection'], sort_keys=True)}\n")
-    params = dict(spec.defaults)
-    params.update(scn.params)
-    stream.write(f"  parameters: {json.dumps(params, sort_keys=True)}\n")
+    stream.write(f"  parameters: {json.dumps(scn.params, sort_keys=True)}\n")
     ranges = "; ".join(f"{key} in {spec.ranges[key]}"
                        for key in sorted(spec.ranges))
     stream.write(f"  ranges: {ranges}\n")

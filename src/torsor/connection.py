@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fd
-from .vecmath import as_field, cross3, triple
+from .vecmath import constant_field, cross3, triple
 
 # The identity, read-only since every caller shares it: Gamma_A of the
 # proper origin, and U of a medium filling space.
@@ -31,16 +31,20 @@ PROBE_CHUNK = 1024
 class GalileanConnection:
     """Connection fields g(t, x) and Omega(t, x); constants accepted.
 
-    A connection built from constant g and Omega, or by rotating_frame,
-    records its form as six floats: g (the base g of a rotating frame) and
-    Omega.  read and fields_at then compute from those floats, bit for bit
-    as the callables would, but only while g and Omega are still the
-    callables built here; a callable assigned later is always called.
+    g and Omega take a batch of events, t of shape (m,) and x of shape
+    (3, m), and return their values with the point axis last, (3, m), as
+    every field of a medium does.  A connection built from constant g and
+    Omega, or by rotating_frame, records its form as six floats: g (the
+    base g of a rotating frame) and Omega.  read then computes from those
+    floats, bit for bit as the callables would, but only while g and
+    Omega are still the callables built here; a callable assigned later
+    is always called.
     """
 
     def __init__(self, g=(0.0, 0.0, 0.0), Omega=(0.0, 0.0, 0.0)):
-        self.g = as_field(g, 3)
-        self.Omega = as_field(Omega, 3)
+        self.g = g if callable(g) else constant_field(triple(g))
+        self.Omega = Omega if callable(Omega) else constant_field(
+            triple(Omega))
         self._own = (self.g, self.Omega)
         self._rotating = False
         self._consts = None
@@ -48,29 +52,26 @@ class GalileanConnection:
             self._consts = (*triple(g), *triple(Omega))
 
     @classmethod
-    def uniform(cls, g=(0.0, 0.0, 0.0), Omega=(0.0, 0.0, 0.0)):
-        return cls(g=g, Omega=Omega)
-
-    @classmethod
     def rotating_frame(cls, Omega, g=(0.0, 0.0, 0.0)):
         """Chart spinning rigidly at constant Omega inside an inertial world.
 
         Carries the centrifugal gravity -Omega x (Omega x x) on top of the
         constant base gravity g, in addition to the spin; Coriolis terms
-        enter through Omega itself.  g is evaluated on float triples with
-        vecmath.cross3, bit-identical to the numpy form g - Om x (Om x x),
-        and returned as a float (3,) array.  The base g and Omega are
-        recorded as the connection's form.
+        enter through Omega itself.  g is evaluated on the rows of x with
+        vecmath.cross3, bit-identical to the numpy form g - Om x (Om x x)
+        at each event, and quiet on overflow and inf - inf, as float
+        arithmetic is.  The base g and Omega are recorded as the
+        connection's form.
         """
-        Om = np.array(Omega, dtype=float).reshape(3)
-        om = Om.tolist()
+        om = triple(Omega)
         g1, g2, g3 = triple(g)
 
         def g_total(t, x):
-            c1, c2, c3 = cross3(om, cross3(om, triple(x)))
-            return np.array((g1 - c1, g2 - c2, g3 - c3))
+            with np.errstate(over="ignore", invalid="ignore"):
+                c1, c2, c3 = cross3(om, cross3(om, x))
+                return np.array((g1 - c1, g2 - c2, g3 - c3))
 
-        conn = cls(g=g_total, Omega=Om)
+        conn = cls(g=g_total, Omega=om)
         conn._rotating = True
         conn._consts = (g1, g2, g3, *om)
         return conn
@@ -87,12 +88,12 @@ class GalileanConnection:
 
         A recorded form is read from its floats, the rotating frame's g
         with the products and differences of its callable in their order.
-        Otherwise g and then Omega are called with x as a float (3,) array.
+        Otherwise the event is read through fields_at as a batch of one.
         """
         c = self._form()
         if c is None:
-            x = np.array((x1, x2, x3))
-            return (*triple(self.g(t, x)), *triple(self.Omega(t, x)))
+            g, Omega = self.fields_at(t, (x1, x2, x3))
+            return (*g[0].tolist(), *Omega[0].tolist())
         if not self._rotating:
             return c
         g1, g2, g3, w1, w2, w3 = c
@@ -101,40 +102,29 @@ class GalileanConnection:
         return (g1 - (w2 * a3 - w3 * a2), g2 - (w3 * a1 - w1 * a3),
                 g3 - (w1 * a2 - w2 * a1), w1, w2, w3)
 
-    def christoffels_at(self, t, x) -> np.ndarray:
-        """(4, 4, 4) array G[a, m, b] = Gamma^a_mb at the event (t, x), or
-        (m, 4, 4, 4) at a batch, t of shape (m,) and x of shape (3, m)."""
-        G = christoffels(*self.fields_at(np.reshape(t, -1), x))
-        return G if np.ndim(t) else G[0]
-
     def fields_at(self, t, x):
-        """g and Omega, two (m, 3) arrays, at the events t (m,) and x
-        (3, m); an x of another size raises ValueError.
-
-        A recorded form is read on the whole batch: its constants tiled,
-        the rotating frame's g computed elementwise on the (m,) rows of x
-        in the order of its callable.  Otherwise g and Omega are called
-        one event at a time (a float t, a (3,) x).
+        """g and Omega, two fresh (m, 3) arrays, at the events t (m,) and x
+        (3, m), each field called once on the whole batch; a float t with
+        a (3,) x is a batch of one.  An x of another size raises
+        ValueError, and so do values of another size than (3, m), naming
+        the field.
         """
-        m = np.size(t)
-        x = np.reshape(x, (3, m))
-        c = self._form()
-        if c is None:
-            rows = np.ascontiguousarray(x.T)
-            g, Omega = zip(*[(self.g(tp, xp), self.Omega(tp, xp))
-                             for tp, xp in zip(np.asarray(t).tolist(), rows)])
-            return np.array(g, dtype=float), np.array(Omega, dtype=float)
-        g = np.tile(c[:3], (m, 1))
-        Omega = np.tile(c[3:], (m, 1))
-        if self._rotating:
-            x = np.asarray(x, dtype=float)
-            # Quiet on overflow and inf - inf, as the callable's float
-            # arithmetic is.
-            with np.errstate(over="ignore", invalid="ignore"):
-                cen = cross3(c[3:], cross3(c[3:], x))
-                for i in range(3):
-                    g[:, i] -= cen[i]
-        return g, Omega
+        t = np.reshape(np.asarray(t, dtype=float), -1)
+        m = len(t)
+        x = np.reshape(np.asarray(x, dtype=float), (3, m))
+        return (_rows(self.g(t, x), m, "g"),
+                _rows(self.Omega(t, x), m, "Omega"))
+
+
+def _rows(value, m, name):
+    """The (3, m) values of the connection field `name` as fresh (m, 3)
+    rows; values of another size raise ValueError naming the field."""
+    value = np.asarray(value, dtype=float)
+    if value.size != 3 * m:
+        raise ValueError(
+            f"GalileanConnection.{name} returned values of shape "
+            f"{value.shape} for a batch of m = {m} events; expected (3, m)")
+    return value.reshape(3, m).T.copy()
 
 
 def christoffels(g, Omega) -> np.ndarray:
@@ -189,11 +179,11 @@ class PullbackChristoffels:
     def identity_embedding(cls, conn: GalileanConnection, t,
                            x) -> "PullbackChristoffels":
         """Medium filling space: material chart is the space-time chart,
-        with the proper origin (Gamma_A = identity).  A batch of events,
-        t of shape (m,) and x of shape (3, m), reads the connection through
-        GalileanConnection.christoffels_at.
+        with the proper origin (Gamma_A = identity), at the events t (m,)
+        and x (3, m), read by one GalileanConnection.fields_at call; a
+        float t with a (3,) x is a batch of one.
         """
-        G = conn.christoffels_at(t, x)
+        G = christoffels(*conn.fields_at(t, x))
         return cls(material=G, spacetime=G, origin_motion=_EYE4)
 
     @classmethod
@@ -216,8 +206,12 @@ def _row_derivatives(read, xi, h, one_sided, domain):
     J, packed in the same layout, so that T and J are differenced
     together.  On a bounded domain the stencil is checked whole, and only
     then read, in blocks of whole points of at most PROBE_CHUNK // 2
-    probes, once per block and side.
+    probes, once per block and side.  An empty batch raises ValueError
+    before any read.
     """
+    if not len(xi):
+        raise ValueError(f"xi must be a batch of chart points of shape "
+                         f"(m, d+1) with m >= 1, got shape {xi.shape}")
     n = xi.shape[1]
     u = xi.reshape(-1)
     h = fd.default_step(u) if h is None else np.full(u.shape, float(h))

@@ -49,7 +49,7 @@ from .simulate import (
     observed_order,
     run_scenario,
 )
-from .vecmath import cross, cross3, rotation, strict_max
+from .vecmath import constant_field, cross, cross3, rotation, strict_max
 
 RESIDUAL_COLUMNS = (
     "res_mass,res_lin1,res_lin2,res_lin3,"
@@ -274,14 +274,6 @@ def _residual_case(check, tol, header, rows, view, exact=None):
     return CaseResult([Check(check, value, tol)],
                       [Table("residuals",
                              f"{header},{RESIDUAL_COLUMNS},max_abs", table)])
-
-
-def _per_point(value):
-    """A field that takes the constant `value` at every point of a batch,
-    point axis last."""
-    value = np.asarray(value, dtype=float)
-    return lambda t, *rest: np.broadcast_to(value[..., None],
-                                            value.shape + np.shape(t))
 
 
 def _cube_rows(t, half_width, n_side):
@@ -693,10 +685,10 @@ def _beam_under_gravity(p, rng, conn_spec):
     def psi(t, s):
         return np.array([s, np.zeros_like(s), np.zeros_like(s)])
 
-    zero3 = _per_point(np.zeros(3))
+    zero3 = constant_field(np.zeros(3))
     f = Cosserat1DField(
-        curve=Curve1D(psi, n=_per_point(e1)),
-        rho_l=_per_point(rho_l),
+        curve=Curve1D(psi, n=constant_field(e1)),
+        rho_l=constant_field(rho_l),
         F=lambda t, s: -rho_l * s * g[:, None],
         q=lambda t, s: rho_l * psi(t, s),
         l=zero3,
@@ -729,10 +721,10 @@ def _spinning_ring(p, rng, conn_spec):
         return np.array([-np.sin(s / r), np.cos(s / r), np.zeros_like(s)])
 
     ring = Curve1D(psi, v=lambda t, s: w * r * n(t, s), n=n)
-    zero3 = _per_point(np.zeros(3))
+    zero3 = constant_field(np.zeros(3))
     f = Cosserat1DField(
         curve=ring,
-        rho_l=_per_point(rho_l),
+        rho_l=constant_field(rho_l),
         F=lambda t, s: tension * n(t, s),
         q=lambda t, s: rho_l * psi(t, s),
         l=zero3,
@@ -754,7 +746,7 @@ def _spinning_ring(p, rng, conn_spec):
 def _flat_plate():
     return ShellField(
         lambda t, th1, th2: np.array([th1, th2, np.zeros_like(th1)]),
-        pi=_per_point([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        pi=constant_field([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
     )
 
 
@@ -779,9 +771,9 @@ def _plate_bending(p, rng, conn_spec):
         return load * np.array([[th1 ** 2 / 2.0, z], [z, z]])
 
     loads = ShellLoads(
-        rho_s=_per_point(rho_s),
-        N=_per_point([[0.7, 0.2], [0.2, -0.1]]),
-        Q=Q, M=M, kappa=_per_point(0.05),
+        rho_s=constant_field(rho_s),
+        N=constant_field([[0.7, 0.2], [0.2, -0.1]]),
+        Q=Q, M=M, kappa=constant_field(0.05),
     )
     sf = _flat_plate()
     side = np.linspace(-half_width, half_width, p["n_side"])
@@ -834,14 +826,14 @@ def _laplace_sphere(p, rng, conn_spec):
 
     sphere = ShellField(chart, pi=pi)
     loads = ShellLoads(
-        rho_s=_per_point(rho_s),
+        rho_s=constant_field(rho_s),
         N=lambda t, th1, th2: T0 * a_inv(th1, th2),
-        Q=_per_point(np.zeros(2)),
-        M=_per_point(np.zeros((2, 2))),
-        kappa=_per_point(0.01),
+        Q=constant_field(np.zeros(2)),
+        M=constant_field(np.zeros((2, 2))),
+        kappa=constant_field(0.01),
     )
     conn = GalileanConnection(
-        g=lambda t, x: (pr / rho_s) * np.asarray(x, dtype=float) / r
+        g=lambda t, x: (pr / rho_s) * x / r
     )
     side = np.linspace(-p["half_width"], p["half_width"], p["n_side"])
     return _residual_case(
@@ -873,11 +865,11 @@ def _spinning_drum(p, rng, conn_spec):
 
     drum = ShellField(chart, pi=pi)
     loads = ShellLoads(
-        rho_s=_per_point(rho_s),
-        N=_per_point([[rho_s * w * w * R * R, 0.0], [0.0, 0.0]]),
-        Q=_per_point(np.zeros(2)),
-        M=_per_point(np.zeros((2, 2))),
-        kappa=_per_point(0.02),
+        rho_s=constant_field(rho_s),
+        N=constant_field([[rho_s * w * w * R * R, 0.0], [0.0, 0.0]]),
+        Q=constant_field(np.zeros(2)),
+        M=constant_field(np.zeros((2, 2))),
+        kappa=constant_field(0.02),
     )
     conn = conn_spec.build()
     return _residual_case(
@@ -1057,7 +1049,7 @@ def manufactured_rod(g=(0.1, -0.3, 0.2), Omega=(0.2, 0.1, -0.3)):
         return np.array([0.2 * np.sin(s + t), 0.3 * np.cos(t),
                          np.full(np.shape(t), 0.2)])
 
-    curve = Curve1D(psi=psi, n=_per_point(e1), v=v)
+    curve = Curve1D(psi=psi, n=constant_field(e1), v=v)
 
     def rho(t, s):
         return 1.5 + 0.4 * np.cos(s - t)

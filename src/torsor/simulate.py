@@ -14,9 +14,11 @@ and Omega that depend on t and x.
 
 A stage reads g and Omega with one GalileanConnection.read, which for a
 constant or rotating-frame connection is float arithmetic on the
-connection's recorded form.  run_scenario carries the state as the twelve
-floats (x, p, q, l), which the RK4 kernel step maps to the next twelve, and
-builds a PointwiseState only for each stored sample.
+connection's recorded form, and otherwise calls g and Omega on a batch
+of one event, t of shape (1,) and x of shape (3, 1).  run_scenario
+carries the state as the twelve floats (x, p, q, l), which the RK4 kernel
+step maps to the next twelve, and builds a PointwiseState only for each
+stored sample.
 """
 
 import math

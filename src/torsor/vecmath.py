@@ -5,14 +5,12 @@ import math
 import numpy as np
 
 
-def as_field(value, shape=None):
-    """A callable as it is, or a constant (reshaped to `shape` when given)
-    as a callable that returns it for any arguments."""
-    if callable(value):
-        return value
-    const = np.asarray(value, dtype=float)
-    const = const if shape is None else const.reshape(shape)
-    return lambda *args: const
+def constant_field(value):
+    """A field that takes the constant `value` at every point of a batch
+    t (m,): its values have value's shape, then the point axis."""
+    value = np.asarray(value, dtype=float)
+    return lambda t, *rest: np.broadcast_to(value[..., None],
+                                            value.shape + np.shape(t))
 
 
 def skew(v) -> np.ndarray:
@@ -26,7 +24,8 @@ def skew(v) -> np.ndarray:
 
 
 def cross3(a, b) -> tuple:
-    """Cross product of two float triples, as a tuple of three floats.
+    """Cross product of two triples, as a tuple of three: floats, or
+    arrays elementwise when an entry is an array, such as a row of x (3, m).
 
     The products and differences are those np.cross evaluates, in the same
     order, so the result is bit-identical to it.

@@ -293,7 +293,7 @@ def test_criterion_06_pointwise_dynamics(capsys):
 def test_criterion_07_rod_statics_shear_relation(capsys):
     tol = 1e-9
     e1 = np.array([1.0, 0.0, 0.0])
-    conn = GalileanConnection.uniform()
+    conn = GalileanConnection()
 
     def F(t, s):
         return np.array([
@@ -346,7 +346,7 @@ def _flat_plate():
 
 def test_criterion_08_plate_recovery_and_identity_rows(capsys):
     tol = 1e-8
-    conn = GalileanConnection.uniform()
+    conn = GalileanConnection()
     sf = _flat_plate()
 
     def loads_with(N_fn):

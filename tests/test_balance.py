@@ -138,10 +138,10 @@ def pointwise_oracle(traj, conn, t, h=None):
     """
     pt = traj(t)
     x, v = pt.q / pt.m, pt.p / pt.m
-    Om = conn.Omega(t, x)
+    (g,), (Om,) = conn.fields_at(t, x)
     dot = {k: fd.diff(lambda u: getattr(traj(u), k), t, h=h)
            for k in ("m", "p", "q", "l")}
-    force = pt.m * (conn.g(t, x) - 2.0 * np.cross(Om, v))
+    force = pt.m * (g - 2.0 * np.cross(Om, v))
     l0 = pt.l - np.cross(x, pt.p)
     return np.concatenate([
         [dot["m"]], dot["p"] - force, dot["q"] - pt.p,
@@ -199,7 +199,7 @@ def test_rotating_bucket_equilibrium():
     def g_total(t, x):
         return g0 + w * w * np.array([x[0], x[1], 0.0])
 
-    conn = GalileanConnection(g=g_total, Omega=w * E3)
+    conn = GalileanConnection(g=batched(g_total), Omega=w * E3)
 
     def sigma(t, x):
         p = rho0 * (g0 @ x) + 0.5 * rho0 * w * w * (x[0] ** 2 + x[1] ** 2)
@@ -553,7 +553,7 @@ def rod_oracle(f, conn, t, s, h=None):
     curve = f.curve
     n = curve.n(t, s)
     psi = curve.psi(t, s)
-    g, Om = conn.g(t, psi), conn.Omega(t, psi)
+    (g,), (Om,) = conn.fields_at(t, psi)
 
     def d(fn, i):
         return fd.partial(fn, (t, s), i, h=h, bounds=curve.domain)
@@ -1062,14 +1062,14 @@ def shell_oracle(sf, loads, conn, t, th1, th2, h=None):
     b_mix = np.linalg.solve(numpy_metric(sf, *args), b_low)
     c, n, v = numpy_projector(sf, *args), sf.n(*args), sf.v(*args)
     x = sf.x(*args)
-    Om = conn.Omega(t, x)
+    (g,), (Om,) = conn.fields_at(t, x)
     Phi_ab = c @ (sf.dpi_dt(*args) + np.cross(Om, sf.pi(*args))).T
     Phi_a = c @ (sf.w(*args) + np.cross(Om, n))
     trPhi = np.trace(Phi_ab)
     rho_s, kappa = loads.rho_s(*args), loads.kappa(*args)
     N, Q, M = loads.N(*args), loads.Q(*args), loads.M(*args)
     w = sf.w_surf(*args)
-    accel = rho_s * (conn.g(t, x) - 2.0 * np.cross(Om, v) - sf.v_dot(*args))
+    accel = rho_s * (g - 2.0 * np.cross(Om, v) - sf.v_dot(*args))
 
     def d(fn, i):
         return fd.partial(lambda *u: np.asarray(fn(*u), dtype=float), args, i,

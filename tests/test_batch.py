@@ -249,7 +249,7 @@ def frame(kind, rng):
     g, Omega = rng.uniform(-1.0, 1.0, size=(2, 3))
     if kind == "rotating":
         return GalileanConnection.rotating_frame(Omega, g=g)
-    return GalileanConnection.uniform(g=g, Omega=Omega)
+    return GalileanConnection(g=g, Omega=Omega)
 
 
 def point_by_point(residual, fields, conn, coords, **kw):
@@ -348,8 +348,7 @@ def test_rows_do_not_depend_on_the_probe_chunk(monkeypatch, case):
     # block holding fewer), then also in calls of 7 points.
     scn = load_scenario(json.loads(bundled_scenarios()[case].read_text()))
     spec = library.CASES[case]
-    params = {**spec.defaults, **scn.params,
-              **GRID.get(spec.medium, {"n_side": 4})}
+    params = {**scn.params, **GRID.get(spec.medium, {"n_side": 4})}
     calls = []
     for name in ("residual_cauchy", "residual_3d_cosserat", "residual_2d",
                  "residual_1d", "residual_pointwise"):
@@ -490,6 +489,32 @@ def test_each_view_reads_its_fields_once_per_stencil_offset(medium, names,
     side = 3 * (offsets - 1) // 2  # 3 points of d + 1 probes each
     assert ({name: sorted(sizes) for name, sizes in calls.items()}
             == dict.fromkeys(names, [3, side, side]))
+
+
+@pytest.mark.parametrize("medium", LOADS)
+def test_each_view_reads_its_connection_once_per_call(medium):
+    # g and Omega take the batch: a view call reads each once, at its
+    # points, for its Christoffels, whatever the number of points.
+    rng = np.random.default_rng(4)
+    make, residual, events = MEDIA[medium]
+    calls = {}
+    conn = GalileanConnection(
+        g=counted(lambda t, x: 0.1 * x + t, calls, "g"),
+        Omega=counted(lambda t, x: 0.2 * np.cos(x) - t, calls, "Omega"))
+    residual(make(rng.uniform(-1.0, 1.0, size=6)), conn, *events(rng, 9))
+    assert calls == {"g": [9], "Omega": [9]}
+
+
+@pytest.mark.parametrize("medium", LOADS)
+def test_empty_batch_is_refused_before_any_read(medium):
+    make, residual, events = MEDIA[medium]
+    calls = {}
+    fields = count_loads(medium, make(np.linspace(-0.5, 0.5, 6)), calls)
+    conn = GalileanConnection(g=counted(lambda t, x: 0.1 * x, calls, "g"))
+    coords = events(np.random.default_rng(5), 0)
+    with pytest.raises(ValueError, match=r"with m >= 1, got shape \(0, "):
+        residual(fields, conn, *coords)
+    assert calls == {}
 
 
 @pytest.mark.parametrize("medium", ["cauchy", "cosserat", "rod", "plate"])

@@ -19,6 +19,7 @@ from torsor import fd
 from torsor.connection import (
     GalileanConnection,
     PullbackChristoffels,
+    christoffels,
     divergence,
     spatial_origin_gamma_A,
 )
@@ -74,7 +75,7 @@ def identity_medium(T_mat_fn, J_fn=None, moments=True):
 
 def test_christoffels_structure():
     conn = GalileanConnection(g=G_CONST, Omega=OMEGA_CONST)
-    G = conn.christoffels_at(0.3, [1.0, 2.0, -1.0])
+    (G,) = christoffels(*conn.fields_at(0.3, [1.0, 2.0, -1.0]))
     assert_allclose(G[1:, 0, 0], -G_CONST, atol=0)
     assert_allclose(G[1:, 0, 1:], skew(OMEGA_CONST), atol=0)
     assert_allclose(G[1:, 1:, 0], skew(OMEGA_CONST), atol=0)
@@ -91,8 +92,9 @@ def test_rotating_frame_carries_centrifugal_gravity():
     conn = GalileanConnection.rotating_frame(Om)
     x = np.array([3.0, -1.0, 5.0])
     # -Omega x (Omega x x) = omega^2 x_perp for Omega along e3.
-    assert_allclose(conn.g(0.0, x), 4.0 * np.array([3.0, -1.0, 0.0]), atol=1e-14)
-    assert_allclose(conn.Omega(0.0, x), Om, atol=0)
+    (g,), (Omega,) = conn.fields_at(0.0, x)
+    assert_allclose(g, 4.0 * np.array([3.0, -1.0, 0.0]), atol=1e-14)
+    assert_allclose(Omega, Om, atol=0)
 
 
 # Recorded forms against the callable path
@@ -110,35 +112,27 @@ def _bits(*arrays):
 @given(g=_vec, Omega=_vec, events=st.lists(st.tuples(_num, _vec),
                                            min_size=1, max_size=5))
 def test_recorded_forms_read_as_their_callables(g, Omega, events):
-    # read and fields_at of a uniform or rotating-frame connection compute
-    # from its six recorded floats; the bits must be those of a twin with
-    # no recorded form, which calls g and Omega one event at a time.  The
-    # rotating frame's twin calls its own g.
-    Om = np.array(Omega, dtype=float)
-    rotating = GalileanConnection.rotating_frame(Omega, g=g)
-    pairs = [
-        (GalileanConnection.uniform(g=g, Omega=Omega),
-         GalileanConnection(g=lambda t, x: np.array(g, dtype=float),
-                            Omega=lambda t, x: Om)),
-        (rotating, GalileanConnection(g=rotating.g, Omega=lambda t, x: Om)),
-    ]
+    # read of a uniform or rotating-frame connection computes from its six
+    # recorded floats, and fields_at calls g and Omega once on the batch;
+    # each event's bits must be the same both ways.
     t = np.array([e[0] for e in events])
     x = np.array([e[1] for e in events]).T
-    for conn, twin in pairs:
-        for tp, xp in events:
-            assert _bits(conn.read(tp, *xp)) == _bits(twin.read(tp, *xp))
-        assert _bits(*conn.fields_at(t, x)) == _bits(*twin.fields_at(t, x))
+    for conn in (GalileanConnection(g=g, Omega=Omega),
+                 GalileanConnection.rotating_frame(Omega, g=g)):
+        rows = np.concatenate(conn.fields_at(t, x), axis=1)
+        for (tp, xp), row in zip(events, rows):
+            assert _bits(conn.read(tp, *xp)) == _bits(row)
 
 
 @pytest.mark.parametrize("form", ["uniform", "rotating_frame"])
 @pytest.mark.parametrize("attr", ["g", "Omega"])
 def test_assigned_callable_is_honoured(form, attr):
     # A g or Omega assigned after construction replaces the recorded form
-    # for the integrator and the batched read alike.
+    # of the integrator's read, and fields_at calls it too.
     def build():
         if form == "uniform":
-            return GalileanConnection.uniform(g=(0.1, 0.0, -9.8),
-                                              Omega=(0.0, 0.2, 0.5))
+            return GalileanConnection(g=(0.1, 0.0, -9.8),
+                                      Omega=(0.0, 0.2, 0.5))
         return GalileanConnection.rotating_frame((0.0, 0.2, 0.5),
                                                  g=(0.1, 0.0, -9.8))
 
@@ -165,15 +159,29 @@ def test_assigned_callable_is_honoured(form, attr):
 
 @pytest.mark.parametrize("form", ["callable", "uniform", "rotating_frame"])
 def test_fields_at_refuses_x_of_another_batch_size(form):
-    # Every path reads x as (3, m), so no path stops silently at the
-    # shorter of t and x.
+    # x is read as (3, m) before g or Omega is called, so no connection
+    # stops silently at the shorter of t and x.
     conn = {"callable": GalileanConnection(g=lambda t, x: x,
                                            Omega=lambda t, x: x),
-            "uniform": GalileanConnection.uniform(g=(0.0, 0.0, -1.0)),
+            "uniform": GalileanConnection(g=(0.0, 0.0, -1.0)),
             "rotating_frame": GalileanConnection.rotating_frame(
                 (0.0, 0.0, 1.0))}[form]
     with pytest.raises(ValueError):
         conn.fields_at(np.zeros(2), np.zeros((3, 5)))
+
+
+@pytest.mark.parametrize("attr", ["g", "Omega"])
+def test_fields_at_names_a_field_of_the_wrong_size(attr):
+    # g and Omega take a batch and return (3, m).  A field written for one
+    # event returns (3,) whatever the batch: a batch of one still reads
+    # it, and a larger batch raises an error naming the field.
+    conn = GalileanConnection(**{attr: lambda t, x: np.ones(3)})
+    fields = dict(zip(("g", "Omega"), conn.fields_at(0.0, np.zeros(3))))
+    assert fields[attr].tolist() == [[1.0, 1.0, 1.0]]
+    with pytest.raises(ValueError, match=(
+            rf"^GalileanConnection\.{attr} returned values of shape \(3,\) "
+            r"for a batch of m = 5 events; expected \(3, m\)$")):
+        conn.fields_at(np.zeros(5), np.zeros((3, 5)))
 
 
 # Origin motion
@@ -201,7 +209,7 @@ def test_gamma_A_spatial_origin():
 def test_div_T_matches_symbolic_oracle():
     rng = np.random.default_rng(21)
     conn = GalileanConnection(g=G_CONST, Omega=OMEGA_CONST)
-    Gnum = conn.christoffels_at(0.0, np.zeros(3))
+    Gnum = christoffels(G_CONST, OMEGA_CONST)
 
     T_sym = [[poly_field(rng) for _ in range(4)] for _ in range(4)]
     div_sym = []
@@ -231,7 +239,7 @@ def test_div_T_matches_symbolic_oracle():
 def test_div_J_matches_symbolic_oracle():
     rng = np.random.default_rng(22)
     conn = GalileanConnection(g=G_CONST, Omega=OMEGA_CONST)
-    Gnum = conn.christoffels_at(0.0, np.zeros(3))
+    Gnum = christoffels(G_CONST, OMEGA_CONST)
 
     T_sym = [[poly_field(rng) for _ in range(4)] for _ in range(4)]
     J_sym = [[[sp.Integer(0)] * 4 for _ in range(4)] for _ in range(4)]
@@ -326,9 +334,10 @@ def test_divergence_without_moments_matches_zero_J_bits():
         t = rng.uniform(-1, 1)
         x = rng.uniform(-1, 1, size=3)
         xi = np.concatenate(([t], x))[None]
-        G = conn.christoffels_at(t, x)
+        g, Omega = conn.fields_at(t, x)
+        G = christoffels(g, Omega)
         chris = PullbackChristoffels(G, G, spatial_origin_gamma_A(
-            conn.Omega(t, x), x))
+            Omega[0], x))
         for a, b in zip(divergence(no_J, xi, chris),
                         divergence(zero_J, xi, chris)):
             assert a.tobytes() == b.tobytes()
@@ -455,10 +464,10 @@ def test_divergence_second_order_convergence():
     assert 1.8 < rate < 2.2
 
 
-@pytest.mark.parametrize("shape", [(), (4,), (1, 1, 4)])
+@pytest.mark.parametrize("shape", [(), (4,), (1, 1, 4), (0, 4)])
 def test_divergence_takes_only_a_batch_of_points(shape):
-    # One chart point is a batch of one, (1, d+1); xi of any other rank
-    # is refused before any field is read.
+    # One chart point is a batch of one, (1, d+1); xi of any other rank,
+    # or an empty batch, is refused before any field is read.
     seen = []
 
     def T_mat(t, x):

@@ -306,20 +306,26 @@ def test_no_private_helper_goes_unused():
 
 
 def calls_of(source, names, path="<module>"):
-    """The set of (enclosing module-level definition, callee) of each
-    call in source of a callee in names, by name or as an attribute; None
+    """The set of (enclosing definition, callee) of each call in source
+    of a callee in names, by name or as an attribute, such as conn.g(...);
+    the definition is named by its dotted path, Class.method, and None
     encloses a call at module level."""
     found = set()
-    for node in ast.parse(source, path).body:
-        owner = (node.name if isinstance(
-            node, (ast.FunctionDef, ast.ClassDef)) else None)
-        for call in ast.walk(node):
-            if isinstance(call, ast.Call):
-                fn = call.func
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                fn = child.func
                 name = fn.id if isinstance(fn, ast.Name) else getattr(
                     fn, "attr", None)
                 if name in names:
                     found.add((owner, name))
+            visit(child, owner)
+
+    visit(ast.parse(source, path), None)
     return found
 
 
@@ -329,9 +335,10 @@ def test_one_divergence_path():
     # and balance._view compose its two halves, and no module calls
     # divergence itself.
     names = {"divergence", "_row_derivatives", "_covariant_terms"}
-    assert calls_of("def f():\n    def g(): m.divergence(1)\n"
+    assert calls_of("class C:\n    def f(self):\n"
+                    "        def g(): m.divergence(1)\n"
                     "_row_derivatives()\n", names) == {
-        (None, "_row_derivatives"), ("f", "divergence")}
+        (None, "_row_derivatives"), ("C.f.g", "divergence")}
     sources, _ = _scanned_sources()
     found = {(os.path.basename(path), *call)
              for path, source in sources.items()
@@ -341,6 +348,20 @@ def test_one_divergence_path():
         ("connection.py", "divergence", "_covariant_terms"),
         ("balance.py", "_view", "_row_derivatives"),
         ("balance.py", "_view", "_covariant_terms"),
+    }
+
+
+def test_one_connection_read():
+    # g and Omega take a batch, and one method reads them on it: the
+    # integrator's read and every view's Christoffels go through
+    # GalileanConnection.fields_at.
+    sources, _ = _scanned_sources()
+    found = {(os.path.basename(path), *call)
+             for path, source in sources.items()
+             for call in calls_of(source, {"g", "Omega"}, path)}
+    assert found == {
+        ("connection.py", "GalileanConnection.fields_at", "g"),
+        ("connection.py", "GalileanConnection.fields_at", "Omega"),
     }
 
 
@@ -729,7 +750,7 @@ def numpy_shell_torsor(rho_s, N, Q, M, kappa, w):
 
 def numpy_shell_christoffels(sf, conn, *p):
     x = sf.x(*p)
-    g, Omega = conn.g(p[0], x), conn.Omega(p[0], x)
+    (g,), (Omega,) = conn.fields_at(p[0], x)
     W = skew(Omega)
     pi, a = sf.pi(*p), numpy_metric(sf, *p)
     c, n = np.linalg.solve(a, pi), numpy_n(sf, *p)

@@ -56,7 +56,7 @@ def rx(a):
 
 
 def test_free_particle_straight_line():
-    conn = GalileanConnection.uniform()
+    conn = GalileanConnection()
     init = PointwiseState.from_proper(
         t=0.0, m=2.5, x=[0.3, -0.2, 0.1], v=[1.0, 0.4, -0.7],
         l0=[0.2, 0.0, -0.1],
@@ -73,7 +73,7 @@ def test_free_particle_straight_line():
 
 def test_projectile_polynomial_exactness():
     g = np.array([0.0, 0.0, -9.81])
-    conn = GalileanConnection.uniform(g=g)
+    conn = GalileanConnection(g=g)
     m = 1.3
     x0 = np.array([0.1, -0.4, 2.0])
     v0 = np.array([3.0, 1.0, 5.0])
@@ -127,7 +127,7 @@ def test_pure_spin_connection_inertial_oscillation():
     # Omega = e3 with g = 0 drops the centrifugal force: the velocity
     # turns at rate 2 omega and the proper spin precesses at omega.
     w = 1.0
-    conn = GalileanConnection.uniform(Omega=(0.0, 0.0, w))
+    conn = GalileanConnection(Omega=(0.0, 0.0, w))
     m = 0.8
     x0 = np.array([0.2, 0.5, -0.1])
     v0 = np.array([1.0, -0.3, 0.4])
@@ -153,7 +153,7 @@ def test_proper_spin_constant_for_uniform_time_dependent_g():
     # Position-independent g(t) exerts torque x cross m g that lands
     # entirely in the orbital part, so l0 = l - x cross p stays put.
     conn = GalileanConnection(
-        g=lambda t, x: np.array([0.3 * np.sin(t), -0.2, 0.1 * t])
+        g=batched(lambda t, x: np.array([0.3 * np.sin(t), -0.2, 0.1 * t]))
     )
     init = PointwiseState.from_proper(
         t=0.0, m=1.1, x=[0.5, 0.1, -0.3], v=[0.2, 0.7, 0.4],
@@ -184,8 +184,9 @@ def test_stage_rates_are_the_pointwise_divergence(m, t, x, p, l, g0, gx, w0,
     # every row of residual_pointwise, the d = 0 view of
     # connection.divergence, under g and Omega that depend on t and x.
     G, W = np.reshape(gx, (3, 3)), np.reshape(wx, (3, 3))
-    conn = GalileanConnection(g=lambda t, x: g0 + (1.0 + t) * (G @ x),
-                              Omega=lambda t, x: w0 + t * (W @ x))
+    conn = GalileanConnection(
+        g=batched(lambda t, x: g0 + (1.0 + t) * (G @ x)),
+        Omega=batched(lambda t, x: w0 + t * (W @ x)))
     y = [*x, *p, *(m * np.array(x)).tolist(), *l]  # (x, p, q = m x, l)
     k = np.array(simulate._rhs(t, y, m, conn))
     y = np.array(y)
@@ -220,11 +221,11 @@ def test_frame_covariance_constant_g():
     cfg = IntegratorConfig(dt=1e-2, t_end=1.0, output_stride=10)
     traj_a = run_scenario(
         PointwiseState.from_proper(0.0, m, x0, v0, l00),
-        GalileanConnection.uniform(g=g_a), cfg,
+        GalileanConnection(g=g_a), cfg,
     )
     traj_b = run_scenario(
         PointwiseState.from_proper(0.0, m, R @ x0 + k, R @ v0 + u, R @ l00),
-        GalileanConnection.uniform(g=R @ g_a), cfg,
+        GalileanConnection(g=R @ g_a), cfg,
     )
     for sa, sb in zip(traj_a.states, traj_b.states):
         t = sa.t
@@ -318,12 +319,12 @@ def test_run_scenario_rejects_a_step_count_that_is_not_finite():
                                       np.zeros(3))
     with pytest.raises(ValueError, match=r"^\(t_end - t0\) / dt must be "
                                          r"finite, got inf"):
-        run_scenario(init, GalileanConnection.uniform(),
+        run_scenario(init, GalileanConnection(),
                      IntegratorConfig(dt=1.0, t_end=1e308))
 
 
 def test_run_scenario_stride_includes_final():
-    conn = GalileanConnection.uniform()
+    conn = GalileanConnection()
     init = PointwiseState.from_proper(0.0, 1.0, np.zeros(3),
                                       [1.0, 0.0, 0.0], np.zeros(3))
     traj = run_scenario(init, conn,
@@ -346,7 +347,7 @@ def test_run_scenario_drift_keeps_a_late_nan(monkeypatch):
     monkeypatch.setattr(simulate, "_pos_q_gaps", gaps)
     init = PointwiseState.from_proper(0.0, 1.0, np.zeros(3),
                                       [1.0, 0.0, 0.0], np.zeros(3))
-    traj = run_scenario(init, GalileanConnection.uniform(),
+    traj = run_scenario(init, GalileanConnection(),
                         IntegratorConfig(dt=0.25, t_end=1.0))
     report = traj.drift_report()
     assert np.isnan(report["pos_q_drift"])
@@ -363,14 +364,17 @@ def _spun_state():
 @pytest.mark.parametrize("wrap", [list, tuple, lambda v: np.reshape(v, (1, 3))],
                          ids=["list", "tuple", "row_array"])
 def test_connection_callables_may_return_any_three_vector(wrap):
-    # A g or Omega callable receives x as a float (3,) array and may return
-    # any 3-vector-like value; the trajectory is bit for bit the same.
+    # An RK4 stage reads a g or Omega callable on a batch of one event, t
+    # of shape (1,) and x a float (3, 1) array, and the callable may
+    # return any value of three entries; the trajectory is bit for bit
+    # the same.
     def g(t, x):
-        assert type(x) is np.ndarray and x.dtype == float and x.shape == (3,)
+        assert type(t) is np.ndarray and t.dtype == float and t.shape == (1,)
+        assert type(x) is np.ndarray and x.dtype == float and x.shape == (3, 1)
         return np.array([0.3 * np.sin(t), -0.2 * x[0], 0.1 * t - 9.0])
 
     def Omega(t, x):
-        return np.array([0.1, 0.05 * x[2], 0.2 + 0.1 * t])
+        return np.array([np.full_like(t, 0.1), 0.05 * x[2], 0.2 + 0.1 * t])
 
     cfg = IntegratorConfig(dt=1e-2, t_end=0.5)
     ref = run_scenario(_spun_state(), GalileanConnection(g=g, Omega=Omega),
@@ -395,7 +399,7 @@ def test_non_finite_gravity_stops_the_run_naming_the_block():
 def test_trajectory_csv_format():
     s0 = PointwiseState.from_proper(0.0, 1.5, [0.1, 0.2, 0.3],
                                     [1.0, 0.0, -1.0], [0.0, 0.1, 0.0])
-    s1 = run_scenario(s0, GalileanConnection.uniform(g=(0.0, 0.0, -1.0)),
+    s1 = run_scenario(s0, GalileanConnection(g=(0.0, 0.0, -1.0)),
                       IntegratorConfig(dt=0.25, t_end=0.25)).final
     text = _table_csv(_traj_table(Trajectory(states=[s0, s1])))
     lines = text.strip().split("\n")
@@ -429,7 +433,7 @@ def _bundled_sim_digests(monkeypatch):
         if scn.kind != "pointwise_sim":
             continue
         spec = CASES[scn.case]
-        params = {**spec.defaults, **scn.params}
+        params = dict(scn.params)
         params.update(t_end=200 * params["dt"], stride=1)
         runs = []
 
@@ -597,7 +601,7 @@ def test_convergence_polynomial_floor_returns_none():
     ])
 
     medium = CauchyMedium(rho=lamb4(rho), v=lamb4_vec(v), sigma=lamb4_mat(sig))
-    conn = GalileanConnection.uniform()
+    conn = GalileanConnection()
     pt = (0.3, np.array([0.2, -0.4, 0.5]))
     subs = dict(zip(SYMS4, (pt[0], *pt[1])))
     exact = np.concatenate([

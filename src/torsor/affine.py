@@ -35,13 +35,21 @@ orientation-reversing R and a J that is not skew.  Results of the group
 algebra are valid by construction, so compose and inverse build through the
 private GalileanFrameChange._trusted, and the transforms store their
 (T', J') through Torsor._trusted.
+
+The checks run as float arithmetic.  Finiteness is one sum: any inf or NaN
+makes a sum non-finite, and a sum of finite floats is finite unless it
+overflows, so the entries are scanned one by one only when the sum is not
+finite, to tell an overflow from a bad entry or to name the bad part.  A
+tolerance check is the chained -tol <= x <= tol, and a scale is
+max(1, max(entries), -min(entries)).  They accept exactly what an
+entrywise isfinite and |x| <= tol accept: both forms reject NaN and +-inf.
 """
 
 import math
 
 import numpy as np
 
-from .vecmath import _F64, triple
+from .vecmath import _F64, random_rotation, triple
 
 # Constructor validation tolerances (absolute, on unit-scale entries).
 ORTHONORMAL_TOL = 1e-9
@@ -51,8 +59,12 @@ _IDENTITY3 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
 
 def _finite(numbers) -> bool:
-    """Whether every number of a flat sequence of floats is finite."""
-    return all(map(math.isfinite, numbers))
+    """Whether every number of a flat sequence of floats is finite.
+
+    Any inf or NaN makes the sum non-finite, so the entries are scanned
+    only when it is, to tell a bad entry from a sum that overflowed.
+    """
+    return math.isfinite(sum(numbers)) or all(map(math.isfinite, numbers))
 
 
 def _floats(value, n: int) -> list:
@@ -62,20 +74,9 @@ def _floats(value, n: int) -> list:
     return np.asarray(value, dtype=float).reshape(n).tolist()
 
 
-def _scale(entries, what: str) -> float:
-    """max(1, largest |entry|); ValueError naming `what` if any is not
-    finite."""
-    if not _finite(entries):
-        raise ValueError(f"{what} is not finite")
-    return max(1.0, max(map(abs, entries)))
-
-
-def _rot_t(r, x) -> tuple:
-    """R^T x, for R given by its 9 entries r row by row."""
-    x0, x1, x2 = x
-    return (r[0] * x0 + r[3] * x1 + r[6] * x2,
-            r[1] * x0 + r[4] * x1 + r[7] * x2,
-            r[2] * x0 + r[5] * x1 + r[8] * x2)
+def _scale(entries) -> float:
+    """max(1, largest |entry|) of finite entries."""
+    return max(1.0, max(entries), -min(entries))
 
 
 class GalileanFrameChange:
@@ -102,12 +103,12 @@ class GalileanFrameChange:
         # and six entries decide the check.
         a0, a1, a2, b0, b1, b2, c0, c1, c2 = r
         tol = ORTHONORMAL_TOL
-        if not (abs(a0 * a0 + b0 * b0 + c0 * c0 - 1.0) <= tol
-                and abs(a1 * a1 + b1 * b1 + c1 * c1 - 1.0) <= tol
-                and abs(a2 * a2 + b2 * b2 + c2 * c2 - 1.0) <= tol
-                and abs(a0 * a1 + b0 * b1 + c0 * c1) <= tol
-                and abs(a0 * a2 + b0 * b2 + c0 * c2) <= tol
-                and abs(a1 * a2 + b1 * b2 + c1 * c2) <= tol):
+        if not (-tol <= a0 * a0 + b0 * b0 + c0 * c0 - 1.0 <= tol
+                and -tol <= a1 * a1 + b1 * b1 + c1 * c1 - 1.0 <= tol
+                and -tol <= a2 * a2 + b2 * b2 + c2 * c2 - 1.0 <= tol
+                and -tol <= a0 * a1 + b0 * b1 + c0 * c1 <= tol
+                and -tol <= a0 * a2 + b0 * b2 + c0 * c2 <= tol
+                and -tol <= a1 * a2 + b1 * b2 + c1 * c2 <= tol):
             raise ValueError("R is not orthonormal")
         # R is orthonormal here, so det R = r0 . (r1 x r2) is +-1 and its
         # sign is safe to read from the closed form.
@@ -153,21 +154,21 @@ class GalileanFrameChange:
 
     def inverse(self) -> "GalileanFrameChange":
         # u' = -R^T u, R' = R^T, tau0' = -tau0, k' = R^T (u tau0 - k).
-        e = self._e
-        r, tau0 = e[3:12], e[12]
-        w0, w1, w2 = _rot_t(r, e[0:3])
-        u0, u1, u2 = e[0:3]
+        u0, u1, u2, r0, r1, r2, r3, r4, r5, r6, r7, r8, tau0, k0, k1, k2 = \
+            self._e
+        y0, y1, y2 = u0 * tau0 - k0, u1 * tau0 - k1, u2 * tau0 - k2
         return GalileanFrameChange._trusted((
-            -w0, -w1, -w2, *r[0::3], *r[1::3], *r[2::3], -tau0,
-            *_rot_t(r, (u0 * tau0 - e[13], u1 * tau0 - e[14],
-                        u2 * tau0 - e[15])),
+            -(r0 * u0 + r3 * u1 + r6 * u2), -(r1 * u0 + r4 * u1 + r7 * u2),
+            -(r2 * u0 + r5 * u1 + r8 * u2),
+            r0, r3, r6, r1, r4, r7, r2, r5, r8,
+            -tau0,
+            r0 * y0 + r3 * y1 + r6 * y2, r1 * y0 + r4 * y1 + r7 * y2,
+            r2 * y0 + r5 * y1 + r8 * y2,
         ))
 
     @classmethod
     def random(cls, rng) -> "GalileanFrameChange":
         """Random group element with unit-scale boost and translations."""
-        from .vecmath import random_rotation
-
         return cls(
             u=rng.uniform(-1.0, 1.0, size=3),
             R=random_rotation(rng),
@@ -234,16 +235,17 @@ class Torsor:
     def __init__(self, T, J):
         t = _floats(T, 4)
         j = _floats(J, 16)
-        if not _finite(t):
-            raise ValueError("T is not finite")
-        tol = SKEW_TOL * _scale(j, "J")
+        if not _finite(t + j):
+            raise ValueError("J is not finite" if _finite(t)
+                             else "T is not finite")
+        tol = SKEW_TOL * _scale(j)
         (j00, j01, j02, j03, j10, j11, j12, j13,
          j20, j21, j22, j23, j30, j31, j32, j33) = j
-        if not (abs(j00 + j00) <= tol and abs(j11 + j11) <= tol
-                and abs(j22 + j22) <= tol and abs(j33 + j33) <= tol
-                and abs(j01 + j10) <= tol and abs(j02 + j20) <= tol
-                and abs(j03 + j30) <= tol and abs(j12 + j21) <= tol
-                and abs(j13 + j31) <= tol and abs(j23 + j32) <= tol):
+        if not (-tol <= j00 + j00 <= tol and -tol <= j11 + j11 <= tol
+                and -tol <= j22 + j22 <= tol and -tol <= j33 + j33 <= tol
+                and -tol <= j01 + j10 <= tol and -tol <= j02 + j20 <= tol
+                and -tol <= j03 + j30 <= tol and -tol <= j12 + j21 <= tol
+                and -tol <= j13 + j31 <= tol and -tol <= j23 + j32 <= tol):
             raise ValueError("J is not skew-symmetric")
         self._e = (*t, j01, j02, j03, j12, j13, j23)
 
@@ -343,12 +345,13 @@ def transform_point(f: GalileanFrameChange, V) -> np.ndarray:
     V' = P^-1 (V - C), the inverse of the defining action V = C + P V';
     written out, V' = (d, R^T (V_s - k - u d)) with d = V_0 - tau0.
     """
-    e = f._e
+    u0, u1, u2, r0, r1, r2, r3, r4, r5, r6, r7, r8, tau0, k0, k1, k2 = f._e
     v0, v1, v2, v3 = _floats(V, 4)
-    d = v0 - e[12]
-    return np.array((d, *_rot_t(e[3:12], (v1 - e[13] - e[0] * d,
-                                           v2 - e[14] - e[1] * d,
-                                           v3 - e[15] - e[2] * d))))
+    d = v0 - tau0
+    y0, y1, y2 = v1 - k0 - u0 * d, v2 - k1 - u1 * d, v3 - k2 - u2 * d
+    return np.array((d, r0 * y0 + r3 * y1 + r6 * y2,
+                     r1 * y0 + r4 * y1 + r7 * y2,
+                     r2 * y0 + r5 * y1 + r8 * y2))
 
 
 def transform_torsor(f: GalileanFrameChange, tau: Torsor) -> Torsor:
@@ -397,12 +400,14 @@ def transform_stress_mass(f: GalileanFrameChange, T) -> np.ndarray:
     and the result is symmetric.
     """
     s = _floats(T, 16)
-    tol = SKEW_TOL * _scale(s, "stress-mass tensor")
+    if not _finite(s):
+        raise ValueError("stress-mass tensor is not finite")
+    tol = SKEW_TOL * _scale(s)
     (rho, s01, s02, s03, s10, s11, s12, s13,
      s20, s21, s22, s23, s30, s31, s32, s33) = s
-    if not (abs(s01 - s10) <= tol and abs(s02 - s20) <= tol
-            and abs(s03 - s30) <= tol and abs(s12 - s21) <= tol
-            and abs(s13 - s31) <= tol and abs(s23 - s32) <= tol):
+    if not (-tol <= s01 - s10 <= tol and -tol <= s02 - s20 <= tol
+            and -tol <= s03 - s30 <= tol and -tol <= s12 - s21 <= tol
+            and -tol <= s13 - s31 <= tol and -tol <= s23 - s32 <= tol):
         raise ValueError("stress-mass tensor is not symmetric")
     u0, u1, u2, r0, r1, r2, r3, r4, r5, r6, r7, r8 = f._e[0:12]
     h0, h1, h2 = 0.5 * (s01 + s10), 0.5 * (s02 + s20), 0.5 * (s03 + s30)

@@ -6,8 +6,9 @@ checks, prints one PASS/FAIL line per check, and writes the numeric
 artifacts (CSV tables plus a summary) under an output directory.  Output
 is deterministic for a fixed seed: identical bytes on repeated runs.
 
-Exit codes: 0 when every check passes, 1 when any check fails, and 2 for
-configuration problems (the message names the offending key).
+Exit codes: 0 when every check passes, 1 when any check fails, 2 for
+configuration problems (the message names the offending key), and 141 when
+the reader of stdout closes it early, as `| head` does.
 """
 
 import argparse
@@ -369,10 +370,24 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
     except ScenarioError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except BrokenPipeError:
+        # The reader of stdout has gone.  Point stdout at devnull, so that
+        # the flush at exit cannot raise again, and exit with the status a
+        # shell reports for SIGPIPE.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError):
+            return 141
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

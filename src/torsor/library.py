@@ -259,10 +259,13 @@ def _residual_case(check, tol, header, rows, view, exact=None):
     ends with its max_abs.  The check is the worst max_abs, or the worst
     |residual - exact| when exact is given.
     """
+    rows = np.asarray(rows, dtype=float)
+
+    # Each block is a copy, so a view cannot write into the table's rows.
     def over_blocks(fn):
         return np.concatenate([
-            np.reshape(fn(*np.array(rows[i:i + PROBE_CHUNK], dtype=float).T),
-                       (-1, 10)) for i in range(0, len(rows), PROBE_CHUNK)])
+            np.reshape(fn(*np.array(rows[i:i + PROBE_CHUNK]).T), (-1, 10))
+            for i in range(0, len(rows), PROBE_CHUNK)])
 
     # A non-finite field differences to NaN, which fails the check unwarned.
     with np.errstate(invalid="ignore"):
@@ -270,16 +273,19 @@ def _residual_case(check, tol, header, rows, view, exact=None):
     max_abs = np.max(np.abs(residuals), axis=1)
     value = (strict_max(max_abs.tolist()) if exact is None else
              _worst(residuals - over_blocks(exact)))
-    table = np.column_stack([np.array(rows, dtype=float), residuals, max_abs])
+    table = np.column_stack([rows, residuals, max_abs])
     return CaseResult([Check(check, value, tol)],
                       [Table("residuals",
                              f"{header},{RESIDUAL_COLUMNS},max_abs", table)])
 
 
 def _cube_rows(t, half_width, n_side):
-    """Rows (t, x1, x2, x3) of a centered cubic probe grid."""
+    """Rows (t, x1, x2, x3) of a centered cubic probe grid, as one
+    (n_side^3, 4) array, x3 varying fastest."""
     side = np.linspace(-half_width, half_width, n_side)
-    return [np.array([t, a, b, c]) for a in side for b in side for c in side]
+    x = np.meshgrid(side, side, side, indexing="ij")
+    return np.column_stack([np.full(x[0].size, float(t)),
+                            *(a.ravel() for a in x)])
 
 
 def _plane_rows(th1s, th2s):
@@ -603,8 +609,9 @@ def _cauchy_manufactured(p, rng, conn_spec):
     t = p["t"]
     rows = _cube_rows(t, p["half_width"], p["n_side"])
     if p["n_random"] > 0:
-        rows += [np.concatenate([[t], x]) for x in rng.uniform(
-            -p["half_width"], p["half_width"], size=(int(p["n_random"]), 3))]
+        x = rng.uniform(-p["half_width"], p["half_width"],
+                        size=(int(p["n_random"]), 3))
+        rows = np.vstack([rows, np.column_stack([np.full(len(x), t), x])])
     return _residual_case(
         "residual vs exact expansion", 1e-5, "t,x1,x2,x3", rows,
         lambda t, *x: residual_cauchy(medium, conn, t, x, h=p["h"]),

@@ -133,8 +133,13 @@ def test_galilean_rejects_non_finite(kwargs):
 # Validation at the edge of its tolerances.  Each case also asserts the
 # matrix form of the check, as the constructors applied it before they ran
 # on floats, so the float checks accept and reject exactly where it does.
+# Each entry is bent both ways, so a check that dropped either side of
+# -tol <= x <= tol fails a case.
 
-@pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
+EDGE_FACTORS = [(0.5, True), (2.0, False), (-0.5, True), (-2.0, False)]
+
+
+@pytest.mark.parametrize("factor, accepted", EDGE_FACTORS)
 @pytest.mark.parametrize("bend", ["stretch", "shear"])
 def test_orthonormal_check_at_tolerance_edge(factor, accepted, bend):
     # R (I + eps N) moves one entry of R^T R (two, mirrored, for the shear)
@@ -155,7 +160,7 @@ def test_orthonormal_check_at_tolerance_edge(factor, accepted, bend):
             GalileanFrameChange(R=R)
 
 
-@pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
+@pytest.mark.parametrize("factor, accepted", EDGE_FACTORS)
 @pytest.mark.parametrize("size", [0.25, 40.0])
 @pytest.mark.parametrize("where", [(1, 2), (3, 3)])
 def test_skew_check_at_tolerance_edge(factor, accepted, size, where):
@@ -175,6 +180,26 @@ def test_skew_check_at_tolerance_edge(factor, accepted, size, where):
     else:
         with pytest.raises(ValueError, match="skew"):
             Torsor(np.zeros(4), J)
+
+
+@pytest.mark.parametrize("factor, accepted", EDGE_FACTORS)
+@pytest.mark.parametrize("size", [0.25, 40.0])
+@pytest.mark.parametrize("where", [(0, 2), (1, 3)])
+def test_symmetry_check_at_tolerance_edge(factor, accepted, size, where):
+    # max |S| = size; the scale of the check is max(1, size).  The bent
+    # entry is never the largest, so the scale stays put.
+    A = np.zeros((4, 4))
+    A[np.triu_indices(4, 1)] = [1.0, -0.5, 0.3, 0.6, -0.2, 0.4]
+    S = size * (A + A.T + np.diag([0.5, -0.8, 0.7, 0.1]))
+    scale = max(1.0, size)
+    S[where] += factor * SKEW_TOL * scale
+    assert np.abs(S).max() == size
+    assert bool(np.abs(S - S.T).max() <= SKEW_TOL * scale) is accepted
+    if accepted:
+        transform_stress_mass(GalileanFrameChange(), S)
+    else:
+        with pytest.raises(ValueError, match="symmetric"):
+            transform_stress_mass(GalileanFrameChange(), S)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -213,6 +238,36 @@ def test_stress_mass_rejects_non_finite(bad):
     T[1, 2] = T[2, 1] = bad
     with pytest.raises(ValueError):
         transform_stress_mass(GalileanFrameChange(), T)
+
+
+def test_torsor_names_T_first_when_both_parts_are_not_finite():
+    with pytest.raises(ValueError, match="T is not finite"):
+        Torsor([np.nan, 0.0, 0.0, 0.0], np.diag([0.0, np.inf, 0.0, 0.0]))
+
+
+# Finite entries whose plain sum overflows to inf: the one-sum finiteness
+# test must fall back to the entries and accept them.
+BIG = 1e308
+_J_BIG = np.zeros((4, 4))
+_J_BIG[0, 1:3], _J_BIG[1:3, 0] = BIG, -BIG
+_S_BIG = np.diag([0.0, BIG, BIG, 0.0])
+
+
+@pytest.mark.parametrize("build, read, expected", [
+    (lambda: GalileanFrameChange(u=[BIG, BIG, 0.0]), lambda f: f.u,
+     [BIG, BIG, 0.0]),
+    (lambda: Torsor([BIG, BIG, 0.0, 0.0], np.zeros((4, 4))),
+     lambda tau: tau.T, [BIG, BIG, 0.0, 0.0]),
+    (lambda: Torsor(np.zeros(4), _J_BIG), lambda tau: tau.J, _J_BIG),
+    (lambda: transform_stress_mass(GalileanFrameChange(), _S_BIG),
+     lambda S: S, _S_BIG),
+    (lambda: PointwiseTorsor(1.0, [BIG, BIG, 0.0], np.zeros(3),
+                             np.zeros(3)).to_torsor(),
+     lambda tau: tau.T, [1.0, BIG, BIG, 0.0]),
+], ids=["galilean_u", "torsor_T", "torsor_J", "stress_mass", "pointwise"])
+def test_finite_entries_whose_sum_overflows_are_accepted(build, read,
+                                                         expected):
+    np.testing.assert_array_equal(read(build()), expected)
 
 
 unit = st.floats(-1.0, 1.0)

@@ -8,6 +8,9 @@ than fail, so this runs traced calls and checks the counters.
 """
 
 import os
+import shutil
+import subprocess
+import sys
 
 from torsor.cli import main
 
@@ -126,3 +129,22 @@ def test_tracer_counts_affine_ops(monkeypatch):
     assert (attempted, failed, errors) == (20, 0, [])
     # 3 constructions, 2 compositions and one each of the other 6 calls.
     assert tracing.layer_metrics(tracer)["affine.ops"] == 20 * 11
+
+
+def test_benchmark_selftest_passes_on_a_copy_of_the_checkout(tmp_path):
+    # The harness runs the package of its own checkout, so a change to the
+    # package that breaks it, such as a renamed entry of
+    # workloads.AFFINE_API, fails here.  The copy keeps its writes out of
+    # this checkout.
+    root = os.path.dirname(BENCH_DIR)
+    skip = shutil.ignore_patterns("__pycache__", ".bench_out")
+    for part in ("src", "benchmarks"):
+        shutil.copytree(os.path.join(root, part), tmp_path / part,
+                        ignore=skip)
+    proc = subprocess.run(
+        [sys.executable, os.path.join("benchmarks", "selftest.py")],
+        cwd=tmp_path, capture_output=True, text=True, check=False)
+    report = proc.stdout + proc.stderr
+    assert proc.returncode == 0, report
+    assert not [line for line in proc.stdout.splitlines()
+                if line.startswith("FAIL")], report

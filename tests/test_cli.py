@@ -232,6 +232,42 @@ def test_run_multiple_targets_aggregates_exit(tmp_path, capsys):
     assert out.count("PASS") == 8
 
 
+@pytest.mark.parametrize("argv", [
+    ["list"], ["describe", "hydrostatic"],
+    ["run", "hydrostatic", "projectile", "--out-dir"],
+], ids=["list", "describe", "run"])
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path, argv):
+    # The read end of the pipe is closed before the child starts, so its
+    # first write or flush fails, however stdout is buffered.
+    if argv[-1] == "--out-dir":
+        argv = [*argv, str(tmp_path)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["torsor"].__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "torsor.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, check=False)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr.decode()) == (141, "")
+
+
+class _ClosedStream:
+    """A stdout without a file descriptor whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_without_a_descriptor_exits_141(monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedStream())
+    assert main(["list"]) == 141
+
+
 def test_name_that_escapes_out_dir_exits_2(tmp_path, capsys):
     out_dir = tmp_path / "out" / "a" / "b"
     for name in ("../../escape", "sub/dir", "sub\\dir", ".."):

@@ -7,8 +7,10 @@ artifacts (CSV tables plus a summary) under an output directory.  Output
 is deterministic for a fixed seed: identical bytes on repeated runs.
 
 Exit codes: 0 when every check passes, 1 when any check fails, 2 for
-configuration problems (the message names the offending key), and 141 when
-the reader of stdout closes it early, as `| head` does.
+configuration problems (the message names the offending key or flag: a
+--tolerance-scale that is not a finite number >= 0, or an --out-dir that
+cannot be written), and 141 when the reader of stdout closes it early, as
+`| head` does.
 """
 
 import argparse
@@ -33,6 +35,9 @@ FLOAT_FORMAT = "%.17g"
 MAX_RK4_STEPS = 10**6
 # Cap on a residual_check's probe points (the bundled ones take at most 32).
 MAX_PROBE_POINTS = 10**5
+# Rows per block of the CSV writer, which spells each distinct float of a
+# block once.
+_CSV_BLOCK_ROWS = 256
 
 _TOP_KEYS = {"schema", "name", "kind", "medium", "case", "connection",
              "params"}
@@ -208,14 +213,28 @@ def bundled_scenarios() -> dict:
 
 
 def _table_csv(table) -> str:
-    rows = np.atleast_2d(table.rows)
-    line = ",".join([FLOAT_FORMAT] * rows.shape[1])
+    """The table as CSV text: its header, then one line per row, each
+    value spelled FLOAT_FORMAT % value.
+
+    Probe grids repeat their coordinates and symmetric fields their
+    residuals, and a correctly rounded 17-digit spelling costs far more
+    than a sort, so each block of rows spells each of its distinct floats
+    once.  They are keyed on their bits, which keeps 0.0 ("0") apart from
+    -0.0 ("-0"); every NaN spells "nan".  A block at a time bounds the
+    memory a large table takes.
+    """
+    rows = np.atleast_2d(np.asarray(table.rows, dtype=np.float64))
     lines = [table.header]
-    # Python floats format faster than numpy scalars, and one % per row
-    # faster than one per value; a row at a time keeps a large table from
-    # being held as floats all at once.
-    for row in rows:
-        lines.append(line % tuple(row.tolist()))
+    for start in range(0, rows.shape[0], _CSV_BLOCK_ROWS):
+        block = np.ascontiguousarray(rows[start:start + _CSV_BLOCK_ROWS])
+        bits, inverse = np.unique(block.view(np.uint64),
+                                  return_inverse=True)
+        words = np.array([FLOAT_FORMAT % v
+                          for v in bits.view(np.float64).tolist()],
+                         dtype=object)
+        # The inverse comes flat from numpy 1.x, shaped as the block from 2.x.
+        lines.extend(map(",".join,
+                         words[inverse.reshape(block.shape)].tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -250,14 +269,7 @@ def run_scenario_obj(scn, out_root, seed=0, tolerance_scale=1.0,
         })
 
     out_dir = os.path.join(out_root, scn.name)
-    os.makedirs(out_dir, exist_ok=True)
-    table_files = []
-    for table in result.tables:
-        fname = f"{table.name}.csv"
-        with open(os.path.join(out_dir, fname), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write(_table_csv(table))
-        table_files.append(fname)
+    table_files = [f"{table.name}.csv" for table in result.tables]
     summary = {
         "case": scn.case,
         "checks": check_rows,
@@ -270,10 +282,20 @@ def run_scenario_obj(scn, out_root, seed=0, tolerance_scale=1.0,
         "tables": table_files,
         "tolerance_scale": float(tolerance_scale),
     }
-    with open(os.path.join(out_dir, "summary.json"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for table, fname in zip(result.tables, table_files):
+            with open(os.path.join(out_dir, fname), "w", encoding="utf-8",
+                      newline="\n") as fh:
+                fh.write(_table_csv(table))
+        with open(os.path.join(out_dir, "summary.json"), "w",
+                  encoding="utf-8", newline="\n") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ScenarioError(f"--out-dir: cannot write "
+                            f"{exc.filename or out_dir}: "
+                            f"{exc.strerror or exc}") from exc
     return all_pass
 
 
@@ -293,6 +315,13 @@ def _resolve_run_target(target):
 def cmd_run(args, stream=None) -> int:
     stream = stream or sys.stdout
     out_root = args.out_dir or os.environ.get("TORSOR_OUT_DIR", ".")
+    scale = args.tolerance_scale
+    # An infinite scale would pass every check and a negative one fail
+    # them all.  0 stays: it fails every check with a nonzero value, which
+    # shows that failures are seen.
+    if not (math.isfinite(scale) and scale >= 0):
+        raise ScenarioError(f"--tolerance-scale: expected a finite number "
+                            f">= 0, got {scale!r}")
     ok = True
     for target in args.scenario:
         scn = _resolve_run_target(target)

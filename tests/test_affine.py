@@ -139,16 +139,24 @@ def test_galilean_rejects_non_finite(kwargs):
 EDGE_FACTORS = [(0.5, True), (2.0, False), (-0.5, True), (-2.0, False)]
 
 
+# Every entry each check reads is bent, today's cases first so that their
+# ids stay: the six Gram entries of R^T R, the six pairs and four diagonal
+# entries of J + J^T, and the six pairs of S - S^T.
+GRAM_ENTRIES = {"stretch": (1, 1), "shear": (0, 2), "stretch00": (0, 0),
+                "stretch22": (2, 2), "shear01": (0, 1), "shear12": (1, 2)}
+SKEW_ENTRIES = [(1, 2), (3, 3), (0, 1), (0, 2), (0, 3), (1, 3), (2, 3),
+                (0, 0), (1, 1), (2, 2)]
+SYMMETRY_ENTRIES = [(0, 2), (1, 3), (0, 1), (0, 3), (1, 2), (2, 3)]
+
+
 @pytest.mark.parametrize("factor, accepted", EDGE_FACTORS)
-@pytest.mark.parametrize("bend", ["stretch", "shear"])
+@pytest.mark.parametrize("bend", list(GRAM_ENTRIES))
 def test_orthonormal_check_at_tolerance_edge(factor, accepted, bend):
-    # R (I + eps N) moves one entry of R^T R (two, mirrored, for the shear)
-    # off the identity by eps, up to O(eps^2).
+    # R (I + eps N) moves one entry of R^T R (two, mirrored, off the
+    # diagonal) off the identity by eps, up to O(eps^2).
+    i, j = GRAM_ENTRIES[bend]
     N = np.zeros((3, 3))
-    if bend == "stretch":
-        N[1, 1] = 0.5
-    else:
-        N[0, 2] = 1.0
+    N[i, j] = 0.5 if i == j else 1.0
     R = rotation([1.0, 2.0, -0.5], 0.7) @ (
         np.eye(3) + factor * ORTHONORMAL_TOL * N)
     assert bool(np.abs(R.T @ R - np.eye(3)).max() <= ORTHONORMAL_TOL) \
@@ -162,15 +170,18 @@ def test_orthonormal_check_at_tolerance_edge(factor, accepted, bend):
 
 @pytest.mark.parametrize("factor, accepted", EDGE_FACTORS)
 @pytest.mark.parametrize("size", [0.25, 40.0])
-@pytest.mark.parametrize("where", [(1, 2), (3, 3)])
+@pytest.mark.parametrize("where", SKEW_ENTRIES)
 def test_skew_check_at_tolerance_edge(factor, accepted, size, where):
-    # max |J| = size; the scale of the check is max(1, size).  The bent
-    # entry is never the largest, so the scale stays put.
+    # max |J| = size; the scale of the check is max(1, size).  Where the
+    # bend would grow the largest entry it goes to the mirror entry, which
+    # it shrinks by as much, so J + J^T moves the same and the scale stays.
     A = np.zeros((4, 4))
     A[np.triu_indices(4, 1)] = [1.0, -0.5, 0.3, 0.6, -0.2, 0.4]
     J = size * (A - A.T)
     scale = max(1.0, size)
     bend = factor * SKEW_TOL * scale
+    if abs(J[where] + bend) > size:
+        where = where[::-1]
     # A bent diagonal entry counts twice in J + J^T.
     J[where] += bend if where[0] != where[1] else 0.5 * bend
     assert np.abs(J).max() == size
@@ -184,15 +195,20 @@ def test_skew_check_at_tolerance_edge(factor, accepted, size, where):
 
 @pytest.mark.parametrize("factor, accepted", EDGE_FACTORS)
 @pytest.mark.parametrize("size", [0.25, 40.0])
-@pytest.mark.parametrize("where", [(0, 2), (1, 3)])
+@pytest.mark.parametrize("where", SYMMETRY_ENTRIES)
 def test_symmetry_check_at_tolerance_edge(factor, accepted, size, where):
-    # max |S| = size; the scale of the check is max(1, size).  The bent
-    # entry is never the largest, so the scale stays put.
+    # max |S| = size; the scale of the check is max(1, size).  Where the
+    # bend would grow the largest entry, the mirror entry shrinks instead,
+    # so S - S^T moves the same and the scale stays put.
     A = np.zeros((4, 4))
     A[np.triu_indices(4, 1)] = [1.0, -0.5, 0.3, 0.6, -0.2, 0.4]
     S = size * (A + A.T + np.diag([0.5, -0.8, 0.7, 0.1]))
     scale = max(1.0, size)
-    S[where] += factor * SKEW_TOL * scale
+    bend = factor * SKEW_TOL * scale
+    if abs(S[where] + bend) > size:
+        S[where[::-1]] -= bend
+    else:
+        S[where] += bend
     assert np.abs(S).max() == size
     assert bool(np.abs(S - S.T).max() <= SKEW_TOL * scale) is accepted
     if accepted:

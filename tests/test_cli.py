@@ -18,10 +18,11 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torsor.cli import (
+    _CSV_BLOCK_ROWS,
     FLOAT_FORMAT,
     MAX_PROBE_POINTS,
     _table_csv,
@@ -81,6 +82,45 @@ def test_tolerance_scale_forces_failure(tmp_path, capsys):
     summary = json.loads(
         (tmp_path / "out" / "local_free" / "summary.json").read_text())
     assert summary["passed"] is False
+
+
+@pytest.mark.parametrize("scale", ["inf", "1e400", "-inf", "nan", "-1"])
+def test_tolerance_scale_outside_its_domain_exits_2(tmp_path, capsys, scale):
+    # An infinite scale passed every check and a negative one failed them
+    # all; both exit 2 before any scenario runs.
+    rc = main(["run", "projectile_residual", "--out-dir",
+               str(tmp_path / "out"), f"--tolerance-scale={scale}"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith(
+        "error: --tolerance-scale: expected a finite number >= 0, got ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_tolerance_scale_zero_is_accepted(tmp_path, capsys):
+    rc = main(["run", "projectile_residual", "--out-dir",
+               str(tmp_path / "out"), "--tolerance-scale", "0"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert out.startswith("FAIL projectile_residual: ") and "(tol 0)" in out
+    summary = json.loads((tmp_path / "out" / "projectile_residual"
+                          / "summary.json").read_text())
+    assert (summary["passed"], summary["tolerance_scale"]) == (False, 0.0)
+
+
+@pytest.mark.parametrize("blocker", ["out_dir_is_a_file",
+                                     "summary_is_a_directory"])
+def test_unusable_out_dir_exits_2(tmp_path, capsys, blocker):
+    out_dir = tmp_path / "out"
+    if blocker == "out_dir_is_a_file":
+        out_dir.write_text("")
+    else:
+        (out_dir / "projectile_residual" / "summary.json").mkdir(parents=True)
+    rc = main(["run", "projectile_residual", "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: --out-dir: cannot write ")
+    assert "Traceback" not in err
 
 
 def test_missing_connection_names_key(tmp_path, capsys):
@@ -531,17 +571,63 @@ _CSV_VALUES = st.one_of(
 )
 
 
+# Floats whose bits differ where their values compare equal or unordered:
+# both zeros, and NaNs with and without the sign bit or a payload.
+_CSV_LOOKALIKES = [0.0, -0.0, math.nan, -math.nan,
+                   float(np.array(0x7FF8000000000001, dtype=np.uint64)
+                         .view(np.float64))]
+
+
+def _per_value_csv(table):
+    """The reference spelling: each value formatted on its own."""
+    return "\n".join([table.header] + [
+        ",".join(FLOAT_FORMAT % v for v in row)
+        for row in np.atleast_2d(table.rows).tolist()]) + "\n"
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
-       data=st.data())
-def test_table_csv_formats_each_value_with_the_float_format(shape, data):
-    # The writer formats a row with one %; it must spell the same bytes as
-    # formatting value by value and joining with commas.
-    values = data.draw(st.lists(_CSV_VALUES, min_size=shape[0] * shape[1],
-                                max_size=shape[0] * shape[1]))
-    rows = np.array(values, dtype=float).reshape(shape)
+@given(shape=st.tuples(st.integers(1, 3 * _CSV_BLOCK_ROWS), st.integers(1, 6)),
+       pool=st.lists(_CSV_VALUES, min_size=1, max_size=12),
+       seed=st.integers(0, 2**32 - 1))
+@example(shape=(_CSV_BLOCK_ROWS, 3), pool=[0.1], seed=0)
+@example(shape=(_CSV_BLOCK_ROWS + 1, 2), pool=[0.1], seed=1)
+def test_table_csv_formats_each_value_with_the_float_format(shape, pool, seed):
+    # The writer spells each distinct float of a block once; it must spell
+    # the same bytes as formatting value by value and joining with commas,
+    # also where a block holds repeats and floats that compare equal, or
+    # unordered, but differ in their bits.
+    pool = np.array(pool + _CSV_LOOKALIKES)
+    rows = pool[np.random.default_rng(seed).integers(len(pool), size=shape)]
     header = ",".join(f"c{j}" for j in range(shape[1]))
-    expected = "\n".join(
-        [header] + [",".join(FLOAT_FORMAT % v for v in row.tolist())
-                    for row in rows]) + "\n"
-    assert _table_csv(Table("t", header, rows)) == expected
+    table = Table("t", header, rows)
+    assert _table_csv(table) == _per_value_csv(table)
+
+
+def test_table_csv_matches_the_reference_on_every_bundled_table():
+    for name, path in bundled_scenarios().items():
+        scn = load_scenario(json.loads(path.read_text()))
+        tables = CASES[scn.case].build(dict(scn.params),
+                                       np.random.default_rng(7),
+                                       scn.conn_spec).tables
+        assert tables, name
+        for table in tables:
+            assert _table_csv(table) == _per_value_csv(table), name
+
+
+# Probe grids at the sizes of the benchmark's probe_grid workload, the d3
+# ones taller than one block of the writer, with repeated coordinates and
+# residuals.
+@pytest.mark.parametrize("case, params, n_rows", [
+    ("hydrostatic", {"n_side": 8}, 512),
+    ("cauchy_manufactured", {"n_side": 8, "n_random": 64}, 576),
+    ("plate_bending", {"n_side": 15}, 225),
+], ids=["hydrostatic", "cauchy_manufactured", "plate_bending"])
+def test_table_csv_matches_the_reference_on_a_large_probe_grid(case, params,
+                                                               n_rows):
+    raw = json.loads(bundled_scenarios()[case].read_text())
+    raw["params"] = {**raw.get("params", {}), **params}
+    scn = load_scenario(raw)
+    table, = CASES[scn.case].build(dict(scn.params), np.random.default_rng(7),
+                                   scn.conn_spec).tables
+    assert len(table.rows) == n_rows
+    assert _table_csv(table) == _per_value_csv(table)

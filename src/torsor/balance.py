@@ -24,7 +24,9 @@ T of shape (m, d+1, 4), J (m, d+1, 4, 4) and the Christoffels
 (m, 4, 4, 4); its residuals carry that axis, and a single point is a
 batch of one.  Every medium's fields take a batch and return their values
 with the point axis last, so each field is read on a whole batch of
-probes at once.  The scenario cases bound the batch at
+probes at once.  On a batch of more than one point a field must return
+exactly (*shape, m); anything else raises ValueError naming the field
+(vecmath._batch).  The scenario cases bound the batch at
 connection.PROBE_CHUNK points per call.
 
 One private scaffold, _view, runs every view through the two halves of
@@ -63,7 +65,7 @@ from .fields import (
     shell_christoffels,
     shell_torsor,
 )
-from .vecmath import cross3, moment_matrix, moments
+from .vecmath import _batch, cross3, moment_matrix, moments
 
 
 @dataclass
@@ -149,13 +151,12 @@ def residual_pointwise(traj, conn, t, h: float = None) -> BalanceResidual:
     """
     def read(xi):
         tt = xi[:, 0]
-        # a holds (m, p, q, l) at each point, point axis last: (10, k).
-        a = np.concatenate([np.reshape(u, (-1, len(tt)))
-                            for u in traj(tt)], dtype=float)
-        T = a[:4].T[:, None]
-        return (T.swapaxes(-1, -2) / a[0, :, None, None], T,
-                moment_matrix(a[4:7].T[:, None], a[7:].T[:, None]),
-                a[4:7] / a[0])
+        mass, p, q, l = (_batch(u, len(tt), shape, f"traj.{name}")
+                         for u, shape, name in zip(
+                             traj(tt), ((), (3,), (3,), (3,)), "mpql"))
+        T = np.concatenate([mass[None], p]).T[:, None]
+        return (T.swapaxes(-1, -2) / mass[:, None, None], T,
+                moment_matrix(q.T[:, None], l.T[:, None]), q / mass)
 
     def chris(xi, at):
         return PullbackChristoffels.spatial_origin(conn, xi[:, 0], at[3], 1)
@@ -163,11 +164,12 @@ def residual_pointwise(traj, conn, t, h: float = None) -> BalanceResidual:
     return _view(read, (t,), chris, _rows, h, False)
 
 
-def _at_events(xi, *fns):
-    """fns of a medium filling space at the events of a batch xi (m, 4),
-    t its first column and x (3, m) the others; point axis last."""
-    events = np.ascontiguousarray(xi.T)
-    return [np.asarray(fn(events[0], events[1:]), dtype=float) for fn in fns]
+def _fields(medium, shapes, *coords):
+    """The fields of medium named in shapes, each read once at the batch
+    coords and checked by vecmath._batch against its shape."""
+    owner = type(medium).__name__
+    return [_batch(getattr(medium, name)(*coords), len(coords[0]), shape,
+                   f"{owner}.{name}") for name, shape in shapes.items()]
 
 
 def residual_cauchy(medium: CauchyMedium, conn, t, x,
@@ -187,12 +189,11 @@ def residual_cauchy(medium: CauchyMedium, conn, t, x,
     _stress_mass of the columns of sigma, which is T^T bit for bit.
     """
     def read(xi):
-        m = len(xi)
-        rho, v, sigma = _at_events(xi, medium.rho, medium.v,
-                                   medium.sigma)
-        v = v.reshape(3, m)
-        T = _stress_mass(rho.reshape(m), v,
-                         sigma.reshape(3, 3, m).swapaxes(0, 1))
+        events = np.ascontiguousarray(xi.T)
+        rho, v, sigma = _fields(medium, {"rho": (), "v": (3,),
+                                         "sigma": (3, 3)},
+                                events[0], events[1:])
+        T = _stress_mass(rho, v, sigma.swapaxes(0, 1))
         return _EYE4, T.transpose(2, 0, 1), None, v
 
     def rows(dT, dJ, xi, at):
@@ -244,16 +245,14 @@ def residual_1d(f: Cosserat1DField, conn, t, s, h: float = None,
 
     def read(xi):
         coords = tt, ss = np.ascontiguousarray(xi.T)
-        k = len(tt)
         n, psi, v = curve.n(tt, ss), curve.psi(tt, ss), curve.v(tt, ss)
         dpsi = _partial(curve.psi, coords, 0, SECOND_DIFF_REL_STEP
                         * np.maximum(1.0, np.abs(tt)))
         slide = _dot(n, dpsi)
-        rho_l = np.asarray(f.rho_l(*coords), dtype=float).reshape(k)
-        F, q, l, l_star, M_star = (
-            np.asarray(fn(*coords), dtype=float).reshape(3, k)
-            for fn in (f.F, f.q, f.l, f.l_star, f.M_star))
-        U = np.zeros((k, 4, 2))
+        rho_l, F, q, l, l_star, M_star = _fields(f, {
+            "rho_l": (), "F": (3,), "q": (3,), "l": (3,), "l_star": (3,),
+            "M_star": (3,)}, tt, ss)
+        U = np.zeros((len(tt), 4, 2))
         U[:, 0, 0] = 1.0
         U[:, 1:, 0], U[:, 1:, 1] = dpsi.T, n.T
         return (U, *rod_torsor(
@@ -334,9 +333,9 @@ def residual_2d(sf: ShellField, loads: ShellLoads, conn, t, th1, th2,
         fr = sf.frame(*coords)
         w = sf._normal_rate(*coords, fr.n)
         return (_SHELL_U, *shell_torsor(
-            *(fn(*coords) for fn in (loads.rho_s, loads.N, loads.Q, loads.M,
-                                     loads.kappa)),
-            sf._w_surf(*coords, fr, w)), fr, w)
+            *_fields(loads, {"rho_s": (), "N": (2, 2), "Q": (2,),
+                             "M": (2, 2), "kappa": ()}, *coords),
+            np.array(sf._w_surf(*coords, fr, w))), fr, w)
 
     def chris(xi, at):
         # The frame and w at the batch's own points, as their torsor's.
@@ -372,12 +371,11 @@ def residual_3d_cosserat(state: Cosserat3DState, conn, t, x,
     flux r, for (ijk) cyclic, by fields.cosserat_J.
     """
     def read(xi):
-        m = len(xi)
-        T, q, l, l_star, M_star = _at_events(
-            xi, state.T, state.q, state.l, state.l_star, state.M_star)
-        return _EYE4, T.reshape(4, 4, m).transpose(2, 1, 0), cosserat_J(
-            q.reshape(3, m), l.reshape(3, m), l_star.reshape(3, 3, m),
-            M_star.reshape(3, 3, m))
+        events = np.ascontiguousarray(xi.T)
+        T, q, l, l_star, M_star = _fields(state, {
+            "T": (4, 4), "q": (3,), "l": (3,), "l_star": (3, 3),
+            "M_star": (3, 3)}, events[0], events[1:])
+        return _EYE4, T.transpose(2, 1, 0), cosserat_J(q, l, l_star, M_star)
 
     return _view(read, (t, *np.reshape(x, (3, -1))),
                  lambda xi, at: PullbackChristoffels.identity_embedding(

@@ -8,12 +8,13 @@ is deterministic for a fixed seed: identical bytes on repeated runs.
 
 Exit codes: 0 when every check passes, 1 when any check fails, 2 for
 configuration problems (the message names the offending key or flag: a
---tolerance-scale that is not a finite number >= 0, or an --out-dir that
-cannot be written), and 141 when the reader of stdout closes it early, as
-`| head` does.
+--tolerance-scale that is not a finite number >= 0, a negative --seed,
+or an --out-dir that cannot be written), and 141 when the reader of
+stdout closes it early, as `| head` does.
 """
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -25,7 +26,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ScenarioError
-from .library import CASES, KIND_MEDIA, ConnSpec
+from .library import CASES, KIND_MEDIA, ConnSpec, _number
 
 SCHEMA_VERSION = 1
 FLOAT_FORMAT = "%.17g"
@@ -55,11 +56,6 @@ class Scenario:
     case: str
     conn_spec: ConnSpec
     params: dict
-
-
-def _number(value) -> bool:
-    """True for an int or a float; bool is never a number."""
-    return type(value) in (int, float)
 
 
 def _check_param(key, value, default, allowed):
@@ -322,14 +318,19 @@ def cmd_run(args, stream=None) -> int:
     if not (math.isfinite(scale) and scale >= 0):
         raise ScenarioError(f"--tolerance-scale: expected a finite number "
                             f">= 0, got {scale!r}")
-    ok = True
-    for target in args.scenario:
-        scn = _resolve_run_target(target)
-        ok = run_scenario_obj(
-            scn, out_root, seed=args.seed,
-            tolerance_scale=args.tolerance_scale, stream=stream,
-        ) and ok
-    return 0 if ok else 1
+    scale += 0.0  # -0.0 reads as 0
+    if args.seed < 0:
+        raise ScenarioError(f"--seed: expected an integer >= 0, got "
+                            f"{args.seed}")
+    # Targets and out root are checked before any case writes artifacts.
+    scenarios = [_resolve_run_target(target) for target in args.scenario]
+    if os.path.exists(out_root) and not os.path.isdir(out_root):
+        raise ScenarioError(f"--out-dir: cannot write {out_root}: "
+                            f"{os.strerror(errno.ENOTDIR)}")
+    passed = [run_scenario_obj(scn, out_root, seed=args.seed,
+                               tolerance_scale=scale, stream=stream)
+              for scn in scenarios]
+    return 0 if all(passed) else 1
 
 
 def cmd_list(args, stream=None) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fd
-from .vecmath import constant_field, cross3, triple
+from .vecmath import _batch, constant_field, cross3, triple
 
 # The identity, read-only since every caller shares it: Gamma_A of the
 # proper origin, and U of a medium filling space.
@@ -105,26 +105,18 @@ class GalileanConnection:
     def fields_at(self, t, x):
         """g and Omega, two fresh (m, 3) arrays, at the events t (m,) and x
         (3, m), each field called once on the whole batch; a float t with
-        a (3,) x is a batch of one.  An x of another size raises
-        ValueError, and so do values of another size than (3, m), naming
-        the field.
+        any x of three entries is a batch of one.  For m > 1 an x, or a
+        value of g or Omega, of another shape than (3, m) raises
+        ValueError naming it, the events as rows of an (m, 3) x too.
         """
         t = np.reshape(np.asarray(t, dtype=float), -1)
         m = len(t)
-        x = np.reshape(np.asarray(x, dtype=float), (3, m))
-        return (_rows(self.g(t, x), m, "g"),
-                _rows(self.Omega(t, x), m, "Omega"))
-
-
-def _rows(value, m, name):
-    """The (3, m) values of the connection field `name` as fresh (m, 3)
-    rows; values of another size raise ValueError naming the field."""
-    value = np.asarray(value, dtype=float)
-    if value.size != 3 * m:
-        raise ValueError(
-            f"GalileanConnection.{name} returned values of shape "
-            f"{value.shape} for a batch of m = {m} events; expected (3, m)")
-    return value.reshape(3, m).T.copy()
+        x = _batch(x, m, (3,), "GalileanConnection.fields_at x", "events",
+                   what="has values")
+        g = _batch(self.g(t, x), m, (3,), "GalileanConnection.g", "events")
+        Omega = _batch(self.Omega(t, x), m, (3,), "GalileanConnection.Omega",
+                       "events")
+        return g.T.copy(), Omega.T.copy()
 
 
 def christoffels(g, Omega) -> np.ndarray:

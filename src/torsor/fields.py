@@ -11,7 +11,6 @@ its metric and the unit normal; the second fundamental form b is computed
 inside shell_christoffels, which stores it as Gamma^3_ab.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -20,7 +19,7 @@ import numpy as np
 from . import fd
 from .errors import SingularMetric
 from .connection import christoffels
-from .vecmath import cross3, moment_matrix
+from .vecmath import _batch, cross3, moment_matrix
 
 DEGENERATE_TANGENT_TOL = 1e-9
 SINGULAR_METRIC_TOL = 1e-12
@@ -231,17 +230,9 @@ class ShellFrame(NamedTuple):
 
 def _read(fn, coords, shape, name):
     """Field fn at one point, as an array of `shape`, or at a batch, with
-    the point axis last; one point is read as a batch of one.  Values of
-    another size raise ValueError naming the field `name`."""
+    the point axis last, checked by vecmath._batch naming it `name`."""
     batch = [np.reshape(np.asarray(u, dtype=float), -1) for u in coords]
-    value = np.asarray(fn(*batch), dtype=float)
-    m = len(batch[0])
-    if value.size != m * math.prod(shape):
-        want = ", ".join(map(str, shape + ("m",)))
-        raise ValueError(
-            f"{name} returned values of shape {value.shape} for a batch of "
-            f"m = {m} points; expected ({want}{',' if not shape else ''})")
-    value = value.reshape(shape + (m,))
+    value = _batch(fn(*batch), len(batch[0]), shape, name)
     return value if np.ndim(coords[0]) else value[..., 0]
 
 
@@ -552,7 +543,8 @@ def shell_torsor(rho_s, N, Q, M, kappa, w):
 
     rho_s, N (2, 2), Q (2,), M (2, 2), kappa and the surface normal velocity
     w (2,) at one point, or over a batch of m points with the point axis
-    last: rho_s (m,), N (2, 2, m) and so on.  T (3, 4) has rows
+    last: rho_s (m,), N (2, 2, m) and so on; N, Q, M and w are arrays of
+    exactly those shapes.  T (3, 4) has rows
     (t, theta^1, theta^2): T^{00} = rho_s, T^{ba} = kappa w^b w^a - N^{ba}
     and T^{b3} = -Q^b.  J (3, 4, 4) is skew in its last two indices:
     J^{0a3} = -kappa w^a along the time flux and, along flux b,
@@ -561,11 +553,7 @@ def shell_torsor(rho_s, N, Q, M, kappa, w):
     elementwise; each mirrored entry of J is 0 - (its partner), the signed
     zero an array J - J^T gives, except J^{b30} = kappa w^b itself.
     """
-    rho_s = np.asarray(rho_s, dtype=float)
-    lead = rho_s.shape
-    N, M = (np.reshape(a, (2, 2) + lead) for a in (N, M))
-    Q, w = (np.reshape(a, (2,) + lead) for a in (Q, w))
-    kappa = np.reshape(kappa, lead)
+    lead = np.shape(rho_s)
     kw = kappa * w
     T = np.zeros((3, 4) + lead)
     T[0, 0] = rho_s

@@ -114,6 +114,11 @@ def _dot3(a, x):
     return a[0] * x[0] + a[1] * x[1] + a[2] * x[2]
 
 
+def _number(value) -> bool:
+    """True for an int or a float; bool is never a number."""
+    return type(value) in (int, float)
+
+
 @dataclass
 class ConnSpec:
     """Connection block of a scenario file: a frame, not yet callables.
@@ -162,10 +167,13 @@ class ConnSpec:
 
 def _vec3_key(value, key):
     """value as a (3,) array of magnitude at most MAX_SCALE, zeros for
-    None; raises ScenarioError naming key otherwise."""
+    None; a list, as JSON gives, must hold three ints or floats.  Raises
+    ScenarioError naming key otherwise."""
     if value is None:
         return np.zeros(3)
     try:
+        if type(value) is list and not all(map(_number, value)):
+            raise TypeError
         out = np.asarray(value, dtype=float).reshape(3)
     except (TypeError, ValueError, OverflowError):
         raise ScenarioError(f"{key}: expected 3 numbers, got {value!r}")

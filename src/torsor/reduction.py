@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EmptySection
 from .fields import ForceMass1D, _stacked, _to_last
-from .vecmath import moments
+from .vecmath import _batch, moments
 
 FRAME_ORTHO_TOL = 1e-9
 CENTERING_TOL = 1e-8
@@ -38,13 +38,10 @@ class _QuadratureRule:
             raise ValueError(f"integrand {vals.shape} lacks the node axis")
         return np.cumsum(vals * self.weights, axis=-1)[..., -1]
 
-    def on_nodes(self, field, shape):
-        """field read once on coords, as its (*shape, K) values."""
-        vals = np.asarray(field(self.coords), dtype=float)
-        if vals.shape != shape + self.weights.shape:
-            raise ValueError(f"field {vals.shape} is not {shape} at each "
-                             "node, node axis last")
-        return vals
+    def on_nodes(self, field, shape, name):
+        """field read once on coords, as its checked (*shape, K) values."""
+        return _batch(field(self.coords), len(self.weights), shape, name,
+                      "nodes, node axis last")
 
 
 class CrossSection(_QuadratureRule):
@@ -110,7 +107,7 @@ class CrossSection(_QuadratureRule):
     def mass_center(self, rho_bar) -> np.ndarray:
         """(2,) in-plane mass center of the density field rho_bar(xb),
         read on all nodes: xb (2, K) to (K,)."""
-        rho = self.on_nodes(rho_bar, ())
+        rho = self.on_nodes(rho_bar, (), "CrossSection.mass_center rho_bar")
         m, c1, c2 = self.integrate(
             lambda xb: np.array([rho, rho * xb[0], rho * xb[1]]))
         if m <= 0.0:
@@ -161,7 +158,7 @@ def reduce_3d_to_1d_T(T_bar, Pi, cs: CrossSection) -> np.ndarray:
     once, on all nodes, and the reductions below read it the same way.
     """
     Pi = np.asarray(Pi, dtype=float).reshape(2, 4)
-    T = cs.on_nodes(T_bar, (4, 4))
+    T = cs.on_nodes(T_bar, (4, 4), "reduce_3d_to_1d_T T_bar")
     return cs.integrate(lambda xb: _to_last(Pi @ _stacked(T)))
 
 
@@ -185,7 +182,7 @@ def reduce_3d_to_1d_force_mass(T_bar, Pi, cs: CrossSection) -> ForceMass1D:
     """
     Pi = np.asarray(Pi, dtype=float).reshape(2, 4)
     n = Pi[1, 1:]
-    T = cs.on_nodes(T_bar, (4, 4))
+    T = cs.on_nodes(T_bar, (4, 4), "reduce_3d_to_1d_force_mass T_bar")
     M = cs.integrate(lambda xb: _to_last(Pi @ _stacked(T)))
     rho_l = M[0, 0]
     if rho_l <= 0.0:
@@ -229,7 +226,7 @@ def reduce_3d_to_1d_J(T_bar, Pi, cs: CrossSection) -> Moments1D:
     CrossSection.centered.
     """
     Pi = np.asarray(Pi, dtype=float).reshape(2, 4)
-    T = cs.on_nodes(T_bar, (4, 4))
+    T = cs.on_nodes(T_bar, (4, 4), "reduce_3d_to_1d_J T_bar")
     P = _to_last(_stacked(T) @ Pi.T)
 
     def integrand(xb):
@@ -271,7 +268,7 @@ def reduce_3d_to_2d(sigma_bar, rho: float, rule: ThicknessRule) -> Reduced2D:
     """
     if rho < 0.0:
         raise ValueError("density must be nonnegative")
-    sigma = rule.on_nodes(sigma_bar, (3, 3))
+    sigma = rule.on_nodes(sigma_bar, (3, 3), "reduce_3d_to_2d sigma_bar")
     S, Sz = rule.integrate(lambda z: np.array([sigma, z * sigma]))
     return Reduced2D(
         rho_s=rho * rule.h,

@@ -13,6 +13,21 @@ def constant_field(value):
                                             value.shape + np.shape(t))
 
 
+def _batch(value, m, shape, name, unit="points", what="returned values"):
+    """The value a field `name` gave for a batch of m points as a float
+    (*shape, m) array, point axis last.  For m > 1 any other shape raises
+    ValueError naming the field; a batch of one takes any value of the
+    right size, such as a field written for one point returns."""
+    value = np.asarray(value, dtype=float)
+    want = shape + (m,)
+    if value.shape == want or (m == 1 and value.size == math.prod(shape)):
+        return value.reshape(want)
+    dims = ", ".join(map(str, shape + ("m",)))
+    raise ValueError(
+        f"{name} {what} of shape {value.shape} for a batch of m = {m} "
+        f"{unit}; expected ({dims}{',' if not shape else ''})")
+
+
 def skew(v) -> np.ndarray:
     """Skew matrix j(v) with j(v) @ b == np.cross(v, b)."""
     v = np.asarray(v, dtype=float)

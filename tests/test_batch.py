@@ -12,11 +12,14 @@ a bounded domain a batch must fail, or take its one-sided stencils, as a
 loop over its points does.  One point is a batch of one and runs every
 line a batch runs, so a fault in that code moves both sides of these
 comparisons alike: the batched shell rows are also held to the
-hand-expanded shell oracle.
+hand-expanded shell oracle.  Every field read, and the x of
+GalileanConnection.fields_at, refuses values with the point axis first
+on a batch of several points.
 """
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +45,7 @@ from torsor.fields import (
     ShellField,
     ShellLoads,
 )
+from torsor.reduction import ThicknessRule, reduce_3d_to_2d
 
 from per_point import batched
 from test_balance import shell_oracle
@@ -561,3 +565,150 @@ def test_shell_batch_matches_hand_expanded_oracle():
                      for p in range(4)])
     assert np.min(np.abs(want)) > 1e-4
     np.testing.assert_allclose(rows, want, rtol=0, atol=1e-9)
+
+
+# One checked read: every vector or tensor field, and the x of
+# GalileanConnection.fields_at, as (owner.field, run).  run(tr, m) reads
+# the field on a batch of m points with tr applied to its values (to x,
+# for fields_at) and returns what the read gives.
+
+COEFFS = np.linspace(-0.5, 0.5, 6)
+SPIN = GalileanConnection.rotating_frame([0.3, -0.2, 0.5], g=[0.1, 0.2, -9.8])
+
+
+def through(fn, tr):
+    """fn with tr applied to its values."""
+    return lambda *c: tr(np.asarray(fn(*c), dtype=float))
+
+
+def with_field(obj, name, tr):
+    return dataclasses.replace(obj, **{name: through(getattr(obj, name), tr)})
+
+
+def view_case(owner, name):
+    medium = {"CauchyMedium": "cauchy", "Cosserat1DField": "rod",
+              "ShellLoads": "plate", "Cosserat3DState": "cosserat"}[owner]
+    make, residual, events = MEDIA[medium]
+
+    def run(tr, m):
+        fields = make(COEFFS)
+        if medium == "plate":
+            fields = fields[0], with_field(fields[1], name, tr)
+        else:
+            fields = with_field(fields, name, tr)
+        return residual(fields, SPIN, *events(np.random.default_rng(1), m))
+
+    return f"{owner}.{name}", run
+
+
+def traj_case(i):
+    def run(tr, m):
+        mplq = trajectory(COEFFS)
+
+        def traj(t):
+            values = list(mplq(t))
+            values[i] = tr(np.asarray(values[i], dtype=float))
+            return tuple(values)
+
+        return residual_pointwise(traj, SPIN,
+                                  *time_events(np.random.default_rng(1), m))
+
+    return f"traj.{'mpql'[i]}", run
+
+
+CURVE_FIELDS = {
+    "psi": lambda t, s: np.array([s + 0.1 * t * t, 0.3 * np.sin(t + s),
+                                  0.2 * s * s]),
+    "v": lambda t, s: np.array([t, s, t * s]),
+    "n": lambda t, s: np.array([np.cos(s), np.sin(s), 0.0 * s]),
+}
+
+
+def curve_case(name):
+    def run(tr, m):
+        curve = Curve1D(**{**CURVE_FIELDS,
+                           name: through(CURVE_FIELDS[name], tr)})
+        return getattr(curve, name)(*curve_events(np.random.default_rng(1),
+                                                  m))
+
+    return f"Curve1D.{name}", run
+
+
+SHELL_FIELDS = {"x": sphere, "pi": sphere_pi,
+                "n": lambda t, th1, th2: plate_n(t, th1, th2) + 0.1 * th1,
+                "v": lambda t, th1, th2: np.array([th2, t, th1 * th2]),
+                "w": lambda t, th1, th2: np.array([th1, 0.0 * t, t * th2]),
+                "varpi": spinning_varpi}
+
+
+def shell_case(name):
+    def run(tr, m):
+        fields = {"x": sphere, "pi": sphere_pi,
+                  name: through(SHELL_FIELDS[name], tr)}
+        method = "w" if name == "varpi" else name
+        return getattr(ShellField(**fields), method)(
+            *surface_events(np.random.default_rng(1), m))
+
+    return f"ShellField.{name}", run
+
+
+def connection_case(name):
+    def run(tr, m):
+        rng = np.random.default_rng(1)
+        t, x = space_events(rng, m)
+        if name == "x":
+            return SPIN.fields_at(t, tr(x))
+        conn = GalileanConnection(**{name: through(
+            lambda t, x: 0.1 * x + t, tr)})
+        return conn.fields_at(t, x)
+
+    return ("GalileanConnection.fields_at x" if name == "x"
+            else f"GalileanConnection.{name}"), run
+
+
+def section_case():
+    def run(tr, m):
+        sigma = through(lambda z: np.multiply.outer(
+            np.arange(9.0).reshape(3, 3), 1.0 + z * z), tr)
+        red = reduce_3d_to_2d(sigma, 1.0, ThicknessRule(0.1, n=m))
+        return red.N, red.Q, red.M
+
+    return "reduce_3d_to_2d sigma_bar", run
+
+
+SINGLE_READ = dict([
+    view_case("CauchyMedium", "v"), view_case("CauchyMedium", "sigma"),
+    *(view_case("Cosserat1DField", name)
+      for name in ("F", "q", "l", "l_star", "M_star")),
+    *(view_case("ShellLoads", name) for name in ("N", "Q", "M")),
+    *(view_case("Cosserat3DState", name)
+      for name in ("T", "q", "l", "l_star", "M_star")),
+    *(curve_case(name) for name in CURVE_FIELDS),
+    *(shell_case(name) for name in SHELL_FIELDS),
+    *(connection_case(name) for name in ("g", "Omega", "x")),
+    *(traj_case(i) for i in (1, 2, 3)),
+    section_case(),
+])
+
+
+def _bits(result):
+    if hasattr(result, "as_array"):
+        result = result.as_array()
+    parts = result if isinstance(result, tuple) else (result,)
+    return np.concatenate([np.ravel(p) for p in parts]).tobytes()
+
+
+@pytest.mark.parametrize("field", sorted(SINGLE_READ))
+def test_values_with_the_point_axis_first_are_refused(field):
+    # On a batch of more than one point every read takes exactly
+    # (*shape, m): values returned with the point axis first, the events
+    # as the rows of x included, raise a ValueError naming the field
+    # rather than being read transposed.  A batch of one takes a value
+    # written for one point, bit for bit as its (*shape, 1) form.
+    run = SINGLE_READ[field]
+    with pytest.raises(ValueError, match=(
+            rf"^{re.escape(field)} (returned|has) values of shape "
+            r"\((\d+), [\d, ]+\) for a batch of m = \2 \w+")):
+        run(lambda v: np.moveaxis(v, -1, 0), 5)
+    one_point = run(lambda v: v[..., 0] if v.shape[-1:] == (1,) else v, 1)
+    assert _bits(one_point) == _bits(run(lambda v: v, 1))

@@ -108,6 +108,45 @@ def test_tolerance_scale_zero_is_accepted(tmp_path, capsys):
     assert (summary["passed"], summary["tolerance_scale"]) == (False, 0.0)
 
 
+def test_negative_zero_tolerance_scale_reads_as_zero(tmp_path, capsys):
+    rc = main(["run", "projectile_residual", "--out-dir",
+               str(tmp_path / "out"), "--tolerance-scale=-0.0"])
+    out = capsys.readouterr().out
+    assert rc == 1 and "(tol 0)" in out and "-0" not in out
+    text = (tmp_path / "out" / "projectile_residual"
+            / "summary.json").read_text()
+    assert '"tolerance_scale": 0.0' in text
+    assert math.copysign(1.0, json.loads(text)["tolerance_scale"]) == 1.0
+
+
+@pytest.mark.parametrize("targets", [["cauchy_manufactured"],
+                                     ["projectile_residual", "free_particle"]],
+                         ids=["one_target", "two_targets"])
+def test_negative_seed_exits_2_before_any_case_runs(tmp_path, capsys,
+                                                    targets):
+    rc = main(["run", *targets, "--out-dir", str(tmp_path / "out"),
+               "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: --seed: expected an integer >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_dir_that_is_a_file_exits_2_before_any_case_runs(tmp_path,
+                                                            capsys):
+    # The out root is checked before the first case runs, so no PASS line
+    # is printed and no target writes its artifacts.
+    out_dir = tmp_path / "out"
+    out_dir.write_text("")
+    rc = main(["run", "projectile_residual", "free_particle", "--out-dir",
+               str(out_dir)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: --out-dir: cannot write {out_dir}")
+    assert sorted(os.listdir(tmp_path)) == ["out"]
+    assert out_dir.read_text() == ""
+
+
 @pytest.mark.parametrize("blocker", ["out_dir_is_a_file",
                                      "summary_is_a_directory"])
 def test_unusable_out_dir_exits_2(tmp_path, capsys, blocker):
@@ -454,6 +493,24 @@ BAD_CONNECTIONS = {
     # An int too large for a float raised OverflowError.
     "g_int_too_large": ("projectile",
                         {"type": "uniform", "g": [10**400, 0, 0]}, "g"),
+    # A vector is a list of exactly three JSON numbers: numpy read a bool
+    # as 0 or 1, a numeric string as its number, and a nested list as its
+    # entries.
+    "g_bool": ("projectile", {"type": "uniform", "g": [True, False, False]},
+               "g"),
+    "g_string": ("projectile", {"type": "uniform", "g": ["0", "0", "-9.8"]},
+                 "g"),
+    "g_nested": ("projectile", {"type": "uniform", "g": [[0, 0, -9.8]]},
+                 "g"),
+    "Omega_bool": ("coriolis_rotating_frame",
+                   {"type": "rotating_frame", "Omega": [False, False, True]},
+                   "Omega"),
+    "Omega_string": ("coriolis_rotating_frame",
+                     {"type": "rotating_frame", "Omega": ["0", "0", "0.5"]},
+                     "Omega"),
+    "Omega_nested": ("coriolis_rotating_frame",
+                     {"type": "rotating_frame", "Omega": [[0, 0, 0.5]]},
+                     "Omega"),
 }
 
 
